@@ -10,9 +10,10 @@ invocations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
+from html import escape
 
 from .curves import AnalyticPoint, analytic_point, analytic_point_for_config, zero_crossing
 from .infotheory import binary_entropy, shannon_entropy
@@ -167,10 +168,10 @@ def _svg_text(curves: list[tuple[str, list[float], list[float]]], title: str) ->
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
-        f'<desc>{escape(title)}</desc>',
+        f'<desc>{escape(title, quote=False)}</desc>',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{escape(title)}</text>',
+        f'font-family="sans-serif" font-size="16">{escape(title, quote=False)}</text>',
     ]
     axis_style = 'stroke="#333" stroke-width="1"'
     parts.append(
@@ -216,7 +217,7 @@ def _svg_text(curves: list[tuple[str, list[float], list[float]]], title: str) ->
         raw = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(xs, ys))
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.6" '
-            f'points="{points}" data-label="{escape(label)}" data-points="{raw}"/>'
+            f'points="{points}" data-label="{escape(label, quote=False)}" data-points="{raw}"/>'
         )
         legend_y = top + 16 + 18 * idx
         parts.append(
@@ -225,7 +226,7 @@ def _svg_text(curves: list[tuple[str, list[float], list[float]]], title: str) ->
         )
         parts.append(
             f'<text x="{left + plot_w - 116}" y="{legend_y}" font-family="sans-serif" '
-            f'font-size="12">{escape(label)}</text>'
+            f'font-size="12">{escape(label, quote=False)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -237,7 +238,7 @@ def _parse_grid(text: str) -> list[float]:
         start, stop, step = float(start_s), float(stop_s), float(step_s)
     except ValueError as exc:
         raise UsageError(f"grid must be start:stop:step, got {text!r}") from exc
-    if step <= 0 or stop < start:
+    if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
         raise UsageError(f"invalid grid {text!r}")
     count = int(round((stop - start) / step))
     grid = [start + i * step for i in range(count + 1)]
@@ -274,9 +275,12 @@ def _merged(args: argparse.Namespace, key: str, default):
 
 def _as_float(name: str, value) -> float:
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"{name} must be a number, got {value!r}") from exc
+    if not math.isfinite(number):
+        raise UsageError(f"{name} must be finite, got {value!r}")
+    return number
 
 
 def _as_int(name: str, value) -> int:

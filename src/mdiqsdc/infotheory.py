@@ -74,8 +74,8 @@ def _check_unit(name: str, value: float) -> float:
 def _check_gains(q: float, eta: float) -> tuple[float, float]:
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"gain q={q!r} outside [0, 1]")
-    if eta < 0.0:
-        raise ValueError(f"gain gap eta={eta!r} must be nonnegative")
+    if not math.isfinite(eta) or eta < 0.0:
+        raise ValueError(f"gain gap eta={eta!r} must be finite and nonnegative")
     return float(q), float(eta)
 
 

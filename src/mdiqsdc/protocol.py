@@ -1,14 +1,18 @@
 """Monte Carlo execution of the two measurement-device-independent QSDC
 protocols, in their equivalent entanglement-swapping form.
 
-Every round proceeds in the Pauli frame: two singlet sources, one channel
-error sampled per transmission leg, the untrusted middle party's Bell
+Every round proceeds in the Pauli frame: two singlet sources, a channel
+error on each transmission leg, the untrusted middle party's Bell
 outcome, the swap correction, then either a correlation check or a message
 (dense-coding symbol for the entanglement protocol, one bit for the
 single-photon protocol). The frame bookkeeping rests on one identity that
 the exact 16-dimensional oracle verifies: after the swap correction, the
 shared pair differs from the singlet exactly by the composed Pauli error of
-the two legs, independently of the announced Bell outcome.
+the two legs, independently of the announced Bell outcome. The sampler
+therefore draws that composed error once per round and never draws the
+Bell outcome (Aaronson & Gottesman, PRA 70, 052328 (2004), for Pauli-frame
+tracking). Rounds are drawn and tallied in fixed blocks, so memory does not
+grow with the number of rounds.
 
 Two analytic backends expose per-round outcome distributions, one from the
 label algebra and one from explicit density matrices, so their agreement
@@ -21,7 +25,8 @@ configs or seeds may execute concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -86,8 +91,6 @@ class AttackModel(str, Enum):
     INTERCEPT_RESEND = "intercept-resend"
 
 
-_MUL = np.array(PAULI_PRODUCT, dtype=np.int64)
-_ANTI = np.array(ANTICOMMUTES, dtype=np.int64)
 _BELL_OF_PAULI = np.array([int(b) for b in BELL_OF_PAULI], dtype=np.int64)
 _PAULI_OF_BELL = np.array([int(p) for p in PAULI_OF_BELL], dtype=np.int64)
 
@@ -136,8 +139,8 @@ class ProtocolConfig:
             raise ValueError("the bit-1 encoding operator cannot be the identity")
         if self.q_override is not None and not 0.0 <= self.q_override <= 1.0:
             raise ValueError("gain override must lie in [0, 1]")
-        if self.eta < 0.0:
-            raise ValueError("gain gap must be nonnegative")
+        if not math.isfinite(self.eta) or self.eta < 0.0:
+            raise ValueError("gain gap must be finite and nonnegative")
         if not 0.0 <= self.transmittance <= 1.0:
             raise ValueError("transmittance must lie in [0, 1]")
         if self.attack_leg not in ("alice", "bob"):
@@ -259,15 +262,6 @@ def intercept_resend_pauli_dist(bases: tuple[PauliLabel, ...]) -> PauliDistribut
     return PauliDistribution(tuple(probs))
 
 
-def eve_intercept_resend(
-    leg_samples: np.ndarray, bases: tuple[PauliLabel, ...], rng: np.random.Generator
-) -> np.ndarray:
-    """Tamper sampled leg errors with an intercept-resend attack."""
-    dist = intercept_resend_pauli_dist(bases)
-    eve = rng.choice(4, size=len(leg_samples), p=dist.probabilities)
-    return _MUL[leg_samples, eve]
-
-
 def intercept_resend_channel(
     dm: DensityMatrix, qubit: int, bases: tuple[PauliLabel, ...]
 ) -> DensityMatrix:
@@ -302,95 +296,167 @@ def _second_leg_dist(cfg: ProtocolConfig) -> PauliDistribution:
     return single  # only Alice's encoded photon travels again
 
 
-@dataclass
-class _RoundArrays:
+def _frame_dist(cfg: ProtocolConfig) -> PauliDistribution:
+    """Pauli frame of the corrected pair: both first legs composed, attack included."""
+    return convolve(*_first_leg_dists(cfg))
+
+
+# Rounds drawn and tallied per block; peak memory of a run is set by this
+# constant, not by the number of rounds.
+CHUNK_ROUNDS = 1 << 16
+
+
+def _label_cuts(dist: PauliDistribution) -> np.ndarray:
+    """Inverse-CDF thresholds of a Pauli distribution: label k is drawn for
+    a uniform u in [cuts[k-1], cuts[k]). Labels after the last one of
+    nonzero weight get threshold 1 and are never drawn, whatever the
+    rounding of the cumulative sum."""
+    probs = np.asarray(dist.probabilities)
+    cdf = np.cumsum(probs)
+    cdf[np.flatnonzero(probs)[-1] :] = 1.0
+    return cdf[:-1]
+
+
+def _labels(cuts: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """uint8 labels of uniforms by inverse CDF: the number of thresholds at
+    or below each u, which is ``np.searchsorted(cuts, u, side="right")``
+    without the per-element binary search."""
+    labels = np.zeros(u.shape, dtype=np.uint8)
+    for cut in cuts:
+        labels += u >= cut
+    return labels
+
+
+def _anticommutes(labels: np.ndarray, basis: int) -> np.ndarray:
+    """``ANTICOMMUTES[label][basis]`` for a nontrivial basis: every
+    nontrivial Pauli other than the basis itself anticommutes with it."""
+    return (labels != 0) & (labels != basis)
+
+
+@dataclass(frozen=True)
+class _Chunk:
+    """A block of consecutive rounds, one uint8 or bool entry per round.
+
+    Every round carries check and message fields; ``is_check`` picks which
+    ones the protocol uses. ``decoded`` is meaningful only where ``arrived``.
+    """
+
     frame: np.ndarray
-    charlie_outcome: np.ndarray
     is_check: np.ndarray
     basis: np.ndarray
     alice_bit: np.ndarray
     bob_bit: np.ndarray
     encoded: np.ndarray
-    decoded: np.ndarray  # -1 where the message photon was lost
+    decoded: np.ndarray
+    arrived: np.ndarray
 
 
-def _simulate(cfg: ProtocolConfig) -> _RoundArrays:
-    """Run all rounds in the Pauli frame. Draw order is fixed so identical
-    configs reproduce identical transcripts."""
+def _chunks(cfg: ProtocolConfig) -> Iterator[_Chunk]:
+    """Run all rounds in the Pauli frame, CHUNK_ROUNDS at a time.
+
+    Each block draws, in this order: the pair frame from the composed
+    first-leg distribution, the check flag, the check basis, Alice's check
+    bit, the message symbol, Bob's cover (entanglement protocol), the
+    re-transmission error (both-legs noise) and photon arrival (lossy
+    channel). Frame and re-transmission error use the same distributions
+    the Pauli-frame backend enumerates. The draw order is fixed, so
+    identical configs reproduce identical transcripts.
+    """
     rng = np.random.default_rng(cfg.seed)
-    n = cfg.rounds
-    base = depolarizing_pauli_dist(cfg.channel_p)
+    frame_cuts = _label_cuts(_frame_dist(cfg))
+    both_legs = cfg.noise == NoisePlacement.BOTH_LEGS
+    second_cuts = _label_cuts(_second_leg_dist(cfg)) if both_legs else None
+    bases = np.array([int(b) for b in check_bases(cfg)], dtype=np.uint8)
+    entangled = cfg.protocol == Protocol.MDI_TS
+    photons_in_flight = 2 if entangled else 1
+    arrival = cfg.transmittance**photons_in_flight
 
-    leg_a = rng.choice(4, size=n, p=base.probabilities)
-    leg_b = rng.choice(4, size=n, p=base.probabilities)
-    if cfg.attack == AttackModel.INTERCEPT_RESEND:
-        if cfg.attack_leg == "alice":
-            leg_a = eve_intercept_resend(leg_a, cfg.attack_bases, rng)
+    for start in range(0, cfg.rounds, CHUNK_ROUNDS):
+        n = min(CHUNK_ROUNDS, cfg.rounds - start)
+        frame = _labels(frame_cuts, rng.random(n))
+        is_check = rng.random(n) < cfg.check_fraction
+        basis = bases[rng.integers(0, len(bases), size=n, dtype=np.uint8)]
+        alice_bit = rng.integers(0, 2, size=n, dtype=np.uint8)
+        encoded = rng.integers(0, 4 if entangled else 2, size=n, dtype=np.uint8)
+        cover = rng.integers(0, 4, size=n, dtype=np.uint8) if entangled else None
+        if second_cuts is not None:
+            second = _labels(second_cuts, rng.random(n))
         else:
-            leg_b = eve_intercept_resend(leg_b, cfg.attack_bases, rng)
-    frame = _MUL[leg_a, leg_b]
-
-    charlie_outcome = rng.integers(0, 4, size=n)
-    is_check = rng.random(n) < cfg.check_fraction
-    bases = check_bases(cfg)
-    basis_arr = np.array([int(b) for b in bases], dtype=np.int64)[
-        rng.integers(0, len(bases), size=n)
-    ]
-    alice_bit = rng.integers(0, 2, size=n)
-
-    if cfg.protocol == Protocol.MDI_TS:
-        encoded = rng.integers(0, 4, size=n)
-        cover = rng.integers(0, 4, size=n)
-    else:
-        encoded = rng.integers(0, 2, size=n)
-        cover = None
-
-    if cfg.noise == NoisePlacement.BOTH_LEGS:
-        second_a = rng.choice(4, size=n, p=base.probabilities)
-        if cfg.protocol == Protocol.MDI_TS:
-            second_b = rng.choice(4, size=n, p=base.probabilities)
-            second = _MUL[second_a, second_b]
+            second = np.zeros(n, dtype=np.uint8)
+        if cfg.transmittance < 1.0:
+            arrived = rng.random(n) < arrival
         else:
-            second = second_a
-    else:
-        second = np.zeros(n, dtype=np.int64)
+            arrived = np.ones(n, dtype=bool)
 
-    photons_in_flight = 2 if cfg.protocol == Protocol.MDI_TS else 1
-    if cfg.transmittance < 1.0:
-        arrived = rng.random(n) < cfg.transmittance**photons_in_flight
-    else:
-        arrived = np.ones(n, dtype=bool)
+        # Check outcomes: the singlet reference is anti-correlated in every
+        # basis; the pair frame flips that exactly when it anticommutes with
+        # the measurement basis.
+        bob_bit = alice_bit ^ 1 ^ _anticommutes(frame, basis)
 
-    # Check outcomes: the singlet reference is anti-correlated in every
-    # basis; the pair frame flips that exactly when it anticommutes with
-    # the measurement basis.
-    err = _ANTI[frame, basis_arr]
-    bob_bit = alice_bit ^ 1 ^ err
-
-    if cfg.protocol == Protocol.MDI_TS:
-        label2 = _MUL[second, _MUL[cover, _MUL[encoded, frame]]]
-        if cfg.decode_with_cover:
-            decoded = _MUL[cover, label2]
+        # Label products are bitwise XOR in the I, X, Y, Z = 0..3 numbering
+        # (PAULI_PRODUCT).
+        if entangled:
+            label2 = second ^ cover ^ encoded ^ frame
+            decoded = cover ^ label2 if cfg.decode_with_cover else label2
         else:
-            decoded = label2
-    else:
-        u1 = int(cfg.dl04_encoding)
-        enc_pauli = np.where(encoded == 1, u1, 0)
-        label2 = _MUL[second, _MUL[enc_pauli, frame]]
-        m = int(MESSAGE_BASIS[cfg.dl04_encoding])
-        decoded = _ANTI[label2, m]
-    decoded = np.where(arrived, decoded, -1)
+            enc_pauli = encoded * np.uint8(cfg.dl04_encoding)
+            label2 = second ^ enc_pauli ^ frame
+            m = int(MESSAGE_BASIS[cfg.dl04_encoding])
+            decoded = _anticommutes(label2, m).view(np.uint8)
 
-    return _RoundArrays(
-        frame=frame,
-        charlie_outcome=charlie_outcome,
-        is_check=is_check,
-        basis=basis_arr,
-        alice_bit=alice_bit,
-        bob_bit=bob_bit,
-        encoded=encoded,
-        decoded=decoded,
-    )
+        yield _Chunk(
+            frame=frame,
+            is_check=is_check,
+            basis=basis,
+            alice_bit=alice_bit,
+            bob_bit=bob_bit,
+            encoded=encoded,
+            decoded=decoded,
+            arrived=arrived,
+        )
+
+
+@dataclass
+class Tally:
+    """Counts of one transcript; every estimate of a run is computed from them.
+
+    ``checks[b, e]`` counts check rounds in basis label ``b`` whose two
+    outcomes agree (``e = 1``, an error against the anti-correlated singlet)
+    or differ (``e = 0``). ``message_diffs[d]`` counts decoded message rounds
+    by decoded (-) encoded: the two-bit symbol difference for the
+    entanglement protocol, the bit flip (``d`` in {0, 1}) for the
+    single-photon protocol. Lost message rounds count only in
+    ``message_rounds``.
+    """
+
+    checks: np.ndarray = field(default_factory=lambda: np.zeros((4, 2), dtype=np.int64))
+    message_rounds: int = 0
+    message_diffs: np.ndarray = field(default_factory=lambda: np.zeros(4, dtype=np.int64))
+
+    @property
+    def rounds(self) -> int:
+        return int(self.checks.sum()) + self.message_rounds
+
+    @property
+    def decoded_rounds(self) -> int:
+        return int(self.message_diffs.sum())
+
+    def add(self, chunk: _Chunk) -> None:
+        check = chunk.is_check
+        key = (chunk.basis << 1) | (chunk.alice_bit == chunk.bob_bit)
+        self.checks += np.bincount(key[check], minlength=8).reshape(4, 2)
+        message = ~check
+        self.message_rounds += int(np.count_nonzero(message))
+        diff = (chunk.decoded ^ chunk.encoded)[message & chunk.arrived]
+        self.message_diffs += np.bincount(diff, minlength=4)
+
+    def add_record(self, rec: RoundRecord) -> None:
+        if rec.role == "check":
+            self.checks[int(rec.basis), int(rec.alice_outcome == rec.bob_outcome)] += 1
+        else:
+            self.message_rounds += 1
+            if rec.decoded is not None:
+                self.message_diffs[rec.decoded ^ rec.encoded] += 1
 
 
 def _binary_rate_variance(rate: float, samples: int) -> float:
@@ -412,28 +478,33 @@ def _shannon_variance(probs: tuple[float, ...], samples: int) -> float:
     return max(second - mean * mean, 0.0) / samples
 
 
-def _stats_from_counts(
-    cfg: ProtocolConfig,
-    *,
-    rounds: int,
-    basis_counts: dict[PauliLabel, tuple[int, int]],
-    message_rounds: int,
-    decoded_rounds: int,
-    ts_diff_counts: np.ndarray | None,
-    dl04_bit_errors: int | None,
-) -> TranscriptStats:
+def _stats_from_tally(cfg: ProtocolConfig, tally: Tally) -> TranscriptStats:
+    """Estimates, standard errors and the capacity bound of one transcript.
+
+    Check error rates are per-basis disagreement frequencies (the singlet
+    reference expects anti-correlated outcomes); message statistics are the
+    empirical symbol-difference distribution or bit error rate. A basis
+    with no check rounds flags the result as unavailable.
+    """
+    bases = check_bases(cfg)
+    for label in range(4):
+        if PauliLabel(label) not in bases and tally.checks[label].any():
+            raise ValueError(f"unexpected check basis {PauliLabel(label)!r}")
     estimates: dict[PauliLabel, QberEstimate | None] = {
         PauliLabel.Z: None,
         PauliLabel.X: None,
         PauliLabel.Y: None,
     }
-    for basis, (samples, errors) in basis_counts.items():
+    for basis in bases:
+        samples = int(tally.checks[basis].sum())
+        errors = int(tally.checks[basis, 1])
         if samples > 0:
             rate = errors / samples
             se = math.sqrt(rate * (1.0 - rate) / samples)
             estimates[basis] = QberEstimate(basis, samples, errors, rate, se)
 
-    check_rounds = sum(s for s, _ in basis_counts.values())
+    message_rounds = tally.message_rounds
+    decoded_rounds = tally.decoded_rounds
     gain = decoded_rounds / message_rounds if message_rounds > 0 else 0.0
     q_used = cfg.q_override if cfg.q_override is not None else gain
 
@@ -461,7 +532,7 @@ def _stats_from_counts(
 
     if unavailable is None:
         if cfg.protocol == Protocol.MDI_TS:
-            probs = tuple(float(c) / decoded_rounds for c in ts_diff_counts)
+            probs = tuple(float(c) / decoded_rounds for c in tally.message_diffs)
             message_errors = ErrorVector(probs)
             ez = estimates[PauliLabel.Z]
             ex = estimates[PauliLabel.X]
@@ -474,7 +545,7 @@ def _stats_from_counts(
             )
             capacity_se = q_used * math.sqrt(variance)
         else:
-            bit_error = dl04_bit_errors / decoded_rounds
+            bit_error = int(tally.message_diffs[1]) / decoded_rounds
             bit_error_se = math.sqrt(bit_error * (1.0 - bit_error) / decoded_rounds)
             eu = estimates[cfg.dl04_encoding]
             capacity = capacity_mdi_dl04(bit_error, eu.rate, q=q_used, eta=cfg.eta)
@@ -485,8 +556,8 @@ def _stats_from_counts(
 
     return TranscriptStats(
         protocol=cfg.protocol,
-        rounds=rounds,
-        check_rounds=check_rounds,
+        rounds=tally.rounds,
+        check_rounds=int(tally.checks.sum()),
         message_rounds=message_rounds,
         decoded_rounds=decoded_rounds,
         gain=gain,
@@ -504,52 +575,24 @@ def _stats_from_counts(
     )
 
 
-def _stats_from_arrays(cfg: ProtocolConfig, arrays: _RoundArrays) -> TranscriptStats:
-    check = arrays.is_check
-    basis_counts: dict[PauliLabel, tuple[int, int]] = {}
-    for basis in check_bases(cfg):
-        mask = check & (arrays.basis == int(basis))
-        samples = int(np.count_nonzero(mask))
-        errors = int(np.count_nonzero(arrays.alice_bit[mask] == arrays.bob_bit[mask]))
-        basis_counts[basis] = (samples, errors)
-
-    msg = ~check
-    decoded_mask = msg & (arrays.decoded >= 0)
-    message_rounds = int(np.count_nonzero(msg))
-    decoded_rounds = int(np.count_nonzero(decoded_mask))
-
-    ts_diff_counts: np.ndarray | None = None
-    dl04_bit_errors: int | None = None
-    if cfg.protocol == Protocol.MDI_TS:
-        diff = _MUL[arrays.decoded[decoded_mask], arrays.encoded[decoded_mask]]
-        ts_diff_counts = np.bincount(diff, minlength=4)
-    else:
-        dl04_bit_errors = int(
-            np.count_nonzero(arrays.decoded[decoded_mask] != arrays.encoded[decoded_mask])
-        )
-
-    return _stats_from_counts(
-        cfg,
-        rounds=cfg.rounds,
-        basis_counts=basis_counts,
-        message_rounds=message_rounds,
-        decoded_rounds=decoded_rounds,
-        ts_diff_counts=ts_diff_counts,
-        dl04_bit_errors=dl04_bit_errors,
-    )
+def _run(cfg: ProtocolConfig) -> TranscriptStats:
+    tally = Tally()
+    for chunk in _chunks(cfg):
+        tally.add(chunk)
+    return _stats_from_tally(cfg, tally)
 
 
 def run_mdi_ts(cfg: ProtocolConfig) -> TranscriptStats:
     """Monte Carlo run of the entanglement-based MDI protocol.
 
-    Per round: sample leg errors, swap and correct, then either a Z/X
-    correlation check or a dense-coding message under Bob's uniformly
-    random cover operation, re-measured by the middle party and decoded
-    with the cover bookkeeping. Deterministic given the config seed.
+    Per round: sample the pair frame, then either a Z/X correlation check
+    or a dense-coding message under Bob's uniformly random cover operation,
+    re-measured by the middle party and decoded with the cover bookkeeping.
+    Deterministic given the config seed; memory does not grow with rounds.
     """
     if cfg.protocol != Protocol.MDI_TS:
         raise ValueError("config is not for the entanglement protocol")
-    return _stats_from_arrays(cfg, _simulate(cfg))
+    return _run(cfg)
 
 
 def run_mdi_dl04(cfg: ProtocolConfig) -> TranscriptStats:
@@ -562,7 +605,7 @@ def run_mdi_dl04(cfg: ProtocolConfig) -> TranscriptStats:
     """
     if cfg.protocol != Protocol.MDI_DL04:
         raise ValueError("config is not for the single-photon protocol")
-    return _stats_from_arrays(cfg, _simulate(cfg))
+    return _run(cfg)
 
 
 def run(cfg: ProtocolConfig) -> TranscriptStats:
@@ -575,80 +618,55 @@ def run(cfg: ProtocolConfig) -> TranscriptStats:
 def round_records(cfg: ProtocolConfig) -> list[RoundRecord]:
     """Materialize per-round records of the run that ``run(cfg)`` aggregates.
 
-    Identical seeding guarantees the records and the aggregated stats
-    describe the same transcript. Intended for small ``rounds``.
+    Both draw the same blocks from the same seed, so the records and the
+    aggregated stats describe the same transcript. Intended for small
+    ``rounds``.
     """
-    arrays = _simulate(cfg)
     records: list[RoundRecord] = []
-    for i in range(cfg.rounds):
-        frame = BellLabel(int(_BELL_OF_PAULI[arrays.frame[i]]))
-        if arrays.is_check[i]:
-            records.append(
-                RoundRecord(
-                    frame=frame,
-                    role="check",
-                    basis=PauliLabel(int(arrays.basis[i])),
-                    alice_outcome=int(arrays.alice_bit[i]),
-                    bob_outcome=int(arrays.bob_bit[i]),
+    for chunk in _chunks(cfg):
+        rows = zip(
+            chunk.frame.tolist(),
+            chunk.is_check.tolist(),
+            chunk.basis.tolist(),
+            chunk.alice_bit.tolist(),
+            chunk.bob_bit.tolist(),
+            chunk.encoded.tolist(),
+            chunk.decoded.tolist(),
+            chunk.arrived.tolist(),
+        )
+        for frame, is_check, basis, alice, bob, encoded, decoded, arrived in rows:
+            bell = BELL_OF_PAULI[frame]
+            if is_check:
+                records.append(
+                    RoundRecord(
+                        frame=bell,
+                        role="check",
+                        basis=PauliLabel(basis),
+                        alice_outcome=alice,
+                        bob_outcome=bob,
+                    )
                 )
-            )
-        else:
-            decoded = int(arrays.decoded[i])
-            records.append(
-                RoundRecord(
-                    frame=frame,
-                    role="message",
-                    encoded=int(arrays.encoded[i]),
-                    decoded=None if decoded < 0 else decoded,
+            else:
+                records.append(
+                    RoundRecord(
+                        frame=bell,
+                        role="message",
+                        encoded=encoded,
+                        decoded=decoded if arrived else None,
+                    )
                 )
-            )
     return records
 
 
 def estimate_stats(records: list[RoundRecord], cfg: ProtocolConfig) -> TranscriptStats:
-    """Aggregate a list of round records into transcript statistics.
-
-    Check error rates are per-basis disagreement frequencies (the singlet
-    reference expects anti-correlated outcomes); message statistics are the
-    empirical symbol-difference distribution or bit error rate. Estimates
-    feed the protocol's capacity bound; a basis with no check rounds flags
-    the result as unavailable.
-    """
+    """Aggregate a list of round records into transcript statistics, exactly
+    as ``run`` aggregates the rounds it draws."""
     if not records:
         raise ValueError("cannot estimate statistics from zero records")
-    basis_counts: dict[PauliLabel, tuple[int, int]] = {
-        b: (0, 0) for b in check_bases(cfg)
-    }
-    message_rounds = 0
-    decoded_rounds = 0
-    ts_diff_counts = np.zeros(4, dtype=np.int64)
-    dl04_bit_errors = 0
+    tally = Tally()
     for rec in records:
-        if rec.role == "check":
-            if rec.basis not in basis_counts:
-                raise ValueError(f"unexpected check basis {rec.basis!r}")
-            samples, errors = basis_counts[rec.basis]
-            basis_counts[rec.basis] = (
-                samples + 1,
-                errors + (1 if rec.alice_outcome == rec.bob_outcome else 0),
-            )
-        else:
-            message_rounds += 1
-            if rec.decoded is not None:
-                decoded_rounds += 1
-                if cfg.protocol == Protocol.MDI_TS:
-                    ts_diff_counts[PAULI_PRODUCT[rec.decoded][rec.encoded]] += 1
-                elif rec.decoded != rec.encoded:
-                    dl04_bit_errors += 1
-    return _stats_from_counts(
-        cfg,
-        rounds=len(records),
-        basis_counts=basis_counts,
-        message_rounds=message_rounds,
-        decoded_rounds=decoded_rounds,
-        ts_diff_counts=ts_diff_counts if cfg.protocol == Protocol.MDI_TS else None,
-        dl04_bit_errors=dl04_bit_errors if cfg.protocol == Protocol.MDI_DL04 else None,
-    )
+        tally.add_record(rec)
+    return _stats_from_tally(cfg, tally)
 
 
 # ---------------------------------------------------------------------------
@@ -674,8 +692,7 @@ def pauli_frame_round_distributions(cfg: ProtocolConfig) -> dict[str, np.ndarray
       announced outcome, encoded bit, both single-photon outcomes, plus
       ``bit_error`` (1,).
     """
-    leg_a, leg_b = _first_leg_dists(cfg)
-    frame_dist = np.asarray(convolve(leg_a, leg_b).probabilities)
+    frame_dist = np.asarray(_frame_dist(cfg).probabilities)
     second_dist = np.asarray(_second_leg_dist(cfg).probabilities)
     bases = check_bases(cfg)
 

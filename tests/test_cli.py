@@ -3,8 +3,13 @@
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape as sax_escape
 
-from mdiqsdc.cli import CSV_HEADER, main
+import pytest
+
+from mdiqsdc.cli import CSV_HEADER, _svg_text, main
+
+NON_FINITE = ("nan", "inf", "-inf")
 
 
 def run_cli(args, capsys):
@@ -85,6 +90,24 @@ class TestSweep:
         assert code == 2
         code, _, _ = run_cli(["sweep", "--grid", "0:0.5:-0.1"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("flag", ["--eta", "--q", "--p", "--x"])
+    def test_non_finite_input_exits_2(self, capsys, flag, value):
+        point = [] if flag in ("--p", "--x") else ["--x", "0"]
+        code, out, err = run_cli(["sweep", *point, f"{flag}={value}"], capsys)
+        assert code == 2 and "finite" in err
+        assert out == ""
+
+    def test_non_finite_grid_exits_2(self, capsys):
+        code, _, err = run_cli(["sweep", "--grid", "0:inf:0.1"], capsys)
+        assert code == 2 and "grid" in err
+
+    def test_svg_escapes_like_xml_sax(self):
+        label = "a&b<c>d\"e'f"
+        svg = _svg_text([(label, [0.0, 0.5], [1.0, 0.0])], label)
+        assert svg.count(sax_escape(label)) == 4
+        assert "&amp;b&lt;c&gt;d\"e'f" in svg
 
     def test_noise_and_gain_flags_change_the_curve(self, capsys):
         base = ["sweep", "--protocol", "mdi-ts", "--x", "0.05"]
@@ -210,6 +233,17 @@ class TestSimulate:
             ["simulate", "--protocol", "mdi-ts", "--p", "0.1", "--rounds", "zero"], capsys
         )
         assert code == 2
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("flag", ["--eta", "--q", "--p", "--x"])
+    def test_non_finite_input_exits_2(self, capsys, flag, value):
+        point = [] if flag in ("--p", "--x") else ["--p", "0.1"]
+        code, out, err = run_cli(
+            ["simulate", "--protocol", "mdi-ts", *point, f"{flag}={value}", "--rounds", "1000"],
+            capsys,
+        )
+        assert code == 2 and "finite" in err
+        assert out == "" and "capacity" not in err
 
 
 class TestConfigFile:

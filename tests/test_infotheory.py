@@ -171,6 +171,13 @@ class TestCapacityFormulas:
         with pytest.raises(ValueError):
             capacity_mdi_ts(NO_ERRORS, 0.0, 0.0, eta=-0.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_gains_raise(self, bad):
+        with pytest.raises(ValueError):
+            capacity_mdi_ts(NO_ERRORS, 0.0, 0.0, eta=bad)
+        with pytest.raises(ValueError):
+            capacity_mdi_dl04(0.0, 0.0, q=bad)
+
 
 class TestCapacityResult:
     @given(raw=st.floats(min_value=-5, max_value=5))

@@ -18,7 +18,6 @@ from mdiqsdc.protocol import (
     RoundRecord,
     density_matrix_round_distributions,
     estimate_stats,
-    eve_intercept_resend,
     intercept_resend_channel,
     intercept_resend_pauli_dist,
     pauli_frame_round_distributions,
@@ -292,13 +291,6 @@ class TestInterceptResend:
             mixed += dist.probabilities[k] * full @ dm.matrix @ full.conj().T
         np.testing.assert_allclose(tampered.matrix, mixed, atol=1e-14)
 
-    def test_tampering_composes_group_labels(self):
-        rng = np.random.default_rng(4)
-        legs = np.zeros(10_000, dtype=np.int64)  # clean legs
-        tampered = eve_intercept_resend(legs, (PauliLabel.Z, PauliLabel.X), rng)
-        counts = np.bincount(tampered, minlength=4) / legs.size
-        np.testing.assert_allclose(counts, [0.5, 0.25, 0.0, 0.25], atol=0.02)
-
     def test_checked_qber_one_quarter(self):
         cfg = ProtocolConfig(
             protocol=Protocol.MDI_TS,
@@ -502,6 +494,16 @@ class TestConfigValidation:
                     protocol=Protocol.MDI_TS, rounds=10, channel_p=0.0, seed=1,
                     check_fraction=bad,
                 )
+
+    @pytest.mark.parametrize(
+        "field", ["channel_p", "eta", "q_override", "check_fraction", "transmittance"]
+    )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_values(self, field, bad):
+        kwargs = dict(protocol=Protocol.MDI_TS, rounds=10, channel_p=0.0, seed=1)
+        kwargs[field] = bad
+        with pytest.raises(ValueError):
+            ProtocolConfig(**kwargs)
 
     def test_rejects_identity_attack_basis(self):
         with pytest.raises(ValueError):

@@ -135,6 +135,15 @@ def error_rate_in_basis(dist: PauliDistribution, basis: PauliLabel) -> float:
     )
 
 
+def error_rates(dist: PauliDistribution) -> ErrorRates:
+    """Per-basis check error rates of a singlet hit by the error process ``dist``."""
+    return ErrorRates(
+        eps_z=error_rate_in_basis(dist, PauliLabel.Z),
+        eps_x=error_rate_in_basis(dist, PauliLabel.X),
+        eps_y=error_rate_in_basis(dist, PauliLabel.Y),
+    )
+
+
 def error_rates_from_deltas(d: BellDiagonal) -> ErrorRates:
     """Per-basis check error rates of a Bell-diagonal pair.
 
@@ -142,9 +151,4 @@ def error_rates_from_deltas(d: BellDiagonal) -> ErrorRates:
     anticommutes with the measurement basis: eps_z = delta_3 + delta_4,
     eps_x = delta_2 + delta_4, eps_y = delta_2 + delta_3.
     """
-    dist = pauli_dist_from_bell_diagonal(d)
-    return ErrorRates(
-        eps_z=error_rate_in_basis(dist, PauliLabel.Z),
-        eps_x=error_rate_in_basis(dist, PauliLabel.X),
-        eps_y=error_rate_in_basis(dist, PauliLabel.Y),
-    )
+    return error_rates(pauli_dist_from_bell_diagonal(d))

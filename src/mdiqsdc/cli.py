@@ -2,9 +2,9 @@
 verification, with CSV and hand-emitted SVG output.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
-error, 3 insufficient statistics. CSV uses 12 significant digits, ``.``
-decimals, LF line endings and a single header row, so identical
-invocations produce byte-identical files.
+error, 3 insufficient statistics, 4 internal error (traceback on stderr).
+CSV uses 12 significant digits, ``.`` decimals, LF line endings and a
+single header row, so identical invocations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -12,10 +12,17 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import traceback
 from dataclasses import dataclass
 from html import escape
 
-from .curves import AnalyticPoint, analytic_point, analytic_point_for_config, zero_crossing
+from .curves import (
+    X_MAX,
+    AnalyticPoint,
+    analytic_point,
+    analytic_point_for_config,
+    zero_crossing,
+)
 from .infotheory import binary_entropy, shannon_entropy
 from .protocol import (
     AttackModel,
@@ -32,6 +39,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INSUFFICIENT_STATS = 3
+EXIT_INTERNAL = 4
 
 CSV_HEADER = (
     "x,p,protocol,eps_z,eps_x,eps_y,H_of_E,eve_info,"
@@ -240,6 +248,8 @@ def _parse_grid(text: str) -> list[float]:
         raise UsageError(f"grid must be start:stop:step, got {text!r}") from exc
     if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
         raise UsageError(f"invalid grid {text!r}")
+    if start < 0.0 or stop > X_MAX:
+        raise UsageError(f"grid {text!r} leaves the sweep range [0, {X_MAX:g}]")
     count = int(round((stop - start) / step))
     grid = [start + i * step for i in range(count + 1)]
     # accumulated endpoints may overshoot stop by an ulp; pin them back
@@ -281,6 +291,12 @@ def _as_float(name: str, value) -> float:
     if not math.isfinite(number):
         raise UsageError(f"{name} must be finite, got {value!r}")
     return number
+
+
+def _in_range(name: str, value: float, lo: float, hi: float = math.inf) -> float:
+    if not lo <= value <= hi:
+        raise UsageError(f"{name}={value!r} outside [{lo:g}, {hi:g}]")
+    return value
 
 
 def _as_int(name: str, value) -> int:
@@ -353,9 +369,9 @@ def _resolve_x(args: argparse.Namespace) -> float | None:
     if x_flag is not None and p_flag is not None:
         raise UsageError("--x and --p are mutually exclusive")
     if x_flag is not None:
-        return _as_float("x", x_flag)
+        return _in_range("x", _as_float("x", x_flag), 0.0, X_MAX)
     if p_flag is not None:
-        return _as_float("p", p_flag) / 2.0
+        return _in_range("p", _as_float("p", p_flag), 0.0, 2.0 * X_MAX) / 2.0
     return None
 
 
@@ -368,8 +384,8 @@ def _resolve_common(args: argparse.Namespace):
     encoding_name = str(_merged(args, "encoding", "y")).lower()
     if encoding_name not in _ENCODINGS:
         raise UsageError(f"unknown encoding {encoding_name!r}")
-    q = _as_float("q", _merged(args, "q", 1.0))
-    eta = _as_float("eta", _merged(args, "eta", 1.0))
+    q = _in_range("q", _as_float("q", _merged(args, "q", 1.0)), 0.0, 1.0)
+    eta = _in_range("eta", _as_float("eta", _merged(args, "eta", 1.0)), 0.0)
     return noise_placement, _ENCODINGS[encoding_name], q, eta
 
 
@@ -498,15 +514,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "simulate":
             return cmd_simulate(args)
         return cmd_verify(args)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

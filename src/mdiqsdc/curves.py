@@ -16,11 +16,10 @@ from typing import Callable
 from .channels import (
     IDENTITY_DIST,
     PauliDistribution,
-    bell_diagonal_from_pauli_dist,
     convolve,
     depolarizing_pauli_dist,
     error_rate_in_basis,
-    error_rates_from_deltas,
+    error_rates,
 )
 from .infotheory import (
     CapacityResult,
@@ -87,7 +86,7 @@ def analytic_point(
     if protocol in (Protocol.MDI_TS, Protocol.MDI_DL04):
         leg_a = convolve(single, eve_dist) if eve_dist is not None else single
         first = convolve(leg_a, single)
-        rates = error_rates_from_deltas(bell_diagonal_from_pauli_dist(first))
+        rates = error_rates(first)
         if protocol == Protocol.MDI_TS:
             second = (
                 convolve(single, single)
@@ -114,7 +113,7 @@ def analytic_point(
     if eve_dist is not None:
         raise ValueError("the attack model applies to the MDI protocols only")
     if protocol == Protocol.TWO_STEP:
-        rates = error_rates_from_deltas(bell_diagonal_from_pauli_dist(single))
+        rates = error_rates(single)
         errors = ErrorVector(single.probabilities)
         entropy = shannon_entropy(errors)
         eve_info = eve_info_mdi_ts(rates.eps_z, rates.eps_x)
@@ -123,7 +122,7 @@ def analytic_point(
             protocol, x, p, rates.eps_z, rates.eps_x, rates.eps_y, entropy, eve_info, capacity
         )
     if protocol == Protocol.DL04:
-        rates = error_rates_from_deltas(bell_diagonal_from_pauli_dist(single))
+        rates = error_rates(single)
         entropy = binary_entropy(x)
         eve_info = binary_entropy(min(rates.eps_x + rates.eps_z, 0.5))
         capacity = capacity_dl04_non_mdi(x, rates.eps_x, rates.eps_z, q=q, eta=eta)

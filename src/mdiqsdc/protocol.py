@@ -28,6 +28,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -756,14 +757,22 @@ def pauli_frame_round_distributions(cfg: ProtocolConfig) -> dict[str, np.ndarray
     return out
 
 
-def _bell_projector(label: int, qubits: tuple[int, int], num_qubits: int) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _swap_projector(label: int) -> np.ndarray:
+    """Read-only projector on Bell outcome ``label`` of the sent photons 1 and 3."""
     v = BELL_VECTORS[label]
-    return embed_two_qubit_operator(np.outer(v, v.conj()), qubits, num_qubits)
+    proj = embed_two_qubit_operator(np.outer(v, v.conj()), (1, 3), 4)
+    proj.flags.writeable = False
+    return proj
 
 
-def _basis_projector(basis: PauliLabel, bit: int) -> np.ndarray:
-    v = basis_eigenvector(basis, bit)
-    return np.outer(v, v.conj())
+@lru_cache(maxsize=None)
+def _pair_projector(basis: PauliLabel, a: int, b: int) -> np.ndarray:
+    """Read-only projector on outcomes a, b of two photons both measured in ``basis``."""
+    va, vb = basis_eigenvector(basis, a), basis_eigenvector(basis, b)
+    op = np.kron(np.outer(va, va.conj()), np.outer(vb, vb.conj()))
+    op.flags.writeable = False
+    return op
 
 
 def density_matrix_round_distributions(cfg: ProtocolConfig) -> dict[str, np.ndarray]:
@@ -795,7 +804,7 @@ def density_matrix_round_distributions(cfg: ProtocolConfig) -> dict[str, np.ndar
     dl04_bit_error = 0.0
 
     for o in range(4):
-        proj = _bell_projector(o, (1, 3), 4)
+        proj = _swap_projector(o)
         sub = proj @ rho.matrix @ proj
         p_o = float(np.real(np.trace(sub)))
         swap_outcome[o] = p_o
@@ -806,10 +815,8 @@ def density_matrix_round_distributions(cfg: ProtocolConfig) -> dict[str, np.ndar
 
         for bi, basis in enumerate(bases):
             for a in (0, 1):
-                pa = _basis_projector(basis, a)
                 for b in (0, 1):
-                    pb = _basis_projector(basis, b)
-                    op = np.kron(pa, pb)
+                    op = _pair_projector(basis, a, b)
                     check_joint[bi, o, a, b] = float(
                         np.real(np.trace(op @ pair.matrix))
                     )
@@ -837,10 +844,8 @@ def density_matrix_round_distributions(cfg: ProtocolConfig) -> dict[str, np.ndar
                 if cfg.noise == NoisePlacement.BOTH_LEGS:
                     encoded = depolarize(encoded, cfg.channel_p, 0)
                 for ra in (0, 1):
-                    pa = _basis_projector(m, ra)
                     for rb in (0, 1):
-                        pb = _basis_projector(m, rb)
-                        op = np.kron(pa, pb)
+                        op = _pair_projector(m, ra, rb)
                         prob = float(np.real(np.trace(op @ encoded.matrix)))
                         dl04_joint[o, k, ra, rb] = prob
                         decoded_bit = 1 if ra == rb else 0

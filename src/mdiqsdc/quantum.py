@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -29,7 +30,6 @@ ATOL_NORM = 1e-12
 ATOL_HERMITIAN = 1e-12
 ATOL_TRACE = 1e-12
 EIGENVALUE_FLOOR = -1e-10
-JACOBI_OFFDIAG_TOL = 1e-13
 
 _ALLOWED_DIMS = (2, 4, 16)
 
@@ -181,7 +181,7 @@ class DensityMatrix:
         trace = complex(np.trace(mat))
         if abs(trace - 1.0) > ATOL_TRACE:
             raise ValueError(f"trace {trace!r} differs from 1 by > {ATOL_TRACE}")
-        if not _is_psd_within(mat, -EIGENVALUE_FLOOR):
+        if np.linalg.eigvalsh(mat)[0] < EIGENVALUE_FLOOR:
             raise ValueError("matrix has an eigenvalue below -1e-10")
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
@@ -213,71 +213,6 @@ class BellDiagonal:
 
     def as_array(self) -> np.ndarray:
         return np.array(self.deltas, dtype=np.float64)
-
-
-def _is_psd_within(mat: np.ndarray, tol: float) -> bool:
-    """True iff all eigenvalues of the Hermitian ``mat`` are >= -tol.
-
-    Uses a Cholesky factorization of ``mat`` shifted by ``tol``; a failed
-    pivot means an eigenvalue below the floor.
-    """
-    n = mat.shape[0]
-    shifted = mat + (tol + 1e-13) * np.eye(n)
-    chol = np.zeros_like(shifted)
-    for j in range(n):
-        pivot = shifted[j, j].real - float(np.sum(np.abs(chol[j, :j]) ** 2))
-        if pivot <= 0.0:
-            return False
-        chol[j, j] = math.sqrt(pivot)
-        if j + 1 < n:
-            chol[j + 1 :, j] = (
-                shifted[j + 1 :, j] - chol[j + 1 :, :j] @ chol[j, :j].conj()
-            ) / chol[j, j]
-    return True
-
-
-def eigvalsh_hermitian(matrix: np.ndarray, *, max_sweeps: int = 100) -> np.ndarray:
-    """Eigenvalues of a complex Hermitian matrix, ascending.
-
-    Cyclic Jacobi rotations adapted to complex entries; a sweep rotates each
-    off-diagonal pair once and iteration stops when every off-diagonal
-    magnitude is below 1e-13. Dimensions here never exceed 16, so the cubic
-    cost is negligible.
-    """
-    a = np.array(matrix, dtype=np.complex128)
-    n = a.shape[0]
-    if a.ndim != 2 or a.shape[1] != n:
-        raise ValueError("matrix must be square")
-    if n == 1:
-        return a.real.reshape(1).copy()
-    for _ in range(max_sweeps):
-        if float(np.max(np.abs(a - np.diag(np.diag(a))))) < JACOBI_OFFDIAG_TOL:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                mag = abs(apq)
-                if mag < JACOBI_OFFDIAG_TOL:
-                    continue
-                phase = apq / mag
-                theta = (a[q, q].real - a[p, p].real) / (2.0 * mag)
-                t = 1.0 / (abs(theta) + math.sqrt(1.0 + theta * theta))
-                if theta < 0.0:
-                    t = -t
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                sp = s * phase
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - np.conj(sp) * col_q
-                a[:, q] = sp * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - sp * row_q
-                a[q, :] = np.conj(sp) * row_p + c * row_q
-    else:
-        raise RuntimeError("Jacobi eigenvalue iteration did not converge")
-    return np.sort(np.diag(a).real)
 
 
 def bell_state(label: BellLabel) -> PureState:
@@ -347,6 +282,18 @@ def _embed_operator(op: np.ndarray, qubits: Sequence[int], num_qubits: int) -> n
     return full.transpose(row_axes + col_axes).reshape(dim, dim)
 
 
+@lru_cache(maxsize=None)
+def pauli_operator(op: int, qubit: int, num_qubits: int) -> np.ndarray:
+    """Read-only embedding of a Pauli on one qubit, built once per argument set.
+
+    States here have 1, 2 or 4 qubits, so the table holds at most
+    4 Paulis x 7 qubit positions = 28 operators.
+    """
+    full = embed_single_qubit_operator(PAULI_MATRICES[op], qubit, num_qubits)
+    full.flags.writeable = False
+    return full
+
+
 def apply_pauli(
     state: PureState | DensityMatrix, op: PauliLabel, qubit: int
 ) -> PureState | DensityMatrix:
@@ -358,10 +305,11 @@ def apply_pauli(
     nq = state.num_qubits
     if not 0 <= qubit < nq:
         raise IndexError(f"qubit {qubit} out of range for {nq} qubits")
-    full = embed_single_qubit_operator(PAULI_MATRICES[int(op)], qubit, nq)
+    full = pauli_operator(int(op), qubit, nq)
     if isinstance(state, PureState):
         return PureState(full @ state.amplitudes)
-    return DensityMatrix(full @ state.matrix @ full.conj().T)
+    # embedded Paulis are Hermitian, so full is its own conjugate transpose
+    return DensityMatrix(full @ state.matrix @ full)
 
 
 def bell_measure(dm: DensityMatrix) -> np.ndarray:
@@ -438,13 +386,10 @@ def partial_trace(dm: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
 
 
 def von_neumann_entropy(dm: DensityMatrix) -> float:
-    """Von Neumann entropy in bits; eigenvalues in [-1e-10, 0) count as zero."""
-    eigenvalues = eigvalsh_hermitian(dm.matrix)
-    total = 0.0
-    for value in eigenvalues:
-        if value > 0.0:
-            total -= value * math.log2(value)
-    return max(total, 0.0)
+    """Von Neumann entropy in bits; eigenvalues in [-1e-10, 0] count as zero."""
+    eigenvalues = np.linalg.eigvalsh(dm.matrix)
+    positive = eigenvalues[eigenvalues > 0.0]
+    return max(-float(np.sum(positive * np.log2(positive))), 0.0)
 
 
 def holevo_bound(states: Sequence[DensityMatrix], priors: Sequence[float]) -> float:

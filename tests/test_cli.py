@@ -7,6 +7,8 @@ from xml.sax.saxutils import escape as sax_escape
 
 import pytest
 
+import mdiqsdc.cli
+import mdiqsdc.curves
 from mdiqsdc.cli import CSV_HEADER, _svg_text, main
 
 NON_FINITE = ("nan", "inf", "-inf")
@@ -244,6 +246,48 @@ class TestSimulate:
         )
         assert code == 2 and "finite" in err
         assert out == "" and "capacity" not in err
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["sweep", "--x", "0.7"], "x=0.7 outside [0, 0.5]"),
+            (["sweep", "--x", "-0.1"], "x=-0.1 outside [0, 0.5]"),
+            (["sweep", "--p", "1.2"], "p=1.2 outside [0, 1]"),
+            (["sweep", "--grid", "0:0.7:0.1"], "leaves the sweep range [0, 0.5]"),
+            (["sweep", "--grid=-0.1:0.2:0.1"], "leaves the sweep range [0, 0.5]"),
+            (["sweep", "--x", "0.1", "--q", "2"], "q=2.0 outside [0, 1]"),
+            (["sweep", "--x", "0.1", "--eta", "-1"], "eta=-1.0 outside [0,"),
+            (
+                ["simulate", "--protocol", "mdi-ts", "--p", "0.1", "--check-fraction", "1.5"],
+                "check_fraction must lie strictly in (0, 1)",
+            ),
+            (["simulate", "--protocol", "mdi-ts", "--p", "0.1", "--q", "3"], "q=3.0 outside [0, 1]"),
+        ],
+    )
+    def test_out_of_range_input_exits_2(self, capsys, args, message):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+        assert out == "" and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["sweep", "--protocol", "mdi-ts", "--x", "0.1"],
+            ["simulate", "--protocol", "mdi-ts", "--p", "0.1", "--rounds", "100"],
+        ],
+    )
+    def test_internal_value_error_exits_4(self, capsys, monkeypatch, args):
+        def broken(*_, **__):
+            raise ValueError("injected internal failure")
+
+        monkeypatch.setattr(mdiqsdc.curves, "analytic_point", broken)
+        monkeypatch.setattr(mdiqsdc.cli, "analytic_point", broken)
+        code, _, err = run_cli(args, capsys)
+        assert code == 4
+        assert "Traceback" in err and "ValueError: injected internal failure" in err
 
 
 class TestConfigFile:

@@ -11,6 +11,7 @@ from mdiqsdc.quantum import (
     BELL_VECTORS,
     BellDiagonal,
     BellLabel,
+    PAULI_MATRICES,
     DensityMatrix,
     PauliLabel,
     PureState,
@@ -18,9 +19,10 @@ from mdiqsdc.quantum import (
     bell_diagonal_state,
     bell_measure,
     bell_state,
-    eigvalsh_hermitian,
+    embed_single_qubit_operator,
     holevo_bound,
     partial_trace,
+    pauli_operator,
     pauli_twirl,
     product_decompose,
     purify_bell_diagonal,
@@ -152,6 +154,26 @@ class TestApplyPauli:
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
             apply_pauli(bell_state(BellLabel.PSI_MINUS), PauliLabel.X, 2)
+
+
+class TestPauliOperatorTable:
+    @pytest.mark.parametrize("num_qubits", [1, 2, 4])
+    def test_matches_fresh_embedding_and_is_read_only(self, num_qubits):
+        for op in PauliLabel:
+            for qubit in range(num_qubits):
+                table = pauli_operator(int(op), qubit, num_qubits)
+                fresh = embed_single_qubit_operator(PAULI_MATRICES[int(op)], qubit, num_qubits)
+                np.testing.assert_array_equal(table, fresh)
+                np.testing.assert_array_equal(
+                    table, pauli_on_qubit_oracle(int(op), qubit, num_qubits)
+                )
+                assert pauli_operator(op, qubit, num_qubits) is table  # built once
+                with pytest.raises(ValueError):
+                    table[0, 0] = 2.0
+
+    def test_out_of_range_qubit_is_not_tabled(self):
+        with pytest.raises(IndexError):
+            pauli_operator(1, 2, 2)
 
 
 class TestBellMeasure:
@@ -319,23 +341,6 @@ class TestEntropy:
             assert 0.0 <= s <= math.log2(dim) + 1e-12
 
 
-class TestJacobiEigenvalues:
-    @pytest.mark.parametrize("dim", [2, 4, 16])
-    def test_matches_numpy_on_random_hermitian(self, dim):
-        rng = np.random.default_rng(41 + dim)
-        for _ in range(10):
-            raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            herm = (raw + raw.conj().T) / 2
-            got = eigvalsh_hermitian(herm)
-            want = np.linalg.eigvalsh(herm)
-            np.testing.assert_allclose(got, want, atol=1e-10)
-
-    def test_diagonal_matrix(self):
-        np.testing.assert_allclose(
-            eigvalsh_hermitian(np.diag([3.0, -1.0, 2.0, 0.0])), [-1, 0, 2, 3]
-        )
-
-
 class TestHolevoBound:
     def test_identical_states_give_zero(self):
         dm = bell_state(BellLabel.PSI_MINUS).to_density_matrix()
@@ -370,6 +375,50 @@ class TestHolevoBound:
         dm = bell_state(BellLabel.PSI_MINUS).to_density_matrix()
         with pytest.raises(ValueError):
             holevo_bound([dm, dm], [0.9, 0.3])
+
+
+def rotated_spectrum(dim, lowest, seed):
+    """Haar-random rotation of a trace-1 spectrum with the given lowest eigenvalue."""
+    rng = np.random.default_rng(seed)
+    rest = rng.dirichlet(np.ones(dim - 1)) * (1.0 - lowest)
+    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    unitary, _ = np.linalg.qr(raw)
+    mat = unitary @ np.diag(np.concatenate([[lowest], rest])) @ unitary.conj().T
+    return (mat + mat.conj().T) / 2
+
+
+class TestPositivityFloor:
+    """The -1e-10 eigenvalue floor on matrices that are not diagonal."""
+
+    @pytest.mark.parametrize("dim", [2, 4, 16])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_accepts_rotated_drift_above_floor(self, dim, seed):
+        mat = rotated_spectrum(dim, -0.5e-10, seed)
+        assert np.max(np.abs(np.diag(np.diag(mat)) - mat)) > 1e-3  # not diagonal
+        DensityMatrix(mat)
+
+    @pytest.mark.parametrize("dim", [2, 4, 16])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rejects_rotated_eigenvalue_below_floor(self, dim, seed):
+        with pytest.raises(ValueError, match="eigenvalue"):
+            DensityMatrix(rotated_spectrum(dim, -2e-10, seed))
+
+    @pytest.mark.parametrize("dim", [2, 4, 16])
+    def test_accepts_rank_one_state(self, dim):
+        rng = np.random.default_rng(dim)
+        for _ in range(5):
+            DensityMatrix(random_pure(rng, dim).to_density_matrix().matrix)
+
+    @pytest.mark.parametrize("ancilla_qubits", [0, 2])
+    def test_rejects_partial_transpose_of_bell_state(self, ancilla_qubits):
+        bell = bell_state(BellLabel.PHI_PLUS).to_density_matrix().matrix
+        transposed = bell.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+        ancilla = np.zeros((2**ancilla_qubits, 2**ancilla_qubits), dtype=complex)
+        ancilla[0, 0] = 1.0
+        mat = np.kron(transposed, ancilla)
+        assert abs(np.linalg.eigvalsh(mat)[0] + 0.5) < 1e-15
+        with pytest.raises(ValueError, match="eigenvalue"):
+            DensityMatrix(mat)
 
 
 class TestTypeInvariants:

@@ -21,7 +21,7 @@ from .quantum import (
     BellDiagonal,
     DensityMatrix,
     PauliLabel,
-    apply_pauli,
+    pauli_operator,
     validate_probability_vector,
 )
 
@@ -81,7 +81,8 @@ def depolarize(dm: DensityMatrix, p: float, qubit: int) -> DensityMatrix:
     _check_channel_param(p)
     terms = (1.0 - 0.75 * p) * dm.matrix
     for op in (PauliLabel.X, PauliLabel.Y, PauliLabel.Z):
-        terms = terms + 0.25 * p * apply_pauli(dm, op, qubit).matrix
+        full = pauli_operator(int(op), qubit, dm.num_qubits)
+        terms = terms + 0.25 * p * (full @ dm.matrix @ full)
     return DensityMatrix(terms)
 
 
@@ -98,14 +99,6 @@ def convolve(d1: PauliDistribution, d2: PauliDistribution) -> PauliDistribution:
         for j in range(4):
             out[PAULI_PRODUCT[i][j]] += d1.probabilities[i] * d2.probabilities[j]
     return PauliDistribution(tuple(out))
-
-
-def convolve_many(dists: list[PauliDistribution]) -> PauliDistribution:
-    """Fold a sequence of independent Pauli channels into one distribution."""
-    result = IDENTITY_DIST
-    for d in dists:
-        result = convolve(result, d)
-    return result
 
 
 def bell_diagonal_from_pauli_dist(dist: PauliDistribution) -> BellDiagonal:

@@ -51,6 +51,9 @@ _ENCODINGS = {"x": PauliLabel.X, "y": PauliLabel.Y, "z": PauliLabel.Z}
 
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 
+# Most points a --grid may ask for; the finest documented grid has 1001.
+MAX_GRID_POINTS = 1_000_000
+
 
 class UsageError(Exception):
     pass
@@ -250,7 +253,10 @@ def _parse_grid(text: str) -> list[float]:
         raise UsageError(f"invalid grid {text!r}")
     if start < 0.0 or stop > X_MAX:
         raise UsageError(f"grid {text!r} leaves the sweep range [0, {X_MAX:g}]")
-    count = int(round((stop - start) / step))
+    span = (stop - start) / step  # inf when the step underflows the ratio
+    if span > MAX_GRID_POINTS - 1:
+        raise UsageError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
+    count = int(round(span))
     grid = [start + i * step for i in range(count + 1)]
     # accumulated endpoints may overshoot stop by an ulp; pin them back
     return [min(x, stop) for x in grid if x <= stop + 1e-12]

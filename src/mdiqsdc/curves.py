@@ -6,6 +6,11 @@ the first security check, so their checked error rates are the two-channel
 composition 2x(1-x); the non-MDI baselines are reconstructions fed with
 single-use rates, since only their qualitative relation to the MDI curves is
 pinned down.
+
+The MDI curves and the analytic twin of a Monte Carlo run take their error
+distributions from :func:`mdiqsdc.protocol.round_error_dists`, the same
+composition the sampler draws from, and evaluate the closed forms in one
+place; this module composes no transmission legs itself.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .channels import (
-    IDENTITY_DIST,
     PauliDistribution,
     convolve,
     depolarizing_pauli_dist,
@@ -34,11 +38,11 @@ from .infotheory import (
 )
 from .protocol import (
     MESSAGE_BASIS,
-    AttackModel,
     NoisePlacement,
     Protocol,
     ProtocolConfig,
-    intercept_resend_pauli_dist,
+    round_error_dists,
+    round_error_dists_for_config,
 )
 from .quantum import PauliLabel
 
@@ -63,6 +67,37 @@ class AnalyticPoint:
     capacity: CapacityResult
 
 
+def _mdi_point(
+    protocol: Protocol,
+    x: float,
+    frame: PauliDistribution,
+    second: PauliDistribution,
+    *,
+    encoding: PauliLabel,
+    q: float,
+    eta: float,
+) -> AnalyticPoint:
+    """Closed forms of an MDI protocol from the ``(frame, second)`` pair of
+    :func:`~mdiqsdc.protocol.round_error_dists`: the checked rates come from
+    the frame, the message error from frame and re-transmission composed."""
+    rates = error_rates(frame)
+    net = convolve(frame, second)
+    if protocol == Protocol.MDI_TS:
+        errors = ErrorVector(net.probabilities)
+        entropy = shannon_entropy(errors)
+        eve_info = eve_info_mdi_ts(rates.eps_z, rates.eps_x)
+        capacity = capacity_mdi_ts(errors, rates.eps_z, rates.eps_x, q=q, eta=eta)
+    else:
+        bit_error = error_rate_in_basis(net, MESSAGE_BASIS[encoding])
+        eps_u = rates.in_basis(encoding)
+        entropy = binary_entropy(bit_error)
+        eve_info = binary_entropy(eps_u)
+        capacity = capacity_mdi_dl04(bit_error, eps_u, q=q, eta=eta)
+    return AnalyticPoint(
+        protocol, x, 2.0 * x, rates.eps_z, rates.eps_x, rates.eps_y, entropy, eve_info, capacity
+    )
+
+
 def analytic_point(
     protocol: Protocol,
     x: float,
@@ -71,85 +106,42 @@ def analytic_point(
     encoding: PauliLabel = PauliLabel.Y,
     q: float = 1.0,
     eta: float = 1.0,
-    eve_dist: PauliDistribution | None = None,
 ) -> AnalyticPoint:
-    """Evaluate one protocol curve at x = p/2.
-
-    ``eve_dist`` composes an attacker's error process into one first
-    transmission channel; it is only meaningful for the MDI protocols.
-    """
+    """Evaluate one protocol curve at x = p/2, without an attacker."""
     if not 0.0 <= x <= X_MAX:
         raise ValueError(f"sweep position x={x!r} outside [0, {X_MAX}]")
     p = 2.0 * x
-    single = depolarizing_pauli_dist(p)
 
     if protocol in (Protocol.MDI_TS, Protocol.MDI_DL04):
-        leg_a = convolve(single, eve_dist) if eve_dist is not None else single
-        first = convolve(leg_a, single)
-        rates = error_rates(first)
-        if protocol == Protocol.MDI_TS:
-            second = (
-                convolve(single, single)
-                if noise == NoisePlacement.BOTH_LEGS
-                else IDENTITY_DIST
-            )
-            net = convolve(first, second)
-            errors = ErrorVector(net.probabilities)
-            entropy = shannon_entropy(errors)
-            eve_info = eve_info_mdi_ts(rates.eps_z, rates.eps_x)
-            capacity = capacity_mdi_ts(errors, rates.eps_z, rates.eps_x, q=q, eta=eta)
-        else:
-            second = single if noise == NoisePlacement.BOTH_LEGS else IDENTITY_DIST
-            net = convolve(first, second)
-            bit_error = error_rate_in_basis(net, MESSAGE_BASIS[encoding])
-            eps_u = rates.in_basis(encoding)
-            entropy = binary_entropy(bit_error)
-            eve_info = binary_entropy(eps_u)
-            capacity = capacity_mdi_dl04(bit_error, eps_u, q=q, eta=eta)
-        return AnalyticPoint(
-            protocol, x, p, rates.eps_z, rates.eps_x, rates.eps_y, entropy, eve_info, capacity
-        )
+        dists = round_error_dists(protocol, p, noise)
+        return _mdi_point(protocol, x, *dists, encoding=encoding, q=q, eta=eta)
 
-    if eve_dist is not None:
-        raise ValueError("the attack model applies to the MDI protocols only")
+    single = depolarizing_pauli_dist(p)
+    rates = error_rates(single)
     if protocol == Protocol.TWO_STEP:
-        rates = error_rates(single)
         errors = ErrorVector(single.probabilities)
         entropy = shannon_entropy(errors)
         eve_info = eve_info_mdi_ts(rates.eps_z, rates.eps_x)
         capacity = capacity_two_step_non_mdi(errors, rates.eps_z, rates.eps_x, q=q, eta=eta)
-        return AnalyticPoint(
-            protocol, x, p, rates.eps_z, rates.eps_x, rates.eps_y, entropy, eve_info, capacity
-        )
-    if protocol == Protocol.DL04:
-        rates = error_rates(single)
+    elif protocol == Protocol.DL04:
         entropy = binary_entropy(x)
         eve_info = binary_entropy(min(rates.eps_x + rates.eps_z, 0.5))
         capacity = capacity_dl04_non_mdi(x, rates.eps_x, rates.eps_z, q=q, eta=eta)
-        return AnalyticPoint(
-            protocol, x, p, rates.eps_z, rates.eps_x, rates.eps_y, entropy, eve_info, capacity
-        )
-    raise ValueError(f"unknown protocol {protocol!r}")
+    else:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    return AnalyticPoint(
+        protocol, x, p, rates.eps_z, rates.eps_x, rates.eps_y, entropy, eve_info, capacity
+    )
 
 
 def analytic_point_for_config(cfg: ProtocolConfig) -> AnalyticPoint:
-    """Analytic twin of a Monte Carlo configuration, attack included."""
-    eve = (
-        intercept_resend_pauli_dist(cfg.attack_bases)
-        if cfg.attack == AttackModel.INTERCEPT_RESEND
-        else None
-    )
+    """Analytic twin of a Monte Carlo configuration, attack and its leg included."""
+    dists = round_error_dists_for_config(cfg)
     q = cfg.q_override if cfg.q_override is not None else cfg.transmittance ** (
         2 if cfg.protocol == Protocol.MDI_TS else 1
     )
-    return analytic_point(
-        cfg.protocol,
-        cfg.channel_p / 2.0,
-        noise=cfg.noise,
-        encoding=cfg.dl04_encoding,
-        q=q,
-        eta=cfg.eta,
-        eve_dist=eve,
+    return _mdi_point(
+        cfg.protocol, cfg.channel_p / 2.0, *dists, encoding=cfg.dl04_encoding, q=q, eta=cfg.eta
     )
 
 

@@ -12,7 +12,11 @@ the two legs, independently of the announced Bell outcome. The sampler
 therefore draws that composed error once per round and never draws the
 Bell outcome (Aaronson & Gottesman, PRA 70, 052328 (2004), for Pauli-frame
 tracking). Rounds are drawn and tallied in fixed blocks, so memory does not
-grow with the number of rounds.
+grow with the number of rounds; :func:`run` runs either protocol.
+
+:func:`round_error_dists` is the one composition of a round's errors: the
+pair frame and the re-transmission error it returns feed the sampler, the
+label-algebra backend and the closed-form curves of ``curves``.
 
 Two analytic backends expose per-round outcome distributions, one from the
 label algebra and one from explicit density matrices, so their agreement
@@ -38,6 +42,7 @@ from .channels import (
     convolve,
     depolarize,
     depolarizing_pauli_dist,
+    error_rate_in_basis,
 )
 from .infotheory import (
     CapacityResult,
@@ -60,6 +65,7 @@ from .quantum import (
     bell_state,
     embed_two_qubit_operator,
     partial_trace,
+    pauli_operator,
 )
 
 
@@ -271,35 +277,44 @@ def intercept_resend_channel(
         raise ValueError("attack bases must be drawn from X, Y, Z")
     out = np.zeros_like(dm.matrix)
     for b in bases:
-        out = out + 0.5 * (dm.matrix + apply_pauli(dm, b, qubit).matrix) / len(bases)
+        full = pauli_operator(int(b), qubit, dm.num_qubits)
+        out = out + 0.5 * (dm.matrix + full @ dm.matrix @ full) / len(bases)
     return DensityMatrix(out)
 
 
-def _first_leg_dists(cfg: ProtocolConfig) -> tuple[PauliDistribution, PauliDistribution]:
-    base = depolarizing_pauli_dist(cfg.channel_p)
-    leg_a, leg_b = base, base
-    if cfg.attack == AttackModel.INTERCEPT_RESEND:
-        eve = intercept_resend_pauli_dist(cfg.attack_bases)
-        if cfg.attack_leg == "alice":
-            leg_a = convolve(leg_a, eve)
-        else:
-            leg_b = convolve(leg_b, eve)
-    return leg_a, leg_b
+def round_error_dists(
+    protocol: Protocol,
+    p: float,
+    noise: NoisePlacement,
+    eve: PauliDistribution | None = None,
+    attack_leg: str = "alice",
+) -> tuple[PauliDistribution, PauliDistribution]:
+    """The two Pauli errors of one round: ``(frame, second)``.
+
+    ``frame`` composes both first legs, the attacker's process ``eve`` on
+    leg ``attack_leg``; the checked rates are read off it. ``second`` is the
+    re-transmission error of message rounds. The sampler, the label-algebra
+    backend and the closed-form curves all take their distributions from here.
+    """
+    single = depolarizing_pauli_dist(p)
+    attacked = convolve(single, eve) if eve is not None else single
+    frame = convolve(attacked, single) if attack_leg == "alice" else convolve(single, attacked)
+    if noise != NoisePlacement.BOTH_LEGS:
+        return frame, IDENTITY_DIST
+    # only Alice's encoded photon travels again in the single-photon protocol
+    return frame, convolve(single, single) if protocol == Protocol.MDI_TS else single
 
 
-def _second_leg_dist(cfg: ProtocolConfig) -> PauliDistribution:
-    """Net re-transmission error on message rounds (identity if noiseless)."""
-    if cfg.noise != NoisePlacement.BOTH_LEGS:
-        return IDENTITY_DIST
-    single = depolarizing_pauli_dist(cfg.channel_p)
-    if cfg.protocol == Protocol.MDI_TS:
-        return convolve(single, single)
-    return single  # only Alice's encoded photon travels again
-
-
-def _frame_dist(cfg: ProtocolConfig) -> PauliDistribution:
-    """Pauli frame of the corrected pair: both first legs composed, attack included."""
-    return convolve(*_first_leg_dists(cfg))
+def round_error_dists_for_config(
+    cfg: ProtocolConfig,
+) -> tuple[PauliDistribution, PauliDistribution]:
+    """:func:`round_error_dists` of a Monte Carlo configuration, attack included."""
+    eve = (
+        intercept_resend_pauli_dist(cfg.attack_bases)
+        if cfg.attack == AttackModel.INTERCEPT_RESEND
+        else None
+    )
+    return round_error_dists(cfg.protocol, cfg.channel_p, cfg.noise, eve, cfg.attack_leg)
 
 
 # Rounds drawn and tallied per block; peak memory of a run is set by this
@@ -359,14 +374,16 @@ def _chunks(cfg: ProtocolConfig) -> Iterator[_Chunk]:
     first-leg distribution, the check flag, the check basis, Alice's check
     bit, the message symbol, Bob's cover (entanglement protocol), the
     re-transmission error (both-legs noise) and photon arrival (lossy
-    channel). Frame and re-transmission error use the same distributions
-    the Pauli-frame backend enumerates. The draw order is fixed, so
-    identical configs reproduce identical transcripts.
+    channel). Frame and re-transmission error are drawn from
+    :func:`round_error_dists`, as the Pauli-frame backend enumerates them.
+    The draw order is fixed, so identical configs reproduce identical
+    transcripts.
     """
     rng = np.random.default_rng(cfg.seed)
-    frame_cuts = _label_cuts(_frame_dist(cfg))
+    frame_dist, second_dist = round_error_dists_for_config(cfg)
+    frame_cuts = _label_cuts(frame_dist)
     both_legs = cfg.noise == NoisePlacement.BOTH_LEGS
-    second_cuts = _label_cuts(_second_leg_dist(cfg)) if both_legs else None
+    second_cuts = _label_cuts(second_dist) if both_legs else None
     bases = np.array([int(b) for b in check_bases(cfg)], dtype=np.uint8)
     entangled = cfg.protocol == Protocol.MDI_TS
     photons_in_flight = 2 if entangled else 1
@@ -576,44 +593,18 @@ def _stats_from_tally(cfg: ProtocolConfig, tally: Tally) -> TranscriptStats:
     )
 
 
-def _run(cfg: ProtocolConfig) -> TranscriptStats:
+def run(cfg: ProtocolConfig) -> TranscriptStats:
+    """Monte Carlo run of the configured MDI protocol.
+
+    Per round: sample the pair frame, then either a correlation check or a
+    message: a dense-coding symbol under Bob's random cover (entanglement
+    protocol) or one bit read out in the conjugate single-photon basis.
+    Deterministic given the config seed; memory does not grow with rounds.
+    """
     tally = Tally()
     for chunk in _chunks(cfg):
         tally.add(chunk)
     return _stats_from_tally(cfg, tally)
-
-
-def run_mdi_ts(cfg: ProtocolConfig) -> TranscriptStats:
-    """Monte Carlo run of the entanglement-based MDI protocol.
-
-    Per round: sample the pair frame, then either a Z/X correlation check
-    or a dense-coding message under Bob's uniformly random cover operation,
-    re-measured by the middle party and decoded with the cover bookkeeping.
-    Deterministic given the config seed; memory does not grow with rounds.
-    """
-    if cfg.protocol != Protocol.MDI_TS:
-        raise ValueError("config is not for the entanglement protocol")
-    return _run(cfg)
-
-
-def run_mdi_dl04(cfg: ProtocolConfig) -> TranscriptStats:
-    """Monte Carlo run of the single-photon MDI protocol.
-
-    Shares the swap and check machinery with the entanglement protocol;
-    message rounds encode one bit as identity or the configured encoding
-    operator, and both message photons are read out in the conjugate
-    single-photon basis. When the encoding is Y, checks also draw basis Y.
-    """
-    if cfg.protocol != Protocol.MDI_DL04:
-        raise ValueError("config is not for the single-photon protocol")
-    return _run(cfg)
-
-
-def run(cfg: ProtocolConfig) -> TranscriptStats:
-    """Dispatch to the configured protocol's runner."""
-    if cfg.protocol == Protocol.MDI_TS:
-        return run_mdi_ts(cfg)
-    return run_mdi_dl04(cfg)
 
 
 def round_records(cfg: ProtocolConfig) -> list[RoundRecord]:
@@ -693,8 +684,10 @@ def pauli_frame_round_distributions(cfg: ProtocolConfig) -> dict[str, np.ndarray
       announced outcome, encoded bit, both single-photon outcomes, plus
       ``bit_error`` (1,).
     """
-    frame_dist = np.asarray(_frame_dist(cfg).probabilities)
-    second_dist = np.asarray(_second_leg_dist(cfg).probabilities)
+    frame, second = round_error_dists_for_config(cfg)
+    frame_dist = np.asarray(frame.probabilities)
+    second_dist = np.asarray(second.probabilities)
+    net = convolve(frame, second)
     bases = check_bases(cfg)
 
     out: dict[str, np.ndarray] = {}
@@ -706,9 +699,7 @@ def pauli_frame_round_distributions(cfg: ProtocolConfig) -> dict[str, np.ndarray
 
     check_joint = np.zeros((len(bases), 4, 2, 2))
     for bi, basis in enumerate(bases):
-        parallel = sum(
-            frame_dist[f] for f in range(4) if ANTICOMMUTES[f][int(basis)]
-        )
+        parallel = error_rate_in_basis(frame, basis)
         for a in (0, 1):
             for b in (0, 1):
                 prob = parallel if a == b else 1.0 - parallel
@@ -731,22 +722,13 @@ def pauli_frame_round_distributions(cfg: ProtocolConfig) -> dict[str, np.ndarray
                         o2 = _BELL_OF_PAULI[PAULI_PRODUCT[e2][partial]]
                         message_outcome[:, s, c, o2] += pf * pe
         out["message_outcome"] = message_outcome
-        net = np.zeros(4)
-        for f in range(4):
-            for e2 in range(4):
-                net[PAULI_PRODUCT[e2][f]] += frame_dist[f] * second_dist[e2]
-        out["symbol_error"] = net
+        out["symbol_error"] = np.array(net.probabilities)
     else:
-        m = int(MESSAGE_BASIS[cfg.dl04_encoding])
-        u1 = int(cfg.dl04_encoding)
-        net = np.zeros(4)
-        for f in range(4):
-            for e2 in range(4):
-                net[PAULI_PRODUCT[e2][f]] += frame_dist[f] * second_dist[e2]
-        flip = sum(net[g] for g in range(4) if ANTICOMMUTES[g][m])
+        m = MESSAGE_BASIS[cfg.dl04_encoding]
+        flip = error_rate_in_basis(net, m)
         message_joint = np.zeros((4, 2, 2, 2))
         for k in (0, 1):
-            enc_flip = ANTICOMMUTES[u1][m] if k == 1 else 0
+            enc_flip = ANTICOMMUTES[cfg.dl04_encoding][m] if k == 1 else 0
             parallel = (1.0 - flip) if enc_flip else flip
             for ra in (0, 1):
                 for rb in (0, 1):

@@ -35,6 +35,7 @@ from .quantum import (
     embed_two_qubit_operator,
     holevo_bound,
     partial_trace,
+    pauli_operator,
     product_decompose,
     purify_bell_diagonal,
     single_photon,
@@ -197,7 +198,8 @@ def encoding_ensemble(deltas: BellDiagonal) -> list[DensityMatrix]:
     rho = purify_bell_diagonal(deltas).to_density_matrix()
     covered = np.zeros_like(rho.matrix)
     for op in PauliLabel:
-        covered = covered + 0.25 * apply_pauli(rho, op, 1).matrix
+        full = pauli_operator(int(op), 1, rho.num_qubits)
+        covered = covered + 0.25 * (full @ rho.matrix @ full)
     rho_c = DensityMatrix(covered)
     return [apply_pauli(rho_c, op, 0) for op in PauliLabel]
 

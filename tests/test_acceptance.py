@@ -21,8 +21,6 @@ from mdiqsdc.protocol import (
     density_matrix_round_distributions,
     pauli_frame_round_distributions,
     run,
-    run_mdi_dl04,
-    run_mdi_ts,
     swap_correction,
 )
 from mdiqsdc.quantum import (
@@ -59,11 +57,11 @@ class TestAcceptance:
         """Analytic and Monte Carlo capacities at p=0: exactly 2 and 1."""
         assert analytic_point(Protocol.MDI_TS, 0.0).capacity.raw == 2.0
         assert analytic_point(Protocol.MDI_DL04, 0.0).capacity.raw == 1.0
-        ts = run_mdi_ts(
+        ts = run(
             ProtocolConfig(protocol=Protocol.MDI_TS, rounds=10_000, channel_p=0.0, seed=2024)
         )
         assert ts.capacity.raw == 2.0
-        dl = run_mdi_dl04(
+        dl = run(
             ProtocolConfig(protocol=Protocol.MDI_DL04, rounds=10_000, channel_p=0.0, seed=2024)
         )
         assert dl.capacity.raw == 1.0
@@ -145,13 +143,13 @@ class TestAcceptance:
         p = 0.2
         expected = 2 * (p / 2) * (1 - p / 2)  # 0.18 per basis, both protocols
         start = time.perf_counter()
-        ts = run_mdi_ts(
+        ts = run(
             ProtocolConfig(
                 protocol=Protocol.MDI_TS, rounds=1_000_000, channel_p=p, seed=314,
                 check_fraction=0.3,
             )
         )
-        dl = run_mdi_dl04(
+        dl = run(
             ProtocolConfig(
                 protocol=Protocol.MDI_DL04, rounds=1_000_000, channel_p=p, seed=314,
                 check_fraction=0.3, dl04_encoding=PauliLabel.Y,

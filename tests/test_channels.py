@@ -13,7 +13,6 @@ from mdiqsdc.channels import (
     PauliDistribution,
     bell_diagonal_from_pauli_dist,
     convolve,
-    convolve_many,
     depolarize,
     depolarizing_pauli_dist,
     error_rate_in_basis,
@@ -134,13 +133,6 @@ class TestConvolve:
         single = depolarizing_pauli_dist(p)
         got = bell_diagonal_from_pauli_dist(convolve(single, single)).deltas
         np.testing.assert_allclose(got, want, atol=1e-12)
-
-    def test_convolve_many_folds_left(self):
-        d = depolarizing_pauli_dist(0.3)
-        np.testing.assert_allclose(
-            convolve_many([d, d, d]).probabilities,
-            convolve(convolve(d, d), d).probabilities,
-        )
 
 
 class TestErrorRates:

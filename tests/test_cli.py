@@ -9,7 +9,7 @@ import pytest
 
 import mdiqsdc.cli
 import mdiqsdc.curves
-from mdiqsdc.cli import CSV_HEADER, _svg_text, main
+from mdiqsdc.cli import CSV_HEADER, MAX_GRID_POINTS, UsageError, _parse_grid, _svg_text, main
 
 NON_FINITE = ("nan", "inf", "-inf")
 
@@ -257,6 +257,8 @@ class TestExitCodes:
             (["sweep", "--p", "1.2"], "p=1.2 outside [0, 1]"),
             (["sweep", "--grid", "0:0.7:0.1"], "leaves the sweep range [0, 0.5]"),
             (["sweep", "--grid=-0.1:0.2:0.1"], "leaves the sweep range [0, 0.5]"),
+            (["sweep", "--grid", "0:0.5:1e-12"], "has more than 1000000 points"),
+            (["sweep", "--grid", "0:0.5:5e-324"], "has more than 1000000 points"),
             (["sweep", "--x", "0.1", "--q", "2"], "q=2.0 outside [0, 1]"),
             (["sweep", "--x", "0.1", "--eta", "-1"], "eta=-1.0 outside [0,"),
             (
@@ -272,6 +274,13 @@ class TestExitCodes:
         assert err.startswith("error: ") and message in err
         assert out == "" and "Traceback" not in err
 
+    def test_grid_point_cap_is_inclusive(self):
+        step = 2.0**-21  # exact binary steps make the point count exact
+        stop = (MAX_GRID_POINTS - 1) * step
+        assert len(_parse_grid(f"0:{stop!r}:{step!r}")) == MAX_GRID_POINTS
+        with pytest.raises(UsageError, match="more than"):
+            _parse_grid(f"0:{stop + step!r}:{step!r}")
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -285,6 +294,7 @@ class TestExitCodes:
 
         monkeypatch.setattr(mdiqsdc.curves, "analytic_point", broken)
         monkeypatch.setattr(mdiqsdc.cli, "analytic_point", broken)
+        monkeypatch.setattr(mdiqsdc.cli, "analytic_point_for_config", broken)
         code, _, err = run_cli(args, capsys)
         assert code == 4
         assert "Traceback" in err and "ValueError: injected internal failure" in err

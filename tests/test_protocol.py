@@ -23,8 +23,6 @@ from mdiqsdc.protocol import (
     pauli_frame_round_distributions,
     round_records,
     run,
-    run_mdi_dl04,
-    run_mdi_ts,
     swap_correction,
 )
 from mdiqsdc.quantum import (
@@ -112,7 +110,7 @@ class TestSwapCorrection:
 class TestRunMdiTs:
     def test_noiseless(self):
         cfg = ProtocolConfig(protocol=Protocol.MDI_TS, rounds=20_000, channel_p=0.0, seed=3)
-        stats = run_mdi_ts(cfg)
+        stats = run(cfg)
         assert stats.eps_z.rate == 0.0 and stats.eps_z.se == 0.0
         assert stats.eps_x.rate == 0.0
         assert stats.message_errors.probabilities == (1.0, 0.0, 0.0, 0.0)
@@ -127,19 +125,19 @@ class TestRunMdiTs:
 
     def test_deterministic_given_seed(self):
         cfg = ProtocolConfig(protocol=Protocol.MDI_TS, rounds=50_000, channel_p=0.3, seed=77)
-        assert run_mdi_ts(cfg) == run_mdi_ts(cfg)
+        assert run(cfg) == run(cfg)
 
     def test_seed_changes_transcript(self):
         base = ProtocolConfig(protocol=Protocol.MDI_TS, rounds=50_000, channel_p=0.3, seed=1)
         other = ProtocolConfig(protocol=Protocol.MDI_TS, rounds=50_000, channel_p=0.3, seed=2)
-        assert run_mdi_ts(base) != run_mdi_ts(other)
+        assert run(base) != run(other)
 
     def test_qber_converges_to_two_leg_convolution(self):
         p = 0.2
         cfg = ProtocolConfig(
             protocol=Protocol.MDI_TS, rounds=200_000, channel_p=p, seed=11, check_fraction=0.4
         )
-        stats = run_mdi_ts(cfg)
+        stats = run(cfg)
         expected = 2 * (p / 2) * (1 - p / 2)  # 0.18
         for est in (stats.eps_z, stats.eps_x):
             assert abs(est.rate - expected) < 5 * math.sqrt(
@@ -151,7 +149,7 @@ class TestRunMdiTs:
         cfg = ProtocolConfig(
             protocol=Protocol.MDI_TS, rounds=300_000, channel_p=p, seed=13, check_fraction=0.2
         )
-        stats = run_mdi_ts(cfg)
+        stats = run(cfg)
         single = depolarizing_pauli_dist(p)
         expected = convolve(single, single).probabilities
         n = stats.decoded_rounds
@@ -177,15 +175,15 @@ class TestRunMdiTs:
             seed=17,
             decode_with_cover=False,
         )
-        stats = run_mdi_ts(cfg)
+        stats = run(cfg)
         error_rate = 1.0 - stats.message_errors[0]
         assert abs(error_rate - 0.75) < 0.005
 
     def test_both_legs_noise_degrades_messages_not_checks(self):
         p = 0.2
         kwargs = dict(protocol=Protocol.MDI_TS, rounds=400_000, channel_p=p, seed=23)
-        first = run_mdi_ts(ProtocolConfig(**kwargs))
-        both = run_mdi_ts(ProtocolConfig(**kwargs, noise=NoisePlacement.BOTH_LEGS))
+        first = run(ProtocolConfig(**kwargs))
+        both = run(ProtocolConfig(**kwargs, noise=NoisePlacement.BOTH_LEGS))
         assert abs(first.eps_z.rate - both.eps_z.rate) < 6 * first.eps_z.se
         assert both.message_errors[0] < first.message_errors[0] - 0.01
 
@@ -197,20 +195,15 @@ class TestRunMdiTs:
             seed=29,
             transmittance=0.8,
         )
-        stats = run_mdi_ts(cfg)
+        stats = run(cfg)
         assert abs(stats.gain - 0.64) < 0.01
         assert stats.decoded_rounds < stats.message_rounds
-
-    def test_wrong_protocol_rejected(self):
-        cfg = ProtocolConfig(protocol=Protocol.MDI_DL04, rounds=10, channel_p=0.0, seed=1)
-        with pytest.raises(ValueError):
-            run_mdi_ts(cfg)
 
 
 class TestRunMdiDl04:
     def test_noiseless(self):
         cfg = ProtocolConfig(protocol=Protocol.MDI_DL04, rounds=20_000, channel_p=0.0, seed=3)
-        stats = run_mdi_dl04(cfg)
+        stats = run(cfg)
         assert stats.bit_error == 0.0
         assert stats.capacity.raw == 1.0
 
@@ -224,7 +217,7 @@ class TestRunMdiDl04:
             check_fraction=0.4,
             dl04_encoding=PauliLabel.Y,
         )
-        stats = run_mdi_dl04(cfg)
+        stats = run(cfg)
         assert stats.eps_y is not None
         expected = 2 * (p / 2) * (1 - p / 2)
         assert abs(stats.eps_y.rate - expected) < 5 * stats.eps_y.se
@@ -238,7 +231,7 @@ class TestRunMdiDl04:
             seed=9,
             dl04_encoding=encoding,
         )
-        stats = run_mdi_dl04(cfg)
+        stats = run(cfg)
         assert stats.eps_y is None
         assert stats.estimate_available
 
@@ -272,7 +265,7 @@ class TestRunMdiDl04:
 
     def test_deterministic(self):
         cfg = ProtocolConfig(protocol=Protocol.MDI_DL04, rounds=40_000, channel_p=0.25, seed=101)
-        assert run_mdi_dl04(cfg) == run_mdi_dl04(cfg)
+        assert run(cfg) == run(cfg)
 
 
 class TestInterceptResend:
@@ -300,7 +293,7 @@ class TestInterceptResend:
             check_fraction=0.5,
             attack=AttackModel.INTERCEPT_RESEND,
         )
-        stats = run_mdi_ts(cfg)
+        stats = run(cfg)
         for est in (stats.eps_z, stats.eps_x):
             assert abs(est.rate - 0.25) < 5 * est.se
         assert stats.attack_active
@@ -310,15 +303,15 @@ class TestInterceptResend:
             protocol=Protocol.MDI_TS, rounds=400_000, channel_p=0.1, seed=43,
             check_fraction=0.5,
         )
-        clean = run_mdi_ts(ProtocolConfig(**common))
-        attacked = run_mdi_ts(ProtocolConfig(**common, attack=AttackModel.INTERCEPT_RESEND))
+        clean = run(ProtocolConfig(**common))
+        attacked = run(ProtocolConfig(**common, attack=AttackModel.INTERCEPT_RESEND))
         separation = clean.capacity.raw - attacked.capacity.raw
         assert separation > 5 * math.sqrt(clean.capacity_se**2 + attacked.capacity_se**2)
 
     def test_disabled_attack_is_plain_run(self):
         cfg = ProtocolConfig(protocol=Protocol.MDI_TS, rounds=10_000, channel_p=0.2, seed=47)
         again = ProtocolConfig(protocol=Protocol.MDI_TS, rounds=10_000, channel_p=0.2, seed=47)
-        assert run_mdi_ts(cfg) == run_mdi_ts(again)
+        assert run(cfg) == run(again)
 
     def test_attack_on_either_leg_detected(self):
         for leg in ("alice", "bob"):
@@ -330,7 +323,7 @@ class TestInterceptResend:
                 attack=AttackModel.INTERCEPT_RESEND,
                 attack_leg=leg,
             )
-            stats = run_mdi_ts(cfg)
+            stats = run(cfg)
             assert stats.eps_z.rate > 0.2
 
 
@@ -440,13 +433,13 @@ class TestEstimateStats:
 
     def test_agrees_with_vectorized_aggregation(self):
         cfg = self._cfg(rounds=5_000, channel_p=0.3, seed=71)
-        assert estimate_stats(round_records(cfg), cfg) == run_mdi_ts(cfg)
+        assert estimate_stats(round_records(cfg), cfg) == run(cfg)
 
     def test_agrees_with_vectorized_aggregation_dl04(self):
         cfg = ProtocolConfig(
             protocol=Protocol.MDI_DL04, rounds=5_000, channel_p=0.3, seed=71
         )
-        assert estimate_stats(round_records(cfg), cfg) == run_mdi_dl04(cfg)
+        assert estimate_stats(round_records(cfg), cfg) == run(cfg)
 
 
 class TestRoundRecords:
@@ -616,7 +609,7 @@ class TestQberInterval:
                 seed=seed,
                 check_fraction=0.4,
             )
-            est = run_mdi_ts(cfg).eps_z
+            est = run(cfg).eps_z
             if abs(est.rate - expected) <= 3 * est.se:
                 covered += 1
         assert covered >= 99

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .quantum import (
     ANTICOMMUTES,
     BELL_OF_PAULI,
@@ -22,6 +24,7 @@ from .quantum import (
     DensityMatrix,
     PauliLabel,
     pauli_operator,
+    validate_probability_rows,
     validate_probability_vector,
 )
 
@@ -92,6 +95,18 @@ def depolarizing_pauli_dist(p: float) -> PauliDistribution:
     return PauliDistribution((1.0 - 0.75 * p, 0.25 * p, 0.25 * p, 0.25 * p))
 
 
+def depolarizing_pauli_rows(ps: np.ndarray) -> np.ndarray:
+    """:func:`depolarizing_pauli_dist` of every parameter in ``ps``, as the
+    validated rows of an (n, 4) array."""
+    ps = np.asarray(ps, dtype=np.float64)
+    outside = ~((0.0 <= ps) & (ps <= 1.0))
+    if outside.any():
+        _check_channel_param(float(ps[outside][0]))
+    quarter = 0.25 * ps
+    rows = np.stack([1.0 - 0.75 * ps, quarter, quarter, quarter], axis=1)
+    return validate_probability_rows(rows, name="Pauli distribution")
+
+
 def convolve(d1: PauliDistribution, d2: PauliDistribution) -> PauliDistribution:
     """Net error distribution of two independent Pauli channels in series."""
     out = [0.0, 0.0, 0.0, 0.0]
@@ -99,6 +114,16 @@ def convolve(d1: PauliDistribution, d2: PauliDistribution) -> PauliDistribution:
         for j in range(4):
             out[PAULI_PRODUCT[i][j]] += d1.probabilities[i] * d2.probabilities[j]
     return PauliDistribution(tuple(out))
+
+
+def convolve_rows(rows1: np.ndarray, rows2: np.ndarray) -> np.ndarray:
+    """:func:`convolve` of each pair of rows of two (n, 4) arrays, with the
+    products accumulated in the same order; the result rows are validated."""
+    out = np.zeros(np.broadcast_shapes(rows1.shape, rows2.shape))
+    for i in range(4):
+        for j in range(4):
+            out[:, PAULI_PRODUCT[i][j]] += rows1[:, i] * rows2[:, j]
+    return validate_probability_rows(out, name="Pauli distribution")
 
 
 def bell_diagonal_from_pauli_dist(dist: PauliDistribution) -> BellDiagonal:
@@ -128,6 +153,18 @@ def error_rate_in_basis(dist: PauliDistribution, basis: PauliLabel) -> float:
     )
 
 
+def error_rate_rows(rows: np.ndarray, basis: PauliLabel) -> np.ndarray:
+    """:func:`error_rate_in_basis` of every row of an (n, 4) array, summed in
+    the same order."""
+    if basis == PauliLabel.I:
+        raise ValueError("basis must be X, Y, or Z")
+    total = np.zeros(len(rows))  # the built-in sum starts from 0
+    for pauli in range(4):
+        if ANTICOMMUTES[pauli][int(basis)]:
+            total = total + rows[:, pauli]
+    return total
+
+
 def error_rates(dist: PauliDistribution) -> ErrorRates:
     """Per-basis check error rates of a singlet hit by the error process ``dist``."""
     return ErrorRates(
@@ -135,6 +172,20 @@ def error_rates(dist: PauliDistribution) -> ErrorRates:
         eps_x=error_rate_in_basis(dist, PauliLabel.X),
         eps_y=error_rate_in_basis(dist, PauliLabel.Y),
     )
+
+
+def error_rates_rows(rows: np.ndarray) -> dict[PauliLabel, np.ndarray]:
+    """:func:`error_rates` of every row of an (n, 4) array, keyed by basis,
+    with the same [0, 1] check on every value."""
+    rates = {}
+    for basis in (PauliLabel.Z, PauliLabel.X, PauliLabel.Y):
+        rate = error_rate_rows(rows, basis)
+        outside = ~((0.0 <= rate) & (rate <= 1.0))
+        if outside.any():
+            value = float(rate[outside][0])
+            raise ValueError(f"eps_{basis.name.lower()}={value!r} outside [0, 1]")
+        rates[basis] = rate
+    return rates
 
 
 def error_rates_from_deltas(d: BellDiagonal) -> ErrorRates:

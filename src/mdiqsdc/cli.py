@@ -10,6 +10,7 @@ single header row, so identical invocations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import traceback
@@ -18,8 +19,9 @@ from html import escape
 
 from .curves import (
     X_MAX,
+    AnalyticCurve,
     AnalyticPoint,
-    analytic_point,
+    analytic_curve,
     analytic_point_for_config,
     zero_crossing,
 )
@@ -152,8 +154,15 @@ def _write_text(path: str | None, text: str) -> None:
         handle.write(text)
 
 
-def _csv_text(rows: list[SweepRow]) -> str:
-    return "\n".join([CSV_HEADER] + [row.to_csv() for row in rows]) + "\n"
+def _curve_csv_lines(curve: AnalyticCurve) -> list[str]:
+    """CSV rows of an analytic curve, the text ``SweepRow.to_csv`` gives its
+    points: ``"%.12g" % value`` is ``format(value, ".12g")``."""
+    row = "%.12g,%.12g," + curve.protocol.value + ",%.12g" * 7 + ",analytic,,"
+    return [row % cells for cells in zip(*(column.tolist() for column in curve.columns))]
+
+
+def _csv_text(lines: list[str]) -> str:
+    return "\n".join([CSV_HEADER, *lines]) + "\n"
 
 
 def _svg_text(curves: list[tuple[str, list[float], list[float]]], title: str) -> str:
@@ -335,7 +344,10 @@ def _add_shared_flags(sub: argparse.ArgumentParser, *, simulate: bool) -> None:
         sub.add_argument("--svg", help="SVG output path")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared, so callers
+    must not change it; ``parse_args`` keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="mdiqsdc",
         description="Secrecy-capacity sweeps and Monte Carlo runs of "
@@ -404,22 +416,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         grid = _parse_grid(str(_merged(args, "grid", "0:0.5:0.005")))
 
-    rows: list[SweepRow] = []
+    lines: list[str] = []
     curves: list[tuple[str, list[float], list[float]]] = []
     for protocol in protocols:
-        points = [
-            analytic_point(protocol, x, noise=noise, encoding=encoding, q=q, eta=eta)
-            for x in grid
-        ]
-        rows.extend(_row_from_analytic(pt) for pt in points)
-        curves.append(
-            (protocol.value, [pt.x for pt in points], [pt.capacity.clamped for pt in points])
-        )
+        curve = analytic_curve(protocol, grid, noise=noise, encoding=encoding, q=q, eta=eta)
+        lines.extend(_curve_csv_lines(curve))
+        curves.append((protocol.value, curve.x.tolist(), curve.capacity_clamped.tolist()))
         crossing = zero_crossing(protocol, noise=noise, encoding=encoding, q=q, eta=eta)
         where = "none in [0, 0.5]" if crossing is None else f"x = {crossing:.6f}"
         print(f"zero-crossing {protocol.value}: {where}", file=sys.stderr)
 
-    _write_text(_merged(args, "csv", None), _csv_text(rows))
+    _write_text(_merged(args, "csv", None), _csv_text(lines))
     svg_path = _merged(args, "svg", None)
     if svg_path is not None:
         _write_text(str(svg_path), _svg_text(curves, "secrecy capacity vs channel parameter"))
@@ -464,9 +471,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"insufficient statistics: {stats.unavailable_reason}", file=sys.stderr)
         return EXIT_INSUFFICIENT_STATS
 
-    analytic_row = _row_from_analytic(analytic_point_for_config(cfg))
-    mc_row = _row_from_stats(cfg, stats)
-    _write_text(_merged(args, "csv", None), _csv_text([analytic_row, mc_row]))
+    rows = [_row_from_analytic(analytic_point_for_config(cfg)), _row_from_stats(cfg, stats)]
+    _write_text(_merged(args, "csv", None), _csv_text([row.to_csv() for row in rows]))
     _print_summary(cfg, stats)
     return EXIT_OK
 

@@ -11,29 +11,45 @@ The MDI curves and the analytic twin of a Monte Carlo run take their error
 distributions from :func:`mdiqsdc.protocol.round_error_dists`, the same
 composition the sampler draws from, and evaluate the closed forms in one
 place; this module composes no transmission legs itself.
+
+A grid goes through :func:`analytic_curve`, which evaluates a whole curve
+as float64 arrays, bit for bit equal to :func:`analytic_point` at every
+grid point and with the same checks on every row. A single point (the
+analytic twin of a run, each step of a zero-crossing bisection) goes
+through the scalar :func:`analytic_point`, which is cheaper for one point
+and is the reference the array path is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .channels import (
     PauliDistribution,
     convolve,
+    convolve_rows,
     depolarizing_pauli_dist,
+    depolarizing_pauli_rows,
     error_rate_in_basis,
+    error_rate_rows,
     error_rates,
+    error_rates_rows,
 )
 from .infotheory import (
     CapacityResult,
     ErrorVector,
+    binary_entropies,
     binary_entropy,
     capacity_dl04_non_mdi,
     capacity_mdi_dl04,
     capacity_mdi_ts,
     capacity_two_step_non_mdi,
     eve_info_mdi_ts,
+    secrecy_capacity,
+    shannon_entropies,
     shannon_entropy,
 )
 from .protocol import (
@@ -43,8 +59,9 @@ from .protocol import (
     ProtocolConfig,
     round_error_dists,
     round_error_dists_for_config,
+    round_error_rows,
 )
-from .quantum import PauliLabel
+from .quantum import PauliLabel, validate_probability_rows
 
 X_MAX = 0.5
 # half of the reporting tolerance: crossings quoted to 1e-6 hold in both
@@ -131,6 +148,99 @@ def analytic_point(
         raise ValueError(f"unknown protocol {protocol!r}")
     return AnalyticPoint(
         protocol, x, p, rates.eps_z, rates.eps_x, rates.eps_y, entropy, eve_info, capacity
+    )
+
+
+@dataclass(frozen=True)
+class AnalyticCurve:
+    """One protocol curve over a grid: the numeric fields of
+    :class:`AnalyticPoint`, the capacity as raw and clamped, one float64
+    array each."""
+
+    protocol: Protocol
+    x: np.ndarray
+    p: np.ndarray
+    eps_z: np.ndarray
+    eps_x: np.ndarray
+    eps_y: np.ndarray
+    message_entropy: np.ndarray
+    eve_info: np.ndarray
+    capacity_raw: np.ndarray
+    capacity_clamped: np.ndarray
+
+    @property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The nine numeric columns, in the order of the sweep CSV."""
+        return (
+            self.x,
+            self.p,
+            self.eps_z,
+            self.eps_x,
+            self.eps_y,
+            self.message_entropy,
+            self.eve_info,
+            self.capacity_raw,
+            self.capacity_clamped,
+        )
+
+
+def analytic_curve(
+    protocol: Protocol,
+    xs: Sequence[float] | np.ndarray,
+    *,
+    noise: NoisePlacement = NoisePlacement.FIRST_LEG_ONLY,
+    encoding: PauliLabel = PauliLabel.Y,
+    q: float = 1.0,
+    eta: float = 1.0,
+) -> AnalyticCurve:
+    """:func:`analytic_point` at every x of a grid, as arrays.
+
+    Each value equals the scalar one bit for bit: the arrays repeat the
+    scalar order of operations and take logarithms with ``math.log2``.
+    """
+    xs = np.asarray(xs, dtype=np.float64).reshape(-1)
+    outside = ~((0.0 <= xs) & (xs <= X_MAX))
+    if outside.any():
+        raise ValueError(f"sweep position x={float(xs[outside][0])!r} outside [0, {X_MAX}]")
+    ps = 2.0 * xs
+
+    # ``net`` is the error on the message path: the composed round for the
+    # MDI protocols, one channel use for the baselines
+    if protocol in (Protocol.MDI_TS, Protocol.MDI_DL04):
+        frame, second = round_error_rows(protocol, ps, noise)
+        rates = error_rates_rows(frame)
+        net = convolve_rows(frame, second)
+    elif protocol in (Protocol.TWO_STEP, Protocol.DL04):
+        net = depolarizing_pauli_rows(ps)
+        rates = error_rates_rows(net)
+    else:
+        raise ValueError(f"unknown protocol {protocol!r}")
+
+    if protocol in (Protocol.MDI_TS, Protocol.TWO_STEP):
+        bits = 2.0
+        entropy = shannon_entropies(validate_probability_rows(net, name="error vector"))
+        eve_info = binary_entropies(rates[PauliLabel.Z]) + binary_entropies(rates[PauliLabel.X])
+    elif protocol == Protocol.MDI_DL04:
+        bits = 1.0
+        entropy = binary_entropies(error_rate_rows(net, MESSAGE_BASIS[encoding]))
+        eve_info = binary_entropies(rates[encoding])
+    else:
+        bits = 1.0
+        entropy = binary_entropies(xs)
+        leak = rates[PauliLabel.X] + rates[PauliLabel.Z]
+        eve_info = binary_entropies(np.where(0.5 < leak, 0.5, leak))  # min(leak, 0.5)
+    raw = secrecy_capacity(bits, entropy, eve_info, q=q, eta=eta)
+    return AnalyticCurve(
+        protocol,
+        xs,
+        ps,
+        rates[PauliLabel.Z],
+        rates[PauliLabel.X],
+        rates[PauliLabel.Y],
+        entropy,
+        eve_info,
+        raw,
+        np.where(0.0 > raw, 0.0, raw),  # CapacityResult.clamped, signed zeros included
     )
 
 

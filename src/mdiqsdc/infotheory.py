@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .quantum import validate_probability_vector
 
 
@@ -65,6 +67,38 @@ def shannon_entropy(v: ErrorVector) -> float:
     return max(total, 0.0)
 
 
+def _log2_each(values: np.ndarray) -> np.ndarray:
+    # math.log2 per element: np.log2's vectorised kernels may differ from it
+    # in the last bit, and the array functions must match the scalar ones
+    return np.fromiter(map(math.log2, values.tolist()), dtype=np.float64, count=values.size)
+
+
+def binary_entropies(xs: np.ndarray) -> np.ndarray:
+    """:func:`binary_entropy` of every element, bit for bit, with the same check."""
+    xs = np.asarray(xs, dtype=np.float64)
+    outside = ~((0.0 <= xs) & (xs <= 1.0))
+    if outside.any():
+        binary_entropy(float(xs[outside][0]))  # raises
+    out = np.zeros_like(xs)
+    inner = (xs != 0.0) & (xs != 1.0)
+    x = xs[inner]
+    out[inner] = -x * _log2_each(x) - (1.0 - x) * _log2_each(1.0 - x)
+    return out
+
+
+def shannon_entropies(rows: np.ndarray) -> np.ndarray:
+    """:func:`shannon_entropy` of every row of a validated (n, 4) array of
+    symbol-error distributions, bit for bit."""
+    total = np.zeros(len(rows))
+    for k in range(rows.shape[1]):
+        p = rows[:, k]
+        positive = p > 0.0
+        term = np.zeros_like(p)  # total - 0.0 == total, as when a zero is skipped
+        term[positive] = p[positive] * _log2_each(p[positive])
+        total = total - term
+    return np.where(0.0 > total, 0.0, total)  # max(total, 0.0)
+
+
 def _check_unit(name: str, value: float) -> float:
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name}={value!r} outside [0, 1]")
@@ -77,6 +111,13 @@ def _check_gains(q: float, eta: float) -> tuple[float, float]:
     if not math.isfinite(eta) or eta < 0.0:
         raise ValueError(f"gain gap eta={eta!r} must be finite and nonnegative")
     return float(q), float(eta)
+
+
+def secrecy_capacity(bits, message_entropy, eve_info, *, q: float, eta: float):
+    """Q [bits - message_entropy - eta * eve_info], the form every bound below
+    takes; the entropies may be floats or arrays of one shape."""
+    q, eta = _check_gains(q, eta)
+    return q * (bits - message_entropy - eta * eve_info)
 
 
 def eve_info_mdi_ts(eps_z: float, eps_x: float) -> float:
@@ -95,9 +136,11 @@ def capacity_mdi_ts(
     eta: float = 1.0,
 ) -> CapacityResult:
     """Entanglement-protocol secrecy capacity Q {2 - H(E) - eta [h(eps_z)+h(eps_x)]}."""
-    q, eta = _check_gains(q, eta)
-    raw = q * (2.0 - shannon_entropy(errors) - eta * eve_info_mdi_ts(eps_z, eps_x))
-    return CapacityResult(raw)
+    return CapacityResult(
+        secrecy_capacity(
+            2.0, shannon_entropy(errors), eve_info_mdi_ts(eps_z, eps_x), q=q, eta=eta
+        )
+    )
 
 
 def capacity_mdi_dl04(
@@ -108,13 +151,15 @@ def capacity_mdi_dl04(
     eta: float = 1.0,
 ) -> CapacityResult:
     """Single-photon MDI protocol secrecy capacity Q [1 - h(e) - eta h(eps_u)]."""
-    q, eta = _check_gains(q, eta)
-    raw = q * (
-        1.0
-        - binary_entropy(_check_unit("bit_error", bit_error))
-        - eta * binary_entropy(_check_unit("eps_u", eps_u))
+    return CapacityResult(
+        secrecy_capacity(
+            1.0,
+            binary_entropy(_check_unit("bit_error", bit_error)),
+            binary_entropy(_check_unit("eps_u", eps_u)),
+            q=q,
+            eta=eta,
+        )
     )
-    return CapacityResult(raw)
 
 
 def capacity_dl04_non_mdi(
@@ -130,14 +175,14 @@ def capacity_dl04_non_mdi(
     The leakage argument eps_x + eps_z can exceed 1/2, but information leaked
     about one bit cannot exceed one bit, so the term is capped at h(1/2) = 1.
     """
-    q, eta = _check_gains(q, eta)
     _check_unit("eps_x", eps_x)
     _check_unit("eps_z", eps_z)
     leak = binary_entropy(min(eps_x + eps_z, 0.5))
-    raw = q * (
-        1.0 - binary_entropy(_check_unit("bit_error", bit_error)) - eta * leak
+    return CapacityResult(
+        secrecy_capacity(
+            1.0, binary_entropy(_check_unit("bit_error", bit_error)), leak, q=q, eta=eta
+        )
     )
-    return CapacityResult(raw)
 
 
 def capacity_two_step_non_mdi(

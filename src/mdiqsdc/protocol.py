@@ -40,8 +40,10 @@ from .channels import (
     IDENTITY_DIST,
     PauliDistribution,
     convolve,
+    convolve_rows,
     depolarize,
     depolarizing_pauli_dist,
+    depolarizing_pauli_rows,
     error_rate_in_basis,
 )
 from .infotheory import (
@@ -303,6 +305,20 @@ def round_error_dists(
         return frame, IDENTITY_DIST
     # only Alice's encoded photon travels again in the single-photon protocol
     return frame, convolve(single, single) if protocol == Protocol.MDI_TS else single
+
+
+def round_error_rows(
+    protocol: Protocol, ps: np.ndarray, noise: NoisePlacement
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`round_error_dists` without an attacker for every channel
+    parameter in ``ps``: ``(frame, second)`` as (n, 4) arrays whose row k
+    holds, bit for bit, the distributions of ``ps[k]``."""
+    single = depolarizing_pauli_rows(ps)
+    frame = convolve_rows(single, single)
+    if noise != NoisePlacement.BOTH_LEGS:
+        return frame, np.broadcast_to(np.asarray(IDENTITY_DIST.probabilities), frame.shape)
+    # both re-sent photons compose like the first legs, so that is ``frame`` again
+    return frame, frame if protocol == Protocol.MDI_TS else single
 
 
 def round_error_dists_for_config(
@@ -805,8 +821,8 @@ def density_matrix_round_distributions(cfg: ProtocolConfig) -> dict[str, np.ndar
 
         if cfg.protocol == Protocol.MDI_TS:
             for s in range(4):
+                encoded = apply_pauli(pair, PauliLabel(s), 0)
                 for c in range(4):
-                    encoded = apply_pauli(pair, PauliLabel(s), 0)
                     covered = apply_pauli(encoded, PauliLabel(c), 1)
                     if cfg.noise == NoisePlacement.BOTH_LEGS:
                         covered = depolarize(covered, cfg.channel_p, 0)

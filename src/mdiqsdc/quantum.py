@@ -128,6 +128,37 @@ def validate_probability_vector(
     return tuple(v / norm for v in clamped)
 
 
+def _left_sum(rows: np.ndarray) -> np.ndarray:
+    """Row sums as the built-in ``sum`` adds them: from 0, left to right."""
+    total = np.zeros(len(rows))
+    for k in range(rows.shape[1]):
+        total = total + rows[:, k]
+    return total
+
+
+def validate_probability_rows(rows: np.ndarray, *, name: str) -> np.ndarray:
+    """:func:`validate_probability_vector` applied to every row of an (n, 4)
+    array, with the same checks, messages and rounding; the first failing row
+    is reported."""
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != 4:
+        raise ValueError(f"{name} needs 4 components, got shape {rows.shape}")
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{name} components must be finite")
+    in_range = ((rows >= EIGENVALUE_FLOOR) & (rows <= 1 + 1e-12)).all(axis=1)
+    if not in_range.all():
+        vec = rows[np.argmin(in_range)].tolist()
+        raise ValueError(f"{name} components must lie in [0, 1]: {vec}")
+    total = _left_sum(rows)
+    off = np.abs(total - 1.0) > 1e-12
+    if off.any():
+        first = float(total[np.argmax(off)])
+        raise ValueError(f"{name} must sum to 1 within 1e-12, got {first!r}")
+    clamped = np.where(0.0 > rows, 0.0, rows)  # max(v, 0.0), signed zeros included
+    return clamped / _left_sum(clamped)[:, None]
+
+
 @dataclass(frozen=True)
 class PureState:
     """Normalized state vector on 1, 2, or 4 qubits."""

@@ -1,15 +1,34 @@
 """Command-line interface tests: CSV schema, SVG embedding, exit codes."""
 
+import contextlib
+import hashlib
+import io
+import math
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape as sax_escape
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mdiqsdc.cli
 import mdiqsdc.curves
-from mdiqsdc.cli import CSV_HEADER, MAX_GRID_POINTS, UsageError, _parse_grid, _svg_text, main
+import mdiqsdc.protocol
+from mdiqsdc.cli import (
+    CSV_HEADER,
+    MAX_GRID_POINTS,
+    UsageError,
+    _curve_csv_lines,
+    _parse_grid,
+    _row_from_analytic,
+    _svg_text,
+    build_parser,
+    main,
+)
+from mdiqsdc.curves import analytic_curve, analytic_point
+from mdiqsdc.protocol import Protocol
 
 NON_FINITE = ("nan", "inf", "-inf")
 
@@ -126,11 +145,85 @@ class TestSweep:
         code, _, _ = run_cli(["sweep", "--protocol", "bb84"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("protocol", tuple(Protocol))
+    def test_curve_rows_are_the_point_rows(self, protocol):
+        xs = [-0.0, 0.0, 1e-9, 0.123456789, 0.3, 0.5]
+        for q in (1.0, 0.0):  # q = 0 gives capacities of -0.0
+            lines = _curve_csv_lines(analytic_curve(protocol, xs, q=q))
+            expected = [_row_from_analytic(analytic_point(protocol, x, q=q)).to_csv() for x in xs]
+            assert lines == expected
+
+    @given(st.floats(allow_nan=True, allow_infinity=True))
+    def test_percent_g_formats_like_format(self, value):
+        assert "%.12g" % value == format(value, ".12g")
+
+    # SHA-256 of the default-grid CSV and SVG, taken from the per-point
+    # evaluation that preceded the array path; on the default grid all
+    # protocols' curves are the same for every encoding
+    DEFAULT_GRID_SHA256 = {
+        "first-leg-only": (
+            "31a978f8d276881ab0a9a5be1125c5955c616d5e019d2b94d85169b2648e6076",
+            "c7f22fa1e9544dd2e77622ebe81132c72be4dcd5c9b2dde27a34e88be1b9ec84",
+        ),
+        "both-legs": (
+            "51d15d67ba79e10153e1f0a71a7945e681ce0238106ef06c5ff52bd2d80ab39e",
+            "a4adcb185a9377d067879f9a7ffe4dc8720fde92bf30d391b57b991a1ab555ee",
+        ),
+    }
+
+    @pytest.mark.parametrize("encoding", ["x", "y", "z"])
+    @pytest.mark.parametrize("noise", ["first-leg-only", "both-legs"])
+    def test_default_grid_output_is_pinned(self, capsys, tmp_path, noise, encoding):
+        csv_path, svg_path = tmp_path / "c.csv", tmp_path / "c.svg"
+        argv = ["sweep", "--noise", noise, "--encoding", encoding]
+        code, _, _ = run_cli([*argv, "--csv", str(csv_path), "--svg", str(svg_path)], capsys)
+        assert code == 0
+        digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (csv_path, svg_path))
+        assert digests == self.DEFAULT_GRID_SHA256[noise]
+
     def test_unwritable_output_exits_2(self, capsys):
         code, _, err = run_cli(
             ["sweep", "--x", "0.1", "--csv", "/nonexistent-dir/out.csv"], capsys
         )
         assert code == 2
+
+
+@st.composite
+def grids(draw):
+    """An in-range grid text of at most 200 points."""
+    start = draw(st.floats(0.0, 0.5))
+    step = draw(st.floats(1e-4, 0.5))
+    intervals = draw(st.integers(0, min(199, int((0.5 - start) / step))))
+    stop = min(start + intervals * step, 0.5)
+    return f"{start!r}:{stop!r}:{step!r}"
+
+
+NUMERIC_COLUMNS = CSV_HEADER.split(",")[:2] + CSV_HEADER.split(",")[3:10]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    grid=grids(),
+    noise=st.sampled_from(["first-leg-only", "both-legs"]),
+    encoding=st.sampled_from(["x", "y", "z"]),
+    q=st.floats(0.0, 1.0),
+    eta=st.floats(0.0, 10.0),
+)
+def test_sweep_rows_are_finite_and_clamped(grid, noise, encoding, q, eta):
+    argv = ["sweep", "--grid", grid, "--noise", noise, "--encoding", encoding]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main([*argv, "--q", repr(q), "--eta", repr(eta)])
+    assert code == 0
+    _, rows = parse_csv(out.getvalue())
+    points = len(_parse_grid(grid))
+    assert len(rows) == 4 * points
+    for protocol in ("mdi-ts", "two-step", "mdi-dl04", "dl04"):
+        assert sum(row["protocol"] == protocol for row in rows) == points
+    for row in rows:
+        assert all(math.isfinite(float(row[name])) for name in NUMERIC_COLUMNS)
+        raw, clamped = float(row["capacity_raw"]), float(row["capacity_clamped"])
+        assert clamped >= 0.0 and clamped == max(raw, 0.0)
 
 
 class TestSimulate:
@@ -286,6 +379,7 @@ class TestExitCodes:
         [
             ["sweep", "--protocol", "mdi-ts", "--x", "0.1"],
             ["simulate", "--protocol", "mdi-ts", "--p", "0.1", "--rounds", "100"],
+            ["sweep", "--protocol", "mdi-ts", "--grid", "0:0.1:0.05"],
         ],
     )
     def test_internal_value_error_exits_4(self, capsys, monkeypatch, args):
@@ -293,11 +387,34 @@ class TestExitCodes:
             raise ValueError("injected internal failure")
 
         monkeypatch.setattr(mdiqsdc.curves, "analytic_point", broken)
-        monkeypatch.setattr(mdiqsdc.cli, "analytic_point", broken)
+        monkeypatch.setattr(mdiqsdc.cli, "analytic_curve", broken)
         monkeypatch.setattr(mdiqsdc.cli, "analytic_point_for_config", broken)
         code, _, err = run_cli(args, capsys)
         assert code == 4
         assert "Traceback" in err and "ValueError: injected internal failure" in err
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_reused_parser_leaks_no_state(self, capsys, monkeypatch):
+        configs = []
+
+        def recording_run(cfg):
+            configs.append(cfg)
+            return mdiqsdc.protocol.run(cfg)
+
+        monkeypatch.setattr(mdiqsdc.cli, "run", recording_run)
+        base = ["simulate", "--protocol", "mdi-ts", "--p", "0.1", "--rounds", "2000"]
+        assert run_cli([*base, "--q", "0.5"], capsys)[0] == 0
+        assert configs[-1].q_override == 0.5
+        with pytest.raises(SystemExit) as exc:
+            main([*base, "--no-such-flag"])
+        assert exc.value.code == 2
+        assert run_cli(["simulate", "--protocol", "mdi-ts", "--x", "5"], capsys)[0] == 2
+        assert run_cli(base, capsys)[0] == 0
+        assert len(configs) == 2 and configs[-1].q_override is None
 
 
 class TestConfigFile:

@@ -1,11 +1,13 @@
 """The analytic twin of a Monte Carlo configuration against the per-round
-outcome distributions of both backends, over the whole config space."""
+outcome distributions of both backends, over the whole config space, and
+the array evaluation of whole curves against the scalar one."""
 
 import itertools
 
+import numpy as np
 import pytest
 
-from mdiqsdc.curves import analytic_point, analytic_point_for_config
+from mdiqsdc.curves import analytic_curve, analytic_point, analytic_point_for_config
 from mdiqsdc.infotheory import ErrorVector, binary_entropy, shannon_entropy
 from mdiqsdc.protocol import (
     AttackModel,
@@ -86,3 +88,89 @@ def test_twin_without_attack_is_the_curve_point(cfg):
     assert analytic_point_for_config(cfg) == analytic_point(
         cfg.protocol, cfg.channel_p / 2.0, noise=cfg.noise, encoding=cfg.dl04_encoding
     )
+
+
+DEFAULT_GRID = [i * 0.005 for i in range(101)]
+FINE_GRID = [i * 0.0005 for i in range(1001)]
+CURVE_FIELDS = (
+    "x",
+    "p",
+    "eps_z",
+    "eps_x",
+    "eps_y",
+    "message_entropy",
+    "eve_info",
+    "capacity_raw",
+    "capacity_clamped",
+)
+
+
+def _point_column(point, name):
+    if name == "capacity_raw":
+        return point.capacity.raw
+    if name == "capacity_clamped":
+        return point.capacity.clamped
+    return getattr(point, name)
+
+
+def assert_curve_matches_points(protocol, xs, **kwargs):
+    curve = analytic_curve(protocol, xs, **kwargs)
+    points = [analytic_point(protocol, x, **kwargs) for x in xs]
+    assert curve.protocol == protocol
+    for name, column in zip(CURVE_FIELDS, curve.columns):
+        assert column is getattr(curve, name)
+        assert column.dtype == np.float64
+        expected = np.array([_point_column(pt, name) for pt in points], dtype=np.float64)
+        # bytes, so that signed zeros must match too
+        assert column.tobytes() == expected.tobytes(), name
+
+
+@pytest.mark.parametrize("q, eta", [(1.0, 1.0), (0.8, 1.1)])
+@pytest.mark.parametrize("encoding", [PauliLabel.X, PauliLabel.Y, PauliLabel.Z])
+@pytest.mark.parametrize("noise", tuple(NoisePlacement))
+@pytest.mark.parametrize("protocol", tuple(Protocol))
+def test_curve_equals_points_bit_for_bit(protocol, noise, encoding, q, eta):
+    assert_curve_matches_points(
+        protocol, DEFAULT_GRID, noise=noise, encoding=encoding, q=q, eta=eta
+    )
+
+
+def test_fine_grid_curve_equals_points_bit_for_bit():
+    for protocol in Protocol:
+        assert_curve_matches_points(
+            protocol,
+            FINE_GRID,
+            noise=NoisePlacement.BOTH_LEGS,
+            encoding=PauliLabel.X,
+            q=0.8,
+            eta=1.1,
+        )
+
+
+def test_zero_gain_keeps_signed_zeros():
+    # q = 0 turns a negative capacity into -0.0, which the clamp keeps, as max() does
+    for protocol in Protocol:
+        assert_curve_matches_points(protocol, [-0.0, 0.0, 0.3, 0.5], q=0.0)
+
+
+@pytest.mark.parametrize(
+    "xs, kwargs",
+    [
+        ([0.1, 0.6], {}),
+        ([-0.1, 0.2], {}),
+        ([0.2, float("nan")], {}),
+        ([0.1, 0.2], {"q": 1.5}),
+        ([0.1, 0.2], {"q": -0.1}),
+        ([0.1, 0.2], {"q": float("nan")}),
+        ([0.1, 0.2], {"eta": -1.0}),
+        ([0.1, 0.2], {"eta": float("inf")}),
+    ],
+)
+@pytest.mark.parametrize("protocol", tuple(Protocol))
+def test_out_of_range_input_raises_like_the_scalar_path(protocol, xs, kwargs):
+    bad_x = next((x for x in xs if not 0.0 <= x <= 0.5), xs[0])
+    with pytest.raises(ValueError) as scalar:
+        analytic_point(protocol, bad_x, **kwargs)
+    with pytest.raises(ValueError) as array:
+        analytic_curve(protocol, xs, **kwargs)
+    assert str(array.value) == str(scalar.value)

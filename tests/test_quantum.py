@@ -28,6 +28,8 @@ from mdiqsdc.quantum import (
     purify_bell_diagonal,
     single_photon,
     states_equal,
+    validate_probability_rows,
+    validate_probability_vector,
     tensor,
     von_neumann_entropy,
 )
@@ -464,3 +466,46 @@ class TestTypeInvariants:
         psi = bell_state(BellLabel.PSI_MINUS)
         with pytest.raises(ValueError):
             psi.amplitudes[0] = 1.0
+
+
+class TestProbabilityRows:
+    """The row-wise rule is the scalar rule applied to every row."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(lambda v: sum(v) > 0),
+            min_size=1,
+            max_size=20,
+        ),
+        st.floats(-1e-10, 0.0),
+    )
+    def test_rows_equal_the_scalar_rule(self, raw_rows, tiny_negative):
+        rows = [[v / sum(r) for v in r] for r in raw_rows]
+        rows[0][1] += tiny_negative
+        valid = [r for r in rows if abs(sum(r) - 1.0) <= 1e-12]
+        if not valid:
+            return
+        out = validate_probability_rows(np.array(valid), name="rows")
+        expected = np.array([validate_probability_vector(r, name="rows") for r in valid])
+        assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [0.5, 0.5, float("nan"), 0.0],
+            [1.5, -0.5, 0.0, 0.0],
+            [0.5, 0.5, 1e-9, 0.0],
+            [-2e-10, 1.0, 0.0, 2e-10],
+        ],
+    )
+    def test_first_bad_row_raises_the_scalar_message(self, bad):
+        with pytest.raises(ValueError) as scalar:
+            validate_probability_vector(bad, name="rows")
+        with pytest.raises(ValueError) as array:
+            validate_probability_rows(np.array([[1.0, 0.0, 0.0, 0.0], bad, bad]), name="rows")
+        assert str(array.value) == str(scalar.value)
+
+    def test_wrong_width_rejected(self):
+        with pytest.raises(ValueError, match="needs 4 components"):
+            validate_probability_rows(np.zeros((2, 3)), name="rows")

@@ -17,7 +17,6 @@ import numpy as np
 
 from .quantum import (
     ANTICOMMUTES,
-    BELL_OF_PAULI,
     PAULI_OF_BELL,
     PAULI_PRODUCT,
     BellDiagonal,
@@ -126,16 +125,8 @@ def convolve_rows(rows1: np.ndarray, rows2: np.ndarray) -> np.ndarray:
     return validate_probability_rows(out, name="Pauli distribution")
 
 
-def bell_diagonal_from_pauli_dist(dist: PauliDistribution) -> BellDiagonal:
-    """Bell-diagonal weights of a singlet hit by the given error process."""
-    deltas = [0.0] * 4
-    for pauli in range(4):
-        deltas[int(BELL_OF_PAULI[pauli])] = dist.probabilities[pauli]
-    return BellDiagonal(tuple(deltas))
-
-
 def pauli_dist_from_bell_diagonal(d: BellDiagonal) -> PauliDistribution:
-    """Inverse of :func:`bell_diagonal_from_pauli_dist`."""
+    """Pauli errors on one half of the singlet that give the Bell-diagonal pair ``d``."""
     probs = [0.0] * 4
     for bell in range(4):
         probs[int(PAULI_OF_BELL[bell])] = d.deltas[bell]

@@ -14,7 +14,6 @@ import functools
 import math
 import sys
 import traceback
-from dataclasses import dataclass
 from html import escape
 
 from .curves import (
@@ -61,88 +60,56 @@ class UsageError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One CSV row; ``seed`` and ``rounds`` stay empty on analytic rows."""
-
-    x: float
-    p: float
-    protocol: Protocol
-    eps_z: float | None
-    eps_x: float | None
-    eps_y: float | None
-    h_of_e: float | None
-    eve_info: float | None
-    capacity_raw: float
-    capacity_clamped: float
-    source: str
-    seed: int | None
-    rounds: int | None
-
-    def to_csv(self) -> str:
-        cells = [
-            _fmt(self.x),
-            _fmt(self.p),
-            self.protocol.value,
-            _fmt(self.eps_z),
-            _fmt(self.eps_x),
-            _fmt(self.eps_y),
-            _fmt(self.h_of_e),
-            _fmt(self.eve_info),
-            _fmt(self.capacity_raw),
-            _fmt(self.capacity_clamped),
-            self.source,
-            "" if self.seed is None else str(self.seed),
-            "" if self.rounds is None else str(self.rounds),
-        ]
-        return ",".join(cells)
-
-
 def _fmt(value: float | None) -> str:
-    if value is None:
-        return ""
-    return format(float(value), ".12g")
+    return "" if value is None else "%.12g" % value
 
 
-def _row_from_analytic(point: AnalyticPoint) -> SweepRow:
-    return SweepRow(
-        x=point.x,
-        p=point.p,
-        protocol=point.protocol,
-        eps_z=point.eps_z,
-        eps_x=point.eps_x,
-        eps_y=point.eps_y,
-        h_of_e=point.message_entropy,
-        eve_info=point.eve_info,
-        capacity_raw=point.capacity.raw,
-        capacity_clamped=point.capacity.clamped,
-        source="analytic",
-        seed=None,
-        rounds=None,
+def _csv_line(protocol: Protocol, cells: tuple[float | None, ...], tail: str) -> str:
+    """One CSV row: the nine numeric ``cells`` in the order of
+    :attr:`~mdiqsdc.curves.AnalyticCurve.columns` with the protocol after
+    ``p``, then ``tail`` (source, seed, rounds)."""
+    x, p, *rest = map(_fmt, cells)
+    return ",".join([x, p, protocol.value, *rest, tail])
+
+
+def _row_from_point(point: AnalyticPoint) -> str:
+    return _csv_line(
+        point.protocol,
+        (
+            point.x,
+            point.p,
+            point.eps_z,
+            point.eps_x,
+            point.eps_y,
+            point.message_entropy,
+            point.eve_info,
+            point.capacity.raw,
+            point.capacity.clamped,
+        ),
+        "analytic,,",
     )
 
 
-def _row_from_stats(cfg: ProtocolConfig, stats: TranscriptStats) -> SweepRow:
+def _row_from_stats(cfg: ProtocolConfig, stats: TranscriptStats) -> str:
     if cfg.protocol == Protocol.MDI_TS:
         h_of_e = shannon_entropy(stats.message_errors)
         eve_info = binary_entropy(stats.eps_z.rate) + binary_entropy(stats.eps_x.rate)
     else:
         h_of_e = binary_entropy(stats.bit_error)
         eve_info = binary_entropy(stats.qber(cfg.dl04_encoding).rate)
-    return SweepRow(
-        x=cfg.channel_p / 2.0,
-        p=cfg.channel_p,
-        protocol=cfg.protocol,
-        eps_z=stats.eps_z.rate if stats.eps_z else None,
-        eps_x=stats.eps_x.rate if stats.eps_x else None,
-        eps_y=stats.eps_y.rate if stats.eps_y else None,
-        h_of_e=h_of_e,
-        eve_info=eve_info,
-        capacity_raw=stats.capacity.raw,
-        capacity_clamped=stats.capacity.clamped,
-        source="montecarlo",
-        seed=cfg.seed,
-        rounds=cfg.rounds,
+    rates = (est.rate if est else None for est in (stats.eps_z, stats.eps_x, stats.eps_y))
+    return _csv_line(
+        cfg.protocol,
+        (
+            cfg.channel_p / 2.0,
+            cfg.channel_p,
+            *rates,
+            h_of_e,
+            eve_info,
+            stats.capacity.raw,
+            stats.capacity.clamped,
+        ),
+        f"montecarlo,{cfg.seed},{cfg.rounds}",
     )
 
 
@@ -155,8 +122,8 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _curve_csv_lines(curve: AnalyticCurve) -> list[str]:
-    """CSV rows of an analytic curve, the text ``SweepRow.to_csv`` gives its
-    points: ``"%.12g" % value`` is ``format(value, ".12g")``."""
+    """CSV rows of an analytic curve, the text :func:`_row_from_point` gives
+    each of its points, from one row template instead of a call per cell."""
     row = "%.12g,%.12g," + curve.protocol.value + ",%.12g" * 7 + ",analytic,,"
     return [row % cells for cells in zip(*(column.tolist() for column in curve.columns))]
 
@@ -271,7 +238,10 @@ def _parse_grid(text: str) -> list[float]:
     return [min(x, stop) for x in grid if x <= stop + 1e-12]
 
 
-def _load_config_file(path: str) -> dict[str, str]:
+def _load_config_file(path: str, args: argparse.Namespace) -> dict[str, str]:
+    """``key = value`` lines of a config file. Each key, with ``_`` read as
+    ``-``, must name a flag of the subcommand, that is an attribute of ``args``."""
+    flags = {name.replace("_", "-") for name in vars(args)} - {"command", "config"}
     values: dict[str, str] = {}
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -281,8 +251,11 @@ def _load_config_file(path: str) -> dict[str, str]:
                     continue
                 if "=" not in stripped:
                     raise UsageError(f"{path}:{lineno}: expected key = value")
-                key, _, value = stripped.partition("=")
-                values[key.strip().replace("_", "-")] = value.strip()
+                key, _, value = (part.strip() for part in stripped.partition("="))
+                flag = key.replace("_", "-")
+                if flag not in flags:
+                    raise UsageError(f"{path}:{lineno}: {args.command} takes no key {key!r}")
+                values[flag] = value
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     return values
@@ -471,8 +444,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"insufficient statistics: {stats.unavailable_reason}", file=sys.stderr)
         return EXIT_INSUFFICIENT_STATS
 
-    rows = [_row_from_analytic(analytic_point_for_config(cfg)), _row_from_stats(cfg, stats)]
-    _write_text(_merged(args, "csv", None), _csv_text([row.to_csv() for row in rows]))
+    rows = [_row_from_point(analytic_point_for_config(cfg)), _row_from_stats(cfg, stats)]
+    _write_text(_merged(args, "csv", None), _csv_text(rows))
     _print_summary(cfg, stats)
     return EXIT_OK
 
@@ -520,7 +493,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     config_path = getattr(args, "config", None)
     try:
-        args.config_values = _load_config_file(config_path) if config_path else {}
+        args.config_values = _load_config_file(config_path, args) if config_path else {}
         if args.command == "sweep":
             return cmd_sweep(args)
         if args.command == "simulate":

@@ -163,40 +163,6 @@ class ProtocolConfig:
 
 
 @dataclass(frozen=True)
-class RoundRecord:
-    """Outcome of a single protocol round.
-
-    ``frame`` is the Bell label of the shared pair after swapping and
-    correction. Check rounds carry the basis and both local outcomes;
-    message rounds carry the encoded and decoded symbol (two bits for the
-    entanglement protocol, one bit for the single-photon protocol). A
-    ``decoded`` of None on a message round means the photon was lost.
-    """
-
-    frame: BellLabel
-    role: str
-    basis: PauliLabel | None = None
-    alice_outcome: int | None = None
-    bob_outcome: int | None = None
-    encoded: int | None = None
-    decoded: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.role not in ("check", "message"):
-            raise ValueError("role must be 'check' or 'message'")
-        if self.role == "check":
-            if self.basis is None or self.alice_outcome is None or self.bob_outcome is None:
-                raise ValueError("check rounds need basis and both outcomes")
-            if self.encoded is not None or self.decoded is not None:
-                raise ValueError("check rounds carry no message symbols")
-        else:
-            if self.encoded is None:
-                raise ValueError("message rounds need an encoded symbol")
-            if self.basis is not None or self.alice_outcome is not None or self.bob_outcome is not None:
-                raise ValueError("message rounds carry no check data")
-
-
-@dataclass(frozen=True)
 class QberEstimate:
     """Empirical error rate of one check basis with its binomial standard error."""
 
@@ -484,14 +450,6 @@ class Tally:
         diff = (chunk.decoded ^ chunk.encoded)[message & chunk.arrived]
         self.message_diffs += np.bincount(diff, minlength=4)
 
-    def add_record(self, rec: RoundRecord) -> None:
-        if rec.role == "check":
-            self.checks[int(rec.basis), int(rec.alice_outcome == rec.bob_outcome)] += 1
-        else:
-            self.message_rounds += 1
-            if rec.decoded is not None:
-                self.message_diffs[rec.decoded ^ rec.encoded] += 1
-
 
 def _binary_rate_variance(rate: float, samples: int) -> float:
     """Delta-method variance of h(rate-hat) for a binomial estimate."""
@@ -620,60 +578,6 @@ def run(cfg: ProtocolConfig) -> TranscriptStats:
     tally = Tally()
     for chunk in _chunks(cfg):
         tally.add(chunk)
-    return _stats_from_tally(cfg, tally)
-
-
-def round_records(cfg: ProtocolConfig) -> list[RoundRecord]:
-    """Materialize per-round records of the run that ``run(cfg)`` aggregates.
-
-    Both draw the same blocks from the same seed, so the records and the
-    aggregated stats describe the same transcript. Intended for small
-    ``rounds``.
-    """
-    records: list[RoundRecord] = []
-    for chunk in _chunks(cfg):
-        rows = zip(
-            chunk.frame.tolist(),
-            chunk.is_check.tolist(),
-            chunk.basis.tolist(),
-            chunk.alice_bit.tolist(),
-            chunk.bob_bit.tolist(),
-            chunk.encoded.tolist(),
-            chunk.decoded.tolist(),
-            chunk.arrived.tolist(),
-        )
-        for frame, is_check, basis, alice, bob, encoded, decoded, arrived in rows:
-            bell = BELL_OF_PAULI[frame]
-            if is_check:
-                records.append(
-                    RoundRecord(
-                        frame=bell,
-                        role="check",
-                        basis=PauliLabel(basis),
-                        alice_outcome=alice,
-                        bob_outcome=bob,
-                    )
-                )
-            else:
-                records.append(
-                    RoundRecord(
-                        frame=bell,
-                        role="message",
-                        encoded=encoded,
-                        decoded=decoded if arrived else None,
-                    )
-                )
-    return records
-
-
-def estimate_stats(records: list[RoundRecord], cfg: ProtocolConfig) -> TranscriptStats:
-    """Aggregate a list of round records into transcript statistics, exactly
-    as ``run`` aggregates the rounds it draws."""
-    if not records:
-        raise ValueError("cannot estimate statistics from zero records")
-    tally = Tally()
-    for rec in records:
-        tally.add_record(rec)
     return _stats_from_tally(cfg, tally)
 
 

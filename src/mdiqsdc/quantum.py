@@ -242,9 +242,6 @@ class BellDiagonal:
     def __getitem__(self, label: BellLabel | int) -> float:
         return self.deltas[int(label)]
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.deltas, dtype=np.float64)
-
 
 def bell_state(label: BellLabel) -> PureState:
     """The named Bell state over the computational basis |00>,|01>,|10>,|11>."""
@@ -365,24 +362,6 @@ def product_decompose(a: PureState, b: PureState) -> np.ndarray:
     return BELL_VECTORS.conj() @ joint
 
 
-def pauli_twirl(dm: DensityMatrix) -> BellDiagonal:
-    """Diagonal of a two-qubit state in the Bell basis.
-
-    This is the state a full local twirl would produce, expressed as the
-    weight vector of the resulting Bell-diagonal mixture.
-    """
-    return BellDiagonal(tuple(bell_measure(dm)))
-
-
-def bell_diagonal_state(d: BellDiagonal) -> DensityMatrix:
-    """Reconstruct the Bell-diagonal density matrix with the given weights."""
-    mat = np.zeros((4, 4), dtype=np.complex128)
-    for i in range(4):
-        v = BELL_VECTORS[i]
-        mat += d.deltas[i] * np.outer(v, v.conj())
-    return DensityMatrix(mat)
-
-
 def purify_bell_diagonal(d: BellDiagonal) -> PureState:
     """Purify a Bell-diagonal pair state with a four-dimensional environment.
 
@@ -437,10 +416,3 @@ def holevo_bound(states: Sequence[DensityMatrix], priors: Sequence[float]) -> fl
     return von_neumann_entropy(average) - sum(
         p * von_neumann_entropy(s) for p, s in zip(pr, states)
     )
-
-
-def states_equal(a: PureState, b: PureState, *, atol: float = 1e-12) -> bool:
-    """Physical equality of pure states: overlap within atol of 1."""
-    if a.dim != b.dim:
-        return False
-    return abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2 >= 1.0 - atol

@@ -34,7 +34,6 @@ from mdiqsdc.quantum import (
     embed_two_qubit_operator,
     holevo_bound,
     partial_trace,
-    pauli_twirl,
     product_decompose,
     single_photon,
 )
@@ -111,7 +110,7 @@ class TestAcceptance:
         singlet = bell_state(BellLabel.PSI_MINUS).to_density_matrix()
         for k in range(11):
             p = k / 10
-            deltas = pauli_twirl(depolarize(singlet, p, 1)).as_array()
+            deltas = bell_measure(depolarize(singlet, p, 1))
             closed = np.array([1 - 0.75 * p, 0.25 * p, 0.25 * p, 0.25 * p])
             assert np.max(np.abs(deltas - closed)) < 1e-12
             rates = error_rates_from_deltas(BellDiagonal(tuple(closed)))

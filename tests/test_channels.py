@@ -11,7 +11,6 @@ from mdiqsdc.channels import (
     IDENTITY_DIST,
     ErrorRates,
     PauliDistribution,
-    bell_diagonal_from_pauli_dist,
     convolve,
     depolarize,
     depolarizing_pauli_dist,
@@ -25,9 +24,10 @@ from mdiqsdc.quantum import (
     DensityMatrix,
     PauliLabel,
     basis_eigenvector,
-    bell_diagonal_state,
+    bell_measure,
     bell_state,
-    pauli_twirl,
+    partial_trace,
+    purify_bell_diagonal,
 )
 
 PAULI = [
@@ -61,9 +61,9 @@ class TestDepolarize:
     @pytest.mark.parametrize("p", P_GRID)
     def test_single_leg_bell_diagonal(self, p):
         dm = bell_state(BellLabel.PSI_MINUS).to_density_matrix()
-        d = pauli_twirl(depolarize(dm, p, 1))
+        d = bell_measure(depolarize(dm, p, 1))
         np.testing.assert_allclose(
-            d.deltas, [1 - 0.75 * p, 0.25 * p, 0.25 * p, 0.25 * p], atol=1e-12
+            d, [1 - 0.75 * p, 0.25 * p, 0.25 * p, 0.25 * p], atol=1e-12
         )
 
     @pytest.mark.parametrize("p", P_GRID)
@@ -129,10 +129,9 @@ class TestConvolve:
     def test_two_legs_match_density_matrix_oracle(self, p):
         dm = bell_state(BellLabel.PSI_MINUS).to_density_matrix()
         both = depolarize(depolarize(dm, p, 0), p, 1)
-        want = pauli_twirl(both).deltas
-        single = depolarizing_pauli_dist(p)
-        got = bell_diagonal_from_pauli_dist(convolve(single, single)).deltas
-        np.testing.assert_allclose(got, want, atol=1e-12)
+        want = convolve(depolarizing_pauli_dist(p), depolarizing_pauli_dist(p))
+        got = pauli_dist_from_bell_diagonal(BellDiagonal(tuple(bell_measure(both))))
+        np.testing.assert_allclose(got.probabilities, want.probabilities, atol=1e-12)
 
 
 class TestErrorRates:
@@ -167,7 +166,7 @@ class TestErrorRates:
     def test_matches_measurement_statistics_oracle(self, deltas):
         # disagreement probability from explicit same-basis projectors
         d = BellDiagonal(deltas)
-        dm = bell_diagonal_state(d)
+        dm = partial_trace(purify_bell_diagonal(d).to_density_matrix(), keep=(0, 1))
         rates = error_rates_from_deltas(d)
         for basis, expected in (
             (PauliLabel.Z, rates.eps_z),
@@ -190,7 +189,7 @@ class TestErrorRates:
             raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             herm = raw @ raw.conj().T
             dm = DensityMatrix(herm / np.trace(herm))
-            rates = error_rates_from_deltas(pauli_twirl(dm))
+            rates = error_rates_from_deltas(BellDiagonal(tuple(bell_measure(dm))))
             for basis, expected in (
                 (PauliLabel.Z, rates.eps_z),
                 (PauliLabel.X, rates.eps_x),
@@ -204,9 +203,16 @@ class TestErrorRates:
                 assert abs(parallel - expected) < 1e-10
 
     def test_round_trip_with_pauli_dist(self):
+        # the Pauli errors, applied to one half of the singlet, give back d
         d = BellDiagonal((0.4, 0.3, 0.2, 0.1))
-        back = bell_diagonal_from_pauli_dist(pauli_dist_from_bell_diagonal(d))
-        np.testing.assert_allclose(back.deltas, d.deltas, atol=1e-15)
+        dist = pauli_dist_from_bell_diagonal(d)
+        singlet = bell_state(BellLabel.PSI_MINUS).to_density_matrix().matrix
+        mixed = sum(
+            dist[k] * embed_on_pair(PAULI[k], 0) @ singlet @ embed_on_pair(PAULI[k], 0)
+            for k in range(4)
+        )
+        back = bell_measure(DensityMatrix(mixed))
+        np.testing.assert_allclose(back, d.deltas, atol=1e-15)
 
     def test_error_rate_in_basis_rejects_identity(self):
         with pytest.raises(ValueError):
@@ -226,7 +232,7 @@ class TestPauliFrameSampling:
         samples = rng.choice(4, size=1_000_000, p=dist.probabilities)
         counts = np.bincount(samples, minlength=4)
         dm = bell_state(BellLabel.PSI_MINUS).to_density_matrix()
-        want = pauli_twirl(depolarize(dm, p, 1)).as_array()
+        want = bell_measure(depolarize(dm, p, 1))
         # reorder sampled Pauli labels into Bell labels: I,X,Y,Z -> psi-,phi-,phi+,psi+
         bell_counts = np.array([counts[0], counts[3], counts[1], counts[2]])
         n = samples.size

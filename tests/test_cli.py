@@ -22,7 +22,7 @@ from mdiqsdc.cli import (
     UsageError,
     _curve_csv_lines,
     _parse_grid,
-    _row_from_analytic,
+    _row_from_point,
     _svg_text,
     build_parser,
     main,
@@ -150,7 +150,7 @@ class TestSweep:
         xs = [-0.0, 0.0, 1e-9, 0.123456789, 0.3, 0.5]
         for q in (1.0, 0.0):  # q = 0 gives capacities of -0.0
             lines = _curve_csv_lines(analytic_curve(protocol, xs, q=q))
-            expected = [_row_from_analytic(analytic_point(protocol, x, q=q)).to_csv() for x in xs]
+            expected = [_row_from_point(analytic_point(protocol, x, q=q)) for x in xs]
             assert lines == expected
 
     @given(st.floats(allow_nan=True, allow_infinity=True))
@@ -441,6 +441,20 @@ class TestConfigFile:
             capsys,
         )
         assert code == 0
+
+    def test_misspelled_key_exits_2(self, capsys, tmp_path):
+        config = tmp_path / "typo.conf"
+        config.write_text("protocol = mdi-ts\np = 0.1\nround = 500\nsede = 4\n")
+        code, out, err = run_cli(["simulate", "--config", str(config)], capsys)
+        assert code == 2 and out == ""
+        assert "'round'" in err and str(config) in err
+
+    def test_key_of_another_subcommand_exits_2(self, capsys, tmp_path):
+        config = tmp_path / "sweep.conf"
+        config.write_text("protocol = mdi-ts\nrounds = 500\n")
+        code, out, err = run_cli(["sweep", "--config", str(config)], capsys)
+        assert code == 2 and out == ""
+        assert "'rounds'" in err and str(config) in err
 
     def test_malformed_config_exits_2(self, capsys, tmp_path):
         config = tmp_path / "bad.conf"

@@ -1,6 +1,7 @@
 """Protocol simulator tests: swap-correction oracle, Monte Carlo statistics,
 attack behavior, and Pauli-frame vs density-matrix backend equivalence."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,13 +16,14 @@ from mdiqsdc.protocol import (
     NoisePlacement,
     Protocol,
     ProtocolConfig,
-    RoundRecord,
+    Tally,
+    _chunks,
+    _stats_from_tally,
+    check_bases,
     density_matrix_round_distributions,
-    estimate_stats,
     intercept_resend_channel,
     intercept_resend_pauli_dist,
     pauli_frame_round_distributions,
-    round_records,
     run,
     swap_correction,
 )
@@ -119,9 +121,7 @@ class TestRunMdiTs:
 
     def test_decoding_perfect_at_p_zero(self):
         cfg = ProtocolConfig(protocol=Protocol.MDI_TS, rounds=2_000, channel_p=0.0, seed=5)
-        for rec in round_records(cfg):
-            if rec.role == "message":
-                assert rec.decoded == rec.encoded
+        assert run(cfg).message_errors.probabilities == (1.0, 0.0, 0.0, 0.0)
 
     def test_deterministic_given_seed(self):
         cfg = ProtocolConfig(protocol=Protocol.MDI_TS, rounds=50_000, channel_p=0.3, seed=77)
@@ -259,9 +259,7 @@ class TestRunMdiDl04:
             seed=31,
             dl04_encoding=PauliLabel.Z,
         )
-        for rec in round_records(cfg):
-            if rec.role == "message":
-                assert rec.decoded == rec.encoded
+        assert run(cfg).bit_error == 0.0
 
     def test_deterministic(self):
         cfg = ProtocolConfig(protocol=Protocol.MDI_DL04, rounds=40_000, channel_p=0.25, seed=101)
@@ -327,6 +325,8 @@ class TestInterceptResend:
             assert stats.eps_z.rate > 0.2
 
 
+# Rows of ``Tally.checks`` are basis labels I, X, Y, Z; columns count check
+# rounds without and with an error.
 class TestEstimateStats:
     def _cfg(self, **kwargs):
         defaults = dict(protocol=Protocol.MDI_TS, rounds=10, channel_p=0.0, seed=1)
@@ -334,135 +334,99 @@ class TestEstimateStats:
         return ProtocolConfig(**defaults)
 
     def test_all_agree_checks_give_zero_rate(self):
-        records = [
-            RoundRecord(
-                frame=BellLabel.PSI_MINUS,
-                role="check",
-                basis=basis,
-                alice_outcome=0,
-                bob_outcome=1,
-            )
-            for basis in (PauliLabel.Z, PauliLabel.X)
-            for _ in range(5)
-        ] + [
-            RoundRecord(frame=BellLabel.PSI_MINUS, role="message", encoded=0, decoded=0)
-            for _ in range(10)
-        ]
-        stats = estimate_stats(records, self._cfg(rounds=20))
+        tally = Tally(
+            checks=np.array([[0, 0], [5, 0], [0, 0], [5, 0]]),
+            message_rounds=10,
+            message_diffs=np.array([10, 0, 0, 0]),
+        )
+        stats = _stats_from_tally(self._cfg(rounds=20), tally)
         assert stats.eps_z.rate == 0.0 and stats.eps_z.se == 0.0
         assert stats.eps_x.rate == 0.0
         assert stats.capacity.raw == 2.0
 
     def test_synthetic_ten_percent_z_disagreement(self):
-        z_checks = [
-            RoundRecord(
-                frame=BellLabel.PSI_MINUS,
-                role="check",
-                basis=PauliLabel.Z,
-                alice_outcome=0,
-                bob_outcome=0 if i < 10 else 1,  # first 10 of 100 agree: errors
-            )
-            for i in range(100)
-        ]
-        x_checks = [
-            RoundRecord(
-                frame=BellLabel.PSI_MINUS,
-                role="check",
-                basis=PauliLabel.X,
-                alice_outcome=1,
-                bob_outcome=0,
-            )
-            for _ in range(50)
-        ]
-        messages = [
-            RoundRecord(frame=BellLabel.PSI_MINUS, role="message", encoded=2, decoded=2)
-            for _ in range(50)
-        ]
-        stats = estimate_stats(records := z_checks + x_checks + messages, self._cfg(rounds=len(records)))
+        tally = Tally(
+            checks=np.array([[0, 0], [50, 0], [0, 0], [90, 10]]),
+            message_rounds=50,
+            message_diffs=np.array([50, 0, 0, 0]),
+        )
+        stats = _stats_from_tally(self._cfg(rounds=200), tally)
         assert stats.eps_z.rate == 0.1
         assert stats.eps_z.samples == 100 and stats.eps_z.errors == 10
 
     def test_missing_basis_flags_unavailable(self):
-        records = [
-            RoundRecord(
-                frame=BellLabel.PSI_MINUS,
-                role="check",
-                basis=PauliLabel.Z,
-                alice_outcome=0,
-                bob_outcome=1,
-            )
-        ] * 5 + [
-            RoundRecord(frame=BellLabel.PSI_MINUS, role="message", encoded=0, decoded=0)
-        ] * 5
-        stats = estimate_stats(records, self._cfg(rounds=10))
+        tally = Tally(
+            checks=np.array([[0, 0], [0, 0], [0, 0], [5, 0]]),
+            message_rounds=5,
+            message_diffs=np.array([5, 0, 0, 0]),
+        )
+        stats = _stats_from_tally(self._cfg(rounds=10), tally)
         assert not stats.estimate_available
         assert "basis X" in stats.unavailable_reason
         assert stats.capacity is None
 
     def test_no_messages_flags_unavailable(self):
-        records = [
-            RoundRecord(
-                frame=BellLabel.PSI_MINUS,
-                role="check",
-                basis=basis,
-                alice_outcome=0,
-                bob_outcome=1,
-            )
-            for basis in (PauliLabel.Z, PauliLabel.X)
-        ]
-        stats = estimate_stats(records, self._cfg(rounds=2))
+        tally = Tally(checks=np.array([[0, 0], [1, 0], [0, 0], [1, 0]]))
+        stats = _stats_from_tally(self._cfg(rounds=2), tally)
         assert not stats.estimate_available
         assert stats.unavailable_reason == "no message rounds"
 
-    def test_empty_records_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_stats([], self._cfg())
-
     def test_foreign_check_basis_rejected(self):
-        records = [
-            RoundRecord(
-                frame=BellLabel.PSI_MINUS,
-                role="check",
-                basis=PauliLabel.Y,  # entanglement protocol never draws Y
-                alice_outcome=0,
-                bob_outcome=1,
-            )
-        ]
+        # the entanglement protocol never draws Y
+        tally = Tally(checks=np.array([[0, 0], [0, 0], [1, 0], [0, 0]]))
         with pytest.raises(ValueError):
-            estimate_stats(records, self._cfg(rounds=1))
+            _stats_from_tally(self._cfg(rounds=1), tally)
 
-    def test_agrees_with_vectorized_aggregation(self):
-        cfg = self._cfg(rounds=5_000, channel_p=0.3, seed=71)
-        assert estimate_stats(round_records(cfg), cfg) == run(cfg)
 
-    def test_agrees_with_vectorized_aggregation_dl04(self):
+class TestTallyAdd:
+    def _chunk(self, protocol):
         cfg = ProtocolConfig(
-            protocol=Protocol.MDI_DL04, rounds=5_000, channel_p=0.3, seed=71
+            protocol=protocol, rounds=5_000, channel_p=0.3, seed=71, transmittance=0.8
         )
-        assert estimate_stats(round_records(cfg), cfg) == run(cfg)
+        (chunk,) = _chunks(cfg)
+        return cfg, chunk
 
-
-class TestRoundRecords:
-    def test_roles_and_fields_consistent(self):
-        cfg = ProtocolConfig(protocol=Protocol.MDI_TS, rounds=500, channel_p=0.2, seed=83)
-        records = round_records(cfg)
-        assert len(records) == 500
-        for rec in records:
-            if rec.role == "check":
-                assert rec.basis in (PauliLabel.Z, PauliLabel.X)
-                assert rec.alice_outcome in (0, 1) and rec.bob_outcome in (0, 1)
-                assert rec.encoded is None and rec.decoded is None
+    @pytest.mark.parametrize("protocol", [Protocol.MDI_TS, Protocol.MDI_DL04])
+    def test_counts_each_round_once(self, protocol):
+        cfg, chunk = self._chunk(protocol)
+        bases = [int(b) for b in check_bases(cfg)]
+        symbols = 4 if protocol == Protocol.MDI_TS else 2
+        checks = np.zeros((4, 2), dtype=np.int64)
+        message_rounds = 0
+        diffs = np.zeros(4, dtype=np.int64)
+        rows = zip(
+            chunk.is_check.tolist(),
+            chunk.basis.tolist(),
+            chunk.alice_bit.tolist(),
+            chunk.bob_bit.tolist(),
+            chunk.encoded.tolist(),
+            chunk.decoded.tolist(),
+            chunk.arrived.tolist(),
+        )
+        for is_check, basis, alice, bob, encoded, decoded, arrived in rows:
+            if is_check:
+                assert basis in bases and alice in (0, 1) and bob in (0, 1)
+                checks[basis, int(alice == bob)] += 1
             else:
-                assert 0 <= rec.encoded <= 3
-                assert rec.decoded is not None
+                assert 0 <= encoded < symbols
+                message_rounds += 1
+                if arrived:
+                    diffs[decoded ^ encoded] += 1
+        assert 0 < diffs.sum() < message_rounds  # some photons were lost
+        tally = Tally()
+        tally.add(chunk)
+        np.testing.assert_array_equal(tally.checks, checks)
+        assert tally.message_rounds == message_rounds
+        np.testing.assert_array_equal(tally.message_diffs, diffs)
 
-    def test_record_validation(self):
-        with pytest.raises(ValueError):
-            RoundRecord(frame=BellLabel.PSI_MINUS, role="check")
-        with pytest.raises(ValueError):
-            RoundRecord(frame=BellLabel.PSI_MINUS, role="message")
-        with pytest.raises(ValueError):
-            RoundRecord(frame=BellLabel.PSI_MINUS, role="noise", encoded=0)
+    def test_lost_round_counts_only_as_message_round(self):
+        _, chunk = self._chunk(Protocol.MDI_TS)
+        arrived, lost = Tally(), Tally()
+        arrived.add(dataclasses.replace(chunk, arrived=np.ones_like(chunk.arrived)))
+        lost.add(dataclasses.replace(chunk, arrived=np.zeros_like(chunk.arrived)))
+        np.testing.assert_array_equal(lost.checks, arrived.checks)
+        assert lost.message_rounds == arrived.message_rounds > 0
+        assert not lost.message_diffs.any()
 
 
 class TestConfigValidation:

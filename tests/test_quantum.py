@@ -16,18 +16,15 @@ from mdiqsdc.quantum import (
     PauliLabel,
     PureState,
     apply_pauli,
-    bell_diagonal_state,
     bell_measure,
     bell_state,
     embed_single_qubit_operator,
     holevo_bound,
     partial_trace,
     pauli_operator,
-    pauli_twirl,
     product_decompose,
     purify_bell_diagonal,
     single_photon,
-    states_equal,
     validate_probability_rows,
     validate_probability_vector,
     tensor,
@@ -107,14 +104,16 @@ class TestApplyPauli:
     def test_identity_fixes_singlet(self):
         psi = bell_state(BellLabel.PSI_MINUS)
         for qubit in (0, 1):
-            assert states_equal(apply_pauli(psi, PauliLabel.I, qubit), psi)
+            same = apply_pauli(psi, PauliLabel.I, qubit)
+            assert abs(np.vdot(same.amplitudes, psi.amplitudes)) ** 2 >= 1 - 1e-12
 
     def test_z_on_second_qubit_maps_singlet_to_triplet(self):
         got = apply_pauli(bell_state(BellLabel.PSI_MINUS), PauliLabel.Z, 1)
         # independent oracle: explicit 4x4 multiplication
         oracle = pauli_on_qubit_oracle(3, 1, 2) @ BELL_VECTORS[0]
         assert abs(abs(np.vdot(oracle, got.amplitudes)) - 1) < 1e-12
-        assert states_equal(got, bell_state(BellLabel.PSI_PLUS))
+        psi_plus = bell_state(BellLabel.PSI_PLUS).amplitudes
+        assert abs(np.vdot(got.amplitudes, psi_plus)) ** 2 >= 1 - 1e-12
 
     @pytest.mark.parametrize("op", list(PauliLabel))
     @pytest.mark.parametrize("qubit", [0, 1])
@@ -142,7 +141,7 @@ class TestApplyPauli:
     def test_involution(self, op, qubit, seed):
         state = random_pure(np.random.default_rng(seed), 4)
         back = apply_pauli(apply_pauli(state, op, qubit), op, qubit)
-        assert states_equal(state, back)
+        assert abs(np.vdot(state.amplitudes, back.amplitudes)) ** 2 >= 1 - 1e-12
 
     def test_permutes_bell_states_without_leakage(self):
         for label in BellLabel:
@@ -234,13 +233,16 @@ class TestProductDecompose:
 
 
 class TestPauliTwirl:
+    """``bell_measure`` gives the Bell-diagonal weights a full local twirl
+    leaves of a two-qubit state."""
+
     def test_bell_diagonal_input_is_fixed_point(self):
-        d = pauli_twirl(bell_state(BellLabel.PSI_MINUS).to_density_matrix())
-        np.testing.assert_allclose(d.deltas, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
+        d = bell_measure(bell_state(BellLabel.PSI_MINUS).to_density_matrix())
+        np.testing.assert_allclose(d, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
 
     def test_maximally_mixed(self):
-        d = pauli_twirl(DensityMatrix(np.eye(4) / 4))
-        np.testing.assert_allclose(d.deltas, [0.25] * 4, atol=1e-15)
+        d = bell_measure(DensityMatrix(np.eye(4) / 4))
+        np.testing.assert_allclose(d, [0.25] * 4, atol=1e-15)
 
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.7, 1.0])
     def test_one_side_depolarized_singlet(self, p):
@@ -250,17 +252,10 @@ class TestPauliTwirl:
         for k in (1, 2, 3):
             full = pauli_on_qubit_oracle(k, 1, 2)
             mixed = mixed + 0.25 * p * full @ rho @ full.conj().T
-        d = pauli_twirl(DensityMatrix(mixed))
+        d = bell_measure(DensityMatrix(mixed))
         np.testing.assert_allclose(
-            d.deltas, [1 - 0.75 * p, 0.25 * p, 0.25 * p, 0.25 * p], atol=1e-12
+            d, [1 - 0.75 * p, 0.25 * p, 0.25 * p, 0.25 * p], atol=1e-12
         )
-
-    @given(deltas=deltas_strategy)
-    @settings(max_examples=50, deadline=None)
-    def test_idempotent_on_reconstruction(self, deltas):
-        d = BellDiagonal(deltas)
-        again = pauli_twirl(bell_diagonal_state(d))
-        np.testing.assert_allclose(again.deltas, d.deltas, atol=1e-12)
 
 
 class TestPurification:
@@ -271,7 +266,7 @@ class TestPurification:
         expected[1 * 4 + 0] = BELL_VECTORS[0][1]
         expected[2 * 4 + 0] = BELL_VECTORS[0][2]
         expected[3 * 4 + 0] = BELL_VECTORS[0][3]
-        assert states_equal(psi, PureState(expected))
+        assert abs(np.vdot(psi.amplitudes, expected)) ** 2 >= 1 - 1e-12
 
     def test_uniform_reduces_to_maximally_mixed(self):
         psi = purify_bell_diagonal(BellDiagonal((0.25, 0.25, 0.25, 0.25)))
@@ -326,7 +321,8 @@ class TestEntropy:
         assert abs(von_neumann_entropy(DensityMatrix(np.eye(4) / 4)) - 2.0) < 1e-12
 
     def test_equal_mixture_of_two_bell_states(self):
-        dm = bell_diagonal_state(BellDiagonal((0.5, 0.5, 0.0, 0.0)))
+        psi = purify_bell_diagonal(BellDiagonal((0.5, 0.5, 0.0, 0.0)))
+        dm = partial_trace(psi.to_density_matrix(), keep=(0, 1))
         assert abs(von_neumann_entropy(dm) - 1.0) < 1e-12
 
     @given(deltas=deltas_strategy)
@@ -334,7 +330,8 @@ class TestEntropy:
     def test_bell_diagonal_entropy_is_shannon_of_weights(self, deltas):
         d = BellDiagonal(deltas)
         shannon = -sum(p * math.log2(p) for p in d.deltas if p > 0)
-        assert abs(von_neumann_entropy(bell_diagonal_state(d)) - shannon) < 1e-10
+        pair = partial_trace(purify_bell_diagonal(d).to_density_matrix(), keep=(0, 1))
+        assert abs(von_neumann_entropy(pair) - shannon) < 1e-10
 
     def test_range(self):
         rng = np.random.default_rng(31)

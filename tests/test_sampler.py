@@ -1,6 +1,7 @@
 """Streaming Monte Carlo sampler: label draws, chunk boundaries, flat
 memory, and multinomial agreement with the exact per-round distributions."""
 
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -15,13 +16,15 @@ from mdiqsdc.protocol import (
     NoisePlacement,
     Protocol,
     ProtocolConfig,
+    Tally,
     _anticommutes,
+    _Chunk,
+    _chunks,
     _label_cuts,
     _labels,
+    _stats_from_tally,
     check_bases,
-    estimate_stats,
     pauli_frame_round_distributions,
-    round_records,
     run,
 )
 from mdiqsdc.quantum import ANTICOMMUTES, PAULI_OF_BELL, PAULI_PRODUCT, PauliLabel
@@ -64,7 +67,7 @@ class TestChunking:
     @pytest.mark.parametrize(
         "noise", [NoisePlacement.FIRST_LEG_ONLY, NoisePlacement.BOTH_LEGS]
     )
-    def test_records_match_run_across_chunk_boundaries(self, protocol, noise):
+    def test_one_tally_of_all_chunks_matches_run(self, protocol, noise):
         cfg = ProtocolConfig(
             protocol=protocol,
             rounds=2 * CHUNK_ROUNDS + 17,
@@ -77,7 +80,17 @@ class TestChunking:
         stats = run(cfg)
         assert stats.rounds == cfg.rounds
         assert stats.decoded_rounds < stats.message_rounds
-        assert estimate_stats(round_records(cfg), cfg) == stats
+        chunks = list(_chunks(cfg))
+        assert len(chunks) == 3
+        whole = _Chunk(
+            **{
+                f.name: np.concatenate([getattr(chunk, f.name) for chunk in chunks])
+                for f in dataclasses.fields(_Chunk)
+            }
+        )
+        tally = Tally()
+        tally.add(whole)
+        assert _stats_from_tally(cfg, tally) == stats
         assert run(cfg) == stats
 
     def test_peak_memory_flat_in_rounds(self):

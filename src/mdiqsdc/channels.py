@@ -79,7 +79,8 @@ def _check_channel_param(p: float) -> float:
 
 
 def depolarize(dm: DensityMatrix, p: float, qubit: int) -> DensityMatrix:
-    """Depolarize one qubit: rho -> p * (I/2 on that qubit) + (1-p) * rho."""
+    """Depolarize one qubit of every state of the stack:
+    rho -> p * (I/2 on that qubit) + (1-p) * rho."""
     _check_channel_param(p)
     terms = (1.0 - 0.75 * p) * dm.matrix
     for op in (PauliLabel.X, PauliLabel.Y, PauliLabel.Z):

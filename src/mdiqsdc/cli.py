@@ -31,6 +31,7 @@ from .protocol import (
     Protocol,
     ProtocolConfig,
     TranscriptStats,
+    round_error_dists_for_config,
     run,
 )
 from .quantum import PauliLabel
@@ -255,6 +256,8 @@ def _load_config_file(path: str, args: argparse.Namespace) -> dict[str, str]:
                 flag = key.replace("_", "-")
                 if flag not in flags:
                     raise UsageError(f"{path}:{lineno}: {args.command} takes no key {key!r}")
+                if flag in values:
+                    raise UsageError(f"{path}:{lineno}: repeated key {key!r}")
                 values[flag] = value
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
@@ -348,9 +351,12 @@ def _parse_protocols(value: str | None, *, default_all: bool) -> list[Protocol]:
     out = []
     for name in str(value).split(","):
         try:
-            out.append(Protocol(name.strip()))
+            protocol = Protocol(name.strip())
         except ValueError as exc:
             raise UsageError(f"unknown protocol {name!r}") from exc
+        if protocol in out:
+            raise UsageError(f"protocol {protocol.value!r} given twice")
+        out.append(protocol)
     return out
 
 
@@ -439,12 +445,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
-    stats = run(cfg)
+    dists = round_error_dists_for_config(cfg)
+    stats = run(cfg, dists)
     if not stats.estimate_available:
         print(f"insufficient statistics: {stats.unavailable_reason}", file=sys.stderr)
         return EXIT_INSUFFICIENT_STATS
 
-    rows = [_row_from_point(analytic_point_for_config(cfg)), _row_from_stats(cfg, stats)]
+    twin = analytic_point_for_config(cfg, dists)
+    rows = [_row_from_point(twin), _row_from_stats(cfg, stats)]
     _write_text(_merged(args, "csv", None), _csv_text(rows))
     _print_summary(cfg, stats)
     return EXIT_OK

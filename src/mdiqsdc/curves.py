@@ -57,6 +57,7 @@ from .protocol import (
     NoisePlacement,
     Protocol,
     ProtocolConfig,
+    RoundErrorDists,
     round_error_dists,
     round_error_dists_for_config,
     round_error_rows,
@@ -244,9 +245,14 @@ def analytic_curve(
     )
 
 
-def analytic_point_for_config(cfg: ProtocolConfig) -> AnalyticPoint:
-    """Analytic twin of a Monte Carlo configuration, attack and its leg included."""
-    dists = round_error_dists_for_config(cfg)
+def analytic_point_for_config(
+    cfg: ProtocolConfig, dists: RoundErrorDists | None = None
+) -> AnalyticPoint:
+    """Analytic twin of a Monte Carlo configuration, attack and its leg
+    included; ``dists`` is :func:`round_error_dists_for_config` of ``cfg``,
+    composed here when not given."""
+    if dists is None:
+        dists = round_error_dists_for_config(cfg)
     q = cfg.q_override if cfg.q_override is not None else cfg.transmittance ** (
         2 if cfg.protocol == Protocol.MDI_TS else 1
     )

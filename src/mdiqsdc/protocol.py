@@ -250,13 +250,16 @@ def intercept_resend_channel(
     return DensityMatrix(out)
 
 
+RoundErrorDists = tuple[PauliDistribution, PauliDistribution]
+
+
 def round_error_dists(
     protocol: Protocol,
     p: float,
     noise: NoisePlacement,
     eve: PauliDistribution | None = None,
     attack_leg: str = "alice",
-) -> tuple[PauliDistribution, PauliDistribution]:
+) -> RoundErrorDists:
     """The two Pauli errors of one round: ``(frame, second)``.
 
     ``frame`` composes both first legs, the attacker's process ``eve`` on
@@ -287,9 +290,7 @@ def round_error_rows(
     return frame, frame if protocol == Protocol.MDI_TS else single
 
 
-def round_error_dists_for_config(
-    cfg: ProtocolConfig,
-) -> tuple[PauliDistribution, PauliDistribution]:
+def round_error_dists_for_config(cfg: ProtocolConfig) -> RoundErrorDists:
     """:func:`round_error_dists` of a Monte Carlo configuration, attack included."""
     eve = (
         intercept_resend_pauli_dist(cfg.attack_bases)
@@ -349,7 +350,7 @@ class _Chunk:
     arrived: np.ndarray
 
 
-def _chunks(cfg: ProtocolConfig) -> Iterator[_Chunk]:
+def _chunks(cfg: ProtocolConfig, dists: RoundErrorDists | None = None) -> Iterator[_Chunk]:
     """Run all rounds in the Pauli frame, CHUNK_ROUNDS at a time.
 
     Each block draws, in this order: the pair frame from the composed
@@ -359,10 +360,11 @@ def _chunks(cfg: ProtocolConfig) -> Iterator[_Chunk]:
     channel). Frame and re-transmission error are drawn from
     :func:`round_error_dists`, as the Pauli-frame backend enumerates them.
     The draw order is fixed, so identical configs reproduce identical
-    transcripts.
+    transcripts. ``dists`` is :func:`round_error_dists_for_config` of
+    ``cfg``, composed here when not given.
     """
     rng = np.random.default_rng(cfg.seed)
-    frame_dist, second_dist = round_error_dists_for_config(cfg)
+    frame_dist, second_dist = dists if dists is not None else round_error_dists_for_config(cfg)
     frame_cuts = _label_cuts(frame_dist)
     both_legs = cfg.noise == NoisePlacement.BOTH_LEGS
     second_cuts = _label_cuts(second_dist) if both_legs else None
@@ -567,16 +569,18 @@ def _stats_from_tally(cfg: ProtocolConfig, tally: Tally) -> TranscriptStats:
     )
 
 
-def run(cfg: ProtocolConfig) -> TranscriptStats:
+def run(cfg: ProtocolConfig, dists: RoundErrorDists | None = None) -> TranscriptStats:
     """Monte Carlo run of the configured MDI protocol.
 
     Per round: sample the pair frame, then either a correlation check or a
     message: a dense-coding symbol under Bob's random cover (entanglement
     protocol) or one bit read out in the conjugate single-photon basis.
     Deterministic given the config seed; memory does not grow with rounds.
+    A caller that already holds :func:`round_error_dists_for_config` of
+    ``cfg`` passes it as ``dists``.
     """
     tally = Tally()
-    for chunk in _chunks(cfg):
+    for chunk in _chunks(cfg, dists):
         tally.add(chunk)
     return _stats_from_tally(cfg, tally)
 
@@ -660,21 +664,41 @@ def pauli_frame_round_distributions(cfg: ProtocolConfig) -> dict[str, np.ndarray
 
 
 @lru_cache(maxsize=None)
-def _swap_projector(label: int) -> np.ndarray:
-    """Read-only projector on Bell outcome ``label`` of the sent photons 1 and 3."""
-    v = BELL_VECTORS[label]
-    proj = embed_two_qubit_operator(np.outer(v, v.conj()), (1, 3), 4)
+def _swap_projectors() -> np.ndarray:
+    """Read-only (4, 16, 16) projectors on the Bell outcomes of the sent photons 1 and 3."""
+    proj = np.stack(
+        [embed_two_qubit_operator(np.outer(v, v.conj()), (1, 3), 4) for v in BELL_VECTORS]
+    )
     proj.flags.writeable = False
     return proj
 
 
 @lru_cache(maxsize=None)
-def _pair_projector(basis: PauliLabel, a: int, b: int) -> np.ndarray:
-    """Read-only projector on outcomes a, b of two photons both measured in ``basis``."""
-    va, vb = basis_eigenvector(basis, a), basis_eigenvector(basis, b)
-    op = np.kron(np.outer(va, va.conj()), np.outer(vb, vb.conj()))
-    op.flags.writeable = False
-    return op
+def _pair_projectors(basis: PauliLabel) -> np.ndarray:
+    """Read-only (2, 2, 4, 4) projectors on outcomes a, b of two photons both
+    measured in ``basis``."""
+    vecs = [basis_eigenvector(basis, bit) for bit in (0, 1)]
+    proj = np.array(
+        [[np.kron(np.outer(va, va.conj()), np.outer(vb, vb.conj())) for vb in vecs] for va in vecs]
+    )
+    proj.flags.writeable = False
+    return proj
+
+
+def _pair_outcomes(proj: np.ndarray, pairs: DensityMatrix) -> np.ndarray:
+    """Tr(proj[a, b] @ pair) for every pair of the stack: shape ``pairs.shape + (2, 2)``."""
+    return np.einsum("abij,...ji->...ab", proj, pairs.matrix).real
+
+
+# Label of decoded (-) sent symbol, indexed by (symbol, cover, second Bell
+# outcome): Bob decodes the Pauli of the Bell outcome undone by his cover.
+_SYMBOL_DIFFERENCE = np.array(
+    [
+        [[PAULI_PRODUCT[PAULI_PRODUCT[c][p]][s] for p in _PAULI_OF_BELL] for c in range(4)]
+        for s in range(4)
+    ]
+)
+_LABELS = np.arange(4)
 
 
 def density_matrix_round_distributions(cfg: ProtocolConfig) -> dict[str, np.ndarray]:
@@ -684,8 +708,10 @@ def density_matrix_round_distributions(cfg: ProtocolConfig) -> dict[str, np.ndar
     Alice's sent photon, Bob's kept photon, Bob's sent photon), applies the
     channels and any attack to the sent photons, projects on the announced
     Bell outcome, applies the swap correction, and reads every conditional
-    out of the resulting matrices. Same keys and shapes as the Pauli-frame
-    backend.
+    out of the resulting matrices. Each stage is one validated stack: the
+    four conditioned states, the four corrected pairs, then the
+    (cover, symbol, outcome) or (bit, outcome) stack of message states.
+    Same keys and shapes as the Pauli-frame backend.
     """
     singlet = bell_state(BellLabel.PSI_MINUS)
     aligned = np.kron(singlet.amplitudes, singlet.amplitudes)
@@ -696,73 +722,43 @@ def density_matrix_round_distributions(cfg: ProtocolConfig) -> dict[str, np.ndar
         attacked_qubit = 1 if cfg.attack_leg == "alice" else 3
         rho = intercept_resend_channel(rho, attacked_qubit, cfg.attack_bases)
 
-    bases = check_bases(cfg)
-    swap_outcome = np.zeros(4)
-    pair_frame = np.zeros((4, 4))
-    check_joint = np.zeros((len(bases), 4, 2, 2))
-    ts_message = np.zeros((4, 4, 4, 4))
-    ts_symbol_error = np.zeros(4)
-    dl04_joint = np.zeros((4, 2, 2, 2))
-    dl04_bit_error = 0.0
-
-    for o in range(4):
-        proj = _swap_projector(o)
-        sub = proj @ rho.matrix @ proj
-        p_o = float(np.real(np.trace(sub)))
-        swap_outcome[o] = p_o
-        cond = DensityMatrix(sub / p_o)
-        pair = partial_trace(cond, keep=(0, 2))
-        pair = apply_pauli(pair, swap_correction(BellLabel(o)), 1)
-        pair_frame[o] = bell_measure(pair)
-
-        for bi, basis in enumerate(bases):
-            for a in (0, 1):
-                for b in (0, 1):
-                    op = _pair_projector(basis, a, b)
-                    check_joint[bi, o, a, b] = float(
-                        np.real(np.trace(op @ pair.matrix))
-                    )
-
-        if cfg.protocol == Protocol.MDI_TS:
-            for s in range(4):
-                encoded = apply_pauli(pair, PauliLabel(s), 0)
-                for c in range(4):
-                    covered = apply_pauli(encoded, PauliLabel(c), 1)
-                    if cfg.noise == NoisePlacement.BOTH_LEGS:
-                        covered = depolarize(covered, cfg.channel_p, 0)
-                        covered = depolarize(covered, cfg.channel_p, 1)
-                    probs = bell_measure(covered)
-                    ts_message[o, s, c] = probs
-                    for o2 in range(4):
-                        decoded = PAULI_PRODUCT[c][int(_PAULI_OF_BELL[o2])]
-                        diff = PAULI_PRODUCT[decoded][s]
-                        ts_symbol_error[diff] += 0.25 * (1.0 / 16.0) * probs[o2]
-        else:
-            m = MESSAGE_BASIS[cfg.dl04_encoding]
-            for k in (0, 1):
-                encoded = (
-                    pair if k == 0 else apply_pauli(pair, cfg.dl04_encoding, 0)
-                )
-                if cfg.noise == NoisePlacement.BOTH_LEGS:
-                    encoded = depolarize(encoded, cfg.channel_p, 0)
-                for ra in (0, 1):
-                    for rb in (0, 1):
-                        op = _pair_projector(m, ra, rb)
-                        prob = float(np.real(np.trace(op @ encoded.matrix)))
-                        dl04_joint[o, k, ra, rb] = prob
-                        decoded_bit = 1 if ra == rb else 0
-                        if decoded_bit != k:
-                            dl04_bit_error += 0.25 * 0.5 * prob
+    proj = _swap_projectors()
+    sub = proj @ rho.matrix @ proj
+    swap_outcome = np.trace(sub, axis1=1, axis2=2).real
+    cond = DensityMatrix(sub / swap_outcome[:, None, None])
+    corrections = [int(swap_correction(BellLabel(o))) for o in range(4)]
+    pair = apply_pauli(partial_trace(cond, keep=(0, 2)), corrections, 1)
 
     out: dict[str, np.ndarray] = {
         "swap_outcome": swap_outcome,
-        "pair_frame": pair_frame,
-        "check_joint": check_joint,
+        "pair_frame": bell_measure(pair),
+        "check_joint": np.stack(
+            [_pair_outcomes(_pair_projectors(basis), pair) for basis in check_bases(cfg)]
+        ),
     }
+    both_legs = cfg.noise == NoisePlacement.BOTH_LEGS
     if cfg.protocol == Protocol.MDI_TS:
-        out["message_outcome"] = ts_message
-        out["symbol_error"] = ts_symbol_error
+        encoded = apply_pauli(pair, _LABELS[:, None], 0)  # (symbol, outcome)
+        covered = apply_pauli(encoded, _LABELS[:, None, None], 1)  # (cover, symbol, outcome)
+        if both_legs:
+            covered = depolarize(depolarize(covered, cfg.channel_p, 0), cfg.channel_p, 1)
+        # (outcome, symbol, cover, second outcome); bincount adds in this order
+        message = bell_measure(covered).transpose(2, 1, 0, 3)
+        out["message_outcome"] = message
+        difference = np.broadcast_to(_SYMBOL_DIFFERENCE, message.shape)
+        weights = (0.25 * (1.0 / 16.0)) * message
+        out["symbol_error"] = np.bincount(
+            difference.ravel(), weights=weights.ravel(), minlength=4
+        )
     else:
-        out["message_joint"] = dl04_joint
-        out["bit_error"] = np.array([dl04_bit_error])
+        encoded = apply_pauli(pair, [[PauliLabel.I], [cfg.dl04_encoding]], 0)  # (bit, outcome)
+        if both_legs:
+            encoded = depolarize(encoded, cfg.channel_p, 0)
+        joint = _pair_outcomes(_pair_projectors(MESSAGE_BASIS[cfg.dl04_encoding]), encoded)
+        joint = joint.transpose(1, 0, 2, 3)  # (outcome, bit, a, b)
+        out["message_joint"] = joint
+        # bit k is read as 1 exactly when both photons agree
+        agree = np.eye(2, dtype=bool)
+        wrong = np.array([agree, ~agree])
+        out["bit_error"] = np.array([0.125 * joint[:, wrong].sum()])
     return out

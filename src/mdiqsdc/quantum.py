@@ -12,6 +12,12 @@ be tracked purely on labels (the "Pauli frame"); the lookup tables between
 the two label sets live here, next to the exact matrix arithmetic used to
 cross-check the label bookkeeping.
 
+A ``DensityMatrix`` holds one (d, d) matrix or a stack of them with shape
+(..., d, d); a single state is a stack with no leading axes. Every member
+of a stack is checked by :func:`validate_density_stack` at construction,
+and the helpers below (``apply_pauli``, ``partial_trace``, ``bell_measure``,
+the entropies) act on every member at once.
+
 All values are immutable after construction and all operations are pure
 functions, so everything in this module is safe to evaluate concurrently.
 """
@@ -19,7 +25,7 @@ functions, so everything in this module is safe to evaluate concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -189,37 +195,64 @@ class PureState:
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
+def validate_density_stack(matrices: np.ndarray) -> np.ndarray:
+    """Check every matrix of a complex (..., d, d) stack as a density matrix
+    and return the eigenvalues, ascending, as a (..., d) array.
+
+    Each check runs over the whole stack before the next: square, dimension
+    2, 4 or 16, finite entries, Hermitian within 1e-12, trace within 1e-12
+    of 1, lowest eigenvalue at least -1e-10 (the floor absorbs numeric drift
+    from channel compositions). The first failing check raises the
+    ValueError a single matrix gets; a trace failure quotes the trace of the
+    first failing member.
+    """
+    if matrices.ndim < 2 or matrices.shape[-1] != matrices.shape[-2]:
+        raise ValueError("density matrix must be square")
+    if matrices.shape[-1] not in _ALLOWED_DIMS:
+        raise ValueError(f"unsupported dimension {matrices.shape[-1]}")
+    if not np.isfinite(matrices).all():
+        raise ValueError("entries must be finite")
+    if (np.abs(matrices - matrices.conj().swapaxes(-1, -2)) > ATOL_HERMITIAN).any():
+        raise ValueError("matrix is not Hermitian within 1e-12")
+    traces = np.trace(matrices, axis1=-2, axis2=-1)
+    off = np.abs(traces - 1.0) > ATOL_TRACE
+    if off.any():
+        trace = complex(traces[off][0])
+        raise ValueError(f"trace {trace!r} differs from 1 by > {ATOL_TRACE}")
+    eigenvalues = np.linalg.eigvalsh(matrices)
+    if (eigenvalues[..., 0] < EIGENVALUE_FLOOR).any():
+        raise ValueError("matrix has an eigenvalue below -1e-10")
+    return eigenvalues
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, trace-1, positive-semidefinite matrix on 1, 2, or 4 qubits.
+    """Hermitian, trace-1, positive-semidefinite matrices on 1, 2, or 4 qubits.
 
-    Positivity is enforced down to an eigenvalue floor of -1e-10 to absorb
-    numeric drift from channel compositions.
+    ``matrix`` is one (d, d) state or a stack of shape (..., d, d); every
+    member passes :func:`validate_density_stack`, whose eigenvalues are kept
+    for the entropies.
     """
 
     matrix: np.ndarray
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         mat = np.array(self.matrix, dtype=np.complex128)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError("density matrix must be square")
-        if mat.shape[0] not in _ALLOWED_DIMS:
-            raise ValueError(f"unsupported dimension {mat.shape[0]}")
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("entries must be finite")
-        if float(np.max(np.abs(mat - mat.conj().T))) > ATOL_HERMITIAN:
-            raise ValueError("matrix is not Hermitian within 1e-12")
-        trace = complex(np.trace(mat))
-        if abs(trace - 1.0) > ATOL_TRACE:
-            raise ValueError(f"trace {trace!r} differs from 1 by > {ATOL_TRACE}")
-        if np.linalg.eigvalsh(mat)[0] < EIGENVALUE_FLOOR:
-            raise ValueError("matrix has an eigenvalue below -1e-10")
+        eigenvalues = validate_density_stack(mat)
         mat.flags.writeable = False
+        eigenvalues.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "eigenvalues", eigenvalues)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """Leading (stack) axes; () for a single state."""
+        return self.matrix.shape[:-2]
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     @property
     def num_qubits(self) -> int:
@@ -322,32 +355,42 @@ def pauli_operator(op: int, qubit: int, num_qubits: int) -> np.ndarray:
     return full
 
 
+@lru_cache(maxsize=None)
+def pauli_operators(qubit: int, num_qubits: int) -> np.ndarray:
+    """Read-only (4, d, d) stack of :func:`pauli_operator` over the labels
+    I, X, Y, Z, built once per qubit position; :func:`apply_pauli` indexes it."""
+    table = np.stack([pauli_operator(op, qubit, num_qubits) for op in range(4)])
+    table.flags.writeable = False
+    return table
+
+
 def apply_pauli(
-    state: PureState | DensityMatrix, op: PauliLabel, qubit: int
+    state: PureState | DensityMatrix, op: PauliLabel | Sequence[int] | np.ndarray, qubit: int
 ) -> PureState | DensityMatrix:
     """Apply a single-qubit Pauli to the given tensor factor.
 
     Pure states keep their exact phase; for density matrices the conjugation
-    makes any global phase irrelevant.
+    makes any global phase irrelevant. For a density matrix ``op`` may also
+    be an integer array of labels, which broadcasts against the stack's
+    leading axes like any numpy operand: labels of shape (4, 1) on a stack
+    of shape (4,) give the (label, member) stack of shape (4, 4).
     """
     nq = state.num_qubits
     if not 0 <= qubit < nq:
         raise IndexError(f"qubit {qubit} out of range for {nq} qubits")
-    full = pauli_operator(int(op), qubit, nq)
     if isinstance(state, PureState):
-        return PureState(full @ state.amplitudes)
+        return PureState(pauli_operator(int(op), qubit, nq) @ state.amplitudes)
+    full = pauli_operators(qubit, nq)[np.asarray(op, dtype=np.intp)]
     # embedded Paulis are Hermitian, so full is its own conjugate transpose
     return DensityMatrix(full @ state.matrix @ full)
 
 
 def bell_measure(dm: DensityMatrix) -> np.ndarray:
-    """Probabilities of the four Bell outcomes for a two-qubit state."""
+    """Probabilities of the four Bell outcomes for two-qubit states, with
+    shape ``dm.shape + (4,)``."""
     if dm.dim != 4:
         raise ValueError("Bell measurement needs a two-qubit state")
-    probs = np.array(
-        [float(np.real(BELL_VECTORS[i].conj() @ dm.matrix @ BELL_VECTORS[i])) for i in range(4)]
-    )
-    return probs
+    return np.einsum("bi,...ij,bj->...b", BELL_VECTORS.conj(), dm.matrix, BELL_VECTORS).real
 
 
 def product_decompose(a: PureState, b: PureState) -> np.ndarray:
@@ -377,7 +420,8 @@ def purify_bell_diagonal(d: BellDiagonal) -> PureState:
 
 
 def partial_trace(dm: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
-    """Reduced state on the kept qubits (ascending order preserved)."""
+    """Reduced states on the kept qubits (ascending order preserved), one
+    per member of the stack."""
     nq = dm.num_qubits
     kept = sorted(set(int(q) for q in keep))
     if not kept or any(q < 0 or q >= nq for q in kept):
@@ -385,34 +429,45 @@ def partial_trace(dm: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     if 2 ** len(kept) not in _ALLOWED_DIMS:
         raise ValueError(f"reduced dimension {2 ** len(kept)} is unsupported")
     if len(kept) == nq:
-        return DensityMatrix(dm.matrix)
-    arr = dm.matrix.reshape((2,) * (2 * nq))
+        return dm
+    arr = dm.matrix.reshape(dm.shape + (2,) * (2 * nq))
     row = [chr(ord("a") + q) for q in range(nq)]
     col = [row[q] if q not in kept else chr(ord("a") + nq + q) for q in range(nq)]
     out = "".join(row[q] for q in kept) + "".join(col[q] for q in kept)
-    reduced = np.einsum("".join(row) + "".join(col) + "->" + out, arr)
+    reduced = np.einsum("..." + "".join(row) + "".join(col) + "->..." + out, arr)
     dim = 2 ** len(kept)
-    return DensityMatrix(reduced.reshape(dim, dim))
+    return DensityMatrix(reduced.reshape(dm.shape + (dim, dim)))
 
 
-def von_neumann_entropy(dm: DensityMatrix) -> float:
-    """Von Neumann entropy in bits; eigenvalues in [-1e-10, 0] count as zero."""
-    eigenvalues = np.linalg.eigvalsh(dm.matrix)
-    positive = eigenvalues[eigenvalues > 0.0]
-    return max(-float(np.sum(positive * np.log2(positive))), 0.0)
+def von_neumann_entropy(dm: DensityMatrix) -> float | np.ndarray:
+    """Von Neumann entropy in bits from the eigenvalues found at validation:
+    a float for a single state, an array of shape ``dm.shape`` for a stack.
+    Eigenvalues in [-1e-10, 0] count as zero."""
+    positive = dm.eigenvalues > 0.0
+    terms = dm.eigenvalues * np.log2(np.where(positive, dm.eigenvalues, 1.0))
+    entropy = np.maximum(-np.where(positive, terms, 0.0).sum(axis=-1), 0.0)
+    return float(entropy) if entropy.ndim == 0 else entropy
 
 
-def holevo_bound(states: Sequence[DensityMatrix], priors: Sequence[float]) -> float:
-    """Holevo quantity S(sum p_i rho_i) - sum p_i S(rho_i) in bits."""
-    if len(states) == 0 or len(states) != len(priors):
+def holevo_bound(
+    states: DensityMatrix | Sequence[DensityMatrix], priors: Sequence[float]
+) -> float:
+    """Holevo quantity S(sum p_i rho_i) - sum p_i S(rho_i) in bits, of a
+    sequence of single states or of one (n, d, d) stack."""
+    if isinstance(states, DensityMatrix):
+        if states.matrix.ndim != 3:
+            raise ValueError("an ensemble stack needs shape (n, d, d)")
+        matrices, entropies = list(states.matrix), von_neumann_entropy(states).tolist()
+    else:
+        matrices = [s.matrix for s in states]
+        entropies = [von_neumann_entropy(s) for s in states]
+    if not matrices or len(matrices) != len(priors):
         raise ValueError("need one prior per state")
-    dims = {s.dim for s in states}
+    dims = {m.shape[-1] for m in matrices}
     if len(dims) != 1:
         raise ValueError(f"ensemble members have mixed dimensions {sorted(dims)}")
     pr = [float(p) for p in priors]
     if any(p < 0 for p in pr) or abs(sum(pr) - 1.0) > 1e-9:
         raise ValueError("priors must be nonnegative and sum to 1")
-    average = DensityMatrix(sum(p * s.matrix for p, s in zip(pr, states)))
-    return von_neumann_entropy(average) - sum(
-        p * von_neumann_entropy(s) for p, s in zip(pr, states)
-    )
+    average = DensityMatrix(sum(p * m for p, m in zip(pr, matrices)))
+    return von_neumann_entropy(average) - sum(p * s for p, s in zip(pr, entropies))

@@ -187,21 +187,21 @@ def delta_simplex_grid(points_per_axis: int = 5) -> list[tuple[float, float, flo
     return grid
 
 
-def encoding_ensemble(deltas: BellDiagonal) -> list[DensityMatrix]:
+def encoding_ensemble(deltas: BellDiagonal) -> DensityMatrix:
     """States available to an eavesdropper holding the purification.
 
     Purifies the Bell-diagonal pair, averages over Bob's four cover
-    operations, then applies each of Alice's four encoding operations;
-    the result is the uniform four-state ensemble whose Holevo quantity
-    bounds the leaked information per symbol.
+    operations, then applies each of Alice's four encoding operations; the
+    result is the uniform four-state ensemble, as one (4, 16, 16) stack
+    indexed by the encoding Pauli, whose Holevo quantity bounds the leaked
+    information per symbol.
     """
     rho = purify_bell_diagonal(deltas).to_density_matrix()
     covered = np.zeros_like(rho.matrix)
     for op in PauliLabel:
         full = pauli_operator(int(op), 1, rho.num_qubits)
         covered = covered + 0.25 * (full @ rho.matrix @ full)
-    rho_c = DensityMatrix(covered)
-    return [apply_pauli(rho_c, op, 0) for op in PauliLabel]
+    return apply_pauli(DensityMatrix(covered), list(PauliLabel), 0)
 
 
 def check_holevo_bound(

@@ -226,6 +226,22 @@ def test_sweep_rows_are_finite_and_clamped(grid, noise, encoding, q, eta):
         assert clamped >= 0.0 and clamped == max(raw, 0.0)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sweep", "--protocol", "mdi-ts,mdi-ts", "--x", "0.1"],
+        ["sweep", "--protocol", "dl04, mdi-ts,dl04"],
+        ["simulate", "--protocol", "mdi-dl04,mdi-dl04", "--p", "0.1", "--rounds", "100"],
+    ],
+)
+def test_repeated_protocol_exits_2(capsys, args):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    repeated = args[2].split(",")[-1].strip()
+    assert f"protocol {repeated!r} given twice" in err
+    assert "zero-crossing" not in err
+
+
 class TestSimulate:
     def test_noiseless_run(self, capsys):
         code, out, err = run_cli(
@@ -240,6 +256,23 @@ class TestSimulate:
         assert float(mc["capacity_raw"]) == 2.0
         assert mc["seed"] == "7" and mc["rounds"] == "1000"
         assert "capacity" in err
+
+    def test_round_errors_composed_once(self, capsys, monkeypatch):
+        args = [
+            "simulate", "--protocol", "mdi-ts", "--p", "0.2", "--rounds", "2000",
+            "--noise", "both-legs", "--attack", "intercept-resend",
+        ]
+        expected = run_cli(args, capsys)
+        calls = []
+        compose = mdiqsdc.protocol.round_error_dists
+
+        def counting(*call_args, **kwargs):
+            calls.append(call_args)
+            return compose(*call_args, **kwargs)
+
+        monkeypatch.setattr(mdiqsdc.protocol, "round_error_dists", counting)
+        assert run_cli(args, capsys) == expected
+        assert len(calls) == 1
 
     def test_montecarlo_tracks_analytic(self, capsys):
         code, out, _ = run_cli(
@@ -401,9 +434,9 @@ class TestParserReuse:
     def test_reused_parser_leaks_no_state(self, capsys, monkeypatch):
         configs = []
 
-        def recording_run(cfg):
+        def recording_run(cfg, dists=None):
             configs.append(cfg)
-            return mdiqsdc.protocol.run(cfg)
+            return mdiqsdc.protocol.run(cfg, dists)
 
         monkeypatch.setattr(mdiqsdc.cli, "run", recording_run)
         base = ["simulate", "--protocol", "mdi-ts", "--p", "0.1", "--rounds", "2000"]
@@ -455,6 +488,20 @@ class TestConfigFile:
         code, out, err = run_cli(["sweep", "--config", str(config)], capsys)
         assert code == 2 and out == ""
         assert "'rounds'" in err and str(config) in err
+
+    @pytest.mark.parametrize(
+        "lines, key",
+        [
+            ("seed = 1\nseed = 2\n", "seed"),
+            ("check_fraction = 0.5\ncheck-fraction = 0.25\n", "check-fraction"),
+        ],
+    )
+    def test_repeated_key_exits_2(self, capsys, tmp_path, lines, key):
+        config = tmp_path / "dup.conf"
+        config.write_text("protocol = mdi-ts\np = 0.1\nrounds = 100\n" + lines)
+        code, out, err = run_cli(["simulate", "--config", str(config)], capsys)
+        assert code == 2 and out == ""
+        assert f"{config}:5: repeated key {key!r}" in err
 
     def test_malformed_config_exits_2(self, capsys, tmp_path):
         config = tmp_path / "bad.conf"

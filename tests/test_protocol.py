@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mdiqsdc.protocol
+import mdiqsdc.quantum
 from mdiqsdc.channels import convolve, depolarizing_pauli_dist
 from mdiqsdc.protocol import (
     MESSAGE_BASIS,
@@ -33,6 +35,7 @@ from mdiqsdc.quantum import (
     PauliLabel,
     bell_state,
 )
+from mdiqsdc.verification import check_backend_equivalence
 
 PAULI = [
     np.eye(2, dtype=complex),
@@ -521,6 +524,40 @@ class TestBackendEquivalence:
             exact = density_matrix_round_distributions(cfg)
             for key in fast:
                 np.testing.assert_allclose(fast[key], exact[key], atol=1e-12)
+
+
+class TestOracleStillReferees:
+    """The stacked oracle is still checked: a wrong correction shows up as a
+    backend mismatch and a non-unitary operation as an invalid state."""
+
+    @pytest.mark.parametrize("outcome", list(BellLabel))
+    def test_wrong_swap_correction_fails_equivalence(self, monkeypatch, outcome):
+        table = {o: swap_correction(o) for o in BellLabel}
+        table[outcome] = PauliLabel((int(table[outcome]) + 1) % 4)
+        monkeypatch.setattr(mdiqsdc.protocol, "swap_correction", lambda o: table[BellLabel(o)])
+        result = check_backend_equivalence(ps=(0.0, 0.3))
+        assert not result.passed, result.detail
+
+    def test_non_unitary_cover_is_rejected_by_the_stack_validator(self, monkeypatch):
+        cfg = ProtocolConfig(protocol=Protocol.MDI_TS, rounds=1, channel_p=0.1, seed=0)
+        # every pair keeps its uncorrected frame, so the cover stage is the
+        # first to read Bob's Pauli table
+        monkeypatch.setattr(mdiqsdc.protocol, "swap_correction", lambda o: PauliLabel.I)
+        density_matrix_round_distributions(cfg)
+        paulis = mdiqsdc.quantum.pauli_operators
+
+        def leaky(qubit, num_qubits):
+            table = paulis(qubit, num_qubits)
+            if (qubit, num_qubits) == (1, 2):
+                table = table.copy()
+                table[int(PauliLabel.X)] *= 1.1  # Hermitian, not unitary
+            return table
+
+        monkeypatch.setattr(mdiqsdc.quantum, "pauli_operators", leaky)
+        with pytest.raises(ValueError, match="trace") as excinfo:
+            density_matrix_round_distributions(cfg)
+        assert excinfo.traceback[-1].name == "validate_density_stack"
+        assert "apply_pauli" in [entry.name for entry in excinfo.traceback]
 
 
 class TestTranscriptProperties:

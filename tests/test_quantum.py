@@ -25,6 +25,7 @@ from mdiqsdc.quantum import (
     product_decompose,
     purify_bell_diagonal,
     single_photon,
+    validate_density_stack,
     validate_probability_rows,
     validate_probability_vector,
     tensor,
@@ -506,3 +507,133 @@ class TestProbabilityRows:
     def test_wrong_width_rejected(self):
         with pytest.raises(ValueError, match="needs 4 components"):
             validate_probability_rows(np.zeros((2, 3)), name="rows")
+
+
+def random_density_matrices(rng, count, dim):
+    return np.stack([random_density(rng, dim, rank=int(rng.integers(1, dim + 1))).matrix
+                     for _ in range(count)])
+
+
+def break_member(mat, check, seed):
+    """A copy of a valid density matrix that fails exactly ``check``, with the
+    message a single matrix gets."""
+    dim = mat.shape[0]
+    if check == "finite":
+        bad = mat.copy()
+        bad[0, 0] = np.nan
+        return bad, "entries must be finite"
+    if check == "hermitian":
+        bad = mat.copy()
+        bad[0, 1] += 2e-12
+        return bad, "matrix is not Hermitian within 1e-12"
+    if check == "trace":
+        bad = mat + 2e-12 * np.eye(dim) / dim
+        return bad, f"trace {complex(np.trace(bad))!r} differs from 1 by > 1e-12"
+    return rotated_spectrum(dim, -2e-10, seed), "matrix has an eigenvalue below -1e-10"
+
+
+class TestDensityStack:
+    """One validation per stack; every member is checked as a single state is."""
+
+    @pytest.mark.parametrize("check", ["finite", "hermitian", "trace", "eigenvalue"])
+    @pytest.mark.parametrize("count", [2, 4, 16])
+    @pytest.mark.parametrize("dim", [2, 4, 16])
+    def test_one_bad_member_rejects_the_stack(self, check, count, dim):
+        rng = np.random.default_rng(1000 * count + dim)
+        stack = random_density_matrices(rng, count, dim)
+        where = int(rng.integers(count))
+        bad, message = break_member(stack[where], check, seed=count)
+        with pytest.raises(ValueError) as single:
+            DensityMatrix(bad)
+        assert str(single.value) == message
+        stack[where] = bad
+        with pytest.raises(ValueError) as stacked:
+            DensityMatrix(stack)
+        assert str(stacked.value) == message
+        with pytest.raises(ValueError, match=message.split(" ")[0]):
+            DensityMatrix(stack.reshape((2, count // 2, dim, dim)))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_verdicts_and_eigenvalues_match_single_matrices(self, seed):
+        rng = np.random.default_rng(seed)
+        dim = (2, 4, 16)[seed % 3]
+        count = int(rng.integers(1, 9))
+        stack = random_density_matrices(rng, count, dim)
+        if seed % 2:  # break some members near the thresholds
+            for where in rng.choice(count, size=int(rng.integers(1, count + 1)), replace=False):
+                check = ("finite", "hermitian", "trace", "eigenvalue")[int(rng.integers(4))]
+                stack[where] = break_member(stack[where], check, seed)[0]
+        single = []
+        for mat in stack:
+            try:
+                single.append(DensityMatrix(mat))
+            except ValueError as exc:
+                single.append(str(exc))
+        messages = [m for m in single if isinstance(m, str)]
+        if messages:
+            with pytest.raises(ValueError) as stacked:
+                validate_density_stack(stack)
+            assert str(stacked.value) in messages
+            return
+        eigenvalues = validate_density_stack(stack)
+        for k, dm in enumerate(single):
+            np.testing.assert_array_equal(eigenvalues[k], dm.eigenvalues)
+            np.testing.assert_array_equal(eigenvalues[k], np.linalg.eigvalsh(stack[k]))
+        got = DensityMatrix(stack)
+        assert got.shape == (count,) and got.dim == dim
+        np.testing.assert_array_equal(got.eigenvalues, eigenvalues)
+        with pytest.raises(ValueError):
+            got.matrix[0, 0, 0] = 1.0
+
+    def test_tiny_negative_drift_accepted_in_a_stack(self):
+        stack = np.stack([rotated_spectrum(4, -0.5e-10, seed) for seed in range(4)])
+        DensityMatrix(stack)
+
+    @pytest.mark.parametrize("qubit", [0, 1])
+    def test_apply_pauli_on_a_stack(self, qubit):
+        rng = np.random.default_rng(40 + qubit)
+        stack = DensityMatrix(random_density_matrices(rng, 3, 4))
+        labels = np.arange(4)[:, None]
+        got = apply_pauli(stack, labels, qubit)
+        assert got.shape == (4, 3)
+        for op in PauliLabel:
+            for k in range(3):
+                want = apply_pauli(DensityMatrix(stack.matrix[k]), op, qubit)
+                np.testing.assert_array_equal(got.matrix[op, k], want.matrix)
+        one_each = apply_pauli(stack, [1, 2, 3], qubit)
+        for k in range(3):
+            want = apply_pauli(DensityMatrix(stack.matrix[k]), PauliLabel(k + 1), qubit)
+            np.testing.assert_array_equal(one_each.matrix[k], want.matrix)
+
+    @pytest.mark.parametrize("keep", [(0,), (1,), (0, 2), (1, 3), (0, 1, 2, 3)])
+    def test_partial_trace_on_a_stack(self, keep):
+        rng = np.random.default_rng(len(keep))
+        dim = 4 if max(keep) < 2 else 16
+        stack = DensityMatrix(random_density_matrices(rng, 6, dim).reshape(2, 3, dim, dim))
+        got = partial_trace(stack, keep)
+        for i in range(2):
+            for j in range(3):
+                want = partial_trace(DensityMatrix(stack.matrix[i, j]), keep)
+                np.testing.assert_array_equal(got.matrix[i, j], want.matrix)
+
+    def test_bell_measure_and_entropy_on_a_stack(self):
+        rng = np.random.default_rng(7)
+        stack = DensityMatrix(random_density_matrices(rng, 5, 4))
+        probs = bell_measure(stack)
+        entropies = von_neumann_entropy(stack)
+        assert probs.shape == (5, 4) and entropies.shape == (5,)
+        for k in range(5):
+            member = DensityMatrix(stack.matrix[k])
+            np.testing.assert_array_equal(probs[k], bell_measure(member))
+            assert entropies[k] == von_neumann_entropy(member)
+
+    def test_holevo_bound_of_a_stack_equals_the_sequence(self):
+        rng = np.random.default_rng(8)
+        stack = DensityMatrix(random_density_matrices(rng, 4, 16))
+        members = [DensityMatrix(m) for m in stack.matrix]
+        priors = [0.1, 0.2, 0.3, 0.4]
+        assert holevo_bound(stack, priors) == holevo_bound(members, priors)
+        with pytest.raises(ValueError):
+            holevo_bound(stack, priors[:3])
+        with pytest.raises(ValueError):
+            holevo_bound(members[0], [1.0])

@@ -31,16 +31,26 @@ def scan(rounds: int, seed: int) -> None:
                 attack=attack,
             )
             stats = run(cfg)
+            row = f"{p:>5.2f} {('yes' if attack != AttackModel.NONE else 'no'):>7} "
+            if not stats.estimate_available:
+                print(row + stats.unavailable_reason)
+                continue
             print(
-                f"{p:>5.2f} {('yes' if attack != AttackModel.NONE else 'no'):>7} "
-                f"{stats.eps_z.rate:>8.4f} {stats.eps_x.rate:>8.4f} "
+                row + f"{stats.eps_z.rate:>8.4f} {stats.eps_x.rate:>8.4f} "
                 f"{stats.capacity.raw:>9.4f} {stats.capacity_se:>8.5f}"
             )
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--rounds", type=int, default=200_000)
+    parser.add_argument("--rounds", type=positive_int, default=200_000)
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
     sys.exit(scan(args.rounds, args.seed) or 0)

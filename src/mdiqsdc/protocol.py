@@ -12,7 +12,11 @@ the two legs, independently of the announced Bell outcome. The sampler
 therefore draws that composed error once per round and never draws the
 Bell outcome (Aaronson & Gottesman, PRA 70, 052328 (2004), for Pauli-frame
 tracking). Rounds are drawn and tallied in fixed blocks, so memory does not
-grow with the number of rounds; :func:`run` runs either protocol.
+grow with the number of rounds; :func:`run` runs either protocol. Each block
+packs a round's draws into one small outcome key and counts the keys with
+one ``bincount``; the label algebra then maps each key to its check or
+message outcome once per run, not once per round. Draws that cancel out of
+every outcome are still made, so each seed keeps its transcript.
 
 :func:`round_error_dists` is the one composition of a round's errors: the
 pair frame and the re-transmission error it returns feed the sampler, the
@@ -326,32 +330,16 @@ def _labels(cuts: np.ndarray, u: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _anticommutes(labels: np.ndarray, basis: int) -> np.ndarray:
-    """``ANTICOMMUTES[label][basis]`` for a nontrivial basis: every
-    nontrivial Pauli other than the basis itself anticommutes with it."""
-    return (labels != 0) & (labels != basis)
+# Outcome keys, laid out in :func:`_chunks`; setting the four low bits of
+# any message key gives the lost-round key.
+_MESSAGE_KEY = 16
+_LOST_KEY = _MESSAGE_KEY | 15
+_KEYS = _LOST_KEY + 1
 
 
-@dataclass(frozen=True)
-class _Chunk:
-    """A block of consecutive rounds, one uint8 or bool entry per round.
-
-    Every round carries check and message fields; ``is_check`` picks which
-    ones the protocol uses. ``decoded`` is meaningful only where ``arrived``.
-    """
-
-    frame: np.ndarray
-    is_check: np.ndarray
-    basis: np.ndarray
-    alice_bit: np.ndarray
-    bob_bit: np.ndarray
-    encoded: np.ndarray
-    decoded: np.ndarray
-    arrived: np.ndarray
-
-
-def _chunks(cfg: ProtocolConfig, dists: RoundErrorDists | None = None) -> Iterator[_Chunk]:
-    """Run all rounds in the Pauli frame, CHUNK_ROUNDS at a time.
+def _chunks(cfg: ProtocolConfig, dists: RoundErrorDists | None = None) -> Iterator[np.ndarray]:
+    """Run all rounds in the Pauli frame, CHUNK_ROUNDS at a time, and yield
+    each block's (_KEYS,) counts of outcome keys.
 
     Each block draws, in this order: the pair frame from the composed
     first-leg distribution, the check flag, the check basis, Alice's check
@@ -362,60 +350,54 @@ def _chunks(cfg: ProtocolConfig, dists: RoundErrorDists | None = None) -> Iterat
     The draw order is fixed, so identical configs reproduce identical
     transcripts. ``dists`` is :func:`round_error_dists_for_config` of
     ``cfg``, composed here when not given.
+
+    Each round becomes one uint8 key holding only what its outcome depends
+    on, and :func:`_fold` maps keys to outcomes. A check round in the basis
+    of index i with pair frame f has key 4 i + f. A message round has key
+    ``_MESSAGE_KEY`` + net (entanglement protocol) or ``_MESSAGE_KEY`` +
+    2 net + bit (single-photon protocol), where net is its Pauli label
+    without the encoding; a lost one has ``_LOST_KEY``. Label products are
+    bitwise XOR in the I, X, Y, Z = 0..3 numbering (``PAULI_PRODUCT``).
+    Alice's check bit, the entanglement protocol's symbol and, under cover
+    decoding, Bob's cover reach no key, yet they are still drawn: the
+    generator is called in the order and with the sizes above, so a seed
+    keeps its transcript.
     """
     rng = np.random.default_rng(cfg.seed)
     frame_dist, second_dist = dists if dists is not None else round_error_dists_for_config(cfg)
     frame_cuts = _label_cuts(frame_dist)
-    both_legs = cfg.noise == NoisePlacement.BOTH_LEGS
-    second_cuts = _label_cuts(second_dist) if both_legs else None
-    bases = np.array([int(b) for b in check_bases(cfg)], dtype=np.uint8)
+    second_cuts = _label_cuts(second_dist) if cfg.noise == NoisePlacement.BOTH_LEGS else None
+    n_bases = len(check_bases(cfg))
     entangled = cfg.protocol == Protocol.MDI_TS
-    photons_in_flight = 2 if entangled else 1
-    arrival = cfg.transmittance**photons_in_flight
+    arrival = cfg.transmittance ** (2 if entangled else 1)  # photons in flight
 
     for start in range(0, cfg.rounds, CHUNK_ROUNDS):
         n = min(CHUNK_ROUNDS, cfg.rounds - start)
-        frame = _labels(frame_cuts, rng.random(n))
+        key = _labels(frame_cuts, rng.random(n))
         is_check = rng.random(n) < cfg.check_fraction
-        basis = bases[rng.integers(0, len(bases), size=n, dtype=np.uint8)]
-        alice_bit = rng.integers(0, 2, size=n, dtype=np.uint8)
+        check_key = rng.integers(0, n_bases, size=n, dtype=np.uint8)
+        check_key <<= 2
+        check_key |= key
+        # Alice's check bit, like the symbol and cover where they cancel out,
+        # is drawn only so that a seed keeps its transcript
+        rng.integers(0, 2, size=n, dtype=np.uint8)
         encoded = rng.integers(0, 4 if entangled else 2, size=n, dtype=np.uint8)
-        cover = rng.integers(0, 4, size=n, dtype=np.uint8) if entangled else None
-        if second_cuts is not None:
-            second = _labels(second_cuts, rng.random(n))
-        else:
-            second = np.zeros(n, dtype=np.uint8)
-        if cfg.transmittance < 1.0:
-            arrived = rng.random(n) < arrival
-        else:
-            arrived = np.ones(n, dtype=bool)
-
-        # Check outcomes: the singlet reference is anti-correlated in every
-        # basis; the pair frame flips that exactly when it anticommutes with
-        # the measurement basis.
-        bob_bit = alice_bit ^ 1 ^ _anticommutes(frame, basis)
-
-        # Label products are bitwise XOR in the I, X, Y, Z = 0..3 numbering
-        # (PAULI_PRODUCT).
         if entangled:
-            label2 = second ^ cover ^ encoded ^ frame
-            decoded = cover ^ label2 if cfg.decode_with_cover else label2
-        else:
-            enc_pauli = encoded * np.uint8(cfg.dl04_encoding)
-            label2 = second ^ enc_pauli ^ frame
-            m = int(MESSAGE_BASIS[cfg.dl04_encoding])
-            decoded = _anticommutes(label2, m).view(np.uint8)
-
-        yield _Chunk(
-            frame=frame,
-            is_check=is_check,
-            basis=basis,
-            alice_bit=alice_bit,
-            bob_bit=bob_bit,
-            encoded=encoded,
-            decoded=decoded,
-            arrived=arrived,
-        )
+            cover = rng.integers(0, 4, size=n, dtype=np.uint8)
+            if not cfg.decode_with_cover:
+                key ^= cover
+        if second_cuts is not None:
+            key ^= _labels(second_cuts, rng.random(n))
+        if not entangled:
+            key <<= 1
+            key |= encoded
+        key += _MESSAGE_KEY
+        # bitwise selects: a copy under a random mask costs several times more
+        if cfg.transmittance < 1.0:
+            lost = (rng.random(n) >= arrival).view(np.uint8)
+            key |= lost * np.uint8(_LOST_KEY - _MESSAGE_KEY)
+        key ^= (key ^ check_key) * is_check.view(np.uint8)
+        yield np.bincount(key, minlength=_KEYS)
 
 
 @dataclass
@@ -443,14 +425,30 @@ class Tally:
     def decoded_rounds(self) -> int:
         return int(self.message_diffs.sum())
 
-    def add(self, chunk: _Chunk) -> None:
-        check = chunk.is_check
-        key = (chunk.basis << 1) | (chunk.alice_bit == chunk.bob_bit)
-        self.checks += np.bincount(key[check], minlength=8).reshape(4, 2)
-        message = ~check
-        self.message_rounds += int(np.count_nonzero(message))
-        diff = (chunk.decoded ^ chunk.encoded)[message & chunk.arrived]
-        self.message_diffs += np.bincount(diff, minlength=4)
+
+def _fold(cfg: ProtocolConfig, counts: np.ndarray) -> Tally:
+    """The :class:`Tally` of (_KEYS,) outcome-key counts from :func:`_chunks`.
+
+    A check round errs when its pair frame anticommutes with the basis: the
+    singlet reference is anti-correlated in every basis. A message round's
+    decoded (-) encoded is ``net`` for the entanglement protocol; for the
+    single-photon protocol the decoded bit is 1 exactly when the encoded
+    pair label anticommutes with the message basis.
+    """
+    tally = Tally(message_rounds=int(counts[_MESSAGE_KEY:].sum()))
+    for index, basis in enumerate(check_bases(cfg)):
+        for frame in range(4):
+            tally.checks[basis, ANTICOMMUTES[frame][basis]] += counts[4 * index + frame]
+    if cfg.protocol == Protocol.MDI_TS:
+        tally.message_diffs += counts[_MESSAGE_KEY : _MESSAGE_KEY + 4]
+    else:
+        m = MESSAGE_BASIS[cfg.dl04_encoding]
+        for net in range(4):
+            for bit in (0, 1):
+                label = PAULI_PRODUCT[net][cfg.dl04_encoding if bit else PauliLabel.I]
+                count = counts[_MESSAGE_KEY + 2 * net + bit]
+                tally.message_diffs[ANTICOMMUTES[label][m] ^ bit] += count
+    return tally
 
 
 def _binary_rate_variance(rate: float, samples: int) -> float:
@@ -579,10 +577,10 @@ def run(cfg: ProtocolConfig, dists: RoundErrorDists | None = None) -> Transcript
     A caller that already holds :func:`round_error_dists_for_config` of
     ``cfg`` passes it as ``dists``.
     """
-    tally = Tally()
-    for chunk in _chunks(cfg, dists):
-        tally.add(chunk)
-    return _stats_from_tally(cfg, tally)
+    counts = np.zeros(_KEYS, dtype=np.int64)
+    for block in _chunks(cfg, dists):
+        counts += block
+    return _stats_from_tally(cfg, _fold(cfg, counts))
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,124 @@ class TestSimulate:
         assert mc["seed"] == "7" and mc["rounds"] == "1000"
         assert "capacity" in err
 
+    # SHA-256 of stdout then stderr of ``simulate --p 0.2 --seed 29``, taken
+    # before the sampler tallied each block with one bincount; any change to
+    # the draws or to how they are counted shows here
+    MULTI_BLOCK = 2 * 65536 + 17
+    SIMULATE_SHA256 = {
+        ("mdi-ts", "first-leg-only", "none", "x", 2000):
+            "330da1f01468d50a57427ac95f34f71752d65acdf32dbc3dd3df59e737113540",
+        ("mdi-ts", "first-leg-only", "none", "x", MULTI_BLOCK):
+            "adcf2ef0848477dd26b073c711ef3e5237d5b734835955f5db1c6ae8d7af6a11",
+        ("mdi-ts", "first-leg-only", "none", "y", 2000):
+            "330da1f01468d50a57427ac95f34f71752d65acdf32dbc3dd3df59e737113540",
+        ("mdi-ts", "first-leg-only", "none", "y", MULTI_BLOCK):
+            "adcf2ef0848477dd26b073c711ef3e5237d5b734835955f5db1c6ae8d7af6a11",
+        ("mdi-ts", "first-leg-only", "none", "z", 2000):
+            "330da1f01468d50a57427ac95f34f71752d65acdf32dbc3dd3df59e737113540",
+        ("mdi-ts", "first-leg-only", "none", "z", MULTI_BLOCK):
+            "adcf2ef0848477dd26b073c711ef3e5237d5b734835955f5db1c6ae8d7af6a11",
+        ("mdi-ts", "first-leg-only", "intercept-resend", "x", 2000):
+            "3ab14922c4f9acd525ea90b9c4c0bf70aa63c6d6e9e8e6da82df79e741c72c7c",
+        ("mdi-ts", "first-leg-only", "intercept-resend", "x", MULTI_BLOCK):
+            "3ff2d9d1f259e8c9b28dc28886031483f01a4d9de31be2e671597849612bb8a7",
+        ("mdi-ts", "first-leg-only", "intercept-resend", "y", 2000):
+            "3ab14922c4f9acd525ea90b9c4c0bf70aa63c6d6e9e8e6da82df79e741c72c7c",
+        ("mdi-ts", "first-leg-only", "intercept-resend", "y", MULTI_BLOCK):
+            "3ff2d9d1f259e8c9b28dc28886031483f01a4d9de31be2e671597849612bb8a7",
+        ("mdi-ts", "first-leg-only", "intercept-resend", "z", 2000):
+            "3ab14922c4f9acd525ea90b9c4c0bf70aa63c6d6e9e8e6da82df79e741c72c7c",
+        ("mdi-ts", "first-leg-only", "intercept-resend", "z", MULTI_BLOCK):
+            "3ff2d9d1f259e8c9b28dc28886031483f01a4d9de31be2e671597849612bb8a7",
+        ("mdi-ts", "both-legs", "none", "x", 2000):
+            "bd8dd65ae9db9d6ec0f922468de48e1880a22bed14559f34a2623211b9e445c8",
+        ("mdi-ts", "both-legs", "none", "x", MULTI_BLOCK):
+            "6cd0356ed325a149ee36d036092d7f460c488ce76fdc56111e87c934614c76bf",
+        ("mdi-ts", "both-legs", "none", "y", 2000):
+            "bd8dd65ae9db9d6ec0f922468de48e1880a22bed14559f34a2623211b9e445c8",
+        ("mdi-ts", "both-legs", "none", "y", MULTI_BLOCK):
+            "6cd0356ed325a149ee36d036092d7f460c488ce76fdc56111e87c934614c76bf",
+        ("mdi-ts", "both-legs", "none", "z", 2000):
+            "bd8dd65ae9db9d6ec0f922468de48e1880a22bed14559f34a2623211b9e445c8",
+        ("mdi-ts", "both-legs", "none", "z", MULTI_BLOCK):
+            "6cd0356ed325a149ee36d036092d7f460c488ce76fdc56111e87c934614c76bf",
+        ("mdi-ts", "both-legs", "intercept-resend", "x", 2000):
+            "032150f86111f15be16178178f383d51108a5770adc7bb5fe7250c354e50ee1b",
+        ("mdi-ts", "both-legs", "intercept-resend", "x", MULTI_BLOCK):
+            "38e7d26942e7c7e8bd05742a6fb4e59cafaa266cf6954a5724d03ac7dfa95952",
+        ("mdi-ts", "both-legs", "intercept-resend", "y", 2000):
+            "032150f86111f15be16178178f383d51108a5770adc7bb5fe7250c354e50ee1b",
+        ("mdi-ts", "both-legs", "intercept-resend", "y", MULTI_BLOCK):
+            "38e7d26942e7c7e8bd05742a6fb4e59cafaa266cf6954a5724d03ac7dfa95952",
+        ("mdi-ts", "both-legs", "intercept-resend", "z", 2000):
+            "032150f86111f15be16178178f383d51108a5770adc7bb5fe7250c354e50ee1b",
+        ("mdi-ts", "both-legs", "intercept-resend", "z", MULTI_BLOCK):
+            "38e7d26942e7c7e8bd05742a6fb4e59cafaa266cf6954a5724d03ac7dfa95952",
+        ("mdi-dl04", "first-leg-only", "none", "x", 2000):
+            "eb80742f22f3548f50f858858ab9482f0f07626f09958dfa533f8e96a7de82ed",
+        ("mdi-dl04", "first-leg-only", "none", "x", MULTI_BLOCK):
+            "58a23c9d7d13c0effcdeb921f96b12c5664d9697e7d9580e6cae5994748b53d5",
+        ("mdi-dl04", "first-leg-only", "none", "y", 2000):
+            "c7c6752b096a1bb23edbc4e28d42d2f06d2e304007e038cc437432e793b42ed8",
+        ("mdi-dl04", "first-leg-only", "none", "y", MULTI_BLOCK):
+            "60f60a5cd6cd72e0cf5d1f81fdcb1cdc8c61168c974fb4d221c43909c20078a8",
+        ("mdi-dl04", "first-leg-only", "none", "z", 2000):
+            "0c638bc1d7ace1612e5171480a269d97f9753ed2ee68de4ee9e8ec0b02d46f4e",
+        ("mdi-dl04", "first-leg-only", "none", "z", MULTI_BLOCK):
+            "82824f78be8af23bba60e5c312aa78e1edd5c3f6cc1d48930729599e7df050c5",
+        ("mdi-dl04", "first-leg-only", "intercept-resend", "x", 2000):
+            "595dc01469f37ae7cfd762d9d80a35a8bb36f0ab1be898fdb70be44fff5e4fe1",
+        ("mdi-dl04", "first-leg-only", "intercept-resend", "x", MULTI_BLOCK):
+            "5d5eb3930acaf48f88841892c1b4ef0f4d3ff8ea918aee347c097680d8130514",
+        ("mdi-dl04", "first-leg-only", "intercept-resend", "y", 2000):
+            "c542b7dbf0620b633c6b00f8e76c508f11d634e7cbb95eb20c3f3a05b549813a",
+        ("mdi-dl04", "first-leg-only", "intercept-resend", "y", MULTI_BLOCK):
+            "c00edda3ca11e1ace111f6606391fe4a95e29688ef5ad770153ea108816747a3",
+        ("mdi-dl04", "first-leg-only", "intercept-resend", "z", 2000):
+            "0954dcf9dce43c85e9f67a5dbfefaae7ede7a47fcd54dadf589369c67c3295a9",
+        ("mdi-dl04", "first-leg-only", "intercept-resend", "z", MULTI_BLOCK):
+            "f6312c06ec146e7eef47ac5fe4a5c8ec08a9c5fd4dd98609b5224b56dee0631f",
+        ("mdi-dl04", "both-legs", "none", "x", 2000):
+            "827528591db6f393315b65bbb2f2253c4dbf9745156b40effb12f0f854830462",
+        ("mdi-dl04", "both-legs", "none", "x", MULTI_BLOCK):
+            "c237b72dd99e54b23dc341e7a16a7fba3ecbb53c73a38e3e0b28eefebba7936b",
+        ("mdi-dl04", "both-legs", "none", "y", 2000):
+            "d0fd813cc5a31048e2ddf65ef33c0388fcd6f27aaf6be1e7e2f5edbae7051919",
+        ("mdi-dl04", "both-legs", "none", "y", MULTI_BLOCK):
+            "8fd396c95f2482bcc07f36d23fbef5e0a27654c68137493c61a1348c2cde5cdc",
+        ("mdi-dl04", "both-legs", "none", "z", 2000):
+            "3a72f204f17d37e2fe2c262b3e8b63ca481eef8afcce046566540dc1ad0418b7",
+        ("mdi-dl04", "both-legs", "none", "z", MULTI_BLOCK):
+            "de6b61f0c0e79cbffb8a523d4b425a5d63e8b38e6514d63dd0ec8ec5b1a0c2f5",
+        ("mdi-dl04", "both-legs", "intercept-resend", "x", 2000):
+            "0112367408947b5277bb0953b251a9aa8f511e474fa8dcdb44776113ef4e82cf",
+        ("mdi-dl04", "both-legs", "intercept-resend", "x", MULTI_BLOCK):
+            "7b987f617b1d70dcdb74eb60e3e98b16fbe2a085efb9623a7303afdda12bbbf7",
+        ("mdi-dl04", "both-legs", "intercept-resend", "y", 2000):
+            "abdc9d82eb0c9048bd47e6c77060ee6fc87961ff44115ce0cfb35d714c34f1cb",
+        ("mdi-dl04", "both-legs", "intercept-resend", "y", MULTI_BLOCK):
+            "15403fe268d49e4d0191d6d7d1a45e9e4edfe9f40c302a868aed465532b20620",
+        ("mdi-dl04", "both-legs", "intercept-resend", "z", 2000):
+            "f73e04f82c74e96161b37705f9d61836d204ebc02a559fa99a766474433ebf67",
+        ("mdi-dl04", "both-legs", "intercept-resend", "z", MULTI_BLOCK):
+            "33b962463b8f15eeec5d5d5d8a8cbed518addc217dcb047d55f64af2534ab399",
+    }
+
+    @pytest.mark.parametrize("rounds", [2000, MULTI_BLOCK])
+    @pytest.mark.parametrize("encoding", ["x", "y", "z"])
+    @pytest.mark.parametrize("attack", ["none", "intercept-resend"])
+    @pytest.mark.parametrize("noise", ["first-leg-only", "both-legs"])
+    @pytest.mark.parametrize("protocol", ["mdi-ts", "mdi-dl04"])
+    def test_output_is_pinned(self, capsys, protocol, noise, attack, encoding, rounds):
+        argv = [
+            "simulate", "--protocol", protocol, "--p", "0.2", "--rounds", str(rounds),
+            "--seed", "29", "--noise", noise, "--attack", attack, "--encoding", encoding,
+        ]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0
+        digest = hashlib.sha256(out.encode() + err.encode()).hexdigest()
+        assert digest == self.SIMULATE_SHA256[protocol, noise, attack, encoding, rounds]
+
     def test_round_errors_composed_once(self, capsys, monkeypatch):
         args = [
             "simulate", "--protocol", "mdi-ts", "--p", "0.2", "--rounds", "2000",

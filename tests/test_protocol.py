@@ -1,7 +1,7 @@
 """Protocol simulator tests: swap-correction oracle, Monte Carlo statistics,
 attack behavior, and Pauli-frame vs density-matrix backend equivalence."""
 
-import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +13,9 @@ import mdiqsdc.protocol
 import mdiqsdc.quantum
 from mdiqsdc.channels import convolve, depolarizing_pauli_dist
 from mdiqsdc.protocol import (
+    _KEYS,
+    _LOST_KEY,
+    _MESSAGE_KEY,
     MESSAGE_BASIS,
     AttackModel,
     NoisePlacement,
@@ -20,16 +23,21 @@ from mdiqsdc.protocol import (
     ProtocolConfig,
     Tally,
     _chunks,
+    _fold,
+    _label_cuts,
+    _labels,
     _stats_from_tally,
     check_bases,
     density_matrix_round_distributions,
     intercept_resend_channel,
     intercept_resend_pauli_dist,
     pauli_frame_round_distributions,
+    round_error_dists_for_config,
     run,
     swap_correction,
 )
 from mdiqsdc.quantum import (
+    ANTICOMMUTES,
     PAULI_PRODUCT,
     BellLabel,
     PauliLabel,
@@ -381,52 +389,138 @@ class TestEstimateStats:
             _stats_from_tally(self._cfg(rounds=1), tally)
 
 
-class TestTallyAdd:
-    def _chunk(self, protocol):
-        cfg = ProtocolConfig(
-            protocol=protocol, rounds=5_000, channel_p=0.3, seed=71, transmittance=0.8
-        )
-        (chunk,) = _chunks(cfg)
-        return cfg, chunk
+# One config per way a message round is decoded.
+DECODINGS = [
+    dict(protocol=Protocol.MDI_TS, decode_with_cover=True),
+    dict(protocol=Protocol.MDI_TS, decode_with_cover=False),
+    dict(protocol=Protocol.MDI_DL04, dl04_encoding=PauliLabel.X),
+    dict(protocol=Protocol.MDI_DL04, dl04_encoding=PauliLabel.Y),
+    dict(protocol=Protocol.MDI_DL04, dl04_encoding=PauliLabel.Z),
+]
 
-    @pytest.mark.parametrize("protocol", [Protocol.MDI_TS, Protocol.MDI_DL04])
-    def test_counts_each_round_once(self, protocol):
-        cfg, chunk = self._chunk(protocol)
-        bases = [int(b) for b in check_bases(cfg)]
-        symbols = 4 if protocol == Protocol.MDI_TS else 2
+
+def _decoding_id(kwargs):
+    if kwargs["protocol"] == Protocol.MDI_TS:
+        return "mdi-ts/" + ("cover" if kwargs["decode_with_cover"] else "nocover")
+    return "mdi-dl04/" + kwargs["dl04_encoding"].name
+
+
+def _message_diff(cfg, frame, second, symbol, cover):
+    """decoded (-) encoded of one arrived message round, by the label tables."""
+    if cfg.protocol == Protocol.MDI_TS:
+        label = PAULI_PRODUCT[second][PAULI_PRODUCT[cover][PAULI_PRODUCT[symbol][frame]]]
+        decoded = PAULI_PRODUCT[cover][label] if cfg.decode_with_cover else label
+        return PAULI_PRODUCT[decoded][symbol]
+    encoding = cfg.dl04_encoding if symbol else PauliLabel.I
+    label = PAULI_PRODUCT[second][PAULI_PRODUCT[encoding][frame]]
+    return ANTICOMMUTES[label][MESSAGE_BASIS[cfg.dl04_encoding]] ^ symbol
+
+
+class TestOutcomeKeys:
+    @pytest.mark.parametrize("noise", list(NoisePlacement))
+    @pytest.mark.parametrize("decoding", DECODINGS, ids=_decoding_id)
+    def test_counts_each_round_once(self, decoding, noise):
+        """One block's counts against a per-round reading of its raw draws,
+        redrawn here in the documented order."""
+        cfg = ProtocolConfig(
+            rounds=5_000, channel_p=0.3, seed=71, transmittance=0.8, noise=noise, **decoding
+        )
+        entangled = cfg.protocol == Protocol.MDI_TS
+        n = cfg.rounds
+        rng = np.random.default_rng(cfg.seed)
+        frame_dist, second_dist = round_error_dists_for_config(cfg)
+        frame = _labels(_label_cuts(frame_dist), rng.random(n))
+        is_check = rng.random(n) < cfg.check_fraction
+        bases = check_bases(cfg)
+        basis = rng.integers(0, len(bases), size=n, dtype=np.uint8)
+        alice = rng.integers(0, 2, size=n, dtype=np.uint8)
+        symbol = rng.integers(0, 4 if entangled else 2, size=n, dtype=np.uint8)
+        cover = rng.integers(0, 4, size=n, dtype=np.uint8) if entangled else np.zeros(n, int)
+        if noise == NoisePlacement.BOTH_LEGS:
+            second = _labels(_label_cuts(second_dist), rng.random(n))
+        else:
+            second = np.zeros(n, dtype=np.uint8)
+        arrived = rng.random(n) < cfg.transmittance ** (2 if entangled else 1)
+
         checks = np.zeros((4, 2), dtype=np.int64)
         message_rounds = 0
         diffs = np.zeros(4, dtype=np.int64)
-        rows = zip(
-            chunk.is_check.tolist(),
-            chunk.basis.tolist(),
-            chunk.alice_bit.tolist(),
-            chunk.bob_bit.tolist(),
-            chunk.encoded.tolist(),
-            chunk.decoded.tolist(),
-            chunk.arrived.tolist(),
-        )
-        for is_check, basis, alice, bob, encoded, decoded, arrived in rows:
-            if is_check:
-                assert basis in bases and alice in (0, 1) and bob in (0, 1)
-                checks[basis, int(alice == bob)] += 1
+        for r in range(n):
+            f = int(frame[r])
+            if is_check[r]:
+                b = bases[basis[r]]
+                bob = alice[r] ^ 1 ^ ANTICOMMUTES[f][b]
+                checks[b, int(alice[r] == bob)] += 1
             else:
-                assert 0 <= encoded < symbols
                 message_rounds += 1
-                if arrived:
-                    diffs[decoded ^ encoded] += 1
+                if arrived[r]:
+                    diff = _message_diff(cfg, f, int(second[r]), int(symbol[r]), int(cover[r]))
+                    diffs[diff] += 1
         assert 0 < diffs.sum() < message_rounds  # some photons were lost
-        tally = Tally()
-        tally.add(chunk)
+
+        (block,) = _chunks(cfg)
+        tally = _fold(cfg, block)
         np.testing.assert_array_equal(tally.checks, checks)
         assert tally.message_rounds == message_rounds
         np.testing.assert_array_equal(tally.message_diffs, diffs)
 
+    @pytest.mark.parametrize("decoding", DECODINGS, ids=_decoding_id)
+    def test_fold_follows_label_tables_for_every_key(self, decoding):
+        """Each key folds into the one cell the label tables give for every
+        round it stands for, whatever the labels the key leaves out."""
+        cfg = ProtocolConfig(rounds=1, channel_p=0.0, seed=1, **decoding)
+        entangled = cfg.protocol == Protocol.MDI_TS
+        # key -> ("check", (basis, error)) or ("message", difference or None if lost)
+        outcome = {}
+        for index, basis in enumerate(check_bases(cfg)):
+            for frame in range(4):
+                outcome[4 * index + frame] = ("check", (basis, ANTICOMMUTES[frame][basis]))
+        symbols = range(4) if entangled else (0, 1)
+        covers = range(4) if entangled else (0,)
+        for frame, second, symbol, cover in itertools.product(range(4), range(4), symbols, covers):
+            net = PAULI_PRODUCT[second][frame]
+            if entangled and not cfg.decode_with_cover:
+                net = PAULI_PRODUCT[net][cover]
+            key = _MESSAGE_KEY + (net if entangled else 2 * net + symbol)
+            diff = ("message", _message_diff(cfg, frame, second, symbol, cover))
+            assert outcome.setdefault(key, diff) == diff  # one outcome per key
+        outcome[_LOST_KEY] = ("message", None)
+
+        for key, (kind, cell) in outcome.items():
+            counts = np.zeros(_KEYS, dtype=np.int64)
+            counts[key] = 1
+            tally = _fold(cfg, counts)
+            checks = np.zeros((4, 2), dtype=np.int64)
+            diffs = np.zeros(4, dtype=np.int64)
+            if kind == "check":
+                checks[cell] = 1
+            elif cell is not None:
+                diffs[cell] = 1
+            np.testing.assert_array_equal(tally.checks, checks)
+            assert tally.message_rounds == (kind == "message")
+            np.testing.assert_array_equal(tally.message_diffs, diffs)
+
+    @pytest.mark.parametrize("decoding", DECODINGS, ids=_decoding_id)
+    def test_sampler_draws_only_defined_keys(self, decoding):
+        cfg = ProtocolConfig(
+            rounds=20_000, channel_p=0.5, seed=3, transmittance=0.8,
+            noise=NoisePlacement.BOTH_LEGS, **decoding,
+        )
+        entangled = cfg.protocol == Protocol.MDI_TS
+        defined = [*range(4 * len(check_bases(cfg)))]
+        defined += [*range(_MESSAGE_KEY, _MESSAGE_KEY + (4 if entangled else 8)), _LOST_KEY]
+        (block,) = _chunks(cfg)
+        assert block.sum() == cfg.rounds
+        assert np.all(block[defined] > 0)
+        assert not np.delete(block, defined).any()
+
     def test_lost_round_counts_only_as_message_round(self):
-        _, chunk = self._chunk(Protocol.MDI_TS)
-        arrived, lost = Tally(), Tally()
-        arrived.add(dataclasses.replace(chunk, arrived=np.ones_like(chunk.arrived)))
-        lost.add(dataclasses.replace(chunk, arrived=np.zeros_like(chunk.arrived)))
+        # photon arrival is a block's last draw, so every other draw is the same
+        common = dict(protocol=Protocol.MDI_TS, rounds=5_000, channel_p=0.3, seed=71)
+        cfg = ProtocolConfig(transmittance=1.0, **common)
+        (kept,) = _chunks(cfg)
+        (gone,) = _chunks(ProtocolConfig(transmittance=0.0, **common))
+        arrived, lost = _fold(cfg, kept), _fold(cfg, gone)
         np.testing.assert_array_equal(lost.checks, arrived.checks)
         assert lost.message_rounds == arrived.message_rounds > 0
         assert not lost.message_diffs.any()

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -31,6 +33,27 @@ def test_attack_scan_prints_one_row_per_setting():
     assert set(rule) == {"-"}
     assert len(rows) == 8  # four channel parameters, attack off and on
     assert [row.split()[1] for row in rows] == ["no", "yes"] * 4
+
+
+@pytest.mark.parametrize("rounds", ["1", "2"])
+def test_attack_scan_reports_unavailable_rows(rounds):
+    result = run_script("attack_scan.py", "--rounds", rounds)
+    assert result.returncode == 0, result.stderr
+    rows = result.stdout.splitlines()[2:]
+    assert len(rows) == 8
+    for row in rows:
+        p, attacked, *reason = row.split()
+        assert attacked in ("no", "yes")
+        assert " ".join(reason).startswith("no "), row  # e.g. "no check rounds in basis X"
+
+
+@pytest.mark.parametrize("rounds", ["0", "-3"])
+def test_attack_scan_rejects_rounds_below_one(rounds):
+    result = run_script("attack_scan.py", "--rounds", rounds)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "argument --rounds: must be at least 1" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_reproduce_figures_writes_both_figures(tmp_path):

@@ -48,9 +48,16 @@ def positive_int(text: str) -> int:
     return value
 
 
+def seed_value(text: str) -> int:
+    value = int(text)
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 2**64), got {value}")
+    return value
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--rounds", type=positive_int, default=200_000)
-    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--seed", type=seed_value, default=7)
     args = parser.parse_args()
     sys.exit(scan(args.rounds, args.seed) or 0)

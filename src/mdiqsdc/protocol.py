@@ -13,10 +13,12 @@ therefore draws that composed error once per round and never draws the
 Bell outcome (Aaronson & Gottesman, PRA 70, 052328 (2004), for Pauli-frame
 tracking). Rounds are drawn and tallied in fixed blocks, so memory does not
 grow with the number of rounds; :func:`run` runs either protocol. Each block
-packs a round's draws into one small outcome key and counts the keys with
-one ``bincount``; the label algebra then maps each key to its check or
-message outcome once per run, not once per round. Draws that cancel out of
-every outcome are still made, so each seed keeps its transcript.
+has its own generator, seeded from the run's seed and the block's index, so
+the blocks run on all usable CPUs in any order and a transcript depends
+only on the seed and the number of rounds. A block draws only what reaches
+an outcome, packs each round into one small outcome key and counts the keys
+with one ``bincount``; the label algebra then maps each key to its check or
+message outcome once per run, not once per round.
 
 :func:`round_error_dists` is the one composition of a round's errors: the
 pair frame and the re-transmission error it returns feed the sampler, the
@@ -26,14 +28,14 @@ Two analytic backends expose per-round outcome distributions, one from the
 label algebra and one from explicit density matrices, so their agreement
 can be checked to machine precision without sampling.
 
-A single run is sequential and owns its generator; runs with distinct
-configs or seeds may execute concurrently.
+Separate runs share no state and may also execute concurrently.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+import os
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -305,8 +307,8 @@ def round_error_dists_for_config(cfg: ProtocolConfig) -> RoundErrorDists:
 
 
 # Rounds drawn and tallied per block; peak memory of a run is set by this
-# constant, not by the number of rounds.
-CHUNK_ROUNDS = 1 << 16
+# constant and the number of workers, not by the number of rounds.
+CHUNK_ROUNDS = 1 << 15
 
 
 def _label_cuts(dist: PauliDistribution) -> np.ndarray:
@@ -320,36 +322,83 @@ def _label_cuts(dist: PauliDistribution) -> np.ndarray:
     return cdf[:-1]
 
 
-def _labels(cuts: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """uint8 labels of uniforms by inverse CDF: the number of thresholds at
-    or below each u, which is ``np.searchsorted(cuts, u, side="right")``
-    without the per-element binary search."""
-    labels = np.zeros(u.shape, dtype=np.uint8)
+def _labels(cuts: np.ndarray, u: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Fill uint8 ``out`` with the labels of uniforms ``u`` by inverse CDF:
+    the number of thresholds at or below each u, which is
+    ``np.searchsorted(cuts, u, side="right")`` without the per-element
+    binary search. ``scratch`` is a uint8 array of the same shape."""
+    out.fill(0)
+    flag = scratch.view(np.bool_)
     for cut in cuts:
-        labels += u >= cut
-    return labels
+        np.greater_equal(u, cut, out=flag)
+        out += scratch
+    return out
 
 
-# Outcome keys, laid out in :func:`_chunks`; setting the four low bits of
+# Outcome keys, laid out in :func:`_block`; setting the four low bits of
 # any message key gives the lost-round key.
 _MESSAGE_KEY = 16
 _LOST_KEY = _MESSAGE_KEY | 15
 _KEYS = _LOST_KEY + 1
 
 
-def _chunks(cfg: ProtocolConfig, dists: RoundErrorDists | None = None) -> Iterator[np.ndarray]:
-    """Run all rounds in the Pauli frame, CHUNK_ROUNDS at a time, and yield
-    each block's (_KEYS,) counts of outcome keys.
+@dataclass(frozen=True)
+class _Draws:
+    """What every block of one run draws from: inverse-CDF thresholds and
+    which of the optional draws are made."""
 
-    Each block draws, in this order: the pair frame from the composed
-    first-leg distribution, the check flag, the check basis, Alice's check
-    bit, the message symbol, Bob's cover (entanglement protocol), the
-    re-transmission error (both-legs noise) and photon arrival (lossy
-    channel). Frame and re-transmission error are drawn from
-    :func:`round_error_dists`, as the Pauli-frame backend enumerates them.
-    The draw order is fixed, so identical configs reproduce identical
-    transcripts. ``dists`` is :func:`round_error_dists_for_config` of
-    ``cfg``, composed here when not given.
+    seed: int
+    rounds: int
+    frame_cuts: np.ndarray
+    role_cuts: np.ndarray  # cf (b + 1) / n_bases; u at or above the last: a message round
+    second_cuts: np.ndarray | None  # re-transmission error, both-legs noise only
+    cover: bool  # entanglement protocol decoded without Bob's cover
+    bit: bool  # single-photon protocol
+    arrival: float  # probability that a message round's photons all arrive
+
+
+def _draws(cfg: ProtocolConfig, dists: RoundErrorDists | None = None) -> _Draws:
+    """The :class:`_Draws` of ``cfg``; ``dists`` is
+    :func:`round_error_dists_for_config` of ``cfg``, composed here when not
+    given."""
+    frame_dist, second_dist = dists if dists is not None else round_error_dists_for_config(cfg)
+    n_bases = len(check_bases(cfg))
+    entangled = cfg.protocol == Protocol.MDI_TS
+    return _Draws(
+        seed=int(cfg.seed),
+        rounds=cfg.rounds,
+        frame_cuts=_label_cuts(frame_dist),
+        role_cuts=cfg.check_fraction * np.arange(1, n_bases + 1) / n_bases,
+        second_cuts=_label_cuts(second_dist) if cfg.noise == NoisePlacement.BOTH_LEGS else None,
+        cover=entangled and not cfg.decode_with_cover,
+        bit=not entangled,
+        arrival=cfg.transmittance ** (2 if entangled else 1),  # photons in flight
+    )
+
+
+def _workspace(rounds: int) -> tuple[np.ndarray, ...]:
+    """One worker's buffers for blocks of up to ``rounds`` rounds: the
+    uniforms (later the keys as ``bincount``'s intp input) and four uint8
+    arrays (key, check key, check flag, second error) plus a uint8 scratch."""
+    return (np.empty(rounds),) + tuple(np.empty(rounds, dtype=np.uint8) for _ in range(5))
+
+
+def _block(draws: _Draws, k: int, workspace: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The (_KEYS,) counts of outcome keys of block ``k``: rounds
+    ``k * CHUNK_ROUNDS`` onwards, at most CHUNK_ROUNDS of them, run in the
+    Pauli frame.
+
+    Block k draws from its own generator, ``np.random.default_rng(
+    np.random.SeedSequence(seed, spawn_key=(k,)))``, so a transcript depends
+    only on (seed, rounds) and blocks can run in any order. A block draws,
+    in this order, only what reaches a key: the pair frame from the
+    composed first-leg distribution; one uniform for the round's role, by
+    inverse CDF over ``role_cuts`` (check basis b, or a message round);
+    Bob's cover (entanglement protocol decoded without it); the
+    re-transmission error (both-legs noise); the encoded bit
+    (single-photon protocol); and photon arrival (lossy channel). Frame and
+    re-transmission error are drawn from :func:`round_error_dists`, as the
+    Pauli-frame backend enumerates them.
 
     Each round becomes one uint8 key holding only what its outcome depends
     on, and :func:`_fold` maps keys to outcomes. A check round in the basis
@@ -358,46 +407,91 @@ def _chunks(cfg: ProtocolConfig, dists: RoundErrorDists | None = None) -> Iterat
     2 net + bit (single-photon protocol), where net is its Pauli label
     without the encoding; a lost one has ``_LOST_KEY``. Label products are
     bitwise XOR in the I, X, Y, Z = 0..3 numbering (``PAULI_PRODUCT``).
-    Alice's check bit, the entanglement protocol's symbol and, under cover
-    decoding, Bob's cover reach no key, yet they are still drawn: the
-    generator is called in the order and with the sizes above, so a seed
-    keeps its transcript.
+    The entanglement protocol's symbol, Alice's check bit and, under cover
+    decoding, the cover cancel out of every key and are not drawn. Every
+    array is a slice of ``workspace`` (:func:`_workspace`), filled in place.
     """
-    rng = np.random.default_rng(cfg.seed)
-    frame_dist, second_dist = dists if dists is not None else round_error_dists_for_config(cfg)
-    frame_cuts = _label_cuts(frame_dist)
-    second_cuts = _label_cuts(second_dist) if cfg.noise == NoisePlacement.BOTH_LEGS else None
-    n_bases = len(check_bases(cfg))
-    entangled = cfg.protocol == Protocol.MDI_TS
-    arrival = cfg.transmittance ** (2 if entangled else 1)  # photons in flight
+    n = min(CHUNK_ROUNDS, draws.rounds - k * CHUNK_ROUNDS)
+    rng = np.random.default_rng(np.random.SeedSequence(draws.seed, spawn_key=(k,)))
+    u, key, check, is_check, second, scratch = (buffer[:n] for buffer in workspace)
+    _labels(draws.frame_cuts, rng.random(n, out=u), key, scratch)
+    rng.random(n, out=u)
+    np.less(u, draws.role_cuts[-1], out=is_check.view(np.bool_))
+    _labels(draws.role_cuts[:-1], u, check, scratch)  # the basis index on check rounds
+    check <<= 2
+    check |= key
+    if draws.cover:
+        key ^= rng.integers(0, 4, size=n, dtype=np.uint8)
+    if draws.second_cuts is not None:
+        key ^= _labels(draws.second_cuts, rng.random(n, out=u), second, scratch)
+    if draws.bit:
+        key <<= 1
+        key |= rng.integers(0, 2, size=n, dtype=np.uint8)
+    key += _MESSAGE_KEY
+    # bitwise selects: a copy under a random mask costs several times more
+    if draws.arrival < 1.0:
+        np.greater_equal(rng.random(n, out=u), draws.arrival, out=scratch.view(np.bool_))
+        scratch *= _LOST_KEY - _MESSAGE_KEY
+        key |= scratch
+    check ^= key
+    check *= is_check
+    key ^= check  # check rounds take their check key
+    index = u.view(np.intp)
+    index[...] = key
+    return np.bincount(index, minlength=_KEYS)
 
-    for start in range(0, cfg.rounds, CHUNK_ROUNDS):
-        n = min(CHUNK_ROUNDS, cfg.rounds - start)
-        key = _labels(frame_cuts, rng.random(n))
-        is_check = rng.random(n) < cfg.check_fraction
-        check_key = rng.integers(0, n_bases, size=n, dtype=np.uint8)
-        check_key <<= 2
-        check_key |= key
-        # Alice's check bit, like the symbol and cover where they cancel out,
-        # is drawn only so that a seed keeps its transcript
-        rng.integers(0, 2, size=n, dtype=np.uint8)
-        encoded = rng.integers(0, 4 if entangled else 2, size=n, dtype=np.uint8)
-        if entangled:
-            cover = rng.integers(0, 4, size=n, dtype=np.uint8)
-            if not cfg.decode_with_cover:
-                key ^= cover
-        if second_cuts is not None:
-            key ^= _labels(second_cuts, rng.random(n))
-        if not entangled:
-            key <<= 1
-            key |= encoded
-        key += _MESSAGE_KEY
-        # bitwise selects: a copy under a random mask costs several times more
-        if cfg.transmittance < 1.0:
-            lost = (rng.random(n) >= arrival).view(np.uint8)
-            key |= lost * np.uint8(_LOST_KEY - _MESSAGE_KEY)
-        key ^= (key ^ check_key) * is_check.view(np.uint8)
-        yield np.bincount(key, minlength=_KEYS)
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _count_keys(
+    cfg: ProtocolConfig, dists: RoundErrorDists | None = None, workers: int | None = None
+) -> np.ndarray:
+    """(_KEYS,) outcome-key counts of all of ``cfg``'s rounds.
+
+    The blocks of :func:`_block` are shared among ``workers`` threads
+    (default: the usable CPUs), never more than there are blocks; one of
+    them is the calling thread, so a one-block run starts none. numpy
+    releases the GIL inside the draws and most array operations. Each
+    worker sums its own counts in its own workspace, all allocated before
+    any thread starts, so the result and the peak memory do not depend on
+    which worker ran which block. An exception in any block stops the other
+    workers after their current block and is raised here.
+    """
+    draws = _draws(cfg, dists)
+    blocks = -(-cfg.rounds // CHUNK_ROUNDS)
+    workers = min(workers or _usable_cpus(), blocks)
+    workspaces = [_workspace(min(CHUNK_ROUNDS, cfg.rounds)) for _ in range(workers)]
+    totals = np.zeros((workers, _KEYS), dtype=np.int64)
+    todo = iter(range(blocks))
+    lock = threading.Lock()  # hands each block to exactly one worker
+    failures: list[BaseException] = []
+
+    def work(w: int) -> None:
+        try:
+            while True:
+                with lock:
+                    k = next(todo, None)
+                if k is None or failures:
+                    return
+                totals[w] += _block(draws, k, workspaces[w])
+        except BaseException as exc:  # re-raised by the calling thread below
+            failures.append(exc)
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    if failures:
+        raise failures[0]
+    return totals.sum(axis=0)
 
 
 @dataclass
@@ -427,7 +521,7 @@ class Tally:
 
 
 def _fold(cfg: ProtocolConfig, counts: np.ndarray) -> Tally:
-    """The :class:`Tally` of (_KEYS,) outcome-key counts from :func:`_chunks`.
+    """The :class:`Tally` of (_KEYS,) outcome-key counts from :func:`_block`.
 
     A check round errs when its pair frame anticommutes with the basis: the
     singlet reference is anti-correlated in every basis. A message round's
@@ -573,14 +667,12 @@ def run(cfg: ProtocolConfig, dists: RoundErrorDists | None = None) -> Transcript
     Per round: sample the pair frame, then either a correlation check or a
     message: a dense-coding symbol under Bob's random cover (entanglement
     protocol) or one bit read out in the conjugate single-photon basis.
-    Deterministic given the config seed; memory does not grow with rounds.
+    Deterministic given the config seed, on any number of CPUs; memory
+    does not grow with rounds.
     A caller that already holds :func:`round_error_dists_for_config` of
     ``cfg`` passes it as ``dists``.
     """
-    counts = np.zeros(_KEYS, dtype=np.int64)
-    for block in _chunks(cfg, dists):
-        counts += block
-    return _stats_from_tally(cfg, _fold(cfg, counts))
+    return _stats_from_tally(cfg, _fold(cfg, _count_keys(cfg, dists)))
 
 
 # ---------------------------------------------------------------------------

@@ -258,106 +258,107 @@ class TestSimulate:
         assert "capacity" in err
 
     # SHA-256 of stdout then stderr of ``simulate --p 0.2 --seed 29``, taken
-    # before the sampler tallied each block with one bincount; any change to
-    # the draws or to how they are counted shows here
+    # when each block got its own seed sequence and stopped drawing what
+    # reaches no outcome key (each output was within 5 SE of its analytic
+    # twin); any change to the draws or to how they are counted shows here
     MULTI_BLOCK = 2 * 65536 + 17
     SIMULATE_SHA256 = {
         ("mdi-ts", "first-leg-only", "none", "x", 2000):
-            "330da1f01468d50a57427ac95f34f71752d65acdf32dbc3dd3df59e737113540",
+            "8e2148a7394a590486d8edc00345125ab07840b2504ceba0c356ff53f86b7003",
         ("mdi-ts", "first-leg-only", "none", "x", MULTI_BLOCK):
-            "adcf2ef0848477dd26b073c711ef3e5237d5b734835955f5db1c6ae8d7af6a11",
+            "5046448d1b4062bfe237c577182d264fdb86ec34b2b9b1fe7b1f20edaa165967",
         ("mdi-ts", "first-leg-only", "none", "y", 2000):
-            "330da1f01468d50a57427ac95f34f71752d65acdf32dbc3dd3df59e737113540",
+            "8e2148a7394a590486d8edc00345125ab07840b2504ceba0c356ff53f86b7003",
         ("mdi-ts", "first-leg-only", "none", "y", MULTI_BLOCK):
-            "adcf2ef0848477dd26b073c711ef3e5237d5b734835955f5db1c6ae8d7af6a11",
+            "5046448d1b4062bfe237c577182d264fdb86ec34b2b9b1fe7b1f20edaa165967",
         ("mdi-ts", "first-leg-only", "none", "z", 2000):
-            "330da1f01468d50a57427ac95f34f71752d65acdf32dbc3dd3df59e737113540",
+            "8e2148a7394a590486d8edc00345125ab07840b2504ceba0c356ff53f86b7003",
         ("mdi-ts", "first-leg-only", "none", "z", MULTI_BLOCK):
-            "adcf2ef0848477dd26b073c711ef3e5237d5b734835955f5db1c6ae8d7af6a11",
+            "5046448d1b4062bfe237c577182d264fdb86ec34b2b9b1fe7b1f20edaa165967",
         ("mdi-ts", "first-leg-only", "intercept-resend", "x", 2000):
-            "3ab14922c4f9acd525ea90b9c4c0bf70aa63c6d6e9e8e6da82df79e741c72c7c",
+            "99e0b624b006d1e2886aa894b56d2f33328dc295d767e52a2b42555bd833917f",
         ("mdi-ts", "first-leg-only", "intercept-resend", "x", MULTI_BLOCK):
-            "3ff2d9d1f259e8c9b28dc28886031483f01a4d9de31be2e671597849612bb8a7",
+            "fc03f10ac6eaa401b1980512730ffa00e58c8eb02fcde175860320f8199eadc2",
         ("mdi-ts", "first-leg-only", "intercept-resend", "y", 2000):
-            "3ab14922c4f9acd525ea90b9c4c0bf70aa63c6d6e9e8e6da82df79e741c72c7c",
+            "99e0b624b006d1e2886aa894b56d2f33328dc295d767e52a2b42555bd833917f",
         ("mdi-ts", "first-leg-only", "intercept-resend", "y", MULTI_BLOCK):
-            "3ff2d9d1f259e8c9b28dc28886031483f01a4d9de31be2e671597849612bb8a7",
+            "fc03f10ac6eaa401b1980512730ffa00e58c8eb02fcde175860320f8199eadc2",
         ("mdi-ts", "first-leg-only", "intercept-resend", "z", 2000):
-            "3ab14922c4f9acd525ea90b9c4c0bf70aa63c6d6e9e8e6da82df79e741c72c7c",
+            "99e0b624b006d1e2886aa894b56d2f33328dc295d767e52a2b42555bd833917f",
         ("mdi-ts", "first-leg-only", "intercept-resend", "z", MULTI_BLOCK):
-            "3ff2d9d1f259e8c9b28dc28886031483f01a4d9de31be2e671597849612bb8a7",
+            "fc03f10ac6eaa401b1980512730ffa00e58c8eb02fcde175860320f8199eadc2",
         ("mdi-ts", "both-legs", "none", "x", 2000):
-            "bd8dd65ae9db9d6ec0f922468de48e1880a22bed14559f34a2623211b9e445c8",
+            "375e789aa6f148b722641ebfc5406c3d55842e10883807d835c0606be8b4faff",
         ("mdi-ts", "both-legs", "none", "x", MULTI_BLOCK):
-            "6cd0356ed325a149ee36d036092d7f460c488ce76fdc56111e87c934614c76bf",
+            "3d246c9406a27c812ef065f636496adcecd10734a53372810fbb2cbd019b50f2",
         ("mdi-ts", "both-legs", "none", "y", 2000):
-            "bd8dd65ae9db9d6ec0f922468de48e1880a22bed14559f34a2623211b9e445c8",
+            "375e789aa6f148b722641ebfc5406c3d55842e10883807d835c0606be8b4faff",
         ("mdi-ts", "both-legs", "none", "y", MULTI_BLOCK):
-            "6cd0356ed325a149ee36d036092d7f460c488ce76fdc56111e87c934614c76bf",
+            "3d246c9406a27c812ef065f636496adcecd10734a53372810fbb2cbd019b50f2",
         ("mdi-ts", "both-legs", "none", "z", 2000):
-            "bd8dd65ae9db9d6ec0f922468de48e1880a22bed14559f34a2623211b9e445c8",
+            "375e789aa6f148b722641ebfc5406c3d55842e10883807d835c0606be8b4faff",
         ("mdi-ts", "both-legs", "none", "z", MULTI_BLOCK):
-            "6cd0356ed325a149ee36d036092d7f460c488ce76fdc56111e87c934614c76bf",
+            "3d246c9406a27c812ef065f636496adcecd10734a53372810fbb2cbd019b50f2",
         ("mdi-ts", "both-legs", "intercept-resend", "x", 2000):
-            "032150f86111f15be16178178f383d51108a5770adc7bb5fe7250c354e50ee1b",
+            "c7ccffeda11b938d71739ace7f9244501c1d53486d257e4e4b2480b90d523374",
         ("mdi-ts", "both-legs", "intercept-resend", "x", MULTI_BLOCK):
-            "38e7d26942e7c7e8bd05742a6fb4e59cafaa266cf6954a5724d03ac7dfa95952",
+            "30168ca8bf11ad197f74cc9772bdaf5c7848ffec0e7a678d5c2888ca729dc345",
         ("mdi-ts", "both-legs", "intercept-resend", "y", 2000):
-            "032150f86111f15be16178178f383d51108a5770adc7bb5fe7250c354e50ee1b",
+            "c7ccffeda11b938d71739ace7f9244501c1d53486d257e4e4b2480b90d523374",
         ("mdi-ts", "both-legs", "intercept-resend", "y", MULTI_BLOCK):
-            "38e7d26942e7c7e8bd05742a6fb4e59cafaa266cf6954a5724d03ac7dfa95952",
+            "30168ca8bf11ad197f74cc9772bdaf5c7848ffec0e7a678d5c2888ca729dc345",
         ("mdi-ts", "both-legs", "intercept-resend", "z", 2000):
-            "032150f86111f15be16178178f383d51108a5770adc7bb5fe7250c354e50ee1b",
+            "c7ccffeda11b938d71739ace7f9244501c1d53486d257e4e4b2480b90d523374",
         ("mdi-ts", "both-legs", "intercept-resend", "z", MULTI_BLOCK):
-            "38e7d26942e7c7e8bd05742a6fb4e59cafaa266cf6954a5724d03ac7dfa95952",
+            "30168ca8bf11ad197f74cc9772bdaf5c7848ffec0e7a678d5c2888ca729dc345",
         ("mdi-dl04", "first-leg-only", "none", "x", 2000):
-            "eb80742f22f3548f50f858858ab9482f0f07626f09958dfa533f8e96a7de82ed",
+            "9fda196d3ac76f3b24592680fd089a8d222eaa8c9a9ef56b8ad0ff94ffe4ced2",
         ("mdi-dl04", "first-leg-only", "none", "x", MULTI_BLOCK):
-            "58a23c9d7d13c0effcdeb921f96b12c5664d9697e7d9580e6cae5994748b53d5",
+            "6c62b800c78d73e99e82e1bf190f2424b6bda85d92d26060dec8dcdcc553dcda",
         ("mdi-dl04", "first-leg-only", "none", "y", 2000):
-            "c7c6752b096a1bb23edbc4e28d42d2f06d2e304007e038cc437432e793b42ed8",
+            "2e21eeb1219300f04dd175d979ddd92afc0fc68fd26dde5c4a6322bbcd5c926f",
         ("mdi-dl04", "first-leg-only", "none", "y", MULTI_BLOCK):
-            "60f60a5cd6cd72e0cf5d1f81fdcb1cdc8c61168c974fb4d221c43909c20078a8",
+            "5b39838e9cad1b32a197d05c13778e2e670e918ab228c20c56b4d59bc007b9a6",
         ("mdi-dl04", "first-leg-only", "none", "z", 2000):
-            "0c638bc1d7ace1612e5171480a269d97f9753ed2ee68de4ee9e8ec0b02d46f4e",
+            "36f32514a9e6ec63a4ea806bd981f53efc98b843d684c5004971121d81f243b4",
         ("mdi-dl04", "first-leg-only", "none", "z", MULTI_BLOCK):
-            "82824f78be8af23bba60e5c312aa78e1edd5c3f6cc1d48930729599e7df050c5",
+            "a9e709492cb504eaa122ae8d776c7216144416dbe12910a473d5059659734a73",
         ("mdi-dl04", "first-leg-only", "intercept-resend", "x", 2000):
-            "595dc01469f37ae7cfd762d9d80a35a8bb36f0ab1be898fdb70be44fff5e4fe1",
+            "c67106bc08c28daa4fcd3769fc5a2934d5cff364c613505ad111495d1298c425",
         ("mdi-dl04", "first-leg-only", "intercept-resend", "x", MULTI_BLOCK):
-            "5d5eb3930acaf48f88841892c1b4ef0f4d3ff8ea918aee347c097680d8130514",
+            "bcfaa2edb4b515d3bde6678643c042e24cfec6fbe518bfb53aa848219075f2be",
         ("mdi-dl04", "first-leg-only", "intercept-resend", "y", 2000):
-            "c542b7dbf0620b633c6b00f8e76c508f11d634e7cbb95eb20c3f3a05b549813a",
+            "e5aa6cec1db1638d212131021e885de79cccf239a89ff1a10cf9e5616a326b5d",
         ("mdi-dl04", "first-leg-only", "intercept-resend", "y", MULTI_BLOCK):
-            "c00edda3ca11e1ace111f6606391fe4a95e29688ef5ad770153ea108816747a3",
+            "17edbc84e9c85aa2a2601966fb37f103e2eb780c1770403eb27a0d7a92bffeba",
         ("mdi-dl04", "first-leg-only", "intercept-resend", "z", 2000):
-            "0954dcf9dce43c85e9f67a5dbfefaae7ede7a47fcd54dadf589369c67c3295a9",
+            "61a1008500bbd2c6e74833564ce4b216da9966f62ed77343df59f07c189977d4",
         ("mdi-dl04", "first-leg-only", "intercept-resend", "z", MULTI_BLOCK):
-            "f6312c06ec146e7eef47ac5fe4a5c8ec08a9c5fd4dd98609b5224b56dee0631f",
+            "78a12e3d91091d9bb2ffdb53489e3478bbdbab16ee748640d182541ae828665c",
         ("mdi-dl04", "both-legs", "none", "x", 2000):
-            "827528591db6f393315b65bbb2f2253c4dbf9745156b40effb12f0f854830462",
+            "61744af4eccfa407504ebb887af744bafe5beb5e97d52d5d13e27cf09077dba6",
         ("mdi-dl04", "both-legs", "none", "x", MULTI_BLOCK):
-            "c237b72dd99e54b23dc341e7a16a7fba3ecbb53c73a38e3e0b28eefebba7936b",
+            "41c74a651b39ee05fd1a25f41dc9581527f08d5be27a39f7b789d067de1a7976",
         ("mdi-dl04", "both-legs", "none", "y", 2000):
-            "d0fd813cc5a31048e2ddf65ef33c0388fcd6f27aaf6be1e7e2f5edbae7051919",
+            "256718fc907fcf9fea4a46c3cf1d209064e3b8f9025f02d0641a01e1dab747fc",
         ("mdi-dl04", "both-legs", "none", "y", MULTI_BLOCK):
-            "8fd396c95f2482bcc07f36d23fbef5e0a27654c68137493c61a1348c2cde5cdc",
+            "a873685cdbad2f6afd151b7e26d12a6b75057b25caaf6779020c1a8e7cf4dd5b",
         ("mdi-dl04", "both-legs", "none", "z", 2000):
-            "3a72f204f17d37e2fe2c262b3e8b63ca481eef8afcce046566540dc1ad0418b7",
+            "80de4b6f3556b4a6269d557ff7d4b18c87c84c6e8eff0fc8af854a74428c8c3b",
         ("mdi-dl04", "both-legs", "none", "z", MULTI_BLOCK):
-            "de6b61f0c0e79cbffb8a523d4b425a5d63e8b38e6514d63dd0ec8ec5b1a0c2f5",
+            "7441f2afa80dbdd8679eb7c74ef09822949333384304b334999872b67d1d4d7e",
         ("mdi-dl04", "both-legs", "intercept-resend", "x", 2000):
-            "0112367408947b5277bb0953b251a9aa8f511e474fa8dcdb44776113ef4e82cf",
+            "d270137192845704817219f825d9cd67df6edc5ec39b5332bca428c561b145c4",
         ("mdi-dl04", "both-legs", "intercept-resend", "x", MULTI_BLOCK):
-            "7b987f617b1d70dcdb74eb60e3e98b16fbe2a085efb9623a7303afdda12bbbf7",
+            "79e5e5807dbbf0523aba44e5493b8c10c88c8b3c333eb1a9324546204fdc6160",
         ("mdi-dl04", "both-legs", "intercept-resend", "y", 2000):
-            "abdc9d82eb0c9048bd47e6c77060ee6fc87961ff44115ce0cfb35d714c34f1cb",
+            "5d278b43d87e5482459b24009c0426037e5315a46b4056f706b9f0aa628945fc",
         ("mdi-dl04", "both-legs", "intercept-resend", "y", MULTI_BLOCK):
-            "15403fe268d49e4d0191d6d7d1a45e9e4edfe9f40c302a868aed465532b20620",
+            "6e674fe1ecada52e5a0bddf805aca57ffb97d5033a0c3c3e198b1c44871037f5",
         ("mdi-dl04", "both-legs", "intercept-resend", "z", 2000):
-            "f73e04f82c74e96161b37705f9d61836d204ebc02a559fa99a766474433ebf67",
+            "9543ff2962acb1cc58fc06558afe16512ab83f917c9e30e9d76487a945c15a1c",
         ("mdi-dl04", "both-legs", "intercept-resend", "z", MULTI_BLOCK):
-            "33b962463b8f15eeec5d5d5d8a8cbed518addc217dcb047d55f64af2534ab399",
+            "1e4235682911176b0b6b59d32c3ae411a8ed1a1a66fe27d8af1f73b5df6ff1bb",
     }
 
     @pytest.mark.parametrize("rounds", [2000, MULTI_BLOCK])
@@ -374,6 +375,45 @@ class TestSimulate:
         assert code == 0
         digest = hashlib.sha256(out.encode() + err.encode()).hexdigest()
         assert digest == self.SIMULATE_SHA256[protocol, noise, attack, encoding, rounds]
+
+    @pytest.mark.parametrize("noise", ["first-leg-only", "both-legs"])
+    @pytest.mark.parametrize("protocol", ["mdi-ts", "mdi-dl04"])
+    def test_output_does_not_depend_on_worker_count(
+        self, capsys, monkeypatch, tmp_path, protocol, noise
+    ):
+        rounds = 2 * mdiqsdc.protocol.CHUNK_ROUNDS + 17
+        outputs = set()
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(mdiqsdc.protocol, "_usable_cpus", lambda: workers)
+            csv = tmp_path / f"run{workers}.csv"
+            code, out, err = run_cli(
+                [
+                    "simulate", "--protocol", protocol, "--p", "0.2", "--rounds", str(rounds),
+                    "--noise", noise, "--attack", "intercept-resend", "--csv", str(csv),
+                ],
+                capsys,
+            )
+            assert code == 0
+            outputs.add((out, err, csv.read_bytes()))
+        assert len(outputs) == 1
+
+    def test_failing_block_exits_4_without_a_tally(self, capsys, monkeypatch):
+        block = mdiqsdc.protocol._block
+
+        def failing(draws, k, workspace):
+            if k == 3:
+                raise RuntimeError("block 3 failed")
+            return block(draws, k, workspace)
+
+        monkeypatch.setattr(mdiqsdc.protocol, "_block", failing)
+        rounds = 4 * mdiqsdc.protocol.CHUNK_ROUNDS
+        code, out, err = run_cli(
+            ["simulate", "--protocol", "mdi-ts", "--p", "0.2", "--rounds", str(rounds)], capsys
+        )
+        assert code == 4
+        assert out == ""
+        assert "RuntimeError: block 3 failed" in err
+        assert "capacity" not in err and "rounds:" not in err
 
     def test_round_errors_composed_once(self, capsys, monkeypatch):
         args = [

@@ -1,7 +1,10 @@
-"""Package hygiene: no module imports a name it never uses, and every name
-the package exports exists."""
+"""Package hygiene: no module imports a name it never uses, every name the
+package exports exists, and the command line starts without heavy imports."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,3 +45,23 @@ def test_all_names_resolve():
     assert len(set(mdiqsdc.__all__)) == len(mdiqsdc.__all__)
     missing = [name for name in mdiqsdc.__all__ if not hasattr(mdiqsdc, name)]
     assert missing == []
+
+
+def test_cli_import_loads_no_logging_or_thread_pool():
+    """The sampler's workers are plain ``threading`` threads: importing the
+    command line must not pull in ``logging`` or ``concurrent.futures``,
+    which would add to every invocation's start-up time."""
+    src = Path(mdiqsdc.__file__).resolve().parents[1]
+    code = (
+        "import sys; import mdiqsdc.cli; "
+        "print(sorted(m for m in ('logging', 'concurrent.futures') if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

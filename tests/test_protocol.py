@@ -16,17 +16,19 @@ from mdiqsdc.protocol import (
     _KEYS,
     _LOST_KEY,
     _MESSAGE_KEY,
+    CHUNK_ROUNDS,
     MESSAGE_BASIS,
     AttackModel,
     NoisePlacement,
     Protocol,
     ProtocolConfig,
     Tally,
-    _chunks,
+    _block,
+    _count_keys,
+    _draws,
     _fold,
-    _label_cuts,
-    _labels,
     _stats_from_tally,
+    _workspace,
     check_bases,
     density_matrix_round_distributions,
     intercept_resend_channel,
@@ -420,26 +422,32 @@ class TestOutcomeKeys:
     @pytest.mark.parametrize("noise", list(NoisePlacement))
     @pytest.mark.parametrize("decoding", DECODINGS, ids=_decoding_id)
     def test_counts_each_round_once(self, decoding, noise):
-        """One block's counts against a per-round reading of its raw draws,
-        redrawn here in the documented order."""
+        """Block 1's counts against a per-round reading of its raw draws,
+        redrawn here from the block's own seed sequence in the documented
+        order. Labels that are never drawn are tried with every value."""
         cfg = ProtocolConfig(
-            rounds=5_000, channel_p=0.3, seed=71, transmittance=0.8, noise=noise, **decoding
+            rounds=CHUNK_ROUNDS + 5_000, channel_p=0.3, seed=71, transmittance=0.8,
+            noise=noise, **decoding,
         )
         entangled = cfg.protocol == Protocol.MDI_TS
-        n = cfg.rounds
-        rng = np.random.default_rng(cfg.seed)
+        n = cfg.rounds - CHUNK_ROUNDS
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1,)))
+
+        def draw(cuts):
+            return np.searchsorted(cuts, rng.random(n), side="right")
+
         frame_dist, second_dist = round_error_dists_for_config(cfg)
-        frame = _labels(_label_cuts(frame_dist), rng.random(n))
-        is_check = rng.random(n) < cfg.check_fraction
+        frame = draw(np.cumsum(frame_dist.probabilities)[:-1])
         bases = check_bases(cfg)
-        basis = rng.integers(0, len(bases), size=n, dtype=np.uint8)
-        alice = rng.integers(0, 2, size=n, dtype=np.uint8)
-        symbol = rng.integers(0, 4 if entangled else 2, size=n, dtype=np.uint8)
-        cover = rng.integers(0, 4, size=n, dtype=np.uint8) if entangled else np.zeros(n, int)
+        role = draw(cfg.check_fraction * np.arange(1, len(bases) + 1) / len(bases))
+        if entangled and not cfg.decode_with_cover:
+            cover = rng.integers(0, 4, size=n, dtype=np.uint8)
         if noise == NoisePlacement.BOTH_LEGS:
-            second = _labels(_label_cuts(second_dist), rng.random(n))
+            second = draw(np.cumsum(second_dist.probabilities)[:-1])
         else:
             second = np.zeros(n, dtype=np.uint8)
+        if not entangled:
+            bit = rng.integers(0, 2, size=n, dtype=np.uint8)
         arrived = rng.random(n) < cfg.transmittance ** (2 if entangled else 1)
 
         checks = np.zeros((4, 2), dtype=np.int64)
@@ -447,18 +455,29 @@ class TestOutcomeKeys:
         diffs = np.zeros(4, dtype=np.int64)
         for r in range(n):
             f = int(frame[r])
-            if is_check[r]:
-                b = bases[basis[r]]
-                bob = alice[r] ^ 1 ^ ANTICOMMUTES[f][b]
-                checks[b, int(alice[r] == bob)] += 1
+            if role[r] < len(bases):
+                b = bases[role[r]]
+                # Alice's check bit is not drawn: both values must give one outcome
+                (error,) = {alice == alice ^ 1 ^ ANTICOMMUTES[f][b] for alice in (0, 1)}
+                checks[b, int(error)] += 1
             else:
                 message_rounds += 1
                 if arrived[r]:
-                    diff = _message_diff(cfg, f, int(second[r]), int(symbol[r]), int(cover[r]))
+                    symbols = range(4) if entangled else [int(bit[r])]
+                    if not entangled:
+                        covers = [0]
+                    elif cfg.decode_with_cover:
+                        covers = range(4)
+                    else:
+                        covers = [int(cover[r])]
+                    # the symbol, and the cover under cover decoding, must cancel out
+                    (diff,) = {
+                        _message_diff(cfg, f, int(second[r]), s, c) for s in symbols for c in covers
+                    }
                     diffs[diff] += 1
         assert 0 < diffs.sum() < message_rounds  # some photons were lost
 
-        (block,) = _chunks(cfg)
+        block = _block(_draws(cfg), 1, _workspace(CHUNK_ROUNDS))
         tally = _fold(cfg, block)
         np.testing.assert_array_equal(tally.checks, checks)
         assert tally.message_rounds == message_rounds
@@ -509,7 +528,7 @@ class TestOutcomeKeys:
         entangled = cfg.protocol == Protocol.MDI_TS
         defined = [*range(4 * len(check_bases(cfg)))]
         defined += [*range(_MESSAGE_KEY, _MESSAGE_KEY + (4 if entangled else 8)), _LOST_KEY]
-        (block,) = _chunks(cfg)
+        block = _count_keys(cfg)  # one block
         assert block.sum() == cfg.rounds
         assert np.all(block[defined] > 0)
         assert not np.delete(block, defined).any()
@@ -518,8 +537,8 @@ class TestOutcomeKeys:
         # photon arrival is a block's last draw, so every other draw is the same
         common = dict(protocol=Protocol.MDI_TS, rounds=5_000, channel_p=0.3, seed=71)
         cfg = ProtocolConfig(transmittance=1.0, **common)
-        (kept,) = _chunks(cfg)
-        (gone,) = _chunks(ProtocolConfig(transmittance=0.0, **common))
+        kept = _count_keys(cfg)  # one block
+        gone = _count_keys(ProtocolConfig(transmittance=0.0, **common))
         arrived, lost = _fold(cfg, kept), _fold(cfg, gone)
         np.testing.assert_array_equal(lost.checks, arrived.checks)
         assert lost.message_rounds == arrived.message_rounds > 0

@@ -2,12 +2,16 @@
 memory, and multinomial agreement with the exact per-round distributions."""
 
 import itertools
+import random
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
+import mdiqsdc.protocol
 from mdiqsdc.channels import PauliDistribution
 from mdiqsdc.protocol import (
     CHUNK_ROUNDS,
@@ -15,11 +19,14 @@ from mdiqsdc.protocol import (
     NoisePlacement,
     Protocol,
     ProtocolConfig,
-    _chunks,
+    _block,
+    _count_keys,
+    _draws,
     _fold,
     _label_cuts,
     _labels,
     _stats_from_tally,
+    _workspace,
     check_bases,
     pauli_frame_round_distributions,
     run,
@@ -38,7 +45,7 @@ class TestLabelAlgebra:
         for probs in ((0.7, 0.1, 0.1, 0.1), (0.25, 0.25, 0.25, 0.25), (0.1, 0.2, 0.3, 0.4)):
             cuts = _label_cuts(PauliDistribution(probs))
             expect = np.searchsorted(np.cumsum(probs)[:-1], u, side="right")
-            drawn = _labels(cuts, u)
+            drawn = _labels(cuts, u, np.empty(u.shape, np.uint8), np.empty(u.shape, np.uint8))
             assert drawn.dtype == np.uint8
             np.testing.assert_array_equal(drawn, expect)
 
@@ -47,58 +54,141 @@ class TestLabelAlgebra:
     )
     def test_zero_weight_labels_never_drawn(self, probs):
         u = np.concatenate([np.linspace(0.0, 1.0, 10_001)[:-1], [np.nextafter(1.0, 0.0)]])
-        drawn = _labels(_label_cuts(PauliDistribution(probs)), u)
+        scratch = np.empty(u.shape, np.uint8)
+        drawn = _labels(_label_cuts(PauliDistribution(probs)), u, np.empty_like(scratch), scratch)
         for label in range(4):
             if probs[label] == 0.0:
                 assert not np.any(drawn == label)
 
 
-class TestChunking:
-    @pytest.mark.parametrize("protocol", [Protocol.MDI_TS, Protocol.MDI_DL04])
-    @pytest.mark.parametrize(
-        "noise", [NoisePlacement.FIRST_LEG_ONLY, NoisePlacement.BOTH_LEGS]
+def block_counts(cfg):
+    """Each block's key counts in block order, drawn in one workspace."""
+    draws, workspace = _draws(cfg), _workspace(CHUNK_ROUNDS)
+    return [_block(draws, k, workspace) for k in range(-(-cfg.rounds // CHUNK_ROUNDS))]
+
+
+MULTI_BLOCK_CONFIGS = [
+    ProtocolConfig(
+        protocol=protocol,
+        rounds=2 * CHUNK_ROUNDS + 17,
+        channel_p=0.2,
+        seed=97,
+        noise=noise,
+        transmittance=0.8,
+        attack=AttackModel.INTERCEPT_RESEND,
     )
-    def test_one_tally_of_all_chunks_matches_run(self, protocol, noise):
-        cfg = ProtocolConfig(
-            protocol=protocol,
-            rounds=2 * CHUNK_ROUNDS + 17,
-            channel_p=0.2,
-            seed=97,
-            noise=noise,
-            transmittance=0.8,
-            attack=AttackModel.INTERCEPT_RESEND,
-        )
+    for protocol in (Protocol.MDI_TS, Protocol.MDI_DL04)
+    for noise in (NoisePlacement.FIRST_LEG_ONLY, NoisePlacement.BOTH_LEGS)
+]
+
+
+def _multi_block_id(cfg):
+    return f"{cfg.noise.value}-{cfg.protocol.value}"
+
+
+class TestChunking:
+    @pytest.mark.parametrize("cfg", MULTI_BLOCK_CONFIGS, ids=_multi_block_id)
+    def test_one_tally_of_all_chunks_matches_run(self, cfg):
         stats = run(cfg)
         assert stats.rounds == cfg.rounds
         assert stats.decoded_rounds < stats.message_rounds
-        blocks = list(_chunks(cfg))
+        blocks = block_counts(cfg)
         assert [int(block.sum()) for block in blocks] == [CHUNK_ROUNDS, CHUNK_ROUNDS, 17]
         counts = np.sum(blocks, axis=0)
         assert _stats_from_tally(cfg, _fold(cfg, counts)) == stats
         assert run(cfg) == stats
 
-    def test_peak_memory_flat_in_rounds(self):
-        bound = 8_000_000
-        peaks = []
-        for rounds in (400_000, 4_000_000):
-            cfg = ProtocolConfig(
-                protocol=Protocol.MDI_TS,
-                rounds=rounds,
-                channel_p=0.2,
-                seed=5,
-                noise=NoisePlacement.BOTH_LEGS,
-                attack=AttackModel.INTERCEPT_RESEND,
+    @pytest.mark.parametrize("cfg", MULTI_BLOCK_CONFIGS, ids=_multi_block_id)
+    def test_blocks_fold_to_run_in_any_order(self, cfg):
+        stats = run(cfg)
+        blocks = block_counts(cfg)
+        assert len({block.tobytes() for block in blocks}) == len(blocks)  # distinct draws
+        shuffled = blocks[:]
+        random.Random(3).shuffle(shuffled)
+        for order in (blocks[::-1], shuffled):
+            counts = np.zeros_like(blocks[0])
+            for block in order:
+                counts += block
+            assert _stats_from_tally(cfg, _fold(cfg, counts)) == stats
+
+    @pytest.mark.parametrize("cfg", MULTI_BLOCK_CONFIGS, ids=_multi_block_id)
+    def test_worker_count_does_not_change_the_transcript(self, cfg):
+        counts = [_count_keys(cfg, workers=workers) for workers in (1, 2, 3)]
+        for other in counts[1:]:
+            np.testing.assert_array_equal(other, counts[0])
+        assert _stats_from_tally(cfg, _fold(cfg, counts[0])) == run(cfg)
+
+    def test_more_workers_than_cores_under_fast_thread_switching(self):
+        """Four workers on short time slices: a block run twice or skipped
+        would change the counts."""
+        cfg = ProtocolConfig(
+            protocol=Protocol.MDI_DL04, rounds=12 * CHUNK_ROUNDS + 5, channel_p=0.2, seed=6
+        )
+        expected = _count_keys(cfg, workers=1)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            thread = threading.Thread(
+                target=lambda: results.append(_count_keys(cfg, workers=4)), daemon=True
             )
-            tracemalloc.start()
-            try:
+            thread.start()
+            thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        (counts,) = results
+        np.testing.assert_array_equal(counts, expected)
+        assert counts.sum() == cfg.rounds
+
+    def test_failing_block_raises_from_run(self, monkeypatch):
+        cfg = ProtocolConfig(
+            protocol=Protocol.MDI_TS, rounds=4 * CHUNK_ROUNDS, channel_p=0.2, seed=8
+        )
+        block = mdiqsdc.protocol._block
+        ran = []
+
+        def failing(draws, k, workspace):
+            ran.append(k)
+            if k == 3:
+                raise RuntimeError("block 3 failed")
+            return block(draws, k, workspace)
+
+        monkeypatch.setattr(mdiqsdc.protocol, "_block", failing)
+        for workers in (1, 2, None):
+            ran.clear()
+            with pytest.raises(RuntimeError, match="block 3 failed"):
+                _count_keys(cfg, workers=workers)
+            assert 3 in ran
+            with pytest.raises(RuntimeError, match="block 3 failed"):
                 run(cfg)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < bound, (rounds, peak)
-            peaks.append(peak)
-        # ten times the rounds may not cost more than 2% more memory
-        assert peaks[1] <= 1.02 * peaks[0], peaks
+
+    def test_peak_memory_flat_in_rounds(self):
+        """Five repeats with the default worker count: every workspace is
+        allocated before a thread starts, so the peak may not depend on
+        which worker runs which block."""
+        bound = 8_000_000
+        for _ in range(5):
+            peaks = []
+            for rounds in (400_000, 4_000_000):
+                cfg = ProtocolConfig(
+                    protocol=Protocol.MDI_TS,
+                    rounds=rounds,
+                    channel_p=0.2,
+                    seed=5,
+                    noise=NoisePlacement.BOTH_LEGS,
+                    attack=AttackModel.INTERCEPT_RESEND,
+                )
+                tracemalloc.start()
+                try:
+                    run(cfg)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < bound, (rounds, peak)
+                peaks.append(peak)
+            # ten times the rounds may not cost more than 2% more memory
+            assert peaks[1] <= 1.02 * peaks[0], peaks
 
 
 FAMILY_ALPHA = 1e-3

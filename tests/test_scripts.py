@@ -56,6 +56,15 @@ def test_attack_scan_rejects_rounds_below_one(rounds):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_attack_scan_rejects_seeds_outside_64_bits(seed):
+    result = run_script("attack_scan.py", "--rounds", "10", "--seed", seed)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "argument --seed: must lie in [0, 2**64)" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_reproduce_figures_writes_both_figures(tmp_path):
     result = run_script("reproduce_figures.py", "--outdir", str(tmp_path))
     assert result.returncode == 0, result.stderr

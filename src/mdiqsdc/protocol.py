@@ -14,7 +14,7 @@ Bell outcome (Aaronson & Gottesman, PRA 70, 052328 (2004), for Pauli-frame
 tracking). Rounds are drawn and tallied in fixed blocks, so memory does not
 grow with the number of rounds; :func:`run` runs either protocol. Each block
 has its own generator, seeded from the run's seed and the block's index, so
-the blocks run on all usable CPUs in any order and a transcript depends
+the blocks run on up to two CPUs in any order and a transcript depends
 only on the seed and the number of rounds. A block draws only what reaches
 an outcome, packs each round into one small outcome key and counts the keys
 with one ``bincount``; the label algebra then maps each key to its check or
@@ -307,7 +307,8 @@ def round_error_dists_for_config(cfg: ProtocolConfig) -> RoundErrorDists:
 
 
 # Rounds drawn and tallied per block; peak memory of a run is set by this
-# constant and the number of workers, not by the number of rounds.
+# constant and the number of workers (at most _MAX_WORKERS), not by the
+# number of rounds.
 CHUNK_ROUNDS = 1 << 15
 
 
@@ -441,6 +442,12 @@ def _block(draws: _Draws, k: int, workspace: tuple[np.ndarray, ...]) -> np.ndarr
     return np.bincount(index, minlength=_KEYS)
 
 
+# Threads one run may use. The block sampler is measured on two CPUs only
+# (BENCH_9.json); raise this only after a benchmark shows that more help. The cap also keeps
+# peak memory, about workers x 0.43 MB, the same on every host.
+_MAX_WORKERS = 2
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on."""
     try:
@@ -449,35 +456,30 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _count_keys(
-    cfg: ProtocolConfig, dists: RoundErrorDists | None = None, workers: int | None = None
-) -> np.ndarray:
+def _count_keys(cfg: ProtocolConfig, dists: RoundErrorDists | None = None) -> np.ndarray:
     """(_KEYS,) outcome-key counts of all of ``cfg``'s rounds.
 
-    The blocks of :func:`_block` are shared among ``workers`` threads
-    (default: the usable CPUs), never more than there are blocks; one of
-    them is the calling thread, so a one-block run starts none. numpy
-    releases the GIL inside the draws and most array operations. Each
-    worker sums its own counts in its own workspace, all allocated before
-    any thread starts, so the result and the peak memory do not depend on
-    which worker ran which block. An exception in any block stops the other
-    workers after their current block and is raised here.
+    The blocks of :func:`_block` are dealt out in turn to at most
+    ``_MAX_WORKERS`` threads, never more than the usable CPUs or the
+    blocks: worker w runs blocks w, w + workers, ... One worker is the
+    calling thread, so a one-block run starts none. numpy releases the GIL
+    inside the draws and most array operations. Each worker sums its own
+    counts in its own workspace, all allocated before any thread starts, so
+    the result and the peak memory do not depend on thread timing. An
+    exception in any block stops the other workers after their current
+    block and is raised here.
     """
     draws = _draws(cfg, dists)
     blocks = -(-cfg.rounds // CHUNK_ROUNDS)
-    workers = min(workers or _usable_cpus(), blocks)
+    workers = min(_MAX_WORKERS, _usable_cpus(), blocks)
     workspaces = [_workspace(min(CHUNK_ROUNDS, cfg.rounds)) for _ in range(workers)]
     totals = np.zeros((workers, _KEYS), dtype=np.int64)
-    todo = iter(range(blocks))
-    lock = threading.Lock()  # hands each block to exactly one worker
     failures: list[BaseException] = []
 
     def work(w: int) -> None:
         try:
-            while True:
-                with lock:
-                    k = next(todo, None)
-                if k is None or failures:
+            for k in range(w, blocks, workers):
+                if failures:
                     return
                 totals[w] += _block(draws, k, workspaces[w])
         except BaseException as exc:  # re-raised by the calling thread below

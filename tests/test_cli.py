@@ -384,6 +384,7 @@ class TestSimulate:
         rounds = 2 * mdiqsdc.protocol.CHUNK_ROUNDS + 17
         outputs = set()
         for workers in (1, 2, 3):
+            monkeypatch.setattr(mdiqsdc.protocol, "_MAX_WORKERS", workers)
             monkeypatch.setattr(mdiqsdc.protocol, "_usable_cpus", lambda: workers)
             csv = tmp_path / f"run{workers}.csv"
             code, out, err = run_cli(

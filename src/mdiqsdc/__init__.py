@@ -10,16 +10,13 @@ from .channels import (
     error_rates,
     error_rates_from_deltas,
 )
-from .curves import AnalyticCurve, AnalyticPoint, analytic_curve, analytic_point, zero_crossing
+from .curves import AnalyticPoint, analytic_point, zero_crossing
 from .infotheory import (
     CapacityResult,
     ErrorVector,
     binary_entropy,
-    capacity_dl04_non_mdi,
-    capacity_mdi_dl04,
-    capacity_mdi_ts,
-    capacity_two_step_non_mdi,
     eve_info_mdi_ts,
+    secrecy_capacity,
     shannon_entropy,
 )
 from .protocol import (
@@ -50,7 +47,6 @@ from .quantum import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticCurve",
     "AnalyticPoint",
     "AttackModel",
     "BellDiagonal",
@@ -66,16 +62,11 @@ __all__ = [
     "ProtocolConfig",
     "PureState",
     "TranscriptStats",
-    "analytic_curve",
     "analytic_point",
     "apply_pauli",
     "bell_measure",
     "bell_state",
     "binary_entropy",
-    "capacity_dl04_non_mdi",
-    "capacity_mdi_dl04",
-    "capacity_mdi_ts",
-    "capacity_two_step_non_mdi",
     "convolve",
     "depolarize",
     "depolarizing_pauli_dist",
@@ -87,6 +78,7 @@ __all__ = [
     "product_decompose",
     "purify_bell_diagonal",
     "run",
+    "secrecy_capacity",
     "shannon_entropy",
     "swap_correction",
     "von_neumann_entropy",

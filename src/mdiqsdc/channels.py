@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from .elementwise import check_range
 from .quantum import (
     ANTICOMMUTES,
     PAULI_OF_BELL,
@@ -23,14 +22,14 @@ from .quantum import (
     DensityMatrix,
     PauliLabel,
     pauli_operator,
-    validate_probability_rows,
     validate_probability_vector,
 )
 
 
 @dataclass(frozen=True)
 class PauliDistribution:
-    """Probabilities of the error operators I, X, Y, Z on one qubit."""
+    """Probabilities of the error operators I, X, Y, Z on one qubit: floats,
+    or equal-length float64 arrays holding one distribution per element."""
 
     probabilities: tuple[float, float, float, float]
 
@@ -50,7 +49,8 @@ IDENTITY_DIST = PauliDistribution((1.0, 0.0, 0.0, 0.0))
 
 @dataclass(frozen=True)
 class ErrorRates:
-    """Check-measurement error rates per basis (relative to the singlet)."""
+    """Check-measurement error rates per basis (relative to the singlet):
+    floats, or equal-length float64 arrays."""
 
     eps_z: float
     eps_x: float
@@ -58,9 +58,7 @@ class ErrorRates:
 
     def __post_init__(self) -> None:
         for name in ("eps_z", "eps_x", "eps_y"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name}={value!r} outside [0, 1]")
+            check_range(getattr(self, name), 0.0, 1.0, f"{name}=")
 
     def in_basis(self, basis: PauliLabel) -> float:
         if basis == PauliLabel.Z:
@@ -72,16 +70,10 @@ class ErrorRates:
         raise ValueError("basis must be X, Y, or Z")
 
 
-def _check_channel_param(p: float) -> float:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"channel parameter {p!r} outside [0, 1]")
-    return float(p)
-
-
 def depolarize(dm: DensityMatrix, p: float, qubit: int) -> DensityMatrix:
     """Depolarize one qubit of every state of the stack:
     rho -> p * (I/2 on that qubit) + (1-p) * rho."""
-    _check_channel_param(p)
+    check_range(p, 0.0, 1.0, "channel parameter ")
     terms = (1.0 - 0.75 * p) * dm.matrix
     for op in (PauliLabel.X, PauliLabel.Y, PauliLabel.Z):
         full = pauli_operator(int(op), qubit, dm.num_qubits)
@@ -91,20 +83,9 @@ def depolarize(dm: DensityMatrix, p: float, qubit: int) -> DensityMatrix:
 
 def depolarizing_pauli_dist(p: float) -> PauliDistribution:
     """Pauli-error weights of the depolarizing channel with parameter p."""
-    _check_channel_param(p)
-    return PauliDistribution((1.0 - 0.75 * p, 0.25 * p, 0.25 * p, 0.25 * p))
-
-
-def depolarizing_pauli_rows(ps: np.ndarray) -> np.ndarray:
-    """:func:`depolarizing_pauli_dist` of every parameter in ``ps``, as the
-    validated rows of an (n, 4) array."""
-    ps = np.asarray(ps, dtype=np.float64)
-    outside = ~((0.0 <= ps) & (ps <= 1.0))
-    if outside.any():
-        _check_channel_param(float(ps[outside][0]))
-    quarter = 0.25 * ps
-    rows = np.stack([1.0 - 0.75 * ps, quarter, quarter, quarter], axis=1)
-    return validate_probability_rows(rows, name="Pauli distribution")
+    check_range(p, 0.0, 1.0, "channel parameter ")
+    quarter = 0.25 * p
+    return PauliDistribution((1.0 - 0.75 * p, quarter, quarter, quarter))
 
 
 def convolve(d1: PauliDistribution, d2: PauliDistribution) -> PauliDistribution:
@@ -114,16 +95,6 @@ def convolve(d1: PauliDistribution, d2: PauliDistribution) -> PauliDistribution:
         for j in range(4):
             out[PAULI_PRODUCT[i][j]] += d1.probabilities[i] * d2.probabilities[j]
     return PauliDistribution(tuple(out))
-
-
-def convolve_rows(rows1: np.ndarray, rows2: np.ndarray) -> np.ndarray:
-    """:func:`convolve` of each pair of rows of two (n, 4) arrays, with the
-    products accumulated in the same order; the result rows are validated."""
-    out = np.zeros(np.broadcast_shapes(rows1.shape, rows2.shape))
-    for i in range(4):
-        for j in range(4):
-            out[:, PAULI_PRODUCT[i][j]] += rows1[:, i] * rows2[:, j]
-    return validate_probability_rows(out, name="Pauli distribution")
 
 
 def pauli_dist_from_bell_diagonal(d: BellDiagonal) -> PauliDistribution:
@@ -145,18 +116,6 @@ def error_rate_in_basis(dist: PauliDistribution, basis: PauliLabel) -> float:
     )
 
 
-def error_rate_rows(rows: np.ndarray, basis: PauliLabel) -> np.ndarray:
-    """:func:`error_rate_in_basis` of every row of an (n, 4) array, summed in
-    the same order."""
-    if basis == PauliLabel.I:
-        raise ValueError("basis must be X, Y, or Z")
-    total = np.zeros(len(rows))  # the built-in sum starts from 0
-    for pauli in range(4):
-        if ANTICOMMUTES[pauli][int(basis)]:
-            total = total + rows[:, pauli]
-    return total
-
-
 def error_rates(dist: PauliDistribution) -> ErrorRates:
     """Per-basis check error rates of a singlet hit by the error process ``dist``."""
     return ErrorRates(
@@ -164,20 +123,6 @@ def error_rates(dist: PauliDistribution) -> ErrorRates:
         eps_x=error_rate_in_basis(dist, PauliLabel.X),
         eps_y=error_rate_in_basis(dist, PauliLabel.Y),
     )
-
-
-def error_rates_rows(rows: np.ndarray) -> dict[PauliLabel, np.ndarray]:
-    """:func:`error_rates` of every row of an (n, 4) array, keyed by basis,
-    with the same [0, 1] check on every value."""
-    rates = {}
-    for basis in (PauliLabel.Z, PauliLabel.X, PauliLabel.Y):
-        rate = error_rate_rows(rows, basis)
-        outside = ~((0.0 <= rate) & (rate <= 1.0))
-        if outside.any():
-            value = float(rate[outside][0])
-            raise ValueError(f"eps_{basis.name.lower()}={value!r} outside [0, 1]")
-        rates[basis] = rate
-    return rates
 
 
 def error_rates_from_deltas(d: BellDiagonal) -> ErrorRates:

@@ -16,15 +16,16 @@ import sys
 import traceback
 from html import escape
 
+import numpy as np
+
 from .curves import (
     X_MAX,
-    AnalyticCurve,
     AnalyticPoint,
-    analytic_curve,
+    analytic_point,
     analytic_point_for_config,
     zero_crossing,
 )
-from .infotheory import binary_entropy, shannon_entropy
+from .elementwise import as_list
 from .protocol import (
     AttackModel,
     NoisePlacement,
@@ -65,53 +66,39 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else "%.12g" % value
 
 
-def _csv_line(protocol: Protocol, cells: tuple[float | None, ...], tail: str) -> str:
-    """One CSV row: the nine numeric ``cells`` in the order of
-    :attr:`~mdiqsdc.curves.AnalyticCurve.columns` with the protocol after
-    ``p``, then ``tail`` (source, seed, rounds)."""
-    x, p, *rest = map(_fmt, cells)
-    return ",".join([x, p, protocol.value, *rest, tail])
-
-
-def _row_from_point(point: AnalyticPoint) -> str:
-    return _csv_line(
-        point.protocol,
-        (
-            point.x,
-            point.p,
-            point.eps_z,
-            point.eps_x,
-            point.eps_y,
-            point.message_entropy,
-            point.eve_info,
-            point.capacity.raw,
-            point.capacity.clamped,
-        ),
-        "analytic,,",
+def _analytic_csv_lines(point: AnalyticPoint) -> list[str]:
+    """CSV rows of an analytic point, or of every point of a grid, from one
+    row template."""
+    row = "%.12g,%.12g," + point.protocol.value + ",%.12g" * 7 + ",analytic,,"
+    columns = (
+        point.x,
+        point.p,
+        point.eps_z,
+        point.eps_x,
+        point.eps_y,
+        point.message_entropy,
+        point.eve_info,
+        point.capacity.raw,
+        point.capacity.clamped,
     )
+    return [row % cells for cells in zip(*map(as_list, columns))]
 
 
 def _row_from_stats(cfg: ProtocolConfig, stats: TranscriptStats) -> str:
-    if cfg.protocol == Protocol.MDI_TS:
-        h_of_e = shannon_entropy(stats.message_errors)
-        eve_info = binary_entropy(stats.eps_z.rate) + binary_entropy(stats.eps_x.rate)
-    else:
-        h_of_e = binary_entropy(stats.bit_error)
-        eve_info = binary_entropy(stats.qber(cfg.dl04_encoding).rate)
     rates = (est.rate if est else None for est in (stats.eps_z, stats.eps_x, stats.eps_y))
-    return _csv_line(
-        cfg.protocol,
+    x, p, *rest = map(
+        _fmt,
         (
             cfg.channel_p / 2.0,
             cfg.channel_p,
             *rates,
-            h_of_e,
-            eve_info,
+            stats.message_entropy,
+            stats.eve_info,
             stats.capacity.raw,
             stats.capacity.clamped,
         ),
-        f"montecarlo,{cfg.seed},{cfg.rounds}",
     )
+    return ",".join([x, p, cfg.protocol.value, *rest, f"montecarlo,{cfg.seed},{cfg.rounds}"])
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -120,13 +107,6 @@ def _write_text(path: str | None, text: str) -> None:
         return
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(text)
-
-
-def _curve_csv_lines(curve: AnalyticCurve) -> list[str]:
-    """CSV rows of an analytic curve, the text :func:`_row_from_point` gives
-    each of its points, from one row template instead of a call per cell."""
-    row = "%.12g,%.12g," + curve.protocol.value + ",%.12g" * 7 + ",analytic,,"
-    return [row % cells for cells in zip(*(column.tolist() for column in curve.columns))]
 
 
 def _csv_text(lines: list[str]) -> str:
@@ -391,16 +371,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     noise, encoding, q, eta = _resolve_common(args)
     single_x = _resolve_x(args)
     if single_x is not None:
-        grid = [single_x]
+        grid = np.array([single_x])
     else:
-        grid = _parse_grid(str(_merged(args, "grid", "0:0.5:0.005")))
+        grid = np.array(_parse_grid(str(_merged(args, "grid", "0:0.5:0.005"))))
 
     lines: list[str] = []
     curves: list[tuple[str, list[float], list[float]]] = []
     for protocol in protocols:
-        curve = analytic_curve(protocol, grid, noise=noise, encoding=encoding, q=q, eta=eta)
-        lines.extend(_curve_csv_lines(curve))
-        curves.append((protocol.value, curve.x.tolist(), curve.capacity_clamped.tolist()))
+        curve = analytic_point(protocol, grid, noise=noise, encoding=encoding, q=q, eta=eta)
+        lines.extend(_analytic_csv_lines(curve))
+        curves.append((protocol.value, curve.x.tolist(), curve.capacity.clamped.tolist()))
         crossing = zero_crossing(protocol, noise=noise, encoding=encoding, q=q, eta=eta)
         where = "none in [0, 0.5]" if crossing is None else f"x = {crossing:.6f}"
         print(f"zero-crossing {protocol.value}: {where}", file=sys.stderr)
@@ -452,7 +432,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return EXIT_INSUFFICIENT_STATS
 
     twin = analytic_point_for_config(cfg, dists)
-    rows = [_row_from_point(twin), _row_from_stats(cfg, stats)]
+    rows = [*_analytic_csv_lines(twin), _row_from_stats(cfg, stats)]
     _write_text(_merged(args, "csv", None), _csv_text(rows))
     _print_summary(cfg, stats)
     return EXIT_OK

@@ -12,44 +12,34 @@ distributions from :func:`mdiqsdc.protocol.round_error_dists`, the same
 composition the sampler draws from, and evaluate the closed forms in one
 place; this module composes no transmission legs itself.
 
-A grid goes through :func:`analytic_curve`, which evaluates a whole curve
-as float64 arrays, bit for bit equal to :func:`analytic_point` at every
-grid point and with the same checks on every row. A single point (the
-analytic twin of a run, each step of a zero-crossing bisection) goes
-through the scalar :func:`analytic_point`, which is cheaper for one point
-and is the reference the array path is tested against.
+:func:`analytic_point` takes one x as a float or a whole grid as a 1-D
+float64 array and runs the same code on either (see ``elementwise``): a
+grid's values equal the per-point values bit for bit and pass the same
+checks. A sweep evaluates each curve with one grid call; the analytic twin
+of a run and each step of a zero-crossing bisection are float calls, which
+touch no numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import Callable
 
 from .channels import (
+    ErrorRates,
     PauliDistribution,
     convolve,
-    convolve_rows,
     depolarizing_pauli_dist,
-    depolarizing_pauli_rows,
     error_rate_in_basis,
-    error_rate_rows,
     error_rates,
-    error_rates_rows,
 )
+from .elementwise import check_range, minimum
 from .infotheory import (
     CapacityResult,
     ErrorVector,
-    binary_entropies,
     binary_entropy,
-    capacity_dl04_non_mdi,
-    capacity_mdi_dl04,
-    capacity_mdi_ts,
-    capacity_two_step_non_mdi,
     eve_info_mdi_ts,
     secrecy_capacity,
-    shannon_entropies,
     shannon_entropy,
 )
 from .protocol import (
@@ -60,9 +50,8 @@ from .protocol import (
     RoundErrorDists,
     round_error_dists,
     round_error_dists_for_config,
-    round_error_rows,
 )
-from .quantum import PauliLabel, validate_probability_rows
+from .quantum import PauliLabel
 
 X_MAX = 0.5
 # half of the reporting tolerance: crossings quoted to 1e-6 hold in both
@@ -72,7 +61,8 @@ ZERO_CROSSING_TOL = 5e-7
 
 @dataclass(frozen=True)
 class AnalyticPoint:
-    """All quantities of one sweep grid point, from the closed forms."""
+    """All quantities of one sweep point from the closed forms: floats, or
+    equal-length float64 arrays for a grid."""
 
     protocol: Protocol
     x: float
@@ -83,6 +73,38 @@ class AnalyticPoint:
     message_entropy: float
     eve_info: float
     capacity: CapacityResult
+
+
+def _closed_forms(
+    protocol: Protocol,
+    x: float,
+    rates: ErrorRates,
+    net: PauliDistribution,
+    *,
+    encoding: PauliLabel,
+    q: float,
+    eta: float,
+) -> AnalyticPoint:
+    """The closed forms of ``protocol`` from the checked error ``rates`` and
+    the error ``net`` on the message path."""
+    if protocol in (Protocol.MDI_TS, Protocol.TWO_STEP):
+        bits = 2.0
+        entropy = shannon_entropy(ErrorVector(net.probabilities))
+        eve_info = eve_info_mdi_ts(rates.eps_z, rates.eps_x)
+    elif protocol == Protocol.MDI_DL04:
+        bits = 1.0
+        entropy = binary_entropy(error_rate_in_basis(net, MESSAGE_BASIS[encoding]))
+        eve_info = binary_entropy(rates.in_basis(encoding))
+    else:
+        # information leaked about one bit cannot exceed one bit, so the
+        # leak argument eps_x + eps_z is capped at 1/2, where h = 1
+        bits = 1.0
+        entropy = binary_entropy(x)
+        eve_info = binary_entropy(minimum(rates.eps_x + rates.eps_z, 0.5))
+    capacity = CapacityResult(secrecy_capacity(bits, entropy, eve_info, q=q, eta=eta))
+    return AnalyticPoint(
+        protocol, x, 2.0 * x, rates.eps_z, rates.eps_x, rates.eps_y, entropy, eve_info, capacity
+    )
 
 
 def _mdi_point(
@@ -100,20 +122,7 @@ def _mdi_point(
     the frame, the message error from frame and re-transmission composed."""
     rates = error_rates(frame)
     net = convolve(frame, second)
-    if protocol == Protocol.MDI_TS:
-        errors = ErrorVector(net.probabilities)
-        entropy = shannon_entropy(errors)
-        eve_info = eve_info_mdi_ts(rates.eps_z, rates.eps_x)
-        capacity = capacity_mdi_ts(errors, rates.eps_z, rates.eps_x, q=q, eta=eta)
-    else:
-        bit_error = error_rate_in_basis(net, MESSAGE_BASIS[encoding])
-        eps_u = rates.in_basis(encoding)
-        entropy = binary_entropy(bit_error)
-        eve_info = binary_entropy(eps_u)
-        capacity = capacity_mdi_dl04(bit_error, eps_u, q=q, eta=eta)
-    return AnalyticPoint(
-        protocol, x, 2.0 * x, rates.eps_z, rates.eps_x, rates.eps_y, entropy, eve_info, capacity
-    )
+    return _closed_forms(protocol, x, rates, net, encoding=encoding, q=q, eta=eta)
 
 
 def analytic_point(
@@ -125,124 +134,17 @@ def analytic_point(
     q: float = 1.0,
     eta: float = 1.0,
 ) -> AnalyticPoint:
-    """Evaluate one protocol curve at x = p/2, without an attacker."""
-    if not 0.0 <= x <= X_MAX:
-        raise ValueError(f"sweep position x={x!r} outside [0, {X_MAX}]")
+    """Evaluate one protocol curve at x = p/2, without an attacker: at one
+    float x, or at every x of a 1-D float64 array."""
+    check_range(x, 0.0, X_MAX, "sweep position x=")
     p = 2.0 * x
-
     if protocol in (Protocol.MDI_TS, Protocol.MDI_DL04):
         dists = round_error_dists(protocol, p, noise)
         return _mdi_point(protocol, x, *dists, encoding=encoding, q=q, eta=eta)
-
+    if protocol not in (Protocol.TWO_STEP, Protocol.DL04):
+        raise ValueError(f"unknown protocol {protocol!r}")
     single = depolarizing_pauli_dist(p)
-    rates = error_rates(single)
-    if protocol == Protocol.TWO_STEP:
-        errors = ErrorVector(single.probabilities)
-        entropy = shannon_entropy(errors)
-        eve_info = eve_info_mdi_ts(rates.eps_z, rates.eps_x)
-        capacity = capacity_two_step_non_mdi(errors, rates.eps_z, rates.eps_x, q=q, eta=eta)
-    elif protocol == Protocol.DL04:
-        entropy = binary_entropy(x)
-        eve_info = binary_entropy(min(rates.eps_x + rates.eps_z, 0.5))
-        capacity = capacity_dl04_non_mdi(x, rates.eps_x, rates.eps_z, q=q, eta=eta)
-    else:
-        raise ValueError(f"unknown protocol {protocol!r}")
-    return AnalyticPoint(
-        protocol, x, p, rates.eps_z, rates.eps_x, rates.eps_y, entropy, eve_info, capacity
-    )
-
-
-@dataclass(frozen=True)
-class AnalyticCurve:
-    """One protocol curve over a grid: the numeric fields of
-    :class:`AnalyticPoint`, the capacity as raw and clamped, one float64
-    array each."""
-
-    protocol: Protocol
-    x: np.ndarray
-    p: np.ndarray
-    eps_z: np.ndarray
-    eps_x: np.ndarray
-    eps_y: np.ndarray
-    message_entropy: np.ndarray
-    eve_info: np.ndarray
-    capacity_raw: np.ndarray
-    capacity_clamped: np.ndarray
-
-    @property
-    def columns(self) -> tuple[np.ndarray, ...]:
-        """The nine numeric columns, in the order of the sweep CSV."""
-        return (
-            self.x,
-            self.p,
-            self.eps_z,
-            self.eps_x,
-            self.eps_y,
-            self.message_entropy,
-            self.eve_info,
-            self.capacity_raw,
-            self.capacity_clamped,
-        )
-
-
-def analytic_curve(
-    protocol: Protocol,
-    xs: Sequence[float] | np.ndarray,
-    *,
-    noise: NoisePlacement = NoisePlacement.FIRST_LEG_ONLY,
-    encoding: PauliLabel = PauliLabel.Y,
-    q: float = 1.0,
-    eta: float = 1.0,
-) -> AnalyticCurve:
-    """:func:`analytic_point` at every x of a grid, as arrays.
-
-    Each value equals the scalar one bit for bit: the arrays repeat the
-    scalar order of operations and take logarithms with ``math.log2``.
-    """
-    xs = np.asarray(xs, dtype=np.float64).reshape(-1)
-    outside = ~((0.0 <= xs) & (xs <= X_MAX))
-    if outside.any():
-        raise ValueError(f"sweep position x={float(xs[outside][0])!r} outside [0, {X_MAX}]")
-    ps = 2.0 * xs
-
-    # ``net`` is the error on the message path: the composed round for the
-    # MDI protocols, one channel use for the baselines
-    if protocol in (Protocol.MDI_TS, Protocol.MDI_DL04):
-        frame, second = round_error_rows(protocol, ps, noise)
-        rates = error_rates_rows(frame)
-        net = convolve_rows(frame, second)
-    elif protocol in (Protocol.TWO_STEP, Protocol.DL04):
-        net = depolarizing_pauli_rows(ps)
-        rates = error_rates_rows(net)
-    else:
-        raise ValueError(f"unknown protocol {protocol!r}")
-
-    if protocol in (Protocol.MDI_TS, Protocol.TWO_STEP):
-        bits = 2.0
-        entropy = shannon_entropies(validate_probability_rows(net, name="error vector"))
-        eve_info = binary_entropies(rates[PauliLabel.Z]) + binary_entropies(rates[PauliLabel.X])
-    elif protocol == Protocol.MDI_DL04:
-        bits = 1.0
-        entropy = binary_entropies(error_rate_rows(net, MESSAGE_BASIS[encoding]))
-        eve_info = binary_entropies(rates[encoding])
-    else:
-        bits = 1.0
-        entropy = binary_entropies(xs)
-        leak = rates[PauliLabel.X] + rates[PauliLabel.Z]
-        eve_info = binary_entropies(np.where(0.5 < leak, 0.5, leak))  # min(leak, 0.5)
-    raw = secrecy_capacity(bits, entropy, eve_info, q=q, eta=eta)
-    return AnalyticCurve(
-        protocol,
-        xs,
-        ps,
-        rates[PauliLabel.Z],
-        rates[PauliLabel.X],
-        rates[PauliLabel.Y],
-        entropy,
-        eve_info,
-        raw,
-        np.where(0.0 > raw, 0.0, raw),  # CapacityResult.clamped, signed zeros included
-    )
+    return _closed_forms(protocol, x, error_rates(single), single, encoding=encoding, q=q, eta=eta)
 
 
 def analytic_point_for_config(

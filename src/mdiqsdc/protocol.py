@@ -21,8 +21,10 @@ with one ``bincount``; the label algebra then maps each key to its check or
 message outcome once per run, not once per round.
 
 :func:`round_error_dists` is the one composition of a round's errors: the
-pair frame and the re-transmission error it returns feed the sampler, the
-label-algebra backend and the closed-form curves of ``curves``.
+pair frame and the re-transmission error it returns feed all three
+consumers, namely the sampler, the label-algebra backend and the
+closed-form curves of ``curves``. It takes a float channel parameter or an
+array of them, so the curves compose a whole sweep grid in one call.
 
 Two analytic backends expose per-round outcome distributions, one from the
 label algebra and one from explicit density matrices, so their agreement
@@ -46,17 +48,17 @@ from .channels import (
     IDENTITY_DIST,
     PauliDistribution,
     convolve,
-    convolve_rows,
     depolarize,
     depolarizing_pauli_dist,
-    depolarizing_pauli_rows,
     error_rate_in_basis,
 )
 from .infotheory import (
     CapacityResult,
     ErrorVector,
-    capacity_mdi_dl04,
-    capacity_mdi_ts,
+    binary_entropy,
+    eve_info_mdi_ts,
+    secrecy_capacity,
+    shannon_entropy,
 )
 from .quantum import (
     ANTICOMMUTES,
@@ -195,6 +197,8 @@ class TranscriptStats:
     message_errors: ErrorVector | None
     bit_error: float | None
     bit_error_se: float | None
+    message_entropy: float | None
+    eve_info: float | None
     capacity: CapacityResult | None
     capacity_se: float | None
     estimate_available: bool
@@ -271,7 +275,8 @@ def round_error_dists(
     ``frame`` composes both first legs, the attacker's process ``eve`` on
     leg ``attack_leg``; the checked rates are read off it. ``second`` is the
     re-transmission error of message rounds. The sampler, the label-algebra
-    backend and the closed-form curves all take their distributions from here.
+    backend and the closed-form curves all take their distributions from here;
+    ``p`` may be a float or, for a sweep grid, a 1-D float64 array.
     """
     single = depolarizing_pauli_dist(p)
     attacked = convolve(single, eve) if eve is not None else single
@@ -280,20 +285,6 @@ def round_error_dists(
         return frame, IDENTITY_DIST
     # only Alice's encoded photon travels again in the single-photon protocol
     return frame, convolve(single, single) if protocol == Protocol.MDI_TS else single
-
-
-def round_error_rows(
-    protocol: Protocol, ps: np.ndarray, noise: NoisePlacement
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`round_error_dists` without an attacker for every channel
-    parameter in ``ps``: ``(frame, second)`` as (n, 4) arrays whose row k
-    holds, bit for bit, the distributions of ``ps[k]``."""
-    single = depolarizing_pauli_rows(ps)
-    frame = convolve_rows(single, single)
-    if noise != NoisePlacement.BOTH_LEGS:
-        return frame, np.broadcast_to(np.asarray(IDENTITY_DIST.probabilities), frame.shape)
-    # both re-sent photons compose like the first legs, so that is ``frame`` again
-    return frame, frame if protocol == Protocol.MDI_TS else single
 
 
 def round_error_dists_for_config(cfg: ProtocolConfig) -> RoundErrorDists:
@@ -615,6 +606,8 @@ def _stats_from_tally(cfg: ProtocolConfig, tally: Tally) -> TranscriptStats:
     message_errors: ErrorVector | None = None
     bit_error: float | None = None
     bit_error_se: float | None = None
+    message_entropy: float | None = None
+    eve_info: float | None = None
     capacity: CapacityResult | None = None
     capacity_se: float | None = None
 
@@ -624,23 +617,30 @@ def _stats_from_tally(cfg: ProtocolConfig, tally: Tally) -> TranscriptStats:
             message_errors = ErrorVector(probs)
             ez = estimates[PauliLabel.Z]
             ex = estimates[PauliLabel.X]
-            capacity = capacity_mdi_ts(
-                message_errors, ez.rate, ex.rate, q=q_used, eta=cfg.eta
+            bits = 2.0
+            message_entropy = shannon_entropy(message_errors)
+            eve_info = eve_info_mdi_ts(ez.rate, ex.rate)
+            message_variance = _shannon_variance(probs, decoded_rounds)
+            leak_variance = _binary_rate_variance(ez.rate, ez.samples) + _binary_rate_variance(
+                ex.rate, ex.samples
             )
-            variance = _shannon_variance(probs, decoded_rounds) + cfg.eta**2 * (
-                _binary_rate_variance(ez.rate, ez.samples)
-                + _binary_rate_variance(ex.rate, ex.samples)
-            )
-            capacity_se = q_used * math.sqrt(variance)
         else:
             bit_error = int(tally.message_diffs[1]) / decoded_rounds
             bit_error_se = math.sqrt(bit_error * (1.0 - bit_error) / decoded_rounds)
             eu = estimates[cfg.dl04_encoding]
-            capacity = capacity_mdi_dl04(bit_error, eu.rate, q=q_used, eta=cfg.eta)
-            variance = _binary_rate_variance(bit_error, decoded_rounds) + (
-                cfg.eta**2 * _binary_rate_variance(eu.rate, eu.samples)
-            )
-            capacity_se = q_used * math.sqrt(variance)
+            bits = 1.0
+            message_entropy = binary_entropy(bit_error)
+            eve_info = binary_entropy(eu.rate)
+            message_variance = _binary_rate_variance(bit_error, decoded_rounds)
+            leak_variance = _binary_rate_variance(eu.rate, eu.samples)
+        capacity = CapacityResult(
+            secrecy_capacity(bits, message_entropy, eve_info, q=q_used, eta=cfg.eta)
+        )
+        # eta scales the leak's standard deviation: squaring eta itself
+        # would overflow for eta above about 1e154
+        capacity_se = q_used * math.hypot(
+            math.sqrt(message_variance), cfg.eta * math.sqrt(leak_variance)
+        )
 
     return TranscriptStats(
         protocol=cfg.protocol,
@@ -655,6 +655,8 @@ def _stats_from_tally(cfg: ProtocolConfig, tally: Tally) -> TranscriptStats:
         message_errors=message_errors,
         bit_error=bit_error,
         bit_error_se=bit_error_se,
+        message_entropy=message_entropy,
+        eve_info=eve_info,
         capacity=capacity,
         capacity_se=capacity_se,
         estimate_available=unavailable is None,

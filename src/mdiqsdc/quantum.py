@@ -32,6 +32,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .elementwise import as_floats, first_failure, maximum
+
 ATOL_NORM = 1e-12
 ATOL_HERMITIAN = 1e-12
 ATOL_TRACE = 1e-12
@@ -113,56 +115,36 @@ BELL_VECTORS.flags.writeable = False
 def validate_probability_vector(
     values: Iterable[float], *, name: str, length: int = 4
 ) -> tuple[float, ...]:
-    """Validate and normalize a probability vector.
+    """Validate and normalize a probability vector: floats, or equal-length
+    float64 arrays holding one vector per element.
 
     Components must be finite, each within [0, 1] up to a -1e-10 numeric
     floor (tiny negatives are clamped to zero), and sum to 1 within 1e-12.
-    The returned tuple is renormalized so both invariants hold exactly.
+    The returned tuple is renormalized so both invariants hold exactly. An
+    array reports its first failing vector with the message a float gets.
     """
-    vec = [float(v) for v in values]
+    vec = as_floats(values)
     if len(vec) != length:
         raise ValueError(f"{name} needs {length} components, got {len(vec)}")
-    if not all(math.isfinite(v) for v in vec):
-        raise ValueError(f"{name} components must be finite")
-    if any(v < EIGENVALUE_FLOOR or v > 1 + 1e-12 for v in vec):
-        raise ValueError(f"{name} components must lie in [0, 1]: {vec}")
-    total = sum(vec)
-    if abs(total - 1.0) > 1e-12:
+    in_range = True  # NaN and infinities fail too
+    total = 0.0
+    for v in vec:
+        in_range = in_range & (EIGENVALUE_FLOOR <= v) & (v <= 1 + 1e-12)
+        total = total + v
+    # the first failing vector, as floats, with the message of its first failing check
+    bad = first_failure(in_range & (abs(total - 1.0) <= 1e-12), [*vec, total])
+    if bad is not None:
+        *row, total = bad
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"{name} components must be finite")
+        if not all(EIGENVALUE_FLOOR <= v <= 1 + 1e-12 for v in row):
+            raise ValueError(f"{name} components must lie in [0, 1]: {row}")
         raise ValueError(f"{name} must sum to 1 within 1e-12, got {total!r}")
-    clamped = [max(v, 0.0) for v in vec]
-    norm = sum(clamped)
+    clamped = [maximum(v, 0.0) for v in vec]
+    norm = 0.0
+    for v in clamped:
+        norm = norm + v
     return tuple(v / norm for v in clamped)
-
-
-def _left_sum(rows: np.ndarray) -> np.ndarray:
-    """Row sums as the built-in ``sum`` adds them: from 0, left to right."""
-    total = np.zeros(len(rows))
-    for k in range(rows.shape[1]):
-        total = total + rows[:, k]
-    return total
-
-
-def validate_probability_rows(rows: np.ndarray, *, name: str) -> np.ndarray:
-    """:func:`validate_probability_vector` applied to every row of an (n, 4)
-    array, with the same checks, messages and rounding; the first failing row
-    is reported."""
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[1] != 4:
-        raise ValueError(f"{name} needs 4 components, got shape {rows.shape}")
-    finite = np.isfinite(rows).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"{name} components must be finite")
-    in_range = ((rows >= EIGENVALUE_FLOOR) & (rows <= 1 + 1e-12)).all(axis=1)
-    if not in_range.all():
-        vec = rows[np.argmin(in_range)].tolist()
-        raise ValueError(f"{name} components must lie in [0, 1]: {vec}")
-    total = _left_sum(rows)
-    off = np.abs(total - 1.0) > 1e-12
-    if off.any():
-        first = float(total[np.argmax(off)])
-        raise ValueError(f"{name} must sum to 1 within 1e-12, got {first!r}")
-    clamped = np.where(0.0 > rows, 0.0, rows)  # max(v, 0.0), signed zeros included
-    return clamped / _left_sum(clamped)[:, None]
 
 
 @dataclass(frozen=True)

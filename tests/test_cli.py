@@ -9,6 +9,7 @@ import sys
 import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape as sax_escape
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,14 +21,13 @@ from mdiqsdc.cli import (
     CSV_HEADER,
     MAX_GRID_POINTS,
     UsageError,
-    _curve_csv_lines,
+    _analytic_csv_lines,
     _parse_grid,
-    _row_from_point,
     _svg_text,
     build_parser,
     main,
 )
-from mdiqsdc.curves import analytic_curve, analytic_point
+from mdiqsdc.curves import analytic_point
 from mdiqsdc.protocol import Protocol
 
 NON_FINITE = ("nan", "inf", "-inf")
@@ -149,9 +149,11 @@ class TestSweep:
     def test_curve_rows_are_the_point_rows(self, protocol):
         xs = [-0.0, 0.0, 1e-9, 0.123456789, 0.3, 0.5]
         for q in (1.0, 0.0):  # q = 0 gives capacities of -0.0
-            lines = _curve_csv_lines(analytic_curve(protocol, xs, q=q))
-            expected = [_row_from_point(analytic_point(protocol, x, q=q)) for x in xs]
-            assert lines == expected
+            lines = _analytic_csv_lines(analytic_point(protocol, np.array(xs), q=q))
+            expected = [
+                line for x in xs for line in _analytic_csv_lines(analytic_point(protocol, x, q=q))
+            ]
+            assert len(lines) == len(xs) and lines == expected
 
     @given(st.floats(allow_nan=True, allow_infinity=True))
     def test_percent_g_formats_like_format(self, value):
@@ -559,6 +561,21 @@ class TestExitCodes:
         assert err.startswith("error: ") and message in err
         assert out == "" and "Traceback" not in err
 
+    @pytest.mark.parametrize("eta", ["1e308", "1e200"])
+    @pytest.mark.parametrize("p", ["0", "0.2"])
+    @pytest.mark.parametrize("protocol", ["mdi-ts", "mdi-dl04"])
+    def test_huge_gain_gap_runs(self, capsys, protocol, p, eta):
+        # eta squared overflows a float; the capacity SE must not need it
+        code, out, err = run_cli(
+            ["simulate", "--protocol", protocol, "--p", p, "--rounds", "2000", "--eta", eta],
+            capsys,
+        )
+        assert code == 0, err
+        assert "Traceback" not in err
+        assert "nan" not in out.lower() and "nan" not in err.lower()
+        _, rows = parse_csv(out)
+        assert all(math.isfinite(float(row["capacity_raw"])) for row in rows)
+
     def test_grid_point_cap_is_inclusive(self):
         step = 2.0**-21  # exact binary steps make the point count exact
         stop = (MAX_GRID_POINTS - 1) * step
@@ -579,7 +596,7 @@ class TestExitCodes:
             raise ValueError("injected internal failure")
 
         monkeypatch.setattr(mdiqsdc.curves, "analytic_point", broken)
-        monkeypatch.setattr(mdiqsdc.cli, "analytic_curve", broken)
+        monkeypatch.setattr(mdiqsdc.cli, "analytic_point", broken)
         monkeypatch.setattr(mdiqsdc.cli, "analytic_point_for_config", broken)
         code, _, err = run_cli(args, capsys)
         assert code == 4

@@ -1,14 +1,21 @@
 """The analytic twin of a Monte Carlo configuration against the per-round
 outcome distributions of both backends, over the whole config space, and
-the array evaluation of whole curves against the scalar one."""
+one grid call of the closed forms against one float call per grid point."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from mdiqsdc.curves import analytic_curve, analytic_point, analytic_point_for_config
-from mdiqsdc.infotheory import ErrorVector, binary_entropy, shannon_entropy
+from mdiqsdc.channels import ErrorRates, PauliDistribution, depolarizing_pauli_dist
+from mdiqsdc.curves import analytic_point, analytic_point_for_config
+from mdiqsdc.infotheory import (
+    ErrorVector,
+    binary_entropy,
+    eve_info_mdi_ts,
+    secrecy_capacity,
+    shannon_entropy,
+)
 from mdiqsdc.protocol import (
     AttackModel,
     NoisePlacement,
@@ -92,7 +99,7 @@ def test_twin_without_attack_is_the_curve_point(cfg):
 
 DEFAULT_GRID = [i * 0.005 for i in range(101)]
 FINE_GRID = [i * 0.0005 for i in range(1001)]
-CURVE_FIELDS = (
+POINT_FIELDS = (
     "x",
     "p",
     "eps_z",
@@ -105,7 +112,7 @@ CURVE_FIELDS = (
 )
 
 
-def _point_column(point, name):
+def _field(point, name):
     if name == "capacity_raw":
         return point.capacity.raw
     if name == "capacity_clamped":
@@ -113,16 +120,17 @@ def _point_column(point, name):
     return getattr(point, name)
 
 
-def assert_curve_matches_points(protocol, xs, **kwargs):
-    curve = analytic_curve(protocol, xs, **kwargs)
+def assert_grid_matches_points(protocol, xs, **kwargs):
+    grid = analytic_point(protocol, np.array(xs), **kwargs)
     points = [analytic_point(protocol, x, **kwargs) for x in xs]
-    assert curve.protocol == protocol
-    for name, column in zip(CURVE_FIELDS, curve.columns):
-        assert column is getattr(curve, name)
-        assert column.dtype == np.float64
-        expected = np.array([_point_column(pt, name) for pt in points], dtype=np.float64)
+    assert grid.protocol == protocol
+    for name in POINT_FIELDS:
+        column = _field(grid, name)
+        assert isinstance(column, np.ndarray) and column.dtype == np.float64
+        values = [_field(pt, name) for pt in points]
+        assert all(type(v) is float for v in values), name
         # bytes, so that signed zeros must match too
-        assert column.tobytes() == expected.tobytes(), name
+        assert column.tobytes() == np.array(values, dtype=np.float64).tobytes(), name
 
 
 @pytest.mark.parametrize("q, eta", [(1.0, 1.0), (0.8, 1.1)])
@@ -130,14 +138,14 @@ def assert_curve_matches_points(protocol, xs, **kwargs):
 @pytest.mark.parametrize("noise", tuple(NoisePlacement))
 @pytest.mark.parametrize("protocol", tuple(Protocol))
 def test_curve_equals_points_bit_for_bit(protocol, noise, encoding, q, eta):
-    assert_curve_matches_points(
+    assert_grid_matches_points(
         protocol, DEFAULT_GRID, noise=noise, encoding=encoding, q=q, eta=eta
     )
 
 
 def test_fine_grid_curve_equals_points_bit_for_bit():
     for protocol in Protocol:
-        assert_curve_matches_points(
+        assert_grid_matches_points(
             protocol,
             FINE_GRID,
             noise=NoisePlacement.BOTH_LEGS,
@@ -150,7 +158,43 @@ def test_fine_grid_curve_equals_points_bit_for_bit():
 def test_zero_gain_keeps_signed_zeros():
     # q = 0 turns a negative capacity into -0.0, which the clamp keeps, as max() does
     for protocol in Protocol:
-        assert_curve_matches_points(protocol, [-0.0, 0.0, 0.3, 0.5], q=0.0)
+        assert_grid_matches_points(protocol, [-0.0, 0.0, 0.3, 0.5], q=0.0)
+
+
+def _raises(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
+# Each check of the shared closed-form code, as (call, good value, bad value):
+# the call on an array whose first bad element is the bad value raises the
+# message the call on that float raises, although a later element is bad too.
+SHARED_CHECKS = {
+    "probability vector": (lambda v: PauliDistribution((v, 0.5, 0.0, 0.5 - v)), 0.25, np.nan),
+    "probability vector range": (lambda v: PauliDistribution((v, 1.0 - v, 0.0, 0.0)), 0.25, 1.25),
+    "probability vector sum": (lambda v: ErrorVector((0.5, 0.25, 0.25, v)), 0.0, 0.125),
+    "error rate": (lambda v: ErrorRates(0.25, v, 0.25), 0.25, -0.5),
+    "channel parameter": (depolarizing_pauli_dist, 0.25, 1.5),
+    "entropy argument": (binary_entropy, 0.25, 1.0000000000000002),
+    "entropy argument nan": (binary_entropy, 0.25, np.nan),
+    "leak argument": (lambda v: eve_info_mdi_ts(0.25, v), 0.25, 2.0),
+    "gain q": (lambda v: secrecy_capacity(1.0, 0.5, 0.5, q=v, eta=1.0), 0.25, 1.5),
+    "gain q nan": (lambda v: secrecy_capacity(1.0, 0.5, 0.5, q=v, eta=1.0), 0.25, np.nan),
+    "gain eta": (lambda v: secrecy_capacity(1.0, 0.5, 0.5, q=1.0, eta=v), 0.25, np.inf),
+    "gain eta negative": (lambda v: secrecy_capacity(1.0, 0.5, 0.5, q=1.0, eta=v), 0.25, -0.5),
+    "sweep position": (lambda v: analytic_point(Protocol.MDI_TS, v), 0.25, 0.5000000000000001),
+    "sweep position nan": (lambda v: analytic_point(Protocol.DL04, v), 0.25, np.nan),
+}
+
+
+@pytest.mark.parametrize("check", sorted(SHARED_CHECKS))
+def test_array_raises_the_float_message_of_its_first_bad_element(check):
+    call, good, bad = SHARED_CHECKS[check]
+    message = _raises(lambda: call(bad))
+    assert _raises(lambda: call(np.array([good, bad, good, -1.0, good]))) == message
+    call(good)
+    call(np.array([good, good]))
 
 
 @pytest.mark.parametrize(
@@ -172,5 +216,5 @@ def test_out_of_range_input_raises_like_the_scalar_path(protocol, xs, kwargs):
     with pytest.raises(ValueError) as scalar:
         analytic_point(protocol, bad_x, **kwargs)
     with pytest.raises(ValueError) as array:
-        analytic_curve(protocol, xs, **kwargs)
+        analytic_point(protocol, np.array(xs), **kwargs)
     assert str(array.value) == str(scalar.value)

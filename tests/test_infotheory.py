@@ -9,15 +9,11 @@ from scipy.optimize import brentq
 
 from mdiqsdc.curves import NoisePlacement, Protocol, analytic_point, zero_crossing
 from mdiqsdc.infotheory import (
-    NO_ERRORS,
     CapacityResult,
     ErrorVector,
     binary_entropy,
-    capacity_dl04_non_mdi,
-    capacity_mdi_dl04,
-    capacity_mdi_ts,
-    capacity_two_step_non_mdi,
     eve_info_mdi_ts,
+    secrecy_capacity,
     shannon_entropy,
 )
 
@@ -99,38 +95,57 @@ class TestEveInfo:
             eve_info_mdi_ts(1.5, 0.0)
 
 
+def mdi_ts_raw(errors, eps_z, eps_x, q=1.0, eta=1.0):
+    """Q {2 - H(E) - eta [h(eps_z) + h(eps_x)]}"""
+    return secrecy_capacity(
+        2.0, shannon_entropy(errors), eve_info_mdi_ts(eps_z, eps_x), q=q, eta=eta
+    )
+
+
+def mdi_dl04_raw(bit_error, eps_u, q=1.0, eta=1.0):
+    """Q [1 - h(e) - eta h(eps_u)]"""
+    return secrecy_capacity(
+        1.0, binary_entropy(bit_error), binary_entropy(eps_u), q=q, eta=eta
+    )
+
+
 class TestCapacityFormulas:
     def test_mdi_ts_noiseless_endpoint(self):
-        result = capacity_mdi_ts(NO_ERRORS, 0.0, 0.0)
+        result = analytic_point(Protocol.MDI_TS, 0.0).capacity
         assert result.raw == 2.0 and result.clamped == 2.0
+        assert mdi_ts_raw(ErrorVector((1.0, 0.0, 0.0, 0.0)), 0.0, 0.0) == 2.0
 
     def test_mdi_ts_fully_randomized(self):
-        result = capacity_mdi_ts(ErrorVector((0.25,) * 4), 0.5, 0.5)
+        result = CapacityResult(mdi_ts_raw(ErrorVector((0.25,) * 4), 0.5, 0.5))
         assert abs(result.raw + 2.0) < 1e-12
         assert result.clamped == 0.0
 
     def test_mdi_ts_scales_exactly_with_q(self):
         for q in (0.1, 0.5, 0.9):
-            result = capacity_mdi_ts(NO_ERRORS, 0.0, 0.0, q=q)
+            result = analytic_point(Protocol.MDI_TS, 0.0, q=q).capacity
             assert abs(result.raw - 2.0 * q) < 1e-15
 
     def test_mdi_dl04_endpoints(self):
-        assert capacity_mdi_dl04(0.0, 0.0).raw == 1.0
-        useless = capacity_mdi_dl04(0.5, 0.3)
-        assert useless.raw <= -binary_entropy(0.3) + 1e-12
+        assert analytic_point(Protocol.MDI_DL04, 0.0).capacity.raw == 1.0
+        assert mdi_dl04_raw(0.0, 0.0) == 1.0
+        assert mdi_dl04_raw(0.5, 0.3) <= -binary_entropy(0.3) + 1e-12
 
     def test_dl04_leakage_cap(self):
-        capped = capacity_dl04_non_mdi(0.1, 0.4, 0.3)
-        assert abs(capped.raw - (1 - binary_entropy(0.1) - 1.0)) < 1e-12
+        # single-use rates eps_x = eps_z = x, so the leak argument 2x is capped at 1/2
+        point = analytic_point(Protocol.DL04, 0.4)
+        assert point.eps_x + point.eps_z > 0.5
+        assert point.eve_info == 1.0
+        assert abs(point.capacity.raw - (1 - binary_entropy(0.4) - 1.0)) < 1e-12
 
     def test_dl04_noiseless(self):
-        assert capacity_dl04_non_mdi(0.0, 0.0, 0.0).raw == 1.0
+        assert analytic_point(Protocol.DL04, 0.0).capacity.raw == 1.0
 
     def test_two_step_noiseless(self):
-        assert capacity_two_step_non_mdi(NO_ERRORS, 0.0, 0.0).raw == 2.0
+        assert analytic_point(Protocol.TWO_STEP, 0.0).capacity.raw == 2.0
 
     def test_two_step_fully_depolarized_clamps(self):
-        result = capacity_two_step_non_mdi(ErrorVector((0.25,) * 4), 0.5, 0.5)
+        result = analytic_point(Protocol.TWO_STEP, 0.5).capacity
+        assert abs(result.raw + 2.0) < 1e-12
         assert result.clamped == 0.0
 
     @given(
@@ -140,43 +155,38 @@ class TestCapacityFormulas:
     )
     @settings(max_examples=100, deadline=None)
     def test_linear_in_q_affine_in_eta(self, q, eta, e):
-        base = capacity_mdi_dl04(e, e, q=1.0, eta=0.0).raw
-        slope = capacity_mdi_dl04(e, e, q=1.0, eta=1.0).raw - base
-        combined = capacity_mdi_dl04(e, e, q=q, eta=eta).raw
+        base = mdi_dl04_raw(e, e, q=1.0, eta=0.0)
+        slope = mdi_dl04_raw(e, e, q=1.0, eta=1.0) - base
+        combined = mdi_dl04_raw(e, e, q=q, eta=eta)
         assert abs(combined - q * (base + eta * slope)) < 1e-10
 
     def test_monotone_nonincreasing_in_each_error(self):
         grid = [k * 1e-3 for k in range(501)]
         previous = math.inf
         for e in grid:
-            raw = capacity_mdi_dl04(e, 0.1).raw
+            raw = mdi_dl04_raw(e, 0.1)
             assert raw <= previous + 1e-12
             previous = raw
         previous = math.inf
         for eps in grid:
-            raw = capacity_mdi_ts(NO_ERRORS, eps, 0.1).raw
-            assert raw <= previous + 1e-12
-            previous = raw
-        previous = math.inf
-        for eps in grid:
-            raw = capacity_dl04_non_mdi(0.05, eps, 0.1).raw
+            raw = mdi_ts_raw(ErrorVector((1.0, 0.0, 0.0, 0.0)), eps, 0.1)
             assert raw <= previous + 1e-12
             previous = raw
 
     def test_range_violations_raise(self):
         with pytest.raises(ValueError):
-            capacity_mdi_dl04(1.5, 0.0)
+            mdi_dl04_raw(1.5, 0.0)
         with pytest.raises(ValueError):
-            capacity_mdi_ts(NO_ERRORS, 0.0, 0.0, q=1.5)
+            secrecy_capacity(2.0, 0.0, 0.0, q=1.5, eta=1.0)
         with pytest.raises(ValueError):
-            capacity_mdi_ts(NO_ERRORS, 0.0, 0.0, eta=-0.5)
+            secrecy_capacity(2.0, 0.0, 0.0, q=1.0, eta=-0.5)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_gains_raise(self, bad):
         with pytest.raises(ValueError):
-            capacity_mdi_ts(NO_ERRORS, 0.0, 0.0, eta=bad)
+            secrecy_capacity(2.0, 0.0, 0.0, q=1.0, eta=bad)
         with pytest.raises(ValueError):
-            capacity_mdi_dl04(0.0, 0.0, q=bad)
+            secrecy_capacity(1.0, 0.0, 0.0, q=bad, eta=1.0)
 
 
 class TestCapacityResult:
@@ -197,7 +207,7 @@ class TestErrorVectorType:
             ErrorVector((1.5, -0.5, 0.0, 0.0))
 
     def test_first_component_is_no_error(self):
-        assert NO_ERRORS[0] == 1.0
+        assert ErrorVector((1.0, 0.0, 0.0, 0.0))[0] == 1.0
 
 
 class TestZeroCrossings:

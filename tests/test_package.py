@@ -1,8 +1,10 @@
-"""Package hygiene: no module imports a name it never uses, every name the
-package exports exists, and the command line starts without heavy imports."""
+"""Package hygiene: no module imports a name it never uses or defines one
+that nothing else mentions, every name the package exports exists, and the
+command line starts without heavy imports."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,7 @@ import mdiqsdc
 MODULES = sorted(
     path for path in Path(mdiqsdc.__file__).parent.glob("*.py") if path.name != "__init__.py"
 )
+ROOT = Path(mdiqsdc.__file__).resolve().parents[2]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,6 +42,57 @@ def test_no_unused_imports(path):
 def test_unused_import_detected():
     source = "from a import b, c\nimport d.e\nimport f as g\nprint(c, d)\n"
     assert unused_imports(source) == ["b (line 1)", "g (line 3)"]
+
+
+def defined_names(node: ast.stmt) -> list[str]:
+    """Names a top-level statement defines: a function, a class or constants."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else []
+    if isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    return [target.id for target in targets if isinstance(target, ast.Name)]
+
+
+def unreferenced_names(modules: dict[str, str], elsewhere: str) -> list[str]:
+    """Module-level names of ``modules`` (file name -> source) that appear as
+    a word nowhere but in their own definition: not in the rest of their
+    module, not in another module, not in the text ``elsewhere``."""
+    found = []
+    for filename, source in modules.items():
+        lines = source.splitlines()
+        others = [text for other, text in modules.items() if other != filename]
+        for node in ast.parse(source).body:
+            rest = "\n".join(lines[: node.lineno - 1] + lines[node.end_lineno :])
+            for name in defined_names(node):
+                word = re.compile(rf"\b{re.escape(name)}\b")
+                if not any(word.search(text) for text in (rest, *others, elsewhere)):
+                    found.append(f"{filename}:{name}")
+    return found
+
+
+def test_every_module_level_name_is_used_outside_tests():
+    """A function, class or constant of the package must be used by the
+    package, ``scripts/`` or ``perfbench/``; a name that only tests use is
+    surface to delete. ``__init__.py`` re-exports and so does not count."""
+    if not (ROOT / "scripts").is_dir() or not (ROOT / "perfbench").is_dir():
+        pytest.skip("needs a source checkout")
+    modules = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
+    elsewhere = "\n".join(
+        path.read_text(encoding="utf-8")
+        for folder in ("scripts", "perfbench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    )
+    assert unreferenced_names(modules, elsewhere) == []
+
+
+def test_unreferenced_name_detected():
+    modules = {
+        "a.py": "X: int = 1\ndef used():\n    return Y\ndef planted():\n    return planted()\n",
+        "b.py": "Y = 2\nprint(used)\n",
+    }
+    assert unreferenced_names(modules, "") == ["a.py:X", "a.py:planted"]
+    assert unreferenced_names(modules, "print(planted)") == ["a.py:X"]
 
 
 def test_all_names_resolve():

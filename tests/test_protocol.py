@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import mdiqsdc.protocol
 import mdiqsdc.quantum
 from mdiqsdc.channels import convolve, depolarizing_pauli_dist
+from mdiqsdc.infotheory import binary_entropy, shannon_entropy
 from mdiqsdc.protocol import (
     _KEYS,
     _LOST_KEY,
@@ -383,6 +384,32 @@ class TestEstimateStats:
         stats = _stats_from_tally(self._cfg(rounds=2), tally)
         assert not stats.estimate_available
         assert stats.unavailable_reason == "no message rounds"
+
+    @pytest.mark.parametrize("protocol", [Protocol.MDI_TS, Protocol.MDI_DL04])
+    def test_capacity_terms_carried_once(self, protocol):
+        stats = run(self._cfg(protocol=protocol, rounds=4000, channel_p=0.2, seed=3))
+        if protocol == Protocol.MDI_TS:
+            bits = 2.0
+            entropy = shannon_entropy(stats.message_errors)
+            eve_info = binary_entropy(stats.eps_z.rate) + binary_entropy(stats.eps_x.rate)
+        else:
+            bits = 1.0
+            entropy = binary_entropy(stats.bit_error)
+            eve_info = binary_entropy(stats.eps_y.rate)  # the default encoding is Y
+        assert stats.message_entropy == entropy and stats.eve_info == eve_info
+        assert stats.capacity.raw == stats.gain * (bits - entropy - eve_info)
+
+    @pytest.mark.parametrize("p", [0.0, 0.2])
+    @pytest.mark.parametrize("protocol", [Protocol.MDI_TS, Protocol.MDI_DL04])
+    def test_capacity_se_finite_for_any_finite_gain_gap(self, protocol, p):
+        base = run(self._cfg(protocol=protocol, rounds=4000, channel_p=p, seed=3))
+        for eta in (1e200, 1e308):
+            stats = run(self._cfg(protocol=protocol, rounds=4000, channel_p=p, seed=3, eta=eta))
+            assert math.isfinite(stats.capacity_se)
+            if p == 0.0:  # no leak, so eta does not reach the SE
+                assert stats.capacity_se == base.capacity_se
+            else:
+                assert stats.capacity_se > 1e-3 * eta
 
     def test_foreign_check_basis_rejected(self):
         # the entanglement protocol never draws Y

@@ -26,7 +26,6 @@ from mdiqsdc.quantum import (
     purify_bell_diagonal,
     single_photon,
     validate_density_stack,
-    validate_probability_rows,
     validate_probability_vector,
     tensor,
     von_neumann_entropy,
@@ -466,8 +465,8 @@ class TestTypeInvariants:
             psi.amplitudes[0] = 1.0
 
 
-class TestProbabilityRows:
-    """The row-wise rule is the scalar rule applied to every row."""
+class TestProbabilityArrays:
+    """Components given as arrays are the float rule applied to every element."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -478,35 +477,49 @@ class TestProbabilityRows:
         ),
         st.floats(-1e-10, 0.0),
     )
-    def test_rows_equal_the_scalar_rule(self, raw_rows, tiny_negative):
+    def test_arrays_equal_the_float_rule(self, raw_rows, tiny_negative):
         rows = [[v / sum(r) for v in r] for r in raw_rows]
         rows[0][1] += tiny_negative
         valid = [r for r in rows if abs(sum(r) - 1.0) <= 1e-12]
         if not valid:
             return
-        out = validate_probability_rows(np.array(valid), name="rows")
+        columns = tuple(np.array(valid).T.copy())
+        out = validate_probability_vector(columns, name="rows")
         expected = np.array([validate_probability_vector(r, name="rows") for r in valid])
-        assert out.tobytes() == expected.tobytes()
+        assert all(isinstance(c, np.ndarray) for c in out)
+        assert np.stack(out, axis=1).tobytes() == expected.tobytes()
+
+    def test_float_components_stay_floats(self):
+        out = validate_probability_vector((np.float64(0.5), 0.5, 0, 0.0), name="rows")
+        assert [type(v) for v in out] == [float] * 4
 
     @pytest.mark.parametrize(
         "bad",
         [
             [0.5, 0.5, float("nan"), 0.0],
+            [0.5, 0.5, float("inf"), 0.0],
             [1.5, -0.5, 0.0, 0.0],
             [0.5, 0.5, 1e-9, 0.0],
             [-2e-10, 1.0, 0.0, 2e-10],
         ],
     )
-    def test_first_bad_row_raises_the_scalar_message(self, bad):
+    def test_first_bad_element_raises_the_float_message(self, bad):
         with pytest.raises(ValueError) as scalar:
             validate_probability_vector(bad, name="rows")
         with pytest.raises(ValueError) as array:
-            validate_probability_rows(np.array([[1.0, 0.0, 0.0, 0.0], bad, bad]), name="rows")
+            columns = tuple(np.array([[1.0, 0.0, 0.0, 0.0], bad, bad]).T.copy())
+            validate_probability_vector(columns, name="rows")
         assert str(array.value) == str(scalar.value)
 
-    def test_wrong_width_rejected(self):
+    def test_each_element_gets_its_own_message(self):
+        # a range failure before a non-finite element reports the range
+        rows = [[1.5, -0.5, 0.0, 0.0], [0.5, 0.5, float("nan"), 0.0]]
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]: \[1.5, -0.5, 0.0, 0.0\]"):
+            validate_probability_vector(tuple(np.array(rows).T.copy()), name="rows")
+
+    def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="needs 4 components"):
-            validate_probability_rows(np.zeros((2, 3)), name="rows")
+            validate_probability_vector(tuple(np.zeros((3, 2))), name="rows")
 
 
 def random_density_matrices(rng, count, dim):

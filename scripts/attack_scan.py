@@ -10,7 +10,7 @@ this leaves a 25% disagreement rate in the checks.
 import argparse
 import sys
 
-from mdiqsdc.protocol import AttackModel, Protocol, ProtocolConfig, run
+from mdiqsdc.protocol import MAX_ROUNDS, AttackModel, Protocol, ProtocolConfig, run
 
 
 def scan(rounds: int, seed: int) -> None:
@@ -45,6 +45,8 @@ def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value > MAX_ROUNDS:
+        raise argparse.ArgumentTypeError(f"must be at most 2**63 - 1, got {value}")
     return value
 
 

@@ -26,6 +26,7 @@ from .curves import (
     zero_crossing,
 )
 from .elementwise import as_list
+from .infotheory import ETA_MAX
 from .protocol import (
     AttackModel,
     NoisePlacement,
@@ -264,7 +265,7 @@ def _as_float(name: str, value) -> float:
     return number
 
 
-def _in_range(name: str, value: float, lo: float, hi: float = math.inf) -> float:
+def _in_range(name: str, value: float, lo: float, hi: float) -> float:
     if not lo <= value <= hi:
         raise UsageError(f"{name}={value!r} outside [{lo:g}, {hi:g}]")
     return value
@@ -362,7 +363,7 @@ def _resolve_common(args: argparse.Namespace):
     if encoding_name not in _ENCODINGS:
         raise UsageError(f"unknown encoding {encoding_name!r}")
     q = _in_range("q", _as_float("q", _merged(args, "q", 1.0)), 0.0, 1.0)
-    eta = _in_range("eta", _as_float("eta", _merged(args, "eta", 1.0)), 0.0)
+    eta = _in_range("eta", _as_float("eta", _merged(args, "eta", 1.0)), 0.0, ETA_MAX)
     return noise_placement, _ENCODINGS[encoding_name], q, eta
 
 

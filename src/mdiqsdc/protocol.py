@@ -8,21 +8,21 @@ outcome, the swap correction, then either a correlation check or a message
 single-photon protocol). The frame bookkeeping rests on one identity that
 the exact 16-dimensional oracle verifies: after the swap correction, the
 shared pair differs from the singlet exactly by the composed Pauli error of
-the two legs, independently of the announced Bell outcome. The sampler
-therefore draws that composed error once per round and never draws the
-Bell outcome (Aaronson & Gottesman, PRA 70, 052328 (2004), for Pauli-frame
-tracking). Rounds are drawn and tallied in fixed blocks, so memory does not
-grow with the number of rounds; :func:`run` runs either protocol. Each block
-has its own generator, seeded from the run's seed and the block's index, so
-the blocks run on up to two CPUs in any order and a transcript depends
-only on the seed and the number of rounds. A block draws only what reaches
-an outcome, packs each round into one small outcome key and counts the keys
-with one ``bincount``; the label algebra then maps each key to its check or
-message outcome once per run, not once per round.
+the two legs, independently of the announced Bell outcome. A round
+therefore carries that composed error as its one frame label and no Bell
+outcome (Aaronson & Gottesman, PRA 70, 052328 (2004), for Pauli-frame
+tracking). Every round is i.i.d. and reaches exactly one of a few outcome
+keys, each holding only what the round's outcome depends on, so a run's key
+counts are exactly multinomial: the key law is computed by pushing the
+weights of every label combination through the key rule, and a run is one
+multinomial draw from a generator seeded with the run's seed (Devroye,
+*Non-Uniform Random Variate Generation*, 1986). Its time and memory do not
+depend on the number of rounds; :func:`run` runs either protocol. The label
+algebra then maps each key to its check or message outcome once per run.
 
 :func:`round_error_dists` is the one composition of a round's errors: the
 pair frame and the re-transmission error it returns feed all three
-consumers, namely the sampler, the label-algebra backend and the
+consumers, namely the key law of a run, the label-algebra backend and the
 closed-form curves of ``curves``. It takes a float channel parameter or an
 array of them, so the curves compose a whole sweep grid in one call.
 
@@ -36,11 +36,9 @@ Separate runs share no state and may also execute concurrently.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -53,6 +51,7 @@ from .channels import (
     error_rate_in_basis,
 )
 from .infotheory import (
+    ETA_MAX,
     CapacityResult,
     ErrorVector,
     binary_entropy,
@@ -122,6 +121,10 @@ MESSAGE_BASIS: dict[PauliLabel, PauliLabel] = {
 }
 
 
+# The most rounds one run draws: the largest count numpy's multinomial takes.
+MAX_ROUNDS = 2**63 - 1
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Complete, seedable description of one Monte Carlo run."""
@@ -139,13 +142,12 @@ class ProtocolConfig:
     attack_bases: tuple[PauliLabel, ...] = (PauliLabel.Z, PauliLabel.X)
     attack_leg: str = "alice"
     transmittance: float = 1.0
-    decode_with_cover: bool = True
 
     def __post_init__(self) -> None:
         if self.protocol not in (Protocol.MDI_TS, Protocol.MDI_DL04):
             raise ValueError("only the two MDI protocols can be simulated")
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
+        if not 1 <= self.rounds <= MAX_ROUNDS:
+            raise ValueError(f"rounds must lie in [1, {MAX_ROUNDS}]")
         if not 0.0 < self.check_fraction < 1.0:
             raise ValueError("check_fraction must lie strictly in (0, 1)")
         if not 0.0 <= self.channel_p <= 1.0:
@@ -156,8 +158,8 @@ class ProtocolConfig:
             raise ValueError("the bit-1 encoding operator cannot be the identity")
         if self.q_override is not None and not 0.0 <= self.q_override <= 1.0:
             raise ValueError("gain override must lie in [0, 1]")
-        if not math.isfinite(self.eta) or self.eta < 0.0:
-            raise ValueError("gain gap must be finite and nonnegative")
+        if not 0.0 <= self.eta <= ETA_MAX:  # NaN fails
+            raise ValueError(f"gain gap eta={self.eta!r} outside [0, {ETA_MAX:g}]")
         if not 0.0 <= self.transmittance <= 1.0:
             raise ValueError("transmittance must lie in [0, 1]")
         if self.attack_leg not in ("alice", "bob"):
@@ -297,194 +299,66 @@ def round_error_dists_for_config(cfg: ProtocolConfig) -> RoundErrorDists:
     return round_error_dists(cfg.protocol, cfg.channel_p, cfg.noise, eve, cfg.attack_leg)
 
 
-# Rounds drawn and tallied per block; peak memory of a run is set by this
-# constant and the number of workers (at most _MAX_WORKERS), not by the
-# number of rounds.
-CHUNK_ROUNDS = 1 << 15
-
-
-def _label_cuts(dist: PauliDistribution) -> np.ndarray:
-    """Inverse-CDF thresholds of a Pauli distribution: label k is drawn for
-    a uniform u in [cuts[k-1], cuts[k]). Labels after the last one of
-    nonzero weight get threshold 1 and are never drawn, whatever the
-    rounding of the cumulative sum."""
-    probs = np.asarray(dist.probabilities)
-    cdf = np.cumsum(probs)
-    cdf[np.flatnonzero(probs)[-1] :] = 1.0
-    return cdf[:-1]
-
-
-def _labels(cuts: np.ndarray, u: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Fill uint8 ``out`` with the labels of uniforms ``u`` by inverse CDF:
-    the number of thresholds at or below each u, which is
-    ``np.searchsorted(cuts, u, side="right")`` without the per-element
-    binary search. ``scratch`` is a uint8 array of the same shape."""
-    out.fill(0)
-    flag = scratch.view(np.bool_)
-    for cut in cuts:
-        np.greater_equal(u, cut, out=flag)
-        out += scratch
-    return out
-
-
-# Outcome keys, laid out in :func:`_block`; setting the four low bits of
-# any message key gives the lost-round key.
+# Outcome keys, laid out in :func:`_outcome_keys`; setting the four low bits
+# of any message key gives the lost-round key.
 _MESSAGE_KEY = 16
 _LOST_KEY = _MESSAGE_KEY | 15
 _KEYS = _LOST_KEY + 1
 
 
-@dataclass(frozen=True)
-class _Draws:
-    """What every block of one run draws from: inverse-CDF thresholds and
-    which of the optional draws are made."""
+def _outcome_keys(cfg: ProtocolConfig, frame, role, second, bit, arrived) -> np.ndarray:
+    """Outcome keys of rounds given as broadcasting integer label arrays:
+    pair ``frame``, ``role`` (index into :func:`check_bases`, or their
+    number for a message round), re-transmission error ``second``,
+    single-photon ``bit``, and whether a message round's photons all
+    ``arrived``. A check round in basis i with frame f has key 4 i + f; a
+    message round ``_MESSAGE_KEY`` + net (entanglement protocol) or
+    ``_MESSAGE_KEY`` + 2 net + bit (single-photon protocol), with net =
+    second ^ frame (label products are XOR in the I, X, Y, Z = 0..3
+    numbering); a lost one ``_LOST_KEY``. The symbol, Bob's cover (which he
+    undoes) and Alice's check bit cancel out of every key, so they are no
+    labels.
+    """
+    net = second ^ frame
+    message = net if cfg.protocol == Protocol.MDI_TS else 2 * net + bit
+    message = np.where(arrived, _MESSAGE_KEY + message, _LOST_KEY)
+    return np.where(role < len(check_bases(cfg)), 4 * role + frame, message)
 
-    seed: int
-    rounds: int
-    frame_cuts: np.ndarray
-    role_cuts: np.ndarray  # cf (b + 1) / n_bases; u at or above the last: a message round
-    second_cuts: np.ndarray | None  # re-transmission error, both-legs noise only
-    cover: bool  # entanglement protocol decoded without Bob's cover
-    bit: bool  # single-photon protocol
-    arrival: float  # probability that a message round's photons all arrive
 
-
-def _draws(cfg: ProtocolConfig, dists: RoundErrorDists | None = None) -> _Draws:
-    """The :class:`_Draws` of ``cfg``; ``dists`` is
-    :func:`round_error_dists_for_config` of ``cfg``, composed here when not
-    given."""
-    frame_dist, second_dist = dists if dists is not None else round_error_dists_for_config(cfg)
+def _key_probabilities(cfg: ProtocolConfig, dists: RoundErrorDists | None = None) -> np.ndarray:
+    """(_KEYS,) law of one round's key: every label combination of
+    :func:`_outcome_keys` pushed through the key rule with the product of
+    its weights, namely ``dists`` (:func:`round_error_dists_for_config`,
+    composed when not given) for frame and second, check_fraction / bases
+    per check basis, 1/2 per bit, and the transmittance per photon in flight.
+    """
+    frame, second = dists if dists is not None else round_error_dists_for_config(cfg)
     n_bases = len(check_bases(cfg))
     entangled = cfg.protocol == Protocol.MDI_TS
-    return _Draws(
-        seed=int(cfg.seed),
-        rounds=cfg.rounds,
-        frame_cuts=_label_cuts(frame_dist),
-        role_cuts=cfg.check_fraction * np.arange(1, n_bases + 1) / n_bases,
-        second_cuts=_label_cuts(second_dist) if cfg.noise == NoisePlacement.BOTH_LEGS else None,
-        cover=entangled and not cfg.decode_with_cover,
-        bit=not entangled,
-        arrival=cfg.transmittance ** (2 if entangled else 1),  # photons in flight
+    arrival = cfg.transmittance ** (2 if entangled else 1)
+    weights = (
+        np.asarray(frame.probabilities),
+        np.array([cfg.check_fraction / n_bases] * n_bases + [1.0 - cfg.check_fraction]),
+        np.asarray(second.probabilities),
+        np.array([1.0] if entangled else [0.5, 0.5]),
+        np.array([1.0 - arrival, arrival]),
     )
-
-
-def _workspace(rounds: int) -> tuple[np.ndarray, ...]:
-    """One worker's buffers for blocks of up to ``rounds`` rounds: the
-    uniforms (later the keys as ``bincount``'s intp input) and four uint8
-    arrays (key, check key, check flag, second error) plus a uint8 scratch."""
-    return (np.empty(rounds),) + tuple(np.empty(rounds, dtype=np.uint8) for _ in range(5))
-
-
-def _block(draws: _Draws, k: int, workspace: tuple[np.ndarray, ...]) -> np.ndarray:
-    """The (_KEYS,) counts of outcome keys of block ``k``: rounds
-    ``k * CHUNK_ROUNDS`` onwards, at most CHUNK_ROUNDS of them, run in the
-    Pauli frame.
-
-    Block k draws from its own generator, ``np.random.default_rng(
-    np.random.SeedSequence(seed, spawn_key=(k,)))``, so a transcript depends
-    only on (seed, rounds) and blocks can run in any order. A block draws,
-    in this order, only what reaches a key: the pair frame from the
-    composed first-leg distribution; one uniform for the round's role, by
-    inverse CDF over ``role_cuts`` (check basis b, or a message round);
-    Bob's cover (entanglement protocol decoded without it); the
-    re-transmission error (both-legs noise); the encoded bit
-    (single-photon protocol); and photon arrival (lossy channel). Frame and
-    re-transmission error are drawn from :func:`round_error_dists`, as the
-    Pauli-frame backend enumerates them.
-
-    Each round becomes one uint8 key holding only what its outcome depends
-    on, and :func:`_fold` maps keys to outcomes. A check round in the basis
-    of index i with pair frame f has key 4 i + f. A message round has key
-    ``_MESSAGE_KEY`` + net (entanglement protocol) or ``_MESSAGE_KEY`` +
-    2 net + bit (single-photon protocol), where net is its Pauli label
-    without the encoding; a lost one has ``_LOST_KEY``. Label products are
-    bitwise XOR in the I, X, Y, Z = 0..3 numbering (``PAULI_PRODUCT``).
-    The entanglement protocol's symbol, Alice's check bit and, under cover
-    decoding, the cover cancel out of every key and are not drawn. Every
-    array is a slice of ``workspace`` (:func:`_workspace`), filled in place.
-    """
-    n = min(CHUNK_ROUNDS, draws.rounds - k * CHUNK_ROUNDS)
-    rng = np.random.default_rng(np.random.SeedSequence(draws.seed, spawn_key=(k,)))
-    u, key, check, is_check, second, scratch = (buffer[:n] for buffer in workspace)
-    _labels(draws.frame_cuts, rng.random(n, out=u), key, scratch)
-    rng.random(n, out=u)
-    np.less(u, draws.role_cuts[-1], out=is_check.view(np.bool_))
-    _labels(draws.role_cuts[:-1], u, check, scratch)  # the basis index on check rounds
-    check <<= 2
-    check |= key
-    if draws.cover:
-        key ^= rng.integers(0, 4, size=n, dtype=np.uint8)
-    if draws.second_cuts is not None:
-        key ^= _labels(draws.second_cuts, rng.random(n, out=u), second, scratch)
-    if draws.bit:
-        key <<= 1
-        key |= rng.integers(0, 2, size=n, dtype=np.uint8)
-    key += _MESSAGE_KEY
-    # bitwise selects: a copy under a random mask costs several times more
-    if draws.arrival < 1.0:
-        np.greater_equal(rng.random(n, out=u), draws.arrival, out=scratch.view(np.bool_))
-        scratch *= _LOST_KEY - _MESSAGE_KEY
-        key |= scratch
-    check ^= key
-    check *= is_check
-    key ^= check  # check rounds take their check key
-    index = u.view(np.intp)
-    index[...] = key
-    return np.bincount(index, minlength=_KEYS)
-
-
-# Threads one run may use. The block sampler is measured on two CPUs only
-# (BENCH_9.json); raise this only after a benchmark shows that more help. The cap also keeps
-# peak memory, about workers x 0.43 MB, the same on every host.
-_MAX_WORKERS = 2
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
+    product = reduce(np.multiply.outer, weights)
+    keys = _outcome_keys(cfg, *np.indices(product.shape))
+    return np.bincount(keys.ravel(), weights=product.ravel(), minlength=_KEYS)
 
 
 def _count_keys(cfg: ProtocolConfig, dists: RoundErrorDists | None = None) -> np.ndarray:
-    """(_KEYS,) outcome-key counts of all of ``cfg``'s rounds.
-
-    The blocks of :func:`_block` are dealt out in turn to at most
-    ``_MAX_WORKERS`` threads, never more than the usable CPUs or the
-    blocks: worker w runs blocks w, w + workers, ... One worker is the
-    calling thread, so a one-block run starts none. numpy releases the GIL
-    inside the draws and most array operations. Each worker sums its own
-    counts in its own workspace, all allocated before any thread starts, so
-    the result and the peak memory do not depend on thread timing. An
-    exception in any block stops the other workers after their current
-    block and is raised here.
+    """(_KEYS,) key counts of ``cfg``'s rounds. The rounds are i.i.d., so the
+    counts are Multinomial(rounds, :func:`_key_probabilities`), drawn at once
+    from ``np.random.default_rng(seed)``. Keys of zero probability stay out
+    of the draw, so none is counted whatever the rounding of the others.
     """
-    draws = _draws(cfg, dists)
-    blocks = -(-cfg.rounds // CHUNK_ROUNDS)
-    workers = min(_MAX_WORKERS, _usable_cpus(), blocks)
-    workspaces = [_workspace(min(CHUNK_ROUNDS, cfg.rounds)) for _ in range(workers)]
-    totals = np.zeros((workers, _KEYS), dtype=np.int64)
-    failures: list[BaseException] = []
-
-    def work(w: int) -> None:
-        try:
-            for k in range(w, blocks, workers):
-                if failures:
-                    return
-                totals[w] += _block(draws, k, workspaces[w])
-        except BaseException as exc:  # re-raised by the calling thread below
-            failures.append(exc)
-
-    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    work(0)
-    for thread in threads:
-        thread.join()
-    if failures:
-        raise failures[0]
-    return totals.sum(axis=0)
+    probs = _key_probabilities(cfg, dists)
+    support = np.flatnonzero(probs)
+    counts = np.zeros(_KEYS, dtype=np.int64)
+    counts[support] = np.random.default_rng(cfg.seed).multinomial(cfg.rounds, probs[support])
+    return counts
 
 
 @dataclass
@@ -506,15 +380,18 @@ class Tally:
 
     @property
     def rounds(self) -> int:
-        return int(self.checks.sum()) + self.message_rounds
+        return self.checks.sum().item() + self.message_rounds
 
     @property
     def decoded_rounds(self) -> int:
-        return int(self.message_diffs.sum())
+        return self.message_diffs.sum().item()
 
 
 def _fold(cfg: ProtocolConfig, counts: np.ndarray) -> Tally:
-    """The :class:`Tally` of (_KEYS,) outcome-key counts from :func:`_block`.
+    """The :class:`Tally` of (_KEYS,) outcome-key counts, laid out by
+    :func:`_outcome_keys`. Integer counts give a transcript's tally; float
+    counts, such as :func:`_key_probabilities`, give a tally of the same
+    dtype.
 
     A check round errs when its pair frame anticommutes with the basis: the
     singlet reference is anti-correlated in every basis. A message round's
@@ -522,7 +399,11 @@ def _fold(cfg: ProtocolConfig, counts: np.ndarray) -> Tally:
     single-photon protocol the decoded bit is 1 exactly when the encoded
     pair label anticommutes with the message basis.
     """
-    tally = Tally(message_rounds=int(counts[_MESSAGE_KEY:].sum()))
+    tally = Tally(
+        checks=np.zeros((4, 2), dtype=counts.dtype),
+        message_rounds=counts[_MESSAGE_KEY:].sum().item(),
+        message_diffs=np.zeros(4, dtype=counts.dtype),
+    )
     for index, basis in enumerate(check_bases(cfg)):
         for frame in range(4):
             tally.checks[basis, ANTICOMMUTES[frame][basis]] += counts[4 * index + frame]
@@ -668,11 +549,13 @@ def _stats_from_tally(cfg: ProtocolConfig, tally: Tally) -> TranscriptStats:
 def run(cfg: ProtocolConfig, dists: RoundErrorDists | None = None) -> TranscriptStats:
     """Monte Carlo run of the configured MDI protocol.
 
-    Per round: sample the pair frame, then either a correlation check or a
+    Each round has a pair frame, then either a correlation check or a
     message: a dense-coding symbol under Bob's random cover (entanglement
-    protocol) or one bit read out in the conjugate single-photon basis.
-    Deterministic given the config seed, on any number of CPUs; memory
-    does not grow with rounds.
+    protocol) or one bit read out in the conjugate single-photon basis. The
+    rounds are i.i.d. and each reaches one of ``_KEYS`` outcome keys, so the
+    whole transcript is one multinomial draw of key counts
+    (:func:`_count_keys`), whose time and memory do not depend on the number
+    of rounds. Deterministic given the config seed.
     A caller that already holds :func:`round_error_dists_for_config` of
     ``cfg`` passes it as ``dists``.
     """
@@ -715,13 +598,11 @@ def pauli_frame_round_distributions(cfg: ProtocolConfig) -> dict[str, np.ndarray
         pair_bell[_BELL_OF_PAULI[pauli]] = frame_dist[pauli]
     out["pair_frame"] = np.tile(pair_bell, (4, 1))
 
+    agree = np.eye(2, dtype=bool)  # both outcomes of a pair equal
     check_joint = np.zeros((len(bases), 4, 2, 2))
     for bi, basis in enumerate(bases):
         parallel = error_rate_in_basis(frame, basis)
-        for a in (0, 1):
-            for b in (0, 1):
-                prob = parallel if a == b else 1.0 - parallel
-                check_joint[bi, :, a, b] = 0.5 * prob
+        check_joint[bi] = 0.5 * np.where(agree, parallel, 1.0 - parallel)
     out["check_joint"] = check_joint
 
     if cfg.protocol == Protocol.MDI_TS:
@@ -748,10 +629,7 @@ def pauli_frame_round_distributions(cfg: ProtocolConfig) -> dict[str, np.ndarray
         for k in (0, 1):
             enc_flip = ANTICOMMUTES[cfg.dl04_encoding][m] if k == 1 else 0
             parallel = (1.0 - flip) if enc_flip else flip
-            for ra in (0, 1):
-                for rb in (0, 1):
-                    prob = parallel if ra == rb else 1.0 - parallel
-                    message_joint[:, k, ra, rb] = 0.5 * prob
+            message_joint[:, k] = 0.5 * np.where(agree, parallel, 1.0 - parallel)
         out["message_joint"] = message_joint
         out["bit_error"] = np.array([flip])
     return out

@@ -4,8 +4,10 @@ import contextlib
 import hashlib
 import io
 import math
+import re
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape as sax_escape
 
@@ -28,9 +30,11 @@ from mdiqsdc.cli import (
     main,
 )
 from mdiqsdc.curves import analytic_point
-from mdiqsdc.protocol import Protocol
+from mdiqsdc.infotheory import ETA_MAX
+from mdiqsdc.protocol import MAX_ROUNDS, Protocol
 
 NON_FINITE = ("nan", "inf", "-inf")
+NON_FINITE_TOKEN = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
 
 
 def run_cli(args, capsys):
@@ -260,110 +264,111 @@ class TestSimulate:
         assert "capacity" in err
 
     # SHA-256 of stdout then stderr of ``simulate --p 0.2 --seed 29``, taken
-    # when each block got its own seed sequence and stopped drawing what
-    # reaches no outcome key (each output was within 5 SE of its analytic
-    # twin); any change to the draws or to how they are counted shows here
-    MULTI_BLOCK = 2 * 65536 + 17
+    # when a run's key counts became one multinomial draw (each output was
+    # within 5 SE of its analytic twin by perfbench/gate.py, and a rerun gave
+    # the same bytes); any change to the draw or to how the counts are read
+    # shows here
+    LARGE = 2 * 65536 + 17
     SIMULATE_SHA256 = {
         ("mdi-ts", "first-leg-only", "none", "x", 2000):
-            "8e2148a7394a590486d8edc00345125ab07840b2504ceba0c356ff53f86b7003",
-        ("mdi-ts", "first-leg-only", "none", "x", MULTI_BLOCK):
-            "5046448d1b4062bfe237c577182d264fdb86ec34b2b9b1fe7b1f20edaa165967",
+            "df723b47321b6264e00122dc95416b467f2f4b43738b140ae9c4eba3a0127169",
+        ("mdi-ts", "first-leg-only", "none", "x", LARGE):
+            "cc9b54a1c1f8d8b53f554f309c50e43b35779bd82f8fc80c5fe21a31c191182a",
         ("mdi-ts", "first-leg-only", "none", "y", 2000):
-            "8e2148a7394a590486d8edc00345125ab07840b2504ceba0c356ff53f86b7003",
-        ("mdi-ts", "first-leg-only", "none", "y", MULTI_BLOCK):
-            "5046448d1b4062bfe237c577182d264fdb86ec34b2b9b1fe7b1f20edaa165967",
+            "df723b47321b6264e00122dc95416b467f2f4b43738b140ae9c4eba3a0127169",
+        ("mdi-ts", "first-leg-only", "none", "y", LARGE):
+            "cc9b54a1c1f8d8b53f554f309c50e43b35779bd82f8fc80c5fe21a31c191182a",
         ("mdi-ts", "first-leg-only", "none", "z", 2000):
-            "8e2148a7394a590486d8edc00345125ab07840b2504ceba0c356ff53f86b7003",
-        ("mdi-ts", "first-leg-only", "none", "z", MULTI_BLOCK):
-            "5046448d1b4062bfe237c577182d264fdb86ec34b2b9b1fe7b1f20edaa165967",
+            "df723b47321b6264e00122dc95416b467f2f4b43738b140ae9c4eba3a0127169",
+        ("mdi-ts", "first-leg-only", "none", "z", LARGE):
+            "cc9b54a1c1f8d8b53f554f309c50e43b35779bd82f8fc80c5fe21a31c191182a",
         ("mdi-ts", "first-leg-only", "intercept-resend", "x", 2000):
-            "99e0b624b006d1e2886aa894b56d2f33328dc295d767e52a2b42555bd833917f",
-        ("mdi-ts", "first-leg-only", "intercept-resend", "x", MULTI_BLOCK):
-            "fc03f10ac6eaa401b1980512730ffa00e58c8eb02fcde175860320f8199eadc2",
+            "04cca53f62ed341f707af6cb3b668dcea5b75bb6f60caf3e790f841228766f6c",
+        ("mdi-ts", "first-leg-only", "intercept-resend", "x", LARGE):
+            "cff69f57810f757f3ce5798c9f58899d62ff70375c6cfad337af55f3f446d330",
         ("mdi-ts", "first-leg-only", "intercept-resend", "y", 2000):
-            "99e0b624b006d1e2886aa894b56d2f33328dc295d767e52a2b42555bd833917f",
-        ("mdi-ts", "first-leg-only", "intercept-resend", "y", MULTI_BLOCK):
-            "fc03f10ac6eaa401b1980512730ffa00e58c8eb02fcde175860320f8199eadc2",
+            "04cca53f62ed341f707af6cb3b668dcea5b75bb6f60caf3e790f841228766f6c",
+        ("mdi-ts", "first-leg-only", "intercept-resend", "y", LARGE):
+            "cff69f57810f757f3ce5798c9f58899d62ff70375c6cfad337af55f3f446d330",
         ("mdi-ts", "first-leg-only", "intercept-resend", "z", 2000):
-            "99e0b624b006d1e2886aa894b56d2f33328dc295d767e52a2b42555bd833917f",
-        ("mdi-ts", "first-leg-only", "intercept-resend", "z", MULTI_BLOCK):
-            "fc03f10ac6eaa401b1980512730ffa00e58c8eb02fcde175860320f8199eadc2",
+            "04cca53f62ed341f707af6cb3b668dcea5b75bb6f60caf3e790f841228766f6c",
+        ("mdi-ts", "first-leg-only", "intercept-resend", "z", LARGE):
+            "cff69f57810f757f3ce5798c9f58899d62ff70375c6cfad337af55f3f446d330",
         ("mdi-ts", "both-legs", "none", "x", 2000):
-            "375e789aa6f148b722641ebfc5406c3d55842e10883807d835c0606be8b4faff",
-        ("mdi-ts", "both-legs", "none", "x", MULTI_BLOCK):
-            "3d246c9406a27c812ef065f636496adcecd10734a53372810fbb2cbd019b50f2",
+            "35fe812df0a5c47a2ddd9022a32d6aae1ef1d58a176710b7e62bd75dbdd57af9",
+        ("mdi-ts", "both-legs", "none", "x", LARGE):
+            "898c2f24e229f6d5764c450fb648f5bef294db54510da9b9d929f249743484ec",
         ("mdi-ts", "both-legs", "none", "y", 2000):
-            "375e789aa6f148b722641ebfc5406c3d55842e10883807d835c0606be8b4faff",
-        ("mdi-ts", "both-legs", "none", "y", MULTI_BLOCK):
-            "3d246c9406a27c812ef065f636496adcecd10734a53372810fbb2cbd019b50f2",
+            "35fe812df0a5c47a2ddd9022a32d6aae1ef1d58a176710b7e62bd75dbdd57af9",
+        ("mdi-ts", "both-legs", "none", "y", LARGE):
+            "898c2f24e229f6d5764c450fb648f5bef294db54510da9b9d929f249743484ec",
         ("mdi-ts", "both-legs", "none", "z", 2000):
-            "375e789aa6f148b722641ebfc5406c3d55842e10883807d835c0606be8b4faff",
-        ("mdi-ts", "both-legs", "none", "z", MULTI_BLOCK):
-            "3d246c9406a27c812ef065f636496adcecd10734a53372810fbb2cbd019b50f2",
+            "35fe812df0a5c47a2ddd9022a32d6aae1ef1d58a176710b7e62bd75dbdd57af9",
+        ("mdi-ts", "both-legs", "none", "z", LARGE):
+            "898c2f24e229f6d5764c450fb648f5bef294db54510da9b9d929f249743484ec",
         ("mdi-ts", "both-legs", "intercept-resend", "x", 2000):
-            "c7ccffeda11b938d71739ace7f9244501c1d53486d257e4e4b2480b90d523374",
-        ("mdi-ts", "both-legs", "intercept-resend", "x", MULTI_BLOCK):
-            "30168ca8bf11ad197f74cc9772bdaf5c7848ffec0e7a678d5c2888ca729dc345",
+            "1a8069a16da39f68695722136de80e103bc668500262f160c8e62dba15ebf735",
+        ("mdi-ts", "both-legs", "intercept-resend", "x", LARGE):
+            "4001e32698dc2fd8c92dcb3174aab3f22ac791c221168a159ffc0dd56ca5d49a",
         ("mdi-ts", "both-legs", "intercept-resend", "y", 2000):
-            "c7ccffeda11b938d71739ace7f9244501c1d53486d257e4e4b2480b90d523374",
-        ("mdi-ts", "both-legs", "intercept-resend", "y", MULTI_BLOCK):
-            "30168ca8bf11ad197f74cc9772bdaf5c7848ffec0e7a678d5c2888ca729dc345",
+            "1a8069a16da39f68695722136de80e103bc668500262f160c8e62dba15ebf735",
+        ("mdi-ts", "both-legs", "intercept-resend", "y", LARGE):
+            "4001e32698dc2fd8c92dcb3174aab3f22ac791c221168a159ffc0dd56ca5d49a",
         ("mdi-ts", "both-legs", "intercept-resend", "z", 2000):
-            "c7ccffeda11b938d71739ace7f9244501c1d53486d257e4e4b2480b90d523374",
-        ("mdi-ts", "both-legs", "intercept-resend", "z", MULTI_BLOCK):
-            "30168ca8bf11ad197f74cc9772bdaf5c7848ffec0e7a678d5c2888ca729dc345",
+            "1a8069a16da39f68695722136de80e103bc668500262f160c8e62dba15ebf735",
+        ("mdi-ts", "both-legs", "intercept-resend", "z", LARGE):
+            "4001e32698dc2fd8c92dcb3174aab3f22ac791c221168a159ffc0dd56ca5d49a",
         ("mdi-dl04", "first-leg-only", "none", "x", 2000):
-            "9fda196d3ac76f3b24592680fd089a8d222eaa8c9a9ef56b8ad0ff94ffe4ced2",
-        ("mdi-dl04", "first-leg-only", "none", "x", MULTI_BLOCK):
-            "6c62b800c78d73e99e82e1bf190f2424b6bda85d92d26060dec8dcdcc553dcda",
+            "c69fead77ed8fdad0cc1ccc003a44b39294e1cdce3eb8de17273828525ab7c58",
+        ("mdi-dl04", "first-leg-only", "none", "x", LARGE):
+            "e7e2f6e0284f9eb258c5f99f65b4ad7a6c0739ef16256894851e7590f0bdb55f",
         ("mdi-dl04", "first-leg-only", "none", "y", 2000):
-            "2e21eeb1219300f04dd175d979ddd92afc0fc68fd26dde5c4a6322bbcd5c926f",
-        ("mdi-dl04", "first-leg-only", "none", "y", MULTI_BLOCK):
-            "5b39838e9cad1b32a197d05c13778e2e670e918ab228c20c56b4d59bc007b9a6",
+            "1082804555af20891980f803c727573b43bce7785b9d26558932736d8c85b6e2",
+        ("mdi-dl04", "first-leg-only", "none", "y", LARGE):
+            "53889d8f3502d92a3ea67fb23eab4a5e3699835f2bff5ad99d1506dd273e4874",
         ("mdi-dl04", "first-leg-only", "none", "z", 2000):
-            "36f32514a9e6ec63a4ea806bd981f53efc98b843d684c5004971121d81f243b4",
-        ("mdi-dl04", "first-leg-only", "none", "z", MULTI_BLOCK):
-            "a9e709492cb504eaa122ae8d776c7216144416dbe12910a473d5059659734a73",
+            "fa5b24b2ec2e190606578763b3ff7bea432ce30fac91b7d346fb4048a9f33bbe",
+        ("mdi-dl04", "first-leg-only", "none", "z", LARGE):
+            "842ddd11e0497178477508e8a49c16afa7b6e6eb4edb38fb7e4a9dbfbd75d4e9",
         ("mdi-dl04", "first-leg-only", "intercept-resend", "x", 2000):
-            "c67106bc08c28daa4fcd3769fc5a2934d5cff364c613505ad111495d1298c425",
-        ("mdi-dl04", "first-leg-only", "intercept-resend", "x", MULTI_BLOCK):
-            "bcfaa2edb4b515d3bde6678643c042e24cfec6fbe518bfb53aa848219075f2be",
+            "f7a928a4c50814707d331eeced4f413f7cbc95d009eae35ffc0d0eaeeddee8f0",
+        ("mdi-dl04", "first-leg-only", "intercept-resend", "x", LARGE):
+            "8649f79a39a73bfebfc322db8ef76e2d087b32dd27039a1c6aaf0f13fd330ad9",
         ("mdi-dl04", "first-leg-only", "intercept-resend", "y", 2000):
-            "e5aa6cec1db1638d212131021e885de79cccf239a89ff1a10cf9e5616a326b5d",
-        ("mdi-dl04", "first-leg-only", "intercept-resend", "y", MULTI_BLOCK):
-            "17edbc84e9c85aa2a2601966fb37f103e2eb780c1770403eb27a0d7a92bffeba",
+            "14ffa3612dc1d6f7d485040353ae3cf3e1fe40b25949463c3fc24de19032ff57",
+        ("mdi-dl04", "first-leg-only", "intercept-resend", "y", LARGE):
+            "50369bc4c401e2566fda0daf8ded145c2bc2eb3c6505f91b5fa90cda4cc12ba4",
         ("mdi-dl04", "first-leg-only", "intercept-resend", "z", 2000):
-            "61a1008500bbd2c6e74833564ce4b216da9966f62ed77343df59f07c189977d4",
-        ("mdi-dl04", "first-leg-only", "intercept-resend", "z", MULTI_BLOCK):
-            "78a12e3d91091d9bb2ffdb53489e3478bbdbab16ee748640d182541ae828665c",
+            "7d1de12233280ae556fd9a1212317c9e8f0d2549b7e5fff33cdadbb55075cc7a",
+        ("mdi-dl04", "first-leg-only", "intercept-resend", "z", LARGE):
+            "3cb89f9fc5b6bf7278ff4251fc5eaf4916787cd3c6e6f116ec1dfa5d4217cf07",
         ("mdi-dl04", "both-legs", "none", "x", 2000):
-            "61744af4eccfa407504ebb887af744bafe5beb5e97d52d5d13e27cf09077dba6",
-        ("mdi-dl04", "both-legs", "none", "x", MULTI_BLOCK):
-            "41c74a651b39ee05fd1a25f41dc9581527f08d5be27a39f7b789d067de1a7976",
+            "f41682c311a44bb176d2d529c5262ee24450000e4de36c40a8d4fede71a7a090",
+        ("mdi-dl04", "both-legs", "none", "x", LARGE):
+            "a5d2d47b06b0f8f80fd9e86ef321d67c40e6577a74e6b65992ac199f20b10dd5",
         ("mdi-dl04", "both-legs", "none", "y", 2000):
-            "256718fc907fcf9fea4a46c3cf1d209064e3b8f9025f02d0641a01e1dab747fc",
-        ("mdi-dl04", "both-legs", "none", "y", MULTI_BLOCK):
-            "a873685cdbad2f6afd151b7e26d12a6b75057b25caaf6779020c1a8e7cf4dd5b",
+            "8f044025be74c573cae446ddd58626495c89ebed3a62153ceb6443e36ac7aff6",
+        ("mdi-dl04", "both-legs", "none", "y", LARGE):
+            "5a529e5a042656e9eac6e6aa7bffcced4fb26dc1e6402a0b2b0efc1de1f832c2",
         ("mdi-dl04", "both-legs", "none", "z", 2000):
-            "80de4b6f3556b4a6269d557ff7d4b18c87c84c6e8eff0fc8af854a74428c8c3b",
-        ("mdi-dl04", "both-legs", "none", "z", MULTI_BLOCK):
-            "7441f2afa80dbdd8679eb7c74ef09822949333384304b334999872b67d1d4d7e",
+            "2af8b75e356e410d9a7ed5631f666750c89850cc2e46333d55070faf43a45e37",
+        ("mdi-dl04", "both-legs", "none", "z", LARGE):
+            "568c24c903b9c153e7db01a4a61656fd8fb1618e6366a9fad664c206a206564a",
         ("mdi-dl04", "both-legs", "intercept-resend", "x", 2000):
-            "d270137192845704817219f825d9cd67df6edc5ec39b5332bca428c561b145c4",
-        ("mdi-dl04", "both-legs", "intercept-resend", "x", MULTI_BLOCK):
-            "79e5e5807dbbf0523aba44e5493b8c10c88c8b3c333eb1a9324546204fdc6160",
+            "ddbc2173faf50a7e510eb526a7011c4edb312aaf2456f1e2f73a349551b326cc",
+        ("mdi-dl04", "both-legs", "intercept-resend", "x", LARGE):
+            "94231e6d921aad14beed495a19c265fda82bd6ec49cdc0ab62d64b47e494cccf",
         ("mdi-dl04", "both-legs", "intercept-resend", "y", 2000):
-            "5d278b43d87e5482459b24009c0426037e5315a46b4056f706b9f0aa628945fc",
-        ("mdi-dl04", "both-legs", "intercept-resend", "y", MULTI_BLOCK):
-            "6e674fe1ecada52e5a0bddf805aca57ffb97d5033a0c3c3e198b1c44871037f5",
+            "117a9b9653eca6fcf0ca4e5e3874d624abeaa26079673c1606865480be57f1b4",
+        ("mdi-dl04", "both-legs", "intercept-resend", "y", LARGE):
+            "95bb0b1698d67a52352a2aa4759736b39d5f7224a67bbce75a0add8e60c19a50",
         ("mdi-dl04", "both-legs", "intercept-resend", "z", 2000):
-            "9543ff2962acb1cc58fc06558afe16512ab83f917c9e30e9d76487a945c15a1c",
-        ("mdi-dl04", "both-legs", "intercept-resend", "z", MULTI_BLOCK):
-            "1e4235682911176b0b6b59d32c3ae411a8ed1a1a66fe27d8af1f73b5df6ff1bb",
+            "40b5ff77c3f95144299c3f8b95a81b4864f8a09de893eacadc9c496353424a43",
+        ("mdi-dl04", "both-legs", "intercept-resend", "z", LARGE):
+            "239a82c2e5b9f8f507e625144b440cae0eda81b5813595c229b5f4b8eb671862",
     }
 
-    @pytest.mark.parametrize("rounds", [2000, MULTI_BLOCK])
+    @pytest.mark.parametrize("rounds", [2000, LARGE])
     @pytest.mark.parametrize("encoding", ["x", "y", "z"])
     @pytest.mark.parametrize("attack", ["none", "intercept-resend"])
     @pytest.mark.parametrize("noise", ["first-leg-only", "both-legs"])
@@ -378,45 +383,29 @@ class TestSimulate:
         digest = hashlib.sha256(out.encode() + err.encode()).hexdigest()
         assert digest == self.SIMULATE_SHA256[protocol, noise, attack, encoding, rounds]
 
-    @pytest.mark.parametrize("noise", ["first-leg-only", "both-legs"])
-    @pytest.mark.parametrize("protocol", ["mdi-ts", "mdi-dl04"])
-    def test_output_does_not_depend_on_worker_count(
-        self, capsys, monkeypatch, tmp_path, protocol, noise
-    ):
-        rounds = 2 * mdiqsdc.protocol.CHUNK_ROUNDS + 17
-        outputs = set()
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(mdiqsdc.protocol, "_MAX_WORKERS", workers)
-            monkeypatch.setattr(mdiqsdc.protocol, "_usable_cpus", lambda: workers)
-            csv = tmp_path / f"run{workers}.csv"
-            code, out, err = run_cli(
-                [
-                    "simulate", "--protocol", protocol, "--p", "0.2", "--rounds", str(rounds),
-                    "--noise", noise, "--attack", "intercept-resend", "--csv", str(csv),
-                ],
-                capsys,
-            )
-            assert code == 0
-            outputs.add((out, err, csv.read_bytes()))
-        assert len(outputs) == 1
+    def test_failing_draw_exits_4_without_a_tally(self, capsys, monkeypatch):
+        def failing(*_, **__):
+            raise RuntimeError("draw failed")
 
-    def test_failing_block_exits_4_without_a_tally(self, capsys, monkeypatch):
-        block = mdiqsdc.protocol._block
-
-        def failing(draws, k, workspace):
-            if k == 3:
-                raise RuntimeError("block 3 failed")
-            return block(draws, k, workspace)
-
-        monkeypatch.setattr(mdiqsdc.protocol, "_block", failing)
-        rounds = 4 * mdiqsdc.protocol.CHUNK_ROUNDS
+        monkeypatch.setattr(mdiqsdc.protocol, "_count_keys", failing)
         code, out, err = run_cli(
-            ["simulate", "--protocol", "mdi-ts", "--p", "0.2", "--rounds", str(rounds)], capsys
+            ["simulate", "--protocol", "mdi-ts", "--p", "0.2", "--rounds", "2000"], capsys
         )
         assert code == 4
         assert out == ""
-        assert "RuntimeError: block 3 failed" in err
+        assert "RuntimeError: draw failed" in err
         assert "capacity" not in err and "rounds:" not in err
+
+    def test_trillion_rounds_run(self, capsys):
+        code, out, err = run_cli(
+            ["simulate", "--protocol", "mdi-ts", "--p", "0.2", "--rounds", "1000000000000"],
+            capsys,
+        )
+        assert code == 0, err
+        counts = re.search(r"rounds: (\d+) checks, (\d+) messages", err).groups()
+        assert sum(map(int, counts)) == 10**12
+        _, rows = parse_csv(out)
+        assert rows[1]["rounds"] == "1000000000000"
 
     def test_round_errors_composed_once(self, capsys, monkeypatch):
         args = [
@@ -553,6 +542,19 @@ class TestExitCodes:
                 "check_fraction must lie strictly in (0, 1)",
             ),
             (["simulate", "--protocol", "mdi-ts", "--p", "0.1", "--q", "3"], "q=3.0 outside [0, 1]"),
+            (
+                ["simulate", "--protocol", "mdi-ts", "--p", "0.1", "--rounds", str(2**63)],
+                f"rounds must lie in [1, {2**63 - 1}]",
+            ),
+            (
+                ["sweep", "--protocol", "mdi-ts", "--x", "0.5", "--eta", "1e308", "--q", "0"],
+                "eta=1e+308 outside [0, 8.98847e+307]",
+            ),
+            (
+                ["simulate", "--protocol", "mdi-ts", "--p", "0.5", "--rounds", "2000",
+                 "--eta", "1e308"],
+                "eta=1e+308 outside [0, 8.98847e+307]",
+            ),
         ],
     )
     def test_out_of_range_input_exits_2(self, capsys, args, message):
@@ -561,7 +563,7 @@ class TestExitCodes:
         assert err.startswith("error: ") and message in err
         assert out == "" and "Traceback" not in err
 
-    @pytest.mark.parametrize("eta", ["1e308", "1e200"])
+    @pytest.mark.parametrize("eta", [repr(ETA_MAX), "1e200"])
     @pytest.mark.parametrize("p", ["0", "0.2"])
     @pytest.mark.parametrize("protocol", ["mdi-ts", "mdi-dl04"])
     def test_huge_gain_gap_runs(self, capsys, protocol, p, eta):
@@ -572,7 +574,7 @@ class TestExitCodes:
         )
         assert code == 0, err
         assert "Traceback" not in err
-        assert "nan" not in out.lower() and "nan" not in err.lower()
+        assert not NON_FINITE_TOKEN.search(out + err)
         _, rows = parse_csv(out)
         assert all(math.isfinite(float(row["capacity_raw"])) for row in rows)
 
@@ -601,6 +603,67 @@ class TestExitCodes:
         code, _, err = run_cli(args, capsys)
         assert code == 4
         assert "Traceback" in err and "ValueError: injected internal failure" in err
+
+
+def run_watching_warnings(argv):
+    """Exit code, stdout, stderr and the RuntimeWarnings of one invocation."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    return code, out.getvalue(), err.getvalue(), runtime
+
+
+class TestFiniteOutput:
+    """No finite, in-range input prints nan or inf, or trips a numpy
+    floating-point warning."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        grid=grids(),
+        noise=st.sampled_from(["first-leg-only", "both-legs"]),
+        encoding=st.sampled_from(["x", "y", "z"]),
+        q=st.floats(0.0, 1.0),
+        eta=st.floats(0.0, ETA_MAX),
+    )
+    def test_sweep(self, grid, noise, encoding, q, eta):
+        code, out, err, warned = run_watching_warnings(
+            ["sweep", "--grid", grid, "--noise", noise, "--encoding", encoding,
+             "--q", repr(q), "--eta", repr(eta)]
+        )
+        assert code == 0, err
+        assert not warned, warned
+        assert not NON_FINITE_TOKEN.search(out + err)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        protocol=st.sampled_from(["mdi-ts", "mdi-dl04"]),
+        p=st.floats(0.0, 1.0),
+        rounds=st.integers(1, MAX_ROUNDS),
+        seed=st.integers(0, 2**64 - 1),
+        check_fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        noise=st.sampled_from(["first-leg-only", "both-legs"]),
+        encoding=st.sampled_from(["x", "y", "z"]),
+        attack=st.sampled_from(["none", "intercept-resend"]),
+        q=st.none() | st.floats(0.0, 1.0),
+        eta=st.floats(0.0, ETA_MAX),
+    )
+    def test_simulate(
+        self, protocol, p, rounds, seed, check_fraction, noise, encoding, attack, q, eta
+    ):
+        argv = [
+            "simulate", "--protocol", protocol, "--p", repr(p), "--rounds", str(rounds),
+            "--seed", str(seed), "--check-fraction", repr(check_fraction), "--noise", noise,
+            "--encoding", encoding, "--attack", attack, "--eta", repr(eta),
+        ]
+        code, out, err, warned = run_watching_warnings(
+            argv if q is None else [*argv, "--q", repr(q)]
+        )
+        assert code in (0, 3), err  # 3: too few rounds for an estimate
+        assert not warned, warned
+        assert not NON_FINITE_TOKEN.search(out + err)
 
 
 class TestParserReuse:

@@ -102,9 +102,9 @@ def test_all_names_resolve():
 
 
 def test_cli_import_loads_no_logging_or_thread_pool():
-    """The sampler's workers are plain ``threading`` threads: importing the
-    command line must not pull in ``logging`` or ``concurrent.futures``,
-    which would add to every invocation's start-up time."""
+    """Importing the command line must not pull in ``logging`` or
+    ``concurrent.futures``, which would add to every invocation's start-up
+    time."""
     src = Path(mdiqsdc.__file__).resolve().parents[1]
     code = (
         "import sys; import mdiqsdc.cli; "

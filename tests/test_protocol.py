@@ -12,24 +12,23 @@ from hypothesis import strategies as st
 import mdiqsdc.protocol
 import mdiqsdc.quantum
 from mdiqsdc.channels import convolve, depolarizing_pauli_dist
-from mdiqsdc.infotheory import binary_entropy, shannon_entropy
+from mdiqsdc.infotheory import ETA_MAX, binary_entropy, shannon_entropy
 from mdiqsdc.protocol import (
     _KEYS,
     _LOST_KEY,
     _MESSAGE_KEY,
-    CHUNK_ROUNDS,
+    MAX_ROUNDS,
     MESSAGE_BASIS,
     AttackModel,
     NoisePlacement,
     Protocol,
     ProtocolConfig,
     Tally,
-    _block,
     _count_keys,
-    _draws,
     _fold,
+    _key_probabilities,
+    _outcome_keys,
     _stats_from_tally,
-    _workspace,
     check_bases,
     density_matrix_round_distributions,
     intercept_resend_channel,
@@ -172,26 +171,22 @@ class TestRunMdiTs:
 
     def test_cover_scrambles_labels_uniformly(self):
         # exact group fact: over the four covers, the label reaching the
-        # second Bell measurement runs through all four values
+        # second Bell measurement runs through all four values, so a decoder
+        # that ignores the cover reads every symbol difference with weight
+        # 1/4 (error rate 3/4), while Bob, who undoes his cover, reads the
+        # frame alone
         for symbol in range(4):
             for frame in range(4):
-                labels = {
-                    PAULI_PRODUCT[cover][PAULI_PRODUCT[symbol][frame]]
-                    for cover in range(4)
+                labels = [
+                    PAULI_PRODUCT[cover][PAULI_PRODUCT[symbol][frame]] for cover in range(4)
+                ]
+                assert set(labels) == {0, 1, 2, 3}
+                assert {PAULI_PRODUCT[label][symbol] for label in labels} == {0, 1, 2, 3}
+                undone = {
+                    PAULI_PRODUCT[PAULI_PRODUCT[cover][label]][symbol]
+                    for cover, label in enumerate(labels)
                 }
-                assert labels == {0, 1, 2, 3}
-
-    def test_decoding_without_cover_knowledge_scrambles(self):
-        cfg = ProtocolConfig(
-            protocol=Protocol.MDI_TS,
-            rounds=200_000,
-            channel_p=0.0,
-            seed=17,
-            decode_with_cover=False,
-        )
-        stats = run(cfg)
-        error_rate = 1.0 - stats.message_errors[0]
-        assert abs(error_rate - 0.75) < 0.005
+                assert undone == {frame}
 
     def test_both_legs_noise_degrades_messages_not_checks(self):
         p = 0.2
@@ -403,7 +398,7 @@ class TestEstimateStats:
     @pytest.mark.parametrize("protocol", [Protocol.MDI_TS, Protocol.MDI_DL04])
     def test_capacity_se_finite_for_any_finite_gain_gap(self, protocol, p):
         base = run(self._cfg(protocol=protocol, rounds=4000, channel_p=p, seed=3))
-        for eta in (1e200, 1e308):
+        for eta in (1e200, ETA_MAX):
             stats = run(self._cfg(protocol=protocol, rounds=4000, channel_p=p, seed=3, eta=eta))
             assert math.isfinite(stats.capacity_se)
             if p == 0.0:  # no leak, so eta does not reach the SE
@@ -420,8 +415,7 @@ class TestEstimateStats:
 
 # One config per way a message round is decoded.
 DECODINGS = [
-    dict(protocol=Protocol.MDI_TS, decode_with_cover=True),
-    dict(protocol=Protocol.MDI_TS, decode_with_cover=False),
+    dict(protocol=Protocol.MDI_TS),
     dict(protocol=Protocol.MDI_DL04, dl04_encoding=PauliLabel.X),
     dict(protocol=Protocol.MDI_DL04, dl04_encoding=PauliLabel.Y),
     dict(protocol=Protocol.MDI_DL04, dl04_encoding=PauliLabel.Z),
@@ -430,7 +424,7 @@ DECODINGS = [
 
 def _decoding_id(kwargs):
     if kwargs["protocol"] == Protocol.MDI_TS:
-        return "mdi-ts/" + ("cover" if kwargs["decode_with_cover"] else "nocover")
+        return "mdi-ts"
     return "mdi-dl04/" + kwargs["dl04_encoding"].name
 
 
@@ -438,7 +432,7 @@ def _message_diff(cfg, frame, second, symbol, cover):
     """decoded (-) encoded of one arrived message round, by the label tables."""
     if cfg.protocol == Protocol.MDI_TS:
         label = PAULI_PRODUCT[second][PAULI_PRODUCT[cover][PAULI_PRODUCT[symbol][frame]]]
-        decoded = PAULI_PRODUCT[cover][label] if cfg.decode_with_cover else label
+        decoded = PAULI_PRODUCT[cover][label]  # Bob undoes his cover
         return PAULI_PRODUCT[decoded][symbol]
     encoding = cfg.dl04_encoding if symbol else PauliLabel.I
     label = PAULI_PRODUCT[second][PAULI_PRODUCT[encoding][frame]]
@@ -446,69 +440,38 @@ def _message_diff(cfg, frame, second, symbol, cover):
 
 
 class TestOutcomeKeys:
-    @pytest.mark.parametrize("noise", list(NoisePlacement))
     @pytest.mark.parametrize("decoding", DECODINGS, ids=_decoding_id)
-    def test_counts_each_round_once(self, decoding, noise):
-        """Block 1's counts against a per-round reading of its raw draws,
-        redrawn here from the block's own seed sequence in the documented
-        order. Labels that are never drawn are tried with every value."""
-        cfg = ProtocolConfig(
-            rounds=CHUNK_ROUNDS + 5_000, channel_p=0.3, seed=71, transmittance=0.8,
-            noise=noise, **decoding,
-        )
+    def test_counts_each_round_once(self, decoding):
+        """Every label combination of a round, read through the key rule and
+        folded, counts once, in the cell the label tables give. What is no
+        key label (the symbol, the cover and Alice's check bit) is tried
+        with every value and must cancel out."""
+        cfg = ProtocolConfig(rounds=1, channel_p=0.0, seed=1, **decoding)
         entangled = cfg.protocol == Protocol.MDI_TS
-        n = cfg.rounds - CHUNK_ROUNDS
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1,)))
-
-        def draw(cuts):
-            return np.searchsorted(cuts, rng.random(n), side="right")
-
-        frame_dist, second_dist = round_error_dists_for_config(cfg)
-        frame = draw(np.cumsum(frame_dist.probabilities)[:-1])
         bases = check_bases(cfg)
-        role = draw(cfg.check_fraction * np.arange(1, len(bases) + 1) / len(bases))
-        if entangled and not cfg.decode_with_cover:
-            cover = rng.integers(0, 4, size=n, dtype=np.uint8)
-        if noise == NoisePlacement.BOTH_LEGS:
-            second = draw(np.cumsum(second_dist.probabilities)[:-1])
-        else:
-            second = np.zeros(n, dtype=np.uint8)
-        if not entangled:
-            bit = rng.integers(0, 2, size=n, dtype=np.uint8)
-        arrived = rng.random(n) < cfg.transmittance ** (2 if entangled else 1)
-
-        checks = np.zeros((4, 2), dtype=np.int64)
-        message_rounds = 0
-        diffs = np.zeros(4, dtype=np.int64)
-        for r in range(n):
-            f = int(frame[r])
-            if role[r] < len(bases):
-                b = bases[role[r]]
-                # Alice's check bit is not drawn: both values must give one outcome
-                (error,) = {alice == alice ^ 1 ^ ANTICOMMUTES[f][b] for alice in (0, 1)}
-                checks[b, int(error)] += 1
-            else:
-                message_rounds += 1
-                if arrived[r]:
-                    symbols = range(4) if entangled else [int(bit[r])]
-                    if not entangled:
-                        covers = [0]
-                    elif cfg.decode_with_cover:
-                        covers = range(4)
-                    else:
-                        covers = [int(cover[r])]
-                    # the symbol, and the cover under cover decoding, must cancel out
-                    (diff,) = {
-                        _message_diff(cfg, f, int(second[r]), s, c) for s in symbols for c in covers
-                    }
-                    diffs[diff] += 1
-        assert 0 < diffs.sum() < message_rounds  # some photons were lost
-
-        block = _block(_draws(cfg), 1, _workspace(CHUNK_ROUNDS))
-        tally = _fold(cfg, block)
-        np.testing.assert_array_equal(tally.checks, checks)
-        assert tally.message_rounds == message_rounds
-        np.testing.assert_array_equal(tally.message_diffs, diffs)
+        shape = (4, len(bases) + 1, 4, 2, 2)  # frame, role, second, bit, arrived
+        keys = _outcome_keys(cfg, *np.indices(shape))
+        for labels in itertools.product(*map(range, shape)):
+            frame, role, second, bit, arrived = labels
+            checks = np.zeros((4, 2), dtype=np.int64)
+            diffs = np.zeros(4, dtype=np.int64)
+            if role < len(bases):
+                b = bases[role]
+                (error,) = {alice == alice ^ 1 ^ ANTICOMMUTES[frame][b] for alice in (0, 1)}
+                checks[b, int(error)] = 1
+            elif arrived:
+                symbols = range(4) if entangled else [bit]
+                covers = range(4) if entangled else [0]
+                (diff,) = {
+                    _message_diff(cfg, frame, second, s, c) for s in symbols for c in covers
+                }
+                diffs[diff] = 1
+            counts = np.zeros(_KEYS, dtype=np.int64)
+            counts[keys[labels]] = 1
+            tally = _fold(cfg, counts)
+            np.testing.assert_array_equal(tally.checks, checks)
+            assert tally.message_rounds == (role == len(bases))
+            np.testing.assert_array_equal(tally.message_diffs, diffs)
 
     @pytest.mark.parametrize("decoding", DECODINGS, ids=_decoding_id)
     def test_fold_follows_label_tables_for_every_key(self, decoding):
@@ -525,8 +488,6 @@ class TestOutcomeKeys:
         covers = range(4) if entangled else (0,)
         for frame, second, symbol, cover in itertools.product(range(4), range(4), symbols, covers):
             net = PAULI_PRODUCT[second][frame]
-            if entangled and not cfg.decode_with_cover:
-                net = PAULI_PRODUCT[net][cover]
             key = _MESSAGE_KEY + (net if entangled else 2 * net + symbol)
             diff = ("message", _message_diff(cfg, frame, second, symbol, cover))
             assert outcome.setdefault(key, diff) == diff  # one outcome per key
@@ -555,20 +516,19 @@ class TestOutcomeKeys:
         entangled = cfg.protocol == Protocol.MDI_TS
         defined = [*range(4 * len(check_bases(cfg)))]
         defined += [*range(_MESSAGE_KEY, _MESSAGE_KEY + (4 if entangled else 8)), _LOST_KEY]
-        block = _count_keys(cfg)  # one block
-        assert block.sum() == cfg.rounds
-        assert np.all(block[defined] > 0)
-        assert not np.delete(block, defined).any()
+        counts = _count_keys(cfg)
+        assert counts.sum() == cfg.rounds
+        assert np.all(counts[defined] > 0)
+        assert not np.delete(counts, defined).any()
 
     def test_lost_round_counts_only_as_message_round(self):
-        # photon arrival is a block's last draw, so every other draw is the same
         common = dict(protocol=Protocol.MDI_TS, rounds=5_000, channel_p=0.3, seed=71)
         cfg = ProtocolConfig(transmittance=1.0, **common)
-        kept = _count_keys(cfg)  # one block
-        gone = _count_keys(ProtocolConfig(transmittance=0.0, **common))
-        arrived, lost = _fold(cfg, kept), _fold(cfg, gone)
+        arrived = _fold(cfg, _key_probabilities(cfg))
+        lost = _fold(cfg, _key_probabilities(ProtocolConfig(transmittance=0.0, **common)))
         np.testing.assert_array_equal(lost.checks, arrived.checks)
-        assert lost.message_rounds == arrived.message_rounds > 0
+        assert lost.message_rounds == pytest.approx(arrived.message_rounds, rel=1e-15)
+        assert lost.message_rounds > 0
         assert not lost.message_diffs.any()
 
 
@@ -604,6 +564,21 @@ class TestConfigValidation:
         kwargs[field] = bad
         with pytest.raises(ValueError):
             ProtocolConfig(**kwargs)
+
+    def test_rounds_bounded_by_the_multinomial_draw(self):
+        kwargs = dict(protocol=Protocol.MDI_TS, channel_p=0.1, seed=1)
+        for bad in (0, MAX_ROUNDS + 1):
+            with pytest.raises(ValueError, match="rounds must lie in"):
+                ProtocolConfig(rounds=bad, **kwargs)
+        stats = run(ProtocolConfig(rounds=MAX_ROUNDS, **kwargs))
+        assert stats.rounds == MAX_ROUNDS and stats.estimate_available
+
+    def test_gain_gap_bounded(self):
+        kwargs = dict(protocol=Protocol.MDI_TS, rounds=2000, channel_p=0.5, seed=1)
+        with pytest.raises(ValueError, match="gain gap"):
+            ProtocolConfig(eta=math.nextafter(ETA_MAX, math.inf), **kwargs)
+        stats = run(ProtocolConfig(eta=ETA_MAX, **kwargs))
+        assert math.isfinite(stats.capacity.raw) and math.isfinite(stats.capacity_se)
 
     def test_rejects_identity_attack_basis(self):
         with pytest.raises(ValueError):

@@ -56,6 +56,14 @@ def test_attack_scan_rejects_rounds_below_one(rounds):
     assert "Traceback" not in result.stderr
 
 
+def test_attack_scan_rejects_rounds_beyond_one_draw():
+    result = run_script("attack_scan.py", "--rounds", str(2**63))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "argument --rounds: must be at most 2**63 - 1" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
 def test_attack_scan_rejects_seeds_outside_64_bits(seed):
     result = run_script("attack_scan.py", "--rounds", "10", "--seed", seed)

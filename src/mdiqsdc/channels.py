@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .elementwise import check_range
 from .quantum import (
     ANTICOMMUTES,
@@ -72,8 +74,11 @@ class ErrorRates:
 
 def depolarize(dm: DensityMatrix, p: float, qubit: int) -> DensityMatrix:
     """Depolarize one qubit of every state of the stack:
-    rho -> p * (I/2 on that qubit) + (1-p) * rho."""
+    rho -> p * (I/2 on that qubit) + (1-p) * rho. ``p`` is a float, or a
+    1-D array with one value per index of the stack's first leading axis."""
     check_range(p, 0.0, 1.0, "channel parameter ")
+    if isinstance(p, np.ndarray):
+        p = p.reshape(p.shape + (1,) * (dm.matrix.ndim - 1))
     terms = (1.0 - 0.75 * p) * dm.matrix
     for op in (PauliLabel.X, PauliLabel.Y, PauliLabel.Z):
         full = pauli_operator(int(op), qubit, dm.num_qubits)

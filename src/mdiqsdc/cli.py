@@ -458,10 +458,16 @@ def _print_summary(cfg: ProtocolConfig, stats: TranscriptStats) -> None:
     if stats.bit_error is not None:
         lines.append(f"bit error = {stats.bit_error:.6f} +- {stats.bit_error_se:.6f}")
     lines.append(
-        f"capacity = {stats.capacity.raw:.6f} +- {stats.capacity_se:.6f} "
+        f"capacity = {_fixed(stats.capacity.raw)} +- {_fixed(stats.capacity_se)} "
         f"(clamped {stats.capacity.clamped:.6f})"
     )
     print("\n".join(lines), file=sys.stderr)
+
+
+def _fixed(value: float) -> str:
+    """Six decimals, in exponent form from magnitude 1e6 on, where a huge
+    gain gap would otherwise print hundreds of digits."""
+    return f"{value:.6f}" if abs(value) < 1e6 else f"{value:.6e}"
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -61,7 +61,6 @@ from .infotheory import (
 )
 from .quantum import (
     ANTICOMMUTES,
-    BELL_OF_PAULI,
     BELL_VECTORS,
     PAULI_OF_BELL,
     PAULI_PRODUCT,
@@ -107,7 +106,6 @@ class AttackModel(str, Enum):
     INTERCEPT_RESEND = "intercept-resend"
 
 
-_BELL_OF_PAULI = np.array([int(b) for b in BELL_OF_PAULI], dtype=np.int64)
 _PAULI_OF_BELL = np.array([int(p) for p in PAULI_OF_BELL], dtype=np.int64)
 
 # Measurement basis the middle party uses on message photons, keyed by the
@@ -289,14 +287,19 @@ def round_error_dists(
     return frame, convolve(single, single) if protocol == Protocol.MDI_TS else single
 
 
-def round_error_dists_for_config(cfg: ProtocolConfig) -> RoundErrorDists:
-    """:func:`round_error_dists` of a Monte Carlo configuration, attack included."""
+def round_error_dists_for_config(
+    cfg: ProtocolConfig, channel_p: float | np.ndarray | None = None
+) -> RoundErrorDists:
+    """:func:`round_error_dists` of a Monte Carlo configuration, attack
+    included, at ``channel_p`` (a float or a 1-D float64 grid) in place of
+    ``cfg.channel_p`` when given."""
     eve = (
         intercept_resend_pauli_dist(cfg.attack_bases)
         if cfg.attack == AttackModel.INTERCEPT_RESEND
         else None
     )
-    return round_error_dists(cfg.protocol, cfg.channel_p, cfg.noise, eve, cfg.attack_leg)
+    p = cfg.channel_p if channel_p is None else channel_p
+    return round_error_dists(cfg.protocol, p, cfg.noise, eve, cfg.attack_leg)
 
 
 # Outcome keys, laid out in :func:`_outcome_keys`; setting the four low bits
@@ -567,12 +570,27 @@ def run(cfg: ProtocolConfig, dists: RoundErrorDists | None = None) -> Transcript
 # ---------------------------------------------------------------------------
 
 
-def pauli_frame_round_distributions(cfg: ProtocolConfig) -> dict[str, np.ndarray]:
+# Second-leg error that leaves the second Bell outcome o2 after symbol s,
+# cover c and pair frame f, indexed [s, c, o2, f]: label products are XOR.
+_SECOND_OF_OUTCOME = (
+    _PAULI_OF_BELL[None, None, :, None]
+    ^ np.arange(4)[:, None, None, None]
+    ^ np.arange(4)[None, :, None, None]
+    ^ np.arange(4)[None, None, None, :]
+)
+
+
+def pauli_frame_round_distributions(
+    cfg: ProtocolConfig, channel_p: float | np.ndarray | None = None
+) -> dict[str, np.ndarray]:
     """Exact per-round outcome distributions from the label algebra.
 
     All conditionals are computed by enumeration over error labels, never
     by sampling, so they can be compared to the density-matrix backend at
-    machine precision. Keys and shapes:
+    machine precision. ``channel_p`` replaces ``cfg.channel_p`` when given:
+    a float gives the shapes below, and a 1-D float64 array adds a leading
+    grid axis whose rows equal, bit for bit, the calls at each float. Keys
+    and shapes:
 
     * ``swap_outcome`` (4,): announced first Bell outcome.
     * ``pair_frame`` (4, 4): Bell weights of the corrected pair, per outcome.
@@ -585,53 +603,43 @@ def pauli_frame_round_distributions(cfg: ProtocolConfig) -> dict[str, np.ndarray
       announced outcome, encoded bit, both single-photon outcomes, plus
       ``bit_error`` (1,).
     """
-    frame, second = round_error_dists_for_config(cfg)
-    frame_dist = np.asarray(frame.probabilities)
-    second_dist = np.asarray(second.probabilities)
+    frame, second = round_error_dists_for_config(cfg, channel_p)
+    # (..., 4) label weights; the leading axis is the grid's, if any
+    frame_dist = np.stack(frame.probabilities, axis=-1)
+    second_dist = np.stack(second.probabilities, axis=-1)
+    shape = frame_dist.shape[:-1]
     net = convolve(frame, second)
-    bases = check_bases(cfg)
 
-    out: dict[str, np.ndarray] = {}
-    out["swap_outcome"] = np.full(4, 0.25)
-    pair_bell = np.zeros(4)
-    for pauli in range(4):
-        pair_bell[_BELL_OF_PAULI[pauli]] = frame_dist[pauli]
-    out["pair_frame"] = np.tile(pair_bell, (4, 1))
+    def per_outcome(table: np.ndarray, axis: int) -> np.ndarray:
+        """``table`` repeated over the announced outcome, a new axis at ``axis``."""
+        return np.repeat(np.expand_dims(table, axis), 4, axis=axis)
 
     agree = np.eye(2, dtype=bool)  # both outcomes of a pair equal
-    check_joint = np.zeros((len(bases), 4, 2, 2))
-    for bi, basis in enumerate(bases):
-        parallel = error_rate_in_basis(frame, basis)
-        check_joint[bi] = 0.5 * np.where(agree, parallel, 1.0 - parallel)
-    out["check_joint"] = check_joint
+
+    def pair_joint(parallel) -> np.ndarray:
+        """(..., 2, 2) joint of two outcomes that agree with probability ``parallel``."""
+        parallel = np.asarray(parallel)[..., None, None]
+        return 0.5 * np.where(agree, parallel, 1.0 - parallel)
+
+    out: dict[str, np.ndarray] = {}
+    out["swap_outcome"] = np.full(shape + (4,), 0.25)
+    out["pair_frame"] = per_outcome(frame_dist[..., _PAULI_OF_BELL], -2)
+    out["check_joint"] = per_outcome(
+        np.stack([pair_joint(error_rate_in_basis(frame, b)) for b in check_bases(cfg)], -3), -3
+    )
 
     if cfg.protocol == Protocol.MDI_TS:
-        message_outcome = np.zeros((4, 4, 4, 4))
-        for s in range(4):
-            for c in range(4):
-                for f in range(4):
-                    pf = frame_dist[f]
-                    if pf == 0.0:
-                        continue
-                    partial = PAULI_PRODUCT[c][PAULI_PRODUCT[s][f]]
-                    for e2 in range(4):
-                        pe = second_dist[e2]
-                        if pe == 0.0:
-                            continue
-                        o2 = _BELL_OF_PAULI[PAULI_PRODUCT[e2][partial]]
-                        message_outcome[:, s, c, o2] += pf * pe
-        out["message_outcome"] = message_outcome
-        out["symbol_error"] = np.array(net.probabilities)
+        # (..., s, c, o2, f): the weight frame f gives to (s, c, o2)
+        terms = frame_dist[..., None, None, None, :] * second_dist[..., _SECOND_OF_OUTCOME]
+        out["message_outcome"] = per_outcome(sum(terms[..., f] for f in range(4)), -4)
+        out["symbol_error"] = np.stack(net.probabilities, axis=-1)
     else:
         m = MESSAGE_BASIS[cfg.dl04_encoding]
-        flip = error_rate_in_basis(net, m)
-        message_joint = np.zeros((4, 2, 2, 2))
-        for k in (0, 1):
-            enc_flip = ANTICOMMUTES[cfg.dl04_encoding][m] if k == 1 else 0
-            parallel = (1.0 - flip) if enc_flip else flip
-            message_joint[:, k] = 0.5 * np.where(agree, parallel, 1.0 - parallel)
-        out["message_joint"] = message_joint
-        out["bit_error"] = np.array([flip])
+        flip = np.asarray(error_rate_in_basis(net, m))
+        # bit 1 flips the pair correlation when the encoding anticommutes with m
+        one = (1.0 - flip) if ANTICOMMUTES[cfg.dl04_encoding][m] else flip
+        out["message_joint"] = per_outcome(np.stack([pair_joint(flip), pair_joint(one)], -3), -4)
+        out["bit_error"] = flip[..., None]
     return out
 
 
@@ -673,7 +681,9 @@ _SYMBOL_DIFFERENCE = np.array(
 _LABELS = np.arange(4)
 
 
-def density_matrix_round_distributions(cfg: ProtocolConfig) -> dict[str, np.ndarray]:
+def density_matrix_round_distributions(
+    cfg: ProtocolConfig, channel_p: float | np.ndarray | None = None
+) -> dict[str, np.ndarray]:
     """Per-round outcome distributions from the exact density-matrix oracle.
 
     Builds the full four-photon state (qubit order: Alice's kept photon,
@@ -681,23 +691,28 @@ def density_matrix_round_distributions(cfg: ProtocolConfig) -> dict[str, np.ndar
     channels and any attack to the sent photons, projects on the announced
     Bell outcome, applies the swap correction, and reads every conditional
     out of the resulting matrices. Each stage is one validated stack: the
-    four conditioned states, the four corrected pairs, then the
-    (cover, symbol, outcome) or (bit, outcome) stack of message states.
-    Same keys and shapes as the Pauli-frame backend.
+    four-photon states, the four conditioned states, the four corrected
+    pairs, then the (cover, symbol, outcome) or (bit, outcome) stack of
+    message states. ``channel_p`` replaces ``cfg.channel_p`` when given: a
+    1-D float64 array adds a leading grid axis to every stack and output,
+    whose rows equal, bit for bit, the calls at each float. Same keys and
+    shapes as the Pauli-frame backend.
     """
+    p = cfg.channel_p if channel_p is None else channel_p
     singlet = bell_state(BellLabel.PSI_MINUS)
     aligned = np.kron(singlet.amplitudes, singlet.amplitudes)
-    rho = DensityMatrix(np.outer(aligned, aligned.conj()))
-    rho = depolarize(rho, cfg.channel_p, 1)
-    rho = depolarize(rho, cfg.channel_p, 3)
+    source = np.outer(aligned, aligned.conj())
+    rho = DensityMatrix(np.broadcast_to(source, np.shape(p) + source.shape))
+    rho = depolarize(rho, p, 1)
+    rho = depolarize(rho, p, 3)
     if cfg.attack == AttackModel.INTERCEPT_RESEND:
         attacked_qubit = 1 if cfg.attack_leg == "alice" else 3
         rho = intercept_resend_channel(rho, attacked_qubit, cfg.attack_bases)
 
     proj = _swap_projectors()
-    sub = proj @ rho.matrix @ proj
-    swap_outcome = np.trace(sub, axis1=1, axis2=2).real
-    cond = DensityMatrix(sub / swap_outcome[:, None, None])
+    sub = proj @ rho.matrix[..., None, :, :] @ proj  # (..., outcome)
+    swap_outcome = np.trace(sub, axis1=-2, axis2=-1).real
+    cond = DensityMatrix(sub / swap_outcome[..., None, None])
     corrections = [int(swap_correction(BellLabel(o))) for o in range(4)]
     pair = apply_pauli(partial_trace(cond, keep=(0, 2)), corrections, 1)
 
@@ -705,32 +720,37 @@ def density_matrix_round_distributions(cfg: ProtocolConfig) -> dict[str, np.ndar
         "swap_outcome": swap_outcome,
         "pair_frame": bell_measure(pair),
         "check_joint": np.stack(
-            [_pair_outcomes(_pair_projectors(basis), pair) for basis in check_bases(cfg)]
+            [_pair_outcomes(_pair_projectors(basis), pair) for basis in check_bases(cfg)], -4
         ),
     }
     both_legs = cfg.noise == NoisePlacement.BOTH_LEGS
     if cfg.protocol == Protocol.MDI_TS:
-        encoded = apply_pauli(pair, _LABELS[:, None], 0)  # (symbol, outcome)
-        covered = apply_pauli(encoded, _LABELS[:, None, None], 1)  # (cover, symbol, outcome)
+        encoded = apply_pauli(pair[..., None, :], _LABELS[:, None], 0)  # (..., symbol, outcome)
+        # (..., cover, symbol, outcome)
+        covered = apply_pauli(encoded[..., None, :, :], _LABELS[:, None, None], 1)
         if both_legs:
-            covered = depolarize(depolarize(covered, cfg.channel_p, 0), cfg.channel_p, 1)
-        # (outcome, symbol, cover, second outcome); bincount adds in this order
-        message = bell_measure(covered).transpose(2, 1, 0, 3)
+            covered = depolarize(depolarize(covered, p, 0), p, 1)
+        # (..., outcome, symbol, cover, second outcome); bincount adds in this order
+        message = np.swapaxes(bell_measure(covered), -4, -2)
         out["message_outcome"] = message
-        difference = np.broadcast_to(_SYMBOL_DIFFERENCE, message.shape)
         weights = (0.25 * (1.0 / 16.0)) * message
+        # one run of four bins per grid point
+        offsets = 4 * np.arange(weights.size // 256).reshape(message.shape[:-4] + (1,) * 4)
+        difference = np.broadcast_to(_SYMBOL_DIFFERENCE + offsets, message.shape)
         out["symbol_error"] = np.bincount(
-            difference.ravel(), weights=weights.ravel(), minlength=4
-        )
+            difference.ravel(), weights=weights.ravel(), minlength=weights.size // 64
+        ).reshape(message.shape[:-4] + (4,))
     else:
-        encoded = apply_pauli(pair, [[PauliLabel.I], [cfg.dl04_encoding]], 0)  # (bit, outcome)
+        # (..., bit, outcome)
+        encoded = apply_pauli(pair[..., None, :], [[PauliLabel.I], [cfg.dl04_encoding]], 0)
         if both_legs:
-            encoded = depolarize(encoded, cfg.channel_p, 0)
+            encoded = depolarize(encoded, p, 0)
         joint = _pair_outcomes(_pair_projectors(MESSAGE_BASIS[cfg.dl04_encoding]), encoded)
-        joint = joint.transpose(1, 0, 2, 3)  # (outcome, bit, a, b)
+        joint = np.swapaxes(joint, -4, -3)  # (..., outcome, bit, a, b)
         out["message_joint"] = joint
         # bit k is read as 1 exactly when both photons agree
         agree = np.eye(2, dtype=bool)
         wrong = np.array([agree, ~agree])
-        out["bit_error"] = np.array([0.125 * joint[:, wrong].sum()])
+        total = joint[..., wrong].reshape(joint.shape[:-4] + (-1,)).sum(axis=-1)
+        out["bit_error"] = 0.125 * total[..., None]
     return out

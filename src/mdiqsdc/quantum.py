@@ -12,11 +12,13 @@ be tracked purely on labels (the "Pauli frame"); the lookup tables between
 the two label sets live here, next to the exact matrix arithmetic used to
 cross-check the label bookkeeping.
 
-A ``DensityMatrix`` holds one (d, d) matrix or a stack of them with shape
-(..., d, d); a single state is a stack with no leading axes. Every member
-of a stack is checked by :func:`validate_density_stack` at construction,
-and the helpers below (``apply_pauli``, ``partial_trace``, ``bell_measure``,
-the entropies) act on every member at once.
+A ``PureState`` holds one (d,) vector or a stack with shape (..., d), and a
+``DensityMatrix`` one (d, d) matrix or a stack with shape (..., d, d); a
+single state is a stack with no leading axes. Every member of a stack is
+checked at construction (density matrices by
+:func:`validate_density_stack`), and the helpers below (``apply_pauli``,
+``partial_trace``, ``bell_measure``, the purification, the entropies and
+the Holevo quantity) act on every member at once.
 
 All values are immutable after construction and all operations are pure
 functions, so everything in this module is safe to evaluate concurrently.
@@ -76,13 +78,7 @@ ANTICOMMUTES: tuple[tuple[int, ...], ...] = (
     (0, 1, 1, 0),
 )
 
-# Bell label of (sigma ox I)|psi-> for each Pauli, and its inverse map.
-BELL_OF_PAULI: tuple[BellLabel, ...] = (
-    BellLabel.PSI_MINUS,
-    BellLabel.PHI_MINUS,
-    BellLabel.PHI_PLUS,
-    BellLabel.PSI_PLUS,
-)
+# The Pauli sigma for which (sigma ox I)|psi-> is each Bell state, in Bell order.
 PAULI_OF_BELL: tuple[PauliLabel, ...] = (
     PauliLabel.I,
     PauliLabel.Z,
@@ -149,32 +145,37 @@ def validate_probability_vector(
 
 @dataclass(frozen=True)
 class PureState:
-    """Normalized state vector on 1, 2, or 4 qubits."""
+    """Normalized state vectors on 1, 2, or 4 qubits: one (d,) vector or a
+    stack of shape (..., d), each member finite with unit squared norm."""
 
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = np.array(self.amplitudes, dtype=np.complex128).reshape(-1)
-        if amps.shape[0] not in _ALLOWED_DIMS:
-            raise ValueError(f"unsupported dimension {amps.shape[0]}")
+        amps = np.atleast_1d(np.array(self.amplitudes, dtype=np.complex128))
+        if amps.shape[-1] not in _ALLOWED_DIMS:
+            raise ValueError(f"unsupported dimension {amps.shape[-1]}")
         if not np.all(np.isfinite(amps)):
             raise ValueError("amplitudes must be finite")
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > ATOL_NORM:
-            raise ValueError(f"squared norm {norm_sq!r} differs from 1 by > {ATOL_NORM}")
+        norm_sq = np.asarray(np.sum(np.abs(amps) ** 2, axis=-1))
+        off = np.abs(norm_sq - 1.0) > ATOL_NORM
+        if off.any():
+            first = float(norm_sq[off][0])
+            raise ValueError(f"squared norm {first!r} differs from 1 by > {ATOL_NORM}")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
     @property
     def dim(self) -> int:
-        return self.amplitudes.shape[0]
+        return self.amplitudes.shape[-1]
 
     @property
     def num_qubits(self) -> int:
         return self.dim.bit_length() - 1
 
     def to_density_matrix(self) -> "DensityMatrix":
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
+        """|psi><psi| of every member, as a stack of the same shape."""
+        amps = self.amplitudes
+        return DensityMatrix(amps[..., :, None] * amps.conj()[..., None, :])
 
 
 def validate_density_stack(matrices: np.ndarray) -> np.ndarray:
@@ -232,6 +233,16 @@ class DensityMatrix:
         """Leading (stack) axes; () for a single state."""
         return self.matrix.shape[:-2]
 
+    def __getitem__(self, index) -> "DensityMatrix":
+        """The stack indexed over its leading axes with numpy's rules (``None``
+        inserts an axis). The members are members of this stack, so they keep
+        their eigenvalues and are not validated again."""
+        index = index if isinstance(index, tuple) else (index,)
+        sub = object.__new__(DensityMatrix)
+        object.__setattr__(sub, "matrix", self.matrix[index + (slice(None),) * 2])
+        object.__setattr__(sub, "eigenvalues", self.eigenvalues[index + (slice(None),)])
+        return sub
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[-1]
@@ -243,7 +254,8 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class BellDiagonal:
-    """Weights of a Bell-diagonal two-qubit state, ordered psi-,psi+,phi-,phi+."""
+    """Weights of a Bell-diagonal two-qubit state, ordered psi-,psi+,phi-,phi+:
+    floats, or equal-length float64 arrays holding one state per element."""
 
     deltas: tuple[float, float, float, float]
 
@@ -293,8 +305,9 @@ def basis_eigenvector(basis: PauliLabel, bit: int) -> np.ndarray:
 
 
 def tensor(a: PureState, b: PureState) -> PureState:
-    """Tensor product of two pure states."""
-    return PureState(np.kron(a.amplitudes, b.amplitudes))
+    """Tensor product of two pure states, member by member for stacks."""
+    joint = a.amplitudes[..., :, None] * b.amplitudes[..., None, :]
+    return PureState(joint.reshape(joint.shape[:-2] + (a.dim * b.dim,)))
 
 
 def embed_single_qubit_operator(op: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
@@ -361,7 +374,7 @@ def apply_pauli(
     if not 0 <= qubit < nq:
         raise IndexError(f"qubit {qubit} out of range for {nq} qubits")
     if isinstance(state, PureState):
-        return PureState(pauli_operator(int(op), qubit, nq) @ state.amplitudes)
+        return PureState(state.amplitudes @ pauli_operator(int(op), qubit, nq).T)
     full = pauli_operators(qubit, nq)[np.asarray(op, dtype=np.intp)]
     # embedded Paulis are Hermitian, so full is its own conjugate transpose
     return DensityMatrix(full @ state.matrix @ full)
@@ -381,7 +394,7 @@ def product_decompose(a: PureState, b: PureState) -> np.ndarray:
     Intended for the four prepared single-photon states on each side; the
     squared magnitudes are the Bell-measurement probabilities of ``a ox b``.
     """
-    if a.dim != 2 or b.dim != 2:
+    if a.amplitudes.shape != (2,) or b.amplitudes.shape != (2,):
         raise ValueError("product decomposition needs two single-qubit states")
     joint = np.kron(a.amplitudes, b.amplitudes)
     return BELL_VECTORS.conj() @ joint
@@ -392,12 +405,13 @@ def purify_bell_diagonal(d: BellDiagonal) -> PureState:
 
     Returns sum_i sqrt(delta_i) |Psi_i>|E_i> with the environment in its
     computational basis; tracing out the environment recovers the mixture.
+    Array weights give a stack with one purification per element.
     """
-    amps = np.zeros(16, dtype=np.complex128)
+    amps = np.zeros(np.shape(d.deltas[0]) + (16,), dtype=np.complex128)
     for i in range(4):
-        root = math.sqrt(d.deltas[i])
+        root = np.sqrt(d.deltas[i])
         for ab in range(4):
-            amps[ab * 4 + i] += root * BELL_VECTORS[i][ab]
+            amps[..., ab * 4 + i] += root * BELL_VECTORS[i][ab]
     return PureState(amps)
 
 
@@ -433,13 +447,21 @@ def von_neumann_entropy(dm: DensityMatrix) -> float | np.ndarray:
 
 def holevo_bound(
     states: DensityMatrix | Sequence[DensityMatrix], priors: Sequence[float]
-) -> float:
-    """Holevo quantity S(sum p_i rho_i) - sum p_i S(rho_i) in bits, of a
-    sequence of single states or of one (n, d, d) stack."""
+) -> float | np.ndarray:
+    """Holevo quantity S(sum p_i rho_i) - sum p_i S(rho_i) in bits.
+
+    ``states`` is a sequence of single states, or a (..., n, d, d) stack
+    whose last leading axis indexes the n members of each ensemble. One
+    ensemble gives a float; the leading axes before the ensemble axis give
+    an array of that shape, one chi per ensemble, each equal to the float
+    of that ensemble alone.
+    """
     if isinstance(states, DensityMatrix):
-        if states.matrix.ndim != 3:
-            raise ValueError("an ensemble stack needs shape (n, d, d)")
-        matrices, entropies = list(states.matrix), von_neumann_entropy(states).tolist()
+        if states.matrix.ndim < 3:
+            raise ValueError("an ensemble stack needs shape (..., n, d, d)")
+        members, each = range(states.shape[-1]), von_neumann_entropy(states)
+        matrices = [states.matrix[..., i, :, :] for i in members]
+        entropies = [each[..., i] for i in members]
     else:
         matrices = [s.matrix for s in states]
         entropies = [von_neumann_entropy(s) for s in states]
@@ -451,5 +473,7 @@ def holevo_bound(
     pr = [float(p) for p in priors]
     if any(p < 0 for p in pr) or abs(sum(pr) - 1.0) > 1e-9:
         raise ValueError("priors must be nonnegative and sum to 1")
+    # sums from 0 taken left to right, so a stack's chi equals each ensemble's own
     average = DensityMatrix(sum(p * m for p, m in zip(pr, matrices)))
-    return von_neumann_entropy(average) - sum(p * s for p, s in zip(pr, entropies))
+    chi = von_neumann_entropy(average) - sum(p * s for p, s in zip(pr, entropies))
+    return float(chi) if np.ndim(chi) == 0 else chi

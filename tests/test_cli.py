@@ -578,6 +578,17 @@ class TestExitCodes:
         _, rows = parse_csv(out)
         assert all(math.isfinite(float(row["capacity_raw"])) for row in rows)
 
+    @pytest.mark.parametrize("protocol", ["mdi-ts", "mdi-dl04"])
+    def test_huge_gain_gap_keeps_stderr_lines_short(self, capsys, protocol):
+        code, _, err = run_cli(
+            ["simulate", "--protocol", protocol, "--p", "0.5", "--rounds", "2000",
+             "--eta", repr(ETA_MAX)],
+            capsys,
+        )
+        assert code == 0, err
+        assert max(len(line) for line in err.splitlines()) < 200, err
+        assert "e+30" in err.splitlines()[-1]
+
     def test_grid_point_cap_is_inclusive(self):
         step = 2.0**-21  # exact binary steps make the point count exact
         stop = (MAX_GRID_POINTS - 1) * step
@@ -757,12 +768,28 @@ class TestConfigFile:
         assert code == 2
 
 
+VERIFY_STDOUT = """\
+PASS bell-states: max amplitude error 0.000e+00
+PASS product-decompositions: max deviation 1.110e-16 at |+ +>
+PASS swap-corrections: min post-correction singlet fidelity 1.000000000000000
+PASS backend-equivalence: max distribution deviation 4.441e-16 (mdi-ts p=0.1 attack=intercept-resend symbol_error)
+PASS holevo-bound: max(chi - bound) = 0.000e+00 at deltas=(1.0, 0.0, 0.0, 0.0)
+"""
+
+
 class TestVerify:
     def test_all_checks_pass(self, capsys):
         code, out, err = run_cli(["verify"], capsys)
         assert code == 0
         assert out.count("PASS") == 5 and "FAIL" not in out
         assert "all 5 checks passed" in err
+
+    def test_stdout_is_pinned_byte_for_byte(self, capsys):
+        # the worst cases of the one-point-at-a-time oracle, which the
+        # stacked checks must reproduce exactly
+        code, out, _ = run_cli(["verify"], capsys)
+        assert code == 0
+        assert out == VERIFY_STDOUT
 
     def test_fault_injection_named_failure(self, capsys):
         code, out, _ = run_cli(["verify", "--inject-fault", "decomposition-sign"], capsys)

@@ -218,3 +218,25 @@ def test_out_of_range_input_raises_like_the_scalar_path(protocol, xs, kwargs):
     with pytest.raises(ValueError) as array:
         analytic_point(protocol, np.array(xs), **kwargs)
     assert str(array.value) == str(scalar.value)
+
+
+# Equal checked error rate: each MDI curve read at the checked rate eps_z of
+# its first two channel uses, against the non-MDI reconstruction at that rate.
+EQUAL_RATE_XS = np.linspace(0.0, 0.5, 501)
+
+
+def test_mdi_ts_equals_two_step_at_the_same_checked_rate():
+    mdi = analytic_point(Protocol.MDI_TS, EQUAL_RATE_XS, noise=NoisePlacement.FIRST_LEG_ONLY)
+    two_step = analytic_point(Protocol.TWO_STEP, mdi.eps_z)
+    np.testing.assert_allclose(mdi.capacity.raw, two_step.capacity.raw, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("noise", list(NoisePlacement))
+@pytest.mark.parametrize("encoding", [PauliLabel.X, PauliLabel.Y, PauliLabel.Z])
+def test_mdi_dl04_is_not_below_dl04_at_the_same_checked_rate(noise, encoding):
+    mdi = analytic_point(Protocol.MDI_DL04, EQUAL_RATE_XS, noise=noise, encoding=encoding)
+    dl04 = analytic_point(Protocol.DL04, mdi.eps_z)
+    gap = mdi.capacity.raw - dl04.capacity.raw
+    # near x = 1/2 both capacities reach -1, where rounding leaves gaps of -2e-16
+    assert gap.min() >= -1e-12
+    assert gap.max() > 0.1

@@ -1,6 +1,7 @@
 """Protocol simulator tests: swap-correction oracle, Monte Carlo statistics,
 attack behavior, and Pauli-frame vs density-matrix backend equivalence."""
 
+import dataclasses
 import itertools
 import math
 
@@ -623,6 +624,25 @@ class TestBackendEquivalence:
         exact = density_matrix_round_distributions(cfg)
         for key in fast:
             np.testing.assert_allclose(fast[key], exact[key], atol=1e-12, err_msg=key)
+
+    @pytest.mark.parametrize(
+        "backend", [pauli_frame_round_distributions, density_matrix_round_distributions]
+    )
+    @pytest.mark.parametrize("protocol", [Protocol.MDI_TS, Protocol.MDI_DL04])
+    @pytest.mark.parametrize("noise", list(NoisePlacement))
+    @pytest.mark.parametrize("attack", list(AttackModel))
+    def test_grid_rows_equal_the_per_config_calls(self, backend, protocol, noise, attack):
+        ps = (0.0, 0.1, 0.3, 0.5, 1.0)
+        cfg = ProtocolConfig(
+            protocol=protocol, rounds=1, channel_p=0.0, seed=0, attack=attack, noise=noise
+        )
+        grid = backend(cfg, np.array(ps))
+        for i, p in enumerate(ps):
+            one = backend(dataclasses.replace(cfg, channel_p=p))
+            assert grid.keys() == one.keys()
+            for key in one:
+                assert grid[key].shape == (len(ps),) + one[key].shape, key
+                np.testing.assert_array_equal(grid[key][i], one[key], err_msg=f"{key} p={p}")
 
     def test_attacked_leg_choice_matters_only_physically(self):
         # symmetric channels: attacking either leg gives identical statistics

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mdiqsdc.quantum
 from mdiqsdc.quantum import (
     BELL_VECTORS,
     BellDiagonal,
@@ -650,3 +651,61 @@ class TestDensityStack:
             holevo_bound(stack, priors[:3])
         with pytest.raises(ValueError):
             holevo_bound(members[0], [1.0])
+
+    def test_indexing_keeps_members_and_eigenvalues_without_revalidating(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        stack = DensityMatrix(random_density_matrices(rng, 6, 4).reshape(2, 3, 4, 4))
+        calls = []
+        original = mdiqsdc.quantum.validate_density_stack
+        monkeypatch.setattr(
+            mdiqsdc.quantum, "validate_density_stack", lambda m: calls.append(m) or original(m)
+        )
+        for index in ((1,), (..., None, 2), (None, slice(None), 0)):
+            sub = stack[index]
+            np.testing.assert_array_equal(sub.matrix, stack.matrix[index + (slice(None),) * 2])
+            want = stack.eigenvalues[index + (slice(None),)]
+            np.testing.assert_array_equal(sub.eigenvalues, want)
+        assert stack[..., None].shape == (2, 3, 1)
+        assert calls == []
+
+    def test_holevo_bound_of_a_stack_of_ensembles_equals_each_ensemble(self):
+        rng = np.random.default_rng(10)
+        stack = DensityMatrix(random_density_matrices(rng, 12, 4).reshape(3, 4, 4, 4))
+        priors = [0.1, 0.2, 0.3, 0.4]
+        chis = holevo_bound(stack, priors)
+        assert chis.shape == (3,)
+        for k in range(3):
+            assert chis[k] == holevo_bound(DensityMatrix(stack.matrix[k]), priors)
+
+
+class TestPureStack:
+    def test_purification_of_array_weights_is_the_stack_of_each(self):
+        grid = [(1.0, 0.0, 0.0, 0.0), (0.25, 0.25, 0.25, 0.25), (0.4, 0.3, 0.2, 0.1)]
+        stacked = purify_bell_diagonal(BellDiagonal(tuple(np.array(grid).T)))
+        assert stacked.amplitudes.shape == (3, 16)
+        rho = stacked.to_density_matrix()
+        for k, deltas in enumerate(grid):
+            one = purify_bell_diagonal(BellDiagonal(deltas))
+            np.testing.assert_array_equal(stacked.amplitudes[k], one.amplitudes)
+            np.testing.assert_array_equal(rho.matrix[k], one.to_density_matrix().matrix)
+
+    def test_tensor_and_pauli_act_member_by_member(self):
+        rng = np.random.default_rng(12)
+        a = PureState(np.stack([random_pure(rng, 2).amplitudes for _ in range(3)]))
+        b = PureState(np.stack([random_pure(rng, 2).amplitudes for _ in range(3)]))
+        joint = tensor(a, b)
+        flipped = apply_pauli(joint, PauliLabel.Y, 1)
+        assert joint.amplitudes.shape == (3, 4)
+        for k in range(3):
+            one = tensor(PureState(a.amplitudes[k]), PureState(b.amplitudes[k]))
+            np.testing.assert_array_equal(joint.amplitudes[k], one.amplitudes)
+            np.testing.assert_allclose(
+                flipped.amplitudes[k], apply_pauli(one, PauliLabel.Y, 1).amplitudes, atol=1e-15
+            )
+        with pytest.raises(ValueError, match="single-qubit"):
+            product_decompose(a, b)
+
+    def test_a_stack_reports_its_first_unnormalized_member(self):
+        amps = np.array([[1.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
+        with pytest.raises(ValueError, match=r"squared norm 2\.0 differs"):
+            PureState(amps)

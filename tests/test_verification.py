@@ -1,0 +1,110 @@
+"""The stacked ``verify`` checks: equal to their per-point definitions, as
+many matrices validated as one point at a time, bounded memory, and a
+Holevo check that fails when its ensemble, its bound or its grid is wrong."""
+
+import math
+import tracemalloc
+from collections import Counter
+
+import numpy as np
+import pytest
+
+import mdiqsdc.quantum
+import mdiqsdc.verification as verification
+from mdiqsdc.infotheory import binary_entropy
+from mdiqsdc.quantum import BellDiagonal, PauliLabel, apply_pauli, purify_bell_diagonal
+from mdiqsdc.verification import (
+    check_holevo_bound,
+    delta_simplex_grid,
+    holevo_excess,
+    run_all_checks,
+    simplex_excess,
+)
+
+# Matrices one verify validated when every grid point was its own stack.
+VALIDATED_FLOOR = {"backend-equivalence": 952, "holevo-bound": 245}
+VALIDATED_TOTAL_FLOOR = 1218
+
+
+@pytest.mark.parametrize("points_per_axis", [5, 7])
+def test_stacked_excess_equals_the_per_point_loop(points_per_axis):
+    grid, stacked = simplex_excess(points_per_axis)
+    assert grid == delta_simplex_grid(points_per_axis)
+    loop = [holevo_excess(BellDiagonal(deltas)) for deltas in grid]
+    assert all(isinstance(value, float) for value in loop)
+    np.testing.assert_array_equal(stacked, loop)
+
+
+def test_verify_validates_at_least_one_matrix_per_point_and_stage(monkeypatch):
+    validated = Counter()
+    running = []
+    original = mdiqsdc.quantum.validate_density_stack
+
+    def counting(matrices):
+        validated[running[-1]] += math.prod(matrices.shape[:-2])
+        return original(matrices)
+
+    def named(check):
+        def run(*args, **kwargs):
+            running.append(check.__name__)
+            return check(*args, **kwargs)
+
+        return run
+
+    monkeypatch.setattr(mdiqsdc.quantum, "validate_density_stack", counting)
+    names = {}
+    for attr in dir(verification):
+        if attr.startswith("check_"):
+            names[attr] = getattr(verification, attr)
+            monkeypatch.setattr(verification, attr, named(names[attr]))
+    results = run_all_checks()
+    by_check = {
+        result.name: validated[function]
+        for result, function in zip(results, running, strict=True)
+    }
+    for name, floor in VALIDATED_FLOOR.items():
+        assert by_check[name] >= floor, (name, by_check[name])
+    assert sum(validated.values()) >= VALIDATED_TOTAL_FLOOR
+
+
+def test_stacked_checks_stay_under_a_megabyte():
+    run_all_checks()  # the operator tables are cached on first use
+    tracemalloc.start()
+    try:
+        run_all_checks()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+
+
+class TestHolevoCheckHasTeeth:
+    def test_dropping_the_cover_average_fails(self, monkeypatch):
+        def uncovered(deltas):
+            rho = purify_bell_diagonal(deltas).to_density_matrix()
+            return apply_pauli(rho[..., None], list(PauliLabel), 0)
+
+        monkeypatch.setattr(verification, "encoding_ensemble", uncovered)
+        result = check_holevo_bound()
+        assert not result.passed, result.detail
+
+    def test_a_bound_of_h_eps_z_alone_fails(self, monkeypatch):
+        monkeypatch.setattr(
+            verification, "eve_info_mdi_ts", lambda eps_z, eps_x: binary_entropy(eps_z)
+        )
+        result = check_holevo_bound()
+        assert not result.passed, result.detail
+
+    def test_a_violation_at_any_single_point_fails_and_is_named(self, monkeypatch):
+        honest = verification.holevo_excess
+        for target in delta_simplex_grid(5):
+
+            def planted(deltas, target=target):
+                close = [np.isclose(deltas.deltas[k], target[k], rtol=0.0, atol=1e-12) for k in range(4)]
+                at_target = np.all(close, axis=0)
+                return honest(deltas) + np.where(at_target, 3.0, 0.0)  # excess >= -2
+
+            monkeypatch.setattr(verification, "holevo_excess", planted)
+            result = check_holevo_bound()
+            assert not result.passed, target
+            assert result.detail.endswith(f"at deltas={target}")

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .elementwise import check_range
 from .quantum import (
     ANTICOMMUTES,
@@ -23,7 +21,7 @@ from .quantum import (
     BellDiagonal,
     DensityMatrix,
     PauliLabel,
-    pauli_operator,
+    pauli_channel,
     validate_probability_vector,
 )
 
@@ -74,16 +72,12 @@ class ErrorRates:
 
 def depolarize(dm: DensityMatrix, p: float, qubit: int) -> DensityMatrix:
     """Depolarize one qubit of every state of the stack:
-    rho -> p * (I/2 on that qubit) + (1-p) * rho. ``p`` is a float, or a
-    1-D array with one value per index of the stack's first leading axis."""
+    rho -> p * (I/2 on that qubit) + (1-p) * rho, the Pauli channel with
+    weights (1 - 3p/4, p/4, p/4, p/4). ``p`` is a float, or a 1-D array with
+    one value per index of the stack's first leading axis."""
     check_range(p, 0.0, 1.0, "channel parameter ")
-    if isinstance(p, np.ndarray):
-        p = p.reshape(p.shape + (1,) * (dm.matrix.ndim - 1))
-    terms = (1.0 - 0.75 * p) * dm.matrix
-    for op in (PauliLabel.X, PauliLabel.Y, PauliLabel.Z):
-        full = pauli_operator(int(op), qubit, dm.num_qubits)
-        terms = terms + 0.25 * p * (full @ dm.matrix @ full)
-    return DensityMatrix(terms)
+    quarter = 0.25 * p
+    return pauli_channel(dm, (1.0 - 0.75 * p, quarter, quarter, quarter), qubit)
 
 
 def depolarizing_pauli_dist(p: float) -> PauliDistribution:

@@ -26,9 +26,16 @@ consumers, namely the key law of a run, the label-algebra backend and the
 closed-form curves of ``curves``. It takes a float channel parameter or an
 array of them, so the curves compose a whole sweep grid in one call.
 
+The one attack is intercept-resend on Alice's first leg: the attacker
+measures each photon in a random Z or X basis and resends the eigenstate
+found. The frame adds it as the constant :data:`INTERCEPT_RESEND_DIST`;
+the oracle states it on its own, as the average of the Z and X dephasings.
+
 Two analytic backends expose per-round outcome distributions, one from the
 label algebra and one from explicit density matrices, so their agreement
-can be checked to machine precision without sampling.
+can be checked to machine precision without sampling; ``verify`` compares
+them under both noise placements, all three single-photon encodings and
+the attack.
 
 Separate runs share no state and may also execute concurrently.
 """
@@ -73,7 +80,7 @@ from .quantum import (
     bell_state,
     embed_two_qubit_operator,
     partial_trace,
-    pauli_operator,
+    pauli_channel,
 )
 
 
@@ -137,13 +144,16 @@ class ProtocolConfig:
     eta: float = 1.0
     dl04_encoding: PauliLabel = PauliLabel.Y
     attack: AttackModel = AttackModel.NONE
-    attack_bases: tuple[PauliLabel, ...] = (PauliLabel.Z, PauliLabel.X)
-    attack_leg: str = "alice"
     transmittance: float = 1.0
 
     def __post_init__(self) -> None:
         if self.protocol not in (Protocol.MDI_TS, Protocol.MDI_DL04):
             raise ValueError("only the two MDI protocols can be simulated")
+        for name in ("rounds", "seed"):
+            value = getattr(self, name)
+            # bool is an int subclass, and a float would be truncated silently
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.rounds <= MAX_ROUNDS:
             raise ValueError(f"rounds must lie in [1, {MAX_ROUNDS}]")
         if not 0.0 < self.check_fraction < 1.0:
@@ -160,14 +170,6 @@ class ProtocolConfig:
             raise ValueError(f"gain gap eta={self.eta!r} outside [0, {ETA_MAX:g}]")
         if not 0.0 <= self.transmittance <= 1.0:
             raise ValueError("transmittance must lie in [0, 1]")
-        if self.attack_leg not in ("alice", "bob"):
-            raise ValueError("attack_leg must be 'alice' or 'bob'")
-        bases = tuple(self.attack_bases)
-        if self.attack == AttackModel.INTERCEPT_RESEND:
-            if not bases or len(set(bases)) != len(bases):
-                raise ValueError("attack bases must be a nonempty set")
-            if any(b == PauliLabel.I for b in bases):
-                raise ValueError("attack bases must be X, Y, or Z")
 
 
 @dataclass(frozen=True)
@@ -232,32 +234,18 @@ def check_bases(cfg: ProtocolConfig) -> tuple[PauliLabel, ...]:
     return (PauliLabel.Z, PauliLabel.X)
 
 
-def intercept_resend_pauli_dist(bases: tuple[PauliLabel, ...]) -> PauliDistribution:
-    """Pauli-error process equivalent to measure-and-resend in a random basis.
-
-    A nonselective measurement in basis b dephases the qubit, which is the
-    Pauli mixture (I + sigma_b)/2 applied with weight 1/2 each; averaging
-    over the attacker's basis choices gives the returned distribution.
-    """
-    if not bases or any(b == PauliLabel.I for b in bases):
-        raise ValueError("attack bases must be drawn from X, Y, Z")
-    probs = [0.5, 0.0, 0.0, 0.0]
-    for b in bases:
-        probs[int(b)] += 0.5 / len(bases)
-    return PauliDistribution(tuple(probs))
+# Measure-and-resend on Alice's first leg in Z or X, half the time each, dephases in that basis.
+INTERCEPT_RESEND_DIST = PauliDistribution((0.5, 0.25, 0.0, 0.25))
 
 
-def intercept_resend_channel(
-    dm: DensityMatrix, qubit: int, bases: tuple[PauliLabel, ...]
-) -> DensityMatrix:
-    """Exact channel of the intercept-resend attack on one qubit."""
-    if not bases or any(b == PauliLabel.I for b in bases):
-        raise ValueError("attack bases must be drawn from X, Y, Z")
-    out = np.zeros_like(dm.matrix)
-    for b in bases:
-        full = pauli_operator(int(b), qubit, dm.num_qubits)
-        out = out + 0.5 * (dm.matrix + full @ dm.matrix @ full) / len(bases)
-    return DensityMatrix(out)
+def intercept_resend_channel(dm: DensityMatrix, qubit: int) -> DensityMatrix:
+    """Exact channel of the intercept-resend attack on one qubit: the
+    attacker measures in Z or X, each with probability 1/2, and resends the
+    eigenstate found, so the channel is the average of the Z and X
+    dephasings rho -> (rho + sigma_b rho sigma_b) / 2."""
+    dephase_z = np.array([0.5, 0.0, 0.0, 0.5])
+    dephase_x = np.array([0.5, 0.5, 0.0, 0.0])
+    return pauli_channel(dm, tuple((dephase_z + dephase_x) / 2), qubit)
 
 
 RoundErrorDists = tuple[PauliDistribution, PauliDistribution]
@@ -268,19 +256,19 @@ def round_error_dists(
     p: float,
     noise: NoisePlacement,
     eve: PauliDistribution | None = None,
-    attack_leg: str = "alice",
 ) -> RoundErrorDists:
     """The two Pauli errors of one round: ``(frame, second)``.
 
     ``frame`` composes both first legs, the attacker's process ``eve`` on
-    leg ``attack_leg``; the checked rates are read off it. ``second`` is the
-    re-transmission error of message rounds. The sampler, the label-algebra
+    Alice's (the labels form an abelian group, so the attacked leg would
+    change the frame only by rounding); the checked rates are read off it.
+    ``second`` is the re-transmission error of message rounds. The sampler, the label-algebra
     backend and the closed-form curves all take their distributions from here;
     ``p`` may be a float or, for a sweep grid, a 1-D float64 array.
     """
     single = depolarizing_pauli_dist(p)
     attacked = convolve(single, eve) if eve is not None else single
-    frame = convolve(attacked, single) if attack_leg == "alice" else convolve(single, attacked)
+    frame = convolve(attacked, single)
     if noise != NoisePlacement.BOTH_LEGS:
         return frame, IDENTITY_DIST
     # only Alice's encoded photon travels again in the single-photon protocol
@@ -293,13 +281,9 @@ def round_error_dists_for_config(
     """:func:`round_error_dists` of a Monte Carlo configuration, attack
     included, at ``channel_p`` (a float or a 1-D float64 grid) in place of
     ``cfg.channel_p`` when given."""
-    eve = (
-        intercept_resend_pauli_dist(cfg.attack_bases)
-        if cfg.attack == AttackModel.INTERCEPT_RESEND
-        else None
-    )
+    eve = INTERCEPT_RESEND_DIST if cfg.attack == AttackModel.INTERCEPT_RESEND else None
     p = cfg.channel_p if channel_p is None else channel_p
-    return round_error_dists(cfg.protocol, p, cfg.noise, eve, cfg.attack_leg)
+    return round_error_dists(cfg.protocol, p, cfg.noise, eve)
 
 
 # Outcome keys, laid out in :func:`_outcome_keys`; setting the four low bits
@@ -706,8 +690,7 @@ def density_matrix_round_distributions(
     rho = depolarize(rho, p, 1)
     rho = depolarize(rho, p, 3)
     if cfg.attack == AttackModel.INTERCEPT_RESEND:
-        attacked_qubit = 1 if cfg.attack_leg == "alice" else 3
-        rho = intercept_resend_channel(rho, attacked_qubit, cfg.attack_bases)
+        rho = intercept_resend_channel(rho, 1)
 
     proj = _swap_projectors()
     sub = proj @ rho.matrix[..., None, :, :] @ proj  # (..., outcome)

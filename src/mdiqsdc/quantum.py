@@ -17,8 +17,14 @@ A ``PureState`` holds one (d,) vector or a stack with shape (..., d), and a
 single state is a stack with no leading axes. Every member of a stack is
 checked at construction (density matrices by
 :func:`validate_density_stack`), and the helpers below (``apply_pauli``,
-``partial_trace``, ``bell_measure``, the purification, the entropies and
-the Holevo quantity) act on every member at once.
+``pauli_channel``, ``partial_trace``, ``bell_measure``, the purification,
+the entropies and the Holevo quantity) act on every member at once.
+
+Every Pauli acting on a density stack comes from one cached table per
+qubit position, :func:`pauli_operators`: :func:`apply_pauli` conjugates by
+one label, and :func:`pauli_channel` is the one Pauli mixture
+sum_k w_k P_k rho P_k behind the depolarizing channel, the intercept-resend
+attack and the cover average of the eavesdropper's ensemble.
 
 All values are immutable after construction and all operations are pure
 functions, so everything in this module is safe to evaluate concurrently.
@@ -339,45 +345,47 @@ def _embed_operator(op: np.ndarray, qubits: Sequence[int], num_qubits: int) -> n
 
 
 @lru_cache(maxsize=None)
-def pauli_operator(op: int, qubit: int, num_qubits: int) -> np.ndarray:
-    """Read-only embedding of a Pauli on one qubit, built once per argument set.
-
-    States here have 1, 2 or 4 qubits, so the table holds at most
-    4 Paulis x 7 qubit positions = 28 operators.
-    """
-    full = embed_single_qubit_operator(PAULI_MATRICES[op], qubit, num_qubits)
-    full.flags.writeable = False
-    return full
-
-
-@lru_cache(maxsize=None)
 def pauli_operators(qubit: int, num_qubits: int) -> np.ndarray:
-    """Read-only (4, d, d) stack of :func:`pauli_operator` over the labels
-    I, X, Y, Z, built once per qubit position; :func:`apply_pauli` indexes it."""
-    table = np.stack([pauli_operator(op, qubit, num_qubits) for op in range(4)])
+    """Read-only (4, d, d) stack of the Paulis I, X, Y, Z embedded on one
+    qubit, built once per qubit position; :func:`apply_pauli` and
+    :func:`pauli_channel` index it. States here have 1, 2 or 4 qubits, so
+    there are at most 7 tables."""
+    table = np.stack([embed_single_qubit_operator(m, qubit, num_qubits) for m in PAULI_MATRICES])
     table.flags.writeable = False
     return table
 
 
 def apply_pauli(
-    state: PureState | DensityMatrix, op: PauliLabel | Sequence[int] | np.ndarray, qubit: int
-) -> PureState | DensityMatrix:
-    """Apply a single-qubit Pauli to the given tensor factor.
+    state: DensityMatrix, op: PauliLabel | Sequence[int] | np.ndarray, qubit: int
+) -> DensityMatrix:
+    """Conjugate one qubit of every state of the stack by a Pauli.
 
-    Pure states keep their exact phase; for density matrices the conjugation
-    makes any global phase irrelevant. For a density matrix ``op`` may also
-    be an integer array of labels, which broadcasts against the stack's
-    leading axes like any numpy operand: labels of shape (4, 1) on a stack
-    of shape (4,) give the (label, member) stack of shape (4, 4).
+    ``op`` is one label or an integer array of labels, which broadcasts
+    against the stack's leading axes like any numpy operand: labels of
+    shape (4, 1) on a stack of shape (4,) give the (label, member) stack of
+    shape (4, 4).
     """
-    nq = state.num_qubits
-    if not 0 <= qubit < nq:
-        raise IndexError(f"qubit {qubit} out of range for {nq} qubits")
-    if isinstance(state, PureState):
-        return PureState(state.amplitudes @ pauli_operator(int(op), qubit, nq).T)
-    full = pauli_operators(qubit, nq)[np.asarray(op, dtype=np.intp)]
+    full = pauli_operators(qubit, state.num_qubits)[np.asarray(op, dtype=np.intp)]
     # embedded Paulis are Hermitian, so full is its own conjugate transpose
     return DensityMatrix(full @ state.matrix @ full)
+
+
+def pauli_channel(dm: DensityMatrix, weights, qubit: int) -> DensityMatrix:
+    """The Pauli channel rho -> sum_k w_k P_k rho P_k on one qubit of every
+    state of the stack, P_k the labels I, X, Y, Z (Nielsen & Chuang,
+    *Quantum Computation and Quantum Information*, section 8.3).
+
+    Each of the four weights is a float, or a 1-D array with one value per
+    index of the stack's first leading axis. The terms are added one at a
+    time, the identity term as w_0 rho.
+    """
+    paulis = pauli_operators(qubit, dm.num_qubits)
+    lead = (1,) * (dm.matrix.ndim - 1)
+    w = [np.reshape(v, v.shape + lead) if isinstance(v, np.ndarray) else v for v in weights]
+    out = w[0] * dm.matrix
+    for k in (1, 2, 3):
+        out = out + w[k] * (paulis[k] @ dm.matrix @ paulis[k])
+    return DensityMatrix(out)
 
 
 def bell_measure(dm: DensityMatrix) -> np.ndarray:
@@ -445,35 +453,23 @@ def von_neumann_entropy(dm: DensityMatrix) -> float | np.ndarray:
     return float(entropy) if entropy.ndim == 0 else entropy
 
 
-def holevo_bound(
-    states: DensityMatrix | Sequence[DensityMatrix], priors: Sequence[float]
-) -> float | np.ndarray:
+def holevo_bound(states: DensityMatrix, priors: Sequence[float]) -> float | np.ndarray:
     """Holevo quantity S(sum p_i rho_i) - sum p_i S(rho_i) in bits.
 
-    ``states`` is a sequence of single states, or a (..., n, d, d) stack
-    whose last leading axis indexes the n members of each ensemble. One
-    ensemble gives a float; the leading axes before the ensemble axis give
-    an array of that shape, one chi per ensemble, each equal to the float
-    of that ensemble alone.
+    ``states`` is a (..., n, d, d) stack whose last leading axis indexes the
+    n members of each ensemble. One ensemble gives a float; the leading axes
+    before the ensemble axis give an array of that shape, one chi per
+    ensemble, each equal to the float of that ensemble alone.
     """
-    if isinstance(states, DensityMatrix):
-        if states.matrix.ndim < 3:
-            raise ValueError("an ensemble stack needs shape (..., n, d, d)")
-        members, each = range(states.shape[-1]), von_neumann_entropy(states)
-        matrices = [states.matrix[..., i, :, :] for i in members]
-        entropies = [each[..., i] for i in members]
-    else:
-        matrices = [s.matrix for s in states]
-        entropies = [von_neumann_entropy(s) for s in states]
-    if not matrices or len(matrices) != len(priors):
+    if states.matrix.ndim < 3:
+        raise ValueError("an ensemble stack needs shape (..., n, d, d)")
+    if len(priors) != states.shape[-1]:
         raise ValueError("need one prior per state")
-    dims = {m.shape[-1] for m in matrices}
-    if len(dims) != 1:
-        raise ValueError(f"ensemble members have mixed dimensions {sorted(dims)}")
     pr = [float(p) for p in priors]
     if any(p < 0 for p in pr) or abs(sum(pr) - 1.0) > 1e-9:
         raise ValueError("priors must be nonnegative and sum to 1")
+    entropies = von_neumann_entropy(states)
     # sums from 0 taken left to right, so a stack's chi equals each ensemble's own
-    average = DensityMatrix(sum(p * m for p, m in zip(pr, matrices)))
-    chi = von_neumann_entropy(average) - sum(p * s for p, s in zip(pr, entropies))
+    average = DensityMatrix(sum(p * states.matrix[..., i, :, :] for i, p in enumerate(pr)))
+    chi = von_neumann_entropy(average) - sum(p * entropies[..., i] for i, p in enumerate(pr))
     return float(chi) if np.ndim(chi) == 0 else chi

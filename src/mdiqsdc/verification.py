@@ -17,6 +17,7 @@ from .channels import error_rates_from_deltas
 from .infotheory import eve_info_mdi_ts
 from .protocol import (
     AttackModel,
+    NoisePlacement,
     Protocol,
     ProtocolConfig,
     density_matrix_round_distributions,
@@ -35,7 +36,7 @@ from .quantum import (
     embed_two_qubit_operator,
     holevo_bound,
     partial_trace,
-    pauli_operator,
+    pauli_channel,
     product_decompose,
     purify_bell_diagonal,
     single_photon,
@@ -142,36 +143,52 @@ def check_swap_corrections(atol: float = 1e-12) -> CheckResult:
     )
 
 
+# (protocol, attack, noise placement, single-photon encoding) of the configs
+# compared: both noise placements, all three encodings, the attack under each.
+EQUIVALENCE_CASES = (
+    (Protocol.MDI_TS, AttackModel.NONE, NoisePlacement.FIRST_LEG_ONLY, PauliLabel.Y),
+    (Protocol.MDI_TS, AttackModel.INTERCEPT_RESEND, NoisePlacement.BOTH_LEGS, PauliLabel.Y),
+    (Protocol.MDI_DL04, AttackModel.NONE, NoisePlacement.FIRST_LEG_ONLY, PauliLabel.Y),
+    (Protocol.MDI_DL04, AttackModel.INTERCEPT_RESEND, NoisePlacement.BOTH_LEGS, PauliLabel.X),
+    (Protocol.MDI_DL04, AttackModel.INTERCEPT_RESEND, NoisePlacement.FIRST_LEG_ONLY, PauliLabel.Z),
+)
+
+
 def check_backend_equivalence(
     ps: tuple[float, ...] = (0.0, 0.1, 0.5, 1.0), atol: float = 1e-12
 ) -> CheckResult:
     """Pauli-frame and density-matrix per-round distributions, full grid.
 
-    Each backend is called once per (protocol, attack) with the whole p grid;
-    the worst case is the first largest deviation in (protocol, p, attack,
-    key) order.
+    Each backend is called once per case of ``EQUIVALENCE_CASES`` with the
+    whole p grid; the worst case is the first largest deviation in
+    (case, p, key) order.
     """
     grid = np.array(ps, dtype=np.float64)
-    attacks = (AttackModel.NONE, AttackModel.INTERCEPT_RESEND)
-    deviations = {}  # (protocol, attack) -> {key: (len(ps),) max deviation per p}
-    for protocol in (Protocol.MDI_TS, Protocol.MDI_DL04):
-        for attack in attacks:
-            cfg = ProtocolConfig(protocol=protocol, rounds=1, channel_p=0.0, seed=0, attack=attack)
-            fast = pauli_frame_round_distributions(cfg, grid)
-            exact = density_matrix_round_distributions(cfg, grid)
-            deviations[protocol, attack] = {
-                key: np.abs(fast[key] - exact[key]).reshape(len(ps), -1).max(axis=1)
-                for key in exact
-            }
     worst = 0.0
     worst_case = ""
-    for protocol in (Protocol.MDI_TS, Protocol.MDI_DL04):
+    for protocol, attack, noise, encoding in EQUIVALENCE_CASES:
+        cfg = ProtocolConfig(
+            protocol=protocol,
+            rounds=1,
+            channel_p=0.0,
+            seed=0,
+            noise=noise,
+            dl04_encoding=encoding,
+            attack=attack,
+        )
+        fast = pauli_frame_round_distributions(cfg, grid)
+        exact = density_matrix_round_distributions(cfg, grid)
+        deviations = {
+            key: np.abs(fast[key] - exact[key]).reshape(len(ps), -1).max(axis=1) for key in exact
+        }
+        case = f"{protocol.value} {noise.value}"
+        if protocol == Protocol.MDI_DL04:
+            case += f" encoding={encoding.name}"
         for i, p in enumerate(ps):
-            for attack in attacks:
-                for key, diffs in deviations[protocol, attack].items():
-                    if diffs[i] > worst:
-                        worst = float(diffs[i])
-                        worst_case = f"{protocol.value} p={p} attack={attack.value} {key}"
+            for key, diffs in deviations.items():
+                if diffs[i] > worst:
+                    worst = float(diffs[i])
+                    worst_case = f"{case} p={p} attack={attack.value} {key}"
     return CheckResult(
         "backend-equivalence",
         worst < atol,
@@ -209,11 +226,8 @@ def encoding_ensemble(deltas: BellDiagonal) -> DensityMatrix:
     ensemble per element.
     """
     rho = purify_bell_diagonal(deltas).to_density_matrix()
-    covered = np.zeros_like(rho.matrix)
-    for op in PauliLabel:
-        full = pauli_operator(int(op), 1, rho.num_qubits)
-        covered = covered + 0.25 * (full @ rho.matrix @ full)
-    return apply_pauli(DensityMatrix(covered)[..., None], list(PauliLabel), 0)
+    covered = pauli_channel(rho, (0.25, 0.25, 0.25, 0.25), 1)
+    return apply_pauli(covered[..., None], list(PauliLabel), 0)
 
 
 def holevo_excess(deltas: BellDiagonal):

@@ -37,23 +37,21 @@ CONFIGS = [
         seed=0,
         noise=noise,
         attack=attack,
-        attack_leg=leg,
         dl04_encoding=encoding,
     )
-    for protocol, noise, attack, leg, encoding, p in itertools.product(
+    for protocol, noise, attack, encoding, p in itertools.product(
         (Protocol.MDI_TS, Protocol.MDI_DL04),
         tuple(NoisePlacement),
         tuple(AttackModel),
-        ("alice", "bob"),
         (PauliLabel.X, PauliLabel.Y, PauliLabel.Z),
-        (0.0, 0.1, 0.3),
+        (0.0, 0.1, 0.3, 0.5, 0.75, 1.0),
     )
 ]
 
 
 def _config_id(cfg):
     return (
-        f"{cfg.protocol.value}-{cfg.noise.value}-{cfg.attack.value}-{cfg.attack_leg}"
+        f"{cfg.protocol.value}-{cfg.noise.value}-{cfg.attack.value}"
         f"-{cfg.dl04_encoding.name}-p{cfg.channel_p}"
     )
 

@@ -1,8 +1,9 @@
 """Package hygiene: no module imports a name it never uses or defines one
 that nothing else mentions, every name the package exports exists, and the
-command line starts without heavy imports."""
+command line starts without heavy imports; the run config's fields are pinned."""
 
 import ast
+import dataclasses
 import os
 import re
 import subprocess
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import mdiqsdc
+from mdiqsdc.protocol import ProtocolConfig
 
 MODULES = sorted(
     path for path in Path(mdiqsdc.__file__).parent.glob("*.py") if path.name != "__init__.py"
@@ -99,6 +101,24 @@ def test_all_names_resolve():
     assert len(set(mdiqsdc.__all__)) == len(mdiqsdc.__all__)
     missing = [name for name in mdiqsdc.__all__ if not hasattr(mdiqsdc, name)]
     assert missing == []
+
+
+def test_protocol_config_fields_are_pinned():
+    """Every field of a run's config, by name: a new option has to edit this
+    list, so it is added on purpose."""
+    assert [field.name for field in dataclasses.fields(ProtocolConfig)] == [
+        "protocol",
+        "rounds",
+        "channel_p",
+        "seed",
+        "check_fraction",
+        "noise",
+        "q_override",
+        "eta",
+        "dl04_encoding",
+        "attack",
+        "transmittance",
+    ]
 
 
 def test_cli_import_loads_no_logging_or_thread_pool():

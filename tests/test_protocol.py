@@ -10,15 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mdiqsdc.channels
 import mdiqsdc.protocol
 import mdiqsdc.quantum
-from mdiqsdc.channels import convolve, depolarizing_pauli_dist
+from mdiqsdc.channels import PauliDistribution, convolve, depolarizing_pauli_dist
 from mdiqsdc.infotheory import ETA_MAX, binary_entropy, shannon_entropy
 from mdiqsdc.protocol import (
     _KEYS,
     _LOST_KEY,
     _MESSAGE_KEY,
     MAX_ROUNDS,
+    INTERCEPT_RESEND_DIST,
     MESSAGE_BASIS,
     AttackModel,
     NoisePlacement,
@@ -33,7 +35,6 @@ from mdiqsdc.protocol import (
     check_bases,
     density_matrix_round_distributions,
     intercept_resend_channel,
-    intercept_resend_pauli_dist,
     pauli_frame_round_distributions,
     round_error_dists_for_config,
     run,
@@ -277,19 +278,25 @@ class TestRunMdiDl04:
 
 
 class TestInterceptResend:
-    def test_pauli_dist_for_zx_bases(self):
-        dist = intercept_resend_pauli_dist((PauliLabel.Z, PauliLabel.X))
-        np.testing.assert_allclose(dist.probabilities, [0.5, 0.25, 0.0, 0.25])
+    def test_frame_weights_are_the_zx_dephasing_average(self):
+        dephase_z, dephase_x = [0.5, 0.0, 0.0, 0.5], [0.5, 0.5, 0.0, 0.0]
+        want = [(z + x) / 2 for z, x in zip(dephase_z, dephase_x)]
+        assert list(INTERCEPT_RESEND_DIST.probabilities) == want == [0.5, 0.25, 0.0, 0.25]
 
-    def test_channel_matches_pauli_dist_on_singlet(self):
-        bases = (PauliLabel.Z, PauliLabel.X)
+    def test_channel_is_measure_and_resend_and_matches_the_frame_weights(self):
         dm = bell_state(BellLabel.PSI_MINUS).to_density_matrix()
-        tampered = intercept_resend_channel(dm, 1, bases)
-        dist = intercept_resend_pauli_dist(bases)
+        tampered = intercept_resend_channel(dm, 1)
+        # measure in Z or X with probability 1/2 each, resend the eigenstate found
+        resent = np.zeros((4, 4), dtype=complex)
+        for eigenvectors in (np.eye(2), np.array([[1, 1], [1, -1]]) / math.sqrt(2)):
+            for v in eigenvectors.T:
+                proj = np.kron(np.eye(2), np.outer(v, v.conj()))
+                resent += 0.5 * proj @ dm.matrix @ proj
+        np.testing.assert_allclose(tampered.matrix, resent, atol=1e-14)
         mixed = np.zeros((4, 4), dtype=complex)
         for k in range(4):
             full = np.kron(np.eye(2), PAULI[k])
-            mixed += dist.probabilities[k] * full @ dm.matrix @ full.conj().T
+            mixed += INTERCEPT_RESEND_DIST.probabilities[k] * full @ dm.matrix @ full.conj().T
         np.testing.assert_allclose(tampered.matrix, mixed, atol=1e-14)
 
     def test_checked_qber_one_quarter(self):
@@ -320,19 +327,6 @@ class TestInterceptResend:
         cfg = ProtocolConfig(protocol=Protocol.MDI_TS, rounds=10_000, channel_p=0.2, seed=47)
         again = ProtocolConfig(protocol=Protocol.MDI_TS, rounds=10_000, channel_p=0.2, seed=47)
         assert run(cfg) == run(again)
-
-    def test_attack_on_either_leg_detected(self):
-        for leg in ("alice", "bob"):
-            cfg = ProtocolConfig(
-                protocol=Protocol.MDI_TS,
-                rounds=100_000,
-                channel_p=0.0,
-                seed=53,
-                attack=AttackModel.INTERCEPT_RESEND,
-                attack_leg=leg,
-            )
-            stats = run(cfg)
-            assert stats.eps_z.rate > 0.2
 
 
 # Rows of ``Tally.checks`` are basis labels I, X, Y, Z; columns count check
@@ -581,16 +575,26 @@ class TestConfigValidation:
         stats = run(ProtocolConfig(eta=ETA_MAX, **kwargs))
         assert math.isfinite(stats.capacity.raw) and math.isfinite(stats.capacity_se)
 
-    def test_rejects_identity_attack_basis(self):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("field", ["attack_bases", "attack_leg"])
+    def test_attack_is_not_configurable(self, field):
+        with pytest.raises(TypeError, match=field):
             ProtocolConfig(
-                protocol=Protocol.MDI_TS,
-                rounds=10,
-                channel_p=0.0,
-                seed=1,
-                attack=AttackModel.INTERCEPT_RESEND,
-                attack_bases=(PauliLabel.I,),
+                protocol=Protocol.MDI_TS, rounds=10, channel_p=0.0, seed=1, **{field: None}
             )
+
+    @pytest.mark.parametrize(
+        "field, bad", [("rounds", 100.5), ("rounds", True), ("seed", 1.5), ("seed", True)]
+    )
+    def test_rejects_non_integer_rounds_and_seed(self, field, bad):
+        kwargs = dict(protocol=Protocol.MDI_TS, rounds=100, channel_p=0.1, seed=1)
+        kwargs[field] = bad
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ProtocolConfig(**kwargs)
+
+    def test_accepts_numpy_integer_rounds_and_seed(self):
+        kwargs = dict(protocol=Protocol.MDI_TS, channel_p=0.1)
+        numpy_ints = ProtocolConfig(rounds=np.int64(2000), seed=np.uint64(7), **kwargs)
+        assert run(numpy_ints) == run(ProtocolConfig(rounds=2000, seed=7, **kwargs))
 
 
 class TestBackendEquivalence:
@@ -644,26 +648,72 @@ class TestBackendEquivalence:
                 assert grid[key].shape == (len(ps),) + one[key].shape, key
                 np.testing.assert_array_equal(grid[key][i], one[key], err_msg=f"{key} p={p}")
 
-    def test_attacked_leg_choice_matters_only_physically(self):
-        # symmetric channels: attacking either leg gives identical statistics
-        for leg in ("alice", "bob"):
-            cfg = ProtocolConfig(
-                protocol=Protocol.MDI_TS,
-                rounds=1,
-                channel_p=0.2,
-                seed=0,
-                attack=AttackModel.INTERCEPT_RESEND,
-                attack_leg=leg,
-            )
-            fast = pauli_frame_round_distributions(cfg)
-            exact = density_matrix_round_distributions(cfg)
-            for key in fast:
-                np.testing.assert_allclose(fast[key], exact[key], atol=1e-12)
+    @pytest.mark.parametrize("protocol", [Protocol.MDI_TS, Protocol.MDI_DL04])
+    @pytest.mark.parametrize("noise", list(NoisePlacement))
+    def test_attack_on_bobs_leg_gives_alices_tables(self, monkeypatch, protocol, noise):
+        # the frame is a product in an abelian group, so the attacked leg
+        # matters only physically: the oracle attacking Bob's sent photon
+        # (qubit 3) reproduces the tables of the attack on Alice's
+        cfg = ProtocolConfig(
+            protocol=protocol,
+            rounds=1,
+            channel_p=0.2,
+            seed=0,
+            noise=noise,
+            attack=AttackModel.INTERCEPT_RESEND,
+        )
+        alice = density_matrix_round_distributions(cfg)
+        attacked = []
+        original = intercept_resend_channel
+
+        def on_bobs_leg(dm, qubit):
+            attacked.append(qubit)
+            return original(dm, 3)
+
+        monkeypatch.setattr(mdiqsdc.protocol, "intercept_resend_channel", on_bobs_leg)
+        bob = density_matrix_round_distributions(cfg)
+        assert attacked == [1]
+        assert bob.keys() == alice.keys()
+        for key in alice:
+            np.testing.assert_allclose(bob[key], alice[key], atol=1e-12, err_msg=key)
 
 
 class TestOracleStillReferees:
-    """The stacked oracle is still checked: a wrong correction shows up as a
-    backend mismatch and a non-unitary operation as an invalid state."""
+    """The stacked oracle is still checked: a wrong correction or a wrong
+    channel weight on either side shows up as a backend mismatch, and a
+    non-unitary operation as an invalid state."""
+
+    def test_wrong_depolarizing_weight_in_the_frame_fails_equivalence(self, monkeypatch):
+        def skewed(p):
+            return PauliDistribution((1.0 - 0.75 * p, 0.3 * p, 0.2 * p, 0.25 * p))
+
+        monkeypatch.setattr(mdiqsdc.protocol, "depolarizing_pauli_dist", skewed)
+        result = check_backend_equivalence()
+        assert not result.passed, result.detail
+
+    def test_wrong_attack_weight_in_the_frame_fails_equivalence(self, monkeypatch):
+        skewed = PauliDistribution((0.5, 0.3, 0.0, 0.2))
+        monkeypatch.setattr(mdiqsdc.protocol, "INTERCEPT_RESEND_DIST", skewed)
+        result = check_backend_equivalence()
+        assert not result.passed, result.detail
+        assert "attack=intercept-resend" in result.detail
+
+    @pytest.mark.parametrize(
+        "module", [mdiqsdc.channels, mdiqsdc.protocol], ids=["depolarize", "intercept-resend"]
+    )
+    def test_wrong_weight_in_an_oracle_channel_fails_equivalence(self, monkeypatch, module):
+        # moves half of the X weight to Y in the oracle's depolarize calls
+        # (channels) or in its intercept-resend call (protocol)
+        original = module.pauli_channel
+
+        def skewed(dm, weights, qubit):
+            w = list(weights)
+            w[1], w[2] = 0.5 * w[1], w[2] + 0.5 * w[1]
+            return original(dm, w, qubit)
+
+        monkeypatch.setattr(module, "pauli_channel", skewed)
+        result = check_backend_equivalence()
+        assert not result.passed, result.detail
 
     @pytest.mark.parametrize("outcome", list(BellLabel))
     def test_wrong_swap_correction_fails_equivalence(self, monkeypatch, outcome):

@@ -22,7 +22,8 @@ from mdiqsdc.quantum import (
     embed_single_qubit_operator,
     holevo_bound,
     partial_trace,
-    pauli_operator,
+    pauli_channel,
+    pauli_operators,
     product_decompose,
     purify_bell_diagonal,
     single_photon,
@@ -103,28 +104,28 @@ class TestBellStates:
 
 class TestApplyPauli:
     def test_identity_fixes_singlet(self):
-        psi = bell_state(BellLabel.PSI_MINUS)
+        rho = bell_state(BellLabel.PSI_MINUS).to_density_matrix()
         for qubit in (0, 1):
-            same = apply_pauli(psi, PauliLabel.I, qubit)
-            assert abs(np.vdot(same.amplitudes, psi.amplitudes)) ** 2 >= 1 - 1e-12
+            same = apply_pauli(rho, PauliLabel.I, qubit)
+            np.testing.assert_array_equal(same.matrix, rho.matrix)
 
     def test_z_on_second_qubit_maps_singlet_to_triplet(self):
-        got = apply_pauli(bell_state(BellLabel.PSI_MINUS), PauliLabel.Z, 1)
+        rho = bell_state(BellLabel.PSI_MINUS).to_density_matrix()
+        got = apply_pauli(rho, PauliLabel.Z, 1)
         # independent oracle: explicit 4x4 multiplication
         oracle = pauli_on_qubit_oracle(3, 1, 2) @ BELL_VECTORS[0]
-        assert abs(abs(np.vdot(oracle, got.amplitudes)) - 1) < 1e-12
-        psi_plus = bell_state(BellLabel.PSI_PLUS).amplitudes
-        assert abs(np.vdot(got.amplitudes, psi_plus)) ** 2 >= 1 - 1e-12
+        np.testing.assert_allclose(got.matrix, np.outer(oracle, oracle.conj()), atol=1e-12)
+        np.testing.assert_allclose(bell_measure(got), [0, 1, 0, 0], atol=1e-12)
 
     @pytest.mark.parametrize("op", list(PauliLabel))
     @pytest.mark.parametrize("qubit", [0, 1])
     def test_matches_matrix_oracle_on_random_states(self, op, qubit):
         rng = np.random.default_rng(1234 + 7 * int(op) + qubit)
+        full = pauli_on_qubit_oracle(int(op), qubit, 2)
         for _ in range(20):
-            state = random_pure(rng, 4)
-            got = apply_pauli(state, op, qubit).amplitudes
-            want = pauli_on_qubit_oracle(int(op), qubit, 2) @ state.amplitudes
-            np.testing.assert_allclose(got, want, atol=1e-14)
+            state = random_density(rng, 4)
+            got = apply_pauli(state, op, qubit).matrix
+            np.testing.assert_allclose(got, full @ state.matrix @ full.conj().T, atol=1e-14)
 
     def test_density_matrix_conjugation(self):
         rng = np.random.default_rng(99)
@@ -140,42 +141,82 @@ class TestApplyPauli:
     )
     @settings(max_examples=40, deadline=None)
     def test_involution(self, op, qubit, seed):
-        state = random_pure(np.random.default_rng(seed), 4)
+        state = random_density(np.random.default_rng(seed), 4)
         back = apply_pauli(apply_pauli(state, op, qubit), op, qubit)
-        assert abs(np.vdot(state.amplitudes, back.amplitudes)) ** 2 >= 1 - 1e-12
+        np.testing.assert_allclose(back.matrix, state.matrix, atol=1e-14)
 
     def test_permutes_bell_states_without_leakage(self):
         for label in BellLabel:
             for op in PauliLabel:
                 for qubit in (0, 1):
-                    moved = apply_pauli(bell_state(label), op, qubit)
-                    probs = bell_measure(moved.to_density_matrix())
+                    moved = apply_pauli(bell_state(label).to_density_matrix(), op, qubit)
+                    probs = bell_measure(moved)
                     assert np.count_nonzero(probs > 1e-12) == 1
                     assert abs(probs.max() - 1.0) < 1e-12
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
-            apply_pauli(bell_state(BellLabel.PSI_MINUS), PauliLabel.X, 2)
+            apply_pauli(bell_state(BellLabel.PSI_MINUS).to_density_matrix(), PauliLabel.X, 2)
 
 
 class TestPauliOperatorTable:
     @pytest.mark.parametrize("num_qubits", [1, 2, 4])
     def test_matches_fresh_embedding_and_is_read_only(self, num_qubits):
-        for op in PauliLabel:
-            for qubit in range(num_qubits):
-                table = pauli_operator(int(op), qubit, num_qubits)
+        for qubit in range(num_qubits):
+            table = pauli_operators(qubit, num_qubits)
+            assert table.shape == (4, 2**num_qubits, 2**num_qubits)
+            for op in PauliLabel:
                 fresh = embed_single_qubit_operator(PAULI_MATRICES[int(op)], qubit, num_qubits)
-                np.testing.assert_array_equal(table, fresh)
+                np.testing.assert_array_equal(table[op], fresh)
                 np.testing.assert_array_equal(
-                    table, pauli_on_qubit_oracle(int(op), qubit, num_qubits)
+                    table[op], pauli_on_qubit_oracle(int(op), qubit, num_qubits)
                 )
-                assert pauli_operator(op, qubit, num_qubits) is table  # built once
-                with pytest.raises(ValueError):
-                    table[0, 0] = 2.0
+            assert pauli_operators(qubit, num_qubits) is table  # built once
+            with pytest.raises(ValueError):
+                table[0, 0, 0] = 2.0
 
     def test_out_of_range_qubit_is_not_tabled(self):
         with pytest.raises(IndexError):
-            pauli_operator(1, 2, 2)
+            pauli_operators(2, 2)
+
+
+class TestPauliChannel:
+    @pytest.mark.parametrize("num_qubits", [1, 2, 4])
+    def test_matches_the_kraus_sum_oracle(self, num_qubits):
+        rng = np.random.default_rng(60 + num_qubits)
+        weights = tuple(rng.dirichlet(np.ones(4)))
+        for qubit in range(num_qubits):
+            rho = random_density(rng, 2**num_qubits)
+            want = sum(
+                w * pauli_on_qubit_oracle(k, qubit, num_qubits)
+                @ rho.matrix
+                @ pauli_on_qubit_oracle(k, qubit, num_qubits).conj().T
+                for k, w in enumerate(weights)
+            )
+            got = pauli_channel(rho, weights, qubit)
+            np.testing.assert_allclose(got.matrix, want, atol=1e-14)
+
+    def test_identity_weight_alone_returns_the_state(self):
+        rho = random_density(np.random.default_rng(64), 4)
+        for qubit in (0, 1):
+            got = pauli_channel(rho, (1.0, 0.0, 0.0, 0.0), qubit)
+            np.testing.assert_array_equal(got.matrix, rho.matrix)
+
+    @pytest.mark.parametrize("qubit", [0, 1])
+    def test_array_weights_act_per_index_of_the_first_axis(self, qubit):
+        rng = np.random.default_rng(65 + qubit)
+        stack = DensityMatrix(random_density_matrices(rng, 6, 4).reshape(3, 2, 4, 4))
+        rows = np.array([rng.dirichlet(np.ones(4)) for _ in range(3)])
+        got = pauli_channel(stack, tuple(rows.T), qubit)
+        assert got.shape == (3, 2)
+        for i in range(3):
+            want = pauli_channel(stack[i], tuple(float(w) for w in rows[i]), qubit)
+            np.testing.assert_array_equal(got.matrix[i], want.matrix)
+
+    def test_index_out_of_range(self):
+        rho = bell_state(BellLabel.PSI_MINUS).to_density_matrix()
+        with pytest.raises(IndexError):
+            pauli_channel(rho, (0.25, 0.25, 0.25, 0.25), 2)
 
 
 class TestBellMeasure:
@@ -341,14 +382,19 @@ class TestEntropy:
             assert 0.0 <= s <= math.log2(dim) + 1e-12
 
 
+def ensemble(states):
+    """The (n, d, d) ensemble stack of n single states."""
+    return DensityMatrix(np.stack([state.matrix for state in states]))
+
+
 class TestHolevoBound:
     def test_identical_states_give_zero(self):
         dm = bell_state(BellLabel.PSI_MINUS).to_density_matrix()
-        assert abs(holevo_bound([dm, dm], [0.5, 0.5])) < 1e-10
+        assert abs(holevo_bound(ensemble([dm, dm]), [0.5, 0.5])) < 1e-10
 
     def test_orthogonal_pure_states(self):
         states = [bell_state(label).to_density_matrix() for label in BellLabel]
-        chi = holevo_bound(states, [0.25] * 4)
+        chi = holevo_bound(ensemble(states), [0.25] * 4)
         assert abs(chi - 2.0) < 1e-10
 
     def test_unitary_invariance(self):
@@ -358,23 +404,23 @@ class TestHolevoBound:
         raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         unitary, _ = np.linalg.qr(raw)
         rotated = [DensityMatrix(unitary @ s.matrix @ unitary.conj().T) for s in states]
-        assert abs(holevo_bound(states, priors) - holevo_bound(rotated, priors)) < 1e-9
+        chi = holevo_bound(ensemble(states), priors)
+        assert abs(chi - holevo_bound(ensemble(rotated), priors)) < 1e-9
 
     def test_nonnegative(self):
         rng = np.random.default_rng(19)
         states = [random_density(rng, 4) for _ in range(4)]
-        assert holevo_bound(states, [0.25] * 4) >= -1e-9
+        assert holevo_bound(ensemble(states), [0.25] * 4) >= -1e-9
 
-    def test_dimension_mismatch(self):
-        a = bell_state(BellLabel.PSI_MINUS).to_density_matrix()
-        b = DensityMatrix(np.eye(2) / 2)
-        with pytest.raises(ValueError):
-            holevo_bound([a, b], [0.5, 0.5])
+    def test_a_single_state_is_not_an_ensemble(self):
+        dm = bell_state(BellLabel.PSI_MINUS).to_density_matrix()
+        with pytest.raises(ValueError, match="ensemble stack"):
+            holevo_bound(dm, [1.0])
 
     def test_invalid_priors(self):
         dm = bell_state(BellLabel.PSI_MINUS).to_density_matrix()
         with pytest.raises(ValueError):
-            holevo_bound([dm, dm], [0.9, 0.3])
+            holevo_bound(ensemble([dm, dm]), [0.9, 0.3])
 
 
 def rotated_spectrum(dim, lowest, seed):
@@ -641,16 +687,21 @@ class TestDensityStack:
             np.testing.assert_array_equal(probs[k], bell_measure(member))
             assert entropies[k] == von_neumann_entropy(member)
 
-    def test_holevo_bound_of_a_stack_equals_the_sequence(self):
+    def test_holevo_bound_of_a_stack_is_the_formula(self):
         rng = np.random.default_rng(8)
         stack = DensityMatrix(random_density_matrices(rng, 4, 16))
-        members = [DensityMatrix(m) for m in stack.matrix]
         priors = [0.1, 0.2, 0.3, 0.4]
-        assert holevo_bound(stack, priors) == holevo_bound(members, priors)
+
+        def entropy(matrix):
+            eigenvalues = np.linalg.eigvalsh(matrix)
+            eigenvalues = eigenvalues[eigenvalues > 1e-15]
+            return float(-(eigenvalues * np.log2(eigenvalues)).sum())
+
+        average = sum(p * m for p, m in zip(priors, stack.matrix))
+        want = entropy(average) - sum(p * entropy(m) for p, m in zip(priors, stack.matrix))
+        assert abs(holevo_bound(stack, priors) - want) < 1e-10
         with pytest.raises(ValueError):
             holevo_bound(stack, priors[:3])
-        with pytest.raises(ValueError):
-            holevo_bound(members[0], [1.0])
 
     def test_indexing_keeps_members_and_eigenvalues_without_revalidating(self, monkeypatch):
         rng = np.random.default_rng(9)
@@ -694,13 +745,15 @@ class TestPureStack:
         a = PureState(np.stack([random_pure(rng, 2).amplitudes for _ in range(3)]))
         b = PureState(np.stack([random_pure(rng, 2).amplitudes for _ in range(3)]))
         joint = tensor(a, b)
-        flipped = apply_pauli(joint, PauliLabel.Y, 1)
+        flipped = apply_pauli(joint.to_density_matrix(), PauliLabel.Y, 1)
         assert joint.amplitudes.shape == (3, 4)
         for k in range(3):
             one = tensor(PureState(a.amplitudes[k]), PureState(b.amplitudes[k]))
             np.testing.assert_array_equal(joint.amplitudes[k], one.amplitudes)
             np.testing.assert_allclose(
-                flipped.amplitudes[k], apply_pauli(one, PauliLabel.Y, 1).amplitudes, atol=1e-15
+                flipped.matrix[k],
+                apply_pauli(one.to_density_matrix(), PauliLabel.Y, 1).matrix,
+                atol=1e-15,
             )
         with pytest.raises(ValueError, match="single-qubit"):
             product_decompose(a, b)

@@ -59,20 +59,16 @@ class TestMemory:
 
 FAMILY_ALPHA = 1e-3
 SAMPLER_ROUNDS = 50_000
-ATTACKS = [
-    (AttackModel.NONE, "alice"),
-    (AttackModel.INTERCEPT_RESEND, "alice"),
-    (AttackModel.INTERCEPT_RESEND, "bob"),
-]
+ATTACKS = (AttackModel.NONE, AttackModel.INTERCEPT_RESEND)
 CHANNEL_PS = (0.0, 0.1, 0.3)
 NOISES = (NoisePlacement.FIRST_LEG_ONLY, NoisePlacement.BOTH_LEGS)
-TRANSMITTANCES = (1.0, 0.7)
+TRANSMITTANCES = (1.0, 0.7, 0.4)
 ENCODINGS = (PauliLabel.X, PauliLabel.Y, PauliLabel.Z)
 
 
 def _sampler_grid():
     grid = []
-    for p, noise, (attack, leg), transmittance in itertools.product(
+    for p, noise, attack, transmittance in itertools.product(
         CHANNEL_PS, NOISES, ATTACKS, TRANSMITTANCES
     ):
         common = dict(
@@ -81,7 +77,6 @@ def _sampler_grid():
             check_fraction=0.3,
             noise=noise,
             attack=attack,
-            attack_leg=leg,
             transmittance=transmittance,
         )
         grid.append(dict(common, protocol=Protocol.MDI_TS))
@@ -96,7 +91,7 @@ SAMPLER_GRID = _sampler_grid()
 def _grid_id(cfg):
     parts = [cfg.protocol.value, f"p{cfg.channel_p:g}", cfg.noise.value, f"t{cfg.transmittance:g}"]
     if cfg.attack != AttackModel.NONE:
-        parts.append(f"attack-{cfg.attack_leg}")
+        parts.append("attack")
     if cfg.protocol == Protocol.MDI_DL04:
         parts.append(f"enc-{cfg.dl04_encoding.name}")
     return "/".join(parts)

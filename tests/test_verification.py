@@ -12,6 +12,7 @@ import pytest
 import mdiqsdc.quantum
 import mdiqsdc.verification as verification
 from mdiqsdc.infotheory import binary_entropy
+from mdiqsdc.protocol import AttackModel, NoisePlacement, Protocol
 from mdiqsdc.quantum import BellDiagonal, PauliLabel, apply_pauli, purify_bell_diagonal
 from mdiqsdc.verification import (
     check_holevo_bound,
@@ -21,9 +22,10 @@ from mdiqsdc.verification import (
     simplex_excess,
 )
 
-# Matrices one verify validated when every grid point was its own stack.
-VALIDATED_FLOOR = {"backend-equivalence": 952, "holevo-bound": 245}
-VALIDATED_TOTAL_FLOOR = 1218
+# Matrices one verify validates, as many as when every grid point was its
+# own stack: backend-equivalence compares five configs over four p values.
+VALIDATED_FLOOR = {"backend-equivalence": 1592, "holevo-bound": 245}
+VALIDATED_TOTAL_FLOOR = 1858
 
 
 @pytest.mark.parametrize("points_per_axis", [5, 7])
@@ -108,3 +110,14 @@ class TestHolevoCheckHasTeeth:
             result = check_holevo_bound()
             assert not result.passed, target
             assert result.detail.endswith(f"at deltas={target}")
+
+
+
+def test_backend_equivalence_covers_both_noise_placements_and_all_encodings():
+    cases = verification.EQUIVALENCE_CASES
+    for protocol in (Protocol.MDI_TS, Protocol.MDI_DL04):
+        own = [case for case in cases if case[0] == protocol]
+        assert {attack for _, attack, _, _ in own} == set(AttackModel), protocol
+        assert {noise for _, _, noise, _ in own} == set(NoisePlacement), protocol
+    single_photon = {enc for protocol, _, _, enc in cases if protocol == Protocol.MDI_DL04}
+    assert single_photon == {PauliLabel.X, PauliLabel.Y, PauliLabel.Z}

@@ -442,7 +442,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def _print_summary(cfg: ProtocolConfig, stats: TranscriptStats) -> None:
     lines = [
         f"protocol {cfg.protocol.value}  p={cfg.channel_p:g}  rounds={cfg.rounds}  "
-        f"seed={cfg.seed}  attack={'on' if stats.attack_active else 'off'}",
+        f"seed={cfg.seed}  attack={'on' if cfg.attack != AttackModel.NONE else 'off'}",
         f"rounds: {stats.check_rounds} checks, {stats.message_rounds} messages, "
         f"gain Q = {stats.gain:.6f}",
     ]

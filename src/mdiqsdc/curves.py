@@ -8,8 +8,9 @@ single-use rates, since only their qualitative relation to the MDI curves is
 pinned down.
 
 The MDI curves and the analytic twin of a Monte Carlo run take their error
-distributions from :func:`mdiqsdc.protocol.round_error_dists`, the same
-composition the sampler draws from, and evaluate the closed forms in one
+distributions from :func:`mdiqsdc.protocol.round_error_dists` and the law
+of a message round's error from :func:`mdiqsdc.protocol.message_law`, the
+same laws the sampler draws from, and evaluate the closed forms in one
 place; this module composes no transmission legs itself.
 
 :func:`analytic_point` takes one x as a float or a whole grid as a 1-D
@@ -25,14 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .channels import (
-    ErrorRates,
-    PauliDistribution,
-    convolve,
-    depolarizing_pauli_dist,
-    error_rate_in_basis,
-    error_rates,
-)
+from .channels import ErrorRates, PauliDistribution, depolarizing_pauli_dist, error_rates
 from .elementwise import check_range, minimum
 from .infotheory import (
     CapacityResult,
@@ -43,11 +37,11 @@ from .infotheory import (
     shannon_entropy,
 )
 from .protocol import (
-    MESSAGE_BASIS,
     NoisePlacement,
     Protocol,
     ProtocolConfig,
     RoundErrorDists,
+    message_law,
     round_error_dists,
     round_error_dists_for_config,
 )
@@ -79,21 +73,21 @@ def _closed_forms(
     protocol: Protocol,
     x: float,
     rates: ErrorRates,
-    net: PauliDistribution,
+    law: tuple[float, ...],
     *,
     encoding: PauliLabel,
     q: float,
     eta: float,
 ) -> AnalyticPoint:
     """The closed forms of ``protocol`` from the checked error ``rates`` and
-    the error ``net`` on the message path."""
+    the ``law`` of decoded (-) encoded on a message round."""
     if protocol in (Protocol.MDI_TS, Protocol.TWO_STEP):
         bits = 2.0
-        entropy = shannon_entropy(ErrorVector(net.probabilities))
+        entropy = shannon_entropy(ErrorVector(law))
         eve_info = eve_info_mdi_ts(rates.eps_z, rates.eps_x)
     elif protocol == Protocol.MDI_DL04:
         bits = 1.0
-        entropy = binary_entropy(error_rate_in_basis(net, MESSAGE_BASIS[encoding]))
+        entropy = binary_entropy(law[1])
         eve_info = binary_entropy(rates.in_basis(encoding))
     else:
         # information leaked about one bit cannot exceed one bit, so the
@@ -119,10 +113,10 @@ def _mdi_point(
 ) -> AnalyticPoint:
     """Closed forms of an MDI protocol from the ``(frame, second)`` pair of
     :func:`~mdiqsdc.protocol.round_error_dists`: the checked rates come from
-    the frame, the message error from frame and re-transmission composed."""
+    the frame, the message error from :func:`~mdiqsdc.protocol.message_law`."""
     rates = error_rates(frame)
-    net = convolve(frame, second)
-    return _closed_forms(protocol, x, rates, net, encoding=encoding, q=q, eta=eta)
+    law = message_law(protocol, encoding, frame, second)
+    return _closed_forms(protocol, x, rates, law, encoding=encoding, q=q, eta=eta)
 
 
 def analytic_point(
@@ -144,7 +138,8 @@ def analytic_point(
     if protocol not in (Protocol.TWO_STEP, Protocol.DL04):
         raise ValueError(f"unknown protocol {protocol!r}")
     single = depolarizing_pauli_dist(p)
-    return _closed_forms(protocol, x, error_rates(single), single, encoding=encoding, q=q, eta=eta)
+    rates = error_rates(single)
+    return _closed_forms(protocol, x, rates, single.probabilities, encoding=encoding, q=q, eta=eta)
 
 
 def analytic_point_for_config(

@@ -11,20 +11,22 @@ shared pair differs from the singlet exactly by the composed Pauli error of
 the two legs, independently of the announced Bell outcome. A round
 therefore carries that composed error as its one frame label and no Bell
 outcome (Aaronson & Gottesman, PRA 70, 052328 (2004), for Pauli-frame
-tracking). Every round is i.i.d. and reaches exactly one of a few outcome
-keys, each holding only what the round's outcome depends on, so a run's key
-counts are exactly multinomial: the key law is computed by pushing the
-weights of every label combination through the key rule, and a run is one
-multinomial draw from a generator seeded with the run's seed (Devroye,
+tracking). A run needs only each check basis's error rate and the law of
+decoded (-) encoded on an arrived message round, :func:`message_law`. Every
+round is i.i.d. and reaches exactly one cell of the run's tally (a check
+basis with or without an error, a message difference, or a lost round), so
+the cell counts are exactly multinomial: a run is one multinomial draw over
+the cell law from a generator seeded with the run's seed (Devroye,
 *Non-Uniform Random Variate Generation*, 1986). Its time and memory do not
-depend on the number of rounds; :func:`run` runs either protocol. The label
-algebra then maps each key to its check or message outcome once per run.
+depend on the number of rounds; :func:`run` runs either protocol.
 
-:func:`round_error_dists` is the one composition of a round's errors: the
-pair frame and the re-transmission error it returns feed all three
-consumers, namely the key law of a run, the label-algebra backend and the
-closed-form curves of ``curves``. It takes a float channel parameter or an
-array of them, so the curves compose a whole sweep grid in one call.
+:func:`round_error_dists` is the one composition of a round's errors, and
+:func:`message_law` the one law of a message round's error: the pair frame,
+the re-transmission error and the message law built from them feed all
+three consumers, namely the cell law of a run, the label-algebra backend
+and the closed-form curves of ``curves``. Both take a float channel
+parameter or an array of them, so the curves compose a whole sweep grid in
+one call.
 
 The one attack is intercept-resend on Alice's first leg: the attacker
 measures each photon in a random Z or X basis and resends the eigenstate
@@ -43,9 +45,10 @@ Separate runs share no state and may also execute concurrently.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -154,6 +157,13 @@ class ProtocolConfig:
             # bool is an int subclass, and a float would be truncated silently
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("channel_p", "check_fraction", "q_override", "eta", "transmittance"):
+            value = getattr(self, name)
+            if value is None and name == "q_override":
+                continue
+            # bool is an int subclass, and a string would fail only at a comparison
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not 1 <= self.rounds <= MAX_ROUNDS:
             raise ValueError(f"rounds must lie in [1, {MAX_ROUNDS}]")
         if not 0.0 < self.check_fraction < 1.0:
@@ -205,18 +215,12 @@ class TranscriptStats:
     capacity_se: float | None
     estimate_available: bool
     unavailable_reason: str | None
-    attack_active: bool
 
     def __post_init__(self) -> None:
         if self.check_rounds + self.message_rounds != self.rounds:
             raise ValueError("round tallies are inconsistent")
         if not 0 <= self.decoded_rounds <= self.message_rounds:
             raise ValueError("decoded count exceeds message count")
-
-    def qber(self, basis: PauliLabel) -> QberEstimate | None:
-        return {PauliLabel.Z: self.eps_z, PauliLabel.X: self.eps_x, PauliLabel.Y: self.eps_y}[
-            basis
-        ]
 
 
 def swap_correction(outcome: BellLabel) -> PauliLabel:
@@ -286,66 +290,56 @@ def round_error_dists_for_config(
     return round_error_dists(cfg.protocol, p, cfg.noise, eve)
 
 
-# Outcome keys, laid out in :func:`_outcome_keys`; setting the four low bits
-# of any message key gives the lost-round key.
-_MESSAGE_KEY = 16
-_LOST_KEY = _MESSAGE_KEY | 15
-_KEYS = _LOST_KEY + 1
+def message_law(
+    protocol: Protocol,
+    encoding: PauliLabel,
+    frame: PauliDistribution,
+    second: PauliDistribution,
+) -> tuple[float, ...]:
+    """Law of decoded (-) encoded on an arrived message round, from the
+    ``(frame, second)`` pair of :func:`round_error_dists`; floats, or 1-D
+    arrays for a grid.
 
-
-def _outcome_keys(cfg: ProtocolConfig, frame, role, second, bit, arrived) -> np.ndarray:
-    """Outcome keys of rounds given as broadcasting integer label arrays:
-    pair ``frame``, ``role`` (index into :func:`check_bases`, or their
-    number for a message round), re-transmission error ``second``,
-    single-photon ``bit``, and whether a message round's photons all
-    ``arrived``. A check round in basis i with frame f has key 4 i + f; a
-    message round ``_MESSAGE_KEY`` + net (entanglement protocol) or
-    ``_MESSAGE_KEY`` + 2 net + bit (single-photon protocol), with net =
-    second ^ frame (label products are XOR in the I, X, Y, Z = 0..3
-    numbering); a lost one ``_LOST_KEY``. The symbol, Bob's cover (which he
-    undoes) and Alice's check bit cancel out of every key, so they are no
-    labels.
+    The entanglement protocols (and the two-step baseline) decode the
+    symbol up to the net label of frame and re-transmission: the law is that
+    label's distribution over the two-bit differences. The single-photon
+    protocol reads its bit in ``MESSAGE_BASIS[encoding]``, and the decoded
+    bit errs exactly when the net label anticommutes with that basis,
+    whichever bit was sent: the law is ``(1 - flip, flip)``.
     """
-    net = second ^ frame
-    message = net if cfg.protocol == Protocol.MDI_TS else 2 * net + bit
-    message = np.where(arrived, _MESSAGE_KEY + message, _LOST_KEY)
-    return np.where(role < len(check_bases(cfg)), 4 * role + frame, message)
+    net = convolve(frame, second)
+    if protocol != Protocol.MDI_DL04:
+        return net.probabilities
+    flip = error_rate_in_basis(net, MESSAGE_BASIS[encoding])
+    return (1.0 - flip, flip)
 
 
-def _key_probabilities(cfg: ProtocolConfig, dists: RoundErrorDists | None = None) -> np.ndarray:
-    """(_KEYS,) law of one round's key: every label combination of
-    :func:`_outcome_keys` pushed through the key rule with the product of
-    its weights, namely ``dists`` (:func:`round_error_dists_for_config`,
-    composed when not given) for frame and second, check_fraction / bases
-    per check basis, 1/2 per bit, and the transmittance per photon in flight.
+def _cell_probabilities(cfg: ProtocolConfig, dists: RoundErrorDists | None = None) -> np.ndarray:
+    """Law of the tally cell one round reaches, in the order :func:`_draw_tally`
+    reads: per check basis, no error then error; each value of
+    :func:`message_law` on an arrived message round; a lost message round.
+    ``dists`` is :func:`round_error_dists_for_config` of ``cfg``, composed
+    here when not given.
+
+    A check round errs when its pair frame anticommutes with the basis: the
+    singlet reference is anti-correlated in every basis. The bases share the
+    check rounds equally, and a message round arrives when all its photons in
+    flight (two for the entanglement protocol, one otherwise) pass the
+    transmittance.
     """
     frame, second = dists if dists is not None else round_error_dists_for_config(cfg)
-    n_bases = len(check_bases(cfg))
-    entangled = cfg.protocol == Protocol.MDI_TS
-    arrival = cfg.transmittance ** (2 if entangled else 1)
-    weights = (
-        np.asarray(frame.probabilities),
-        np.array([cfg.check_fraction / n_bases] * n_bases + [1.0 - cfg.check_fraction]),
-        np.asarray(second.probabilities),
-        np.array([1.0] if entangled else [0.5, 0.5]),
-        np.array([1.0 - arrival, arrival]),
-    )
-    product = reduce(np.multiply.outer, weights)
-    keys = _outcome_keys(cfg, *np.indices(product.shape))
-    return np.bincount(keys.ravel(), weights=product.ravel(), minlength=_KEYS)
-
-
-def _count_keys(cfg: ProtocolConfig, dists: RoundErrorDists | None = None) -> np.ndarray:
-    """(_KEYS,) key counts of ``cfg``'s rounds. The rounds are i.i.d., so the
-    counts are Multinomial(rounds, :func:`_key_probabilities`), drawn at once
-    from ``np.random.default_rng(seed)``. Keys of zero probability stay out
-    of the draw, so none is counted whatever the rounding of the others.
-    """
-    probs = _key_probabilities(cfg, dists)
-    support = np.flatnonzero(probs)
-    counts = np.zeros(_KEYS, dtype=np.int64)
-    counts[support] = np.random.default_rng(cfg.seed).multinomial(cfg.rounds, probs[support])
-    return counts
+    bases = check_bases(cfg)
+    share = cfg.check_fraction / len(bases)
+    cells = []
+    for basis in bases:
+        error = error_rate_in_basis(frame, basis)
+        cells += [share * (1.0 - error), share * error]
+    message = 1.0 - cfg.check_fraction
+    arrival = cfg.transmittance ** (2 if cfg.protocol == Protocol.MDI_TS else 1)
+    law = message_law(cfg.protocol, cfg.dl04_encoding, frame, second)
+    cells += [message * arrival * d for d in law]
+    cells.append(message * (1.0 - arrival))
+    return np.array(cells)
 
 
 @dataclass
@@ -374,35 +368,22 @@ class Tally:
         return self.message_diffs.sum().item()
 
 
-def _fold(cfg: ProtocolConfig, counts: np.ndarray) -> Tally:
-    """The :class:`Tally` of (_KEYS,) outcome-key counts, laid out by
-    :func:`_outcome_keys`. Integer counts give a transcript's tally; float
-    counts, such as :func:`_key_probabilities`, give a tally of the same
-    dtype.
-
-    A check round errs when its pair frame anticommutes with the basis: the
-    singlet reference is anti-correlated in every basis. A message round's
-    decoded (-) encoded is ``net`` for the entanglement protocol; for the
-    single-photon protocol the decoded bit is 1 exactly when the encoded
-    pair label anticommutes with the message basis.
+def _draw_tally(cfg: ProtocolConfig, dists: RoundErrorDists | None = None) -> Tally:
+    """The :class:`Tally` of ``cfg``'s rounds. The rounds are i.i.d. and each
+    reaches one cell of :func:`_cell_probabilities`, so the cell counts are
+    Multinomial(rounds, cell law), drawn at once from
+    ``np.random.default_rng(seed)``. Cells of zero probability stay out of
+    the draw, so none is counted whatever the rounding of the others.
     """
-    tally = Tally(
-        checks=np.zeros((4, 2), dtype=counts.dtype),
-        message_rounds=counts[_MESSAGE_KEY:].sum().item(),
-        message_diffs=np.zeros(4, dtype=counts.dtype),
-    )
-    for index, basis in enumerate(check_bases(cfg)):
-        for frame in range(4):
-            tally.checks[basis, ANTICOMMUTES[frame][basis]] += counts[4 * index + frame]
-    if cfg.protocol == Protocol.MDI_TS:
-        tally.message_diffs += counts[_MESSAGE_KEY : _MESSAGE_KEY + 4]
-    else:
-        m = MESSAGE_BASIS[cfg.dl04_encoding]
-        for net in range(4):
-            for bit in (0, 1):
-                label = PAULI_PRODUCT[net][cfg.dl04_encoding if bit else PauliLabel.I]
-                count = counts[_MESSAGE_KEY + 2 * net + bit]
-                tally.message_diffs[ANTICOMMUTES[label][m] ^ bit] += count
+    probs = _cell_probabilities(cfg, dists)
+    support = np.flatnonzero(probs)
+    counts = np.zeros(probs.size, dtype=np.int64)
+    counts[support] = np.random.default_rng(cfg.seed).multinomial(cfg.rounds, probs[support])
+    bases = check_bases(cfg)
+    message = 2 * len(bases)
+    tally = Tally(message_rounds=counts[message:].sum().item())
+    tally.checks[list(bases)] = counts[:message].reshape(-1, 2)
+    tally.message_diffs[: probs.size - message - 1] = counts[message:-1]
     return tally
 
 
@@ -529,7 +510,6 @@ def _stats_from_tally(cfg: ProtocolConfig, tally: Tally) -> TranscriptStats:
         capacity_se=capacity_se,
         estimate_available=unavailable is None,
         unavailable_reason=unavailable,
-        attack_active=cfg.attack != AttackModel.NONE,
     )
 
 
@@ -539,14 +519,14 @@ def run(cfg: ProtocolConfig, dists: RoundErrorDists | None = None) -> Transcript
     Each round has a pair frame, then either a correlation check or a
     message: a dense-coding symbol under Bob's random cover (entanglement
     protocol) or one bit read out in the conjugate single-photon basis. The
-    rounds are i.i.d. and each reaches one of ``_KEYS`` outcome keys, so the
-    whole transcript is one multinomial draw of key counts
-    (:func:`_count_keys`), whose time and memory do not depend on the number
-    of rounds. Deterministic given the config seed.
+    rounds are i.i.d. and each reaches one cell of the tally, so the whole
+    transcript is one multinomial draw of cell counts (:func:`_draw_tally`),
+    whose time and memory do not depend on the number of rounds.
+    Deterministic given the config seed.
     A caller that already holds :func:`round_error_dists_for_config` of
     ``cfg`` passes it as ``dists``.
     """
-    return _stats_from_tally(cfg, _fold(cfg, _count_keys(cfg, dists)))
+    return _stats_from_tally(cfg, _draw_tally(cfg, dists))
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +572,7 @@ def pauli_frame_round_distributions(
     frame_dist = np.stack(frame.probabilities, axis=-1)
     second_dist = np.stack(second.probabilities, axis=-1)
     shape = frame_dist.shape[:-1]
-    net = convolve(frame, second)
+    law = message_law(cfg.protocol, cfg.dl04_encoding, frame, second)
 
     def per_outcome(table: np.ndarray, axis: int) -> np.ndarray:
         """``table`` repeated over the announced outcome, a new axis at ``axis``."""
@@ -616,10 +596,10 @@ def pauli_frame_round_distributions(
         # (..., s, c, o2, f): the weight frame f gives to (s, c, o2)
         terms = frame_dist[..., None, None, None, :] * second_dist[..., _SECOND_OF_OUTCOME]
         out["message_outcome"] = per_outcome(sum(terms[..., f] for f in range(4)), -4)
-        out["symbol_error"] = np.stack(net.probabilities, axis=-1)
+        out["symbol_error"] = np.stack(law, axis=-1)
     else:
         m = MESSAGE_BASIS[cfg.dl04_encoding]
-        flip = np.asarray(error_rate_in_basis(net, m))
+        flip = np.asarray(law[1])
         # bit 1 flips the pair correlation when the encoding anticommutes with m
         one = (1.0 - flip) if ANTICOMMUTES[cfg.dl04_encoding][m] else flip
         out["message_joint"] = per_outcome(np.stack([pair_joint(flip), pair_joint(one)], -3), -4)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 from xml.sax.saxutils import escape as sax_escape
 
 import numpy as np
@@ -31,7 +32,19 @@ from mdiqsdc.cli import (
 )
 from mdiqsdc.curves import analytic_point
 from mdiqsdc.infotheory import ETA_MAX
-from mdiqsdc.protocol import MAX_ROUNDS, Protocol
+from mdiqsdc.protocol import (
+    MAX_ROUNDS,
+    AttackModel,
+    NoisePlacement,
+    Protocol,
+    ProtocolConfig,
+)
+from mdiqsdc.quantum import PauliLabel
+
+# the benchmark's correctness gate, imported from its own directory and not modified
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from gate import Gate, Outcome  # noqa: E402
+from workloads import Op  # noqa: E402
 
 NON_FINITE = ("nan", "inf", "-inf")
 NON_FINITE_TOKEN = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
@@ -264,130 +277,157 @@ class TestSimulate:
         assert "capacity" in err
 
     # SHA-256 of stdout then stderr of ``simulate --p 0.2 --seed 29``, taken
-    # when a run's key counts became one multinomial draw (each output was
-    # within 5 SE of its analytic twin by perfbench/gate.py, and a rerun gave
-    # the same bytes); any change to the draw or to how the counts are read
-    # shows here
+    # when a run became one multinomial draw of its tally cells (each output
+    # is within 5 SE of its analytic twin by perfbench/gate.py, and a rerun
+    # gave the same bytes); any change to the draw or to how the cells are
+    # read shows here
     LARGE = 2 * 65536 + 17
     SIMULATE_SHA256 = {
         ("mdi-ts", "first-leg-only", "none", "x", 2000):
-            "df723b47321b6264e00122dc95416b467f2f4b43738b140ae9c4eba3a0127169",
+            "8371d2ccfcd34a1e2dfc189463aa995a872bf71f4f73964d2702c3cff311b0f9",
         ("mdi-ts", "first-leg-only", "none", "x", LARGE):
-            "cc9b54a1c1f8d8b53f554f309c50e43b35779bd82f8fc80c5fe21a31c191182a",
+            "5d4f84a2256ca0438767f465863a5b1b8dc3df2b64a91586e526499e612cb19d",
         ("mdi-ts", "first-leg-only", "none", "y", 2000):
-            "df723b47321b6264e00122dc95416b467f2f4b43738b140ae9c4eba3a0127169",
+            "8371d2ccfcd34a1e2dfc189463aa995a872bf71f4f73964d2702c3cff311b0f9",
         ("mdi-ts", "first-leg-only", "none", "y", LARGE):
-            "cc9b54a1c1f8d8b53f554f309c50e43b35779bd82f8fc80c5fe21a31c191182a",
+            "5d4f84a2256ca0438767f465863a5b1b8dc3df2b64a91586e526499e612cb19d",
         ("mdi-ts", "first-leg-only", "none", "z", 2000):
-            "df723b47321b6264e00122dc95416b467f2f4b43738b140ae9c4eba3a0127169",
+            "8371d2ccfcd34a1e2dfc189463aa995a872bf71f4f73964d2702c3cff311b0f9",
         ("mdi-ts", "first-leg-only", "none", "z", LARGE):
-            "cc9b54a1c1f8d8b53f554f309c50e43b35779bd82f8fc80c5fe21a31c191182a",
+            "5d4f84a2256ca0438767f465863a5b1b8dc3df2b64a91586e526499e612cb19d",
         ("mdi-ts", "first-leg-only", "intercept-resend", "x", 2000):
-            "04cca53f62ed341f707af6cb3b668dcea5b75bb6f60caf3e790f841228766f6c",
+            "661234bcad0b64a502428026e31581be39d938ef882430456ea15ee46be6c290",
         ("mdi-ts", "first-leg-only", "intercept-resend", "x", LARGE):
-            "cff69f57810f757f3ce5798c9f58899d62ff70375c6cfad337af55f3f446d330",
+            "549b1eee9df912570599ec08b251a2388f675a310f092b2328dc3056b6e8d8f2",
         ("mdi-ts", "first-leg-only", "intercept-resend", "y", 2000):
-            "04cca53f62ed341f707af6cb3b668dcea5b75bb6f60caf3e790f841228766f6c",
+            "661234bcad0b64a502428026e31581be39d938ef882430456ea15ee46be6c290",
         ("mdi-ts", "first-leg-only", "intercept-resend", "y", LARGE):
-            "cff69f57810f757f3ce5798c9f58899d62ff70375c6cfad337af55f3f446d330",
+            "549b1eee9df912570599ec08b251a2388f675a310f092b2328dc3056b6e8d8f2",
         ("mdi-ts", "first-leg-only", "intercept-resend", "z", 2000):
-            "04cca53f62ed341f707af6cb3b668dcea5b75bb6f60caf3e790f841228766f6c",
+            "661234bcad0b64a502428026e31581be39d938ef882430456ea15ee46be6c290",
         ("mdi-ts", "first-leg-only", "intercept-resend", "z", LARGE):
-            "cff69f57810f757f3ce5798c9f58899d62ff70375c6cfad337af55f3f446d330",
+            "549b1eee9df912570599ec08b251a2388f675a310f092b2328dc3056b6e8d8f2",
         ("mdi-ts", "both-legs", "none", "x", 2000):
-            "35fe812df0a5c47a2ddd9022a32d6aae1ef1d58a176710b7e62bd75dbdd57af9",
+            "c49caaa50d46e4d16acb556b37e6362a91d5d5141c19e5b392ce35a24846adea",
         ("mdi-ts", "both-legs", "none", "x", LARGE):
-            "898c2f24e229f6d5764c450fb648f5bef294db54510da9b9d929f249743484ec",
+            "4f7b98bc5432a5d0944e0e81548cfecbb6425d8470762d1e0e1350e212927d4d",
         ("mdi-ts", "both-legs", "none", "y", 2000):
-            "35fe812df0a5c47a2ddd9022a32d6aae1ef1d58a176710b7e62bd75dbdd57af9",
+            "c49caaa50d46e4d16acb556b37e6362a91d5d5141c19e5b392ce35a24846adea",
         ("mdi-ts", "both-legs", "none", "y", LARGE):
-            "898c2f24e229f6d5764c450fb648f5bef294db54510da9b9d929f249743484ec",
+            "4f7b98bc5432a5d0944e0e81548cfecbb6425d8470762d1e0e1350e212927d4d",
         ("mdi-ts", "both-legs", "none", "z", 2000):
-            "35fe812df0a5c47a2ddd9022a32d6aae1ef1d58a176710b7e62bd75dbdd57af9",
+            "c49caaa50d46e4d16acb556b37e6362a91d5d5141c19e5b392ce35a24846adea",
         ("mdi-ts", "both-legs", "none", "z", LARGE):
-            "898c2f24e229f6d5764c450fb648f5bef294db54510da9b9d929f249743484ec",
+            "4f7b98bc5432a5d0944e0e81548cfecbb6425d8470762d1e0e1350e212927d4d",
         ("mdi-ts", "both-legs", "intercept-resend", "x", 2000):
-            "1a8069a16da39f68695722136de80e103bc668500262f160c8e62dba15ebf735",
+            "c07a5583ee0edd4b96dcb640431022dec275a4fdb7bb8eb4a446604e8421c9a9",
         ("mdi-ts", "both-legs", "intercept-resend", "x", LARGE):
-            "4001e32698dc2fd8c92dcb3174aab3f22ac791c221168a159ffc0dd56ca5d49a",
+            "bb560ee569899faa44cc8814354d28baccbd727245a6917d5bab636fc8cff85e",
         ("mdi-ts", "both-legs", "intercept-resend", "y", 2000):
-            "1a8069a16da39f68695722136de80e103bc668500262f160c8e62dba15ebf735",
+            "c07a5583ee0edd4b96dcb640431022dec275a4fdb7bb8eb4a446604e8421c9a9",
         ("mdi-ts", "both-legs", "intercept-resend", "y", LARGE):
-            "4001e32698dc2fd8c92dcb3174aab3f22ac791c221168a159ffc0dd56ca5d49a",
+            "bb560ee569899faa44cc8814354d28baccbd727245a6917d5bab636fc8cff85e",
         ("mdi-ts", "both-legs", "intercept-resend", "z", 2000):
-            "1a8069a16da39f68695722136de80e103bc668500262f160c8e62dba15ebf735",
+            "c07a5583ee0edd4b96dcb640431022dec275a4fdb7bb8eb4a446604e8421c9a9",
         ("mdi-ts", "both-legs", "intercept-resend", "z", LARGE):
-            "4001e32698dc2fd8c92dcb3174aab3f22ac791c221168a159ffc0dd56ca5d49a",
+            "bb560ee569899faa44cc8814354d28baccbd727245a6917d5bab636fc8cff85e",
         ("mdi-dl04", "first-leg-only", "none", "x", 2000):
-            "c69fead77ed8fdad0cc1ccc003a44b39294e1cdce3eb8de17273828525ab7c58",
+            "e0299e2ea7509e3b2fc3ec155cc3d5b583649a78f5a181a02c43f6cce185d840",
         ("mdi-dl04", "first-leg-only", "none", "x", LARGE):
-            "e7e2f6e0284f9eb258c5f99f65b4ad7a6c0739ef16256894851e7590f0bdb55f",
+            "f6b3e7ded53780479b958dc060c211bb2357110fbf5192dacddfbc615568a2cb",
         ("mdi-dl04", "first-leg-only", "none", "y", 2000):
-            "1082804555af20891980f803c727573b43bce7785b9d26558932736d8c85b6e2",
+            "afd76fadd11e1572f1822e0212421d869d6176a11e49a87823668023da94d726",
         ("mdi-dl04", "first-leg-only", "none", "y", LARGE):
-            "53889d8f3502d92a3ea67fb23eab4a5e3699835f2bff5ad99d1506dd273e4874",
+            "912880ac9e149646cb2031a8421763f47c44cb59c7016305a50cea00db9fdab8",
         ("mdi-dl04", "first-leg-only", "none", "z", 2000):
-            "fa5b24b2ec2e190606578763b3ff7bea432ce30fac91b7d346fb4048a9f33bbe",
+            "8638b16752de8ed4f5e2ee9b6a2b08db427906888a624c9ec6d22cd9bf4b85c0",
         ("mdi-dl04", "first-leg-only", "none", "z", LARGE):
-            "842ddd11e0497178477508e8a49c16afa7b6e6eb4edb38fb7e4a9dbfbd75d4e9",
+            "a575efc73d6dc91199c5d1b68cbcc637c4865563a1194b50500f498214a0f5f7",
         ("mdi-dl04", "first-leg-only", "intercept-resend", "x", 2000):
-            "f7a928a4c50814707d331eeced4f413f7cbc95d009eae35ffc0d0eaeeddee8f0",
+            "0f7bde4ff7be457fd6c8ead19bda46cd2ba22adc2c695d74d069764d6c5b4ddc",
         ("mdi-dl04", "first-leg-only", "intercept-resend", "x", LARGE):
-            "8649f79a39a73bfebfc322db8ef76e2d087b32dd27039a1c6aaf0f13fd330ad9",
+            "d3c45ffbcc08f73d9aeb569dc3e07e0dd8c2285c82867bed31dd06a7b5e9e582",
         ("mdi-dl04", "first-leg-only", "intercept-resend", "y", 2000):
-            "14ffa3612dc1d6f7d485040353ae3cf3e1fe40b25949463c3fc24de19032ff57",
+            "b556bc59a3c32e4183a54b7383c977509d466db3e3b9df8c7a34e49a8c54f6c6",
         ("mdi-dl04", "first-leg-only", "intercept-resend", "y", LARGE):
-            "50369bc4c401e2566fda0daf8ded145c2bc2eb3c6505f91b5fa90cda4cc12ba4",
+            "aeb313328aa966faa13430ee6fe0b94748b195fb88c75119652209aeae55957e",
         ("mdi-dl04", "first-leg-only", "intercept-resend", "z", 2000):
-            "7d1de12233280ae556fd9a1212317c9e8f0d2549b7e5fff33cdadbb55075cc7a",
+            "3ccea5346defbab5b20519ea655d16d2a89f1af224d7e196f188d4ab50ad68f3",
         ("mdi-dl04", "first-leg-only", "intercept-resend", "z", LARGE):
-            "3cb89f9fc5b6bf7278ff4251fc5eaf4916787cd3c6e6f116ec1dfa5d4217cf07",
+            "10908c42c40c9d3558eef7d2517aa630f5a504ac9c5ba0c7bd081821a4782c1f",
         ("mdi-dl04", "both-legs", "none", "x", 2000):
-            "f41682c311a44bb176d2d529c5262ee24450000e4de36c40a8d4fede71a7a090",
+            "6621b7706dca545884ad2a2cf14e060d12b278aaa93f3f12b45dec4f58a85bfc",
         ("mdi-dl04", "both-legs", "none", "x", LARGE):
-            "a5d2d47b06b0f8f80fd9e86ef321d67c40e6577a74e6b65992ac199f20b10dd5",
+            "ca2ffdc3ab93ac184c8bb6747f85db7a1b6828478e6f0188dda4779fde2d2966",
         ("mdi-dl04", "both-legs", "none", "y", 2000):
-            "8f044025be74c573cae446ddd58626495c89ebed3a62153ceb6443e36ac7aff6",
+            "4dffe0b0319d6ab1fa323e503e5f56e8c8fecd894ff4f3480e36a4ae2390792f",
         ("mdi-dl04", "both-legs", "none", "y", LARGE):
-            "5a529e5a042656e9eac6e6aa7bffcced4fb26dc1e6402a0b2b0efc1de1f832c2",
+            "358a990e719bbde1bb53e3f989e25d9b4a62d4f91917dd8fcb9fbac47fa0ff69",
         ("mdi-dl04", "both-legs", "none", "z", 2000):
-            "2af8b75e356e410d9a7ed5631f666750c89850cc2e46333d55070faf43a45e37",
+            "b94b313234879f675240c55004df1ebc465a5a2b65a537283429995522141614",
         ("mdi-dl04", "both-legs", "none", "z", LARGE):
-            "568c24c903b9c153e7db01a4a61656fd8fb1618e6366a9fad664c206a206564a",
+            "25950bebdfe8eebe464d137547835fb4e25301fa1560570e8c2eebd21de097af",
         ("mdi-dl04", "both-legs", "intercept-resend", "x", 2000):
-            "ddbc2173faf50a7e510eb526a7011c4edb312aaf2456f1e2f73a349551b326cc",
+            "5043f427f3f0499a90008ee1d920582167c3911bb1200de3d5e9ebc6736cc8b7",
         ("mdi-dl04", "both-legs", "intercept-resend", "x", LARGE):
-            "94231e6d921aad14beed495a19c265fda82bd6ec49cdc0ab62d64b47e494cccf",
+            "345fcfaa92fe7049c5a92d081a4a020eed1b19660b5712e0a28a53ef945f982f",
         ("mdi-dl04", "both-legs", "intercept-resend", "y", 2000):
-            "117a9b9653eca6fcf0ca4e5e3874d624abeaa26079673c1606865480be57f1b4",
+            "eb49f86f56583aeabb21692719ab029a38a45e120ffb845d8d4e4daf768735f4",
         ("mdi-dl04", "both-legs", "intercept-resend", "y", LARGE):
-            "95bb0b1698d67a52352a2aa4759736b39d5f7224a67bbce75a0add8e60c19a50",
+            "972bc110913a31fe2ef93889d01a77ef70eca0908d209579efc1d7ba3564e939",
         ("mdi-dl04", "both-legs", "intercept-resend", "z", 2000):
-            "40b5ff77c3f95144299c3f8b95a81b4864f8a09de893eacadc9c496353424a43",
+            "b7efde7487a8a9da0eb006dff7c0a1602c1cd649d66899a97d62037058291727",
         ("mdi-dl04", "both-legs", "intercept-resend", "z", LARGE):
-            "239a82c2e5b9f8f507e625144b440cae0eda81b5813595c229b5f4b8eb671862",
+            "c3247f5370000c4531d7be35e5a09dcfd353521ed97ed4c705fd2d6a441334c8",
     }
 
-    @pytest.mark.parametrize("rounds", [2000, LARGE])
-    @pytest.mark.parametrize("encoding", ["x", "y", "z"])
-    @pytest.mark.parametrize("attack", ["none", "intercept-resend"])
-    @pytest.mark.parametrize("noise", ["first-leg-only", "both-legs"])
-    @pytest.mark.parametrize("protocol", ["mdi-ts", "mdi-dl04"])
-    def test_output_is_pinned(self, capsys, protocol, noise, attack, encoding, rounds):
-        argv = [
+    each_pin = pytest.mark.parametrize(
+        "protocol, noise, attack, encoding, rounds", list(SIMULATE_SHA256)
+    )
+
+    @staticmethod
+    def pinned_argv(protocol, noise, attack, encoding, rounds):
+        return [
             "simulate", "--protocol", protocol, "--p", "0.2", "--rounds", str(rounds),
             "--seed", "29", "--noise", noise, "--attack", attack, "--encoding", encoding,
         ]
-        code, out, err = run_cli(argv, capsys)
+
+    @each_pin
+    def test_output_is_pinned(self, capsys, protocol, noise, attack, encoding, rounds):
+        pin = (protocol, noise, attack, encoding, rounds)
+        code, out, err = run_cli(self.pinned_argv(*pin), capsys)
         assert code == 0
         digest = hashlib.sha256(out.encode() + err.encode()).hexdigest()
-        assert digest == self.SIMULATE_SHA256[protocol, noise, attack, encoding, rounds]
+        assert digest == self.SIMULATE_SHA256[pin]
+
+    @each_pin
+    def test_pinned_output_passes_the_benchmark_gate(
+        self, capsys, protocol, noise, attack, encoding, rounds
+    ):
+        """A pin may only be taken from a sampler that agrees with its
+        analytic twin: each pinned output must pass the benchmark's 5-SE gate
+        (perfbench/gate.py, used as it is)."""
+        argv = self.pinned_argv(protocol, noise, attack, encoding, rounds)
+        code, out, err = run_cli(argv, capsys)
+        cfg = ProtocolConfig(
+            protocol=Protocol(protocol),
+            rounds=rounds,
+            channel_p=0.2,
+            seed=29,
+            noise=NoisePlacement(noise),
+            dl04_encoding=PauliLabel[encoding.upper()],
+            attack=AttackModel(attack),
+        )
+        gate = Gate()
+        assert gate.check(
+            Op("simulate", tuple(argv), (), cfg), Outcome(code, out, err, (("csv", out.encode()),))
+        ), gate.failures
 
     def test_failing_draw_exits_4_without_a_tally(self, capsys, monkeypatch):
         def failing(*_, **__):
             raise RuntimeError("draw failed")
 
-        monkeypatch.setattr(mdiqsdc.protocol, "_count_keys", failing)
+        monkeypatch.setattr(mdiqsdc.protocol, "_draw_tally", failing)
         code, out, err = run_cli(
             ["simulate", "--protocol", "mdi-ts", "--p", "0.2", "--rounds", "2000"], capsys
         )

@@ -16,9 +16,6 @@ import mdiqsdc.quantum
 from mdiqsdc.channels import PauliDistribution, convolve, depolarizing_pauli_dist
 from mdiqsdc.infotheory import ETA_MAX, binary_entropy, shannon_entropy
 from mdiqsdc.protocol import (
-    _KEYS,
-    _LOST_KEY,
-    _MESSAGE_KEY,
     MAX_ROUNDS,
     INTERCEPT_RESEND_DIST,
     MESSAGE_BASIS,
@@ -27,14 +24,13 @@ from mdiqsdc.protocol import (
     Protocol,
     ProtocolConfig,
     Tally,
-    _count_keys,
-    _fold,
-    _key_probabilities,
-    _outcome_keys,
+    _cell_probabilities,
+    _draw_tally,
     _stats_from_tally,
     check_bases,
     density_matrix_round_distributions,
     intercept_resend_channel,
+    message_law,
     pauli_frame_round_distributions,
     round_error_dists_for_config,
     run,
@@ -311,7 +307,6 @@ class TestInterceptResend:
         stats = run(cfg)
         for est in (stats.eps_z, stats.eps_x):
             assert abs(est.rate - 0.25) < 5 * est.se
-        assert stats.attack_active
 
     def test_attack_lowers_capacity_estimate(self):
         common = dict(
@@ -434,97 +429,63 @@ def _message_diff(cfg, frame, second, symbol, cover):
     return ANTICOMMUTES[label][MESSAGE_BASIS[cfg.dl04_encoding]] ^ symbol
 
 
-class TestOutcomeKeys:
+def _point_mass(label):
+    return PauliDistribution(tuple(float(k == label) for k in range(4)))
+
+
+class TestTallyCells:
     @pytest.mark.parametrize("decoding", DECODINGS, ids=_decoding_id)
-    def test_counts_each_round_once(self, decoding):
-        """Every label combination of a round, read through the key rule and
-        folded, counts once, in the cell the label tables give. What is no
-        key label (the symbol, the cover and Alice's check bit) is tried
-        with every value and must cancel out."""
+    def test_cells_follow_label_tables(self, decoding):
+        """For every point-mass pair frame and re-transmission error, each
+        check basis errs as the label tables say whatever Alice's check bit,
+        and :func:`message_law` puts all its weight on the difference the
+        label tables give for every symbol and cover."""
         cfg = ProtocolConfig(rounds=1, channel_p=0.0, seed=1, **decoding)
         entangled = cfg.protocol == Protocol.MDI_TS
         bases = check_bases(cfg)
-        shape = (4, len(bases) + 1, 4, 2, 2)  # frame, role, second, bit, arrived
-        keys = _outcome_keys(cfg, *np.indices(shape))
-        for labels in itertools.product(*map(range, shape)):
-            frame, role, second, bit, arrived = labels
-            checks = np.zeros((4, 2), dtype=np.int64)
-            diffs = np.zeros(4, dtype=np.int64)
-            if role < len(bases):
-                b = bases[role]
-                (error,) = {alice == alice ^ 1 ^ ANTICOMMUTES[frame][b] for alice in (0, 1)}
-                checks[b, int(error)] = 1
-            elif arrived:
-                symbols = range(4) if entangled else [bit]
-                covers = range(4) if entangled else [0]
-                (diff,) = {
-                    _message_diff(cfg, frame, second, s, c) for s in symbols for c in covers
-                }
-                diffs[diff] = 1
-            counts = np.zeros(_KEYS, dtype=np.int64)
-            counts[keys[labels]] = 1
-            tally = _fold(cfg, counts)
-            np.testing.assert_array_equal(tally.checks, checks)
-            assert tally.message_rounds == (role == len(bases))
-            np.testing.assert_array_equal(tally.message_diffs, diffs)
-
-    @pytest.mark.parametrize("decoding", DECODINGS, ids=_decoding_id)
-    def test_fold_follows_label_tables_for_every_key(self, decoding):
-        """Each key folds into the one cell the label tables give for every
-        round it stands for, whatever the labels the key leaves out."""
-        cfg = ProtocolConfig(rounds=1, channel_p=0.0, seed=1, **decoding)
-        entangled = cfg.protocol == Protocol.MDI_TS
-        # key -> ("check", (basis, error)) or ("message", difference or None if lost)
-        outcome = {}
-        for index, basis in enumerate(check_bases(cfg)):
-            for frame in range(4):
-                outcome[4 * index + frame] = ("check", (basis, ANTICOMMUTES[frame][basis]))
+        share = cfg.check_fraction / len(bases)
         symbols = range(4) if entangled else (0, 1)
         covers = range(4) if entangled else (0,)
-        for frame, second, symbol, cover in itertools.product(range(4), range(4), symbols, covers):
-            net = PAULI_PRODUCT[second][frame]
-            key = _MESSAGE_KEY + (net if entangled else 2 * net + symbol)
-            diff = ("message", _message_diff(cfg, frame, second, symbol, cover))
-            assert outcome.setdefault(key, diff) == diff  # one outcome per key
-        outcome[_LOST_KEY] = ("message", None)
-
-        for key, (kind, cell) in outcome.items():
-            counts = np.zeros(_KEYS, dtype=np.int64)
-            counts[key] = 1
-            tally = _fold(cfg, counts)
-            checks = np.zeros((4, 2), dtype=np.int64)
-            diffs = np.zeros(4, dtype=np.int64)
-            if kind == "check":
-                checks[cell] = 1
-            elif cell is not None:
-                diffs[cell] = 1
-            np.testing.assert_array_equal(tally.checks, checks)
-            assert tally.message_rounds == (kind == "message")
-            np.testing.assert_array_equal(tally.message_diffs, diffs)
+        for frame, second in itertools.product(range(4), repeat=2):
+            dists = (_point_mass(frame), _point_mass(second))
+            law = message_law(cfg.protocol, cfg.dl04_encoding, *dists)
+            for symbol, cover in itertools.product(symbols, covers):
+                expected = [0.0] * len(law)
+                expected[_message_diff(cfg, frame, second, symbol, cover)] = 1.0
+                assert law == tuple(expected), (frame, second, symbol, cover)
+            checks = []
+            for b in bases:
+                (error,) = {alice == alice ^ 1 ^ ANTICOMMUTES[frame][b] for alice in (0, 1)}
+                checks += [share * (not error), share * error]
+            cells = _cell_probabilities(cfg, dists)
+            assert cells[: len(checks)].tolist() == checks
 
     @pytest.mark.parametrize("decoding", DECODINGS, ids=_decoding_id)
-    def test_sampler_draws_only_defined_keys(self, decoding):
+    def test_sampler_draws_only_possible_cells(self, decoding):
         cfg = ProtocolConfig(
             rounds=20_000, channel_p=0.5, seed=3, transmittance=0.8,
             noise=NoisePlacement.BOTH_LEGS, **decoding,
         )
-        entangled = cfg.protocol == Protocol.MDI_TS
-        defined = [*range(4 * len(check_bases(cfg)))]
-        defined += [*range(_MESSAGE_KEY, _MESSAGE_KEY + (4 if entangled else 8)), _LOST_KEY]
-        counts = _count_keys(cfg)
-        assert counts.sum() == cfg.rounds
-        assert np.all(counts[defined] > 0)
-        assert not np.delete(counts, defined).any()
+        diffs = 4 if cfg.protocol == Protocol.MDI_TS else 2
+        bases = list(check_bases(cfg))
+        tally = _draw_tally(cfg)
+        assert tally.rounds == cfg.rounds
+        assert np.all(tally.checks[bases] > 0)
+        assert not np.delete(tally.checks, bases, axis=0).any()
+        assert np.all(tally.message_diffs[:diffs] > 0)
+        assert not tally.message_diffs[diffs:].any()
+        assert tally.message_rounds > tally.decoded_rounds  # some rounds are lost
 
     def test_lost_round_counts_only_as_message_round(self):
         common = dict(protocol=Protocol.MDI_TS, rounds=5_000, channel_p=0.3, seed=71)
-        cfg = ProtocolConfig(transmittance=1.0, **common)
-        arrived = _fold(cfg, _key_probabilities(cfg))
-        lost = _fold(cfg, _key_probabilities(ProtocolConfig(transmittance=0.0, **common)))
-        np.testing.assert_array_equal(lost.checks, arrived.checks)
-        assert lost.message_rounds == pytest.approx(arrived.message_rounds, rel=1e-15)
-        assert lost.message_rounds > 0
-        assert not lost.message_diffs.any()
+        arrived = _cell_probabilities(ProtocolConfig(transmittance=1.0, **common))
+        lost = _cell_probabilities(ProtocolConfig(transmittance=0.0, **common))
+        checks = 2 * len(check_bases(ProtocolConfig(**common)))
+        np.testing.assert_array_equal(lost[:checks], arrived[:checks])
+        assert lost[-1] == pytest.approx(arrived[checks:].sum(), rel=1e-15)
+        assert lost[-1] > 0
+        assert not lost[checks:-1].any()
+        assert arrived[-1] == 0.0
 
 
 class TestConfigValidation:
@@ -574,6 +535,16 @@ class TestConfigValidation:
             ProtocolConfig(eta=math.nextafter(ETA_MAX, math.inf), **kwargs)
         stats = run(ProtocolConfig(eta=ETA_MAX, **kwargs))
         assert math.isfinite(stats.capacity.raw) and math.isfinite(stats.capacity_se)
+
+    @pytest.mark.parametrize(
+        "field", ["channel_p", "check_fraction", "q_override", "eta", "transmittance"]
+    )
+    @pytest.mark.parametrize("bad", [True, False, "0.2"])
+    def test_rejects_bool_and_non_real_values(self, field, bad):
+        kwargs = dict(protocol=Protocol.MDI_TS, rounds=10, channel_p=0.1, seed=1)
+        kwargs[field] = bad
+        with pytest.raises(ValueError, match=f"{field} must be a real number"):
+            ProtocolConfig(**kwargs)
 
     @pytest.mark.parametrize("field", ["attack_bases", "attack_leg"])
     def test_attack_is_not_configurable(self, field):

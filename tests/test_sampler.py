@@ -1,5 +1,5 @@
-"""Monte Carlo key law and draw: the label algebra, flat memory, the exact
-law of the outcome keys, and multinomial agreement with the exact per-round
+"""Monte Carlo cell law and draw: the label algebra, flat memory, the exact
+law of the tally cells, and multinomial agreement with the exact per-round
 distributions."""
 
 import itertools
@@ -14,8 +14,7 @@ from mdiqsdc.protocol import (
     NoisePlacement,
     Protocol,
     ProtocolConfig,
-    _fold,
-    _key_probabilities,
+    _cell_probabilities,
     check_bases,
     pauli_frame_round_distributions,
     run,
@@ -31,7 +30,7 @@ class TestLabelAlgebra:
 
 class TestMemory:
     def test_peak_memory_flat_in_rounds(self):
-        """Five repeats: a run draws its key counts at once, so ten times the
+        """Five repeats: a run draws its cell counts at once, so ten times the
         rounds may not cost more memory."""
         bound = 8_000_000
         for _ in range(5):
@@ -148,7 +147,7 @@ def test_tallies_match_exact_distributions(cfg):
         total_stat += stat
         total_df += df
 
-    estimates = [stats.qber(b) for b in bases]
+    estimates = [getattr(stats, f"eps_{b.name.lower()}") for b in bases]
     samples = [0 if est is None else est.samples for est in estimates]
     add(
         samples + [stats.message_rounds],
@@ -177,24 +176,22 @@ def test_tallies_match_exact_distributions(cfg):
 
 
 @pytest.mark.parametrize("cfg", SAMPLER_GRID, ids=_grid_id)
-def test_key_law_folds_to_exact_distributions(cfg):
-    """The key law folded as a float tally is the label-algebra backend's
-    law to 1e-12: each basis's share of the rounds and its check error
-    rate, the share of message rounds that arrive, and the distribution of
-    decoded (-) encoded on an arrived message round."""
-    tally = _fold(cfg, _key_probabilities(cfg))
+def test_cell_law_matches_exact_distributions(cfg):
+    """The law the sampler draws the tally cells from is the label-algebra
+    backend's law to 1e-12. Each check basis takes an equal share of the
+    check rounds and errs at the rate read off ``check_joint``; a message
+    round arrives when all its photons pass the transmittance, and then
+    decoded (-) encoded follows the backend's message distribution."""
     dists = pauli_frame_round_distributions(cfg)
     bases = check_bases(cfg)
-    for bi, basis in enumerate(bases):
-        share = tally.checks[basis].sum()
-        assert share == pytest.approx(cfg.check_fraction / len(bases), rel=0, abs=1e-12)
+    share = cfg.check_fraction / len(bases)
+    expected = []
+    for bi in range(len(bases)):
         error = dists["check_joint"][bi, 0, 0, 0] + dists["check_joint"][bi, 0, 1, 1]
-        assert tally.checks[basis, 1] / share == pytest.approx(error, rel=0, abs=1e-12)
-    assert tally.message_rounds == pytest.approx(1.0 - cfg.check_fraction, rel=0, abs=1e-12)
+        expected += [share * (1.0 - error), share * error]
     photons = 2 if cfg.protocol == Protocol.MDI_TS else 1
-    arrived = tally.decoded_rounds / tally.message_rounds
-    assert arrived == pytest.approx(cfg.transmittance**photons, rel=0, abs=1e-12)
-    diffs = tally.message_diffs / tally.decoded_rounds
-    expected = _message_diff_probs(cfg, dists)
-    np.testing.assert_allclose(diffs[: len(expected)], expected, rtol=0, atol=1e-12)
-    assert not diffs[len(expected) :].any()
+    arrival = cfg.transmittance**photons
+    message = 1.0 - cfg.check_fraction
+    expected += [message * arrival * d for d in _message_diff_probs(cfg, dists)]
+    expected.append(message * (1.0 - arrival))
+    np.testing.assert_allclose(_cell_probabilities(cfg), expected, rtol=0, atol=1e-12)

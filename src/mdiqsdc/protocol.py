@@ -22,22 +22,22 @@ depend on the number of rounds; :func:`run` runs either protocol.
 
 :func:`round_error_dists` is the one composition of a round's errors, and
 :func:`message_law` the one law of a message round's error: the pair frame,
-the re-transmission error and the message law built from them feed all
-three consumers, namely the cell law of a run, the label-algebra backend
-and the closed-form curves of ``curves``. Both take a float channel
-parameter or an array of them, so the curves compose a whole sweep grid in
-one call.
+the re-transmission error and the message law built from them feed both
+consumers, namely the cell law of a run and the closed-form curves of
+``curves``. Both take a float channel parameter or an array of them, so the
+curves compose a whole sweep grid in one call.
 
 The one attack is intercept-resend on Alice's first leg: the attacker
 measures each photon in a random Z or X basis and resends the eigenstate
 found. The frame adds it as the constant :data:`INTERCEPT_RESEND_DIST`;
 the oracle states it on its own, as the average of the Z and X dephasings.
 
-Two analytic backends expose per-round outcome distributions, one from the
-label algebra and one from explicit density matrices, so their agreement
-can be checked to machine precision without sampling; ``verify`` compares
-them under both noise placements, all three single-photon encodings and
-the attack.
+The exact density-matrix oracle states every round with explicit matrices
+and reduces each announced Bell outcome to the tally cells a run draws;
+the Pauli-frame side repeats the cell law of a run over the outcomes. So
+``verify`` compares the oracle with the very law the sampler draws, outcome
+by outcome and without sampling, under both noise placements, all three
+single-photon encodings, the attack and a lossy channel.
 
 Separate runs share no state and may also execute concurrently.
 """
@@ -70,7 +70,6 @@ from .infotheory import (
     shannon_entropy,
 )
 from .quantum import (
-    ANTICOMMUTES,
     BELL_VECTORS,
     PAULI_OF_BELL,
     PAULI_PRODUCT,
@@ -115,8 +114,6 @@ class AttackModel(str, Enum):
     NONE = "none"
     INTERCEPT_RESEND = "intercept-resend"
 
-
-_PAULI_OF_BELL = np.array([int(p) for p in PAULI_OF_BELL], dtype=np.int64)
 
 # Measurement basis the middle party uses on message photons, keyed by the
 # encoding operator; it must anticommute with the encoding so that the
@@ -266,9 +263,9 @@ def round_error_dists(
     ``frame`` composes both first legs, the attacker's process ``eve`` on
     Alice's (the labels form an abelian group, so the attacked leg would
     change the frame only by rounding); the checked rates are read off it.
-    ``second`` is the re-transmission error of message rounds. The sampler, the label-algebra
-    backend and the closed-form curves all take their distributions from here;
-    ``p`` may be a float or, for a sweep grid, a 1-D float64 array.
+    ``second`` is the re-transmission error of message rounds. The cell law of
+    a run and the closed-form curves take their distributions from here; ``p``
+    may be a float or, for a sweep grid, a 1-D float64 array.
     """
     single = depolarizing_pauli_dist(p)
     attacked = convolve(single, eve) if eve is not None else single
@@ -319,7 +316,7 @@ def _cell_probabilities(cfg: ProtocolConfig, dists: RoundErrorDists | None = Non
     reads: per check basis, no error then error; each value of
     :func:`message_law` on an arrived message round; a lost message round.
     ``dists`` is :func:`round_error_dists_for_config` of ``cfg``, composed
-    here when not given.
+    here when not given; grid distributions add a leading grid axis.
 
     A check round errs when its pair frame anticommutes with the basis: the
     singlet reference is anti-correlated in every basis. The bases share the
@@ -338,8 +335,10 @@ def _cell_probabilities(cfg: ProtocolConfig, dists: RoundErrorDists | None = Non
     arrival = cfg.transmittance ** (2 if cfg.protocol == Protocol.MDI_TS else 1)
     law = message_law(cfg.protocol, cfg.dl04_encoding, frame, second)
     cells += [message * arrival * d for d in law]
-    cells.append(message * (1.0 - arrival))
-    return np.array(cells)
+    # + 0.0 * error gives the lost cell a grid's shape, if any, and changes no
+    # value; unlike np.full_like it costs a float run nothing measurable
+    cells.append(message * (1.0 - arrival) + 0.0 * error)
+    return np.array(cells).T  # cells last
 
 
 @dataclass
@@ -530,80 +529,40 @@ def run(cfg: ProtocolConfig, dists: RoundErrorDists | None = None) -> Transcript
 
 
 # ---------------------------------------------------------------------------
-# Analytic per-round outcome distributions, from both backends.
+# What a run tallies, per announced Bell outcome, from both backends.
 # ---------------------------------------------------------------------------
-
-
-# Second-leg error that leaves the second Bell outcome o2 after symbol s,
-# cover c and pair frame f, indexed [s, c, o2, f]: label products are XOR.
-_SECOND_OF_OUTCOME = (
-    _PAULI_OF_BELL[None, None, :, None]
-    ^ np.arange(4)[:, None, None, None]
-    ^ np.arange(4)[None, :, None, None]
-    ^ np.arange(4)[None, None, None, :]
-)
 
 
 def pauli_frame_round_distributions(
     cfg: ProtocolConfig, channel_p: float | np.ndarray | None = None
 ) -> dict[str, np.ndarray]:
-    """Exact per-round outcome distributions from the label algebra.
-
-    All conditionals are computed by enumeration over error labels, never
-    by sampling, so they can be compared to the density-matrix backend at
-    machine precision. ``channel_p`` replaces ``cfg.channel_p`` when given:
-    a float gives the shapes below, and a 1-D float64 array adds a leading
+    """Exact per-round distributions of what a run tallies, from the label
+    algebra, so they can be compared to the density-matrix backend at machine
+    precision without sampling. The swap correction leaves the pair frame
+    the same whatever the announced outcome, so every outcome's row is the
+    one cell law. ``channel_p`` replaces ``cfg.channel_p`` when given: a
+    float gives the shapes below, and a 1-D float64 array adds a leading
     grid axis whose rows equal, bit for bit, the calls at each float. Keys
     and shapes:
 
     * ``swap_outcome`` (4,): announced first Bell outcome.
-    * ``pair_frame`` (4, 4): Bell weights of the corrected pair, per outcome.
-    * ``check_joint`` (bases, 4, 2, 2): both check outcomes, per basis and
-      announced outcome.
-    * entanglement protocol: ``message_outcome`` (4, 4, 4, 4) indexed by
-      announced outcome, symbol, cover, second Bell outcome, plus
-      ``symbol_error`` (4,).
-    * single-photon protocol: ``message_joint`` (4, 2, 2, 2) indexed by
-      announced outcome, encoded bit, both single-photon outcomes, plus
-      ``bit_error`` (1,).
+    * ``cells`` (4, cells): per announced outcome, the law of the tally
+      cell a round reaches, :func:`_cell_probabilities`.
+    * entanglement protocol: ``symbol_error`` (4,), single-photon protocol:
+      ``bit_error`` (1,); from :func:`message_law` of an arrived message
+      round.
     """
-    frame, second = round_error_dists_for_config(cfg, channel_p)
-    # (..., 4) label weights; the leading axis is the grid's, if any
-    frame_dist = np.stack(frame.probabilities, axis=-1)
-    second_dist = np.stack(second.probabilities, axis=-1)
-    shape = frame_dist.shape[:-1]
-    law = message_law(cfg.protocol, cfg.dl04_encoding, frame, second)
-
-    def per_outcome(table: np.ndarray, axis: int) -> np.ndarray:
-        """``table`` repeated over the announced outcome, a new axis at ``axis``."""
-        return np.repeat(np.expand_dims(table, axis), 4, axis=axis)
-
-    agree = np.eye(2, dtype=bool)  # both outcomes of a pair equal
-
-    def pair_joint(parallel) -> np.ndarray:
-        """(..., 2, 2) joint of two outcomes that agree with probability ``parallel``."""
-        parallel = np.asarray(parallel)[..., None, None]
-        return 0.5 * np.where(agree, parallel, 1.0 - parallel)
-
-    out: dict[str, np.ndarray] = {}
-    out["swap_outcome"] = np.full(shape + (4,), 0.25)
-    out["pair_frame"] = per_outcome(frame_dist[..., _PAULI_OF_BELL], -2)
-    out["check_joint"] = per_outcome(
-        np.stack([pair_joint(error_rate_in_basis(frame, b)) for b in check_bases(cfg)], -3), -3
-    )
-
+    dists = round_error_dists_for_config(cfg, channel_p)
+    cells = _cell_probabilities(cfg, dists)
+    law = np.stack(message_law(cfg.protocol, cfg.dl04_encoding, *dists), axis=-1)
+    out = {
+        "swap_outcome": np.full(cells.shape[:-1] + (4,), 0.25),
+        "cells": np.repeat(cells[..., None, :], 4, axis=-2),
+    }
     if cfg.protocol == Protocol.MDI_TS:
-        # (..., s, c, o2, f): the weight frame f gives to (s, c, o2)
-        terms = frame_dist[..., None, None, None, :] * second_dist[..., _SECOND_OF_OUTCOME]
-        out["message_outcome"] = per_outcome(sum(terms[..., f] for f in range(4)), -4)
-        out["symbol_error"] = np.stack(law, axis=-1)
+        out["symbol_error"] = law
     else:
-        m = MESSAGE_BASIS[cfg.dl04_encoding]
-        flip = np.asarray(law[1])
-        # bit 1 flips the pair correlation when the encoding anticommutes with m
-        one = (1.0 - flip) if ANTICOMMUTES[cfg.dl04_encoding][m] else flip
-        out["message_joint"] = per_outcome(np.stack([pair_joint(flip), pair_joint(one)], -3), -4)
-        out["bit_error"] = flip[..., None]
+        out["bit_error"] = law[..., 1:]
     return out
 
 
@@ -618,49 +577,53 @@ def _swap_projectors() -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _pair_projectors(basis: PauliLabel) -> np.ndarray:
-    """Read-only (2, 2, 4, 4) projectors on outcomes a, b of two photons both
-    measured in ``basis``."""
+def _agreement_projectors(basis: PauliLabel) -> np.ndarray:
+    """Read-only (2, 4, 4) projectors of two photons both measured in
+    ``basis`` on equal outcomes (index 0) and on different ones (index 1)."""
     vecs = [basis_eigenvector(basis, bit) for bit in (0, 1)]
-    proj = np.array(
-        [[np.kron(np.outer(va, va.conj()), np.outer(vb, vb.conj())) for vb in vecs] for va in vecs]
-    )
+    pairs = [
+        [np.kron(np.outer(va, va.conj()), np.outer(vb, vb.conj())) for vb in vecs] for va in vecs
+    ]
+    proj = np.array([pairs[0][0] + pairs[1][1], pairs[0][1] + pairs[1][0]])
     proj.flags.writeable = False
     return proj
 
 
-def _pair_outcomes(proj: np.ndarray, pairs: DensityMatrix) -> np.ndarray:
-    """Tr(proj[a, b] @ pair) for every pair of the stack: shape ``pairs.shape + (2, 2)``."""
-    return np.einsum("abij,...ji->...ab", proj, pairs.matrix).real
-
-
-# Label of decoded (-) sent symbol, indexed by (symbol, cover, second Bell
-# outcome): Bob decodes the Pauli of the Bell outcome undone by his cover.
-_SYMBOL_DIFFERENCE = np.array(
-    [
-        [[PAULI_PRODUCT[PAULI_PRODUCT[c][p]][s] for p in _PAULI_OF_BELL] for c in range(4)]
-        for s in range(4)
-    ]
-)
 _LABELS = np.arange(4)
+# Share of decoded (-) sent symbol d in a round of symbol s, cover c and
+# second Bell outcome o2, under uniform symbols and covers, indexed
+# [s, c, o2, d]: Bob decodes the Pauli of the Bell outcome undone by his cover.
+_SYMBOL_DIFFERENCE = (
+    np.array(
+        [
+            [[PAULI_PRODUCT[PAULI_PRODUCT[c][p]][s] for p in PAULI_OF_BELL] for c in range(4)]
+            for s in range(4)
+        ]
+    )[..., None]
+    == _LABELS
+) / 16.0
 
 
 def density_matrix_round_distributions(
     cfg: ProtocolConfig, channel_p: float | np.ndarray | None = None
 ) -> dict[str, np.ndarray]:
-    """Per-round outcome distributions from the exact density-matrix oracle.
+    """Per-round distributions of what a run tallies, from the exact
+    density-matrix oracle.
 
     Builds the full four-photon state (qubit order: Alice's kept photon,
     Alice's sent photon, Bob's kept photon, Bob's sent photon), applies the
     channels and any attack to the sent photons, projects on the announced
-    Bell outcome, applies the swap correction, and reads every conditional
-    out of the resulting matrices. Each stage is one validated stack: the
-    four-photon states, the four conditioned states, the four corrected
-    pairs, then the (cover, symbol, outcome) or (bit, outcome) stack of
-    message states. ``channel_p`` replaces ``cfg.channel_p`` when given: a
-    1-D float64 array adds a leading grid axis to every stack and output,
-    whose rows equal, bit for bit, the calls at each float. Same keys and
-    shapes as the Pauli-frame backend.
+    Bell outcome, applies the swap correction, and reads every outcome's
+    check errors and message law out of the resulting matrices. Each stage
+    is one validated stack: the four-photon states, the four conditioned
+    states, the four corrected pairs, then the (cover, symbol, outcome) or
+    (bit, outcome) stack of message states. A message round arrives when
+    every photon its message stage sends passes the transmittance. The
+    message law is averaged over the outcomes with their own probabilities.
+    ``channel_p`` replaces ``cfg.channel_p`` when given: a 1-D float64 array
+    adds a leading grid axis to every stack and output, whose rows equal,
+    bit for bit, the calls at each float. Same keys and shapes as the
+    Pauli-frame backend.
     """
     p = cfg.channel_p if channel_p is None else channel_p
     singlet = bell_state(BellLabel.PSI_MINUS)
@@ -679,41 +642,43 @@ def density_matrix_round_distributions(
     corrections = [int(swap_correction(BellLabel(o))) for o in range(4)]
     pair = apply_pauli(partial_trace(cond, keep=(0, 2)), corrections, 1)
 
-    out: dict[str, np.ndarray] = {
-        "swap_outcome": swap_outcome,
-        "pair_frame": bell_measure(pair),
-        "check_joint": np.stack(
-            [_pair_outcomes(_pair_projectors(basis), pair) for basis in check_bases(cfg)], -4
-        ),
-    }
     both_legs = cfg.noise == NoisePlacement.BOTH_LEGS
-    if cfg.protocol == Protocol.MDI_TS:
+    entangled = cfg.protocol == Protocol.MDI_TS
+    if entangled:
+        sent = 2  # Alice's and Bob's encoded photons
         encoded = apply_pauli(pair[..., None, :], _LABELS[:, None], 0)  # (..., symbol, outcome)
         # (..., cover, symbol, outcome)
         covered = apply_pauli(encoded[..., None, :, :], _LABELS[:, None, None], 1)
         if both_legs:
             covered = depolarize(depolarize(covered, p, 0), p, 1)
-        # (..., outcome, symbol, cover, second outcome); bincount adds in this order
-        message = np.swapaxes(bell_measure(covered), -4, -2)
-        out["message_outcome"] = message
-        weights = (0.25 * (1.0 / 16.0)) * message
-        # one run of four bins per grid point
-        offsets = 4 * np.arange(weights.size // 256).reshape(message.shape[:-4] + (1,) * 4)
-        difference = np.broadcast_to(_SYMBOL_DIFFERENCE + offsets, message.shape)
-        out["symbol_error"] = np.bincount(
-            difference.ravel(), weights=weights.ravel(), minlength=weights.size // 64
-        ).reshape(message.shape[:-4] + (4,))
+        # (..., outcome, difference)
+        law = np.einsum("...csoq,scqd->...od", bell_measure(covered), _SYMBOL_DIFFERENCE)
     else:
+        sent = 1  # Alice's encoded photon
         # (..., bit, outcome)
         encoded = apply_pauli(pair[..., None, :], [[PauliLabel.I], [cfg.dl04_encoding]], 0)
         if both_legs:
             encoded = depolarize(encoded, p, 0)
-        joint = _pair_outcomes(_pair_projectors(MESSAGE_BASIS[cfg.dl04_encoding]), encoded)
-        joint = np.swapaxes(joint, -4, -3)  # (..., outcome, bit, a, b)
-        out["message_joint"] = joint
-        # bit k is read as 1 exactly when both photons agree
-        agree = np.eye(2, dtype=bool)
-        wrong = np.array([agree, ~agree])
-        total = joint[..., wrong].reshape(joint.shape[:-4] + (-1,)).sum(axis=-1)
-        out["bit_error"] = 0.125 * total[..., None]
+        # bit 0 is misread when both photons agree, bit 1 when they differ
+        agreement = _agreement_projectors(MESSAGE_BASIS[cfg.dl04_encoding])
+        flip = np.einsum("kij,...koji->...o", agreement, encoded.matrix).real / 2.0
+        law = np.stack([1.0 - flip, flip], axis=-1)
+
+    bases = check_bases(cfg)
+    share = cfg.check_fraction / len(bases)
+    cells = []
+    for basis in bases:
+        # the singlet is anti-correlated, so a check errs when both photons agree
+        error = np.einsum("ij,...oji->...o", _agreement_projectors(basis)[0], pair.matrix).real
+        cells += [share * (1.0 - error), share * error]
+    message = 1.0 - cfg.check_fraction
+    arrival = cfg.transmittance**sent
+    cells += [message * arrival * law[..., d] for d in range(law.shape[-1])]
+    cells.append(np.full_like(error, message * (1.0 - arrival)))
+    out = {"swap_outcome": swap_outcome, "cells": np.stack(cells, axis=-1)}
+    averaged = np.einsum("...o,...od->...d", swap_outcome, law)
+    if entangled:
+        out["symbol_error"] = averaged
+    else:
+        out["bit_error"] = averaged[..., 1:]
     return out

@@ -157,10 +157,12 @@ EQUIVALENCE_CASES = (
 def check_backend_equivalence(
     ps: tuple[float, ...] = (0.0, 0.1, 0.5, 1.0), atol: float = 1e-12
 ) -> CheckResult:
-    """Pauli-frame and density-matrix per-round distributions, full grid.
+    """The density-matrix oracle, reduced per announced outcome to the tally
+    cells of a run, against the cell law the sampler draws, full grid.
 
     Each backend is called once per case of ``EQUIVALENCE_CASES`` with the
-    whole p grid; the worst case is the first largest deviation in
+    whole p grid, over a lossy channel so that the arrival law and the lost
+    cell are compared too; the worst case is the first largest deviation in
     (case, p, key) order.
     """
     grid = np.array(ps, dtype=np.float64)
@@ -175,6 +177,7 @@ def check_backend_equivalence(
             noise=noise,
             dl04_encoding=encoding,
             attack=attack,
+            transmittance=0.7,
         )
         fast = pauli_frame_round_distributions(cfg, grid)
         exact = density_matrix_round_distributions(cfg, grid)

@@ -812,7 +812,7 @@ VERIFY_STDOUT = """\
 PASS bell-states: max amplitude error 0.000e+00
 PASS product-decompositions: max deviation 1.110e-16 at |+ +>
 PASS swap-corrections: min post-correction singlet fidelity 1.000000000000000
-PASS backend-equivalence: max distribution deviation 2.776e-16 (mdi-ts first-leg-only p=0.1 attack=none check_joint)
+PASS backend-equivalence: max distribution deviation 9.992e-16 (mdi-ts first-leg-only p=0.0 attack=none symbol_error)
 PASS holevo-bound: max(chi - bound) = 0.000e+00 at deltas=(1.0, 0.0, 0.0, 0.0)
 """
 

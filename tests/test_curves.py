@@ -57,13 +57,13 @@ def _config_id(cfg):
 
 
 def check_rates(dists, cfg):
-    """Per-basis check error rates: probability that both outcomes agree,
-    averaged over the announced swap outcome."""
-    joint = dists["check_joint"]
-    agree = joint[:, :, 0, 0] + joint[:, :, 1, 1]
+    """Per-basis check error rates: the error cell's share of the basis's
+    check rounds, averaged over the announced swap outcome."""
+    cells = dists["swap_outcome"] @ dists["cells"]
+    checks = cells[: 2 * len(check_bases(cfg))].reshape(-1, 2)  # per basis: no error, error
     return {
-        basis: float(dists["swap_outcome"] @ agree[bi])
-        for bi, basis in enumerate(check_bases(cfg))
+        basis: float(error / (right + error))
+        for basis, (right, error) in zip(check_bases(cfg), checks)
     }
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import mdiqsdc.channels
 import mdiqsdc.protocol
 import mdiqsdc.quantum
-from mdiqsdc.channels import PauliDistribution, convolve, depolarizing_pauli_dist
+from mdiqsdc.channels import IDENTITY_DIST, PauliDistribution, convolve, depolarizing_pauli_dist
 from mdiqsdc.infotheory import ETA_MAX, binary_entropy, shannon_entropy
 from mdiqsdc.protocol import (
     MAX_ROUNDS,
@@ -108,7 +108,7 @@ class TestSwapCorrection:
 
     @pytest.mark.parametrize("error", [1, 2, 3])
     @pytest.mark.parametrize("leg_qubit", [1, 3])
-    def test_leg_error_becomes_pair_frame(self, error, leg_qubit):
+    def test_leg_error_survives_swapping(self, error, leg_qubit):
         # a Pauli error on either sent photon survives swapping as the same
         # Pauli on the corrected pair
         collapsed = collapse_after_swap_oracle(error_op=error, error_qubit=leg_qubit)
@@ -649,10 +649,58 @@ class TestBackendEquivalence:
             np.testing.assert_allclose(bob[key], alice[key], atol=1e-12, err_msg=key)
 
 
+def _basis_share_55_45(honest, cfg, dists):
+    cells = honest(cfg, dists)
+    cells[..., 0:2] *= 1.1  # 55% of two bases' check rounds in the first
+    cells[..., 2:4] *= 0.9
+    return cells
+
+
+def _one_photon_arrival(honest, cfg, dists):
+    # an entanglement-protocol message round arrives when one photon passes
+    if cfg.protocol == Protocol.MDI_TS:
+        cfg = dataclasses.replace(cfg, transmittance=math.sqrt(cfg.transmittance))
+    return honest(cfg, dists)
+
+
+def _second_error_left_out(honest, cfg, dists):
+    frame, _ = dists
+    return honest(cfg, (frame, IDENTITY_DIST))
+
+
+def _basis_pair_swapped(honest, cfg, dists):
+    cells = honest(cfg, dists)
+    cells[..., [0, 1]] = cells[..., [1, 0]]  # the first basis's (no error, error)
+    return cells
+
+
+CELL_LAW_MUTATIONS = {
+    "basis-share-55-45": _basis_share_55_45,
+    "one-photon-arrival": _one_photon_arrival,
+    "second-error-left-out": _second_error_left_out,
+    "basis-pair-swapped": _basis_pair_swapped,
+}
+
+
 class TestOracleStillReferees:
-    """The stacked oracle is still checked: a wrong correction or a wrong
-    channel weight on either side shows up as a backend mismatch, and a
-    non-unitary operation as an invalid state."""
+    """The stacked oracle is still checked: a wrong correction, a wrong
+    channel weight on either side or a wrong cell law of the sampler shows
+    up as a backend mismatch, and a non-unitary operation as an invalid
+    state."""
+
+    @pytest.mark.parametrize(
+        "mutation", CELL_LAW_MUTATIONS.values(), ids=CELL_LAW_MUTATIONS.keys()
+    )
+    def test_wrong_cell_law_fails_equivalence(self, monkeypatch, mutation):
+        honest = _cell_probabilities
+        monkeypatch.setattr(
+            mdiqsdc.protocol,
+            "_cell_probabilities",
+            lambda cfg, dists=None: mutation(honest, cfg, dists),
+        )
+        result = check_backend_equivalence()
+        assert not result.passed, result.detail
+        assert "cells" in result.detail
 
     def test_wrong_depolarizing_weight_in_the_frame_fails_equivalence(self, monkeypatch):
         def skewed(p):

@@ -1,6 +1,6 @@
-"""Monte Carlo cell law and draw: the label algebra, flat memory, the exact
-law of the tally cells, and multinomial agreement with the exact per-round
-distributions."""
+"""Monte Carlo cell law and draw: the label algebra, flat memory, the law of
+the tally cells against the density-matrix oracle, and multinomial agreement
+with the oracle's cells."""
 
 import itertools
 import tracemalloc
@@ -16,10 +16,10 @@ from mdiqsdc.protocol import (
     ProtocolConfig,
     _cell_probabilities,
     check_bases,
-    pauli_frame_round_distributions,
+    density_matrix_round_distributions,
     run,
 )
-from mdiqsdc.quantum import PAULI_OF_BELL, PAULI_PRODUCT, PauliLabel
+from mdiqsdc.quantum import PAULI_PRODUCT, PauliLabel
 
 
 class TestLabelAlgebra:
@@ -112,33 +112,27 @@ def _pearson(observed, probs):
     return stat, int(possible.sum()) - 1
 
 
-def _message_diff_probs(cfg, dists):
-    """Exact distribution of decoded (-) encoded on a decoded message round."""
-    if cfg.protocol == Protocol.MDI_DL04:
-        flip = dists["bit_error"][0]
-        return [1.0 - flip, flip]
-    outcome = dists["message_outcome"][0]  # symbol, cover, second Bell outcome
-    probs = np.zeros(4)
-    for s, c, o2 in itertools.product(range(4), repeat=3):
-        decoded = PAULI_PRODUCT[c][int(PAULI_OF_BELL[o2])]  # Bob undoes his cover
-        probs[PAULI_PRODUCT[decoded][s]] += outcome[s, c, o2] / 16.0
-    np.testing.assert_allclose(probs, dists["symbol_error"], atol=1e-12)
-    return probs
+def _oracle_cells(cfg):
+    """The oracle's tally-cell law of ``cfg``, averaged over the announced outcome."""
+    dists = density_matrix_round_distributions(cfg)
+    return dists["swap_outcome"] @ dists["cells"]
 
 
 @pytest.mark.parametrize("cfg", SAMPLER_GRID, ids=_grid_id)
 def test_tallies_match_exact_distributions(cfg):
-    """Multinomial goodness of fit of one run against
-    ``pauli_frame_round_distributions``, stage by stage: round roles and
-    check bases, check errors per basis, photon loss, and message
-    differences. Each stage is multinomial given the counts of the one
-    before, so the Pearson statistics add up to one chi-square statistic
-    per config. The family false-alarm rate over the whole grid is
-    FAMILY_ALPHA = 1e-3, split evenly across the configs (Bonferroni);
-    seeds are fixed, so the verdict is reproducible."""
+    """Multinomial goodness of fit of one run against the cell law of the
+    density-matrix oracle, stage by stage: round roles and check bases,
+    check errors per basis, photon loss, and message differences. Each
+    stage is multinomial given the counts of the one before, so the Pearson
+    statistics add up to one chi-square statistic per config. The family
+    false-alarm rate over the whole grid is FAMILY_ALPHA = 1e-3, split
+    evenly across the configs (Bonferroni); seeds are fixed, so the verdict
+    is reproducible."""
     stats = run(cfg)
-    dists = pauli_frame_round_distributions(cfg)
+    cells = _oracle_cells(cfg)
     bases = check_bases(cfg)
+    checks = cells[: 2 * len(bases)].reshape(-1, 2)  # per basis: no error, error
+    arrived, lost = cells[2 * len(bases) : -1], cells[-1]
     total_stat, total_df = 0.0, 0
 
     def add(observed, probs):
@@ -149,26 +143,20 @@ def test_tallies_match_exact_distributions(cfg):
 
     estimates = [getattr(stats, f"eps_{b.name.lower()}") for b in bases]
     samples = [0 if est is None else est.samples for est in estimates]
-    add(
-        samples + [stats.message_rounds],
-        [cfg.check_fraction / len(bases)] * len(bases) + [1.0 - cfg.check_fraction],
-    )
-    for bi, est in enumerate(estimates):
+    add(samples + [stats.message_rounds], list(checks.sum(axis=1)) + [arrived.sum() + lost])
+    for basis_cells, est in zip(checks, estimates):
         if est is not None:
-            error = dists["check_joint"][bi, 0, 0, 0] + dists["check_joint"][bi, 0, 1, 1]
-            add([est.samples - est.errors, est.errors], [1.0 - error, error])
+            add([est.samples - est.errors, est.errors], basis_cells)
 
-    photons = 2 if cfg.protocol == Protocol.MDI_TS else 1
-    arrival = cfg.transmittance**photons
     decoded = stats.decoded_rounds
-    add([decoded, stats.message_rounds - decoded], [arrival, 1.0 - arrival])
+    add([decoded, stats.message_rounds - decoded], [arrived.sum(), lost])
 
     if cfg.protocol == Protocol.MDI_TS:
         diffs = [round(prob * decoded) for prob in stats.message_errors.probabilities]
     else:
         errors = round(stats.bit_error * decoded)
         diffs = [decoded - errors, errors]
-    add(diffs, _message_diff_probs(cfg, dists))
+    add(diffs, arrived)
 
     if total_df > 0:
         p_value = chi2.sf(total_stat, total_df)
@@ -177,21 +165,9 @@ def test_tallies_match_exact_distributions(cfg):
 
 @pytest.mark.parametrize("cfg", SAMPLER_GRID, ids=_grid_id)
 def test_cell_law_matches_exact_distributions(cfg):
-    """The law the sampler draws the tally cells from is the label-algebra
-    backend's law to 1e-12. Each check basis takes an equal share of the
-    check rounds and errs at the rate read off ``check_joint``; a message
-    round arrives when all its photons pass the transmittance, and then
-    decoded (-) encoded follows the backend's message distribution."""
-    dists = pauli_frame_round_distributions(cfg)
-    bases = check_bases(cfg)
-    share = cfg.check_fraction / len(bases)
-    expected = []
-    for bi in range(len(bases)):
-        error = dists["check_joint"][bi, 0, 0, 0] + dists["check_joint"][bi, 0, 1, 1]
-        expected += [share * (1.0 - error), share * error]
-    photons = 2 if cfg.protocol == Protocol.MDI_TS else 1
-    arrival = cfg.transmittance**photons
-    message = 1.0 - cfg.check_fraction
-    expected += [message * arrival * d for d in _message_diff_probs(cfg, dists)]
-    expected.append(message * (1.0 - arrival))
-    np.testing.assert_allclose(_cell_probabilities(cfg), expected, rtol=0, atol=1e-12)
+    """The law the sampler draws the tally cells from is, to 1e-12, the
+    density-matrix oracle's cell law after every announced Bell outcome."""
+    cells = density_matrix_round_distributions(cfg)["cells"]
+    assert cells.shape == (4, _cell_probabilities(cfg).size)
+    for row in cells:
+        np.testing.assert_allclose(_cell_probabilities(cfg), row, rtol=0, atol=1e-12)

@@ -113,8 +113,23 @@ class TestHolevoCheckHasTeeth:
 
 
 
-def test_backend_equivalence_covers_both_noise_placements_and_all_encodings():
+def test_backend_equivalence_covers_both_noise_placements_and_all_encodings(monkeypatch):
     cases = verification.EQUIVALENCE_CASES
+    compared = []
+    for name in ("pauli_frame_round_distributions", "density_matrix_round_distributions"):
+        backend = getattr(verification, name)
+
+        def recording(cfg, channel_p, backend=backend):
+            compared.append(cfg)
+            return backend(cfg, channel_p)
+
+        monkeypatch.setattr(verification, name, recording)
+    assert verification.check_backend_equivalence().passed
+    # every case on both backends, over a lossy channel: at transmittance 1
+    # no round is lost, and the arrival law could not show a fault
+    assert len(compared) == 2 * len(cases)
+    assert {(c.protocol, c.attack, c.noise, c.dl04_encoding) for c in compared} == set(cases)
+    assert {c.transmittance for c in compared} == {0.7}
     for protocol in (Protocol.MDI_TS, Protocol.MDI_DL04):
         own = [case for case in cases if case[0] == protocol]
         assert {attack for _, attack, _, _ in own} == set(AttackModel), protocol

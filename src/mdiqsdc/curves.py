@@ -10,8 +10,10 @@ pinned down.
 The MDI curves and the analytic twin of a Monte Carlo run take their error
 distributions from :func:`mdiqsdc.protocol.round_error_dists` and the law
 of a message round's error from :func:`mdiqsdc.protocol.message_law`, the
-same laws the sampler draws from, and evaluate the closed forms in one
-place; this module composes no transmission legs itself.
+same laws the sampler draws from, and evaluate them with
+:func:`mdiqsdc.protocol.closed_form`, the one closed form, which a run's
+estimate evaluates at its observed frequencies; this module composes no
+transmission legs and computes no entropy itself.
 
 :func:`analytic_point` takes one x as a float or a whole grid as a 1-D
 float64 array and runs the same code on either (see ``elementwise``): a
@@ -26,21 +28,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .channels import ErrorRates, PauliDistribution, depolarizing_pauli_dist, error_rates
-from .elementwise import check_range, minimum
-from .infotheory import (
-    CapacityResult,
-    ErrorVector,
-    binary_entropy,
-    eve_info_mdi_ts,
-    secrecy_capacity,
-    shannon_entropy,
-)
+from .channels import PauliDistribution, depolarizing_pauli_dist, error_rates
+from .elementwise import check_range
+from .infotheory import CapacityResult
 from .protocol import (
     NoisePlacement,
     Protocol,
     ProtocolConfig,
     RoundErrorDists,
+    arrival,
+    closed_form,
     message_law,
     round_error_dists,
     round_error_dists_for_config,
@@ -69,54 +66,26 @@ class AnalyticPoint:
     capacity: CapacityResult
 
 
-def _closed_forms(
+def _point(
     protocol: Protocol,
     x: float,
-    rates: ErrorRates,
+    frame: PauliDistribution,
     law: tuple[float, ...],
     *,
     encoding: PauliLabel,
     q: float,
     eta: float,
 ) -> AnalyticPoint:
-    """The closed forms of ``protocol`` from the checked error ``rates`` and
-    the ``law`` of decoded (-) encoded on a message round."""
-    if protocol in (Protocol.MDI_TS, Protocol.TWO_STEP):
-        bits = 2.0
-        entropy = shannon_entropy(ErrorVector(law))
-        eve_info = eve_info_mdi_ts(rates.eps_z, rates.eps_x)
-    elif protocol == Protocol.MDI_DL04:
-        bits = 1.0
-        entropy = binary_entropy(law[1])
-        eve_info = binary_entropy(rates.in_basis(encoding))
-    else:
-        # information leaked about one bit cannot exceed one bit, so the
-        # leak argument eps_x + eps_z is capped at 1/2, where h = 1
-        bits = 1.0
-        entropy = binary_entropy(x)
-        eve_info = binary_entropy(minimum(rates.eps_x + rates.eps_z, 0.5))
-    capacity = CapacityResult(secrecy_capacity(bits, entropy, eve_info, q=q, eta=eta))
+    """:func:`~mdiqsdc.protocol.closed_form` of ``protocol`` at ``x``: the
+    checked rates are those of the error process ``frame`` the checks see, and
+    ``law`` is the law of decoded (-) encoded on a message round."""
+    rates = error_rates(frame)
+    entropy, eve_info, capacity = closed_form(
+        protocol, rates.in_basis, law, encoding=encoding, q=q, eta=eta
+    )
     return AnalyticPoint(
         protocol, x, 2.0 * x, rates.eps_z, rates.eps_x, rates.eps_y, entropy, eve_info, capacity
     )
-
-
-def _mdi_point(
-    protocol: Protocol,
-    x: float,
-    frame: PauliDistribution,
-    second: PauliDistribution,
-    *,
-    encoding: PauliLabel,
-    q: float,
-    eta: float,
-) -> AnalyticPoint:
-    """Closed forms of an MDI protocol from the ``(frame, second)`` pair of
-    :func:`~mdiqsdc.protocol.round_error_dists`: the checked rates come from
-    the frame, the message error from :func:`~mdiqsdc.protocol.message_law`."""
-    rates = error_rates(frame)
-    law = message_law(protocol, encoding, frame, second)
-    return _closed_forms(protocol, x, rates, law, encoding=encoding, q=q, eta=eta)
 
 
 def analytic_point(
@@ -129,32 +98,34 @@ def analytic_point(
     eta: float = 1.0,
 ) -> AnalyticPoint:
     """Evaluate one protocol curve at x = p/2, without an attacker: at one
-    float x, or at every x of a 1-D float64 array."""
+    float x, or at every x of a 1-D float64 array. The non-MDI baselines see
+    one channel use: the two-step symbol errs by its Pauli error, and the
+    single-photon bit flips with the single-use rate x."""
     check_range(x, 0.0, X_MAX, "sweep position x=")
     p = 2.0 * x
     if protocol in (Protocol.MDI_TS, Protocol.MDI_DL04):
-        dists = round_error_dists(protocol, p, noise)
-        return _mdi_point(protocol, x, *dists, encoding=encoding, q=q, eta=eta)
-    if protocol not in (Protocol.TWO_STEP, Protocol.DL04):
+        frame, second = round_error_dists(protocol, p, noise)
+        law = message_law(protocol, encoding, frame, second)
+    elif protocol in (Protocol.TWO_STEP, Protocol.DL04):
+        frame = depolarizing_pauli_dist(p)
+        law = frame.probabilities if protocol == Protocol.TWO_STEP else (1.0 - x, x)
+    else:
         raise ValueError(f"unknown protocol {protocol!r}")
-    single = depolarizing_pauli_dist(p)
-    rates = error_rates(single)
-    return _closed_forms(protocol, x, rates, single.probabilities, encoding=encoding, q=q, eta=eta)
+    return _point(protocol, x, frame, law, encoding=encoding, q=q, eta=eta)
 
 
 def analytic_point_for_config(
     cfg: ProtocolConfig, dists: RoundErrorDists | None = None
 ) -> AnalyticPoint:
     """Analytic twin of a Monte Carlo configuration, attack and its leg
-    included; ``dists`` is :func:`round_error_dists_for_config` of ``cfg``,
-    composed here when not given."""
-    if dists is None:
-        dists = round_error_dists_for_config(cfg)
-    q = cfg.q_override if cfg.q_override is not None else cfg.transmittance ** (
-        2 if cfg.protocol == Protocol.MDI_TS else 1
-    )
-    return _mdi_point(
-        cfg.protocol, cfg.channel_p / 2.0, *dists, encoding=cfg.dl04_encoding, q=q, eta=cfg.eta
+    included, at the gain :func:`~mdiqsdc.protocol.arrival` unless the
+    config overrides it; ``dists`` is :func:`round_error_dists_for_config`
+    of ``cfg``, composed here when not given."""
+    frame, second = dists if dists is not None else round_error_dists_for_config(cfg)
+    law = message_law(cfg.protocol, cfg.dl04_encoding, frame, second)
+    q = cfg.q_override if cfg.q_override is not None else arrival(cfg)
+    return _point(
+        cfg.protocol, cfg.channel_p / 2.0, frame, law, encoding=cfg.dl04_encoding, q=q, eta=cfg.eta
     )
 
 

@@ -17,7 +17,8 @@ round is i.i.d. and reaches exactly one cell of the run's tally (a check
 basis with or without an error, a message difference, or a lost round), so
 the cell counts are exactly multinomial: a run is one multinomial draw over
 the cell law from a generator seeded with the run's seed (Devroye,
-*Non-Uniform Random Variate Generation*, 1986). Its time and memory do not
+*Non-Uniform Random Variate Generation*, 1986). That count vector is the
+run's tally, and the estimate reads it directly. Its time and memory do not
 depend on the number of rounds; :func:`run` runs either protocol.
 
 :func:`round_error_dists` is the one composition of a round's errors, and
@@ -25,7 +26,10 @@ depend on the number of rounds; :func:`run` runs either protocol.
 the re-transmission error and the message law built from them feed both
 consumers, namely the cell law of a run and the closed-form curves of
 ``curves``. Both take a float channel parameter or an array of them, so the
-curves compose a whole sweep grid in one call.
+curves compose a whole sweep grid in one call. :func:`closed_form` is the
+one form of the bound Q [bits - H - eta leak]: the curves and the analytic
+twin evaluate it at the exact checked rates and message law, a run at the
+frequencies it observed.
 
 The one attack is intercept-resend on Alice's first leg: the attacker
 measures each photon in a random Z or X basis and resends the eigenstate
@@ -46,9 +50,10 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -60,6 +65,7 @@ from .channels import (
     depolarizing_pauli_dist,
     error_rate_in_basis,
 )
+from .elementwise import minimum
 from .infotheory import (
     ETA_MAX,
     CapacityResult,
@@ -311,18 +317,57 @@ def message_law(
     return (1.0 - flip, flip)
 
 
+def closed_form(
+    protocol: Protocol,
+    rate: Callable[[PauliLabel], float],
+    law: tuple[float, ...],
+    *,
+    encoding: PauliLabel,
+    q: float,
+    eta: float,
+) -> tuple[float, float, CapacityResult]:
+    """``(message_entropy, eve_info, capacity)`` of ``protocol``, the bound of
+    :func:`~mdiqsdc.infotheory.secrecy_capacity`, from the checked error rate
+    ``rate(basis)`` of each basis and the ``law`` of decoded (-) encoded on an
+    arrived message round (a single-photon bit flips with ``law[1]``); floats,
+    or 1-D arrays for a grid. The curves and the analytic twin feed it exact
+    rates and laws, a run its observed frequencies.
+    """
+    if protocol in (Protocol.MDI_TS, Protocol.TWO_STEP):
+        bits = 2.0
+        entropy = shannon_entropy(ErrorVector(law))
+        eve_info = eve_info_mdi_ts(rate(PauliLabel.Z), rate(PauliLabel.X))
+    else:
+        bits = 1.0
+        entropy = binary_entropy(law[1])
+        if protocol == Protocol.MDI_DL04:
+            eve_info = binary_entropy(rate(encoding))
+        else:
+            # information leaked about one bit cannot exceed one bit, so the
+            # leak argument eps_x + eps_z is capped at 1/2, where h = 1
+            eve_info = binary_entropy(minimum(rate(PauliLabel.X) + rate(PauliLabel.Z), 0.5))
+    capacity = CapacityResult(secrecy_capacity(bits, entropy, eve_info, q=q, eta=eta))
+    return entropy, eve_info, capacity
+
+
+def arrival(cfg: ProtocolConfig) -> float:
+    """Probability that a message round arrives: every photon its message
+    stage sends (two for the entanglement protocol, one otherwise) passes the
+    transmittance."""
+    return cfg.transmittance ** (2 if cfg.protocol == Protocol.MDI_TS else 1)
+
+
 def _cell_probabilities(cfg: ProtocolConfig, dists: RoundErrorDists | None = None) -> np.ndarray:
-    """Law of the tally cell one round reaches, in the order :func:`_draw_tally`
-    reads: per check basis, no error then error; each value of
+    """Law of the tally cell one round reaches, in the order of a run's cell
+    counts: per check basis, no error then error; each value of
     :func:`message_law` on an arrived message round; a lost message round.
     ``dists`` is :func:`round_error_dists_for_config` of ``cfg``, composed
     here when not given; grid distributions add a leading grid axis.
 
     A check round errs when its pair frame anticommutes with the basis: the
     singlet reference is anti-correlated in every basis. The bases share the
-    check rounds equally, and a message round arrives when all its photons in
-    flight (two for the entanglement protocol, one otherwise) pass the
-    transmittance.
+    check rounds equally, and a message round arrives with probability
+    :func:`arrival`.
     """
     frame, second = dists if dists is not None else round_error_dists_for_config(cfg)
     bases = check_bases(cfg)
@@ -332,58 +377,27 @@ def _cell_probabilities(cfg: ProtocolConfig, dists: RoundErrorDists | None = Non
         error = error_rate_in_basis(frame, basis)
         cells += [share * (1.0 - error), share * error]
     message = 1.0 - cfg.check_fraction
-    arrival = cfg.transmittance ** (2 if cfg.protocol == Protocol.MDI_TS else 1)
+    arrived = arrival(cfg)
     law = message_law(cfg.protocol, cfg.dl04_encoding, frame, second)
-    cells += [message * arrival * d for d in law]
+    cells += [message * arrived * d for d in law]
     # + 0.0 * error gives the lost cell a grid's shape, if any, and changes no
     # value; unlike np.full_like it costs a float run nothing measurable
-    cells.append(message * (1.0 - arrival) + 0.0 * error)
+    cells.append(message * (1.0 - arrived) + 0.0 * error)
     return np.array(cells).T  # cells last
 
 
-@dataclass
-class Tally:
-    """Counts of one transcript; every estimate of a run is computed from them.
-
-    ``checks[b, e]`` counts check rounds in basis label ``b`` whose two
-    outcomes agree (``e = 1``, an error against the anti-correlated singlet)
-    or differ (``e = 0``). ``message_diffs[d]`` counts decoded message rounds
-    by decoded (-) encoded: the two-bit symbol difference for the
-    entanglement protocol, the bit flip (``d`` in {0, 1}) for the
-    single-photon protocol. Lost message rounds count only in
-    ``message_rounds``.
-    """
-
-    checks: np.ndarray = field(default_factory=lambda: np.zeros((4, 2), dtype=np.int64))
-    message_rounds: int = 0
-    message_diffs: np.ndarray = field(default_factory=lambda: np.zeros(4, dtype=np.int64))
-
-    @property
-    def rounds(self) -> int:
-        return self.checks.sum().item() + self.message_rounds
-
-    @property
-    def decoded_rounds(self) -> int:
-        return self.message_diffs.sum().item()
-
-
-def _draw_tally(cfg: ProtocolConfig, dists: RoundErrorDists | None = None) -> Tally:
-    """The :class:`Tally` of ``cfg``'s rounds. The rounds are i.i.d. and each
-    reaches one cell of :func:`_cell_probabilities`, so the cell counts are
-    Multinomial(rounds, cell law), drawn at once from
-    ``np.random.default_rng(seed)``. Cells of zero probability stay out of
-    the draw, so none is counted whatever the rounding of the others.
+def _draw_counts(cfg: ProtocolConfig, dists: RoundErrorDists | None = None) -> np.ndarray:
+    """The tally of ``cfg``'s rounds: its int64 cell counts, in
+    :func:`_cell_probabilities` order. The rounds are i.i.d. and each reaches
+    one cell, so the counts are Multinomial(rounds, cell law), drawn at once
+    from ``np.random.default_rng(seed)``. Cells of zero probability stay out
+    of the draw, so none is counted whatever the rounding of the others.
     """
     probs = _cell_probabilities(cfg, dists)
     support = np.flatnonzero(probs)
     counts = np.zeros(probs.size, dtype=np.int64)
     counts[support] = np.random.default_rng(cfg.seed).multinomial(cfg.rounds, probs[support])
-    bases = check_bases(cfg)
-    message = 2 * len(bases)
-    tally = Tally(message_rounds=counts[message:].sum().item())
-    tally.checks[list(bases)] = counts[:message].reshape(-1, 2)
-    tally.message_diffs[: probs.size - message - 1] = counts[message:-1]
-    return tally
+    return counts
 
 
 def _binary_rate_variance(rate: float, samples: int) -> float:
@@ -405,45 +419,42 @@ def _shannon_variance(probs: tuple[float, ...], samples: int) -> float:
     return max(second - mean * mean, 0.0) / samples
 
 
-def _stats_from_tally(cfg: ProtocolConfig, tally: Tally) -> TranscriptStats:
-    """Estimates, standard errors and the capacity bound of one transcript.
+def _estimate(cfg: ProtocolConfig, counts: np.ndarray) -> TranscriptStats:
+    """Estimates, standard errors and the capacity bound of one transcript,
+    from its cell ``counts`` in :func:`_cell_probabilities` order.
 
     Check error rates are per-basis disagreement frequencies (the singlet
-    reference expects anti-correlated outcomes); message statistics are the
-    empirical symbol-difference distribution or bit error rate. A basis
-    with no check rounds flags the result as unavailable.
+    reference expects anti-correlated outcomes), the message law is the
+    observed law of decoded (-) encoded, and :func:`closed_form` turns them
+    into the capacity. A leak basis with no check rounds flags the result as
+    unavailable.
     """
     bases = check_bases(cfg)
-    for label in range(4):
-        if PauliLabel(label) not in bases and tally.checks[label].any():
-            raise ValueError(f"unexpected check basis {PauliLabel(label)!r}")
-    estimates: dict[PauliLabel, QberEstimate | None] = {
-        PauliLabel.Z: None,
-        PauliLabel.X: None,
-        PauliLabel.Y: None,
-    }
-    for basis in bases:
-        samples = int(tally.checks[basis].sum())
-        errors = int(tally.checks[basis, 1])
+    split = 2 * len(bases)
+    checks, messages = counts[:split].tolist(), counts[split:].tolist()
+    diffs = messages[:-1]
+    estimates: dict[PauliLabel, QberEstimate | None] = dict.fromkeys(
+        (PauliLabel.Z, PauliLabel.X, PauliLabel.Y)
+    )
+    for basis, agree, errors in zip(bases, checks[::2], checks[1::2]):
+        samples = agree + errors
         if samples > 0:
             rate = errors / samples
             se = math.sqrt(rate * (1.0 - rate) / samples)
             estimates[basis] = QberEstimate(basis, samples, errors, rate, se)
 
-    message_rounds = tally.message_rounds
-    decoded_rounds = tally.decoded_rounds
+    message_rounds = sum(messages)
+    decoded_rounds = sum(diffs)
     gain = decoded_rounds / message_rounds if message_rounds > 0 else 0.0
     q_used = cfg.q_override if cfg.q_override is not None else gain
 
     unavailable: str | None = None
-    # The single-photon capacity needs the encoding-basis rate; the
+    # The single-photon leak reads only the encoding-basis rate; the
     # message-basis rate is implied by the message errors themselves.
-    needed_bases = (
-        (PauliLabel.Z, PauliLabel.X)
-        if cfg.protocol == Protocol.MDI_TS
-        else (cfg.dl04_encoding,)
+    leak_bases = (
+        (PauliLabel.Z, PauliLabel.X) if cfg.protocol == Protocol.MDI_TS else (cfg.dl04_encoding,)
     )
-    for basis in needed_bases:
+    for basis in leak_bases:
         if estimates[basis] is None:
             unavailable = f"no check rounds in basis {basis.name}"
     if message_rounds == 0:
@@ -461,28 +472,25 @@ def _stats_from_tally(cfg: ProtocolConfig, tally: Tally) -> TranscriptStats:
 
     if unavailable is None:
         if cfg.protocol == Protocol.MDI_TS:
-            probs = tuple(float(c) / decoded_rounds for c in tally.message_diffs)
-            message_errors = ErrorVector(probs)
-            ez = estimates[PauliLabel.Z]
-            ex = estimates[PauliLabel.X]
-            bits = 2.0
-            message_entropy = shannon_entropy(message_errors)
-            eve_info = eve_info_mdi_ts(ez.rate, ex.rate)
-            message_variance = _shannon_variance(probs, decoded_rounds)
-            leak_variance = _binary_rate_variance(ez.rate, ez.samples) + _binary_rate_variance(
-                ex.rate, ex.samples
-            )
+            law = tuple(float(c) / decoded_rounds for c in diffs)
+            message_errors = ErrorVector(law)
+            message_variance = _shannon_variance(law, decoded_rounds)
         else:
-            bit_error = int(tally.message_diffs[1]) / decoded_rounds
+            bit_error = int(diffs[1]) / decoded_rounds
             bit_error_se = math.sqrt(bit_error * (1.0 - bit_error) / decoded_rounds)
-            eu = estimates[cfg.dl04_encoding]
-            bits = 1.0
-            message_entropy = binary_entropy(bit_error)
-            eve_info = binary_entropy(eu.rate)
+            law = (1.0 - bit_error, bit_error)
             message_variance = _binary_rate_variance(bit_error, decoded_rounds)
-            leak_variance = _binary_rate_variance(eu.rate, eu.samples)
-        capacity = CapacityResult(
-            secrecy_capacity(bits, message_entropy, eve_info, q=q_used, eta=cfg.eta)
+        message_entropy, eve_info, capacity = closed_form(
+            cfg.protocol,
+            lambda basis: estimates[basis].rate,
+            law,
+            encoding=cfg.dl04_encoding,
+            q=q_used,
+            eta=cfg.eta,
+        )
+        leak_variance = sum(
+            _binary_rate_variance(estimates[basis].rate, estimates[basis].samples)
+            for basis in leak_bases
         )
         # eta scales the leak's standard deviation: squaring eta itself
         # would overflow for eta above about 1e154
@@ -492,8 +500,8 @@ def _stats_from_tally(cfg: ProtocolConfig, tally: Tally) -> TranscriptStats:
 
     return TranscriptStats(
         protocol=cfg.protocol,
-        rounds=tally.rounds,
-        check_rounds=int(tally.checks.sum()),
+        rounds=sum(checks) + message_rounds,
+        check_rounds=sum(checks),
         message_rounds=message_rounds,
         decoded_rounds=decoded_rounds,
         gain=gain,
@@ -519,13 +527,13 @@ def run(cfg: ProtocolConfig, dists: RoundErrorDists | None = None) -> Transcript
     message: a dense-coding symbol under Bob's random cover (entanglement
     protocol) or one bit read out in the conjugate single-photon basis. The
     rounds are i.i.d. and each reaches one cell of the tally, so the whole
-    transcript is one multinomial draw of cell counts (:func:`_draw_tally`),
+    transcript is one multinomial draw of cell counts (:func:`_draw_counts`),
     whose time and memory do not depend on the number of rounds.
     Deterministic given the config seed.
     A caller that already holds :func:`round_error_dists_for_config` of
     ``cfg`` passes it as ``dists``.
     """
-    return _stats_from_tally(cfg, _draw_tally(cfg, dists))
+    return _estimate(cfg, _draw_counts(cfg, dists))
 
 
 # ---------------------------------------------------------------------------

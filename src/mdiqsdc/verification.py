@@ -163,7 +163,8 @@ def check_backend_equivalence(
     Each backend is called once per case of ``EQUIVALENCE_CASES`` with the
     whole p grid, over a lossy channel so that the arrival law and the lost
     cell are compared too; the worst case is the first largest deviation in
-    (case, p, key) order.
+    (case, p, key) order, and for ``cells`` the detail also names the
+    announced Bell outcome and the tally cell where it lies.
     """
     grid = np.array(ps, dtype=np.float64)
     worst = 0.0
@@ -182,16 +183,20 @@ def check_backend_equivalence(
         fast = pauli_frame_round_distributions(cfg, grid)
         exact = density_matrix_round_distributions(cfg, grid)
         deviations = {
-            key: np.abs(fast[key] - exact[key]).reshape(len(ps), -1).max(axis=1) for key in exact
+            key: np.abs(fast[key] - exact[key]).reshape(len(ps), -1) for key in exact
         }
         case = f"{protocol.value} {noise.value}"
         if protocol == Protocol.MDI_DL04:
             case += f" encoding={encoding.name}"
         for i, p in enumerate(ps):
             for key, diffs in deviations.items():
-                if diffs[i] > worst:
-                    worst = float(diffs[i])
+                at = int(diffs[i].argmax())
+                if diffs[i, at] > worst:
+                    worst = float(diffs[i, at])
                     worst_case = f"{case} p={p} attack={attack.value} {key}"
+                    if key == "cells":
+                        outcome, cell = divmod(at, exact[key].shape[-1])
+                        worst_case += f" outcome={BellLabel(outcome).name} cell={cell}"
     return CheckResult(
         "backend-equivalence",
         worst < atol,

@@ -427,7 +427,7 @@ class TestSimulate:
         def failing(*_, **__):
             raise RuntimeError("draw failed")
 
-        monkeypatch.setattr(mdiqsdc.protocol, "_draw_tally", failing)
+        monkeypatch.setattr(mdiqsdc.protocol, "_draw_counts", failing)
         code, out, err = run_cli(
             ["simulate", "--protocol", "mdi-ts", "--p", "0.2", "--rounds", "2000"], capsys
         )

@@ -14,6 +14,7 @@ import mdiqsdc.channels
 import mdiqsdc.protocol
 import mdiqsdc.quantum
 from mdiqsdc.channels import IDENTITY_DIST, PauliDistribution, convolve, depolarizing_pauli_dist
+from mdiqsdc.curves import analytic_point_for_config
 from mdiqsdc.infotheory import ETA_MAX, binary_entropy, shannon_entropy
 from mdiqsdc.protocol import (
     MAX_ROUNDS,
@@ -23,10 +24,10 @@ from mdiqsdc.protocol import (
     NoisePlacement,
     Protocol,
     ProtocolConfig,
-    Tally,
     _cell_probabilities,
-    _draw_tally,
-    _stats_from_tally,
+    _draw_counts,
+    _estimate,
+    arrival,
     check_bases,
     density_matrix_round_distributions,
     intercept_resend_channel,
@@ -324,8 +325,8 @@ class TestInterceptResend:
         assert run(cfg) == run(again)
 
 
-# Rows of ``Tally.checks`` are basis labels I, X, Y, Z; columns count check
-# rounds without and with an error.
+# mdi-ts cell counts in ``_cell_probabilities`` order: Z checks without and
+# with an error, X checks likewise, the four symbol differences, lost rounds.
 class TestEstimateStats:
     def _cfg(self, **kwargs):
         defaults = dict(protocol=Protocol.MDI_TS, rounds=10, channel_p=0.0, seed=1)
@@ -333,40 +334,28 @@ class TestEstimateStats:
         return ProtocolConfig(**defaults)
 
     def test_all_agree_checks_give_zero_rate(self):
-        tally = Tally(
-            checks=np.array([[0, 0], [5, 0], [0, 0], [5, 0]]),
-            message_rounds=10,
-            message_diffs=np.array([10, 0, 0, 0]),
-        )
-        stats = _stats_from_tally(self._cfg(rounds=20), tally)
+        counts = np.array([5, 0, 5, 0, 10, 0, 0, 0, 0])
+        stats = _estimate(self._cfg(rounds=20), counts)
         assert stats.eps_z.rate == 0.0 and stats.eps_z.se == 0.0
         assert stats.eps_x.rate == 0.0
         assert stats.capacity.raw == 2.0
 
     def test_synthetic_ten_percent_z_disagreement(self):
-        tally = Tally(
-            checks=np.array([[0, 0], [50, 0], [0, 0], [90, 10]]),
-            message_rounds=50,
-            message_diffs=np.array([50, 0, 0, 0]),
-        )
-        stats = _stats_from_tally(self._cfg(rounds=200), tally)
+        counts = np.array([90, 10, 50, 0, 50, 0, 0, 0, 0])
+        stats = _estimate(self._cfg(rounds=200), counts)
         assert stats.eps_z.rate == 0.1
         assert stats.eps_z.samples == 100 and stats.eps_z.errors == 10
 
     def test_missing_basis_flags_unavailable(self):
-        tally = Tally(
-            checks=np.array([[0, 0], [0, 0], [0, 0], [5, 0]]),
-            message_rounds=5,
-            message_diffs=np.array([5, 0, 0, 0]),
-        )
-        stats = _stats_from_tally(self._cfg(rounds=10), tally)
+        counts = np.array([5, 0, 0, 0, 5, 0, 0, 0, 0])
+        stats = _estimate(self._cfg(rounds=10), counts)
         assert not stats.estimate_available
         assert "basis X" in stats.unavailable_reason
         assert stats.capacity is None
 
     def test_no_messages_flags_unavailable(self):
-        tally = Tally(checks=np.array([[0, 0], [1, 0], [0, 0], [1, 0]]))
-        stats = _stats_from_tally(self._cfg(rounds=2), tally)
+        counts = np.array([1, 0, 1, 0, 0, 0, 0, 0, 0])
+        stats = _estimate(self._cfg(rounds=2), counts)
         assert not stats.estimate_available
         assert stats.unavailable_reason == "no message rounds"
 
@@ -396,12 +385,46 @@ class TestEstimateStats:
             else:
                 assert stats.capacity_se > 1e-3 * eta
 
-    def test_foreign_check_basis_rejected(self):
-        # the entanglement protocol never draws Y
-        tally = Tally(checks=np.array([[0, 0], [0, 0], [1, 0], [0, 0]]))
-        with pytest.raises(ValueError):
-            _stats_from_tally(self._cfg(rounds=1), tally)
 
+# Both protocols x noise x attack x the three single-photon encodings x p x
+# transmittance: 288 configs.
+EXACT_LAW_CONFIGS = [
+    ProtocolConfig(
+        protocol=protocol, rounds=1, channel_p=p, seed=1, noise=noise, attack=attack,
+        dl04_encoding=encoding, transmittance=transmittance,
+    )
+    for protocol, encodings in (
+        (Protocol.MDI_TS, [PauliLabel.Y]),
+        (Protocol.MDI_DL04, [PauliLabel.X, PauliLabel.Y, PauliLabel.Z]),
+    )
+    for encoding in encodings
+    for noise in NoisePlacement
+    for attack in AttackModel
+    for p in (0.0, 0.1, 0.3, 0.5, 0.75, 1.0)
+    for transmittance in (1.0, 0.7, 0.4)
+]
+
+
+def test_estimate_at_the_exact_law_is_the_twin():
+    """Counts in proportion to the cell law, at about 2**52 rounds, give the
+    analytic twin's rates, entropy, leak and capacity, and the arrival
+    probability as the gain: the estimate and the twin share one closed form."""
+    assert len(EXACT_LAW_CONFIGS) == 288
+    for cfg in EXACT_LAW_CONFIGS:
+        stats = _estimate(cfg, np.rint(_cell_probabilities(cfg) * 2**52).astype(np.int64))
+        twin = analytic_point_for_config(cfg)
+        pairs = [
+            ("gain", stats.gain, arrival(cfg)),
+            ("message_entropy", stats.message_entropy, twin.message_entropy),
+            ("eve_info", stats.eve_info, twin.eve_info),
+            ("capacity", stats.capacity.raw, twin.capacity.raw),
+        ]
+        for est in (stats.eps_z, stats.eps_x, stats.eps_y):
+            if est is not None:
+                name = f"eps_{est.basis.name.lower()}"
+                pairs.append((name, est.rate, getattr(twin, name)))
+        for name, got, want in pairs:
+            assert abs(got - want) <= 1e-12, (cfg, name, got, want)
 
 # One config per way a message round is decoded.
 DECODINGS = [
@@ -467,14 +490,12 @@ class TestTallyCells:
             noise=NoisePlacement.BOTH_LEGS, **decoding,
         )
         diffs = 4 if cfg.protocol == Protocol.MDI_TS else 2
-        bases = list(check_bases(cfg))
-        tally = _draw_tally(cfg)
-        assert tally.rounds == cfg.rounds
-        assert np.all(tally.checks[bases] > 0)
-        assert not np.delete(tally.checks, bases, axis=0).any()
-        assert np.all(tally.message_diffs[:diffs] > 0)
-        assert not tally.message_diffs[diffs:].any()
-        assert tally.message_rounds > tally.decoded_rounds  # some rounds are lost
+        counts = _draw_counts(cfg)
+        assert counts.dtype == np.int64
+        assert counts.shape == (2 * len(check_bases(cfg)) + diffs + 1,)
+        assert counts.sum() == cfg.rounds
+        # every check outcome, every difference and a lost round are possible here
+        assert np.all(counts > 0)
 
     def test_lost_round_counts_only_as_message_round(self):
         common = dict(protocol=Protocol.MDI_TS, rounds=5_000, channel_p=0.3, seed=71)

@@ -11,9 +11,16 @@ import pytest
 
 import mdiqsdc.quantum
 import mdiqsdc.verification as verification
+from mdiqsdc.cli import main
 from mdiqsdc.infotheory import binary_entropy
 from mdiqsdc.protocol import AttackModel, NoisePlacement, Protocol
-from mdiqsdc.quantum import BellDiagonal, PauliLabel, apply_pauli, purify_bell_diagonal
+from mdiqsdc.quantum import (
+    BellDiagonal,
+    BellLabel,
+    PauliLabel,
+    apply_pauli,
+    purify_bell_diagonal,
+)
 from mdiqsdc.verification import (
     check_holevo_bound,
     delta_simplex_grid,
@@ -136,3 +143,21 @@ def test_backend_equivalence_covers_both_noise_placements_and_all_encodings(monk
         assert {noise for _, _, noise, _ in own} == set(NoisePlacement), protocol
     single_photon = {enc for protocol, _, _, enc in cases if protocol == Protocol.MDI_DL04}
     assert single_photon == {PauliLabel.X, PauliLabel.Y, PauliLabel.Z}
+
+
+@pytest.mark.parametrize("cell", [0, 4, 6])
+@pytest.mark.parametrize("outcome", list(BellLabel), ids=lambda o: o.name)
+def test_a_wrong_oracle_cell_fails_verify_and_is_named(monkeypatch, capsys, outcome, cell):
+    honest = verification.density_matrix_round_distributions
+
+    def planted(cfg, channel_p):
+        out = honest(cfg, channel_p)
+        out["cells"][..., int(outcome), cell] += 1e-6  # every config has at least 7 cells
+        return out
+
+    monkeypatch.setattr(verification, "density_matrix_round_distributions", planted)
+    assert main(["verify"]) == 1
+    out = capsys.readouterr().out
+    (line,) = [line for line in out.splitlines() if "backend-equivalence" in line]
+    assert line.startswith("FAIL backend-equivalence: max distribution deviation 1.000e-06")
+    assert line.endswith(f" cells outcome={outcome.name} cell={cell})")

@@ -10,11 +10,14 @@ single header row, so identical invocations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import sys
 import traceback
+from collections.abc import Iterator
 from html import escape
+from typing import TextIO
 
 import numpy as np
 
@@ -25,7 +28,7 @@ from .curves import (
     analytic_point_for_config,
     zero_crossing,
 )
-from .elementwise import as_list
+from .elementwise import as_list, minimum
 from .infotheory import ETA_MAX
 from .protocol import (
     AttackModel,
@@ -57,6 +60,10 @@ _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 
 # Most points a --grid may ask for; the finest documented grid has 1001.
 MAX_GRID_POINTS = 1_000_000
+# Grid points a sweep evaluates, formats and writes at a time, so its memory
+# does not grow with the grid; the default and the finest documented grid
+# stay one block per protocol.
+SWEEP_BLOCK = 4096
 
 
 class UsageError(Exception):
@@ -102,12 +109,21 @@ def _row_from_stats(cfg: ProtocolConfig, stats: TranscriptStats) -> str:
     return ",".join([x, p, cfg.protocol.value, *rest, f"montecarlo,{cfg.seed},{cfg.rounds}"])
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _open_output(path: str | None) -> contextlib.AbstractContextManager[TextIO]:
+    """A new file at ``path``, or stdout, left open, when ``path`` is None."""
     if path is None:
-        sys.stdout.write(text)
-        return
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="")
+
+
+def _write_text(target: str | TextIO | None, text: str) -> None:
+    """Write ``text`` to an open handle, or to a new file or stdout as
+    :func:`_open_output` opens them."""
+    if target is None or isinstance(target, str):
+        with _open_output(target) as handle:
+            handle.write(text)
+    else:
+        target.write(text)
 
 
 def _csv_text(lines: list[str]) -> str:
@@ -201,7 +217,10 @@ def _svg_text(curves: list[tuple[str, list[float], list[float]]], title: str) ->
     return "\n".join(parts) + "\n"
 
 
-def _parse_grid(text: str) -> list[float]:
+def _parse_grid(text: str) -> tuple[float, float, float, int]:
+    """``(start, stop, step, count)`` of a ``start:stop:step`` grid, whose
+    points :func:`_grid_blocks` makes from the first ``count`` multiples of
+    ``step``."""
     try:
         start_s, stop_s, step_s = text.split(":")
         start, stop, step = float(start_s), float(stop_s), float(step_s)
@@ -214,10 +233,18 @@ def _parse_grid(text: str) -> list[float]:
     span = (stop - start) / step  # inf when the step underflows the ratio
     if span > MAX_GRID_POINTS - 1:
         raise UsageError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
-    count = int(round(span))
-    grid = [start + i * step for i in range(count + 1)]
-    # accumulated endpoints may overshoot stop by an ulp; pin them back
-    return [min(x, stop) for x in grid if x <= stop + 1e-12]
+    return start, stop, step, int(round(span)) + 1
+
+
+def _grid_blocks(grid: tuple[float, float, float, int], size: int) -> Iterator[np.ndarray]:
+    """The points of a :func:`_parse_grid` grid, in blocks of at most ``size``."""
+    start, stop, step, count = grid
+    for lo in range(0, count, size):
+        xs = start + np.arange(lo, min(lo + size, count)) * step
+        # accumulated endpoints may overshoot stop by an ulp; pin them back
+        xs = minimum(xs[xs <= stop + 1e-12], stop)
+        if xs.size:
+            yield xs
 
 
 def _load_config_file(path: str, args: argparse.Namespace) -> dict[str, str]:
@@ -371,23 +398,33 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     protocols = _parse_protocols(_merged(args, "protocol", None), default_all=True)
     noise, encoding, q, eta = _resolve_common(args)
     single_x = _resolve_x(args)
-    if single_x is not None:
-        grid = np.array([single_x])
-    else:
-        grid = np.array(_parse_grid(str(_merged(args, "grid", "0:0.5:0.005"))))
-
-    lines: list[str] = []
-    curves: list[tuple[str, list[float], list[float]]] = []
-    for protocol in protocols:
-        curve = analytic_point(protocol, grid, noise=noise, encoding=encoding, q=q, eta=eta)
-        lines.extend(_analytic_csv_lines(curve))
-        curves.append((protocol.value, curve.x.tolist(), curve.capacity.clamped.tolist()))
-        crossing = zero_crossing(protocol, noise=noise, encoding=encoding, q=q, eta=eta)
-        where = "none in [0, 0.5]" if crossing is None else f"x = {crossing:.6f}"
-        print(f"zero-crossing {protocol.value}: {where}", file=sys.stderr)
-
-    _write_text(_merged(args, "csv", None), _csv_text(lines))
+    grid = _parse_grid(str(_merged(args, "grid", "0:0.5:0.005"))) if single_x is None else None
     svg_path = _merged(args, "svg", None)
+
+    # Every usage error is raised above, before the CSV file is opened. Each
+    # block's rows are written and dropped; only the plot keeps its points.
+    curves: list[tuple[str, list[float], list[float]]] = []
+    with _open_output(_merged(args, "csv", None)) as out:
+        _write_text(out, CSV_HEADER + "\n")
+        for protocol in protocols:
+            blocks = _grid_blocks(grid, SWEEP_BLOCK) if grid else [np.array([single_x])]
+            xs, ys = [], []
+            for block in blocks:
+                curve = analytic_point(
+                    protocol, block, noise=noise, encoding=encoding, q=q, eta=eta
+                )
+                _write_text(out, "\n".join(_analytic_csv_lines(curve)) + "\n")
+                if svg_path is not None:
+                    xs.append(curve.x)
+                    ys.append(curve.capacity.clamped)
+            if svg_path is not None:
+                curves.append(
+                    (protocol.value, np.concatenate(xs).tolist(), np.concatenate(ys).tolist())
+                )
+            crossing = zero_crossing(protocol, noise=noise, encoding=encoding, q=q, eta=eta)
+            where = "none in [0, 0.5]" if crossing is None else f"x = {crossing:.6f}"
+            print(f"zero-crossing {protocol.value}: {where}", file=sys.stderr)
+
     if svg_path is not None:
         _write_text(str(svg_path), _svg_text(curves, "secrecy capacity vs channel parameter"))
     return EXIT_OK

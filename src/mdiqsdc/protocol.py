@@ -320,7 +320,7 @@ def message_law(
 def closed_form(
     protocol: Protocol,
     rate: Callable[[PauliLabel], float],
-    law: tuple[float, ...],
+    law: tuple[float, ...] | ErrorVector,
     *,
     encoding: PauliLabel,
     q: float,
@@ -331,11 +331,12 @@ def closed_form(
     ``rate(basis)`` of each basis and the ``law`` of decoded (-) encoded on an
     arrived message round (a single-photon bit flips with ``law[1]``); floats,
     or 1-D arrays for a grid. The curves and the analytic twin feed it exact
-    rates and laws, a run its observed frequencies.
+    rates and laws, a run its observed frequencies. A symbol law given as an
+    :class:`ErrorVector` is already validated and is used as it is.
     """
     if protocol in (Protocol.MDI_TS, Protocol.TWO_STEP):
         bits = 2.0
-        entropy = shannon_entropy(ErrorVector(law))
+        entropy = shannon_entropy(law if isinstance(law, ErrorVector) else ErrorVector(law))
         eve_info = eve_info_mdi_ts(rate(PauliLabel.Z), rate(PauliLabel.X))
     else:
         bits = 1.0
@@ -472,9 +473,9 @@ def _estimate(cfg: ProtocolConfig, counts: np.ndarray) -> TranscriptStats:
 
     if unavailable is None:
         if cfg.protocol == Protocol.MDI_TS:
-            law = tuple(float(c) / decoded_rounds for c in diffs)
-            message_errors = ErrorVector(law)
-            message_variance = _shannon_variance(law, decoded_rounds)
+            frequencies = tuple(float(c) / decoded_rounds for c in diffs)
+            law = message_errors = ErrorVector(frequencies)
+            message_variance = _shannon_variance(frequencies, decoded_rounds)
         else:
             bit_error = int(diffs[1]) / decoded_rounds
             bit_error_se = math.sqrt(bit_error * (1.0 - bit_error) / decoded_rounds)

@@ -4,9 +4,11 @@ import contextlib
 import hashlib
 import io
 import math
+import random
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -23,8 +25,10 @@ import mdiqsdc.protocol
 from mdiqsdc.cli import (
     CSV_HEADER,
     MAX_GRID_POINTS,
+    SWEEP_BLOCK,
     UsageError,
     _analytic_csv_lines,
+    _grid_blocks,
     _parse_grid,
     _svg_text,
     build_parser,
@@ -61,6 +65,29 @@ def parse_csv(text):
     header = lines[0].split(",")
     rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
     return header, rows
+
+
+def grid_points(text, block=SWEEP_BLOCK):
+    """Every point of a ``--grid`` text, from its blocks."""
+    return np.concatenate(list(_grid_blocks(_parse_grid(text), block)))
+
+
+def listed_grid(text):
+    """Reference: the grid as one list, built point by point."""
+    start, stop, step = map(float, text.split(":"))
+    grid = [start + i * step for i in range(int(round((stop - start) / step)) + 1)]
+    return [min(x, stop) for x in grid if x <= stop + 1e-12]
+
+
+def sweep_digests(argv, svg_path):
+    """SHA-256 of a sweep's stdout (the CSV) followed by its stderr, and of
+    its SVG."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--svg", str(svg_path)])
+    assert code == 0, err.getvalue()
+    streams = hashlib.sha256(out.getvalue().encode() + err.getvalue().encode()).hexdigest()
+    return streams, hashlib.sha256(svg_path.read_bytes()).hexdigest()
 
 
 class TestSweep:
@@ -207,6 +234,133 @@ class TestSweep:
         assert code == 2
 
 
+class TestSweepBlocks:
+    """A sweep evaluates, formats and writes its grid ``SWEEP_BLOCK`` points
+    at a time; the output is that of one whole-grid pass."""
+
+    # SHA-256 of (CSV on stdout + stderr) and of the SVG, taken from the
+    # whole-grid sweep that preceded the blocks: 5001 points, and 4673
+    # points of a grid whose 4674th point the endpoint filter drops
+    MULTI_BLOCK_SHA256 = {
+        ("0:0.5:0.0001",): (
+            "2d6dc7f8b78a5a4e3fd8a7064e2e89c7317a9531892d12804d1aad82153b0ee9",
+            "21b5d34127cfb0281d3a1c7232d3f860193c4781183fab719c84aa6d25bcd129",
+        ),
+        ("0:0.5:0.000107",): (
+            "b89caadf5f6b3e084f566b1e102622509c5d41924b5850cee0b56e31453fd83b",
+            "4bc2c38748eaae282841291f7bd30db0f7d11eeb671c6c0179ce52d6311e0afe",
+        ),
+        ("0:0.5:0.0001", "--noise", "both-legs", "--encoding", "x", "--q", "0.7", "--eta", "2"): (
+            "4fb6fb043bd45982ac6f75b18575a40dadb9cf9793181cdfb5a6d6f73631232d",
+            "24eda8ba36fa7bb7e45d4ba01c915e6cb54b39db52b43126349766956fafe0fe",
+        ),
+    }
+
+    @pytest.mark.parametrize("block", [SWEEP_BLOCK, 7])
+    @pytest.mark.parametrize("grid", list(MULTI_BLOCK_SHA256))
+    def test_multi_block_output_is_pinned(self, tmp_path, monkeypatch, grid, block):
+        monkeypatch.setattr(mdiqsdc.cli, "SWEEP_BLOCK", block)
+        digests = sweep_digests(["sweep", "--grid", *grid], tmp_path / "c.svg")
+        assert digests == self.MULTI_BLOCK_SHA256[grid]
+
+    def test_last_point_dropped_by_the_endpoint_filter(self):
+        assert _parse_grid("0:0.5:0.000107")[3] == 4674  # 4673 * 0.000107 > 0.5
+        points = grid_points("0:0.5:0.000107")
+        assert points.size == 4673 and points[-1] <= 0.5
+
+    def test_blocks_equal_the_listed_grid(self):
+        """Bit for bit, on the documented grids and 3000 random ones; a block
+        of 7 splits every grid. The random grids put the last multiple of
+        step on either side of stop (about 640 drop it), and about 80 of the
+        decimal ones overshoot stop by an ulp and pin it back."""
+        rng = random.Random(18)
+        texts = ["0:0.5:0.005", "0:0.2:0.001", "0:0.5:0.0005", "0:0.5:0.0001", "0:0.5:0.000107",
+                 "0:0:1"]
+        for _ in range(3000):
+            if rng.random() < 0.5:
+                start = rng.choice([0.0, rng.uniform(0.0, 0.5)])
+                step = 10.0 ** rng.uniform(-5, -0.3)
+                intervals = rng.randrange(3000) + rng.choice([0.0, rng.random()])
+                stop = min(start + intervals * step, 0.5)
+                texts.append(f"{start!r}:{stop!r}:{step!r}")
+            else:
+                scale = 10 ** rng.randrange(2, 6)
+                start = rng.randrange(scale // 2) * rng.randrange(2)
+                step = rng.randrange(1, scale // 2 - start + 2)
+                stop = start + rng.randrange(min(3000, (scale // 2 - start) // step) + 1) * step
+                texts.append(f"{start / scale!r}:{stop / scale!r}:{step / scale!r}")
+        for text in texts:
+            expected = np.array(listed_grid(text)).view(np.uint64)
+            for block in (SWEEP_BLOCK, 7):
+                assert np.array_equal(grid_points(text, block).view(np.uint64), expected), text
+
+    def test_every_block_goes_through_write_text(self, capsys, tmp_path, monkeypatch):
+        """The benchmark counts output bytes by wrapping ``_write_text``."""
+        written = []
+        write_text = mdiqsdc.cli._write_text
+
+        def counting(target, text):
+            written.append(len(text.encode("utf-8")))
+            write_text(target, text)
+
+        monkeypatch.setattr(mdiqsdc.cli, "SWEEP_BLOCK", 700)
+        monkeypatch.setattr(mdiqsdc.cli, "_write_text", counting)
+        csv_path, svg_path = tmp_path / "c.csv", tmp_path / "c.svg"
+        argv = ["sweep", "--grid", "0:0.5:0.0005", "--csv", str(csv_path), "--svg", str(svg_path)]
+        code, _, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert len(written) == 1 + 4 * 2 + 1  # header, two blocks per protocol, the SVG
+        assert sum(written) == csv_path.stat().st_size + svg_path.stat().st_size
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--protocol", "bb84"],
+            ["--protocol", "mdi-ts,mdi-ts"],
+            ["--noise", "both"],
+            ["--encoding", "w"],
+            ["--q", "2"],
+            ["--eta", "nan"],
+            ["--x", "0.7"],
+            ["--x", "0.1", "--p", "0.2"],
+            ["--grid", "0:0.5"],
+            ["--grid", "0:0.7:0.1"],
+            ["--grid", "0:0.5:1e-12"],
+            ["--config", "absent.conf"],
+            ["--config", "rounds.conf"],
+        ],
+    )
+    def test_usage_error_leaves_the_csv_untouched(self, capsys, tmp_path, monkeypatch, args):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "rounds.conf").write_text("rounds = 500\n")
+        csv_path = tmp_path / "kept.csv"
+        csv_path.write_bytes(b"earlier output\n")
+        code, out, err = run_cli(["sweep", *args, "--csv", str(csv_path)], capsys)
+        assert code == 2 and out == "" and err.startswith("error: ")
+        assert csv_path.read_bytes() == b"earlier output\n"
+
+    def test_peak_memory_flat_in_grid_points(self, tmp_path):
+        """A 20001-point sweep holds one block of rows at a time: its
+        tracemalloc peak stays within 6 times the 1001-point peak (about 4
+        times: a block holds 4096 points); a sweep that keeps every row
+        holds 20 times as much."""
+        def peak(grid):
+            argv = ["sweep", "--protocol", "all", "--grid", grid, "--csv", str(tmp_path / "c.csv")]
+            with contextlib.redirect_stderr(io.StringIO()):
+                tracemalloc.start()
+                try:
+                    assert main(argv) == 0
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        with contextlib.redirect_stderr(io.StringIO()):
+            main(["sweep", "--protocol", "all", "--grid", "0:0.5:0.0005", "--csv",
+                  str(tmp_path / "c.csv")])  # warm-up: imports and caches
+        small, large = peak("0:0.5:0.0005"), peak("0:0.5:0.000025")
+        assert large <= 6 * small, (small, large)
+
+
 @st.composite
 def grids(draw):
     """An in-range grid text of at most 200 points."""
@@ -235,7 +389,7 @@ def test_sweep_rows_are_finite_and_clamped(grid, noise, encoding, q, eta):
         code = main([*argv, "--q", repr(q), "--eta", repr(eta)])
     assert code == 0
     _, rows = parse_csv(out.getvalue())
-    points = len(_parse_grid(grid))
+    points = len(listed_grid(grid))
     assert len(rows) == 4 * points
     for protocol in ("mdi-ts", "two-step", "mdi-dl04", "dl04"):
         assert sum(row["protocol"] == protocol for row in rows) == points
@@ -632,7 +786,7 @@ class TestExitCodes:
     def test_grid_point_cap_is_inclusive(self):
         step = 2.0**-21  # exact binary steps make the point count exact
         stop = (MAX_GRID_POINTS - 1) * step
-        assert len(_parse_grid(f"0:{stop!r}:{step!r}")) == MAX_GRID_POINTS
+        assert grid_points(f"0:{stop!r}:{step!r}").size == MAX_GRID_POINTS
         with pytest.raises(UsageError, match="more than"):
             _parse_grid(f"0:{stop + step!r}:{step!r}")
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mdiqsdc.channels
+import mdiqsdc.infotheory
 import mdiqsdc.protocol
 import mdiqsdc.quantum
 from mdiqsdc.channels import IDENTITY_DIST, PauliDistribution, convolve, depolarizing_pauli_dist
@@ -372,6 +373,20 @@ class TestEstimateStats:
             eve_info = binary_entropy(stats.eps_y.rate)  # the default encoding is Y
         assert stats.message_entropy == entropy and stats.eve_info == eve_info
         assert stats.capacity.raw == stats.gain * (bits - entropy - eve_info)
+
+    def test_observed_symbol_law_validated_once(self, monkeypatch):
+        validate = mdiqsdc.infotheory.validate_probability_vector
+        names = []
+
+        def recording(values, *, name, **kwargs):
+            names.append(name)
+            return validate(values, name=name, **kwargs)
+
+        monkeypatch.setattr(mdiqsdc.infotheory, "validate_probability_vector", recording)
+        counts = np.array([90, 10, 50, 0, 40, 5, 3, 2, 0])
+        stats = _estimate(self._cfg(rounds=200), counts)
+        assert names == ["error vector"]
+        assert stats.message_entropy == shannon_entropy(stats.message_errors)
 
     @pytest.mark.parametrize("p", [0.0, 0.2])
     @pytest.mark.parametrize("protocol", [Protocol.MDI_TS, Protocol.MDI_DL04])

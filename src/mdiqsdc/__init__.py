@@ -1,19 +1,10 @@
 """Simulator and secrecy-capacity calculator for measurement-device-
 independent quantum secure direct communication protocols."""
 
-from .channels import (
-    ErrorRates,
-    PauliDistribution,
-    convolve,
-    depolarize,
-    depolarizing_pauli_dist,
-    error_rates,
-    error_rates_from_deltas,
-)
+from .channels import convolve, depolarize, depolarizing_pauli_dist
 from .curves import AnalyticPoint, analytic_point, zero_crossing
 from .infotheory import (
     CapacityResult,
-    ErrorVector,
     binary_entropy,
     eve_info_mdi_ts,
     secrecy_capacity,
@@ -29,9 +20,9 @@ from .protocol import (
     swap_correction,
 )
 from .quantum import (
-    BellDiagonal,
     BellLabel,
     DensityMatrix,
+    PauliDistribution,
     PauliLabel,
     PureState,
     apply_pauli,
@@ -49,12 +40,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalyticPoint",
     "AttackModel",
-    "BellDiagonal",
     "BellLabel",
     "CapacityResult",
     "DensityMatrix",
-    "ErrorRates",
-    "ErrorVector",
     "NoisePlacement",
     "PauliDistribution",
     "PauliLabel",
@@ -70,8 +58,6 @@ __all__ = [
     "convolve",
     "depolarize",
     "depolarizing_pauli_dist",
-    "error_rates",
-    "error_rates_from_deltas",
     "eve_info_mdi_ts",
     "holevo_bound",
     "partial_trace",

@@ -1,73 +1,29 @@
 """Pauli noise models: the depolarizing channel, channel composition, and
-the mapping between Bell-diagonal weights and measured error rates.
+the error rate a same-basis check sees under a Pauli error law.
 
 The symmetric depolarizing channel with parameter p replaces a qubit by the
 maximally mixed state with probability p, equivalently applies X, Y, or Z
 each with probability p/4. Acting on one half of a singlet it produces the
 Bell-diagonal weights (1 - 3p/4, p/4, p/4, p/4), so each same-basis check
 disagrees with probability p/2. That single-use error rate x = p/2 is the
-canonical sweep axis for all capacity curves.
+canonical sweep axis for all capacity curves. Every law here is a
+:class:`~mdiqsdc.quantum.PauliDistribution`, the package's one law over the
+four Pauli labels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .elementwise import check_range
 from .quantum import (
     ANTICOMMUTES,
-    PAULI_OF_BELL,
     PAULI_PRODUCT,
-    BellDiagonal,
     DensityMatrix,
+    PauliDistribution,
     PauliLabel,
     pauli_channel,
-    validate_probability_vector,
 )
 
-
-@dataclass(frozen=True)
-class PauliDistribution:
-    """Probabilities of the error operators I, X, Y, Z on one qubit: floats,
-    or equal-length float64 arrays holding one distribution per element."""
-
-    probabilities: tuple[float, float, float, float]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "probabilities",
-            validate_probability_vector(self.probabilities, name="Pauli distribution"),
-        )
-
-    def __getitem__(self, label: PauliLabel | int) -> float:
-        return self.probabilities[int(label)]
-
-
 IDENTITY_DIST = PauliDistribution((1.0, 0.0, 0.0, 0.0))
-
-
-@dataclass(frozen=True)
-class ErrorRates:
-    """Check-measurement error rates per basis (relative to the singlet):
-    floats, or equal-length float64 arrays."""
-
-    eps_z: float
-    eps_x: float
-    eps_y: float
-
-    def __post_init__(self) -> None:
-        for name in ("eps_z", "eps_x", "eps_y"):
-            check_range(getattr(self, name), 0.0, 1.0, f"{name}=")
-
-    def in_basis(self, basis: PauliLabel) -> float:
-        if basis == PauliLabel.Z:
-            return self.eps_z
-        if basis == PauliLabel.X:
-            return self.eps_x
-        if basis == PauliLabel.Y:
-            return self.eps_y
-        raise ValueError("basis must be X, Y, or Z")
 
 
 def depolarize(dm: DensityMatrix, p: float, qubit: int) -> DensityMatrix:
@@ -96,16 +52,11 @@ def convolve(d1: PauliDistribution, d2: PauliDistribution) -> PauliDistribution:
     return PauliDistribution(tuple(out))
 
 
-def pauli_dist_from_bell_diagonal(d: BellDiagonal) -> PauliDistribution:
-    """Pauli errors on one half of the singlet that give the Bell-diagonal pair ``d``."""
-    probs = [0.0] * 4
-    for bell in range(4):
-        probs[int(PAULI_OF_BELL[bell])] = d.deltas[bell]
-    return PauliDistribution(tuple(probs))
-
-
 def error_rate_in_basis(dist: PauliDistribution, basis: PauliLabel) -> float:
-    """Probability that an error from ``dist`` flips a same-basis check."""
+    """Probability that an error from ``dist`` flips a same-basis check: the
+    singlet reference is anti-correlated in every basis, so a check errs when
+    the error anticommutes with the basis. Thus eps_z = d[X] + d[Y],
+    eps_x = d[Y] + d[Z] and eps_y = d[X] + d[Z]."""
     if basis == PauliLabel.I:
         raise ValueError("basis must be X, Y, or Z")
     return sum(
@@ -113,22 +64,3 @@ def error_rate_in_basis(dist: PauliDistribution, basis: PauliLabel) -> float:
         for pauli in range(4)
         if ANTICOMMUTES[pauli][int(basis)]
     )
-
-
-def error_rates(dist: PauliDistribution) -> ErrorRates:
-    """Per-basis check error rates of a singlet hit by the error process ``dist``."""
-    return ErrorRates(
-        eps_z=error_rate_in_basis(dist, PauliLabel.Z),
-        eps_x=error_rate_in_basis(dist, PauliLabel.X),
-        eps_y=error_rate_in_basis(dist, PauliLabel.Y),
-    )
-
-
-def error_rates_from_deltas(d: BellDiagonal) -> ErrorRates:
-    """Per-basis check error rates of a Bell-diagonal pair.
-
-    With the singlet as reference, a check errs when the pair's Pauli frame
-    anticommutes with the measurement basis: eps_z = delta_3 + delta_4,
-    eps_x = delta_2 + delta_4, eps_y = delta_2 + delta_3.
-    """
-    return error_rates(pauli_dist_from_bell_diagonal(d))

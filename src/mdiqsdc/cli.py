@@ -13,6 +13,8 @@ import argparse
 import contextlib
 import functools
 import math
+import os
+import stat
 import sys
 import traceback
 from collections.abc import Iterator
@@ -401,10 +403,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     grid = _parse_grid(str(_merged(args, "grid", "0:0.5:0.005"))) if single_x is None else None
     svg_path = _merged(args, "svg", None)
 
-    # Every usage error is raised above, before the CSV file is opened. Each
-    # block's rows are written and dropped; only the plot keeps its points.
+    # Every usage error is raised above, before any file is opened. The plot's
+    # file is opened before the CSV but emptied only once the CSV is open too,
+    # so an unwritable --svg or --csv leaves the other file as it was; like
+    # opening with "w", this empties a regular file only (a device such as
+    # /dev/null cannot be truncated). Each block's rows are written and
+    # dropped; only the plot keeps its points.
     curves: list[tuple[str, list[float], list[float]]] = []
-    with _open_output(_merged(args, "csv", None)) as out:
+    plot = (
+        contextlib.nullcontext()
+        if svg_path is None
+        else open(str(svg_path), "a", encoding="utf-8", newline="")
+    )
+    with plot as svg, _open_output(_merged(args, "csv", None)) as out:
+        if svg is not None and stat.S_ISREG(os.fstat(svg.fileno()).st_mode):
+            svg.truncate(0)
         _write_text(out, CSV_HEADER + "\n")
         for protocol in protocols:
             blocks = _grid_blocks(grid, SWEEP_BLOCK) if grid else [np.array([single_x])]
@@ -414,19 +427,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     protocol, block, noise=noise, encoding=encoding, q=q, eta=eta
                 )
                 _write_text(out, "\n".join(_analytic_csv_lines(curve)) + "\n")
-                if svg_path is not None:
+                if svg is not None:
                     xs.append(curve.x)
                     ys.append(curve.capacity.clamped)
-            if svg_path is not None:
+            if svg is not None:
                 curves.append(
                     (protocol.value, np.concatenate(xs).tolist(), np.concatenate(ys).tolist())
                 )
             crossing = zero_crossing(protocol, noise=noise, encoding=encoding, q=q, eta=eta)
             where = "none in [0, 0.5]" if crossing is None else f"x = {crossing:.6f}"
             print(f"zero-crossing {protocol.value}: {where}", file=sys.stderr)
-
-    if svg_path is not None:
-        _write_text(str(svg_path), _svg_text(curves, "secrecy capacity vs channel parameter"))
+        if svg is not None:
+            _write_text(svg, _svg_text(curves, "secrecy capacity vs channel parameter"))
     return EXIT_OK
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .channels import PauliDistribution, depolarizing_pauli_dist, error_rates
+from .channels import PauliDistribution, depolarizing_pauli_dist, error_rate_in_basis
 from .elementwise import check_range
 from .infotheory import CapacityResult
 from .protocol import (
@@ -45,6 +45,8 @@ from .protocol import (
 from .quantum import PauliLabel
 
 X_MAX = 0.5
+# the checked bases, in the order of AnalyticPoint's rates
+_CHECKED = (PauliLabel.Z, PauliLabel.X, PauliLabel.Y)
 # half of the reporting tolerance: crossings quoted to 1e-6 hold in both
 # the x = p/2 axis and the raw channel parameter p = 2x
 ZERO_CROSSING_TOL = 5e-7
@@ -79,13 +81,11 @@ def _point(
     """:func:`~mdiqsdc.protocol.closed_form` of ``protocol`` at ``x``: the
     checked rates are those of the error process ``frame`` the checks see, and
     ``law`` is the law of decoded (-) encoded on a message round."""
-    rates = error_rates(frame)
+    rates = {basis: error_rate_in_basis(frame, basis) for basis in _CHECKED}
     entropy, eve_info, capacity = closed_form(
-        protocol, rates.in_basis, law, encoding=encoding, q=q, eta=eta
+        protocol, rates.__getitem__, law, encoding=encoding, q=q, eta=eta
     )
-    return AnalyticPoint(
-        protocol, x, 2.0 * x, rates.eps_z, rates.eps_x, rates.eps_y, entropy, eve_info, capacity
-    )
+    return AnalyticPoint(protocol, x, 2.0 * x, *rates.values(), entropy, eve_info, capacity)
 
 
 def analytic_point(

@@ -1,5 +1,10 @@
 """Entropies and secrecy-capacity lower bounds for the simulated protocols.
 
+The entanglement protocols' message law, the symbol difference decoded (-)
+encoded over 00, 01, 10, 11, is a law over the same four labels as a Pauli
+error, so it is a :class:`~mdiqsdc.quantum.PauliDistribution`; the
+single-photon protocols' message law is one bit-flip rate.
+
 Raw capacities may be negative; they are preserved as computed (the zero
 crossing is a first-class result) with the clamped value alongside.
 """
@@ -10,32 +15,11 @@ import sys
 from dataclasses import dataclass
 
 from .elementwise import check_range, maximum, neg_p_log2_p
-from .quantum import validate_probability_vector
+from .quantum import PauliDistribution
 
 # Largest gain gap eta: every leak term is at most 2 bits, so eta times a
 # leak, and so every capacity, stays finite.
 ETA_MAX = sys.float_info.max / 2.0
-
-
-@dataclass(frozen=True)
-class ErrorVector:
-    """Distribution of two-bit message-symbol errors.
-
-    Indexed by the symbol difference decoded (-) encoded in the order
-    00, 01, 10, 11; the first component is the no-error probability.
-    """
-
-    probabilities: tuple[float, float, float, float]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "probabilities",
-            validate_probability_vector(self.probabilities, name="error vector"),
-        )
-
-    def __getitem__(self, index: int) -> float:
-        return self.probabilities[index]
 
 
 @dataclass(frozen=True)
@@ -55,8 +39,9 @@ def binary_entropy(x: float) -> float:
     return neg_p_log2_p(x) + neg_p_log2_p(1.0 - x)
 
 
-def shannon_entropy(v: ErrorVector) -> float:
-    """Shannon entropy of a symbol-error distribution, in [0, 2] bits."""
+def shannon_entropy(v: PauliDistribution) -> float:
+    """Shannon entropy of a law over four labels, such as the symbol
+    difference decoded (-) encoded, in [0, 2] bits."""
     total = 0.0
     for p in v.probabilities:
         total = total + neg_p_log2_p(p)

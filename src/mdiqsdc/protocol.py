@@ -59,7 +59,6 @@ import numpy as np
 
 from .channels import (
     IDENTITY_DIST,
-    PauliDistribution,
     convolve,
     depolarize,
     depolarizing_pauli_dist,
@@ -69,7 +68,6 @@ from .elementwise import minimum
 from .infotheory import (
     ETA_MAX,
     CapacityResult,
-    ErrorVector,
     binary_entropy,
     eve_info_mdi_ts,
     secrecy_capacity,
@@ -81,6 +79,7 @@ from .quantum import (
     PAULI_PRODUCT,
     BellLabel,
     DensityMatrix,
+    PauliDistribution,
     PauliLabel,
     apply_pauli,
     basis_eigenvector,
@@ -209,14 +208,13 @@ class TranscriptStats:
     eps_z: QberEstimate | None
     eps_x: QberEstimate | None
     eps_y: QberEstimate | None
-    message_errors: ErrorVector | None
+    message_errors: PauliDistribution | None
     bit_error: float | None
     bit_error_se: float | None
     message_entropy: float | None
     eve_info: float | None
     capacity: CapacityResult | None
     capacity_se: float | None
-    estimate_available: bool
     unavailable_reason: str | None
 
     def __post_init__(self) -> None:
@@ -224,6 +222,11 @@ class TranscriptStats:
             raise ValueError("round tallies are inconsistent")
         if not 0 <= self.decoded_rounds <= self.message_rounds:
             raise ValueError("decoded count exceeds message count")
+
+    @property
+    def estimate_available(self) -> bool:
+        """Whether the run estimated a capacity: no reason says otherwise."""
+        return self.unavailable_reason is None
 
 
 def swap_correction(outcome: BellLabel) -> PauliLabel:
@@ -320,7 +323,7 @@ def message_law(
 def closed_form(
     protocol: Protocol,
     rate: Callable[[PauliLabel], float],
-    law: tuple[float, ...] | ErrorVector,
+    law: tuple[float, ...] | PauliDistribution,
     *,
     encoding: PauliLabel,
     q: float,
@@ -332,11 +335,14 @@ def closed_form(
     arrived message round (a single-photon bit flips with ``law[1]``); floats,
     or 1-D arrays for a grid. The curves and the analytic twin feed it exact
     rates and laws, a run its observed frequencies. A symbol law given as an
-    :class:`ErrorVector` is already validated and is used as it is.
+    :class:`~mdiqsdc.quantum.PauliDistribution` is already validated and is
+    used as it is.
     """
     if protocol in (Protocol.MDI_TS, Protocol.TWO_STEP):
         bits = 2.0
-        entropy = shannon_entropy(law if isinstance(law, ErrorVector) else ErrorVector(law))
+        entropy = shannon_entropy(
+            law if isinstance(law, PauliDistribution) else PauliDistribution(law)
+        )
         eve_info = eve_info_mdi_ts(rate(PauliLabel.Z), rate(PauliLabel.X))
     else:
         bits = 1.0
@@ -463,7 +469,7 @@ def _estimate(cfg: ProtocolConfig, counts: np.ndarray) -> TranscriptStats:
     elif decoded_rounds == 0:
         unavailable = "no decoded message rounds"
 
-    message_errors: ErrorVector | None = None
+    message_errors: PauliDistribution | None = None
     bit_error: float | None = None
     bit_error_se: float | None = None
     message_entropy: float | None = None
@@ -474,7 +480,7 @@ def _estimate(cfg: ProtocolConfig, counts: np.ndarray) -> TranscriptStats:
     if unavailable is None:
         if cfg.protocol == Protocol.MDI_TS:
             frequencies = tuple(float(c) / decoded_rounds for c in diffs)
-            law = message_errors = ErrorVector(frequencies)
+            law = message_errors = PauliDistribution(frequencies)
             message_variance = _shannon_variance(frequencies, decoded_rounds)
         else:
             bit_error = int(diffs[1]) / decoded_rounds
@@ -516,7 +522,6 @@ def _estimate(cfg: ProtocolConfig, counts: np.ndarray) -> TranscriptStats:
         eve_info=eve_info,
         capacity=capacity,
         capacity_se=capacity_se,
-        estimate_available=unavailable is None,
         unavailable_reason=unavailable,
     )
 

@@ -10,7 +10,9 @@ The singlet psi- is the reference pair state. Applying a Pauli to either
 half of a Bell state permutes Bell labels, so noise and protocol steps can
 be tracked purely on labels (the "Pauli frame"); the lookup tables between
 the two label sets live here, next to the exact matrix arithmetic used to
-cross-check the label bookkeeping.
+cross-check the label bookkeeping. :class:`PauliDistribution` is the one
+validated law over the four Pauli labels, so a Bell-diagonal pair is the
+Pauli error on one half of the singlet that makes it.
 
 A ``PureState`` holds one (d,) vector or a stack with shape (..., d), and a
 ``DensityMatrix`` one (d, d) matrix or a stack with shape (..., d, d); a
@@ -150,6 +152,40 @@ def validate_probability_vector(
 
 
 @dataclass(frozen=True)
+class PauliDistribution:
+    """The package's one law over the Pauli labels I, X, Y, Z: floats, or
+    equal-length float64 arrays holding one law per element.
+
+    It is an error process on one qubit; the Bell-diagonal pair that error
+    makes of the singlet, whose Bell state b has weight
+    ``d[PAULI_OF_BELL[b]]``; and the law of an entanglement protocol's
+    symbol difference decoded (-) encoded, in the order 00, 01, 10, 11.
+    """
+
+    probabilities: tuple[float, float, float, float]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self,
+            "probabilities",
+            validate_probability_vector(self.probabilities, name="Pauli distribution"),
+        )
+
+    def __getitem__(self, label: PauliLabel | int) -> float:
+        return self.probabilities[int(label)]
+
+    @classmethod
+    def from_bell_weights(cls, deltas: Sequence[float]) -> "PauliDistribution":
+        """The Pauli error on one half of the singlet that gives the
+        Bell-diagonal pair of weights ``deltas``, ordered psi-, psi+, phi-,
+        phi+."""
+        probs = [0.0] * 4
+        for bell, weight in zip(PAULI_OF_BELL, deltas):
+            probs[int(bell)] = weight
+        return cls(tuple(probs))
+
+
+@dataclass(frozen=True)
 class PureState:
     """Normalized state vectors on 1, 2, or 4 qubits: one (d,) vector or a
     stack of shape (..., d), each member finite with unit squared norm."""
@@ -256,24 +292,6 @@ class DensityMatrix:
     @property
     def num_qubits(self) -> int:
         return self.dim.bit_length() - 1
-
-
-@dataclass(frozen=True)
-class BellDiagonal:
-    """Weights of a Bell-diagonal two-qubit state, ordered psi-,psi+,phi-,phi+:
-    floats, or equal-length float64 arrays holding one state per element."""
-
-    deltas: tuple[float, float, float, float]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "deltas",
-            validate_probability_vector(self.deltas, name="Bell-diagonal weights"),
-        )
-
-    def __getitem__(self, label: BellLabel | int) -> float:
-        return self.deltas[int(label)]
 
 
 def bell_state(label: BellLabel) -> PureState:
@@ -408,16 +426,18 @@ def product_decompose(a: PureState, b: PureState) -> np.ndarray:
     return BELL_VECTORS.conj() @ joint
 
 
-def purify_bell_diagonal(d: BellDiagonal) -> PureState:
-    """Purify a Bell-diagonal pair state with a four-dimensional environment.
+def purify_bell_diagonal(d: PauliDistribution) -> PureState:
+    """Purify the Bell-diagonal pair that the Pauli error ``d`` on one half
+    makes of the singlet, with a four-dimensional environment.
 
-    Returns sum_i sqrt(delta_i) |Psi_i>|E_i> with the environment in its
-    computational basis; tracing out the environment recovers the mixture.
-    Array weights give a stack with one purification per element.
+    Returns sum_i sqrt(delta_i) |Psi_i>|E_i>, delta_i = d[PAULI_OF_BELL[i]],
+    with the environment in its computational basis; tracing out the
+    environment recovers the mixture. Array laws give a stack with one
+    purification per element.
     """
-    amps = np.zeros(np.shape(d.deltas[0]) + (16,), dtype=np.complex128)
+    amps = np.zeros(np.shape(d.probabilities[0]) + (16,), dtype=np.complex128)
     for i in range(4):
-        root = np.sqrt(d.deltas[i])
+        root = np.sqrt(d[PAULI_OF_BELL[i]])
         for ab in range(4):
             amps[..., ab * 4 + i] += root * BELL_VECTORS[i][ab]
     return PureState(amps)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import error_rates_from_deltas
+from .channels import error_rate_in_basis
 from .infotheory import eve_info_mdi_ts
 from .protocol import (
     AttackModel,
@@ -26,9 +26,9 @@ from .protocol import (
 )
 from .quantum import (
     BELL_VECTORS,
-    BellDiagonal,
     BellLabel,
     DensityMatrix,
+    PauliDistribution,
     PauliLabel,
     apply_pauli,
     bell_measure,
@@ -223,27 +223,28 @@ def delta_simplex_grid(points_per_axis: int = 5) -> list[tuple[float, float, flo
     return grid
 
 
-def encoding_ensemble(deltas: BellDiagonal) -> DensityMatrix:
+def encoding_ensemble(d: PauliDistribution) -> DensityMatrix:
     """States available to an eavesdropper holding the purification.
 
-    Purifies the Bell-diagonal pair, averages over Bob's four cover
-    operations, then applies each of Alice's four encoding operations; the
-    result is the uniform four-state ensemble, as a (4, 16, 16) stack
+    Purifies the Bell-diagonal pair that the Pauli error ``d`` on one half
+    makes of the singlet, averages over Bob's four cover operations, then
+    applies each of Alice's four encoding operations; the result is the
+    uniform four-state ensemble, as a (4, 16, 16) stack
     indexed by the encoding Pauli, whose Holevo quantity bounds the leaked
-    information per symbol. Array weights give an (n, 4, 16, 16) stack, one
+    information per symbol. Array laws give an (n, 4, 16, 16) stack, one
     ensemble per element.
     """
-    rho = purify_bell_diagonal(deltas).to_density_matrix()
+    rho = purify_bell_diagonal(d).to_density_matrix()
     covered = pauli_channel(rho, (0.25, 0.25, 0.25, 0.25), 1)
     return apply_pauli(covered[..., None], list(PauliLabel), 0)
 
 
-def holevo_excess(deltas: BellDiagonal):
+def holevo_excess(d: PauliDistribution):
     """chi of :func:`encoding_ensemble` minus the leak bound h(eps_z) + h(eps_x)
-    of the pair's check error rates: a float, or an array for array weights."""
-    chi = holevo_bound(encoding_ensemble(deltas), (0.25, 0.25, 0.25, 0.25))
-    rates = error_rates_from_deltas(deltas)
-    return chi - eve_info_mdi_ts(rates.eps_z, rates.eps_x)
+    of the pair's check error rates: a float, or an array for array laws."""
+    chi = holevo_bound(encoding_ensemble(d), (0.25, 0.25, 0.25, 0.25))
+    eps_z, eps_x = (error_rate_in_basis(d, basis) for basis in (PauliLabel.Z, PauliLabel.X))
+    return chi - eve_info_mdi_ts(eps_z, eps_x)
 
 
 # Simplex points per stacked pass: with 8, verify's tracemalloc peak is
@@ -256,7 +257,10 @@ def simplex_excess(points_per_axis: int = 5) -> tuple[list, np.ndarray]:
     points, computed in stacked blocks of ``HOLEVO_BLOCK`` points."""
     grid = delta_simplex_grid(points_per_axis)
     blocks = [grid[start : start + HOLEVO_BLOCK] for start in range(0, len(grid), HOLEVO_BLOCK)]
-    excess = [holevo_excess(BellDiagonal(tuple(np.array(block).T))) for block in blocks]
+    excess = [
+        holevo_excess(PauliDistribution.from_bell_weights(tuple(np.array(block).T)))
+        for block in blocks
+    ]
     return grid, np.concatenate(excess)
 
 

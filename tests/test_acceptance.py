@@ -6,13 +6,16 @@ deterministic.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from mdiqsdc.channels import error_rates_from_deltas
+import mdiqsdc
+from mdiqsdc.channels import error_rate_in_basis
 from mdiqsdc.curves import analytic_point, zero_crossing
 from mdiqsdc.protocol import (
     AttackModel,
@@ -24,9 +27,9 @@ from mdiqsdc.protocol import (
     swap_correction,
 )
 from mdiqsdc.quantum import (
-    BellDiagonal,
     BellLabel,
     DensityMatrix,
+    PauliDistribution,
     PauliLabel,
     apply_pauli,
     bell_measure,
@@ -113,9 +116,9 @@ class TestAcceptance:
             deltas = bell_measure(depolarize(singlet, p, 1))
             closed = np.array([1 - 0.75 * p, 0.25 * p, 0.25 * p, 0.25 * p])
             assert np.max(np.abs(deltas - closed)) < 1e-12
-            rates = error_rates_from_deltas(BellDiagonal(tuple(closed)))
-            for eps in (rates.eps_z, rates.eps_x, rates.eps_y):
-                assert abs(eps - p / 2) < 1e-12
+            dist = PauliDistribution.from_bell_weights(tuple(closed))
+            for basis in (PauliLabel.Z, PauliLabel.X, PauliLabel.Y):
+                assert abs(error_rate_in_basis(dist, basis) - p / 2) < 1e-12
         report("channel identities (delta and eps = p/2, 1e-12, 11 grid points)")
 
     def test_backend_equivalence(self):
@@ -207,11 +210,10 @@ class TestAcceptance:
         worst = -math.inf
         grid = delta_simplex_grid(5)
         for deltas in grid:
-            bd = BellDiagonal(deltas)
-            rates = error_rates_from_deltas(bd)
-            chi = holevo_bound(encoding_ensemble(bd), priors)
+            dist = PauliDistribution.from_bell_weights(deltas)
+            chi = holevo_bound(encoding_ensemble(dist), priors)
             bound = 0.0
-            for eps in (rates.eps_z, rates.eps_x):
+            for eps in (error_rate_in_basis(dist, b) for b in (PauliLabel.Z, PauliLabel.X)):
                 if 0.0 < eps < 1.0:
                     bound += -eps * math.log2(eps) - (1 - eps) * math.log2(1 - eps)
             worst = max(worst, chi - bound)
@@ -256,6 +258,8 @@ class TestAcceptance:
                     "--seed", "99", "--csv", str(path),
                 ],
                 capture_output=True,
+                # the child imports the package this process tests
+                env=dict(os.environ, PYTHONPATH=str(Path(mdiqsdc.__file__).resolve().parents[1])),
             )
             assert result.returncode == 0
             outputs.append(path.read_bytes())

@@ -9,17 +9,13 @@ from hypothesis import strategies as st
 
 from mdiqsdc.channels import (
     IDENTITY_DIST,
-    ErrorRates,
     PauliDistribution,
     convolve,
     depolarize,
     depolarizing_pauli_dist,
     error_rate_in_basis,
-    error_rates_from_deltas,
-    pauli_dist_from_bell_diagonal,
 )
 from mdiqsdc.quantum import (
-    BellDiagonal,
     BellLabel,
     DensityMatrix,
     PauliLabel,
@@ -130,32 +126,36 @@ class TestConvolve:
         dm = bell_state(BellLabel.PSI_MINUS).to_density_matrix()
         both = depolarize(depolarize(dm, p, 0), p, 1)
         want = convolve(depolarizing_pauli_dist(p), depolarizing_pauli_dist(p))
-        got = pauli_dist_from_bell_diagonal(BellDiagonal(tuple(bell_measure(both))))
+        got = PauliDistribution.from_bell_weights(tuple(bell_measure(both)))
         np.testing.assert_allclose(got.probabilities, want.probabilities, atol=1e-12)
+
+
+CHECKED_BASES = (PauliLabel.Z, PauliLabel.X, PauliLabel.Y)
+
+
+def rates_of_pair(deltas):
+    """Checked error rates (Z, X, Y) of the Bell-diagonal pair ``deltas``."""
+    dist = PauliDistribution.from_bell_weights(deltas)
+    return tuple(error_rate_in_basis(dist, basis) for basis in CHECKED_BASES)
 
 
 class TestErrorRates:
     def test_perfect_singlet(self):
-        rates = error_rates_from_deltas(BellDiagonal((1.0, 0.0, 0.0, 0.0)))
-        assert (rates.eps_z, rates.eps_x, rates.eps_y) == (0.0, 0.0, 0.0)
+        assert rates_of_pair((1.0, 0.0, 0.0, 0.0)) == (0.0, 0.0, 0.0)
 
     def test_uniform_mixture(self):
-        rates = error_rates_from_deltas(BellDiagonal((0.25,) * 4))
-        assert (rates.eps_z, rates.eps_x, rates.eps_y) == (0.5, 0.5, 0.5)
+        assert rates_of_pair((0.25,) * 4) == (0.5, 0.5, 0.5)
 
     @pytest.mark.parametrize("p", P_GRID)
     def test_depolarized_singlet_gives_half_p(self, p):
-        d = BellDiagonal((1 - 0.75 * p, 0.25 * p, 0.25 * p, 0.25 * p))
-        rates = error_rates_from_deltas(d)
-        for eps in (rates.eps_z, rates.eps_x, rates.eps_y):
+        for eps in rates_of_pair((1 - 0.75 * p, 0.25 * p, 0.25 * p, 0.25 * p)):
             assert abs(eps - p / 2) < 1e-12
 
     def test_component_sums(self):
-        d = BellDiagonal((0.4, 0.3, 0.2, 0.1))
-        rates = error_rates_from_deltas(d)
-        assert abs(rates.eps_z - (0.2 + 0.1)) < 1e-15
-        assert abs(rates.eps_x - (0.3 + 0.1)) < 1e-15
-        assert abs(rates.eps_y - (0.3 + 0.2)) < 1e-15
+        eps_z, eps_x, eps_y = rates_of_pair((0.4, 0.3, 0.2, 0.1))
+        assert abs(eps_z - (0.2 + 0.1)) < 1e-15
+        assert abs(eps_x - (0.3 + 0.1)) < 1e-15
+        assert abs(eps_y - (0.3 + 0.2)) < 1e-15
 
     @given(
         deltas=st.lists(
@@ -165,14 +165,10 @@ class TestErrorRates:
     @settings(max_examples=25, deadline=None)
     def test_matches_measurement_statistics_oracle(self, deltas):
         # disagreement probability from explicit same-basis projectors
-        d = BellDiagonal(deltas)
+        d = PauliDistribution.from_bell_weights(deltas)
         dm = partial_trace(purify_bell_diagonal(d).to_density_matrix(), keep=(0, 1))
-        rates = error_rates_from_deltas(d)
-        for basis, expected in (
-            (PauliLabel.Z, rates.eps_z),
-            (PauliLabel.X, rates.eps_x),
-            (PauliLabel.Y, rates.eps_y),
-        ):
+        for basis in CHECKED_BASES:
+            expected = error_rate_in_basis(d, basis)
             parallel = 0.0
             for bit in (0, 1):
                 v = basis_eigenvector(basis, bit)
@@ -189,12 +185,8 @@ class TestErrorRates:
             raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             herm = raw @ raw.conj().T
             dm = DensityMatrix(herm / np.trace(herm))
-            rates = error_rates_from_deltas(BellDiagonal(tuple(bell_measure(dm))))
-            for basis, expected in (
-                (PauliLabel.Z, rates.eps_z),
-                (PauliLabel.X, rates.eps_x),
-                (PauliLabel.Y, rates.eps_y),
-            ):
+            rates = rates_of_pair(tuple(bell_measure(dm)))
+            for basis, expected in zip(CHECKED_BASES, rates):
                 parallel = 0.0
                 for bit in (0, 1):
                     v = basis_eigenvector(basis, bit)
@@ -204,23 +196,19 @@ class TestErrorRates:
 
     def test_round_trip_with_pauli_dist(self):
         # the Pauli errors, applied to one half of the singlet, give back d
-        d = BellDiagonal((0.4, 0.3, 0.2, 0.1))
-        dist = pauli_dist_from_bell_diagonal(d)
+        deltas = (0.4, 0.3, 0.2, 0.1)
+        dist = PauliDistribution.from_bell_weights(deltas)
         singlet = bell_state(BellLabel.PSI_MINUS).to_density_matrix().matrix
         mixed = sum(
             dist[k] * embed_on_pair(PAULI[k], 0) @ singlet @ embed_on_pair(PAULI[k], 0)
             for k in range(4)
         )
         back = bell_measure(DensityMatrix(mixed))
-        np.testing.assert_allclose(back, d.deltas, atol=1e-15)
+        np.testing.assert_allclose(back, deltas, atol=1e-15)
 
     def test_error_rate_in_basis_rejects_identity(self):
         with pytest.raises(ValueError):
             error_rate_in_basis(IDENTITY_DIST, PauliLabel.I)
-
-    def test_error_rates_type_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            ErrorRates(eps_z=1.2, eps_x=0.0, eps_y=0.0)
 
 
 class TestPauliFrameSampling:
@@ -242,10 +230,24 @@ class TestPauliFrameSampling:
 
 
 class TestPauliDistributionType:
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            PauliDistribution((-0.1, 0.5, 0.3, 0.3))
+    # one law over I, X, Y, Z: an error process, a Bell-diagonal pair and a
+    # symbol-error vector are all checked here
+    @pytest.mark.parametrize(
+        "probs", [(-0.1, 0.5, 0.3, 0.3), (1.5, -0.5, 0.0, 0.0), (1.2, -0.2, 0.0, 0.0)]
+    )
+    def test_rejects_negative(self, probs):
+        with pytest.raises(ValueError, match="must lie in"):
+            PauliDistribution(probs)
+        with pytest.raises(ValueError, match="must lie in"):
+            PauliDistribution.from_bell_weights(probs)
 
-    def test_rejects_bad_sum(self):
-        with pytest.raises(ValueError):
-            PauliDistribution((0.3, 0.3, 0.3, 0.3))
+    @pytest.mark.parametrize("probs", [(0.3, 0.3, 0.3, 0.3), (0.5, 0.5, 0.5, 0.5)])
+    def test_rejects_bad_sum(self, probs):
+        with pytest.raises(ValueError, match="must sum to 1"):
+            PauliDistribution(probs)
+        with pytest.raises(ValueError, match="must sum to 1"):
+            PauliDistribution.from_bell_weights(probs)
+
+    def test_first_component_is_no_error(self):
+        dist = PauliDistribution((1.0, 0.0, 0.0, 0.0))
+        assert dist[PauliLabel.I] == dist[0] == 1.0

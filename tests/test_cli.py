@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import math
+import os
 import random
 import re
 import subprocess
@@ -232,6 +233,31 @@ class TestSweep:
             ["sweep", "--x", "0.1", "--csv", "/nonexistent-dir/out.csv"], capsys
         )
         assert code == 2
+
+    @pytest.mark.parametrize("unwritable, kept", [("svg", "csv"), ("csv", "svg")])
+    def test_unwritable_output_leaves_the_other_file_untouched(
+        self, capsys, tmp_path, unwritable, kept
+    ):
+        paths = {unwritable: "/nonexistent-dir/c." + unwritable, kept: tmp_path / f"kept.{kept}"}
+        paths[kept].write_bytes(b"kept,bytes\n")
+        argv = ["sweep", "--x", "0.1", "--csv", str(paths["csv"]), "--svg", str(paths["svg"])]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 2
+        assert "zero-crossing" not in err
+        assert paths[kept].read_bytes() == b"kept,bytes\n"
+
+    def test_existing_svg_is_replaced(self, capsys, tmp_path):
+        svg_path = tmp_path / "c.svg"
+        run_cli(["sweep", "--x", "0.1", "--svg", str(svg_path)], capsys)
+        fresh = svg_path.read_bytes()
+        svg_path.write_bytes(b"x" * (2 * len(fresh)))
+        code, _, _ = run_cli(["sweep", "--x", "0.1", "--svg", str(svg_path)], capsys)
+        assert code == 0
+        assert svg_path.read_bytes() == fresh
+
+    def test_svg_to_a_device_is_written(self, capsys):
+        code, _, _ = run_cli(["sweep", "--x", "0.1", "--svg", os.devnull], capsys)
+        assert code == 0
 
 
 class TestSweepBlocks:
@@ -994,11 +1020,15 @@ class TestVerify:
 
 
 class TestModuleEntryPoint:
+    # the child imports the package this process tests
+    ENV = dict(os.environ, PYTHONPATH=str(Path(mdiqsdc.cli.__file__).resolve().parents[1]))
+
     def test_python_dash_m_invocation(self):
         result = subprocess.run(
             [sys.executable, "-m", "mdiqsdc", "sweep", "--protocol", "mdi-ts", "--x", "0"],
             capture_output=True,
             text=True,
+            env=self.ENV,
         )
         assert result.returncode == 0
         assert result.stdout.splitlines()[0] == CSV_HEADER
@@ -1008,5 +1038,6 @@ class TestModuleEntryPoint:
             [sys.executable, "-m", "mdiqsdc", "frobnicate"],
             capture_output=True,
             text=True,
+            env=self.ENV,
         )
         assert result.returncode == 2

@@ -7,10 +7,9 @@ import itertools
 import numpy as np
 import pytest
 
-from mdiqsdc.channels import ErrorRates, PauliDistribution, depolarizing_pauli_dist
+from mdiqsdc.channels import PauliDistribution, depolarizing_pauli_dist
 from mdiqsdc.curves import analytic_point, analytic_point_for_config
 from mdiqsdc.infotheory import (
-    ErrorVector,
     binary_entropy,
     eve_info_mdi_ts,
     secrecy_capacity,
@@ -69,7 +68,7 @@ def check_rates(dists, cfg):
 
 def message_entropy(dists, cfg):
     if cfg.protocol == Protocol.MDI_TS:
-        return shannon_entropy(ErrorVector(tuple(dists["symbol_error"])))
+        return shannon_entropy(PauliDistribution(tuple(dists["symbol_error"])))
     return binary_entropy(float(dists["bit_error"][0]))
 
 
@@ -171,8 +170,7 @@ def _raises(call):
 SHARED_CHECKS = {
     "probability vector": (lambda v: PauliDistribution((v, 0.5, 0.0, 0.5 - v)), 0.25, np.nan),
     "probability vector range": (lambda v: PauliDistribution((v, 1.0 - v, 0.0, 0.0)), 0.25, 1.25),
-    "probability vector sum": (lambda v: ErrorVector((0.5, 0.25, 0.25, v)), 0.0, 0.125),
-    "error rate": (lambda v: ErrorRates(0.25, v, 0.25), 0.25, -0.5),
+    "probability vector sum": (lambda v: PauliDistribution((0.5, 0.25, 0.25, v)), 0.0, 0.125),
     "channel parameter": (depolarizing_pauli_dist, 0.25, 1.5),
     "entropy argument": (binary_entropy, 0.25, 1.0000000000000002),
     "entropy argument nan": (binary_entropy, 0.25, np.nan),

@@ -10,12 +10,12 @@ from scipy.optimize import brentq
 from mdiqsdc.curves import NoisePlacement, Protocol, analytic_point, zero_crossing
 from mdiqsdc.infotheory import (
     CapacityResult,
-    ErrorVector,
     binary_entropy,
     eve_info_mdi_ts,
     secrecy_capacity,
     shannon_entropy,
 )
+from mdiqsdc.quantum import PauliDistribution
 
 
 def binary_entropy_series_oracle(x, terms=50):
@@ -67,16 +67,16 @@ class TestBinaryEntropy:
 
 class TestShannonEntropy:
     def test_deterministic(self):
-        assert shannon_entropy(ErrorVector((1.0, 0.0, 0.0, 0.0))) == 0.0
+        assert shannon_entropy(PauliDistribution((1.0, 0.0, 0.0, 0.0))) == 0.0
 
     def test_uniform(self):
-        assert abs(shannon_entropy(ErrorVector((0.25,) * 4)) - 2.0) < 1e-15
+        assert abs(shannon_entropy(PauliDistribution((0.25,) * 4)) - 2.0) < 1e-15
 
     def test_two_equiprobable(self):
-        assert abs(shannon_entropy(ErrorVector((0.5, 0.5, 0.0, 0.0))) - 1.0) < 1e-15
+        assert abs(shannon_entropy(PauliDistribution((0.5, 0.5, 0.0, 0.0))) - 1.0) < 1e-15
 
     def test_range(self):
-        v = ErrorVector((0.7, 0.1, 0.1, 0.1))
+        v = PauliDistribution((0.7, 0.1, 0.1, 0.1))
         assert 0.0 <= shannon_entropy(v) <= 2.0
 
 
@@ -113,10 +113,10 @@ class TestCapacityFormulas:
     def test_mdi_ts_noiseless_endpoint(self):
         result = analytic_point(Protocol.MDI_TS, 0.0).capacity
         assert result.raw == 2.0 and result.clamped == 2.0
-        assert mdi_ts_raw(ErrorVector((1.0, 0.0, 0.0, 0.0)), 0.0, 0.0) == 2.0
+        assert mdi_ts_raw(PauliDistribution((1.0, 0.0, 0.0, 0.0)), 0.0, 0.0) == 2.0
 
     def test_mdi_ts_fully_randomized(self):
-        result = CapacityResult(mdi_ts_raw(ErrorVector((0.25,) * 4), 0.5, 0.5))
+        result = CapacityResult(mdi_ts_raw(PauliDistribution((0.25,) * 4), 0.5, 0.5))
         assert abs(result.raw + 2.0) < 1e-12
         assert result.clamped == 0.0
 
@@ -169,7 +169,7 @@ class TestCapacityFormulas:
             previous = raw
         previous = math.inf
         for eps in grid:
-            raw = mdi_ts_raw(ErrorVector((1.0, 0.0, 0.0, 0.0)), eps, 0.1)
+            raw = mdi_ts_raw(PauliDistribution((1.0, 0.0, 0.0, 0.0)), eps, 0.1)
             assert raw <= previous + 1e-12
             previous = raw
 
@@ -195,19 +195,6 @@ class TestCapacityResult:
     def test_clamped_invariant(self, raw):
         r = CapacityResult(raw)
         assert r.clamped == max(raw, 0.0)
-
-
-class TestErrorVectorType:
-    def test_rejects_bad_sum(self):
-        with pytest.raises(ValueError):
-            ErrorVector((0.5, 0.5, 0.5, 0.5))
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            ErrorVector((1.5, -0.5, 0.0, 0.0))
-
-    def test_first_component_is_no_error(self):
-        assert ErrorVector((1.0, 0.0, 0.0, 0.0))[0] == 1.0
 
 
 class TestZeroCrossings:

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mdiqsdc.channels
-import mdiqsdc.infotheory
 import mdiqsdc.protocol
 import mdiqsdc.quantum
 from mdiqsdc.channels import IDENTITY_DIST, PauliDistribution, convolve, depolarizing_pauli_dist
@@ -25,6 +24,7 @@ from mdiqsdc.protocol import (
     NoisePlacement,
     Protocol,
     ProtocolConfig,
+    TranscriptStats,
     _cell_probabilities,
     _draw_counts,
     _estimate,
@@ -360,6 +360,14 @@ class TestEstimateStats:
         assert not stats.estimate_available
         assert stats.unavailable_reason == "no message rounds"
 
+    def test_availability_is_read_off_the_reason(self):
+        # one field decides: a stats value cannot say both available and why not
+        assert "estimate_available" not in {f.name for f in dataclasses.fields(TranscriptStats)}
+        stats = _estimate(self._cfg(rounds=200), np.array([90, 10, 50, 0, 40, 5, 3, 2, 0]))
+        assert stats.estimate_available and stats.unavailable_reason is None
+        moved = dataclasses.replace(stats, unavailable_reason="no message rounds")
+        assert not moved.estimate_available
+
     @pytest.mark.parametrize("protocol", [Protocol.MDI_TS, Protocol.MDI_DL04])
     def test_capacity_terms_carried_once(self, protocol):
         stats = run(self._cfg(protocol=protocol, rounds=4000, channel_p=0.2, seed=3))
@@ -375,17 +383,17 @@ class TestEstimateStats:
         assert stats.capacity.raw == stats.gain * (bits - entropy - eve_info)
 
     def test_observed_symbol_law_validated_once(self, monkeypatch):
-        validate = mdiqsdc.infotheory.validate_probability_vector
+        validate = mdiqsdc.quantum.validate_probability_vector
         names = []
 
         def recording(values, *, name, **kwargs):
             names.append(name)
             return validate(values, name=name, **kwargs)
 
-        monkeypatch.setattr(mdiqsdc.infotheory, "validate_probability_vector", recording)
+        monkeypatch.setattr(mdiqsdc.quantum, "validate_probability_vector", recording)
         counts = np.array([90, 10, 50, 0, 40, 5, 3, 2, 0])
         stats = _estimate(self._cfg(rounds=200), counts)
-        assert names == ["error vector"]
+        assert names == ["Pauli distribution"]
         assert stats.message_entropy == shannon_entropy(stats.message_errors)
 
     @pytest.mark.parametrize("p", [0.0, 0.2])

@@ -2,6 +2,7 @@
 many matrices validated as one point at a time, bounded memory, and a
 Holevo check that fails when its ensemble, its bound or its grid is wrong."""
 
+import hashlib
 import math
 import tracemalloc
 from collections import Counter
@@ -15,8 +16,9 @@ from mdiqsdc.cli import main
 from mdiqsdc.infotheory import binary_entropy
 from mdiqsdc.protocol import AttackModel, NoisePlacement, Protocol
 from mdiqsdc.quantum import (
-    BellDiagonal,
+    PAULI_OF_BELL,
     BellLabel,
+    PauliDistribution,
     PauliLabel,
     apply_pauli,
     purify_bell_diagonal,
@@ -39,9 +41,26 @@ VALIDATED_TOTAL_FLOOR = 1858
 def test_stacked_excess_equals_the_per_point_loop(points_per_axis):
     grid, stacked = simplex_excess(points_per_axis)
     assert grid == delta_simplex_grid(points_per_axis)
-    loop = [holevo_excess(BellDiagonal(deltas)) for deltas in grid]
+    loop = [holevo_excess(PauliDistribution.from_bell_weights(deltas)) for deltas in grid]
     assert all(isinstance(value, float) for value in loop)
     np.testing.assert_array_equal(stacked, loop)
+
+
+# SHA-256 of simplex_excess's float64 excess bytes, in grid order, taken before
+# the Bell-diagonal weights became a PauliDistribution. verify prints the worst
+# excess to 3 digits only; these see an ulp anywhere in the Holevo path.
+SIMPLEX_EXCESS_SHA256 = {
+    5: "2e2590a8ac2a5788a39e59c96317f88e5a0cc6fd8cc1dc1cbfbeaf0c11478754",
+    9: "20b272dcdd8d802ee2d5f9b8574d8264c001684b2c656c6662617b0c07ccfa08",
+}
+
+
+@pytest.mark.parametrize("points_per_axis", sorted(SIMPLEX_EXCESS_SHA256))
+def test_simplex_excess_is_pinned(points_per_axis):
+    _, excess = simplex_excess(points_per_axis)
+    assert excess.dtype == np.float64 and excess.flags.c_contiguous
+    digest = hashlib.sha256(excess.tobytes()).hexdigest()
+    assert digest == SIMPLEX_EXCESS_SHA256[points_per_axis]
 
 
 def test_verify_validates_at_least_one_matrix_per_point_and_stage(monkeypatch):
@@ -89,8 +108,8 @@ def test_stacked_checks_stay_under_a_megabyte():
 
 class TestHolevoCheckHasTeeth:
     def test_dropping_the_cover_average_fails(self, monkeypatch):
-        def uncovered(deltas):
-            rho = purify_bell_diagonal(deltas).to_density_matrix()
+        def uncovered(d):
+            rho = purify_bell_diagonal(d).to_density_matrix()
             return apply_pauli(rho[..., None], list(PauliLabel), 0)
 
         monkeypatch.setattr(verification, "encoding_ensemble", uncovered)
@@ -108,10 +127,12 @@ class TestHolevoCheckHasTeeth:
         honest = verification.holevo_excess
         for target in delta_simplex_grid(5):
 
-            def planted(deltas, target=target):
-                close = [np.isclose(deltas.deltas[k], target[k], rtol=0.0, atol=1e-12) for k in range(4)]
+            def planted(d, target=target):
+                # Bell state k has the weight of the Pauli error that makes it
+                weights = [d[PAULI_OF_BELL[k]] for k in range(4)]
+                close = [np.isclose(w, t, rtol=0.0, atol=1e-12) for w, t in zip(weights, target)]
                 at_target = np.all(close, axis=0)
-                return honest(deltas) + np.where(at_target, 3.0, 0.0)  # excess >= -2
+                return honest(d) + np.where(at_target, 3.0, 0.0)  # excess >= -2
 
             monkeypatch.setattr(verification, "holevo_excess", planted)
             result = check_holevo_bound()

@@ -43,12 +43,18 @@ def depolarizing_pauli_dist(p: float) -> PauliDistribution:
     return PauliDistribution((1.0 - 0.75 * p, quarter, quarter, quarter))
 
 
+# (i, PAULI_PRODUCT[i][j], j) for i, then j, in 0..3: the order convolve sums in
+_PRODUCT_TERMS = tuple((i, PAULI_PRODUCT[i][j], j) for i in range(4) for j in range(4))
+
+
 def convolve(d1: PauliDistribution, d2: PauliDistribution) -> PauliDistribution:
-    """Net error distribution of two independent Pauli channels in series."""
+    """Net error distribution of two independent Pauli channels in series:
+    label k collects d1[i] * d2[j] over PAULI_PRODUCT[i][j] == k, summed from
+    0.0 in the order of i, then j."""
+    p1, p2 = d1.probabilities, d2.probabilities
     out = [0.0, 0.0, 0.0, 0.0]
-    for i in range(4):
-        for j in range(4):
-            out[PAULI_PRODUCT[i][j]] += d1.probabilities[i] * d2.probabilities[j]
+    for i, k, j in _PRODUCT_TERMS:
+        out[k] += p1[i] * p2[j]
     return PauliDistribution(tuple(out))
 
 

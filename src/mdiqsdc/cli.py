@@ -38,6 +38,7 @@ from .protocol import (
     Protocol,
     ProtocolConfig,
     TranscriptStats,
+    message_law,
     round_error_dists_for_config,
     run,
 )
@@ -132,8 +133,13 @@ def _csv_text(lines: list[str]) -> str:
     return "\n".join([CSV_HEADER, *lines]) + "\n"
 
 
-def _svg_text(curves: list[tuple[str, list[float], list[float]]], title: str) -> str:
-    """Hand-emitted line plot: one polyline per curve, clamped capacities.
+def _svg_chunks(
+    curves: list[tuple[str, list[np.ndarray], list[np.ndarray]]], title: str
+) -> Iterator[str]:
+    """Hand-emitted line plot, in pieces: one polyline per curve, clamped
+    capacities. A curve is its label and the x and y values of each of its
+    blocks, and each block's share of a polyline is formatted on its own, so
+    no piece holds more than one block's points.
 
     Every polyline carries the untransformed values in a ``data-points``
     attribute, one ``x,y`` pair per CSV grid point.
@@ -141,8 +147,10 @@ def _svg_text(curves: list[tuple[str, list[float], list[float]]], title: str) ->
     width, height = 840, 560
     left, right, top, bottom = 70, 30, 46, 64
     plot_w, plot_h = width - left - right, height - top - bottom
-    x_max = max((max(xs) for _, xs, _ in curves if xs), default=1.0) or 1.0
-    y_max = max((max(ys) for _, _, ys in curves if ys), default=1.0)
+    # blocks are never empty, and the values are finite, so each block's
+    # maximum is the max() of its values
+    x_max = max(max(float(b.max()) for b in xs) for _, xs, _ in curves) or 1.0
+    y_max = max(max(float(b.max()) for b in ys) for _, _, ys in curves)
     y_max = max(y_max, 1.0)
 
     def sx(x: float) -> float:
@@ -150,6 +158,13 @@ def _svg_text(curves: list[tuple[str, list[float], list[float]]], title: str) ->
 
     def sy(y: float) -> float:
         return top + plot_h * (1.0 - y / y_max)
+
+    def joined(xs: list[np.ndarray], ys: list[np.ndarray], pair) -> Iterator[str]:
+        """``" ".join(pair(x, y) for every point)``, one block at a time."""
+        for index, (bx, by) in enumerate(zip(xs, ys)):
+            if index:
+                yield " "
+            yield " ".join(pair(x, y) for x, y in zip(bx.tolist(), by.tolist()))
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -198,25 +213,22 @@ def _svg_text(curves: list[tuple[str, list[float], list[float]]], title: str) ->
         f'font-family="sans-serif" font-size="13" '
         f'transform="rotate(-90 20 {top + plot_h / 2:.1f})">secrecy capacity (bits)</text>'
     )
+    yield "\n".join(parts) + "\n"
     for idx, (label, xs, ys) in enumerate(curves):
         color = _SVG_COLORS[idx % len(_SVG_COLORS)]
-        points = " ".join(f"{sx(x):.3f},{sy(y):.3f}" for x, y in zip(xs, ys))
-        raw = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(xs, ys))
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.6" '
-            f'points="{points}" data-label="{escape(label, quote=False)}" data-points="{raw}"/>'
-        )
+        yield f'<polyline fill="none" stroke="{color}" stroke-width="1.6" points="'
+        yield from joined(xs, ys, lambda x, y: f"{sx(x):.3f},{sy(y):.3f}")
+        yield f'" data-label="{escape(label, quote=False)}" data-points="'
+        yield from joined(xs, ys, lambda x, y: f"{_fmt(x)},{_fmt(y)}")
         legend_y = top + 16 + 18 * idx
-        parts.append(
+        yield (
+            '"/>\n'
             f'<line x1="{left + plot_w - 150}" y1="{legend_y - 4}" '
-            f'x2="{left + plot_w - 122}" y2="{legend_y - 4}" stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
+            f'x2="{left + plot_w - 122}" y2="{legend_y - 4}" stroke="{color}" stroke-width="2"/>\n'
             f'<text x="{left + plot_w - 116}" y="{legend_y}" font-family="sans-serif" '
-            f'font-size="12">{escape(label, quote=False)}</text>'
+            f'font-size="12">{escape(label, quote=False)}</text>\n'
         )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    yield "</svg>\n"
 
 
 def _parse_grid(text: str) -> tuple[float, float, float, int]:
@@ -331,9 +343,8 @@ def _add_shared_flags(sub: argparse.ArgumentParser, *, simulate: bool) -> None:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process and shared, so callers
-    must not change it; ``parse_args`` keeps no state between calls."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The command-line parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="mdiqsdc",
         description="Secrecy-capacity sweeps and Monte Carlo runs of "
@@ -350,7 +361,29 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(KNOWN_FAULTS),
         help="corrupt a named check to demonstrate failure reporting",
     )
-    return parser
+    return parser, {"sweep": sweep, "simulate": simulate, "verify": verify}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared, so callers
+    must not change it; ``parse_args`` keeps no state between calls."""
+    return _parsers()[0]
+
+
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, reading ``argv`` once: when its
+    first argument names a subcommand, that subcommand's parser alone reads
+    the rest, and the top-level parser reports what is left over as its own
+    ``parse_args`` would. Any other ``argv`` goes to the top-level parser."""
+    parser, subcommands = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = subcommands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def _parse_protocols(value: str | None, *, default_all: bool) -> list[Protocol]:
@@ -400,6 +433,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     protocols = _parse_protocols(_merged(args, "protocol", None), default_all=True)
     noise, encoding, q, eta = _resolve_common(args)
     single_x = _resolve_x(args)
+    if single_x is not None and _merged(args, "grid", None) is not None:
+        point_flag = "--x" if _merged(args, "x", None) is not None else "--p"
+        raise UsageError(f"--grid and {point_flag} are mutually exclusive")
     grid = _parse_grid(str(_merged(args, "grid", "0:0.5:0.005"))) if single_x is None else None
     svg_path = _merged(args, "svg", None)
 
@@ -408,8 +444,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # so an unwritable --svg or --csv leaves the other file as it was; like
     # opening with "w", this empties a regular file only (a device such as
     # /dev/null cannot be truncated). Each block's rows are written and
-    # dropped; only the plot keeps its points.
-    curves: list[tuple[str, list[float], list[float]]] = []
+    # dropped; the plot keeps each block's x and clamped capacity arrays and
+    # writes its text one block at a time.
+    curves: list[tuple[str, list[np.ndarray], list[np.ndarray]]] = []
     plot = (
         contextlib.nullcontext()
         if svg_path is None
@@ -431,14 +468,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     xs.append(curve.x)
                     ys.append(curve.capacity.clamped)
             if svg is not None:
-                curves.append(
-                    (protocol.value, np.concatenate(xs).tolist(), np.concatenate(ys).tolist())
-                )
+                curves.append((protocol.value, xs, ys))
             crossing = zero_crossing(protocol, noise=noise, encoding=encoding, q=q, eta=eta)
             where = "none in [0, 0.5]" if crossing is None else f"x = {crossing:.6f}"
             print(f"zero-crossing {protocol.value}: {where}", file=sys.stderr)
         if svg is not None:
-            _write_text(svg, _svg_text(curves, "secrecy capacity vs channel parameter"))
+            for chunk in _svg_chunks(curves, "secrecy capacity vs channel parameter"):
+                _write_text(svg, chunk)
     return EXIT_OK
 
 
@@ -475,13 +511,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
+    # one composition of the round's errors and of the message law feeds
+    # both the cell law of the run and its analytic twin
     dists = round_error_dists_for_config(cfg)
-    stats = run(cfg, dists)
+    law = message_law(cfg.protocol, cfg.dl04_encoding, *dists)
+    stats = run(cfg, dists, law)
     if not stats.estimate_available:
         print(f"insufficient statistics: {stats.unavailable_reason}", file=sys.stderr)
         return EXIT_INSUFFICIENT_STATS
 
-    twin = analytic_point_for_config(cfg, dists)
+    twin = analytic_point_for_config(cfg, dists, law)
     rows = [*_analytic_csv_lines(twin), _row_from_stats(cfg, stats)]
     _write_text(_merged(args, "csv", None), _csv_text(rows))
     _print_summary(cfg, stats)
@@ -533,8 +572,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(argv)
     config_path = getattr(args, "config", None)
     try:
         args.config_values = _load_config_file(config_path, args) if config_path else {}

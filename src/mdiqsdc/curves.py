@@ -115,14 +115,18 @@ def analytic_point(
 
 
 def analytic_point_for_config(
-    cfg: ProtocolConfig, dists: RoundErrorDists | None = None
+    cfg: ProtocolConfig,
+    dists: RoundErrorDists | None = None,
+    law: tuple[float, ...] | None = None,
 ) -> AnalyticPoint:
     """Analytic twin of a Monte Carlo configuration, attack and its leg
     included, at the gain :func:`~mdiqsdc.protocol.arrival` unless the
     config overrides it; ``dists`` is :func:`round_error_dists_for_config`
-    of ``cfg``, composed here when not given."""
+    of ``cfg`` and ``law`` its :func:`~mdiqsdc.protocol.message_law`, each
+    composed here when not given, so a run and its twin can share both."""
     frame, second = dists if dists is not None else round_error_dists_for_config(cfg)
-    law = message_law(cfg.protocol, cfg.dl04_encoding, frame, second)
+    if law is None:
+        law = message_law(cfg.protocol, cfg.dl04_encoding, frame, second)
     q = cfg.q_override if cfg.q_override is not None else arrival(cfg)
     return _point(
         cfg.protocol, cfg.channel_p / 2.0, frame, law, encoding=cfg.dl04_encoding, q=q, eta=cfg.eta

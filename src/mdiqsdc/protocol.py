@@ -364,12 +364,17 @@ def arrival(cfg: ProtocolConfig) -> float:
     return cfg.transmittance ** (2 if cfg.protocol == Protocol.MDI_TS else 1)
 
 
-def _cell_probabilities(cfg: ProtocolConfig, dists: RoundErrorDists | None = None) -> np.ndarray:
+def _cell_probabilities(
+    cfg: ProtocolConfig,
+    dists: RoundErrorDists | None = None,
+    law: tuple[float, ...] | None = None,
+) -> np.ndarray:
     """Law of the tally cell one round reaches, in the order of a run's cell
     counts: per check basis, no error then error; each value of
     :func:`message_law` on an arrived message round; a lost message round.
-    ``dists`` is :func:`round_error_dists_for_config` of ``cfg``, composed
-    here when not given; grid distributions add a leading grid axis.
+    ``dists`` is :func:`round_error_dists_for_config` of ``cfg`` and ``law``
+    its :func:`message_law`, each composed here when not given; grid
+    distributions add a leading grid axis.
 
     A check round errs when its pair frame anticommutes with the basis: the
     singlet reference is anti-correlated in every basis. The bases share the
@@ -385,7 +390,8 @@ def _cell_probabilities(cfg: ProtocolConfig, dists: RoundErrorDists | None = Non
         cells += [share * (1.0 - error), share * error]
     message = 1.0 - cfg.check_fraction
     arrived = arrival(cfg)
-    law = message_law(cfg.protocol, cfg.dl04_encoding, frame, second)
+    if law is None:
+        law = message_law(cfg.protocol, cfg.dl04_encoding, frame, second)
     cells += [message * arrived * d for d in law]
     # + 0.0 * error gives the lost cell a grid's shape, if any, and changes no
     # value; unlike np.full_like it costs a float run nothing measurable
@@ -393,14 +399,18 @@ def _cell_probabilities(cfg: ProtocolConfig, dists: RoundErrorDists | None = Non
     return np.array(cells).T  # cells last
 
 
-def _draw_counts(cfg: ProtocolConfig, dists: RoundErrorDists | None = None) -> np.ndarray:
+def _draw_counts(
+    cfg: ProtocolConfig,
+    dists: RoundErrorDists | None = None,
+    law: tuple[float, ...] | None = None,
+) -> np.ndarray:
     """The tally of ``cfg``'s rounds: its int64 cell counts, in
     :func:`_cell_probabilities` order. The rounds are i.i.d. and each reaches
     one cell, so the counts are Multinomial(rounds, cell law), drawn at once
     from ``np.random.default_rng(seed)``. Cells of zero probability stay out
     of the draw, so none is counted whatever the rounding of the others.
     """
-    probs = _cell_probabilities(cfg, dists)
+    probs = _cell_probabilities(cfg, dists, law)
     support = np.flatnonzero(probs)
     counts = np.zeros(probs.size, dtype=np.int64)
     counts[support] = np.random.default_rng(cfg.seed).multinomial(cfg.rounds, probs[support])
@@ -526,7 +536,11 @@ def _estimate(cfg: ProtocolConfig, counts: np.ndarray) -> TranscriptStats:
     )
 
 
-def run(cfg: ProtocolConfig, dists: RoundErrorDists | None = None) -> TranscriptStats:
+def run(
+    cfg: ProtocolConfig,
+    dists: RoundErrorDists | None = None,
+    law: tuple[float, ...] | None = None,
+) -> TranscriptStats:
     """Monte Carlo run of the configured MDI protocol.
 
     Each round has a pair frame, then either a correlation check or a
@@ -537,9 +551,9 @@ def run(cfg: ProtocolConfig, dists: RoundErrorDists | None = None) -> Transcript
     whose time and memory do not depend on the number of rounds.
     Deterministic given the config seed.
     A caller that already holds :func:`round_error_dists_for_config` of
-    ``cfg`` passes it as ``dists``.
+    ``cfg`` passes it as ``dists``, and their :func:`message_law` as ``law``.
     """
-    return _estimate(cfg, _draw_counts(cfg, dists))
+    return _estimate(cfg, _draw_counts(cfg, dists, law))
 
 
 # ---------------------------------------------------------------------------

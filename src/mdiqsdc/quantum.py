@@ -116,6 +116,19 @@ BELL_VECTORS: np.ndarray = np.array(
 BELL_VECTORS.flags.writeable = False
 
 
+def _passing_floats(values, length: int) -> bool:
+    """Whether ``values`` is a tuple of ``length`` Python floats that passes
+    every check of :func:`validate_probability_vector`, made as it makes them."""
+    if type(values) is not tuple or len(values) != length:
+        return False
+    total = 0.0
+    for v in values:
+        if type(v) is not float or not EIGENVALUE_FLOOR <= v <= 1 + 1e-12:
+            return False
+        total = total + v
+    return abs(total - 1.0) <= 1e-12
+
+
 def validate_probability_vector(
     values: Iterable[float], *, name: str, length: int = 4
 ) -> tuple[float, ...]:
@@ -126,25 +139,30 @@ def validate_probability_vector(
     floor (tiny negatives are clamped to zero), and sum to 1 within 1e-12.
     The returned tuple is renormalized so both invariants hold exactly. An
     array reports its first failing vector with the message a float gets.
+    A tuple of Python floats that passes skips the general path, whose
+    checks it repeats; every failure takes that path and raises there.
     """
-    vec = as_floats(values)
-    if len(vec) != length:
-        raise ValueError(f"{name} needs {length} components, got {len(vec)}")
-    in_range = True  # NaN and infinities fail too
-    total = 0.0
-    for v in vec:
-        in_range = in_range & (EIGENVALUE_FLOOR <= v) & (v <= 1 + 1e-12)
-        total = total + v
-    # the first failing vector, as floats, with the message of its first failing check
-    bad = first_failure(in_range & (abs(total - 1.0) <= 1e-12), [*vec, total])
-    if bad is not None:
-        *row, total = bad
-        if not all(map(math.isfinite, row)):
-            raise ValueError(f"{name} components must be finite")
-        if not all(EIGENVALUE_FLOOR <= v <= 1 + 1e-12 for v in row):
-            raise ValueError(f"{name} components must lie in [0, 1]: {row}")
-        raise ValueError(f"{name} must sum to 1 within 1e-12, got {total!r}")
-    clamped = [maximum(v, 0.0) for v in vec]
+    if _passing_floats(values, length):
+        clamped = [0.0 if v < 0.0 else v for v in values]  # max(v, 0.0), keeping -0.0
+    else:
+        vec = as_floats(values)
+        if len(vec) != length:
+            raise ValueError(f"{name} needs {length} components, got {len(vec)}")
+        in_range = True  # NaN and infinities fail too
+        total = 0.0
+        for v in vec:
+            in_range = in_range & (EIGENVALUE_FLOOR <= v) & (v <= 1 + 1e-12)
+            total = total + v
+        # the first failing vector, as floats, with the message of its first failing check
+        bad = first_failure(in_range & (abs(total - 1.0) <= 1e-12), [*vec, total])
+        if bad is not None:
+            *row, total = bad
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"{name} components must be finite")
+            if not all(EIGENVALUE_FLOOR <= v <= 1 + 1e-12 for v in row):
+                raise ValueError(f"{name} components must lie in [0, 1]: {row}")
+            raise ValueError(f"{name} must sum to 1 within 1e-12, got {total!r}")
+        clamped = [maximum(v, 0.0) for v in vec]
     norm = 0.0
     for v in clamped:
         norm = norm + v

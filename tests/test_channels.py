@@ -16,6 +16,7 @@ from mdiqsdc.channels import (
     error_rate_in_basis,
 )
 from mdiqsdc.quantum import (
+    PAULI_PRODUCT,
     BellLabel,
     DensityMatrix,
     PauliLabel,
@@ -120,6 +121,36 @@ class TestConvolve:
         left = convolve(convolve(d1, d2), d3)
         right = convolve(d1, convolve(d2, d3))
         np.testing.assert_allclose(left.probabilities, right.probabilities, atol=1e-14)
+
+    @staticmethod
+    def written_out(d1, d2):
+        """The double loop over both labels that convolve's terms follow."""
+        out = [0.0, 0.0, 0.0, 0.0]
+        for i in range(4):
+            for j in range(4):
+                out[PAULI_PRODUCT[i][j]] += d1.probabilities[i] * d2.probabilities[j]
+        return PauliDistribution(tuple(out))
+
+    @given(d1=dist_strategy, d2=dist_strategy)
+    @settings(max_examples=200, deadline=None)
+    def test_floats_equal_the_double_loop_bit_for_bit(self, d1, d2):
+        got = convolve(d1, d2).probabilities
+        assert [type(v) for v in got] == [float] * 4
+        assert np.array(got).tobytes() == np.array(self.written_out(d1, d2).probabilities).tobytes()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_arrays_equal_the_double_loop_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        rows = rng.random((2, 4, 64)) ** 3
+        rows[:, :, :4] = 0.0  # point masses and zeros among the grid rows
+        rows[:, 0, :4] = 1.0
+        laws = rows / rows.sum(axis=1, keepdims=True)
+        d1, d2 = (PauliDistribution(tuple(law)) for law in laws)
+        got = np.stack(convolve(d1, d2).probabilities)
+        assert got.tobytes() == np.stack(self.written_out(d1, d2).probabilities).tobytes()
+        for k in (0, 17, 63):  # each grid row is the float call at that row
+            floats = [PauliDistribution(tuple(law[:, k].tolist())) for law in laws]
+            assert got[:, k].tobytes() == np.array(convolve(*floats).probabilities).tobytes()
 
     @pytest.mark.parametrize("p", [0.0, 0.2, 0.5, 1.0])
     def test_two_legs_match_density_matrix_oracle(self, p):

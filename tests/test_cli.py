@@ -1,5 +1,6 @@
 """Command-line interface tests: CSV schema, SVG embedding, exit codes."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -31,7 +32,7 @@ from mdiqsdc.cli import (
     _analytic_csv_lines,
     _grid_blocks,
     _parse_grid,
-    _svg_text,
+    _svg_chunks,
     build_parser,
     main,
 )
@@ -48,6 +49,7 @@ from mdiqsdc.quantum import PauliLabel
 
 # the benchmark's correctness gate, imported from its own directory and not modified
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 from gate import Gate, Outcome  # noqa: E402
 from workloads import Op  # noqa: E402
 
@@ -171,7 +173,8 @@ class TestSweep:
 
     def test_svg_escapes_like_xml_sax(self):
         label = "a&b<c>d\"e'f"
-        svg = _svg_text([(label, [0.0, 0.5], [1.0, 0.0])], label)
+        curve = (label, [np.array([0.0, 0.5])], [np.array([1.0, 0.0])])
+        svg = "".join(_svg_chunks([curve], label))
         assert svg.count(sax_escape(label)) == 4
         assert "&amp;b&lt;c&gt;d\"e'f" in svg
 
@@ -335,8 +338,9 @@ class TestSweepBlocks:
         argv = ["sweep", "--grid", "0:0.5:0.0005", "--csv", str(csv_path), "--svg", str(svg_path)]
         code, _, _ = run_cli(argv, capsys)
         assert code == 0
-        assert len(written) == 1 + 4 * 2 + 1  # header, two blocks per protocol, the SVG
-        assert sum(written) == csv_path.stat().st_size + svg_path.stat().st_size
+        csv_writes = 1 + 4 * 2  # header, two blocks per protocol; then the SVG's pieces
+        assert sum(written[:csv_writes]) == csv_path.stat().st_size
+        assert sum(written[csv_writes:]) == svg_path.stat().st_size
 
     @pytest.mark.parametrize(
         "args",
@@ -385,6 +389,34 @@ class TestSweepBlocks:
                   str(tmp_path / "c.csv")])  # warm-up: imports and caches
         small, large = peak("0:0.5:0.0005"), peak("0:0.5:0.000025")
         assert large <= 6 * small, (small, large)
+
+
+    def test_svg_memory_per_grid_point(self, tmp_path):
+        """--svg keeps each curve's block arrays, 16 B per point per curve,
+        and formats the plot a block at a time. From 1001 to 20001 points its
+        tracemalloc peak grows by at most 100 B per extra point more than the
+        peak without --svg, whose growth is the CSV block filling up from
+        1001 to 4096 rows, which stops at one block (about 90 B per point
+        over this range). Building the whole plot text at once grew by about
+        560 B per point more."""
+        def peak(grid, *svg):
+            argv = ["sweep", "--protocol", "all", "--grid", grid,
+                    "--csv", str(tmp_path / "c.csv"), *svg]
+            with contextlib.redirect_stderr(io.StringIO()):
+                tracemalloc.start()
+                try:
+                    assert main(argv) == 0
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        svg = ("--svg", str(tmp_path / "c.svg"))
+        peak("0:0.5:0.0005", *svg)  # warm-up: imports and caches
+        small, large = "0:0.5:0.0005", "0:0.5:0.000025"
+        assert grid_points(large).size - grid_points(small).size == 19000
+        with_svg = peak(large, *svg) - peak(small, *svg)
+        without = peak(large) - peak(small)
+        assert with_svg - without <= 100 * 19000, (with_svg, without)
 
 
 @st.composite
@@ -644,6 +676,26 @@ class TestSimulate:
         assert run_cli(args, capsys) == expected
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("protocol", ["mdi-ts", "mdi-dl04"])
+    def test_message_law_composed_once(self, capsys, monkeypatch, protocol):
+        """The cell law of the run and its analytic twin read one message law."""
+        args = [
+            "simulate", "--protocol", protocol, "--p", "0.2", "--rounds", "2000",
+            "--noise", "both-legs", "--attack", "intercept-resend", "--encoding", "x",
+        ]
+        expected = run_cli(args, capsys)
+        calls = []
+        compose = mdiqsdc.protocol.message_law
+
+        def counting(*call_args, **kwargs):
+            calls.append(call_args)
+            return compose(*call_args, **kwargs)
+
+        for module in (mdiqsdc.protocol, mdiqsdc.curves, mdiqsdc.cli):
+            monkeypatch.setattr(module, "message_law", counting)
+        assert run_cli(args, capsys) == expected
+        assert len(calls) == 1
+
     def test_montecarlo_tracks_analytic(self, capsys):
         code, out, _ = run_cli(
             [
@@ -783,6 +835,18 @@ class TestExitCodes:
         assert err.startswith("error: ") and message in err
         assert out == "" and "Traceback" not in err
 
+    @pytest.mark.parametrize("grid", ["garbage", "0:0.5:0.005"])
+    @pytest.mark.parametrize("point", [["--x", "0.1"], ["--p", "0.2"], ["--x=0"]])
+    def test_grid_with_a_single_point_exits_2(self, capsys, tmp_path, point, grid):
+        flag = point[0].split("=")[0]
+        message = f"error: --grid and {flag} are mutually exclusive\n"
+        code, out, err = run_cli(["sweep", *point, "--grid", grid], capsys)
+        assert (code, out, err) == (2, "", message)
+        config = tmp_path / "grid.conf"
+        config.write_text(f"grid = {grid}\n")
+        code, out, err = run_cli(["sweep", *point, "--config", str(config)], capsys)
+        assert (code, out, err) == (2, "", message)
+
     @pytest.mark.parametrize("eta", [repr(ETA_MAX), "1e200"])
     @pytest.mark.parametrize("p", ["0", "0.2"])
     @pytest.mark.parametrize("protocol", ["mdi-ts", "mdi-dl04"])
@@ -904,9 +968,9 @@ class TestParserReuse:
     def test_reused_parser_leaks_no_state(self, capsys, monkeypatch):
         configs = []
 
-        def recording_run(cfg, dists=None):
+        def recording_run(cfg, *args):
             configs.append(cfg)
-            return mdiqsdc.protocol.run(cfg, dists)
+            return mdiqsdc.protocol.run(cfg, *args)
 
         monkeypatch.setattr(mdiqsdc.cli, "run", recording_run)
         base = ["simulate", "--protocol", "mdi-ts", "--p", "0.1", "--rounds", "2000"]
@@ -918,6 +982,190 @@ class TestParserReuse:
         assert run_cli(["simulate", "--protocol", "mdi-ts", "--x", "5"], capsys)[0] == 2
         assert run_cli(base, capsys)[0] == 0
         assert len(configs) == 2 and configs[-1].q_override is None
+
+
+def namespace_main_builds(argv, monkeypatch):
+    """The attributes of the namespace ``main(argv)`` hands its subcommand,
+    but the config-file values it adds after parsing."""
+    seen = []
+
+    def recording(args):
+        seen.append(dict(vars(args)))
+        return 0
+
+    for command in ("cmd_sweep", "cmd_simulate", "cmd_verify"):
+        monkeypatch.setattr(mdiqsdc.cli, command, recording)
+    assert main(list(argv)) == 0
+    (args,) = seen
+    del args["config_values"]
+    return args
+
+
+def exit_and_streams(argv, capsys):
+    """Exit code, stdout and stderr of a call that argparse ends."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+class TestOneParse:
+    """``main`` reads argv once, with the named subcommand's parser alone,
+    and builds what one ``build_parser().parse_args`` call builds."""
+
+    USAGE = "usage: mdiqsdc [-h] {sweep,simulate,verify} ...\n"
+    # stdout and stderr of the parse that reads argv twice, at 80 columns
+    ENDED_BY_ARGPARSE = {
+        (): (
+            2,
+            "",
+            USAGE + "mdiqsdc: error: the following arguments are required: command\n",
+        ),
+        ("-h",): (
+            0,
+            USAGE + "\n"
+            "Secrecy-capacity sweeps and Monte Carlo runs of measurement-device-independent\n"
+            "QSDC protocols.\n"
+            "\n"
+            "positional arguments:\n"
+            "  {sweep,simulate,verify}\n"
+            "    sweep               analytic capacity curves over x = p/2\n"
+            "    simulate            Monte Carlo protocol run\n"
+            "    verify              oracle-equivalence and invariant checks\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n",
+            "",
+        ),
+        ("bogus",): (
+            2,
+            "",
+            USAGE + "mdiqsdc: error: argument command: invalid choice: 'bogus' "
+            "(choose from 'sweep', 'simulate', 'verify')\n",
+        ),
+        ("simulate", "--protocol", "mdi-ts", "--p", "0.2", "--bogus"): (
+            2,
+            "",
+            USAGE + "mdiqsdc: error: unrecognized arguments: --bogus\n",
+        ),
+        ("simulate", "--p"): (
+            2,
+            "",
+            "usage: mdiqsdc simulate [-h] [--protocol PROTOCOL] [--p P] [--x X]\n"
+            "                        [--noise NOISE] [--encoding ENCODING] [--q Q]\n"
+            "                        [--eta ETA] [--csv CSV] [--config CONFIG]\n"
+            "                        [--rounds ROUNDS] [--seed SEED]\n"
+            "                        [--check-fraction CHECK_FRACTION] [--attack ATTACK]\n"
+            "mdiqsdc simulate: error: argument --p: expected one argument\n",
+        ),
+        ("verify", "--inject-fault", "nope"): (
+            2,
+            "",
+            "usage: mdiqsdc verify [-h] [--inject-fault {decomposition-sign}]\n"
+            "mdiqsdc verify: error: argument --inject-fault: invalid choice: 'nope' "
+            "(choose from 'decomposition-sign')\n",
+        ),
+    }
+
+    @staticmethod
+    def argvs(work_dir):
+        """The pinned simulate runs, the sweep pins, verify, the benchmark's
+        workloads, ``--flag=value`` forms and an abbreviated flag."""
+        pinned = [TestSimulate.pinned_argv(*pin) for pin in TestSimulate.SIMULATE_SHA256]
+        assert len(pinned) == 48
+        sweeps = [["sweep", "--grid", *grid] for grid in TestSweepBlocks.MULTI_BLOCK_SHA256]
+        sweeps += [["sweep", "--noise", "both-legs", "--encoding", "x", "--svg", "c.svg"]]
+        workload_ops = [
+            op.argv
+            for workload in ("mc-scan", "mc-large", "oracle-sweep")
+            for op in workloads.build(workload, 7, work_dir)
+        ]
+        return [
+            *pinned,
+            *sweeps,
+            *workload_ops,
+            ["verify"],
+            ["verify", "--inject-fault", "decomposition-sign"],
+            ["verify", "--inject-fault=decomposition-sign"],
+            ["simulate", "--protocol=mdi-dl04", "--p=0.2", "--rounds=2000", "--encoding=x"],
+            ["sweep", "--x=0.1", "--q=0.5", "--csv=-"],
+            ["simulate", "--prot", "mdi-ts", "--p", "0.1", "--check", "0.5", "--att", "none"],
+            ["sweep", "--prot", "all", "--enc", "z", "--p", "-0"],
+            ["simulate", "--p", "0.1", "--p", "0.3"],
+        ]
+
+    def test_main_builds_the_namespace_of_one_parse_args(self, tmp_path, monkeypatch):
+        argvs = self.argvs(tmp_path)
+        assert len(argvs) > 48 + 288
+        for argv in argvs:
+            expected = vars(build_parser().parse_args(list(argv)))
+            assert namespace_main_builds(argv, monkeypatch) == expected, argv
+
+    @pytest.mark.parametrize(
+        "argv, parsers",
+        [
+            (["simulate", "--protocol", "mdi-ts", "--p", "0.1"], ["mdiqsdc simulate"]),
+            (["sweep", "--x", "0.1"], ["mdiqsdc sweep"]),
+            (["verify"], ["mdiqsdc verify"]),
+        ],
+    )
+    def test_only_the_subcommand_parser_reads_argv(self, monkeypatch, argv, parsers):
+        read = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def recording(parser, *args, **kwargs):
+            read.append(parser.prog)
+            return parse_known_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recording)
+        namespace_main_builds(argv, monkeypatch)
+        assert read == parsers
+        read.clear()
+        build_parser().parse_args(argv)
+        assert read == ["mdiqsdc", *parsers]  # the parse that reads argv twice
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_config_file_namespace(self, tmp_path, monkeypatch, command):
+        config = tmp_path / "run.conf"
+        config.write_text("protocol = mdi-ts\nx = 0.1\n")
+        monkeypatch.chdir(tmp_path)
+        for argv in (
+            [command, "--config", str(config)],
+            [command, f"--config={config}", "--x", "0.2"],
+            [command, "--conf", "run.conf", "--csv", "out.csv"],
+        ):
+            expected = vars(build_parser().parse_args(argv))
+            assert namespace_main_builds(argv, monkeypatch) == expected, argv
+
+    @pytest.mark.parametrize("argv", list(ENDED_BY_ARGPARSE), ids=" ".join)
+    def test_argparse_exits_are_pinned(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage and help to the terminal
+        assert exit_and_streams(argv, capsys) == self.ENDED_BY_ARGPARSE[argv]
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(list(argv))
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out, captured.err) == self.ENDED_BY_ARGPARSE[argv]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "extra"],
+            ["simulate", "--", "--p", "0.1"],
+            ["sweep", "-x", "0.1"],
+            ["sweep", "--c", "x"],
+            ["sweep", "--he"],
+            ["verify", "--inject-fault"],
+            ["simulate", "simulate"],
+            ["--protocol", "mdi-ts", "simulate"],
+        ],
+    )
+    def test_other_exits_match_one_parse_args(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        ours = exit_and_streams(argv, capsys)
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        captured = capsys.readouterr()
+        assert ours == (exc.value.code, captured.out, captured.err)
 
 
 class TestConfigFile:

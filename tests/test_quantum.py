@@ -560,6 +560,103 @@ class TestProbabilityArrays:
             validate_probability_vector(tuple(np.zeros((3, 2))), name="rows")
 
 
+FLOOR = mdiqsdc.quantum.EIGENVALUE_FLOOR
+# components at the edges of the checks: signed zeros, the -1e-10 floor and
+# its neighbours, 1 + 1e-12, subnormals and non-finite values
+EDGE_COMPONENTS = (
+    0.0, -0.0, 1.0, 0.5, 0.25, 5e-324, -5e-324, FLOOR,
+    math.nextafter(FLOOR, -math.inf), math.nextafter(FLOOR, 0.0),
+    1 + 1e-12, math.nextafter(1 + 1e-12, math.inf),
+    math.nan, math.inf, -math.inf,
+)
+# what the last component adds to a sum of exactly 1: on, inside, at and past 1e-12
+SUM_OFFSETS = (
+    0.0, 5e-13, 1e-12, -1e-12, math.nextafter(1e-12, 0.0), math.nextafter(1e-12, 1.0),
+    -math.nextafter(1e-12, 1.0), 2e-12, -2e-12, FLOOR,
+)
+IN_RANGE = st.one_of(
+    st.sampled_from((0.0, -0.0, 5e-324, FLOOR, math.nextafter(FLOOR, 0.0))),
+    st.floats(0.0, 1.0),
+    st.floats(FLOOR, 1e-9),
+)
+COMPONENTS = st.one_of(
+    IN_RANGE,
+    st.sampled_from(EDGE_COMPONENTS),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def float_vectors(draw):
+    """A tuple of Python floats, most often four, whose last component
+    often sets the running sum to 1 or to 1e-12 or so off it."""
+    length = draw(st.sampled_from([4] * 8 + [3, 5]))
+    values = draw(st.lists(draw(st.sampled_from([IN_RANGE, COMPONENTS])), min_size=length,
+                           max_size=length))
+    if draw(st.sampled_from([True, True, False])):
+        values[:-1] = [v / length for v in values[:-1]]  # mostly keeps the sum below 1
+        total = 0.0
+        for v in values[:-1]:
+            total = total + v
+        values[-1] = 1.0 - total + draw(st.sampled_from(SUM_OFFSETS))
+    return tuple(values)
+
+
+def validated(values):
+    """The validated tuple, or the message of the ValueError raised."""
+    try:
+        return validate_probability_vector(values, name="law")
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestFloatPath:
+    """A tuple of Python floats that passes skips the elementwise path; its
+    result and every failure's message are those of that path."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(float_vectors())
+    def test_floats_equal_a_one_element_array_row(self, values):
+        ours = validated(values)
+        with np.errstate(all="ignore"):  # inf - inf in the sum is a failure like any other
+            row = validated(tuple(np.array([v]) for v in values))
+        if isinstance(row, str):
+            assert ours == row
+        else:
+            assert [type(v) for v in ours] == [float] * 4
+            assert np.array(ours).tobytes() == np.concatenate(row).tobytes()
+        # the short path is taken exactly when the vector passes
+        assert mdiqsdc.quantum._passing_floats(values, 4) == (not isinstance(row, str))
+
+    @pytest.mark.parametrize(
+        "values, kept",
+        [
+            ((-0.0, 1.0, 0.0, 0.0), (-0.0, 1.0, 0.0, 0.0)),
+            ((FLOOR, 1.0, 0.0, -FLOOR), (0.0, 1.0 / (1.0 - FLOOR), 0.0, -FLOOR / (1.0 - FLOOR))),
+        ],
+    )
+    def test_signed_zero_kept_and_floor_clamped(self, values, kept):
+        out = validate_probability_vector(values, name="law")
+        assert np.array(out).tobytes() == np.array(kept).tobytes()
+
+    def test_other_inputs_take_the_elementwise_path(self, monkeypatch):
+        general = []
+        as_floats = mdiqsdc.quantum.as_floats
+
+        def recording(values):
+            general.append(values)
+            return as_floats(values)
+
+        monkeypatch.setattr(mdiqsdc.quantum, "as_floats", recording)
+        validate_probability_vector((0.25, 0.25, 0.25, 0.25), name="law")
+        assert general == []
+        for values in ([0.25] * 4, (0.25, 0.25, 0.25, np.float64(0.25)), (1, 0.0, 0.0, 0.0)):
+            validate_probability_vector(values, name="law")
+        with pytest.raises(ValueError):
+            validate_probability_vector((0.5, 0.5, 0.5, 0.5), name="law")
+        assert len(general) == 4
+
+
 def random_density_matrices(rng, count, dim):
     return np.stack([random_density(rng, dim, rank=int(rng.integers(1, dim + 1))).matrix
                      for _ in range(count)])

@@ -30,7 +30,7 @@ from .curves import (
     analytic_point_for_config,
     zero_crossing,
 )
-from .elementwise import as_list, minimum
+from .elementwise import minimum
 from .infotheory import ETA_MAX
 from .protocol import (
     AttackModel,
@@ -38,8 +38,7 @@ from .protocol import (
     Protocol,
     ProtocolConfig,
     TranscriptStats,
-    message_law,
-    round_error_dists_for_config,
+    round_law_for_config,
     run,
 )
 from .quantum import PauliLabel
@@ -67,6 +66,9 @@ MAX_GRID_POINTS = 1_000_000
 # does not grow with the grid; the default and the finest documented grid
 # stay one block per protocol.
 SWEEP_BLOCK = 4096
+# CSV rows formatted and written at a time: a slice's values alone stand as
+# Python floats and strings, not a whole block's.
+CSV_SLICE = 256
 
 
 class UsageError(Exception):
@@ -77,10 +79,11 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else "%.12g" % value
 
 
-def _analytic_csv_lines(point: AnalyticPoint) -> list[str]:
+def _analytic_csv_text(point: AnalyticPoint) -> Iterator[str]:
     """CSV rows of an analytic point, or of every point of a grid, from one
-    row template."""
-    row = "%.12g,%.12g," + point.protocol.value + ",%.12g" * 7 + ",analytic,,"
+    row template, each row ending in a newline: a grid's rows come
+    ``CSV_SLICE`` to a piece, formatted from that slice of its arrays."""
+    row = "%.12g,%.12g," + point.protocol.value + ",%.12g" * 7 + ",analytic,,\n"
     columns = (
         point.x,
         point.p,
@@ -92,7 +95,12 @@ def _analytic_csv_lines(point: AnalyticPoint) -> list[str]:
         point.capacity.raw,
         point.capacity.clamped,
     )
-    return [row % cells for cells in zip(*map(as_list, columns))]
+    if not isinstance(point.x, np.ndarray):
+        yield row % columns
+        return
+    for lo in range(0, point.x.size, CSV_SLICE):
+        part = [column[lo : lo + CSV_SLICE].tolist() for column in columns]
+        yield "".join(row % cells for cells in zip(*part))
 
 
 def _row_from_stats(cfg: ProtocolConfig, stats: TranscriptStats) -> str:
@@ -127,10 +135,6 @@ def _write_text(target: str | TextIO | None, text: str) -> None:
             handle.write(text)
     else:
         target.write(text)
-
-
-def _csv_text(lines: list[str]) -> str:
-    return "\n".join([CSV_HEADER, *lines]) + "\n"
 
 
 def _svg_chunks(
@@ -463,7 +467,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 curve = analytic_point(
                     protocol, block, noise=noise, encoding=encoding, q=q, eta=eta
                 )
-                _write_text(out, "\n".join(_analytic_csv_lines(curve)) + "\n")
+                for text in _analytic_csv_text(curve):
+                    _write_text(out, text)
                 if svg is not None:
                     xs.append(curve.x)
                     ys.append(curve.capacity.clamped)
@@ -511,18 +516,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
-    # one composition of the round's errors and of the message law feeds
-    # both the cell law of the run and its analytic twin
-    dists = round_error_dists_for_config(cfg)
-    law = message_law(cfg.protocol, cfg.dl04_encoding, *dists)
-    stats = run(cfg, dists, law)
+    # one round law feeds both the cell law of the run and its analytic twin
+    laws = round_law_for_config(cfg)
+    stats = run(cfg, laws)
     if not stats.estimate_available:
         print(f"insufficient statistics: {stats.unavailable_reason}", file=sys.stderr)
         return EXIT_INSUFFICIENT_STATS
 
-    twin = analytic_point_for_config(cfg, dists, law)
-    rows = [*_analytic_csv_lines(twin), _row_from_stats(cfg, stats)]
-    _write_text(_merged(args, "csv", None), _csv_text(rows))
+    twin = analytic_point_for_config(cfg, laws)
+    (twin_row,) = _analytic_csv_text(twin)
+    csv_text = CSV_HEADER + "\n" + twin_row + _row_from_stats(cfg, stats) + "\n"
+    _write_text(_merged(args, "csv", None), csv_text)
     _print_summary(cfg, stats)
     return EXIT_OK
 

@@ -7,13 +7,12 @@ composition 2x(1-x); the non-MDI baselines are reconstructions fed with
 single-use rates, since only their qualitative relation to the MDI curves is
 pinned down.
 
-The MDI curves and the analytic twin of a Monte Carlo run take their error
-distributions from :func:`mdiqsdc.protocol.round_error_dists` and the law
-of a message round's error from :func:`mdiqsdc.protocol.message_law`, the
-same laws the sampler draws from, and evaluate them with
-:func:`mdiqsdc.protocol.closed_form`, the one closed form, which a run's
-estimate evaluates at its observed frequencies; this module composes no
-transmission legs and computes no entropy itself.
+Every curve and the analytic twin of a Monte Carlo run take the pair frame
+and the law of a message round's error from
+:func:`mdiqsdc.protocol.round_law`, the same law the sampler draws from, and
+evaluate them with :func:`mdiqsdc.protocol.closed_form`, the one closed form,
+which a run's estimate evaluates at its observed frequencies; this module
+composes no transmission legs and computes no entropy itself.
 
 :func:`analytic_point` takes one x as a float or a whole grid as a 1-D
 float64 array and runs the same code on either (see ``elementwise``): a
@@ -28,19 +27,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .channels import PauliDistribution, depolarizing_pauli_dist, error_rate_in_basis
+from .channels import PauliDistribution, error_rate_in_basis
 from .elementwise import check_range
 from .infotheory import CapacityResult
 from .protocol import (
     NoisePlacement,
     Protocol,
     ProtocolConfig,
-    RoundErrorDists,
+    RoundLaw,
     arrival,
     closed_form,
-    message_law,
-    round_error_dists,
-    round_error_dists_for_config,
+    round_law,
+    round_law_for_config,
 )
 from .quantum import PauliLabel
 
@@ -98,45 +96,30 @@ def analytic_point(
     eta: float = 1.0,
 ) -> AnalyticPoint:
     """Evaluate one protocol curve at x = p/2, without an attacker: at one
-    float x, or at every x of a 1-D float64 array. The non-MDI baselines see
-    one channel use: the two-step symbol errs by its Pauli error, and the
-    single-photon bit flips with the single-use rate x."""
+    float x, or at every x of a 1-D float64 array."""
     check_range(x, 0.0, X_MAX, "sweep position x=")
-    p = 2.0 * x
-    if protocol in (Protocol.MDI_TS, Protocol.MDI_DL04):
-        frame, second = round_error_dists(protocol, p, noise)
-        law = message_law(protocol, encoding, frame, second)
-    elif protocol in (Protocol.TWO_STEP, Protocol.DL04):
-        frame = depolarizing_pauli_dist(p)
-        law = frame.probabilities if protocol == Protocol.TWO_STEP else (1.0 - x, x)
-    else:
-        raise ValueError(f"unknown protocol {protocol!r}")
+    frame, law = round_law(protocol, 2.0 * x, noise, encoding)
     return _point(protocol, x, frame, law, encoding=encoding, q=q, eta=eta)
 
 
 def analytic_point_for_config(
-    cfg: ProtocolConfig,
-    dists: RoundErrorDists | None = None,
-    law: tuple[float, ...] | None = None,
+    cfg: ProtocolConfig, laws: RoundLaw | None = None
 ) -> AnalyticPoint:
     """Analytic twin of a Monte Carlo configuration, attack and its leg
     included, at the gain :func:`~mdiqsdc.protocol.arrival` unless the
-    config overrides it; ``dists`` is :func:`round_error_dists_for_config`
-    of ``cfg`` and ``law`` its :func:`~mdiqsdc.protocol.message_law`, each
-    composed here when not given, so a run and its twin can share both."""
-    frame, second = dists if dists is not None else round_error_dists_for_config(cfg)
-    if law is None:
-        law = message_law(cfg.protocol, cfg.dl04_encoding, frame, second)
+    config overrides it; ``laws`` is
+    :func:`~mdiqsdc.protocol.round_law_for_config` of ``cfg``, composed here
+    when not given, so a run and its twin can share it."""
+    frame, law = laws if laws is not None else round_law_for_config(cfg)
     q = cfg.q_override if cfg.q_override is not None else arrival(cfg)
     return _point(
         cfg.protocol, cfg.channel_p / 2.0, frame, law, encoding=cfg.dl04_encoding, q=q, eta=cfg.eta
     )
 
 
-def bisect_zero(
-    f: Callable[[float], float], lo: float, hi: float, *, xtol: float = ZERO_CROSSING_TOL
-) -> float | None:
-    """Root of a decreasing function by bisection, or None without a sign change."""
+def bisect_zero(f: Callable[[float], float], lo: float, hi: float) -> float | None:
+    """Root of a decreasing function by bisection, to ``ZERO_CROSSING_TOL``,
+    or None without a sign change."""
     f_lo, f_hi = f(lo), f(hi)
     if f_lo == 0.0:
         return lo
@@ -144,7 +127,7 @@ def bisect_zero(
         return hi
     if f_lo < 0.0 or f_hi > 0.0:
         return None
-    while hi - lo > xtol:
+    while hi - lo > ZERO_CROSSING_TOL:
         mid = 0.5 * (lo + hi)
         if f(mid) > 0.0:
             lo = mid

@@ -24,11 +24,6 @@ def as_floats(values) -> list:
     ]
 
 
-def as_list(value) -> list:
-    """The elements of an array as a list of floats, or ``[value]``."""
-    return value.tolist() if isinstance(value, np.ndarray) else [value]
-
-
 def neg_p_log2_p(p):
     """-p log2 p, with 0 log 0 = 0. Arrays take ``math.log2`` per element:
     numpy's vectorised log2 may differ from it in the last bit."""

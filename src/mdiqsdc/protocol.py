@@ -21,15 +21,15 @@ the cell law from a generator seeded with the run's seed (Devroye,
 run's tally, and the estimate reads it directly. Its time and memory do not
 depend on the number of rounds; :func:`run` runs either protocol.
 
-:func:`round_error_dists` is the one composition of a round's errors, and
-:func:`message_law` the one law of a message round's error: the pair frame,
-the re-transmission error and the message law built from them feed both
-consumers, namely the cell law of a run and the closed-form curves of
-``curves``. Both take a float channel parameter or an array of them, so the
-curves compose a whole sweep grid in one call. :func:`closed_form` is the
-one form of the bound Q [bits - H - eta leak]: the curves and the analytic
-twin evaluate it at the exact checked rates and message law, a run at the
-frequencies it observed.
+:func:`round_law` is the one law of a round: the pair frame, off which the
+checked rates are read, and :func:`message_law` of the frame composed with
+the re-transmission error. That one pair feeds every consumer: the cell law
+of a run, the Pauli-frame backend and the closed-form curves of ``curves``,
+the two non-MDI baselines included. It takes a float channel parameter or an
+array of them, so the curves compose a whole sweep grid in one call.
+:func:`closed_form` is the one form of the bound Q [bits - H - eta leak]: the
+curves and the analytic twin evaluate it at the exact checked rates and
+message law, a run at the frequencies it observed.
 
 The one attack is intercept-resend on Alice's first leg: the attacker
 measures each photon in a random Z or X basis and resends the eigenstate
@@ -85,7 +85,7 @@ from .quantum import (
     basis_eigenvector,
     bell_measure,
     bell_state,
-    embed_two_qubit_operator,
+    embed_operator,
     partial_trace,
     pauli_channel,
 )
@@ -258,62 +258,69 @@ def intercept_resend_channel(dm: DensityMatrix, qubit: int) -> DensityMatrix:
     return pauli_channel(dm, tuple((dephase_z + dephase_x) / 2), qubit)
 
 
-RoundErrorDists = tuple[PauliDistribution, PauliDistribution]
+RoundLaw = tuple[PauliDistribution, tuple[float, ...]]
 
 
-def round_error_dists(
+def round_law(
     protocol: Protocol,
     p: float,
     noise: NoisePlacement,
+    encoding: PauliLabel,
     eve: PauliDistribution | None = None,
-) -> RoundErrorDists:
-    """The two Pauli errors of one round: ``(frame, second)``.
+) -> RoundLaw:
+    """The law of one round: ``(frame, law)``.
 
-    ``frame`` composes both first legs, the attacker's process ``eve`` on
+    ``frame`` is the Pauli error the checks see, off which the checked rates
+    are read: both first legs composed, the attacker's process ``eve`` on
     Alice's (the labels form an abelian group, so the attacked leg would
-    change the frame only by rounding); the checked rates are read off it.
-    ``second`` is the re-transmission error of message rounds. The cell law of
-    a run and the closed-form curves take their distributions from here; ``p``
-    may be a float or, for a sweep grid, a 1-D float64 array.
+    change the frame only by rounding). ``law`` is :func:`message_law` of the
+    frame composed with the re-transmission error of message rounds. The
+    non-MDI baselines see one channel use: the two-step symbol errs by its
+    Pauli error, and the single-photon bit flips with the single-use rate
+    p/2. The cell law of a run and the closed-form curves take their laws
+    from here; ``p`` may be a float or, for a sweep grid, a 1-D float64 array.
     """
     single = depolarizing_pauli_dist(p)
+    if protocol == Protocol.TWO_STEP:
+        return single, single.probabilities
+    if protocol == Protocol.DL04:
+        return single, (1.0 - p / 2.0, p / 2.0)
     attacked = convolve(single, eve) if eve is not None else single
     frame = convolve(attacked, single)
     if noise != NoisePlacement.BOTH_LEGS:
-        return frame, IDENTITY_DIST
-    # only Alice's encoded photon travels again in the single-photon protocol
-    return frame, convolve(single, single) if protocol == Protocol.MDI_TS else single
+        second = IDENTITY_DIST
+    elif protocol == Protocol.MDI_TS:
+        second = convolve(single, single)
+    else:
+        second = single  # only Alice's encoded photon travels again
+    return frame, message_law(protocol, encoding, convolve(frame, second))
 
 
-def round_error_dists_for_config(
+def round_law_for_config(
     cfg: ProtocolConfig, channel_p: float | np.ndarray | None = None
-) -> RoundErrorDists:
-    """:func:`round_error_dists` of a Monte Carlo configuration, attack
-    included, at ``channel_p`` (a float or a 1-D float64 grid) in place of
+) -> RoundLaw:
+    """:func:`round_law` of a Monte Carlo configuration, attack included, at
+    ``channel_p`` (a float or a 1-D float64 grid) in place of
     ``cfg.channel_p`` when given."""
     eve = INTERCEPT_RESEND_DIST if cfg.attack == AttackModel.INTERCEPT_RESEND else None
     p = cfg.channel_p if channel_p is None else channel_p
-    return round_error_dists(cfg.protocol, p, cfg.noise, eve)
+    return round_law(cfg.protocol, p, cfg.noise, cfg.dl04_encoding, eve)
 
 
 def message_law(
-    protocol: Protocol,
-    encoding: PauliLabel,
-    frame: PauliDistribution,
-    second: PauliDistribution,
+    protocol: Protocol, encoding: PauliLabel, net: PauliDistribution
 ) -> tuple[float, ...]:
-    """Law of decoded (-) encoded on an arrived message round, from the
-    ``(frame, second)`` pair of :func:`round_error_dists`; floats, or 1-D
-    arrays for a grid.
+    """Law of decoded (-) encoded on an arrived message round whose pair frame
+    and re-transmission error compose to ``net``; floats, or 1-D arrays for a
+    grid.
 
     The entanglement protocols (and the two-step baseline) decode the
-    symbol up to the net label of frame and re-transmission: the law is that
-    label's distribution over the two-bit differences. The single-photon
-    protocol reads its bit in ``MESSAGE_BASIS[encoding]``, and the decoded
-    bit errs exactly when the net label anticommutes with that basis,
-    whichever bit was sent: the law is ``(1 - flip, flip)``.
+    symbol up to the net label: the law is that label's distribution over
+    the two-bit differences. The single-photon protocol reads its bit in
+    ``MESSAGE_BASIS[encoding]``, and the decoded bit errs exactly when the
+    net label anticommutes with that basis, whichever bit was sent: the law
+    is ``(1 - flip, flip)``.
     """
-    net = convolve(frame, second)
     if protocol != Protocol.MDI_DL04:
         return net.probabilities
     flip = error_rate_in_basis(net, MESSAGE_BASIS[encoding])
@@ -364,24 +371,18 @@ def arrival(cfg: ProtocolConfig) -> float:
     return cfg.transmittance ** (2 if cfg.protocol == Protocol.MDI_TS else 1)
 
 
-def _cell_probabilities(
-    cfg: ProtocolConfig,
-    dists: RoundErrorDists | None = None,
-    law: tuple[float, ...] | None = None,
-) -> np.ndarray:
+def _cell_probabilities(cfg: ProtocolConfig, laws: RoundLaw) -> np.ndarray:
     """Law of the tally cell one round reaches, in the order of a run's cell
-    counts: per check basis, no error then error; each value of
-    :func:`message_law` on an arrived message round; a lost message round.
-    ``dists`` is :func:`round_error_dists_for_config` of ``cfg`` and ``law``
-    its :func:`message_law`, each composed here when not given; grid
-    distributions add a leading grid axis.
+    counts: per check basis, no error then error; each value of the message
+    law on an arrived message round; a lost message round. ``laws`` is
+    :func:`round_law_for_config` of ``cfg``; grid laws add a leading grid axis.
 
     A check round errs when its pair frame anticommutes with the basis: the
     singlet reference is anti-correlated in every basis. The bases share the
     check rounds equally, and a message round arrives with probability
     :func:`arrival`.
     """
-    frame, second = dists if dists is not None else round_error_dists_for_config(cfg)
+    frame, law = laws
     bases = check_bases(cfg)
     share = cfg.check_fraction / len(bases)
     cells = []
@@ -390,8 +391,6 @@ def _cell_probabilities(
         cells += [share * (1.0 - error), share * error]
     message = 1.0 - cfg.check_fraction
     arrived = arrival(cfg)
-    if law is None:
-        law = message_law(cfg.protocol, cfg.dl04_encoding, frame, second)
     cells += [message * arrived * d for d in law]
     # + 0.0 * error gives the lost cell a grid's shape, if any, and changes no
     # value; unlike np.full_like it costs a float run nothing measurable
@@ -399,18 +398,14 @@ def _cell_probabilities(
     return np.array(cells).T  # cells last
 
 
-def _draw_counts(
-    cfg: ProtocolConfig,
-    dists: RoundErrorDists | None = None,
-    law: tuple[float, ...] | None = None,
-) -> np.ndarray:
+def _draw_counts(cfg: ProtocolConfig, laws: RoundLaw) -> np.ndarray:
     """The tally of ``cfg``'s rounds: its int64 cell counts, in
     :func:`_cell_probabilities` order. The rounds are i.i.d. and each reaches
     one cell, so the counts are Multinomial(rounds, cell law), drawn at once
     from ``np.random.default_rng(seed)``. Cells of zero probability stay out
     of the draw, so none is counted whatever the rounding of the others.
     """
-    probs = _cell_probabilities(cfg, dists, law)
+    probs = _cell_probabilities(cfg, laws)
     support = np.flatnonzero(probs)
     counts = np.zeros(probs.size, dtype=np.int64)
     counts[support] = np.random.default_rng(cfg.seed).multinomial(cfg.rounds, probs[support])
@@ -536,11 +531,7 @@ def _estimate(cfg: ProtocolConfig, counts: np.ndarray) -> TranscriptStats:
     )
 
 
-def run(
-    cfg: ProtocolConfig,
-    dists: RoundErrorDists | None = None,
-    law: tuple[float, ...] | None = None,
-) -> TranscriptStats:
+def run(cfg: ProtocolConfig, laws: RoundLaw | None = None) -> TranscriptStats:
     """Monte Carlo run of the configured MDI protocol.
 
     Each round has a pair frame, then either a correlation check or a
@@ -550,10 +541,12 @@ def run(
     transcript is one multinomial draw of cell counts (:func:`_draw_counts`),
     whose time and memory do not depend on the number of rounds.
     Deterministic given the config seed.
-    A caller that already holds :func:`round_error_dists_for_config` of
-    ``cfg`` passes it as ``dists``, and their :func:`message_law` as ``law``.
+    A caller that already holds :func:`round_law_for_config` of ``cfg``
+    passes it as ``laws``.
     """
-    return _estimate(cfg, _draw_counts(cfg, dists, law))
+    if laws is None:
+        laws = round_law_for_config(cfg)
+    return _estimate(cfg, _draw_counts(cfg, laws))
 
 
 # ---------------------------------------------------------------------------
@@ -577,12 +570,13 @@ def pauli_frame_round_distributions(
     * ``cells`` (4, cells): per announced outcome, the law of the tally
       cell a round reaches, :func:`_cell_probabilities`.
     * entanglement protocol: ``symbol_error`` (4,), single-photon protocol:
-      ``bit_error`` (1,); from :func:`message_law` of an arrived message
-      round.
+      ``bit_error`` (1,); the message law of an arrived message round.
+
+    The cell law and the message law come from one :func:`round_law_for_config`.
     """
-    dists = round_error_dists_for_config(cfg, channel_p)
-    cells = _cell_probabilities(cfg, dists)
-    law = np.stack(message_law(cfg.protocol, cfg.dl04_encoding, *dists), axis=-1)
+    laws = round_law_for_config(cfg, channel_p)
+    cells = _cell_probabilities(cfg, laws)
+    law = np.stack(laws[1], axis=-1)
     out = {
         "swap_outcome": np.full(cells.shape[:-1] + (4,), 0.25),
         "cells": np.repeat(cells[..., None, :], 4, axis=-2),
@@ -598,7 +592,7 @@ def pauli_frame_round_distributions(
 def _swap_projectors() -> np.ndarray:
     """Read-only (4, 16, 16) projectors on the Bell outcomes of the sent photons 1 and 3."""
     proj = np.stack(
-        [embed_two_qubit_operator(np.outer(v, v.conj()), (1, 3), 4) for v in BELL_VECTORS]
+        [embed_operator(np.outer(v, v.conj()), (1, 3), 4) for v in BELL_VECTORS]
     )
     proj.flags.writeable = False
     return proj

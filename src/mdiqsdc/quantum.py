@@ -352,27 +352,19 @@ def tensor(a: PureState, b: PureState) -> PureState:
     return PureState(joint.reshape(joint.shape[:-2] + (a.dim * b.dim,)))
 
 
-def embed_single_qubit_operator(op: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
-    """Expand a 2x2 operator to act on one qubit of an n-qubit register."""
-    if not 0 <= qubit < num_qubits:
-        raise IndexError(f"qubit {qubit} out of range for {num_qubits} qubits")
-    return _embed_operator(np.asarray(op, dtype=np.complex128), (qubit,), num_qubits)
-
-
-def embed_two_qubit_operator(
-    op: np.ndarray, qubits: tuple[int, int], num_qubits: int
-) -> np.ndarray:
-    """Expand a 4x4 operator to act on an ordered qubit pair of a register."""
-    if len(set(qubits)) != 2 or not all(0 <= q < num_qubits for q in qubits):
-        raise IndexError(f"invalid qubit pair {qubits} for {num_qubits} qubits")
-    return _embed_operator(np.asarray(op, dtype=np.complex128), qubits, num_qubits)
-
-
-def _embed_operator(op: np.ndarray, qubits: Sequence[int], num_qubits: int) -> np.ndarray:
+def embed_operator(op: np.ndarray, qubits: Sequence[int], num_qubits: int) -> np.ndarray:
+    """Expand an operator on the ordered ``qubits`` (2x2 on one qubit, 4x4 on
+    a pair) to act on those qubits of an n-qubit register."""
+    if len(set(qubits)) != len(qubits):
+        raise IndexError(f"repeated qubit in {tuple(qubits)}")
+    if not all(0 <= q < num_qubits for q in qubits):
+        raise IndexError(f"qubits {tuple(qubits)} out of range for {num_qubits} qubits")
     k = len(qubits)
     rest = [q for q in range(num_qubits) if q not in qubits]
     order = list(qubits) + rest
-    full = np.kron(op, np.eye(2 ** (num_qubits - k), dtype=np.complex128))
+    full = np.kron(
+        np.asarray(op, dtype=np.complex128), np.eye(2 ** (num_qubits - k), dtype=np.complex128)
+    )
     full = full.reshape((2,) * (2 * num_qubits))
     row_axes = [order.index(q) for q in range(num_qubits)]
     col_axes = [num_qubits + order.index(q) for q in range(num_qubits)]
@@ -386,7 +378,7 @@ def pauli_operators(qubit: int, num_qubits: int) -> np.ndarray:
     qubit, built once per qubit position; :func:`apply_pauli` and
     :func:`pauli_channel` index it. States here have 1, 2 or 4 qubits, so
     there are at most 7 tables."""
-    table = np.stack([embed_single_qubit_operator(m, qubit, num_qubits) for m in PAULI_MATRICES])
+    table = np.stack([embed_operator(m, (qubit,), num_qubits) for m in PAULI_MATRICES])
     table.flags.writeable = False
     return table
 

@@ -33,7 +33,7 @@ from .quantum import (
     apply_pauli,
     bell_measure,
     bell_state,
-    embed_two_qubit_operator,
+    embed_operator,
     holevo_bound,
     partial_trace,
     pauli_channel,
@@ -60,6 +60,10 @@ PRODUCT_DECOMPOSITION_TABLE: dict[tuple[str, str], tuple[float, float, float, fl
 FAULT_DECOMPOSITION_SIGN = "decomposition-sign"
 KNOWN_FAULTS = (FAULT_DECOMPOSITION_SIGN,)
 
+# Largest deviation an exact check allows: amplitudes, fidelities and the two
+# backends' distributions agree to machine precision.
+CHECK_ATOL = 1e-12
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -68,7 +72,7 @@ class CheckResult:
     detail: str
 
 
-def check_bell_states(atol: float = 1e-12) -> CheckResult:
+def check_bell_states() -> CheckResult:
     """The four Bell states against their literal amplitude vectors."""
     expected = {
         BellLabel.PSI_MINUS: (0.0, _R, -_R, 0.0),
@@ -82,14 +86,12 @@ def check_bell_states(atol: float = 1e-12) -> CheckResult:
         worst = max(worst, float(np.max(np.abs(got - np.array(amps)))))
     return CheckResult(
         "bell-states",
-        worst < atol,
+        worst < CHECK_ATOL,
         f"max amplitude error {worst:.3e}",
     )
 
 
-def check_product_decompositions(
-    *, inject_sign_fault: bool = False, atol: float = 1e-12
-) -> CheckResult:
+def check_product_decompositions(*, inject_sign_fault: bool = False) -> CheckResult:
     """Same-basis product pairs against the decomposition table.
 
     Also cross-checks that Bell-measurement probabilities of each product
@@ -111,12 +113,12 @@ def check_product_decompositions(
             worst, worst_pair = err, (a_name, b_name)
     return CheckResult(
         "product-decompositions",
-        worst < atol,
+        worst < CHECK_ATOL,
         f"max deviation {worst:.3e}" + (f" at |{worst_pair[0]} {worst_pair[1]}>" if worst_pair else ""),
     )
 
 
-def check_swap_corrections(atol: float = 1e-12) -> CheckResult:
+def check_swap_corrections() -> CheckResult:
     """Entanglement swapping over noiseless channels, all four outcomes.
 
     Projects the exact four-photon state on each announced Bell outcome,
@@ -129,7 +131,7 @@ def check_swap_corrections(atol: float = 1e-12) -> CheckResult:
     worst = 1.0
     for outcome in BellLabel:
         v = BELL_VECTORS[int(outcome)]
-        proj = embed_two_qubit_operator(np.outer(v, v.conj()), (1, 3), 4)
+        proj = embed_operator(np.outer(v, v.conj()), (1, 3), 4)
         sub = proj @ rho.matrix @ proj
         p_o = float(np.real(np.trace(sub)))
         pair = partial_trace(DensityMatrix(sub / p_o), keep=(0, 2))
@@ -138,7 +140,7 @@ def check_swap_corrections(atol: float = 1e-12) -> CheckResult:
         worst = min(worst, fidelity)
     return CheckResult(
         "swap-corrections",
-        worst >= 1.0 - atol,
+        worst >= 1.0 - CHECK_ATOL,
         f"min post-correction singlet fidelity {worst:.15f}",
     )
 
@@ -154,19 +156,21 @@ EQUIVALENCE_CASES = (
 )
 
 
-def check_backend_equivalence(
-    ps: tuple[float, ...] = (0.0, 0.1, 0.5, 1.0), atol: float = 1e-12
-) -> CheckResult:
+# Channel parameters at which the two backends are compared.
+EQUIVALENCE_PS = (0.0, 0.1, 0.5, 1.0)
+
+
+def check_backend_equivalence() -> CheckResult:
     """The density-matrix oracle, reduced per announced outcome to the tally
     cells of a run, against the cell law the sampler draws, full grid.
 
     Each backend is called once per case of ``EQUIVALENCE_CASES`` with the
-    whole p grid, over a lossy channel so that the arrival law and the lost
-    cell are compared too; the worst case is the first largest deviation in
-    (case, p, key) order, and for ``cells`` the detail also names the
-    announced Bell outcome and the tally cell where it lies.
+    whole ``EQUIVALENCE_PS`` grid, over a lossy channel so that the arrival
+    law and the lost cell are compared too; the worst case is the first
+    largest deviation in (case, p, key) order, and for ``cells`` the detail
+    also names the announced Bell outcome and the tally cell where it lies.
     """
-    grid = np.array(ps, dtype=np.float64)
+    grid = np.array(EQUIVALENCE_PS, dtype=np.float64)
     worst = 0.0
     worst_case = ""
     for protocol, attack, noise, encoding in EQUIVALENCE_CASES:
@@ -183,12 +187,12 @@ def check_backend_equivalence(
         fast = pauli_frame_round_distributions(cfg, grid)
         exact = density_matrix_round_distributions(cfg, grid)
         deviations = {
-            key: np.abs(fast[key] - exact[key]).reshape(len(ps), -1) for key in exact
+            key: np.abs(fast[key] - exact[key]).reshape(len(grid), -1) for key in exact
         }
         case = f"{protocol.value} {noise.value}"
         if protocol == Protocol.MDI_DL04:
             case += f" encoding={encoding.name}"
-        for i, p in enumerate(ps):
+        for i, p in enumerate(EQUIVALENCE_PS):
             for key, diffs in deviations.items():
                 at = int(diffs[i].argmax())
                 if diffs[i, at] > worst:
@@ -199,7 +203,7 @@ def check_backend_equivalence(
                         worst_case += f" outcome={BellLabel(outcome).name} cell={cell}"
     return CheckResult(
         "backend-equivalence",
-        worst < atol,
+        worst < CHECK_ATOL,
         f"max distribution deviation {worst:.3e}"
         + (f" ({worst_case})" if worst_case else ""),
     )
@@ -264,16 +268,20 @@ def simplex_excess(points_per_axis: int = 5) -> tuple[list, np.ndarray]:
     return grid, np.concatenate(excess)
 
 
-def check_holevo_bound(
-    points_per_axis: int = 5, slack: float = 1e-9
-) -> CheckResult:
+# Simplex points per axis of the Holevo check, and the excess over the bound
+# it allows for the rounding of the numeric entropies.
+HOLEVO_POINTS_PER_AXIS = 5
+HOLEVO_SLACK = 1e-9
+
+
+def check_holevo_bound() -> CheckResult:
     """Numeric Holevo quantity of the encoded ensemble against the
     binary-entropy bound h(eps_z) + h(eps_x), over the weight simplex."""
-    grid, excess = simplex_excess(points_per_axis)
+    grid, excess = simplex_excess(HOLEVO_POINTS_PER_AXIS)
     worst = int(np.argmax(excess))  # the first largest, NaN first of all
     return CheckResult(
         "holevo-bound",
-        bool(excess[worst] <= slack),
+        bool(excess[worst] <= HOLEVO_SLACK),
         f"max(chi - bound) = {excess[worst]:.3e} at deltas={grid[worst]}",
     )
 

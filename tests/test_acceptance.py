@@ -34,7 +34,7 @@ from mdiqsdc.quantum import (
     apply_pauli,
     bell_measure,
     bell_state,
-    embed_two_qubit_operator,
+    embed_operator,
     holevo_bound,
     partial_trace,
     product_decompose,
@@ -95,7 +95,7 @@ class TestAcceptance:
         rho = DensityMatrix(np.outer(joint, joint.conj()))
         for outcome in BellLabel:
             v = bell_state(outcome).amplitudes
-            proj = embed_two_qubit_operator(np.outer(v, v.conj()), (1, 3), 4)
+            proj = embed_operator(np.outer(v, v.conj()), (1, 3), 4)
             sub = proj @ rho.matrix @ proj
             p_o = float(np.real(np.trace(sub)))
             assert abs(p_o - 0.25) < 1e-12

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import math
 import os
 import random
@@ -26,10 +27,11 @@ import mdiqsdc.curves
 import mdiqsdc.protocol
 from mdiqsdc.cli import (
     CSV_HEADER,
+    CSV_SLICE,
     MAX_GRID_POINTS,
     SWEEP_BLOCK,
     UsageError,
-    _analytic_csv_lines,
+    _analytic_csv_text,
     _grid_blocks,
     _parse_grid,
     _svg_chunks,
@@ -194,14 +196,17 @@ class TestSweep:
         assert code == 2
 
     @pytest.mark.parametrize("protocol", tuple(Protocol))
-    def test_curve_rows_are_the_point_rows(self, protocol):
+    def test_curve_rows_are_the_point_rows(self, monkeypatch, protocol):
         xs = [-0.0, 0.0, 1e-9, 0.123456789, 0.3, 0.5]
-        for q in (1.0, 0.0):  # q = 0 gives capacities of -0.0
-            lines = _analytic_csv_lines(analytic_point(protocol, np.array(xs), q=q))
+        # q = 0 gives capacities of -0.0; slices of 4 split the grid's rows
+        for q, csv_slice in itertools.product((1.0, 0.0), (CSV_SLICE, 4)):
+            monkeypatch.setattr(mdiqsdc.cli, "CSV_SLICE", csv_slice)
+            pieces = list(_analytic_csv_text(analytic_point(protocol, np.array(xs), q=q)))
             expected = [
-                line for x in xs for line in _analytic_csv_lines(analytic_point(protocol, x, q=q))
+                text for x in xs for text in _analytic_csv_text(analytic_point(protocol, x, q=q))
             ]
-            assert len(lines) == len(xs) and lines == expected
+            assert len(pieces) == math.ceil(len(xs) / csv_slice)
+            assert "".join(pieces) == "".join(expected) and len(expected) == len(xs)
 
     @given(st.floats(allow_nan=True, allow_infinity=True))
     def test_percent_g_formats_like_format(self, value):
@@ -338,7 +343,9 @@ class TestSweepBlocks:
         argv = ["sweep", "--grid", "0:0.5:0.0005", "--csv", str(csv_path), "--svg", str(svg_path)]
         code, _, _ = run_cli(argv, capsys)
         assert code == 0
-        csv_writes = 1 + 4 * 2  # header, two blocks per protocol; then the SVG's pieces
+        # the header, then each protocol's blocks of 700 and 301 rows in slices;
+        # then the SVG's pieces
+        csv_writes = 1 + 4 * (math.ceil(700 / CSV_SLICE) + math.ceil(301 / CSV_SLICE))
         assert sum(written[:csv_writes]) == csv_path.stat().st_size
         assert sum(written[csv_writes:]) == svg_path.stat().st_size
 
@@ -391,16 +398,17 @@ class TestSweepBlocks:
         assert large <= 6 * small, (small, large)
 
 
-    def test_svg_memory_per_grid_point(self, tmp_path):
+    def test_svg_memory_per_grid_point(self, tmp_path, monkeypatch):
         """--svg keeps each curve's block arrays, 16 B per point per curve,
-        and formats the plot a block at a time. From 1001 to 20001 points its
-        tracemalloc peak grows by at most 100 B per extra point more than the
-        peak without --svg, whose growth is the CSV block filling up from
-        1001 to 4096 rows, which stops at one block (about 90 B per point
-        over this range). Building the whole plot text at once grew by about
-        560 B per point more."""
+        and formats the plot a block at a time. With blocks of 256 points,
+        from 501 to 5001 points of one curve its tracemalloc peak grows by at
+        most 25 B per extra point per curve more than the peak without --svg
+        (about 15 B). Building the whole plot text at once grew by about 185 B
+        per point per curve more."""
+        monkeypatch.setattr(mdiqsdc.cli, "SWEEP_BLOCK", 256)
+
         def peak(grid, *svg):
-            argv = ["sweep", "--protocol", "all", "--grid", grid,
+            argv = ["sweep", "--protocol", "mdi-ts", "--grid", grid,
                     "--csv", str(tmp_path / "c.csv"), *svg]
             with contextlib.redirect_stderr(io.StringIO()):
                 tracemalloc.start()
@@ -411,12 +419,13 @@ class TestSweepBlocks:
                     tracemalloc.stop()
 
         svg = ("--svg", str(tmp_path / "c.svg"))
-        peak("0:0.5:0.0005", *svg)  # warm-up: imports and caches
-        small, large = "0:0.5:0.0005", "0:0.5:0.000025"
-        assert grid_points(large).size - grid_points(small).size == 19000
+        small, large = "0:0.5:0.001", "0:0.5:0.0001"
+        peak(small, *svg)  # warm-up: imports and caches
+        extra = grid_points(large).size - grid_points(small).size
+        assert extra == 4500
         with_svg = peak(large, *svg) - peak(small, *svg)
         without = peak(large) - peak(small)
-        assert with_svg - without <= 100 * 19000, (with_svg, without)
+        assert with_svg - without <= 25 * extra, (with_svg, without)
 
 
 @st.composite
@@ -659,42 +668,36 @@ class TestSimulate:
         _, rows = parse_csv(out)
         assert rows[1]["rounds"] == "1000000000000"
 
-    def test_round_errors_composed_once(self, capsys, monkeypatch):
-        args = [
-            "simulate", "--protocol", "mdi-ts", "--p", "0.2", "--rounds", "2000",
-            "--noise", "both-legs", "--attack", "intercept-resend",
-        ]
-        expected = run_cli(args, capsys)
-        calls = []
-        compose = mdiqsdc.protocol.round_error_dists
-
-        def counting(*call_args, **kwargs):
-            calls.append(call_args)
-            return compose(*call_args, **kwargs)
-
-        monkeypatch.setattr(mdiqsdc.protocol, "round_error_dists", counting)
-        assert run_cli(args, capsys) == expected
-        assert len(calls) == 1
-
     @pytest.mark.parametrize("protocol", ["mdi-ts", "mdi-dl04"])
-    def test_message_law_composed_once(self, capsys, monkeypatch, protocol):
-        """The cell law of the run and its analytic twin read one message law."""
+    def test_round_law_composed_once(self, capsys, monkeypatch, protocol):
+        """The cell law of the run and its analytic twin read one round law,
+        and so do the cell law and the message law of the Pauli-frame backend."""
         args = [
             "simulate", "--protocol", protocol, "--p", "0.2", "--rounds", "2000",
             "--noise", "both-legs", "--attack", "intercept-resend", "--encoding", "x",
         ]
         expected = run_cli(args, capsys)
         calls = []
-        compose = mdiqsdc.protocol.message_law
+        compose = mdiqsdc.protocol.round_law
 
         def counting(*call_args, **kwargs):
             calls.append(call_args)
             return compose(*call_args, **kwargs)
 
-        for module in (mdiqsdc.protocol, mdiqsdc.curves, mdiqsdc.cli):
-            monkeypatch.setattr(module, "message_law", counting)
+        monkeypatch.setattr(mdiqsdc.protocol, "round_law", counting)
         assert run_cli(args, capsys) == expected
         assert len(calls) == 1
+        cfg = ProtocolConfig(
+            protocol=Protocol(protocol),
+            rounds=1,
+            channel_p=0.2,
+            seed=0,
+            noise=NoisePlacement.BOTH_LEGS,
+            dl04_encoding=PauliLabel.X,
+            attack=AttackModel.INTERCEPT_RESEND,
+        )
+        mdiqsdc.protocol.pauli_frame_round_distributions(cfg)
+        assert len(calls) == 2
 
     def test_montecarlo_tracks_analytic(self, capsys):
         code, out, _ = run_cli(

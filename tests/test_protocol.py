@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import mdiqsdc.channels
 import mdiqsdc.protocol
 import mdiqsdc.quantum
-from mdiqsdc.channels import IDENTITY_DIST, PauliDistribution, convolve, depolarizing_pauli_dist
+from mdiqsdc.channels import PauliDistribution, convolve, depolarizing_pauli_dist
 from mdiqsdc.curves import analytic_point_for_config
 from mdiqsdc.infotheory import ETA_MAX, binary_entropy, shannon_entropy
 from mdiqsdc.protocol import (
@@ -34,7 +34,7 @@ from mdiqsdc.protocol import (
     intercept_resend_channel,
     message_law,
     pauli_frame_round_distributions,
-    round_error_dists_for_config,
+    round_law_for_config,
     run,
     swap_correction,
 )
@@ -434,7 +434,8 @@ def test_estimate_at_the_exact_law_is_the_twin():
     probability as the gain: the estimate and the twin share one closed form."""
     assert len(EXACT_LAW_CONFIGS) == 288
     for cfg in EXACT_LAW_CONFIGS:
-        stats = _estimate(cfg, np.rint(_cell_probabilities(cfg) * 2**52).astype(np.int64))
+        cells = _cell_probabilities(cfg, round_law_for_config(cfg))
+        stats = _estimate(cfg, np.rint(cells * 2**52).astype(np.int64))
         twin = analytic_point_for_config(cfg)
         pairs = [
             ("gain", stats.gain, arrival(cfg)),
@@ -493,8 +494,8 @@ class TestTallyCells:
         symbols = range(4) if entangled else (0, 1)
         covers = range(4) if entangled else (0,)
         for frame, second in itertools.product(range(4), repeat=2):
-            dists = (_point_mass(frame), _point_mass(second))
-            law = message_law(cfg.protocol, cfg.dl04_encoding, *dists)
+            net = convolve(_point_mass(frame), _point_mass(second))
+            law = message_law(cfg.protocol, cfg.dl04_encoding, net)
             for symbol, cover in itertools.product(symbols, covers):
                 expected = [0.0] * len(law)
                 expected[_message_diff(cfg, frame, second, symbol, cover)] = 1.0
@@ -503,7 +504,7 @@ class TestTallyCells:
             for b in bases:
                 (error,) = {alice == alice ^ 1 ^ ANTICOMMUTES[frame][b] for alice in (0, 1)}
                 checks += [share * (not error), share * error]
-            cells = _cell_probabilities(cfg, dists)
+            cells = _cell_probabilities(cfg, (_point_mass(frame), law))
             assert cells[: len(checks)].tolist() == checks
 
     @pytest.mark.parametrize("decoding", DECODINGS, ids=_decoding_id)
@@ -513,7 +514,7 @@ class TestTallyCells:
             noise=NoisePlacement.BOTH_LEGS, **decoding,
         )
         diffs = 4 if cfg.protocol == Protocol.MDI_TS else 2
-        counts = _draw_counts(cfg)
+        counts = _draw_counts(cfg, round_law_for_config(cfg))
         assert counts.dtype == np.int64
         assert counts.shape == (2 * len(check_bases(cfg)) + diffs + 1,)
         assert counts.sum() == cfg.rounds
@@ -522,8 +523,12 @@ class TestTallyCells:
 
     def test_lost_round_counts_only_as_message_round(self):
         common = dict(protocol=Protocol.MDI_TS, rounds=5_000, channel_p=0.3, seed=71)
-        arrived = _cell_probabilities(ProtocolConfig(transmittance=1.0, **common))
-        lost = _cell_probabilities(ProtocolConfig(transmittance=0.0, **common))
+
+        def cells(transmittance):
+            cfg = ProtocolConfig(transmittance=transmittance, **common)
+            return _cell_probabilities(cfg, round_law_for_config(cfg))
+
+        arrived, lost = cells(1.0), cells(0.0)
         checks = 2 * len(check_bases(ProtocolConfig(**common)))
         np.testing.assert_array_equal(lost[:checks], arrived[:checks])
         assert lost[-1] == pytest.approx(arrived[checks:].sum(), rel=1e-15)
@@ -693,27 +698,27 @@ class TestBackendEquivalence:
             np.testing.assert_allclose(bob[key], alice[key], atol=1e-12, err_msg=key)
 
 
-def _basis_share_55_45(honest, cfg, dists):
-    cells = honest(cfg, dists)
+def _basis_share_55_45(honest, cfg, laws):
+    cells = honest(cfg, laws)
     cells[..., 0:2] *= 1.1  # 55% of two bases' check rounds in the first
     cells[..., 2:4] *= 0.9
     return cells
 
 
-def _one_photon_arrival(honest, cfg, dists):
+def _one_photon_arrival(honest, cfg, laws):
     # an entanglement-protocol message round arrives when one photon passes
     if cfg.protocol == Protocol.MDI_TS:
         cfg = dataclasses.replace(cfg, transmittance=math.sqrt(cfg.transmittance))
-    return honest(cfg, dists)
+    return honest(cfg, laws)
 
 
-def _second_error_left_out(honest, cfg, dists):
-    frame, _ = dists
-    return honest(cfg, (frame, IDENTITY_DIST))
+def _second_error_left_out(honest, cfg, laws):
+    frame, _ = laws
+    return honest(cfg, (frame, message_law(cfg.protocol, cfg.dl04_encoding, frame)))
 
 
-def _basis_pair_swapped(honest, cfg, dists):
-    cells = honest(cfg, dists)
+def _basis_pair_swapped(honest, cfg, laws):
+    cells = honest(cfg, laws)
     cells[..., [0, 1]] = cells[..., [1, 0]]  # the first basis's (no error, error)
     return cells
 
@@ -740,7 +745,7 @@ class TestOracleStillReferees:
         monkeypatch.setattr(
             mdiqsdc.protocol,
             "_cell_probabilities",
-            lambda cfg, dists=None: mutation(honest, cfg, dists),
+            lambda cfg, laws: mutation(honest, cfg, laws),
         )
         result = check_backend_equivalence()
         assert not result.passed, result.detail
@@ -783,7 +788,7 @@ class TestOracleStillReferees:
         table = {o: swap_correction(o) for o in BellLabel}
         table[outcome] = PauliLabel((int(table[outcome]) + 1) % 4)
         monkeypatch.setattr(mdiqsdc.protocol, "swap_correction", lambda o: table[BellLabel(o)])
-        result = check_backend_equivalence(ps=(0.0, 0.3))
+        result = check_backend_equivalence()
         assert not result.passed, result.detail
 
     def test_non_unitary_cover_is_rejected_by_the_stack_validator(self, monkeypatch):

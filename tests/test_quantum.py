@@ -19,7 +19,7 @@ from mdiqsdc.quantum import (
     apply_pauli,
     bell_measure,
     bell_state,
-    embed_single_qubit_operator,
+    embed_operator,
     holevo_bound,
     partial_trace,
     pauli_channel,
@@ -166,7 +166,7 @@ class TestPauliOperatorTable:
             table = pauli_operators(qubit, num_qubits)
             assert table.shape == (4, 2**num_qubits, 2**num_qubits)
             for op in PauliLabel:
-                fresh = embed_single_qubit_operator(PAULI_MATRICES[int(op)], qubit, num_qubits)
+                fresh = embed_operator(PAULI_MATRICES[int(op)], (qubit,), num_qubits)
                 np.testing.assert_array_equal(table[op], fresh)
                 np.testing.assert_array_equal(
                     table[op], pauli_on_qubit_oracle(int(op), qubit, num_qubits)
@@ -178,6 +178,12 @@ class TestPauliOperatorTable:
     def test_out_of_range_qubit_is_not_tabled(self):
         with pytest.raises(IndexError):
             pauli_operators(2, 2)
+
+    @pytest.mark.parametrize("qubits", [(2,), (-1,), (1, 1), (1, 4), (0, 0)])
+    def test_embedding_rejects_a_bad_qubit(self, qubits):
+        op = np.eye(2 ** len(qubits))
+        with pytest.raises(IndexError):
+            embed_operator(op, qubits, 4 if len(qubits) == 2 else 2)
 
 
 class TestPauliChannel:

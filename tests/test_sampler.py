@@ -17,6 +17,7 @@ from mdiqsdc.protocol import (
     _cell_probabilities,
     check_bases,
     density_matrix_round_distributions,
+    round_law_for_config,
     run,
 )
 from mdiqsdc.quantum import PAULI_PRODUCT, PauliLabel
@@ -173,6 +174,7 @@ def test_cell_law_matches_exact_distributions(cfg):
     """The law the sampler draws the tally cells from is, to 1e-12, the
     density-matrix oracle's cell law after every announced Bell outcome."""
     cells = density_matrix_round_distributions(cfg)["cells"]
-    assert cells.shape == (4, _cell_probabilities(cfg).size)
+    law = _cell_probabilities(cfg, round_law_for_config(cfg))
+    assert cells.shape == (4, law.size)
     for row in cells:
-        np.testing.assert_allclose(_cell_probabilities(cfg), row, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(law, row, rtol=0, atol=1e-12)

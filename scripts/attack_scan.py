@@ -37,7 +37,7 @@ def scan(rounds: int, seed: int) -> None:
                 continue
             print(
                 row + f"{stats.eps_z.rate:>8.4f} {stats.eps_x.rate:>8.4f} "
-                f"{stats.capacity.raw:>9.4f} {stats.capacity_se:>8.5f}"
+                f"{stats.point.capacity.raw:>9.4f} {stats.capacity_se:>8.5f}"
             )
 
 

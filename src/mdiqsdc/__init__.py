@@ -2,7 +2,7 @@
 independent quantum secure direct communication protocols."""
 
 from .channels import convolve, depolarize, depolarizing_pauli_dist
-from .curves import AnalyticPoint, analytic_point, zero_crossing
+from .curves import analytic_point, zero_crossing
 from .infotheory import (
     CapacityResult,
     binary_entropy,
@@ -11,6 +11,7 @@ from .infotheory import (
     shannon_entropy,
 )
 from .protocol import (
+    AnalyticPoint,
     AttackModel,
     NoisePlacement,
     Protocol,

@@ -23,16 +23,11 @@ from typing import TextIO
 
 import numpy as np
 
-from .curves import (
-    X_MAX,
-    AnalyticPoint,
-    analytic_point,
-    analytic_point_for_config,
-    zero_crossing,
-)
+from .curves import X_MAX, analytic_point, analytic_point_for_config, zero_crossing
 from .elementwise import minimum
 from .infotheory import ETA_MAX
 from .protocol import (
+    AnalyticPoint,
     AttackModel,
     NoisePlacement,
     Protocol,
@@ -79,11 +74,12 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else "%.12g" % value
 
 
-def _analytic_csv_text(point: AnalyticPoint) -> Iterator[str]:
-    """CSV rows of an analytic point, or of every point of a grid, from one
-    row template, each row ending in a newline: a grid's rows come
-    ``CSV_SLICE`` to a piece, formatted from that slice of its arrays."""
-    row = "%.12g,%.12g," + point.protocol.value + ",%.12g" * 7 + ",analytic,,\n"
+def _csv_rows(point: AnalyticPoint, source: str = "analytic,,") -> Iterator[str]:
+    """CSV rows of a point, or of every point of a grid, each ending in
+    ``source`` (the source, seed and rounds columns) and a newline. A float
+    point is one row, with an empty cell for a rate it lacks; a grid's rows
+    come ``CSV_SLICE`` to a piece, formatted from one row template and that
+    slice of its arrays."""
     columns = (
         point.x,
         point.p,
@@ -96,28 +92,13 @@ def _analytic_csv_text(point: AnalyticPoint) -> Iterator[str]:
         point.capacity.clamped,
     )
     if not isinstance(point.x, np.ndarray):
-        yield row % columns
+        x, p, *rest = map(_fmt, columns)
+        yield ",".join([x, p, point.protocol.value, *rest, source]) + "\n"
         return
+    row = "%.12g,%.12g," + point.protocol.value + ",%.12g" * 7 + "," + source + "\n"
     for lo in range(0, point.x.size, CSV_SLICE):
         part = [column[lo : lo + CSV_SLICE].tolist() for column in columns]
         yield "".join(row % cells for cells in zip(*part))
-
-
-def _row_from_stats(cfg: ProtocolConfig, stats: TranscriptStats) -> str:
-    rates = (est.rate if est else None for est in (stats.eps_z, stats.eps_x, stats.eps_y))
-    x, p, *rest = map(
-        _fmt,
-        (
-            cfg.channel_p / 2.0,
-            cfg.channel_p,
-            *rates,
-            stats.message_entropy,
-            stats.eve_info,
-            stats.capacity.raw,
-            stats.capacity.clamped,
-        ),
-    )
-    return ",".join([x, p, cfg.protocol.value, *rest, f"montecarlo,{cfg.seed},{cfg.rounds}"])
 
 
 def _open_output(path: str | None) -> contextlib.AbstractContextManager[TextIO]:
@@ -127,14 +108,9 @@ def _open_output(path: str | None) -> contextlib.AbstractContextManager[TextIO]:
     return open(path, "w", encoding="utf-8", newline="")
 
 
-def _write_text(target: str | TextIO | None, text: str) -> None:
-    """Write ``text`` to an open handle, or to a new file or stdout as
-    :func:`_open_output` opens them."""
-    if target is None or isinstance(target, str):
-        with _open_output(target) as handle:
-            handle.write(text)
-    else:
-        target.write(text)
+def _write_text(handle: TextIO, text: str) -> None:
+    """Write ``text`` to an open handle: every CSV and SVG piece goes out here."""
+    handle.write(text)
 
 
 def _svg_chunks(
@@ -467,7 +443,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 curve = analytic_point(
                     protocol, block, noise=noise, encoding=encoding, q=q, eta=eta
                 )
-                for text in _analytic_csv_text(curve):
+                for text in _csv_rows(curve):
                     _write_text(out, text)
                 if svg is not None:
                     xs.append(curve.x)
@@ -523,10 +499,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"insufficient statistics: {stats.unavailable_reason}", file=sys.stderr)
         return EXIT_INSUFFICIENT_STATS
 
-    twin = analytic_point_for_config(cfg, laws)
-    (twin_row,) = _analytic_csv_text(twin)
-    csv_text = CSV_HEADER + "\n" + twin_row + _row_from_stats(cfg, stats) + "\n"
-    _write_text(_merged(args, "csv", None), csv_text)
+    (twin_row,) = _csv_rows(analytic_point_for_config(cfg, laws))
+    (run_row,) = _csv_rows(stats.point, f"montecarlo,{cfg.seed},{cfg.rounds}")
+    with _open_output(_merged(args, "csv", None)) as out:
+        _write_text(out, CSV_HEADER + "\n" + twin_row + run_row)
     _print_summary(cfg, stats)
     return EXIT_OK
 
@@ -550,8 +526,8 @@ def _print_summary(cfg: ProtocolConfig, stats: TranscriptStats) -> None:
     if stats.bit_error is not None:
         lines.append(f"bit error = {stats.bit_error:.6f} +- {stats.bit_error_se:.6f}")
     lines.append(
-        f"capacity = {_fixed(stats.capacity.raw)} +- {_fixed(stats.capacity_se)} "
-        f"(clamped {stats.capacity.clamped:.6f})"
+        f"capacity = {_fixed(stats.point.capacity.raw)} +- {_fixed(stats.capacity_se)} "
+        f"(clamped {stats.point.capacity.clamped:.6f})"
     )
     print("\n".join(lines), file=sys.stderr)
 

@@ -11,8 +11,9 @@ Every curve and the analytic twin of a Monte Carlo run take the pair frame
 and the law of a message round's error from
 :func:`mdiqsdc.protocol.round_law`, the same law the sampler draws from, and
 evaluate them with :func:`mdiqsdc.protocol.closed_form`, the one closed form,
-which a run's estimate evaluates at its observed frequencies; this module
-composes no transmission legs and computes no entropy itself.
+whose :class:`~mdiqsdc.protocol.AnalyticPoint` is also the point a run's
+estimate gives at its observed frequencies; this module composes no
+transmission legs and computes no entropy itself.
 
 :func:`analytic_point` takes one x as a float or a whole grid as a 1-D
 float64 array and runs the same code on either (see ``elementwise``): a
@@ -24,13 +25,12 @@ touch no numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .channels import PauliDistribution, error_rate_in_basis
 from .elementwise import check_range
-from .infotheory import CapacityResult
 from .protocol import (
+    AnalyticPoint,
     NoisePlacement,
     Protocol,
     ProtocolConfig,
@@ -43,47 +43,17 @@ from .protocol import (
 from .quantum import PauliLabel
 
 X_MAX = 0.5
-# the checked bases, in the order of AnalyticPoint's rates
+# the bases whose checked rates a curve's point carries
 _CHECKED = (PauliLabel.Z, PauliLabel.X, PauliLabel.Y)
 # half of the reporting tolerance: crossings quoted to 1e-6 hold in both
 # the x = p/2 axis and the raw channel parameter p = 2x
 ZERO_CROSSING_TOL = 5e-7
 
 
-@dataclass(frozen=True)
-class AnalyticPoint:
-    """All quantities of one sweep point from the closed forms: floats, or
-    equal-length float64 arrays for a grid."""
-
-    protocol: Protocol
-    x: float
-    p: float
-    eps_z: float
-    eps_x: float
-    eps_y: float
-    message_entropy: float
-    eve_info: float
-    capacity: CapacityResult
-
-
-def _point(
-    protocol: Protocol,
-    x: float,
-    frame: PauliDistribution,
-    law: tuple[float, ...],
-    *,
-    encoding: PauliLabel,
-    q: float,
-    eta: float,
-) -> AnalyticPoint:
-    """:func:`~mdiqsdc.protocol.closed_form` of ``protocol`` at ``x``: the
-    checked rates are those of the error process ``frame`` the checks see, and
-    ``law`` is the law of decoded (-) encoded on a message round."""
-    rates = {basis: error_rate_in_basis(frame, basis) for basis in _CHECKED}
-    entropy, eve_info, capacity = closed_form(
-        protocol, rates.__getitem__, law, encoding=encoding, q=q, eta=eta
-    )
-    return AnalyticPoint(protocol, x, 2.0 * x, *rates.values(), entropy, eve_info, capacity)
+def _rates(frame: PauliDistribution) -> dict[PauliLabel, float]:
+    """The checked error rate of each basis under the error process ``frame``
+    the checks see."""
+    return {basis: error_rate_in_basis(frame, basis) for basis in _CHECKED}
 
 
 def analytic_point(
@@ -99,7 +69,7 @@ def analytic_point(
     float x, or at every x of a 1-D float64 array."""
     check_range(x, 0.0, X_MAX, "sweep position x=")
     frame, law = round_law(protocol, 2.0 * x, noise, encoding)
-    return _point(protocol, x, frame, law, encoding=encoding, q=q, eta=eta)
+    return closed_form(protocol, x, _rates(frame), law, encoding=encoding, q=q, eta=eta)
 
 
 def analytic_point_for_config(
@@ -112,8 +82,14 @@ def analytic_point_for_config(
     when not given, so a run and its twin can share it."""
     frame, law = laws if laws is not None else round_law_for_config(cfg)
     q = cfg.q_override if cfg.q_override is not None else arrival(cfg)
-    return _point(
-        cfg.protocol, cfg.channel_p / 2.0, frame, law, encoding=cfg.dl04_encoding, q=q, eta=cfg.eta
+    return closed_form(
+        cfg.protocol,
+        cfg.channel_p / 2.0,
+        _rates(frame),
+        law,
+        encoding=cfg.dl04_encoding,
+        q=q,
+        eta=cfg.eta,
     )
 
 

@@ -27,9 +27,10 @@ the re-transmission error. That one pair feeds every consumer: the cell law
 of a run, the Pauli-frame backend and the closed-form curves of ``curves``,
 the two non-MDI baselines included. It takes a float channel parameter or an
 array of them, so the curves compose a whole sweep grid in one call.
-:func:`closed_form` is the one form of the bound Q [bits - H - eta leak]: the
-curves and the analytic twin evaluate it at the exact checked rates and
-message law, a run at the frequencies it observed.
+:func:`closed_form` is the one form of the bound Q [bits - H - eta leak], and
+its :class:`AnalyticPoint` the one record of an operating point: the curves
+and the analytic twin evaluate it at the exact checked rates and message law,
+a run at the frequencies it observed, and every CSV row prints such a point.
 
 The one attack is intercept-resend on Alice's first leg: the attacker
 measures each photon in a random Z or X basis and resends the eigenstate
@@ -50,10 +51,10 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -196,8 +197,27 @@ class QberEstimate:
 
 
 @dataclass(frozen=True)
+class AnalyticPoint:
+    """One operating point of the bound, as :func:`closed_form` evaluates it:
+    floats, or equal-length float64 arrays for a grid. A curve's point and a
+    run's twin carry every checked rate; a run's point carries the rates it
+    observed, and None for a basis it drew no check round in."""
+
+    protocol: Protocol
+    x: float
+    p: float
+    eps_z: float | None
+    eps_x: float | None
+    eps_y: float | None
+    message_entropy: float
+    eve_info: float
+    capacity: CapacityResult
+
+
+@dataclass(frozen=True)
 class TranscriptStats:
-    """Aggregated tallies and estimates of one Monte Carlo run."""
+    """Aggregated tallies and estimates of one Monte Carlo run; ``point`` is
+    :func:`closed_form` at the observed frequencies, None when unavailable."""
 
     protocol: Protocol
     rounds: int
@@ -211,9 +231,7 @@ class TranscriptStats:
     message_errors: PauliDistribution | None
     bit_error: float | None
     bit_error_se: float | None
-    message_entropy: float | None
-    eve_info: float | None
-    capacity: CapacityResult | None
+    point: AnalyticPoint | None
     capacity_se: float | None
     unavailable_reason: str | None
 
@@ -288,6 +306,9 @@ def round_law(
     attacked = convolve(single, eve) if eve is not None else single
     frame = convolve(attacked, single)
     if noise != NoisePlacement.BOTH_LEGS:
+        # the identity adds no error, but the convolution renormalizes the
+        # frame once more, which moves its last bits (see
+        # validate_probability_vector); the pinned outputs hold those bits
         second = IDENTITY_DIST
     elif protocol == Protocol.MDI_TS:
         second = convolve(single, single)
@@ -329,16 +350,17 @@ def message_law(
 
 def closed_form(
     protocol: Protocol,
-    rate: Callable[[PauliLabel], float],
+    x: float,
+    rates: Mapping[PauliLabel, float],
     law: tuple[float, ...] | PauliDistribution,
     *,
     encoding: PauliLabel,
     q: float,
     eta: float,
-) -> tuple[float, float, CapacityResult]:
-    """``(message_entropy, eve_info, capacity)`` of ``protocol``, the bound of
-    :func:`~mdiqsdc.infotheory.secrecy_capacity`, from the checked error rate
-    ``rate(basis)`` of each basis and the ``law`` of decoded (-) encoded on an
+) -> AnalyticPoint:
+    """The :class:`AnalyticPoint` of ``protocol`` at x = p/2: the bound of
+    :func:`~mdiqsdc.infotheory.secrecy_capacity` from the checked error rate
+    ``rates[basis]`` of each basis and the ``law`` of decoded (-) encoded on an
     arrived message round (a single-photon bit flips with ``law[1]``); floats,
     or 1-D arrays for a grid. The curves and the analytic twin feed it exact
     rates and laws, a run its observed frequencies. A symbol law given as an
@@ -350,18 +372,19 @@ def closed_form(
         entropy = shannon_entropy(
             law if isinstance(law, PauliDistribution) else PauliDistribution(law)
         )
-        eve_info = eve_info_mdi_ts(rate(PauliLabel.Z), rate(PauliLabel.X))
+        eve_info = eve_info_mdi_ts(rates[PauliLabel.Z], rates[PauliLabel.X])
     else:
         bits = 1.0
         entropy = binary_entropy(law[1])
         if protocol == Protocol.MDI_DL04:
-            eve_info = binary_entropy(rate(encoding))
+            eve_info = binary_entropy(rates[encoding])
         else:
             # information leaked about one bit cannot exceed one bit, so the
             # leak argument eps_x + eps_z is capped at 1/2, where h = 1
-            eve_info = binary_entropy(minimum(rate(PauliLabel.X) + rate(PauliLabel.Z), 0.5))
+            eve_info = binary_entropy(minimum(rates[PauliLabel.X] + rates[PauliLabel.Z], 0.5))
     capacity = CapacityResult(secrecy_capacity(bits, entropy, eve_info, q=q, eta=eta))
-    return entropy, eve_info, capacity
+    eps = (rates.get(PauliLabel.Z), rates.get(PauliLabel.X), rates.get(PauliLabel.Y))
+    return AnalyticPoint(protocol, x, 2.0 * x, *eps, entropy, eve_info, capacity)
 
 
 def arrival(cfg: ProtocolConfig) -> float:
@@ -438,8 +461,8 @@ def _estimate(cfg: ProtocolConfig, counts: np.ndarray) -> TranscriptStats:
     Check error rates are per-basis disagreement frequencies (the singlet
     reference expects anti-correlated outcomes), the message law is the
     observed law of decoded (-) encoded, and :func:`closed_form` turns them
-    into the capacity. A leak basis with no check rounds flags the result as
-    unavailable.
+    into the run's point, at the config's x. A leak basis with no check rounds
+    flags the result as unavailable.
     """
     bases = check_bases(cfg)
     split = 2 * len(bases)
@@ -477,9 +500,7 @@ def _estimate(cfg: ProtocolConfig, counts: np.ndarray) -> TranscriptStats:
     message_errors: PauliDistribution | None = None
     bit_error: float | None = None
     bit_error_se: float | None = None
-    message_entropy: float | None = None
-    eve_info: float | None = None
-    capacity: CapacityResult | None = None
+    point: AnalyticPoint | None = None
     capacity_se: float | None = None
 
     if unavailable is None:
@@ -492,9 +513,10 @@ def _estimate(cfg: ProtocolConfig, counts: np.ndarray) -> TranscriptStats:
             bit_error_se = math.sqrt(bit_error * (1.0 - bit_error) / decoded_rounds)
             law = (1.0 - bit_error, bit_error)
             message_variance = _binary_rate_variance(bit_error, decoded_rounds)
-        message_entropy, eve_info, capacity = closed_form(
+        point = closed_form(
             cfg.protocol,
-            lambda basis: estimates[basis].rate,
+            cfg.channel_p / 2.0,
+            {basis: est.rate for basis, est in estimates.items() if est is not None},
             law,
             encoding=cfg.dl04_encoding,
             q=q_used,
@@ -523,9 +545,7 @@ def _estimate(cfg: ProtocolConfig, counts: np.ndarray) -> TranscriptStats:
         message_errors=message_errors,
         bit_error=bit_error,
         bit_error_se=bit_error_se,
-        message_entropy=message_entropy,
-        eve_info=eve_info,
-        capacity=capacity,
+        point=point,
         capacity_se=capacity_se,
         unavailable_reason=unavailable,
     )

@@ -137,7 +137,10 @@ def validate_probability_vector(
 
     Components must be finite, each within [0, 1] up to a -1e-10 numeric
     floor (tiny negatives are clamped to zero), and sum to 1 within 1e-12.
-    The returned tuple is renormalized so both invariants hold exactly. An
+    The returned tuple is the clamped vector divided by its sum. That sum
+    is rounded, so the result may still sum to 1 only within a few ulps
+    (two depolarized legs at p = 0.2 compose to a frame summing to
+    1.0000000000000002), and validating it again can move its last bits. An
     array reports its first failing vector with the message a float gets.
     A tuple of Python floats that passes skips the general path, whose
     checks it repeats; every failure takes that path and raises there.

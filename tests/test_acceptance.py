@@ -62,11 +62,11 @@ class TestAcceptance:
         ts = run(
             ProtocolConfig(protocol=Protocol.MDI_TS, rounds=10_000, channel_p=0.0, seed=2024)
         )
-        assert ts.capacity.raw == 2.0
+        assert ts.point.capacity.raw == 2.0
         dl = run(
             ProtocolConfig(protocol=Protocol.MDI_DL04, rounds=10_000, channel_p=0.0, seed=2024)
         )
-        assert dl.capacity.raw == 1.0
+        assert dl.point.capacity.raw == 1.0
         report("noiseless endpoints (capacity exactly 2 and 1)")
 
     def test_bell_algebra_suite(self):
@@ -162,7 +162,7 @@ class TestAcceptance:
             assert abs(est.rate - expected) < 0.005
         assert abs(dl.bit_error - expected) < 0.005
         analytic_symbols = analytic_point(Protocol.MDI_TS, p / 2)
-        assert abs(ts.capacity.raw - analytic_symbols.capacity.raw) < 0.01
+        assert abs(ts.point.capacity.raw - analytic_symbols.capacity.raw) < 0.01
         assert elapsed < 10.0
         report(
             f"Monte Carlo convergence (all QBER within 0.005 of 0.18, {elapsed:.1f} s)"
@@ -237,10 +237,10 @@ class TestAcceptance:
         attacked = run(ProtocolConfig(**common, attack=AttackModel.INTERCEPT_RESEND))
         for est in (attacked.eps_z, attacked.eps_x):
             assert abs(est.rate - 0.25) < 0.005
-        separation = clean.capacity.raw - attacked.capacity.raw
+        separation = clean.point.capacity.raw - attacked.point.capacity.raw
         combined_se = math.sqrt(clean.capacity_se**2 + attacked.capacity_se**2)
         assert separation > 5 * combined_se
-        assert attacked.capacity.raw < clean.capacity.raw
+        assert attacked.point.capacity.raw < clean.point.capacity.raw
         report(
             f"attack detection (QBER {attacked.eps_z.rate:.4f}, capacity drop "
             f"{separation:.2f} = {separation / combined_se:.0f} sigma)"

@@ -31,7 +31,7 @@ from mdiqsdc.cli import (
     MAX_GRID_POINTS,
     SWEEP_BLOCK,
     UsageError,
-    _analytic_csv_text,
+    _csv_rows,
     _grid_blocks,
     _parse_grid,
     _svg_chunks,
@@ -201,9 +201,9 @@ class TestSweep:
         # q = 0 gives capacities of -0.0; slices of 4 split the grid's rows
         for q, csv_slice in itertools.product((1.0, 0.0), (CSV_SLICE, 4)):
             monkeypatch.setattr(mdiqsdc.cli, "CSV_SLICE", csv_slice)
-            pieces = list(_analytic_csv_text(analytic_point(protocol, np.array(xs), q=q)))
+            pieces = list(_csv_rows(analytic_point(protocol, np.array(xs), q=q)))
             expected = [
-                text for x in xs for text in _analytic_csv_text(analytic_point(protocol, x, q=q))
+                text for x in xs for text in _csv_rows(analytic_point(protocol, x, q=q))
             ]
             assert len(pieces) == math.ceil(len(xs) / csv_slice)
             assert "".join(pieces) == "".join(expected) and len(expected) == len(xs)
@@ -376,13 +376,16 @@ class TestSweepBlocks:
         assert code == 2 and out == "" and err.startswith("error: ")
         assert csv_path.read_bytes() == b"earlier output\n"
 
-    def test_peak_memory_flat_in_grid_points(self, tmp_path):
-        """A 20001-point sweep holds one block of rows at a time: its
-        tracemalloc peak stays within 6 times the 1001-point peak (about 4
-        times: a block holds 4096 points); a sweep that keeps every row
-        holds 20 times as much."""
+    def test_peak_memory_flat_in_grid_points(self, tmp_path, monkeypatch):
+        """A sweep holds one block of rows at a time. With blocks of 256
+        points, from 501 to 5001 points of one curve its tracemalloc peak
+        grows by at most 20 B per extra point (about 5 B); a sweep that keeps
+        every row of the grid grew by about 530 B per point."""
+        monkeypatch.setattr(mdiqsdc.cli, "SWEEP_BLOCK", 256)
+
         def peak(grid):
-            argv = ["sweep", "--protocol", "all", "--grid", grid, "--csv", str(tmp_path / "c.csv")]
+            argv = ["sweep", "--protocol", "mdi-ts", "--grid", grid, "--csv",
+                    str(tmp_path / "c.csv")]
             with contextlib.redirect_stderr(io.StringIO()):
                 tracemalloc.start()
                 try:
@@ -391,12 +394,12 @@ class TestSweepBlocks:
                 finally:
                     tracemalloc.stop()
 
-        with contextlib.redirect_stderr(io.StringIO()):
-            main(["sweep", "--protocol", "all", "--grid", "0:0.5:0.0005", "--csv",
-                  str(tmp_path / "c.csv")])  # warm-up: imports and caches
-        small, large = peak("0:0.5:0.0005"), peak("0:0.5:0.000025")
-        assert large <= 6 * small, (small, large)
-
+        small, large = "0:0.5:0.001", "0:0.5:0.0001"
+        peak(small)  # warm-up: imports and caches
+        extra = grid_points(large).size - grid_points(small).size
+        assert extra == 4500
+        growth = peak(large) - peak(small)
+        assert growth <= 20 * extra, growth
 
     def test_svg_memory_per_grid_point(self, tmp_path, monkeypatch):
         """--svg keeps each curve's block arrays, 16 B per point per curve,
@@ -766,6 +769,58 @@ class TestSimulate:
         mc = rows[1]
         assert mc["eps_y"] == ""  # Z encoding draws no Y-basis checks
         assert float(mc["eps_z"]) > 0.0
+
+    def test_unwritable_csv_exits_2(self, capsys):
+        code, out, err = run_cli(
+            ["simulate", "--protocol", "mdi-ts", "--p", "0.2", "--rounds", "2000",
+             "--csv", "/nonexistent-dir/out.csv"],
+            capsys,
+        )
+        assert code == 2 and out == "" and err.startswith("error: ")
+
+    def test_csv_goes_through_write_text(self, capsys, tmp_path, monkeypatch):
+        """The benchmark counts output bytes by wrapping ``_write_text``."""
+        written = []
+        write_text = mdiqsdc.cli._write_text
+
+        def counting(handle, text):
+            written.append(len(text.encode("utf-8")))
+            write_text(handle, text)
+
+        monkeypatch.setattr(mdiqsdc.cli, "_write_text", counting)
+        csv_path = tmp_path / "run.csv"
+        argv = ["simulate", "--protocol", "mdi-dl04", "--p", "0.2", "--rounds", "2000",
+                "--csv", str(csv_path)]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and out == ""
+        assert sum(written) == csv_path.stat().st_size > 0
+
+    def test_mdi_ts_point_has_no_y_rate(self, capsys):
+        """An mdi-ts run checks Z and X only: its point has no Y rate, and its
+        CSV row leaves eps_y empty, where the twin's row carries one."""
+        cfg = ProtocolConfig(protocol=Protocol.MDI_TS, rounds=2000, channel_p=0.2, seed=3)
+        assert mdiqsdc.protocol.run(cfg).point.eps_y is None
+        code, out, _ = run_cli(
+            ["simulate", "--protocol", "mdi-ts", "--p", "0.2", "--rounds", "2000", "--seed", "3"],
+            capsys,
+        )
+        assert code == 0
+        _, (analytic, mc) = parse_csv(out)
+        assert mc["eps_y"] == "" and float(analytic["eps_y"]) > 0.0
+        assert float(mc["eps_z"]) > 0.0 and float(mc["eps_x"]) > 0.0
+
+    def test_point_without_a_checked_rate_leaves_its_cell_empty(self):
+        """A Z-encoded mdi-dl04 run reads its leak off Z alone, so it has an
+        estimate without any X check round; its row leaves eps_x empty."""
+        cfg = ProtocolConfig(
+            protocol=Protocol.MDI_DL04, rounds=10, channel_p=0.2, seed=3,
+            dl04_encoding=PauliLabel.Z,
+        )
+        stats = mdiqsdc.protocol._estimate(cfg, np.array([5, 1, 0, 0, 3, 1, 0]))
+        assert stats.estimate_available and stats.point.eps_x is None
+        (row,) = _csv_rows(stats.point, "montecarlo,3,10")
+        assert row.split(",")[3:6] == ["0.166666666667", "", ""]
+        assert row.endswith(",montecarlo,3,10\n")
 
     def test_single_round_exits_3(self, capsys):
         code, _, err = run_cli(

@@ -129,7 +129,7 @@ class TestRunMdiTs:
         assert stats.eps_z.rate == 0.0 and stats.eps_z.se == 0.0
         assert stats.eps_x.rate == 0.0
         assert stats.message_errors.probabilities == (1.0, 0.0, 0.0, 0.0)
-        assert stats.capacity.raw == 2.0
+        assert stats.point.capacity.raw == 2.0
         assert stats.gain == 1.0
 
     def test_decoding_perfect_at_p_zero(self):
@@ -214,7 +214,7 @@ class TestRunMdiDl04:
         cfg = ProtocolConfig(protocol=Protocol.MDI_DL04, rounds=20_000, channel_p=0.0, seed=3)
         stats = run(cfg)
         assert stats.bit_error == 0.0
-        assert stats.capacity.raw == 1.0
+        assert stats.point.capacity.raw == 1.0
 
     def test_y_encoding_estimates_eps_y(self):
         p = 0.2
@@ -317,7 +317,7 @@ class TestInterceptResend:
         )
         clean = run(ProtocolConfig(**common))
         attacked = run(ProtocolConfig(**common, attack=AttackModel.INTERCEPT_RESEND))
-        separation = clean.capacity.raw - attacked.capacity.raw
+        separation = clean.point.capacity.raw - attacked.point.capacity.raw
         assert separation > 5 * math.sqrt(clean.capacity_se**2 + attacked.capacity_se**2)
 
     def test_disabled_attack_is_plain_run(self):
@@ -339,7 +339,7 @@ class TestEstimateStats:
         stats = _estimate(self._cfg(rounds=20), counts)
         assert stats.eps_z.rate == 0.0 and stats.eps_z.se == 0.0
         assert stats.eps_x.rate == 0.0
-        assert stats.capacity.raw == 2.0
+        assert stats.point.capacity.raw == 2.0
 
     def test_synthetic_ten_percent_z_disagreement(self):
         counts = np.array([90, 10, 50, 0, 50, 0, 0, 0, 0])
@@ -352,7 +352,7 @@ class TestEstimateStats:
         stats = _estimate(self._cfg(rounds=10), counts)
         assert not stats.estimate_available
         assert "basis X" in stats.unavailable_reason
-        assert stats.capacity is None
+        assert stats.point is None
 
     def test_no_messages_flags_unavailable(self):
         counts = np.array([1, 0, 1, 0, 0, 0, 0, 0, 0])
@@ -379,8 +379,8 @@ class TestEstimateStats:
             bits = 1.0
             entropy = binary_entropy(stats.bit_error)
             eve_info = binary_entropy(stats.eps_y.rate)  # the default encoding is Y
-        assert stats.message_entropy == entropy and stats.eve_info == eve_info
-        assert stats.capacity.raw == stats.gain * (bits - entropy - eve_info)
+        assert stats.point.message_entropy == entropy and stats.point.eve_info == eve_info
+        assert stats.point.capacity.raw == stats.gain * (bits - entropy - eve_info)
 
     def test_observed_symbol_law_validated_once(self, monkeypatch):
         validate = mdiqsdc.quantum.validate_probability_vector
@@ -394,7 +394,7 @@ class TestEstimateStats:
         counts = np.array([90, 10, 50, 0, 40, 5, 3, 2, 0])
         stats = _estimate(self._cfg(rounds=200), counts)
         assert names == ["Pauli distribution"]
-        assert stats.message_entropy == shannon_entropy(stats.message_errors)
+        assert stats.point.message_entropy == shannon_entropy(stats.message_errors)
 
     @pytest.mark.parametrize("p", [0.0, 0.2])
     @pytest.mark.parametrize("protocol", [Protocol.MDI_TS, Protocol.MDI_DL04])
@@ -430,23 +430,32 @@ EXACT_LAW_CONFIGS = [
 
 def test_estimate_at_the_exact_law_is_the_twin():
     """Counts in proportion to the cell law, at about 2**52 rounds, give the
-    analytic twin's rates, entropy, leak and capacity, and the arrival
-    probability as the gain: the estimate and the twin share one closed form."""
+    analytic twin's point field by field (x, p, each checked rate, entropy,
+    leak and capacity), and the arrival probability as the gain: the estimate
+    and the twin share one closed form and one record. A basis the run does
+    not check has no rate in its point."""
     assert len(EXACT_LAW_CONFIGS) == 288
+    names = {basis: f"eps_{basis.name.lower()}" for basis in PauliLabel if basis != PauliLabel.I}
     for cfg in EXACT_LAW_CONFIGS:
         cells = _cell_probabilities(cfg, round_law_for_config(cfg))
         stats = _estimate(cfg, np.rint(cells * 2**52).astype(np.int64))
-        twin = analytic_point_for_config(cfg)
+        point, twin = stats.point, analytic_point_for_config(cfg)
+        assert point.protocol == twin.protocol == cfg.protocol
         pairs = [
             ("gain", stats.gain, arrival(cfg)),
-            ("message_entropy", stats.message_entropy, twin.message_entropy),
-            ("eve_info", stats.eve_info, twin.eve_info),
-            ("capacity", stats.capacity.raw, twin.capacity.raw),
+            ("x", point.x, twin.x),
+            ("p", point.p, twin.p),
+            ("message_entropy", point.message_entropy, twin.message_entropy),
+            ("eve_info", point.eve_info, twin.eve_info),
+            ("capacity", point.capacity.raw, twin.capacity.raw),
         ]
-        for est in (stats.eps_z, stats.eps_x, stats.eps_y):
-            if est is not None:
-                name = f"eps_{est.basis.name.lower()}"
-                pairs.append((name, est.rate, getattr(twin, name)))
+        for basis, name in names.items():
+            est = getattr(stats, name)
+            if basis in check_bases(cfg):
+                assert getattr(point, name) == est.rate, (cfg, name)
+                pairs.append((name, getattr(point, name), getattr(twin, name)))
+            else:
+                assert est is None and getattr(point, name) is None, (cfg, name)
         for name, got, want in pairs:
             assert abs(got - want) <= 1e-12, (cfg, name, got, want)
 
@@ -583,7 +592,7 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="gain gap"):
             ProtocolConfig(eta=math.nextafter(ETA_MAX, math.inf), **kwargs)
         stats = run(ProtocolConfig(eta=ETA_MAX, **kwargs))
-        assert math.isfinite(stats.capacity.raw) and math.isfinite(stats.capacity_se)
+        assert math.isfinite(stats.point.capacity.raw) and math.isfinite(stats.capacity_se)
 
     @pytest.mark.parametrize(
         "field", ["channel_p", "check_fraction", "q_override", "eta", "transmittance"]
@@ -841,8 +850,8 @@ class TestTranscriptProperties:
                 assert est.se >= 0.0
                 assert est.errors <= est.samples
         if stats.estimate_available:
-            assert stats.capacity is not None
-            assert stats.capacity.clamped == max(stats.capacity.raw, 0.0)
+            assert stats.point is not None
+            assert stats.point.capacity.clamped == max(stats.point.capacity.raw, 0.0)
             assert stats.capacity_se >= 0.0
         else:
             assert stats.unavailable_reason

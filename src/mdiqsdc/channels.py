@@ -16,7 +16,6 @@ from __future__ import annotations
 from .elementwise import check_range
 from .quantum import (
     ANTICOMMUTES,
-    PAULI_PRODUCT,
     DensityMatrix,
     PauliDistribution,
     PauliLabel,
@@ -43,30 +42,35 @@ def depolarizing_pauli_dist(p: float) -> PauliDistribution:
     return PauliDistribution((1.0 - 0.75 * p, quarter, quarter, quarter))
 
 
-# (i, PAULI_PRODUCT[i][j], j) for i, then j, in 0..3: the order convolve sums in
-_PRODUCT_TERMS = tuple((i, PAULI_PRODUCT[i][j], j) for i in range(4) for j in range(4))
-
-
 def convolve(d1: PauliDistribution, d2: PauliDistribution) -> PauliDistribution:
     """Net error distribution of two independent Pauli channels in series:
-    label k collects d1[i] * d2[j] over PAULI_PRODUCT[i][j] == k, summed from
-    0.0 in the order of i, then j."""
-    p1, p2 = d1.probabilities, d2.probabilities
-    out = [0.0, 0.0, 0.0, 0.0]
-    for i, k, j in _PRODUCT_TERMS:
-        out[k] += p1[i] * p2[j]
-    return PauliDistribution(tuple(out))
+    label k collects d1[i] * d2[j] over PAULI_PRODUCT[i][j] == k (the Klein
+    group Z2 x Z2, so j is i XOR k), summed from 0.0 in the order of i."""
+    a0, a1, a2, a3 = d1.probabilities
+    b0, b1, b2, b3 = d2.probabilities
+    return PauliDistribution(
+        (
+            0.0 + a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3,
+            0.0 + a0 * b1 + a1 * b0 + a2 * b3 + a3 * b2,
+            0.0 + a0 * b2 + a1 * b3 + a2 * b0 + a3 * b1,
+            0.0 + a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
+        )
+    )
+
+
+# the two labels that anticommute with each basis, ascending; none for I
+_ANTICOMMUTING = tuple(
+    tuple(pauli for pauli in range(4) if ANTICOMMUTES[pauli][basis]) for basis in range(4)
+)
 
 
 def error_rate_in_basis(dist: PauliDistribution, basis: PauliLabel) -> float:
     """Probability that an error from ``dist`` flips a same-basis check: the
     singlet reference is anti-correlated in every basis, so a check errs when
     the error anticommutes with the basis. Thus eps_z = d[X] + d[Y],
-    eps_x = d[Y] + d[Z] and eps_y = d[X] + d[Z]."""
+    eps_x = d[Y] + d[Z] and eps_y = d[X] + d[Z], each summed from 0.0."""
     if basis == PauliLabel.I:
         raise ValueError("basis must be X, Y, or Z")
-    return sum(
-        dist.probabilities[pauli]
-        for pauli in range(4)
-        if ANTICOMMUTES[pauli][int(basis)]
-    )
+    a, b = _ANTICOMMUTING[basis]
+    p = dist.probabilities
+    return 0.0 + p[a] + p[b]

@@ -551,22 +551,43 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _settle(stream: TextIO | None, text: str = "") -> None:
+    """Write ``text`` to ``stream`` and flush it. A stream that cannot be
+    written has its file pointed at os.devnull, as the SIGPIPE note in
+    Python's ``signal`` docs does, so that the interpreter's final flush of
+    what is left in its buffer succeeds and keeps the exit code."""
+    if stream is None:  # a standard stream the process started without
+        return
+    try:
+        stream.write(text)
+        stream.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parse_args(argv)
     config_path = getattr(args, "config", None)
     try:
         args.config_values = _load_config_file(config_path, args) if config_path else {}
         if args.command == "sweep":
-            return cmd_sweep(args)
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        return cmd_verify(args)
+            code = cmd_sweep(args)
+        elif args.command == "simulate":
+            code = cmd_simulate(args)
+        else:
+            code = cmd_verify(args)
+        if sys.stdout is not None:
+            sys.stdout.flush()  # an unwritable stdout fails here, not at interpreter exit
+        return code
     except (UsageError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code, report = EXIT_USAGE, f"error: {exc}\n"
     except Exception:
-        traceback.print_exc()
-        return EXIT_INTERNAL
+        code, report = EXIT_INTERNAL, traceback.format_exc()
+    _settle(sys.stdout)
+    _settle(sys.stderr, report)
+    return code
 
 
 if __name__ == "__main__":

@@ -116,17 +116,18 @@ BELL_VECTORS: np.ndarray = np.array(
 BELL_VECTORS.flags.writeable = False
 
 
-def _passing_floats(values, length: int) -> bool:
-    """Whether ``values`` is a tuple of ``length`` Python floats that passes
-    every check of :func:`validate_probability_vector`, made as it makes them."""
+def _passing_floats(values, length: int) -> float | None:
+    """The sum, from 0.0 left to right, of ``values`` if it is a tuple of
+    ``length`` Python floats, none below zero, that passes every check of
+    :func:`validate_probability_vector`, made as it makes them; else None."""
     if type(values) is not tuple or len(values) != length:
-        return False
+        return None
     total = 0.0
     for v in values:
-        if type(v) is not float or not EIGENVALUE_FLOOR <= v <= 1 + 1e-12:
-            return False
+        if type(v) is not float or not 0.0 <= v <= 1 + 1e-12:
+            return None
         total = total + v
-    return abs(total - 1.0) <= 1e-12
+    return total if abs(total - 1.0) <= 1e-12 else None
 
 
 def validate_probability_vector(
@@ -142,30 +143,32 @@ def validate_probability_vector(
     (two depolarized legs at p = 0.2 compose to a frame summing to
     1.0000000000000002), and validating it again can move its last bits. An
     array reports its first failing vector with the message a float gets.
-    A tuple of Python floats that passes skips the general path, whose
-    checks it repeats; every failure takes that path and raises there.
+    A tuple of Python floats that passes with no component below zero
+    skips the general path: nothing is clamped, so the sum its checks took
+    is the one the general path would divide by. Every other input, every
+    failure included, takes that path.
     """
-    if _passing_floats(values, length):
-        clamped = [0.0 if v < 0.0 else v for v in values]  # max(v, 0.0), keeping -0.0
-    else:
-        vec = as_floats(values)
-        if len(vec) != length:
-            raise ValueError(f"{name} needs {length} components, got {len(vec)}")
-        in_range = True  # NaN and infinities fail too
-        total = 0.0
-        for v in vec:
-            in_range = in_range & (EIGENVALUE_FLOOR <= v) & (v <= 1 + 1e-12)
-            total = total + v
-        # the first failing vector, as floats, with the message of its first failing check
-        bad = first_failure(in_range & (abs(total - 1.0) <= 1e-12), [*vec, total])
-        if bad is not None:
-            *row, total = bad
-            if not all(map(math.isfinite, row)):
-                raise ValueError(f"{name} components must be finite")
-            if not all(EIGENVALUE_FLOOR <= v <= 1 + 1e-12 for v in row):
-                raise ValueError(f"{name} components must lie in [0, 1]: {row}")
-            raise ValueError(f"{name} must sum to 1 within 1e-12, got {total!r}")
-        clamped = [maximum(v, 0.0) for v in vec]
+    total = _passing_floats(values, length)
+    if total is not None:
+        return tuple([v / total for v in values])
+    vec = as_floats(values)
+    if len(vec) != length:
+        raise ValueError(f"{name} needs {length} components, got {len(vec)}")
+    in_range = True  # NaN and infinities fail too
+    total = 0.0
+    for v in vec:
+        in_range = in_range & (EIGENVALUE_FLOOR <= v) & (v <= 1 + 1e-12)
+        total = total + v
+    # the first failing vector, as floats, with the message of its first failing check
+    bad = first_failure(in_range & (abs(total - 1.0) <= 1e-12), [*vec, total])
+    if bad is not None:
+        *row, total = bad
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"{name} components must be finite")
+        if not all(EIGENVALUE_FLOOR <= v <= 1 + 1e-12 for v in row):
+            raise ValueError(f"{name} components must lie in [0, 1]: {row}")
+        raise ValueError(f"{name} must sum to 1 within 1e-12, got {total!r}")
+    clamped = [maximum(v, 0.0) for v in vec]
     norm = 0.0
     for v in clamped:
         norm = norm + v

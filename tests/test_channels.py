@@ -1,5 +1,6 @@
 """Noise-model tests: depolarizing channel, composition, error-rate maps."""
 
+import itertools
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from mdiqsdc.channels import (
     error_rate_in_basis,
 )
 from mdiqsdc.quantum import (
+    ANTICOMMUTES,
     PAULI_PRODUCT,
     BellLabel,
     DensityMatrix,
@@ -39,6 +41,21 @@ P_GRID = [round(0.1 * k, 10) for k in range(11)]
 dist_strategy = st.lists(
     st.floats(min_value=1e-3, max_value=1.0), min_size=4, max_size=4
 ).map(lambda vs: PauliDistribution(tuple(v / sum(vs) for v in vs)))
+
+
+# point masses whose zeros carry every sign: validation keeps -0.0, and a sum
+# whose terms are all -0.0 is 0.0 only when it starts from 0.0
+SIGNED_POINT_MASSES = [
+    PauliDistribution(tuple(1.0 if k == one else zeros[k - (k > one)] for k in range(4)))
+    for one in range(4)
+    for zeros in itertools.product((0.0, -0.0), repeat=3)
+]
+
+
+def grid_of(laws):
+    """The laws as one grid law, one float64 array per label."""
+    columns = zip(*(d.probabilities for d in laws))
+    return PauliDistribution(tuple(np.array(column) for column in columns))
 
 
 def embed_on_pair(op, qubit):
@@ -152,6 +169,17 @@ class TestConvolve:
             floats = [PauliDistribution(tuple(law[:, k].tolist())) for law in laws]
             assert got[:, k].tobytes() == np.array(convolve(*floats).probabilities).tobytes()
 
+    def test_signed_zeros_equal_the_double_loop_bit_for_bit(self):
+        pairs = list(itertools.product(SIGNED_POINT_MASSES, repeat=2))
+        signs = [math.copysign(1.0, v) for d in SIGNED_POINT_MASSES for v in d.probabilities]
+        assert signs.count(-1.0) == 48  # validation kept every -0.0
+        for d1, d2 in pairs:
+            got = np.array(convolve(d1, d2).probabilities)
+            assert got.tobytes() == np.array(self.written_out(d1, d2).probabilities).tobytes()
+        firsts, seconds = (grid_of(laws) for laws in zip(*pairs))
+        got = np.stack(convolve(firsts, seconds).probabilities)
+        assert got.tobytes() == np.stack(self.written_out(firsts, seconds).probabilities).tobytes()
+
     @pytest.mark.parametrize("p", [0.0, 0.2, 0.5, 1.0])
     def test_two_legs_match_density_matrix_oracle(self, p):
         dm = bell_state(BellLabel.PSI_MINUS).to_density_matrix()
@@ -236,6 +264,32 @@ class TestErrorRates:
         )
         back = bell_measure(DensityMatrix(mixed))
         np.testing.assert_allclose(back, deltas, atol=1e-15)
+
+    @staticmethod
+    def summed(dist, basis):
+        """The rate as a sum over the labels that anticommute with ``basis``."""
+        return sum(
+            dist.probabilities[pauli] for pauli in range(4) if ANTICOMMUTES[pauli][int(basis)]
+        )
+
+    @pytest.mark.parametrize("basis", CHECKED_BASES)
+    def test_equals_the_anticommuting_sum_bit_for_bit(self, basis):
+        rng = np.random.default_rng(int(basis))
+        rows = rng.random((32, 4)) ** 3
+        rows[np.arange(8), rng.integers(4, size=8)] = 0.0  # zeros among the random laws
+        laws = [
+            *SIGNED_POINT_MASSES,
+            *(PauliDistribution(tuple(v / sum(row) for v in row.tolist())) for row in rows),
+            *(depolarizing_pauli_dist(p) for p in P_GRID),
+        ]
+        for law in laws:
+            got = error_rate_in_basis(law, basis)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(self.summed(law, basis)).tobytes()
+        grid = grid_of(laws)
+        got = error_rate_in_basis(grid, basis)
+        assert got.dtype == np.float64
+        assert got.tobytes() == self.summed(grid, basis).tobytes()
 
     def test_error_rate_in_basis_rejects_identity(self):
         with pytest.raises(ValueError):

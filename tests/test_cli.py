@@ -958,6 +958,56 @@ class TestExitCodes:
         assert "Traceback" in err and "ValueError: injected internal failure" in err
 
 
+    # the child imports the package this process tests
+    PACKAGE_ENV = dict(
+        os.environ, PYTHONPATH=str(Path(mdiqsdc.cli.__file__).resolve().parents[1])
+    )
+    UNWRITABLE_COMMANDS = [
+        ["sweep", "--protocol", "mdi-ts", "--x", "0.1"],
+        ["simulate", "--protocol", "mdi-ts", "--p", "0.1", "--rounds", "100"],
+        ["verify"],
+    ]
+
+    def start_child(self, args, *, buffered, stdout, stderr):
+        """``python args`` started with its standard streams on the files
+        given, with Python's normal buffering or with PYTHONUNBUFFERED."""
+        env = dict(self.PACKAGE_ENV)
+        if buffered:
+            env.pop("PYTHONUNBUFFERED", None)
+        else:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open(stdout, "w") as out, open(stderr, "w") as err:
+            return subprocess.Popen([sys.executable, *args], stdout=out, stderr=err, env=env)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("args", UNWRITABLE_COMMANDS, ids=lambda args: args[0])
+    def test_unwritable_stdout_exits_2(self, tmp_path, args, buffered):
+        err = tmp_path / "err.txt"
+        # the second child has no room for its error message either
+        children = [
+            self.start_child(["-m", "mdiqsdc", *args], buffered=buffered, stdout="/dev/full",
+                             stderr=stderr)
+            for stderr in (err, "/dev/full")
+        ]
+        assert [child.wait() for child in children] == [2, 2]
+        assert err.read_text().endswith("error: [Errno 28] No space left on device\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    def test_unwritable_traceback_exits_4(self, buffered):
+        inject = (
+            "import sys, mdiqsdc.cli\n"
+            "def broken(*_, **__):\n"
+            "    raise ValueError('injected internal failure')\n"
+            "mdiqsdc.cli.analytic_point = broken\n"
+            "sys.exit(mdiqsdc.cli.main(['sweep', '--protocol', 'mdi-ts', '--x', '0.1']))\n"
+        )
+        child = self.start_child(["-c", inject], buffered=buffered, stdout=os.devnull,
+                                 stderr="/dev/full")
+        assert child.wait() == 4
+
+
 def run_watching_warnings(argv):
     """Exit code, stdout, stderr and the RuntimeWarnings of one invocation."""
     out, err = io.StringIO(), io.StringIO()

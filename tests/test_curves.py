@@ -3,6 +3,8 @@ outcome distributions of both backends, over the whole config space, and
 one grid call of the closed forms against one float call per grid point."""
 
 import itertools
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from mdiqsdc.protocol import (
     check_bases,
     density_matrix_round_distributions,
     pauli_frame_round_distributions,
+    round_law_for_config,
 )
 from mdiqsdc.quantum import PauliLabel
 
@@ -128,6 +131,58 @@ def assert_grid_matches_points(protocol, xs, **kwargs):
         assert all(type(v) is float for v in values), name
         # bytes, so that signed zeros must match too
         assert column.tobytes() == np.array(values, dtype=np.float64).tobytes(), name
+
+
+NUMPY_DIR = os.path.dirname(np.__file__)
+
+
+def numpy_touches(call):
+    """``call()`` and what it called in numpy, as ``sys.setprofile`` sees it:
+    C functions and methods that numpy defines, and Python functions in
+    numpy's files."""
+    touched = []
+
+    def profile(frame, event, arg):
+        if event == "c_call":
+            modules = (getattr(arg, "__module__", None) or "",
+                       type(getattr(arg, "__self__", None)).__module__)
+            if any(module.split(".")[0] == "numpy" for module in modules):
+                touched.append(arg)
+        elif event == "call" and frame.f_code.co_filename.startswith(NUMPY_DIR):
+            touched.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        result = call()
+    finally:
+        sys.setprofile(None)
+    return result, touched
+
+
+@pytest.mark.parametrize("noise", tuple(NoisePlacement))
+@pytest.mark.parametrize("protocol", tuple(Protocol))
+def test_float_point_touches_no_numpy(protocol, noise):
+    # the premise of the float path: a single point never meets numpy
+    point, touched = numpy_touches(lambda: analytic_point(protocol, 0.1, noise=noise))
+    assert touched == []
+    assert all(type(_field(point, name)) is float for name in POINT_FIELDS)
+    # a grid call goes through numpy, and the profile sees it
+    _, touched = numpy_touches(lambda: analytic_point(protocol, np.array([0.1]), noise=noise))
+    assert touched
+
+
+@pytest.mark.parametrize(
+    "cfg", [cfg for cfg in CONFIGS if cfg.channel_p == 0.3], ids=_config_id
+)
+def test_config_twin_touches_no_numpy(cfg):
+    def twin():
+        laws = round_law_for_config(cfg)
+        return laws, analytic_point_for_config(cfg, laws)
+
+    ((frame, law), point), touched = numpy_touches(twin)
+    assert touched == []
+    assert all(type(v) is float for v in (*frame.probabilities, *law))
+    assert all(type(_field(point, name)) is float for name in POINT_FIELDS)
 
 
 @pytest.mark.parametrize("q, eta", [(1.0, 1.0), (0.8, 1.1)])

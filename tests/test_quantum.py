@@ -592,19 +592,26 @@ COMPONENTS = st.one_of(
 )
 
 
+# built once: a strategy made inside a draw is validated again at every example
+LENGTHS = st.sampled_from([4] * 8 + [3, 5])
+ELEMENT_RULES = st.sampled_from([IN_RANGE, COMPONENTS])
+SETS_THE_SUM = st.sampled_from([True, True, False])
+OFFSETS = st.sampled_from(SUM_OFFSETS)
+
+
 @st.composite
 def float_vectors(draw):
     """A tuple of Python floats, most often four, whose last component
     often sets the running sum to 1 or to 1e-12 or so off it."""
-    length = draw(st.sampled_from([4] * 8 + [3, 5]))
-    values = draw(st.lists(draw(st.sampled_from([IN_RANGE, COMPONENTS])), min_size=length,
-                           max_size=length))
-    if draw(st.sampled_from([True, True, False])):
+    length = draw(LENGTHS)
+    element = draw(ELEMENT_RULES)
+    values = [draw(element) for _ in range(length)]
+    if draw(SETS_THE_SUM):
         values[:-1] = [v / length for v in values[:-1]]  # mostly keeps the sum below 1
         total = 0.0
         for v in values[:-1]:
             total = total + v
-        values[-1] = 1.0 - total + draw(st.sampled_from(SUM_OFFSETS))
+        values[-1] = 1.0 - total + draw(OFFSETS)
     return tuple(values)
 
 
@@ -631,8 +638,16 @@ class TestFloatPath:
         else:
             assert [type(v) for v in ours] == [float] * 4
             assert np.array(ours).tobytes() == np.concatenate(row).tobytes()
-        # the short path is taken exactly when the vector passes
-        assert mdiqsdc.quantum._passing_floats(values, 4) == (not isinstance(row, str))
+        # the short path is taken exactly when the vector passes with no
+        # component below zero, and returns the sum the general path divides by
+        total = mdiqsdc.quantum._passing_floats(values, 4)
+        if isinstance(row, str) or any(v < 0.0 for v in values):
+            assert total is None
+        else:
+            left_to_right = 0.0
+            for v in values:
+                left_to_right = left_to_right + v
+            assert total == left_to_right
 
     @pytest.mark.parametrize(
         "values, kept",

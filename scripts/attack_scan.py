@@ -32,12 +32,12 @@ def scan(rounds: int, seed: int) -> None:
             )
             stats = run(cfg)
             row = f"{p:>5.2f} {('yes' if attack != AttackModel.NONE else 'no'):>7} "
-            if not stats.estimate_available:
+            if stats.point is None:
                 print(row + stats.unavailable_reason)
                 continue
             print(
-                row + f"{stats.eps_z.rate:>8.4f} {stats.eps_x.rate:>8.4f} "
-                f"{stats.point.capacity.raw:>9.4f} {stats.capacity_se:>8.5f}"
+                row + f"{stats.point.eps_z:>8.4f} {stats.point.eps_x:>8.4f} "
+                f"{stats.point.capacity.raw:>9.4f} {stats.se['capacity']:>8.5f}"
             )
 
 

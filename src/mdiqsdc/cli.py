@@ -2,7 +2,11 @@
 verification, with CSV and hand-emitted SVG output.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
-error, 3 insufficient statistics, 4 internal error (traceback on stderr).
+error (a closed stdout included, when the command would write there), 3
+insufficient statistics, 4 internal error (traceback on stderr). A Monte
+Carlo run's stderr summary prints its record as it is: each check basis's
+rate, SE and (errors/samples), the observed message law and the capacity with
+its SE.
 CSV uses 12 significant digits, ``.`` decimals, LF line endings and a
 single header row, so identical invocations produce byte-identical files.
 """
@@ -101,10 +105,17 @@ def _csv_rows(point: AnalyticPoint, source: str = "analytic,,") -> Iterator[str]
         yield "".join(row % cells for cells in zip(*part))
 
 
+def _stdout() -> TextIO:
+    """``sys.stdout``; a process started without one cannot print its output."""
+    if sys.stdout is None:
+        raise UsageError("standard output is closed")
+    return sys.stdout
+
+
 def _open_output(path: str | None) -> contextlib.AbstractContextManager[TextIO]:
     """A new file at ``path``, or stdout, left open, when ``path`` is None."""
     if path is None:
-        return contextlib.nullcontext(sys.stdout)
+        return contextlib.nullcontext(_stdout())
     return open(path, "w", encoding="utf-8", newline="")
 
 
@@ -495,7 +506,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # one round law feeds both the cell law of the run and its analytic twin
     laws = round_law_for_config(cfg)
     stats = run(cfg, laws)
-    if not stats.estimate_available:
+    if stats.point is None:
         print(f"insufficient statistics: {stats.unavailable_reason}", file=sys.stderr)
         return EXIT_INSUFFICIENT_STATS
 
@@ -508,26 +519,27 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _print_summary(cfg: ProtocolConfig, stats: TranscriptStats) -> None:
+    point, se = stats.point, stats.se
     lines = [
         f"protocol {cfg.protocol.value}  p={cfg.channel_p:g}  rounds={cfg.rounds}  "
         f"seed={cfg.seed}  attack={'on' if cfg.attack != AttackModel.NONE else 'off'}",
-        f"rounds: {stats.check_rounds} checks, {stats.message_rounds} messages, "
+        f"rounds: {cfg.rounds - stats.message_rounds} checks, {stats.message_rounds} messages, "
         f"gain Q = {stats.gain:.6f}",
     ]
-    for est in (stats.eps_z, stats.eps_x, stats.eps_y):
-        if est is not None:
+    for basis, (errors, samples) in stats.checks.items():
+        if samples:
+            name = f"eps_{basis.name.lower()}"
             lines.append(
-                f"eps_{est.basis.name.lower()} = {est.rate:.6f} +- {est.se:.6f} "
-                f"({est.errors}/{est.samples})"
+                f"{name} = {getattr(point, name):.6f} +- {se[name]:.6f} ({errors}/{samples})"
             )
-    if stats.message_errors is not None:
-        probs = ", ".join(f"{p:.6f}" for p in stats.message_errors.probabilities)
+    if cfg.protocol == Protocol.MDI_TS:
+        probs = ", ".join(f"{p:.6f}" for p in stats.law)
         lines.append(f"message error distribution = ({probs})")
-    if stats.bit_error is not None:
-        lines.append(f"bit error = {stats.bit_error:.6f} +- {stats.bit_error_se:.6f}")
+    else:
+        lines.append(f"bit error = {stats.law[1]:.6f} +- {se['bit_error']:.6f}")
     lines.append(
-        f"capacity = {_fixed(stats.point.capacity.raw)} +- {_fixed(stats.capacity_se)} "
-        f"(clamped {stats.point.capacity.clamped:.6f})"
+        f"capacity = {_fixed(point.capacity.raw)} +- {_fixed(se['capacity'])} "
+        f"(clamped {point.capacity.clamped:.6f})"
     )
     print("\n".join(lines), file=sys.stderr)
 
@@ -539,11 +551,12 @@ def _fixed(value: float) -> str:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    out = _stdout()
     results = run_all_checks(inject_fault=args.inject_fault)
     failed = [r for r in results if not r.passed]
     for result in results:
         status = "PASS" if result.passed else "FAIL"
-        print(f"{status} {result.name}: {result.detail}")
+        print(f"{status} {result.name}: {result.detail}", file=out)
     if failed:
         print(f"{len(failed)} of {len(results)} checks failed", file=sys.stderr)
         return EXIT_VERIFY_FAILED

@@ -19,7 +19,11 @@ the cell counts are exactly multinomial: a run is one multinomial draw over
 the cell law from a generator seeded with the run's seed (Devroye,
 *Non-Uniform Random Variate Generation*, 1986). That count vector is the
 run's tally, and the estimate reads it directly. Its time and memory do not
-depend on the number of rounds; :func:`run` runs either protocol.
+depend on the number of rounds; :func:`run` runs either protocol. The run's
+record, :class:`TranscriptStats`, holds the tally once and each value read
+off it once: each check basis's (errors, samples), the message and decoded
+round counts and the gain, the observed message law, the point, and one
+mapping of standard errors keyed by the point's field names.
 
 :func:`round_law` is the one law of a round: the pair frame, off which the
 checked rates are read, and :func:`message_law` of the frame composed with
@@ -186,17 +190,6 @@ class ProtocolConfig:
 
 
 @dataclass(frozen=True)
-class QberEstimate:
-    """Empirical error rate of one check basis with its binomial standard error."""
-
-    basis: PauliLabel
-    samples: int
-    errors: int
-    rate: float
-    se: float
-
-
-@dataclass(frozen=True)
 class AnalyticPoint:
     """One operating point of the bound, as :func:`closed_form` evaluates it:
     floats, or equal-length float64 arrays for a grid. A curve's point and a
@@ -216,35 +209,25 @@ class AnalyticPoint:
 
 @dataclass(frozen=True)
 class TranscriptStats:
-    """Aggregated tallies and estimates of one Monte Carlo run; ``point`` is
-    :func:`closed_form` at the observed frequencies, None when unavailable."""
+    """One Monte Carlo run: its tally ``counts``, the int cell counts in
+    :func:`_cell_probabilities` order, and what :func:`_estimate` reads off
+    them. ``checks`` maps each check basis drawn to its (errors, samples);
+    ``law`` is the observed law of decoded (-) encoded and ``point``
+    :func:`closed_form` at the observed frequencies; ``se`` holds the
+    delta-method standard error of each estimate, keyed by the point's field
+    names (and ``bit_error`` for the single-photon protocol). A run that
+    cannot estimate the bound gives its ``unavailable_reason`` instead, with
+    no law, no point and no SEs."""
 
-    protocol: Protocol
-    rounds: int
-    check_rounds: int
+    counts: tuple[int, ...]
+    checks: Mapping[PauliLabel, tuple[int, int]]
     message_rounds: int
     decoded_rounds: int
     gain: float
-    eps_z: QberEstimate | None
-    eps_x: QberEstimate | None
-    eps_y: QberEstimate | None
-    message_errors: PauliDistribution | None
-    bit_error: float | None
-    bit_error_se: float | None
+    law: tuple[float, ...] | None
     point: AnalyticPoint | None
-    capacity_se: float | None
+    se: Mapping[str, float]
     unavailable_reason: str | None
-
-    def __post_init__(self) -> None:
-        if self.check_rounds + self.message_rounds != self.rounds:
-            raise ValueError("round tallies are inconsistent")
-        if not 0 <= self.decoded_rounds <= self.message_rounds:
-            raise ValueError("decoded count exceeds message count")
-
-    @property
-    def estimate_available(self) -> bool:
-        """Whether the run estimated a capacity: no reason says otherwise."""
-        return self.unavailable_reason is None
 
 
 def swap_correction(outcome: BellLabel) -> PauliLabel:
@@ -464,24 +447,18 @@ def _estimate(cfg: ProtocolConfig, counts: np.ndarray) -> TranscriptStats:
     into the run's point, at the config's x. A leak basis with no check rounds
     flags the result as unavailable.
     """
+    tally = tuple(counts.tolist())
     bases = check_bases(cfg)
     split = 2 * len(bases)
-    checks, messages = counts[:split].tolist(), counts[split:].tolist()
+    checks = {
+        basis: (errors, agree + errors)
+        for basis, agree, errors in zip(bases, tally[:split:2], tally[1:split:2])
+    }
+    messages = tally[split:]
     diffs = messages[:-1]
-    estimates: dict[PauliLabel, QberEstimate | None] = dict.fromkeys(
-        (PauliLabel.Z, PauliLabel.X, PauliLabel.Y)
-    )
-    for basis, agree, errors in zip(bases, checks[::2], checks[1::2]):
-        samples = agree + errors
-        if samples > 0:
-            rate = errors / samples
-            se = math.sqrt(rate * (1.0 - rate) / samples)
-            estimates[basis] = QberEstimate(basis, samples, errors, rate, se)
-
     message_rounds = sum(messages)
     decoded_rounds = sum(diffs)
     gain = decoded_rounds / message_rounds if message_rounds > 0 else 0.0
-    q_used = cfg.q_override if cfg.q_override is not None else gain
 
     unavailable: str | None = None
     # The single-photon leak reads only the encoding-basis rate; the
@@ -490,64 +467,47 @@ def _estimate(cfg: ProtocolConfig, counts: np.ndarray) -> TranscriptStats:
         (PauliLabel.Z, PauliLabel.X) if cfg.protocol == Protocol.MDI_TS else (cfg.dl04_encoding,)
     )
     for basis in leak_bases:
-        if estimates[basis] is None:
+        if checks[basis][1] == 0:
             unavailable = f"no check rounds in basis {basis.name}"
     if message_rounds == 0:
         unavailable = "no message rounds"
     elif decoded_rounds == 0:
         unavailable = "no decoded message rounds"
-
-    message_errors: PauliDistribution | None = None
-    bit_error: float | None = None
-    bit_error_se: float | None = None
-    point: AnalyticPoint | None = None
-    capacity_se: float | None = None
-
-    if unavailable is None:
-        if cfg.protocol == Protocol.MDI_TS:
-            frequencies = tuple(float(c) / decoded_rounds for c in diffs)
-            law = message_errors = PauliDistribution(frequencies)
-            message_variance = _shannon_variance(frequencies, decoded_rounds)
-        else:
-            bit_error = int(diffs[1]) / decoded_rounds
-            bit_error_se = math.sqrt(bit_error * (1.0 - bit_error) / decoded_rounds)
-            law = (1.0 - bit_error, bit_error)
-            message_variance = _binary_rate_variance(bit_error, decoded_rounds)
-        point = closed_form(
-            cfg.protocol,
-            cfg.channel_p / 2.0,
-            {basis: est.rate for basis, est in estimates.items() if est is not None},
-            law,
-            encoding=cfg.dl04_encoding,
-            q=q_used,
-            eta=cfg.eta,
-        )
-        leak_variance = sum(
-            _binary_rate_variance(estimates[basis].rate, estimates[basis].samples)
-            for basis in leak_bases
-        )
-        # eta scales the leak's standard deviation: squaring eta itself
-        # would overflow for eta above about 1e154
-        capacity_se = q_used * math.hypot(
-            math.sqrt(message_variance), cfg.eta * math.sqrt(leak_variance)
+    if unavailable is not None:
+        return TranscriptStats(
+            tally, checks, message_rounds, decoded_rounds, gain, None, None, {}, unavailable
         )
 
+    rates = {basis: errors / samples for basis, (errors, samples) in checks.items() if samples}
+    se = {
+        f"eps_{basis.name.lower()}": math.sqrt(rate * (1.0 - rate) / checks[basis][1])
+        for basis, rate in rates.items()
+    }
+    if cfg.protocol == Protocol.MDI_TS:
+        frequencies = tuple(float(c) / decoded_rounds for c in diffs)
+        # closed_form takes the validated law as it is, and the record keeps
+        # its probabilities: validating them again could move their last bits
+        observed = PauliDistribution(frequencies)
+        law = observed.probabilities
+        message_variance = _shannon_variance(frequencies, decoded_rounds)
+    else:
+        bit_error = diffs[1] / decoded_rounds
+        se["bit_error"] = math.sqrt(bit_error * (1.0 - bit_error) / decoded_rounds)
+        observed = law = (1.0 - bit_error, bit_error)
+        message_variance = _binary_rate_variance(bit_error, decoded_rounds)
+    q_used = cfg.q_override if cfg.q_override is not None else gain
+    point = closed_form(
+        cfg.protocol, cfg.channel_p / 2.0, rates, observed,
+        encoding=cfg.dl04_encoding, q=q_used, eta=cfg.eta,
+    )
+    leak_variance = sum(_binary_rate_variance(rates[b], checks[b][1]) for b in leak_bases)
+    # eta scales the leak's standard deviation: squaring eta itself
+    # would overflow for eta above about 1e154
+    se["capacity"] = q_used * math.hypot(
+        math.sqrt(message_variance), cfg.eta * math.sqrt(leak_variance)
+    )
     return TranscriptStats(
-        protocol=cfg.protocol,
-        rounds=sum(checks) + message_rounds,
-        check_rounds=sum(checks),
-        message_rounds=message_rounds,
-        decoded_rounds=decoded_rounds,
-        gain=gain,
-        eps_z=estimates[PauliLabel.Z],
-        eps_x=estimates[PauliLabel.X],
-        eps_y=estimates[PauliLabel.Y],
-        message_errors=message_errors,
-        bit_error=bit_error,
-        bit_error_se=bit_error_se,
-        point=point,
-        capacity_se=capacity_se,
-        unavailable_reason=unavailable,
+        tally, checks, message_rounds, decoded_rounds, gain, law, point, se, None
     )
 
 

@@ -116,11 +116,11 @@ BELL_VECTORS: np.ndarray = np.array(
 BELL_VECTORS.flags.writeable = False
 
 
-def _passing_floats(values, length: int) -> float | None:
+def _passing_floats(values) -> float | None:
     """The sum, from 0.0 left to right, of ``values`` if it is a tuple of
-    ``length`` Python floats, none below zero, that passes every check of
+    four Python floats, none below zero, that passes every check of
     :func:`validate_probability_vector`, made as it makes them; else None."""
-    if type(values) is not tuple or len(values) != length:
+    if type(values) is not tuple or len(values) != 4:
         return None
     total = 0.0
     for v in values:
@@ -130,11 +130,9 @@ def _passing_floats(values, length: int) -> float | None:
     return total if abs(total - 1.0) <= 1e-12 else None
 
 
-def validate_probability_vector(
-    values: Iterable[float], *, name: str, length: int = 4
-) -> tuple[float, ...]:
-    """Validate and normalize a probability vector: floats, or equal-length
-    float64 arrays holding one vector per element.
+def validate_probability_vector(values: Iterable[float], *, name: str) -> tuple[float, ...]:
+    """Validate and normalize a probability vector of four components: floats,
+    or equal-length float64 arrays holding one vector per element.
 
     Components must be finite, each within [0, 1] up to a -1e-10 numeric
     floor (tiny negatives are clamped to zero), and sum to 1 within 1e-12.
@@ -148,12 +146,12 @@ def validate_probability_vector(
     is the one the general path would divide by. Every other input, every
     failure included, takes that path.
     """
-    total = _passing_floats(values, length)
+    total = _passing_floats(values)
     if total is not None:
         return tuple([v / total for v in values])
     vec = as_floats(values)
-    if len(vec) != length:
-        raise ValueError(f"{name} needs {length} components, got {len(vec)}")
+    if len(vec) != 4:
+        raise ValueError(f"{name} needs 4 components, got {len(vec)}")
     in_range = True  # NaN and infinities fail too
     total = 0.0
     for v in vec:

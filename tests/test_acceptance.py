@@ -158,9 +158,10 @@ class TestAcceptance:
             )
         )
         elapsed = time.perf_counter() - start
-        for est in (ts.eps_z, ts.eps_x, dl.eps_z, dl.eps_x, dl.eps_y):
-            assert abs(est.rate - expected) < 0.005
-        assert abs(dl.bit_error - expected) < 0.005
+        for rate in (ts.point.eps_z, ts.point.eps_x, dl.point.eps_z, dl.point.eps_x,
+                     dl.point.eps_y):
+            assert abs(rate - expected) < 0.005
+        assert abs(dl.law[1] - expected) < 0.005
         analytic_symbols = analytic_point(Protocol.MDI_TS, p / 2)
         assert abs(ts.point.capacity.raw - analytic_symbols.capacity.raw) < 0.01
         assert elapsed < 10.0
@@ -235,14 +236,14 @@ class TestAcceptance:
         )
         clean = run(ProtocolConfig(**common))
         attacked = run(ProtocolConfig(**common, attack=AttackModel.INTERCEPT_RESEND))
-        for est in (attacked.eps_z, attacked.eps_x):
-            assert abs(est.rate - 0.25) < 0.005
+        for rate in (attacked.point.eps_z, attacked.point.eps_x):
+            assert abs(rate - 0.25) < 0.005
         separation = clean.point.capacity.raw - attacked.point.capacity.raw
-        combined_se = math.sqrt(clean.capacity_se**2 + attacked.capacity_se**2)
+        combined_se = math.sqrt(clean.se["capacity"] ** 2 + attacked.se["capacity"] ** 2)
         assert separation > 5 * combined_se
         assert attacked.point.capacity.raw < clean.point.capacity.raw
         report(
-            f"attack detection (QBER {attacked.eps_z.rate:.4f}, capacity drop "
+            f"attack detection (QBER {attacked.point.eps_z:.4f}, capacity drop "
             f"{separation:.2f} = {separation / combined_se:.0f} sigma)"
         )
 

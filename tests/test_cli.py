@@ -624,6 +624,18 @@ class TestSimulate:
         digest = hashlib.sha256(out.encode() + err.encode()).hexdigest()
         assert digest == self.SIMULATE_SHA256[pin]
 
+    @staticmethod
+    def pinned_cfg(protocol, noise, attack, encoding, rounds):
+        return ProtocolConfig(
+            protocol=Protocol(protocol),
+            rounds=rounds,
+            channel_p=0.2,
+            seed=29,
+            noise=NoisePlacement(noise),
+            dl04_encoding=PauliLabel[encoding.upper()],
+            attack=AttackModel(attack),
+        )
+
     @each_pin
     def test_pinned_output_passes_the_benchmark_gate(
         self, capsys, protocol, noise, attack, encoding, rounds
@@ -633,19 +645,32 @@ class TestSimulate:
         (perfbench/gate.py, used as it is)."""
         argv = self.pinned_argv(protocol, noise, attack, encoding, rounds)
         code, out, err = run_cli(argv, capsys)
-        cfg = ProtocolConfig(
-            protocol=Protocol(protocol),
-            rounds=rounds,
-            channel_p=0.2,
-            seed=29,
-            noise=NoisePlacement(noise),
-            dl04_encoding=PauliLabel[encoding.upper()],
-            attack=AttackModel(attack),
-        )
+        cfg = self.pinned_cfg(protocol, noise, attack, encoding, rounds)
         gate = Gate()
         assert gate.check(
             Op("simulate", tuple(argv), (), cfg), Outcome(code, out, err, (("csv", out.encode()),))
         ), gate.failures
+
+    @each_pin
+    def test_pinned_run_is_read_off_its_counts(
+        self, capsys, protocol, noise, attack, encoding, rounds
+    ):
+        """A pinned run's record is the estimate of its own counts, which add
+        up to its rounds, and each basis's printed (errors/samples) and rate
+        are read off those counts."""
+        cfg = self.pinned_cfg(protocol, noise, attack, encoding, rounds)
+        stats = mdiqsdc.protocol.run(cfg)
+        assert mdiqsdc.protocol._estimate(cfg, np.array(stats.counts)) == stats
+        assert sum(stats.counts) == cfg.rounds
+        code, _, err = run_cli(self.pinned_argv(protocol, noise, attack, encoding, rounds), capsys)
+        assert code == 0
+        printed = re.findall(r"^eps_(\w) = (\S+) \+- \S+ \((\d+)/(\d+)\)$", err, re.MULTILINE)
+        bases = mdiqsdc.protocol.check_bases(cfg)
+        assert [name for name, *_ in printed] == [b.name.lower() for b in bases]
+        for index, (_, rate, errors, samples) in enumerate(printed):
+            agree, erred = stats.counts[2 * index : 2 * index + 2]
+            assert (int(errors), int(samples)) == (erred, agree + erred)
+            assert rate == f"{erred / (agree + erred):.6f}"
 
     def test_failing_draw_exits_4_without_a_tally(self, capsys, monkeypatch):
         def failing(*_, **__):
@@ -817,7 +842,7 @@ class TestSimulate:
             dl04_encoding=PauliLabel.Z,
         )
         stats = mdiqsdc.protocol._estimate(cfg, np.array([5, 1, 0, 0, 3, 1, 0]))
-        assert stats.estimate_available and stats.point.eps_x is None
+        assert stats.unavailable_reason is None and stats.point.eps_x is None
         (row,) = _csv_rows(stats.point, "montecarlo,3,10")
         assert row.split(",")[3:6] == ["0.166666666667", "", ""]
         assert row.endswith(",montecarlo,3,10\n")
@@ -992,6 +1017,30 @@ class TestExitCodes:
         ]
         assert [child.wait() for child in children] == [2, 2]
         assert err.read_text().endswith("error: [Errno 28] No space left on device\n")
+
+    def run_without_stdout(self, args, err):
+        """Exit code of ``python -m mdiqsdc args`` started with file
+        descriptor 1 closed, so that its ``sys.stdout`` is None."""
+        with open(err, "w") as handle:
+            return subprocess.run(
+                [sys.executable, "-m", "mdiqsdc", *args], stderr=handle,
+                env=self.PACKAGE_ENV, preexec_fn=lambda: os.close(1),
+            ).returncode
+
+    @pytest.mark.skipif(os.name != "posix", reason="closes a file descriptor in the child")
+    @pytest.mark.parametrize("args", UNWRITABLE_COMMANDS, ids=lambda args: args[0])
+    def test_closed_stdout_exits_2(self, tmp_path, args):
+        err = tmp_path / "err.txt"
+        assert self.run_without_stdout(args, err) == 2
+        assert err.read_text().endswith("error: standard output is closed\n")
+
+    @pytest.mark.skipif(os.name != "posix", reason="closes a file descriptor in the child")
+    def test_closed_stdout_is_unused_with_a_csv_path(self, tmp_path):
+        csv_path, err = tmp_path / "run.csv", tmp_path / "err.txt"
+        args = [*self.UNWRITABLE_COMMANDS[1], "--csv", str(csv_path)]
+        assert self.run_without_stdout(args, err) == 0
+        assert csv_path.read_text().startswith(CSV_HEADER + "\n")
+        assert "capacity = " in err.read_text()
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])

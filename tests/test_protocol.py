@@ -126,15 +126,15 @@ class TestRunMdiTs:
     def test_noiseless(self):
         cfg = ProtocolConfig(protocol=Protocol.MDI_TS, rounds=20_000, channel_p=0.0, seed=3)
         stats = run(cfg)
-        assert stats.eps_z.rate == 0.0 and stats.eps_z.se == 0.0
-        assert stats.eps_x.rate == 0.0
-        assert stats.message_errors.probabilities == (1.0, 0.0, 0.0, 0.0)
+        assert stats.point.eps_z == 0.0 and stats.se["eps_z"] == 0.0
+        assert stats.point.eps_x == 0.0
+        assert stats.law == (1.0, 0.0, 0.0, 0.0)
         assert stats.point.capacity.raw == 2.0
         assert stats.gain == 1.0
 
     def test_decoding_perfect_at_p_zero(self):
         cfg = ProtocolConfig(protocol=Protocol.MDI_TS, rounds=2_000, channel_p=0.0, seed=5)
-        assert run(cfg).message_errors.probabilities == (1.0, 0.0, 0.0, 0.0)
+        assert run(cfg).law == (1.0, 0.0, 0.0, 0.0)
 
     def test_deterministic_given_seed(self):
         cfg = ProtocolConfig(protocol=Protocol.MDI_TS, rounds=50_000, channel_p=0.3, seed=77)
@@ -152,10 +152,9 @@ class TestRunMdiTs:
         )
         stats = run(cfg)
         expected = 2 * (p / 2) * (1 - p / 2)  # 0.18
-        for est in (stats.eps_z, stats.eps_x):
-            assert abs(est.rate - expected) < 5 * math.sqrt(
-                expected * (1 - expected) / est.samples
-            )
+        for basis, rate in ((PauliLabel.Z, stats.point.eps_z), (PauliLabel.X, stats.point.eps_x)):
+            _, samples = stats.checks[basis]
+            assert abs(rate - expected) < 5 * math.sqrt(expected * (1 - expected) / samples)
 
     def test_message_errors_converge_to_convolution(self):
         p = 0.3
@@ -166,7 +165,7 @@ class TestRunMdiTs:
         single = depolarizing_pauli_dist(p)
         expected = convolve(single, single).probabilities
         n = stats.decoded_rounds
-        for got, want in zip(stats.message_errors.probabilities, expected):
+        for got, want in zip(stats.law, expected):
             assert abs(got - want) < 5 * math.sqrt(want * (1 - want) / n)
 
     def test_cover_scrambles_labels_uniformly(self):
@@ -193,8 +192,8 @@ class TestRunMdiTs:
         kwargs = dict(protocol=Protocol.MDI_TS, rounds=400_000, channel_p=p, seed=23)
         first = run(ProtocolConfig(**kwargs))
         both = run(ProtocolConfig(**kwargs, noise=NoisePlacement.BOTH_LEGS))
-        assert abs(first.eps_z.rate - both.eps_z.rate) < 6 * first.eps_z.se
-        assert both.message_errors[0] < first.message_errors[0] - 0.01
+        assert abs(first.point.eps_z - both.point.eps_z) < 6 * first.se["eps_z"]
+        assert both.law[0] < first.law[0] - 0.01
 
     def test_transmittance_hook_reduces_gain(self):
         cfg = ProtocolConfig(
@@ -213,7 +212,7 @@ class TestRunMdiDl04:
     def test_noiseless(self):
         cfg = ProtocolConfig(protocol=Protocol.MDI_DL04, rounds=20_000, channel_p=0.0, seed=3)
         stats = run(cfg)
-        assert stats.bit_error == 0.0
+        assert stats.law[1] == 0.0
         assert stats.point.capacity.raw == 1.0
 
     def test_y_encoding_estimates_eps_y(self):
@@ -227,9 +226,9 @@ class TestRunMdiDl04:
             dl04_encoding=PauliLabel.Y,
         )
         stats = run(cfg)
-        assert stats.eps_y is not None
+        assert stats.point.eps_y is not None
         expected = 2 * (p / 2) * (1 - p / 2)
-        assert abs(stats.eps_y.rate - expected) < 5 * stats.eps_y.se
+        assert abs(stats.point.eps_y - expected) < 5 * stats.se["eps_y"]
 
     @pytest.mark.parametrize("encoding", [PauliLabel.X, PauliLabel.Z])
     def test_xz_encodings_skip_basis_y(self, encoding):
@@ -241,8 +240,8 @@ class TestRunMdiDl04:
             dl04_encoding=encoding,
         )
         stats = run(cfg)
-        assert stats.eps_y is None
-        assert stats.estimate_available
+        assert PauliLabel.Y not in stats.checks and "eps_y" not in stats.se
+        assert stats.point is not None and stats.point.eps_y is None
 
     def test_z_encoding_decodes_via_x_parity_oracle(self):
         # With Z encoding the message photons are read in basis X; the
@@ -268,7 +267,7 @@ class TestRunMdiDl04:
             seed=31,
             dl04_encoding=PauliLabel.Z,
         )
-        assert run(cfg).bit_error == 0.0
+        assert run(cfg).law[1] == 0.0
 
     def test_deterministic(self):
         cfg = ProtocolConfig(protocol=Protocol.MDI_DL04, rounds=40_000, channel_p=0.25, seed=101)
@@ -307,8 +306,8 @@ class TestInterceptResend:
             attack=AttackModel.INTERCEPT_RESEND,
         )
         stats = run(cfg)
-        for est in (stats.eps_z, stats.eps_x):
-            assert abs(est.rate - 0.25) < 5 * est.se
+        for name in ("eps_z", "eps_x"):
+            assert abs(getattr(stats.point, name) - 0.25) < 5 * stats.se[name]
 
     def test_attack_lowers_capacity_estimate(self):
         common = dict(
@@ -318,12 +317,19 @@ class TestInterceptResend:
         clean = run(ProtocolConfig(**common))
         attacked = run(ProtocolConfig(**common, attack=AttackModel.INTERCEPT_RESEND))
         separation = clean.point.capacity.raw - attacked.point.capacity.raw
-        assert separation > 5 * math.sqrt(clean.capacity_se**2 + attacked.capacity_se**2)
+        assert separation > 5 * math.sqrt(clean.se["capacity"] ** 2 + attacked.se["capacity"] ** 2)
 
     def test_disabled_attack_is_plain_run(self):
         cfg = ProtocolConfig(protocol=Protocol.MDI_TS, rounds=10_000, channel_p=0.2, seed=47)
         again = ProtocolConfig(protocol=Protocol.MDI_TS, rounds=10_000, channel_p=0.2, seed=47)
         assert run(cfg) == run(again)
+
+
+def observed_symbol_law(stats):
+    """The observed symbol law of an mdi-ts run, validated once from its
+    counts as the estimate validates it."""
+    diffs = stats.counts[4:8]
+    return PauliDistribution(tuple(float(c) / stats.decoded_rounds for c in diffs))
 
 
 # mdi-ts cell counts in ``_cell_probabilities`` order: Z checks without and
@@ -337,48 +343,53 @@ class TestEstimateStats:
     def test_all_agree_checks_give_zero_rate(self):
         counts = np.array([5, 0, 5, 0, 10, 0, 0, 0, 0])
         stats = _estimate(self._cfg(rounds=20), counts)
-        assert stats.eps_z.rate == 0.0 and stats.eps_z.se == 0.0
-        assert stats.eps_x.rate == 0.0
+        assert stats.point.eps_z == 0.0 and stats.se["eps_z"] == 0.0
+        assert stats.point.eps_x == 0.0
         assert stats.point.capacity.raw == 2.0
 
     def test_synthetic_ten_percent_z_disagreement(self):
         counts = np.array([90, 10, 50, 0, 50, 0, 0, 0, 0])
         stats = _estimate(self._cfg(rounds=200), counts)
-        assert stats.eps_z.rate == 0.1
-        assert stats.eps_z.samples == 100 and stats.eps_z.errors == 10
+        assert stats.point.eps_z == 0.1
+        assert stats.checks[PauliLabel.Z] == (10, 100)
 
     def test_missing_basis_flags_unavailable(self):
         counts = np.array([5, 0, 0, 0, 5, 0, 0, 0, 0])
         stats = _estimate(self._cfg(rounds=10), counts)
-        assert not stats.estimate_available
         assert "basis X" in stats.unavailable_reason
-        assert stats.point is None
+        assert stats.point is None and stats.law is None and not stats.se
 
     def test_no_messages_flags_unavailable(self):
         counts = np.array([1, 0, 1, 0, 0, 0, 0, 0, 0])
         stats = _estimate(self._cfg(rounds=2), counts)
-        assert not stats.estimate_available
+        assert stats.point is None
         assert stats.unavailable_reason == "no message rounds"
 
     def test_availability_is_read_off_the_reason(self):
-        # one field decides: a stats value cannot say both available and why not
-        assert "estimate_available" not in {f.name for f in dataclasses.fields(TranscriptStats)}
-        stats = _estimate(self._cfg(rounds=200), np.array([90, 10, 50, 0, 40, 5, 3, 2, 0]))
-        assert stats.estimate_available and stats.unavailable_reason is None
-        moved = dataclasses.replace(stats, unavailable_reason="no message rounds")
-        assert not moved.estimate_available
+        # a run has a point exactly when no reason says it cannot have one
+        assert not hasattr(TranscriptStats, "estimate_available")
+        for counts in (
+            [90, 10, 50, 0, 40, 5, 3, 2, 0],
+            [5, 0, 0, 0, 5, 0, 0, 0, 0],
+            [1, 0, 1, 0, 0, 0, 0, 0, 0],
+            [1, 0, 1, 0, 0, 0, 0, 0, 3],
+        ):
+            stats = _estimate(self._cfg(rounds=sum(counts)), np.array(counts))
+            assert (stats.point is None) == (stats.unavailable_reason is not None), counts
 
     @pytest.mark.parametrize("protocol", [Protocol.MDI_TS, Protocol.MDI_DL04])
     def test_capacity_terms_carried_once(self, protocol):
         stats = run(self._cfg(protocol=protocol, rounds=4000, channel_p=0.2, seed=3))
         if protocol == Protocol.MDI_TS:
             bits = 2.0
-            entropy = shannon_entropy(stats.message_errors)
-            eve_info = binary_entropy(stats.eps_z.rate) + binary_entropy(stats.eps_x.rate)
+            observed = observed_symbol_law(stats)
+            assert observed.probabilities == stats.law
+            entropy = shannon_entropy(observed)
+            eve_info = binary_entropy(stats.point.eps_z) + binary_entropy(stats.point.eps_x)
         else:
             bits = 1.0
-            entropy = binary_entropy(stats.bit_error)
-            eve_info = binary_entropy(stats.eps_y.rate)  # the default encoding is Y
+            entropy = binary_entropy(stats.law[1])
+            eve_info = binary_entropy(stats.point.eps_y)  # the default encoding is Y
         assert stats.point.message_entropy == entropy and stats.point.eve_info == eve_info
         assert stats.point.capacity.raw == stats.gain * (bits - entropy - eve_info)
 
@@ -394,7 +405,7 @@ class TestEstimateStats:
         counts = np.array([90, 10, 50, 0, 40, 5, 3, 2, 0])
         stats = _estimate(self._cfg(rounds=200), counts)
         assert names == ["Pauli distribution"]
-        assert stats.point.message_entropy == shannon_entropy(stats.message_errors)
+        assert stats.point.message_entropy == shannon_entropy(observed_symbol_law(stats))
 
     @pytest.mark.parametrize("p", [0.0, 0.2])
     @pytest.mark.parametrize("protocol", [Protocol.MDI_TS, Protocol.MDI_DL04])
@@ -402,11 +413,11 @@ class TestEstimateStats:
         base = run(self._cfg(protocol=protocol, rounds=4000, channel_p=p, seed=3))
         for eta in (1e200, ETA_MAX):
             stats = run(self._cfg(protocol=protocol, rounds=4000, channel_p=p, seed=3, eta=eta))
-            assert math.isfinite(stats.capacity_se)
+            assert math.isfinite(stats.se["capacity"])
             if p == 0.0:  # no leak, so eta does not reach the SE
-                assert stats.capacity_se == base.capacity_se
+                assert stats.se["capacity"] == base.se["capacity"]
             else:
-                assert stats.capacity_se > 1e-3 * eta
+                assert stats.se["capacity"] > 1e-3 * eta
 
 
 # Both protocols x noise x attack x the three single-photon encodings x p x
@@ -450,12 +461,12 @@ def test_estimate_at_the_exact_law_is_the_twin():
             ("capacity", point.capacity.raw, twin.capacity.raw),
         ]
         for basis, name in names.items():
-            est = getattr(stats, name)
             if basis in check_bases(cfg):
-                assert getattr(point, name) == est.rate, (cfg, name)
+                errors, samples = stats.checks[basis]
+                assert getattr(point, name) == errors / samples, (cfg, name)
                 pairs.append((name, getattr(point, name), getattr(twin, name)))
             else:
-                assert est is None and getattr(point, name) is None, (cfg, name)
+                assert basis not in stats.checks and getattr(point, name) is None, (cfg, name)
         for name, got, want in pairs:
             assert abs(got - want) <= 1e-12, (cfg, name, got, want)
 
@@ -585,14 +596,14 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match="rounds must lie in"):
                 ProtocolConfig(rounds=bad, **kwargs)
         stats = run(ProtocolConfig(rounds=MAX_ROUNDS, **kwargs))
-        assert stats.rounds == MAX_ROUNDS and stats.estimate_available
+        assert sum(stats.counts) == MAX_ROUNDS and stats.point is not None
 
     def test_gain_gap_bounded(self):
         kwargs = dict(protocol=Protocol.MDI_TS, rounds=2000, channel_p=0.5, seed=1)
         with pytest.raises(ValueError, match="gain gap"):
             ProtocolConfig(eta=math.nextafter(ETA_MAX, math.inf), **kwargs)
         stats = run(ProtocolConfig(eta=ETA_MAX, **kwargs))
-        assert math.isfinite(stats.point.capacity.raw) and math.isfinite(stats.capacity_se)
+        assert math.isfinite(stats.point.capacity.raw) and math.isfinite(stats.se["capacity"])
 
     @pytest.mark.parametrize(
         "field", ["channel_p", "check_fraction", "q_override", "eta", "transmittance"]
@@ -841,18 +852,21 @@ class TestTranscriptProperties:
             check_fraction=check_fraction,
         )
         stats = run(cfg)
-        assert stats.rounds == 500
-        assert stats.check_rounds + stats.message_rounds == stats.rounds
+        assert sum(stats.counts) == 500
+        check_rounds = sum(samples for _, samples in stats.checks.values())
+        assert check_rounds + stats.message_rounds == 500
         assert 0 <= stats.decoded_rounds <= stats.message_rounds
-        for est in (stats.eps_z, stats.eps_x, stats.eps_y):
-            if est is not None:
-                assert 0.0 <= est.rate <= 1.0
-                assert est.se >= 0.0
-                assert est.errors <= est.samples
-        if stats.estimate_available:
-            assert stats.point is not None
+        for errors, samples in stats.checks.values():
+            assert 0 <= errors <= samples
+        assert (stats.point is None) == (stats.unavailable_reason is not None)
+        if stats.point is not None:
+            for basis, (_, samples) in stats.checks.items():
+                name = f"eps_{basis.name.lower()}"
+                if samples:
+                    assert 0.0 <= getattr(stats.point, name) <= 1.0
+                    assert stats.se[name] >= 0.0
             assert stats.point.capacity.clamped == max(stats.point.capacity.raw, 0.0)
-            assert stats.capacity_se >= 0.0
+            assert stats.se["capacity"] >= 0.0
         else:
             assert stats.unavailable_reason
 
@@ -872,7 +886,7 @@ class TestQberInterval:
                 seed=seed,
                 check_fraction=0.4,
             )
-            est = run(cfg).eps_z
-            if abs(est.rate - expected) <= 3 * est.se:
+            stats = run(cfg)
+            if abs(stats.point.eps_z - expected) <= 3 * stats.se["eps_z"]:
                 covered += 1
         assert covered >= 99

@@ -640,7 +640,7 @@ class TestFloatPath:
             assert np.array(ours).tobytes() == np.concatenate(row).tobytes()
         # the short path is taken exactly when the vector passes with no
         # component below zero, and returns the sum the general path divides by
-        total = mdiqsdc.quantum._passing_floats(values, 4)
+        total = mdiqsdc.quantum._passing_floats(values)
         if isinstance(row, str) or any(v < 0.0 for v in values):
             assert total is None
         else:

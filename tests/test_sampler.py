@@ -147,20 +147,20 @@ def test_tallies_match_exact_distributions(cfg):
         total_stat += stat
         total_df += df
 
-    estimates = [getattr(stats, f"eps_{b.name.lower()}") for b in bases]
-    samples = [0 if est is None else est.samples for est in estimates]
+    tallies = [stats.checks[b] for b in bases]
+    samples = [samples for _, samples in tallies]
     add(samples + [stats.message_rounds], list(checks.sum(axis=1)) + [arrived.sum() + lost])
-    for basis_cells, est in zip(checks, estimates):
-        if est is not None:
-            add([est.samples - est.errors, est.errors], basis_cells)
+    for basis_cells, (errors, samples) in zip(checks, tallies):
+        if samples:
+            add([samples - errors, errors], basis_cells)
 
     decoded = stats.decoded_rounds
     add([decoded, stats.message_rounds - decoded], [arrived.sum(), lost])
 
     if cfg.protocol == Protocol.MDI_TS:
-        diffs = [round(prob * decoded) for prob in stats.message_errors.probabilities]
+        diffs = [round(prob * decoded) for prob in stats.law]
     else:
-        errors = round(stats.bit_error * decoded)
+        errors = round(stats.law[1] * decoded)
         diffs = [decoded - errors, errors]
     add(diffs, arrived)
 

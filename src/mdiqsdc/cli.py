@@ -112,14 +112,42 @@ def _stdout() -> TextIO:
     return sys.stdout
 
 
-def _open_output(path: str | None) -> contextlib.AbstractContextManager[TextIO]:
-    """A new file at ``path``, or stdout, left open, when ``path`` is None."""
+class _UnbufferedFile:
+    """A file opened with ``os.open`` and written straight through
+    ``os.write``, closed when its ``with`` block ends. It holds no stream
+    buffer, so an output file costs no more memory than the text written to
+    it (an ``open()`` stream keeps an 8 KiB buffer however small the file)."""
+
+    __slots__ = ("fd",)
+
+    def __init__(self, path: str, flags: int) -> None:
+        # O_BINARY keeps the bytes as written where the platform has text mode
+        flags |= os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+        self.fd = os.open(path, flags, 0o666)
+
+    def write(self, text: str) -> None:
+        data = memoryview(text.encode("utf-8"))
+        while data:  # os.write may take only part of what it is given
+            data = data[os.write(self.fd, data) :]
+
+    def __enter__(self) -> _UnbufferedFile:
+        return self
+
+    def __exit__(self, *_) -> None:
+        os.close(self.fd)
+
+
+def _open_output(
+    path: str | None,
+) -> contextlib.AbstractContextManager[TextIO | _UnbufferedFile]:
+    """A new, empty file at ``path``, or stdout, left open, when ``path`` is
+    None."""
     if path is None:
         return contextlib.nullcontext(_stdout())
-    return open(path, "w", encoding="utf-8", newline="")
+    return _UnbufferedFile(path, os.O_TRUNC)
 
 
-def _write_text(handle: TextIO, text: str) -> None:
+def _write_text(handle: TextIO | _UnbufferedFile, text: str) -> None:
     """Write ``text`` to an open handle: every CSV and SVG piece goes out here."""
     handle.write(text)
 
@@ -433,7 +461,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # Every usage error is raised above, before any file is opened. The plot's
     # file is opened before the CSV but emptied only once the CSV is open too,
     # so an unwritable --svg or --csv leaves the other file as it was; like
-    # opening with "w", this empties a regular file only (a device such as
+    # the CSV's O_TRUNC, this empties a regular file only (a device such as
     # /dev/null cannot be truncated). Each block's rows are written and
     # dropped; the plot keeps each block's x and clamped capacity arrays and
     # writes its text one block at a time.
@@ -441,11 +469,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     plot = (
         contextlib.nullcontext()
         if svg_path is None
-        else open(str(svg_path), "a", encoding="utf-8", newline="")
+        else _UnbufferedFile(str(svg_path), os.O_APPEND)
     )
     with plot as svg, _open_output(_merged(args, "csv", None)) as out:
-        if svg is not None and stat.S_ISREG(os.fstat(svg.fileno()).st_mode):
-            svg.truncate(0)
+        if svg is not None and stat.S_ISREG(os.fstat(svg.fd).st_mode):
+            os.ftruncate(svg.fd, 0)
         _write_text(out, CSV_HEADER + "\n")
         for protocol in protocols:
             blocks = _grid_blocks(grid, SWEEP_BLOCK) if grid else [np.array([single_x])]

@@ -173,7 +173,7 @@ def validate_probability_vector(values: Iterable[float], *, name: str) -> tuple[
     return tuple(v / norm for v in clamped)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PauliDistribution:
     """The package's one law over the Pauli labels I, X, Y, Z: floats, or
     equal-length float64 arrays holding one law per element.
@@ -186,12 +186,11 @@ class PauliDistribution:
 
     probabilities: tuple[float, float, float, float]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "probabilities",
-            validate_probability_vector(self.probabilities, name="Pauli distribution"),
-        )
+    def __init__(self, probabilities: Iterable[float]) -> None:
+        # validated, then stored once: a generated __init__ would store the
+        # raw value first
+        validated = validate_probability_vector(probabilities, name="Pauli distribution")
+        object.__setattr__(self, "probabilities", validated)
 
     def __getitem__(self, label: PauliLabel | int) -> float:
         return self.probabilities[int(label)]

@@ -30,6 +30,7 @@ from .quantum import (
     DensityMatrix,
     PauliDistribution,
     PauliLabel,
+    PureState,
     apply_pauli,
     bell_measure,
     bell_state,
@@ -95,26 +96,32 @@ def check_product_decompositions(*, inject_sign_fault: bool = False) -> CheckRes
     """Same-basis product pairs against the decomposition table.
 
     Also cross-checks that Bell-measurement probabilities of each product
-    state equal the squared amplitude magnitudes. The optional sign fault
-    corrupts one expected entry to demonstrate the check has teeth.
+    state equal the squared amplitude magnitudes, all eight pairs measured as
+    one stack. The optional sign fault corrupts one expected entry to
+    demonstrate the check has teeth.
     """
     table = {k: list(v) for k, v in PRODUCT_DECOMPOSITION_TABLE.items()}
     if inject_sign_fault:
         table[("1", "0")][0] = -table[("1", "0")][0]
-    worst = 0.0
-    worst_pair = None
-    for (a_name, b_name), expected in table.items():
-        a, b = single_photon(a_name), single_photon(b_name)
-        amps = product_decompose(a, b)
-        err = float(np.max(np.abs(amps - np.array(expected))))
-        probs = bell_measure(tensor(a, b).to_density_matrix())
-        err = max(err, float(np.max(np.abs(probs - np.abs(amps) ** 2))))
-        if err > worst:
-            worst, worst_pair = err, (a_name, b_name)
+    photons = {name: single_photon(name) for name in "01+-"}
+    firsts = [photons[a] for a, _ in table]
+    seconds = [photons[b] for _, b in table]
+    amps = np.array([product_decompose(a, b) for a, b in zip(firsts, seconds)])
+    pairs = tensor(
+        PureState(np.array([a.amplitudes for a in firsts])),
+        PureState(np.array([b.amplitudes for b in seconds])),
+    )
+    probs = bell_measure(pairs.to_density_matrix())
+    errs = np.maximum(
+        np.max(np.abs(amps - np.array(list(table.values()))), axis=1),
+        np.max(np.abs(probs - np.abs(amps) ** 2), axis=1),
+    )
+    first_worst = int(np.argmax(errs))
+    worst = float(errs[first_worst])
+    a_name, b_name = list(table)[first_worst]
+    where = f" at |{a_name} {b_name}>" if worst > 0.0 else ""
     return CheckResult(
-        "product-decompositions",
-        worst < CHECK_ATOL,
-        f"max deviation {worst:.3e}" + (f" at |{worst_pair[0]} {worst_pair[1]}>" if worst_pair else ""),
+        "product-decompositions", worst < CHECK_ATOL, f"max deviation {worst:.3e}{where}"
     )
 
 
@@ -123,21 +130,20 @@ def check_swap_corrections() -> CheckResult:
 
     Projects the exact four-photon state on each announced Bell outcome,
     applies the table's correction to Bob's retained photon, and requires
-    unit fidelity with the singlet.
+    unit fidelity with the singlet; the four outcomes form one stack.
     """
     singlet = bell_state(BellLabel.PSI_MINUS)
     state = np.kron(singlet.amplitudes, singlet.amplitudes)
     rho = DensityMatrix(np.outer(state, state.conj()))
-    worst = 1.0
-    for outcome in BellLabel:
-        v = BELL_VECTORS[int(outcome)]
-        proj = embed_operator(np.outer(v, v.conj()), (1, 3), 4)
-        sub = proj @ rho.matrix @ proj
-        p_o = float(np.real(np.trace(sub)))
-        pair = partial_trace(DensityMatrix(sub / p_o), keep=(0, 2))
-        pair = apply_pauli(pair, swap_correction(outcome), 1)
-        fidelity = float(bell_measure(pair)[int(BellLabel.PSI_MINUS)])
-        worst = min(worst, fidelity)
+    projectors = np.array(
+        [embed_operator(np.outer(v, v.conj()), (1, 3), 4) for v in BELL_VECTORS]
+    )
+    subs = projectors @ rho.matrix @ projectors
+    p_o = np.real(np.trace(subs, axis1=-2, axis2=-1))
+    pairs = partial_trace(DensityMatrix(subs / p_o[:, None, None]), keep=(0, 2))
+    pairs = apply_pauli(pairs, [swap_correction(outcome) for outcome in BellLabel], 1)
+    fidelities = bell_measure(pairs)[:, int(BellLabel.PSI_MINUS)]
+    worst = min(1.0, float(fidelities.min()))
     return CheckResult(
         "swap-corrections",
         worst >= 1.0 - CHECK_ATOL,

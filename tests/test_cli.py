@@ -1056,6 +1056,82 @@ class TestExitCodes:
                                  stderr="/dev/full")
         assert child.wait() == 4
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["simulate", "--protocol", "mdi-ts", "--p", "0.1", "--rounds", "100",
+             "--csv", "/dev/full"],
+            ["sweep", "--csv", "/dev/full"],
+            ["sweep", "--x", "0.1", "--svg", "/dev/full"],
+        ],
+        ids=["simulate-csv", "sweep-csv", "sweep-svg"],
+    )
+    def test_output_file_that_fills_exits_2(self, capsys, args):
+        """A write to an output file that fails once the file is open is a
+        usage error, like a file that cannot be opened."""
+        code, _, err = run_cli(args, capsys)
+        assert code == 2
+        assert err.endswith("error: [Errno 28] No space left on device\n")
+        assert "Traceback" not in err
+
+
+class TestOutputFiles:
+    """``--csv`` and ``--svg`` files are written through ``os.write``, with
+    no stream buffer in between."""
+
+    def test_csv_file_peaks_at_most_1kb_above_stdout(self, tmp_path):
+        """An open() stream holds an 8 KiB buffer, which put the peak of a
+        run writing its CSV (about 300 B) to a file about 4 KB above the
+        same run printing it."""
+        argv = ["simulate", "--protocol", "mdi-ts", "--p", "0.2", "--rounds", "1000000",
+                "--noise", "both-legs", "--attack", "intercept-resend"]
+        to_file = ["--csv", str(tmp_path / "run.csv")]
+
+        def peak(*extra):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                tracemalloc.start()
+                try:
+                    assert main([*argv, *extra]) == 0
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        peak(), peak(*to_file)  # warm-up: imports and caches
+        printed, written = peak(), peak(*to_file)
+        assert written - printed <= 1000, (written, printed)
+
+    def test_partial_writes_keep_the_pinned_bytes(self, capsys, tmp_path, monkeypatch):
+        """``os.write`` may take only part of what it is given; every byte
+        still goes out, in order."""
+        write = os.write
+        calls = []
+
+        def at_most_seven(fd, data):
+            calls.append(fd)
+            return write(fd, data[:7])
+
+        monkeypatch.setattr(os, "write", at_most_seven)
+        pin = ("mdi-ts", "both-legs", "intercept-resend", "y", 2000)
+        csv_path = tmp_path / "run.csv"
+        code, out, err = run_cli(
+            [*TestSimulate.pinned_argv(*pin), "--csv", str(csv_path)], capsys
+        )
+        assert code == 0 and out == ""
+        digest = hashlib.sha256(csv_path.read_bytes() + err.encode()).hexdigest()
+        assert digest == TestSimulate.SIMULATE_SHA256[pin]
+        assert len(calls) >= csv_path.stat().st_size / 7
+
+        calls.clear()
+        csv_path, svg_path = tmp_path / "c.csv", tmp_path / "c.svg"
+        argv = ["sweep", "--noise", "both-legs", "--csv", str(csv_path), "--svg", str(svg_path)]
+        code, _, _ = run_cli(argv, capsys)
+        assert code == 0
+        digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (csv_path, svg_path))
+        assert digests == TestSweep.DEFAULT_GRID_SHA256["both-legs"]
+        assert len(calls) >= (csv_path.stat().st_size + svg_path.stat().st_size) / 7
+
 
 def run_watching_warnings(argv):
     """Exit code, stdout, stderr and the RuntimeWarnings of one invocation."""

@@ -1,5 +1,6 @@
 """Core state-algebra tests, cross-checked against independent matrix oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -507,6 +508,27 @@ class TestTypeInvariants:
         psi = bell_state(BellLabel.PSI_MINUS)
         with pytest.raises(ValueError):
             psi.amplitudes[0] = 1.0
+
+    def test_pauli_distribution_validates_once(self, monkeypatch):
+        """Positional and keyword laws are validated once each, and the
+        validated tuple is what the frozen law holds."""
+        calls = []
+        validate = mdiqsdc.quantum.validate_probability_vector
+
+        def counting(values, *, name):
+            calls.append(values)
+            return validate(values, name=name)
+
+        monkeypatch.setattr(mdiqsdc.quantum, "validate_probability_vector", counting)
+        law = [0.73, 0.09, 0.09, 0.09]
+        positional, keyword = PauliDistribution(law), PauliDistribution(probabilities=law)
+        assert calls == [law, law]
+        assert positional == keyword
+        assert positional.probabilities == validate(law, name="law")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            positional.probabilities = (1.0, 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="Pauli distribution"):
+            PauliDistribution(probabilities=(0.5, 0.5, 0.5, 0.5))
 
 
 class TestProbabilityArrays:

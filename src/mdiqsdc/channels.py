@@ -22,9 +22,6 @@ from .quantum import (
     pauli_channel,
 )
 
-IDENTITY_DIST = PauliDistribution((1.0, 0.0, 0.0, 0.0))
-
-
 def depolarize(dm: DensityMatrix, p: float, qubit: int) -> DensityMatrix:
     """Depolarize one qubit of every state of the stack:
     rho -> p * (I/2 on that qubit) + (1-p) * rho, the Pauli channel with

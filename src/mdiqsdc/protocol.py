@@ -20,10 +20,11 @@ the cell law from a generator seeded with the run's seed (Devroye,
 *Non-Uniform Random Variate Generation*, 1986). That count vector is the
 run's tally, and the estimate reads it directly. Its time and memory do not
 depend on the number of rounds; :func:`run` runs either protocol. The run's
-record, :class:`TranscriptStats`, holds the tally once and each value read
-off it once: each check basis's (errors, samples), the message and decoded
-round counts and the gain, the observed message law, the point, and one
-mapping of standard errors keyed by the point's field names.
+record, :class:`TranscriptStats`, holds the tally once, with the check
+bases it was drawn with, and each estimate read off it once: the observed
+message law, the point, and one mapping of standard errors keyed by the
+point's field names. Each check basis's (errors, samples), the message and
+decoded round counts and the gain are views of the tally.
 
 :func:`round_law` is the one law of a round: the pair frame, off which the
 checked rates are read, and :func:`message_law` of the frame composed with
@@ -63,7 +64,6 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import (
-    IDENTITY_DIST,
     convolve,
     depolarize,
     depolarizing_pauli_dist,
@@ -210,24 +210,43 @@ class AnalyticPoint:
 @dataclass(frozen=True)
 class TranscriptStats:
     """One Monte Carlo run: its tally ``counts``, the int cell counts in
-    :func:`_cell_probabilities` order, and what :func:`_estimate` reads off
-    them. ``checks`` maps each check basis drawn to its (errors, samples);
-    ``law`` is the observed law of decoded (-) encoded and ``point``
-    :func:`closed_form` at the observed frequencies; ``se`` holds the
-    delta-method standard error of each estimate, keyed by the point's field
-    names (and ``bit_error`` for the single-photon protocol). A run that
-    cannot estimate the bound gives its ``unavailable_reason`` instead, with
-    no law, no point and no SEs."""
+    :func:`_cell_probabilities` order, the ``check_bases`` it was drawn
+    with, and what :func:`_estimate` reads off them. ``law`` is the observed
+    law of decoded (-) encoded and ``point`` :func:`closed_form` at the
+    observed frequencies; ``se`` holds the delta-method standard error of
+    each estimate, keyed by the point's field names (and ``bit_error`` for
+    the single-photon protocol). A run that cannot estimate the bound gives
+    its ``unavailable_reason`` instead, with no law, no point and no SEs.
+    The per-basis check pairs, the message and decoded round counts and the
+    gain are views of ``counts``."""
 
     counts: tuple[int, ...]
-    checks: Mapping[PauliLabel, tuple[int, int]]
-    message_rounds: int
-    decoded_rounds: int
-    gain: float
+    check_bases: tuple[PauliLabel, ...]
     law: tuple[float, ...] | None
     point: AnalyticPoint | None
     se: Mapping[str, float]
     unavailable_reason: str | None
+
+    @property
+    def checks(self) -> dict[PauliLabel, tuple[int, int]]:
+        """Each check basis drawn, mapped to its (errors, samples)."""
+        split = 2 * len(self.check_bases)
+        pairs = zip(self.check_bases, self.counts[:split:2], self.counts[1:split:2])
+        return {basis: (errors, agree + errors) for basis, agree, errors in pairs}
+
+    @property
+    def message_rounds(self) -> int:
+        return sum(self.counts[2 * len(self.check_bases) :])
+
+    @property
+    def decoded_rounds(self) -> int:
+        """Message rounds that arrived: every cell but the lost one."""
+        return sum(self.counts[2 * len(self.check_bases) : -1])
+
+    @property
+    def gain(self) -> float:
+        message_rounds = self.message_rounds
+        return self.decoded_rounds / message_rounds if message_rounds > 0 else 0.0
 
 
 def swap_correction(outcome: BellLabel) -> PauliLabel:
@@ -289,15 +308,12 @@ def round_law(
     attacked = convolve(single, eve) if eve is not None else single
     frame = convolve(attacked, single)
     if noise != NoisePlacement.BOTH_LEGS:
-        # the identity adds no error, but the convolution renormalizes the
-        # frame once more, which moves its last bits (see
-        # validate_probability_vector); the pinned outputs hold those bits
-        second = IDENTITY_DIST
+        net = frame
     elif protocol == Protocol.MDI_TS:
-        second = convolve(single, single)
+        net = convolve(frame, convolve(single, single))
     else:
-        second = single  # only Alice's encoded photon travels again
-    return frame, message_law(protocol, encoding, convolve(frame, second))
+        net = convolve(frame, single)  # only Alice's encoded photon travels again
+    return frame, message_law(protocol, encoding, net)
 
 
 def round_law_for_config(
@@ -335,7 +351,7 @@ def closed_form(
     protocol: Protocol,
     x: float,
     rates: Mapping[PauliLabel, float],
-    law: tuple[float, ...] | PauliDistribution,
+    law: tuple[float, ...],
     *,
     encoding: PauliLabel,
     q: float,
@@ -346,15 +362,11 @@ def closed_form(
     ``rates[basis]`` of each basis and the ``law`` of decoded (-) encoded on an
     arrived message round (a single-photon bit flips with ``law[1]``); floats,
     or 1-D arrays for a grid. The curves and the analytic twin feed it exact
-    rates and laws, a run its observed frequencies. A symbol law given as an
-    :class:`~mdiqsdc.quantum.PauliDistribution` is already validated and is
-    used as it is.
+    rates and laws, a run its observed frequencies.
     """
     if protocol in (Protocol.MDI_TS, Protocol.TWO_STEP):
         bits = 2.0
-        entropy = shannon_entropy(
-            law if isinstance(law, PauliDistribution) else PauliDistribution(law)
-        )
+        entropy = shannon_entropy(PauliDistribution(law))
         eve_info = eve_info_mdi_ts(rates[PauliLabel.Z], rates[PauliLabel.X])
     else:
         bits = 1.0
@@ -447,18 +459,9 @@ def _estimate(cfg: ProtocolConfig, counts: np.ndarray) -> TranscriptStats:
     into the run's point, at the config's x. A leak basis with no check rounds
     flags the result as unavailable.
     """
-    tally = tuple(counts.tolist())
-    bases = check_bases(cfg)
-    split = 2 * len(bases)
-    checks = {
-        basis: (errors, agree + errors)
-        for basis, agree, errors in zip(bases, tally[:split:2], tally[1:split:2])
-    }
-    messages = tally[split:]
-    diffs = messages[:-1]
-    message_rounds = sum(messages)
-    decoded_rounds = sum(diffs)
-    gain = decoded_rounds / message_rounds if message_rounds > 0 else 0.0
+    tally = TranscriptStats(tuple(counts.tolist()), check_bases(cfg), None, None, {}, None)
+    checks = tally.checks
+    decoded_rounds = tally.decoded_rounds
 
     unavailable: str | None = None
     # The single-photon leak reads only the encoding-basis rate; the
@@ -469,35 +472,30 @@ def _estimate(cfg: ProtocolConfig, counts: np.ndarray) -> TranscriptStats:
     for basis in leak_bases:
         if checks[basis][1] == 0:
             unavailable = f"no check rounds in basis {basis.name}"
-    if message_rounds == 0:
+    if tally.message_rounds == 0:
         unavailable = "no message rounds"
     elif decoded_rounds == 0:
         unavailable = "no decoded message rounds"
     if unavailable is not None:
-        return TranscriptStats(
-            tally, checks, message_rounds, decoded_rounds, gain, None, None, {}, unavailable
-        )
+        return TranscriptStats(tally.counts, tally.check_bases, None, None, {}, unavailable)
 
     rates = {basis: errors / samples for basis, (errors, samples) in checks.items() if samples}
     se = {
         f"eps_{basis.name.lower()}": math.sqrt(rate * (1.0 - rate) / checks[basis][1])
         for basis, rate in rates.items()
     }
+    diffs = tally.counts[2 * len(tally.check_bases) : -1]
     if cfg.protocol == Protocol.MDI_TS:
-        frequencies = tuple(float(c) / decoded_rounds for c in diffs)
-        # closed_form takes the validated law as it is, and the record keeps
-        # its probabilities: validating them again could move their last bits
-        observed = PauliDistribution(frequencies)
-        law = observed.probabilities
-        message_variance = _shannon_variance(frequencies, decoded_rounds)
+        law = tuple(float(c) / decoded_rounds for c in diffs)
+        message_variance = _shannon_variance(law, decoded_rounds)
     else:
         bit_error = diffs[1] / decoded_rounds
         se["bit_error"] = math.sqrt(bit_error * (1.0 - bit_error) / decoded_rounds)
-        observed = law = (1.0 - bit_error, bit_error)
+        law = (1.0 - bit_error, bit_error)
         message_variance = _binary_rate_variance(bit_error, decoded_rounds)
-    q_used = cfg.q_override if cfg.q_override is not None else gain
+    q_used = cfg.q_override if cfg.q_override is not None else tally.gain
     point = closed_form(
-        cfg.protocol, cfg.channel_p / 2.0, rates, observed,
+        cfg.protocol, cfg.channel_p / 2.0, rates, law,
         encoding=cfg.dl04_encoding, q=q_used, eta=cfg.eta,
     )
     leak_variance = sum(_binary_rate_variance(rates[b], checks[b][1]) for b in leak_bases)
@@ -506,9 +504,7 @@ def _estimate(cfg: ProtocolConfig, counts: np.ndarray) -> TranscriptStats:
     se["capacity"] = q_used * math.hypot(
         math.sqrt(message_variance), cfg.eta * math.sqrt(leak_variance)
     )
-    return TranscriptStats(
-        tally, checks, message_rounds, decoded_rounds, gain, law, point, se, None
-    )
+    return TranscriptStats(tally.counts, tally.check_bases, law, point, se, None)
 
 
 def run(cfg: ProtocolConfig, laws: RoundLaw | None = None) -> TranscriptStats:

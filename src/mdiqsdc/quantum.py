@@ -116,46 +116,44 @@ BELL_VECTORS: np.ndarray = np.array(
 BELL_VECTORS.flags.writeable = False
 
 
-def _passing_floats(values) -> float | None:
-    """The sum, from 0.0 left to right, of ``values`` if it is a tuple of
-    four Python floats, none below zero, that passes every check of
-    :func:`validate_probability_vector`, made as it makes them; else None."""
+def _passing_floats(values) -> bool:
+    """Whether ``values`` is a tuple of four Python floats, none below zero,
+    that passes every check of :func:`validate_probability_vector`."""
     if type(values) is not tuple or len(values) != 4:
-        return None
+        return False
     total = 0.0
     for v in values:
         if type(v) is not float or not 0.0 <= v <= 1 + 1e-12:
-            return None
+            return False
         total = total + v
-    return total if abs(total - 1.0) <= 1e-12 else None
+    return abs(total - 1.0) <= 1e-12
 
 
 def validate_probability_vector(values: Iterable[float], *, name: str) -> tuple[float, ...]:
-    """Validate and normalize a probability vector of four components: floats,
-    or equal-length float64 arrays holding one vector per element.
+    """Validate a probability vector of four components: floats, or
+    equal-length float64 arrays holding one vector per element.
 
-    Components must be finite, each within [0, 1] up to a -1e-10 numeric
-    floor (tiny negatives are clamped to zero), and sum to 1 within 1e-12.
-    The returned tuple is the clamped vector divided by its sum. That sum
-    is rounded, so the result may still sum to 1 only within a few ulps
-    (two depolarized legs at p = 0.2 compose to a frame summing to
-    1.0000000000000002), and validating it again can move its last bits. An
-    array reports its first failing vector with the message a float gets.
-    A tuple of Python floats that passes with no component below zero
-    skips the general path: nothing is clamped, so the sum its checks took
-    is the one the general path would divide by. Every other input, every
-    failure included, takes that path.
+    Components must be finite and each within [0, 1] up to a -1e-10 numeric
+    floor. The returned tuple is the input with tiny negatives clamped to
+    zero, and that clamped vector, summed from 0.0 left to right, must sum
+    to 1 within 1e-12. Nothing is divided, so validating the result again
+    returns the same bits. An array reports its first failing vector with
+    the message a float gets. A tuple of Python floats that passes with no
+    component below zero is returned as it is given: clamping leaves it
+    unchanged. Every other input, every failure included, takes the general
+    path.
     """
-    total = _passing_floats(values)
-    if total is not None:
-        return tuple([v / total for v in values])
+    if _passing_floats(values):
+        return values
     vec = as_floats(values)
     if len(vec) != 4:
         raise ValueError(f"{name} needs 4 components, got {len(vec)}")
     in_range = True  # NaN and infinities fail too
-    total = 0.0
     for v in vec:
         in_range = in_range & (EIGENVALUE_FLOOR <= v) & (v <= 1 + 1e-12)
+    clamped = [maximum(v, 0.0) for v in vec]
+    total = 0.0
+    for v in clamped:
         total = total + v
     # the first failing vector, as floats, with the message of its first failing check
     bad = first_failure(in_range & (abs(total - 1.0) <= 1e-12), [*vec, total])
@@ -166,11 +164,7 @@ def validate_probability_vector(values: Iterable[float], *, name: str) -> tuple[
         if not all(EIGENVALUE_FLOOR <= v <= 1 + 1e-12 for v in row):
             raise ValueError(f"{name} components must lie in [0, 1]: {row}")
         raise ValueError(f"{name} must sum to 1 within 1e-12, got {total!r}")
-    clamped = [maximum(v, 0.0) for v in vec]
-    norm = 0.0
-    for v in clamped:
-        norm = norm + v
-    return tuple(v / norm for v in clamped)
+    return tuple(clamped)
 
 
 @dataclass(frozen=True, init=False)

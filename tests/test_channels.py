@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdiqsdc.channels import (
-    IDENTITY_DIST,
     PauliDistribution,
     convolve,
     depolarize,
@@ -116,10 +115,6 @@ class TestDepolarizingPauliDist:
 
 
 class TestConvolve:
-    def test_identity_element(self):
-        d = depolarizing_pauli_dist(0.37)
-        assert convolve(d, IDENTITY_DIST).probabilities == d.probabilities
-
     def test_uniform_is_absorbing(self):
         uniform = depolarizing_pauli_dist(1.0)
         out = convolve(uniform, uniform)
@@ -293,7 +288,7 @@ class TestErrorRates:
 
     def test_error_rate_in_basis_rejects_identity(self):
         with pytest.raises(ValueError):
-            error_rate_in_basis(IDENTITY_DIST, PauliLabel.I)
+            error_rate_in_basis(PauliDistribution((1.0, 0.0, 0.0, 0.0)), PauliLabel.I)
 
 
 class TestPauliFrameSampling:

@@ -4,15 +4,17 @@ attack behavior, and Pauli-frame vs density-matrix backend equivalence."""
 import dataclasses
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mdiqsdc.channels
 import mdiqsdc.protocol
 import mdiqsdc.quantum
+from mdiqsdc.cli import SWEEP_BLOCK, _grid_blocks, _parse_grid
 from mdiqsdc.channels import PauliDistribution, convolve, depolarizing_pauli_dist
 from mdiqsdc.curves import analytic_point_for_config
 from mdiqsdc.infotheory import ETA_MAX, binary_entropy, shannon_entropy
@@ -34,6 +36,7 @@ from mdiqsdc.protocol import (
     intercept_resend_channel,
     message_law,
     pauli_frame_round_distributions,
+    round_law,
     round_law_for_config,
     run,
     swap_correction,
@@ -469,6 +472,142 @@ def test_estimate_at_the_exact_law_is_the_twin():
                 assert basis not in stats.checks and getattr(point, name) is None, (cfg, name)
         for name, got, want in pairs:
             assert abs(got - want) <= 1e-12, (cfg, name, got, want)
+
+# Every class of simulate config: protocol x noise x attack x encoding.
+LAW_CLASSES = [
+    dict(protocol=protocol, noise=noise, attack=attack, dl04_encoding=encoding)
+    for protocol in (Protocol.MDI_TS, Protocol.MDI_DL04)
+    for noise in NoisePlacement
+    for attack in AttackModel
+    for encoding in (PauliLabel.X, PauliLabel.Y, PauliLabel.Z)
+]
+REFEREED_CONFIGS = [
+    ProtocolConfig(rounds=1, channel_p=0.0, seed=1, **kwargs) for kwargs in LAW_CLASSES
+] + [
+    ProtocolConfig(
+        protocol=protocol, rounds=1, channel_p=0.0, seed=1, noise=NoisePlacement.BOTH_LEGS,
+        attack=AttackModel.INTERCEPT_RESEND, dl04_encoding=PauliLabel.X,
+        check_fraction=0.3, transmittance=0.7,
+    )
+    for protocol in (Protocol.MDI_TS, Protocol.MDI_DL04)
+]
+# the channel parameters of the default sweep, x = 0:0.5:0.005, as the sweep makes them
+(DEFAULT_P_GRID,) = [2.0 * xs for xs in _grid_blocks(_parse_grid("0:0.5:0.005"), SWEEP_BLOCK)]
+# the largest error of a law value, in units in the last place of the exact
+# value: 5.29 measured on the configs and grid above, rounded up
+LAW_ULPS = 6.0
+
+
+def exact_convolve(d1, d2):
+    return [sum(d1[i] * d2[PAULI_PRODUCT[i][k]] for i in range(4)) for k in range(4)]
+
+
+def exact_error(law, basis):
+    return sum(law[k] for k in range(4) if ANTICOMMUTES[k][basis])
+
+
+def exact_laws(p):
+    """The exact frame and net error of every round at the rational ``p``:
+    each baseline maps to its (frame, law), and each (noise, attack) to the
+    frame and a map from MDI protocol to the frame composed with the
+    re-transmission error."""
+    single = [1 - 3 * p / 4, p / 4, p / 4, p / 4]
+    twice = exact_convolve(single, single)
+    eve = [Fraction(v) for v in INTERCEPT_RESEND_DIST.probabilities]
+    laws = {Protocol.TWO_STEP: (single, single), Protocol.DL04: (single, [1 - p / 2, p / 2])}
+    for attack in AttackModel:
+        attacked = exact_convolve(single, eve) if attack == AttackModel.INTERCEPT_RESEND else single
+        frame = exact_convolve(attacked, single)
+        laws[NoisePlacement.FIRST_LEG_ONLY, attack] = frame, dict.fromkeys(Protocol, frame)
+        laws[NoisePlacement.BOTH_LEGS, attack] = frame, {
+            Protocol.MDI_TS: exact_convolve(frame, twice),
+            Protocol.MDI_DL04: exact_convolve(frame, single),
+        }
+    return laws
+
+
+def exact_cells(cfg, frame, law):
+    bases = check_bases(cfg)
+    share = Fraction(cfg.check_fraction) / len(bases)
+    cells = []
+    for basis in bases:
+        error = exact_error(frame, basis)
+        cells += [share * (1 - error), share * error]
+    message = 1 - Fraction(cfg.check_fraction)
+    arrived = Fraction(cfg.transmittance) ** (2 if cfg.protocol == Protocol.MDI_TS else 1)
+    return cells + [message * arrived * d for d in law] + [message * (1 - arrived)]
+
+
+def ulps(got, exact):
+    """How far the float ``got`` lies from the rational ``exact``, in units in
+    the last place of ``exact`` rounded to a float; an exact zero must be met
+    exactly."""
+    if not exact:
+        return 0.0 if got == 0.0 else math.inf
+    n, d = got.as_integer_ratio()
+    a, b = exact.numerator, exact.denominator
+    return abs(n * b - a * d) / (d * b) / math.ulp(a / b)
+
+
+def rows(values):
+    """Grid-axis-first rows, as lists of floats, of a tuple of grid arrays."""
+    return np.stack(values, axis=-1).tolist()
+
+
+def test_round_laws_are_within_six_ulps_of_exact_arithmetic():
+    """The frame, the message law and the cell law of every simulate config
+    class, and both baselines' laws, at each p of the default sweep, against
+    the same compositions in rational arithmetic from each float input's
+    exact value."""
+    made = []
+    for cfg in REFEREED_CONFIGS:
+        laws = round_law_for_config(cfg, DEFAULT_P_GRID)
+        made.append((cfg, rows(laws[0].probabilities), rows(laws[1]),
+                     _cell_probabilities(cfg, laws).tolist()))
+    baselines = {}
+    for protocol in (Protocol.TWO_STEP, Protocol.DL04):
+        frame, law = round_law(protocol, DEFAULT_P_GRID, NoisePlacement.FIRST_LEG_ONLY, PauliLabel.Y)
+        baselines[protocol] = rows(frame.probabilities), rows(law)
+    for k, p in enumerate(DEFAULT_P_GRID.tolist()):
+        exact = exact_laws(Fraction(p))
+        pairs = []
+        for protocol, (frame, law) in baselines.items():
+            pairs += zip(frame[k] + law[k], exact[protocol][0] + exact[protocol][1])
+        for cfg, frame, law, cells in made:
+            exact_frame, nets = exact[cfg.noise, cfg.attack]
+            net = nets[cfg.protocol]
+            if cfg.protocol == Protocol.MDI_DL04:
+                flip = exact_error(net, MESSAGE_BASIS[cfg.dl04_encoding])
+                net = [1 - flip, flip]
+            pairs += zip(
+                frame[k] + law[k] + cells[k], exact_frame + net + exact_cells(cfg, exact_frame, net)
+            )
+        far = [(got, float(want)) for got, want in pairs if not ulps(got, want) <= LAW_ULPS]
+        assert not far, (p, far[:4])
+
+
+def _bits(values):
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.floats(0.0, 1.0), kwargs=st.sampled_from(LAW_CLASSES))
+@example(p=0.37, kwargs=LAW_CLASSES[0])
+@example(p=0.2, kwargs=dict(LAW_CLASSES[0], noise=NoisePlacement.BOTH_LEGS))
+def test_revalidating_or_composing_with_the_identity_keeps_the_bits(p, kwargs):
+    """Validation never moves a law's bits: the single-leg law, the frame and
+    every mdi-ts message law that :func:`round_law` makes come back bit for
+    bit from a second validation and from composition with the identity."""
+    frame, law = round_law_for_config(ProtocolConfig(rounds=1, channel_p=p, seed=1, **kwargs))
+    laws = [depolarizing_pauli_dist(p), frame]
+    if kwargs["protocol"] == Protocol.MDI_TS:
+        laws.append(PauliDistribution(law))
+        assert _bits(laws[-1].probabilities) == _bits(law)
+    identity = PauliDistribution((1.0, 0.0, 0.0, 0.0))
+    for d in laws:
+        assert _bits(PauliDistribution(d.probabilities).probabilities) == _bits(d.probabilities)
+        assert _bits(convolve(d, identity).probabilities) == _bits(d.probabilities)
+
 
 # One config per way a message round is decoded.
 DECODINGS = [

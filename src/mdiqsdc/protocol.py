@@ -20,11 +20,10 @@ the cell law from a generator seeded with the run's seed (Devroye,
 *Non-Uniform Random Variate Generation*, 1986). That count vector is the
 run's tally, and the estimate reads it directly. Its time and memory do not
 depend on the number of rounds; :func:`run` runs either protocol. The run's
-record, :class:`TranscriptStats`, holds the tally once, with the check
-bases it was drawn with, and each estimate read off it once: the observed
-message law, the point, and one mapping of standard errors keyed by the
-point's field names. Each check basis's (errors, samples), the message and
-decoded round counts and the gain are views of the tally.
+record, :class:`TranscriptStats`, holds the tally and its check bases once,
+each estimate read off them once (the observed message law, the point, one
+mapping of standard errors keyed by the point's field names) and, as views
+of the tally, the per-basis checks, the round counts and the gain.
 
 :func:`round_law` is the one law of a round: the pair frame, off which the
 checked rates are read, and :func:`message_law` of the frame composed with
@@ -217,8 +216,7 @@ class TranscriptStats:
     each estimate, keyed by the point's field names (and ``bit_error`` for
     the single-photon protocol). A run that cannot estimate the bound gives
     its ``unavailable_reason`` instead, with no law, no point and no SEs.
-    The per-basis check pairs, the message and decoded round counts and the
-    gain are views of ``counts``."""
+    The properties are views of ``counts``."""
 
     counts: tuple[int, ...]
     check_bases: tuple[PauliLabel, ...]
@@ -230,23 +228,37 @@ class TranscriptStats:
     @property
     def checks(self) -> dict[PauliLabel, tuple[int, int]]:
         """Each check basis drawn, mapped to its (errors, samples)."""
-        split = 2 * len(self.check_bases)
-        pairs = zip(self.check_bases, self.counts[:split:2], self.counts[1:split:2])
-        return {basis: (errors, agree + errors) for basis, agree, errors in pairs}
+        return _split_tally(self.counts, self.check_bases)[0]
+
+    @property
+    def differences(self) -> tuple[int, ...]:
+        """The decoded message rounds, by decoded (-) encoded."""
+        return _split_tally(self.counts, self.check_bases)[1]
 
     @property
     def message_rounds(self) -> int:
-        return sum(self.counts[2 * len(self.check_bases) :])
+        return self.decoded_rounds + self.counts[-1]
 
     @property
     def decoded_rounds(self) -> int:
         """Message rounds that arrived: every cell but the lost one."""
-        return sum(self.counts[2 * len(self.check_bases) : -1])
+        return sum(self.differences)
 
     @property
     def gain(self) -> float:
         message_rounds = self.message_rounds
         return self.decoded_rounds / message_rounds if message_rounds > 0 else 0.0
+
+
+def _split_tally(
+    counts: tuple[int, ...], bases: tuple[PauliLabel, ...]
+) -> tuple[dict[PauliLabel, tuple[int, int]], tuple[int, ...]]:
+    """A tally's check pairs, each basis mapped to its (errors, samples), and
+    its message differences: the cells after the checks but the lost one."""
+    split = 2 * len(bases)
+    pairs = zip(bases, counts[:split:2], counts[1:split:2])
+    checks = {basis: (errors, agree + errors) for basis, agree, errors in pairs}
+    return checks, counts[split:-1]
 
 
 def swap_correction(outcome: BellLabel) -> PauliLabel:
@@ -459,9 +471,10 @@ def _estimate(cfg: ProtocolConfig, counts: np.ndarray) -> TranscriptStats:
     into the run's point, at the config's x. A leak basis with no check rounds
     flags the result as unavailable.
     """
-    tally = TranscriptStats(tuple(counts.tolist()), check_bases(cfg), None, None, {}, None)
-    checks = tally.checks
-    decoded_rounds = tally.decoded_rounds
+    tally, bases = tuple(counts.tolist()), check_bases(cfg)
+    checks, diffs = _split_tally(tally, bases)
+    decoded_rounds = sum(diffs)
+    message_rounds = decoded_rounds + tally[-1]
 
     unavailable: str | None = None
     # The single-photon leak reads only the encoding-basis rate; the
@@ -472,19 +485,18 @@ def _estimate(cfg: ProtocolConfig, counts: np.ndarray) -> TranscriptStats:
     for basis in leak_bases:
         if checks[basis][1] == 0:
             unavailable = f"no check rounds in basis {basis.name}"
-    if tally.message_rounds == 0:
+    if message_rounds == 0:
         unavailable = "no message rounds"
     elif decoded_rounds == 0:
         unavailable = "no decoded message rounds"
     if unavailable is not None:
-        return TranscriptStats(tally.counts, tally.check_bases, None, None, {}, unavailable)
+        return TranscriptStats(tally, bases, None, None, {}, unavailable)
 
     rates = {basis: errors / samples for basis, (errors, samples) in checks.items() if samples}
     se = {
         f"eps_{basis.name.lower()}": math.sqrt(rate * (1.0 - rate) / checks[basis][1])
         for basis, rate in rates.items()
     }
-    diffs = tally.counts[2 * len(tally.check_bases) : -1]
     if cfg.protocol == Protocol.MDI_TS:
         law = tuple(float(c) / decoded_rounds for c in diffs)
         message_variance = _shannon_variance(law, decoded_rounds)
@@ -493,7 +505,7 @@ def _estimate(cfg: ProtocolConfig, counts: np.ndarray) -> TranscriptStats:
         se["bit_error"] = math.sqrt(bit_error * (1.0 - bit_error) / decoded_rounds)
         law = (1.0 - bit_error, bit_error)
         message_variance = _binary_rate_variance(bit_error, decoded_rounds)
-    q_used = cfg.q_override if cfg.q_override is not None else tally.gain
+    q_used = cfg.q_override if cfg.q_override is not None else decoded_rounds / message_rounds
     point = closed_form(
         cfg.protocol, cfg.channel_p / 2.0, rates, law,
         encoding=cfg.dl04_encoding, q=q_used, eta=cfg.eta,
@@ -504,7 +516,7 @@ def _estimate(cfg: ProtocolConfig, counts: np.ndarray) -> TranscriptStats:
     se["capacity"] = q_used * math.hypot(
         math.sqrt(message_variance), cfg.eta * math.sqrt(leak_variance)
     )
-    return TranscriptStats(tally.counts, tally.check_bases, law, point, se, None)
+    return TranscriptStats(tally, bases, law, point, se, None)
 
 
 def run(cfg: ProtocolConfig, laws: RoundLaw | None = None) -> TranscriptStats:

@@ -329,10 +329,9 @@ class TestInterceptResend:
 
 
 def observed_symbol_law(stats):
-    """The observed symbol law of an mdi-ts run, validated once from its
-    counts as the estimate validates it."""
-    diffs = stats.counts[4:8]
-    return PauliDistribution(tuple(float(c) / stats.decoded_rounds for c in diffs))
+    """The observed symbol law of an mdi-ts run, read off its counts as the
+    estimate reads it."""
+    return PauliDistribution(tuple(float(c) / stats.decoded_rounds for c in stats.differences))
 
 
 # mdi-ts cell counts in ``_cell_probabilities`` order: Z checks without and

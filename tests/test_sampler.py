@@ -157,7 +157,7 @@ def test_tallies_match_exact_distributions(cfg):
     decoded = stats.decoded_rounds
     add([decoded, stats.message_rounds - decoded], [arrived.sum(), lost])
 
-    add(stats.counts[2 * len(bases) : -1], arrived)  # the message differences
+    add(stats.differences, arrived)
 
     if total_df > 0:
         p_value = chdtrc(total_df, total_stat)  # the chi-square survival function

@@ -1,6 +1,11 @@
 """Command-line front end: parameter sweeps, Monte Carlo runs, and
 verification, with CSV and hand-emitted SVG output.
 
+A ``--config`` file's ``key = value`` lines are more flags: they are parsed
+as ``--key=value`` ahead of the command line's own, which win on conflict,
+so every option reaches its command as one parsed value, with its default
+written once, on its flag.
+
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
 error (a closed stdout included, when the command would write there), 3
 insufficient statistics, 4 internal error (traceback on stderr). A Monte
@@ -280,9 +285,10 @@ def _grid_blocks(grid: tuple[float, float, float, int], size: int) -> Iterator[n
             yield xs
 
 
-def _load_config_file(path: str, args: argparse.Namespace) -> dict[str, str]:
-    """``key = value`` lines of a config file. Each key, with ``_`` read as
-    ``-``, must name a flag of the subcommand, that is an attribute of ``args``."""
+def _load_config_file(path: str, args: argparse.Namespace) -> list[str]:
+    """The ``key = value`` lines of a config file as ``--key=value`` flags.
+    Each key, with ``_`` read as ``-``, must name a flag of the subcommand,
+    that is an attribute of ``args``, and may be given once."""
     flags = {name.replace("_", "-") for name in vars(args)} - {"command", "config"}
     values: dict[str, str] = {}
     try:
@@ -302,63 +308,58 @@ def _load_config_file(path: str, args: argparse.Namespace) -> dict[str, str]:
                 values[flag] = value
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    return values
+    return [f"--{flag}={value}" for flag, value in values.items()]
 
 
-def _merged(args: argparse.Namespace, key: str, default):
-    """Flag value if given, else config-file value, else the default."""
-    cli_value = getattr(args, key.replace("-", "_"))
-    if cli_value is not None:
-        return cli_value
-    if args.config_values and key in args.config_values:
-        return args.config_values[key]
-    return default
-
-
-def _as_float(name: str, value) -> float:
+def _as_float(name: str, value: str, lo: float = -math.inf, hi: float = math.inf) -> float:
     try:
         number = float(value)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise UsageError(f"{name} must be a number, got {value!r}") from exc
     if not math.isfinite(number):
         raise UsageError(f"{name} must be finite, got {value!r}")
+    if not lo <= number <= hi:
+        raise UsageError(f"{name}={number!r} outside [{lo:g}, {hi:g}]")
     return number
 
 
-def _in_range(name: str, value: float, lo: float, hi: float) -> float:
-    if not lo <= value <= hi:
-        raise UsageError(f"{name}={value!r} outside [{lo:g}, {hi:g}]")
-    return value
-
-
-def _as_int(name: str, value) -> int:
+def _as_int(name: str, value: str) -> int:
     try:
-        return int(str(value), 0)
-    except (TypeError, ValueError) as exc:
+        return int(value, 0)
+    except ValueError as exc:
         raise UsageError(f"{name} must be an integer, got {value!r}") from exc
 
 
 def _add_shared_flags(sub: argparse.ArgumentParser, *, simulate: bool) -> None:
-    sub.add_argument(
+    add = sub.add_argument
+    add(
         "--protocol",
         help="mdi-ts, mdi-dl04, two-step, dl04, a comma list, or 'all' (sweep only)",
     )
-    sub.add_argument("--p", help="depolarizing channel parameter per leg")
-    sub.add_argument("--x", help="sweep position x = p/2")
-    sub.add_argument("--noise", help="first-leg-only (default) or both-legs")
-    sub.add_argument("--encoding", help="single-photon bit-1 operator: x, y (default), or z")
-    sub.add_argument("--q", help="decoding gain Q (default 1)")
-    sub.add_argument("--eta", help="gain gap eta (default 1)")
-    sub.add_argument("--csv", help="CSV output path (default: stdout)")
-    sub.add_argument("--config", help="key = value file; flags win on conflict")
+    add("--p", help="depolarizing channel parameter per leg")
+    add("--x", help="sweep position x = p/2")
+    add("--noise", default="first-leg-only", help="%(default)s (default) or both-legs")
+    add(
+        "--encoding",
+        default="y",
+        help="single-photon bit-1 operator: x, %(default)s (default), or z",
+    )
+    add("--q", help="decoding gain Q (default 1)")
+    add("--eta", default="1", help="gain gap eta (default %(default)s)")
+    add("--csv", help="CSV output path (default: stdout)")
+    add("--config", help="key = value file; flags win on conflict")
     if simulate:
-        sub.add_argument("--rounds", help="Monte Carlo rounds (default 100000)")
-        sub.add_argument("--seed", help="64-bit RNG seed (default 1)")
-        sub.add_argument("--check-fraction", help="per-round check probability (default 0.25)")
-        sub.add_argument("--attack", help="none (default) or intercept-resend")
+        add("--rounds", default="100000", help="Monte Carlo rounds (default %(default)s)")
+        add("--seed", default="1", help="64-bit RNG seed (default %(default)s)")
+        add(
+            "--check-fraction",
+            default="0.25",
+            help="per-round check probability (default %(default)s)",
+        )
+        add("--attack", default="none", help="%(default)s (default) or intercept-resend")
     else:
-        sub.add_argument("--grid", help="x grid start:stop:step (default 0:0.5:0.005)")
-        sub.add_argument("--svg", help="SVG output path")
+        add("--grid", help="x grid start:stop:step (default 0:0.5:0.005)")
+        add("--svg", help="SVG output path")
 
 
 @functools.cache
@@ -383,19 +384,12 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     return parser, {"sweep": sweep, "simulate": simulate, "verify": verify}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process and shared, so callers
-    must not change it; ``parse_args`` keeps no state between calls."""
-    return _parsers()[0]
-
-
-def _parse_args(argv: list[str] | None) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, reading ``argv`` once: when its
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``_parsers()[0].parse_args(argv)``, reading ``argv`` once: when its
     first argument names a subcommand, that subcommand's parser alone reads
     the rest, and the top-level parser reports what is left over as its own
     ``parse_args`` would. Any other ``argv`` goes to the top-level parser."""
     parser, subcommands = _parsers()
-    argv = sys.argv[1:] if argv is None else list(argv)
     sub = subcommands.get(argv[0]) if argv else None
     if sub is None:
         return parser.parse_args(argv)
@@ -411,7 +405,7 @@ def _parse_protocols(value: str | None, *, default_all: bool) -> list[Protocol]:
             return list(_PROTOCOL_ORDER)
         raise UsageError("simulate needs --protocol mdi-ts or mdi-dl04")
     out = []
-    for name in str(value).split(","):
+    for name in value.split(","):
         try:
             protocol = Protocol(name.strip())
         except ValueError as exc:
@@ -423,40 +417,41 @@ def _parse_protocols(value: str | None, *, default_all: bool) -> list[Protocol]:
 
 
 def _resolve_x(args: argparse.Namespace) -> float | None:
-    x_flag = _merged(args, "x", None)
-    p_flag = _merged(args, "p", None)
-    if x_flag is not None and p_flag is not None:
+    if args.x is not None and args.p is not None:
         raise UsageError("--x and --p are mutually exclusive")
-    if x_flag is not None:
-        return _in_range("x", _as_float("x", x_flag), 0.0, X_MAX)
-    if p_flag is not None:
-        return _in_range("p", _as_float("p", p_flag), 0.0, 2.0 * X_MAX) / 2.0
+    if args.x is not None:
+        return _as_float("x", args.x, 0.0, X_MAX)
+    if args.p is not None:
+        return _as_float("p", args.p, 0.0, 2.0 * X_MAX) / 2.0
     return None
 
 
 def _resolve_common(args: argparse.Namespace):
-    noise = str(_merged(args, "noise", NoisePlacement.FIRST_LEG_ONLY.value))
+    """Noise placement, encoding, decoding gain Q (None when ``--q`` is not
+    given) and gain gap."""
     try:
-        noise_placement = NoisePlacement(noise)
+        noise = NoisePlacement(args.noise)
     except ValueError as exc:
-        raise UsageError(f"unknown noise placement {noise!r}") from exc
-    encoding_name = str(_merged(args, "encoding", "y")).lower()
+        raise UsageError(f"unknown noise placement {args.noise!r}") from exc
+    encoding_name = args.encoding.lower()
     if encoding_name not in _ENCODINGS:
         raise UsageError(f"unknown encoding {encoding_name!r}")
-    q = _in_range("q", _as_float("q", _merged(args, "q", 1.0)), 0.0, 1.0)
-    eta = _in_range("eta", _as_float("eta", _merged(args, "eta", 1.0)), 0.0, ETA_MAX)
-    return noise_placement, _ENCODINGS[encoding_name], q, eta
+    q = None if args.q is None else _as_float("q", args.q, 0.0, 1.0)
+    eta = _as_float("eta", args.eta, 0.0, ETA_MAX)
+    return noise, _ENCODINGS[encoding_name], q, eta
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    protocols = _parse_protocols(_merged(args, "protocol", None), default_all=True)
+    protocols = _parse_protocols(args.protocol, default_all=True)
     noise, encoding, q, eta = _resolve_common(args)
+    q = 1.0 if q is None else q
     single_x = _resolve_x(args)
-    if single_x is not None and _merged(args, "grid", None) is not None:
-        point_flag = "--x" if _merged(args, "x", None) is not None else "--p"
+    if single_x is not None and args.grid is not None:
+        point_flag = "--x" if args.x is not None else "--p"
         raise UsageError(f"--grid and {point_flag} are mutually exclusive")
-    grid = _parse_grid(str(_merged(args, "grid", "0:0.5:0.005"))) if single_x is None else None
-    svg_path = _merged(args, "svg", None)
+    grid = None
+    if single_x is None:
+        grid = _parse_grid("0:0.5:0.005" if args.grid is None else args.grid)
 
     # Every usage error is raised above, before any file is opened. The plot's
     # file is opened before the CSV but emptied only once the CSV is open too,
@@ -466,12 +461,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # dropped; the plot keeps each block's x and clamped capacity arrays and
     # writes its text one block at a time.
     curves: list[tuple[str, list[np.ndarray], list[np.ndarray]]] = []
-    plot = (
-        contextlib.nullcontext()
-        if svg_path is None
-        else _UnbufferedFile(str(svg_path), os.O_APPEND)
-    )
-    with plot as svg, _open_output(_merged(args, "csv", None)) as out:
+    plot = contextlib.nullcontext() if args.svg is None else _UnbufferedFile(args.svg, os.O_APPEND)
+    with plot as svg, _open_output(args.csv) as out:
         if svg is not None and stat.S_ISREG(os.fstat(svg.fd).st_mode):
             os.ftruncate(svg.fd, 0)
         _write_text(out, CSV_HEADER + "\n")
@@ -499,7 +490,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    protocols = _parse_protocols(_merged(args, "protocol", None), default_all=False)
+    protocols = _parse_protocols(args.protocol, default_all=False)
     if len(protocols) != 1:
         raise UsageError("simulate takes exactly one protocol")
     protocol = protocols[0]
@@ -507,23 +498,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     x = _resolve_x(args)
     if x is None:
         raise UsageError("simulate needs --p or --x")
-    attack_name = str(_merged(args, "attack", AttackModel.NONE.value))
     try:
-        attack = AttackModel(attack_name)
+        attack = AttackModel(args.attack)
     except ValueError as exc:
-        raise UsageError(f"unknown attack model {attack_name!r}") from exc
+        raise UsageError(f"unknown attack model {args.attack!r}") from exc
 
     try:
         cfg = ProtocolConfig(
             protocol=protocol,
-            rounds=_as_int("rounds", _merged(args, "rounds", 100_000)),
+            rounds=_as_int("rounds", args.rounds),
             channel_p=2.0 * x,
-            seed=_as_int("seed", _merged(args, "seed", 1)),
-            check_fraction=_as_float(
-                "check-fraction", _merged(args, "check-fraction", 0.25)
-            ),
+            seed=_as_int("seed", args.seed),
+            check_fraction=_as_float("check-fraction", args.check_fraction),
             noise=noise,
-            q_override=q if _merged(args, "q", None) is not None else None,
+            q_override=q,
             eta=eta,
             dl04_encoding=encoding,
             attack=attack,
@@ -540,7 +528,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     (twin_row,) = _csv_rows(analytic_point_for_config(cfg, laws))
     (run_row,) = _csv_rows(stats.point, f"montecarlo,{cfg.seed},{cfg.rounds}")
-    with _open_output(_merged(args, "csv", None)) as out:
+    with _open_output(args.csv) as out:
         _write_text(out, CSV_HEADER + "\n" + twin_row + run_row)
     _print_summary(cfg, stats)
     return EXIT_OK
@@ -609,10 +597,13 @@ def _settle(stream: TextIO | None, text: str = "") -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = _parse_args(argv)
-    config_path = getattr(args, "config", None)
     try:
-        args.config_values = _load_config_file(config_path, args) if config_path else {}
+        if getattr(args, "config", None):
+            # the file's keys are read as flags ahead of argv's own, so a
+            # flag given on the command line wins
+            args = _parse_args([args.command, *_load_config_file(args.config, args), *argv[1:]])
         if args.command == "sweep":
             code = cmd_sweep(args)
         elif args.command == "simulate":

@@ -58,7 +58,7 @@ import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -216,7 +216,7 @@ class TranscriptStats:
     each estimate, keyed by the point's field names (and ``bit_error`` for
     the single-photon protocol). A run that cannot estimate the bound gives
     its ``unavailable_reason`` instead, with no law, no point and no SEs.
-    The properties are views of ``counts``."""
+    The properties are views of ``counts``, split once per record."""
 
     counts: tuple[int, ...]
     check_bases: tuple[PauliLabel, ...]
@@ -225,15 +225,19 @@ class TranscriptStats:
     se: Mapping[str, float]
     unavailable_reason: str | None
 
+    @cached_property
+    def _split(self) -> tuple[dict[PauliLabel, tuple[int, int]], tuple[int, ...]]:
+        return _split_tally(self.counts, self.check_bases)
+
     @property
     def checks(self) -> dict[PauliLabel, tuple[int, int]]:
         """Each check basis drawn, mapped to its (errors, samples)."""
-        return _split_tally(self.counts, self.check_bases)[0]
+        return self._split[0]
 
     @property
     def differences(self) -> tuple[int, ...]:
         """The decoded message rounds, by decoded (-) encoded."""
-        return _split_tally(self.counts, self.check_bases)[1]
+        return self._split[1]
 
     @property
     def message_rounds(self) -> int:
@@ -586,6 +590,19 @@ def _swap_projectors() -> np.ndarray:
     return proj
 
 
+def entanglement_swap(rho: DensityMatrix) -> tuple[np.ndarray, DensityMatrix]:
+    """Bell measurement of the sent photons 1 and 3 of a four-photon stack:
+    each announced outcome's probability, with a trailing outcome axis, and
+    the kept photons 0 and 2 conditioned on that outcome, after Bob's swap
+    correction, one pair per outcome on the same trailing axis."""
+    proj = _swap_projectors()
+    sub = proj @ rho.matrix[..., None, :, :] @ proj  # (..., outcome)
+    probs = np.trace(sub, axis1=-2, axis2=-1).real
+    cond = DensityMatrix(sub / probs[..., None, None])
+    corrections = [int(swap_correction(BellLabel(o))) for o in range(4)]
+    return probs, apply_pauli(partial_trace(cond, keep=(0, 2)), corrections, 1)
+
+
 @lru_cache(maxsize=None)
 def _agreement_projectors(basis: PauliLabel) -> np.ndarray:
     """Read-only (2, 4, 4) projectors of two photons both measured in
@@ -645,12 +662,7 @@ def density_matrix_round_distributions(
     if cfg.attack == AttackModel.INTERCEPT_RESEND:
         rho = intercept_resend_channel(rho, 1)
 
-    proj = _swap_projectors()
-    sub = proj @ rho.matrix[..., None, :, :] @ proj  # (..., outcome)
-    swap_outcome = np.trace(sub, axis1=-2, axis2=-1).real
-    cond = DensityMatrix(sub / swap_outcome[..., None, None])
-    corrections = [int(swap_correction(BellLabel(o))) for o in range(4)]
-    pair = apply_pauli(partial_trace(cond, keep=(0, 2)), corrections, 1)
+    swap_outcome, pair = entanglement_swap(rho)
 
     both_legs = cfg.noise == NoisePlacement.BOTH_LEGS
     entangled = cfg.protocol == Protocol.MDI_TS

@@ -21,11 +21,10 @@ from .protocol import (
     Protocol,
     ProtocolConfig,
     density_matrix_round_distributions,
+    entanglement_swap,
     pauli_frame_round_distributions,
-    swap_correction,
 )
 from .quantum import (
-    BELL_VECTORS,
     BellLabel,
     DensityMatrix,
     PauliDistribution,
@@ -34,9 +33,7 @@ from .quantum import (
     apply_pauli,
     bell_measure,
     bell_state,
-    embed_operator,
     holevo_bound,
-    partial_trace,
     pauli_channel,
     product_decompose,
     purify_bell_diagonal,
@@ -128,20 +125,14 @@ def check_product_decompositions(*, inject_sign_fault: bool = False) -> CheckRes
 def check_swap_corrections() -> CheckResult:
     """Entanglement swapping over noiseless channels, all four outcomes.
 
-    Projects the exact four-photon state on each announced Bell outcome,
-    applies the table's correction to Bob's retained photon, and requires
-    unit fidelity with the singlet; the four outcomes form one stack.
+    Runs the oracle's own swap stage on the exact four-photon state: each
+    announced Bell outcome's projection and Bob's correction of his retained
+    photon. Requires unit fidelity with the singlet; the four outcomes form
+    one stack.
     """
     singlet = bell_state(BellLabel.PSI_MINUS)
     state = np.kron(singlet.amplitudes, singlet.amplitudes)
-    rho = DensityMatrix(np.outer(state, state.conj()))
-    projectors = np.array(
-        [embed_operator(np.outer(v, v.conj()), (1, 3), 4) for v in BELL_VECTORS]
-    )
-    subs = projectors @ rho.matrix @ projectors
-    p_o = np.real(np.trace(subs, axis1=-2, axis2=-1))
-    pairs = partial_trace(DensityMatrix(subs / p_o[:, None, None]), keep=(0, 2))
-    pairs = apply_pauli(pairs, [swap_correction(outcome) for outcome in BellLabel], 1)
+    _, pairs = entanglement_swap(DensityMatrix(np.outer(state, state.conj())))
     fidelities = bell_measure(pairs)[:, int(BellLabel.PSI_MINUS)]
     worst = min(1.0, float(fidelities.min()))
     return CheckResult(

@@ -34,8 +34,8 @@ from mdiqsdc.cli import (
     _csv_rows,
     _grid_blocks,
     _parse_grid,
+    _parsers,
     _svg_chunks,
-    build_parser,
     main,
 )
 from mdiqsdc.curves import analytic_point
@@ -1206,7 +1206,7 @@ class TestFiniteOutput:
 
 class TestParserReuse:
     def test_parser_is_built_once(self):
-        assert build_parser() is build_parser()
+        assert _parsers()[0] is _parsers()[0]
 
     def test_reused_parser_leaks_no_state(self, capsys, monkeypatch):
         configs = []
@@ -1228,8 +1228,7 @@ class TestParserReuse:
 
 
 def namespace_main_builds(argv, monkeypatch):
-    """The attributes of the namespace ``main(argv)`` hands its subcommand,
-    but the config-file values it adds after parsing."""
+    """The attributes of the namespace ``main(argv)`` hands its subcommand."""
     seen = []
 
     def recording(args):
@@ -1240,7 +1239,6 @@ def namespace_main_builds(argv, monkeypatch):
         monkeypatch.setattr(mdiqsdc.cli, command, recording)
     assert main(list(argv)) == 0
     (args,) = seen
-    del args["config_values"]
     return args
 
 
@@ -1254,7 +1252,8 @@ def exit_and_streams(argv, capsys):
 
 class TestOneParse:
     """``main`` reads argv once, with the named subcommand's parser alone,
-    and builds what one ``build_parser().parse_args`` call builds."""
+    and builds what one ``_parsers()[0].parse_args`` call builds; with
+    ``--config`` it reads the file's keys and argv once more."""
 
     USAGE = "usage: mdiqsdc [-h] {sweep,simulate,verify} ...\n"
     # stdout and stderr of the parse that reads argv twice, at 80 columns
@@ -1341,7 +1340,7 @@ class TestOneParse:
         argvs = self.argvs(tmp_path)
         assert len(argvs) > 48 + 288
         for argv in argvs:
-            expected = vars(build_parser().parse_args(list(argv)))
+            expected = vars(_parsers()[0].parse_args(list(argv)))
             assert namespace_main_builds(argv, monkeypatch) == expected, argv
 
     @pytest.mark.parametrize(
@@ -1364,28 +1363,48 @@ class TestOneParse:
         namespace_main_builds(argv, monkeypatch)
         assert read == parsers
         read.clear()
-        build_parser().parse_args(argv)
+        _parsers()[0].parse_args(argv)
         assert read == ["mdiqsdc", *parsers]  # the parse that reads argv twice
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_config_file_namespace(self, tmp_path, monkeypatch, command):
+        """A config file's keys are flags that come before argv's own."""
         config = tmp_path / "run.conf"
         config.write_text("protocol = mdi-ts\nx = 0.1\n")
+        file_tokens = ["--protocol=mdi-ts", "--x=0.1"]
         monkeypatch.chdir(tmp_path)
         for argv in (
             [command, "--config", str(config)],
             [command, f"--config={config}", "--x", "0.2"],
             [command, "--conf", "run.conf", "--csv", "out.csv"],
         ):
-            expected = vars(build_parser().parse_args(argv))
+            expected = vars(_parsers()[0].parse_args([command, *file_tokens, *argv[1:]]))
             assert namespace_main_builds(argv, monkeypatch) == expected, argv
+
+    def test_config_call_reads_the_subcommand_parser_twice(self, tmp_path, monkeypatch):
+        config = tmp_path / "run.conf"
+        config.write_text("protocol = mdi-ts\n# a comment\ncheck_fraction = 0.5\n")
+        argv = ["simulate", "--p", "0.1", "--config", str(config)]
+        read = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def recording(parser, args, *rest, **kwargs):
+            read.append((parser.prog, list(args)))
+            return parse_known_args(parser, args, *rest, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recording)
+        namespace_main_builds(argv, monkeypatch)
+        assert read == [
+            ("mdiqsdc simulate", argv[1:]),
+            ("mdiqsdc simulate", ["--protocol=mdi-ts", "--check-fraction=0.5", *argv[1:]]),
+        ]
 
     @pytest.mark.parametrize("argv", list(ENDED_BY_ARGPARSE), ids=" ".join)
     def test_argparse_exits_are_pinned(self, capsys, monkeypatch, argv):
         monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage and help to the terminal
         assert exit_and_streams(argv, capsys) == self.ENDED_BY_ARGPARSE[argv]
         with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(list(argv))
+            _parsers()[0].parse_args(list(argv))
         captured = capsys.readouterr()
         assert (exc.value.code, captured.out, captured.err) == self.ENDED_BY_ARGPARSE[argv]
 
@@ -1406,7 +1425,7 @@ class TestOneParse:
         monkeypatch.setenv("COLUMNS", "80")
         ours = exit_and_streams(argv, capsys)
         with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(argv)
+            _parsers()[0].parse_args(argv)
         captured = capsys.readouterr()
         assert ours == (exc.value.code, captured.out, captured.err)
 
@@ -1423,6 +1442,14 @@ class TestConfigFile:
         mc = rows[1]
         assert mc["rounds"] == "500"
         assert mc["seed"] == "21"  # the flag beat the file
+
+    def test_flag_equal_to_the_default_beats_the_file(self, capsys, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("rounds = 500\nseed = 9\np = 0.0\nprotocol = mdi-ts\n")
+        code, out, _ = run_cli(["simulate", "--config", str(config), "--seed", "1"], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert rows[1]["seed"] == "1"  # the default's value, given as a flag
 
     def test_underscore_keys_accepted(self, capsys, tmp_path):
         config = tmp_path / "run.conf"

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -58,19 +59,37 @@ def defined_names(node: ast.stmt) -> list[str]:
     return [target.id for target in targets if isinstance(target, ast.Name)]
 
 
+def used_names(tree: ast.AST) -> Counter:
+    """How often the code of ``tree`` reads each name: names, attributes and
+    imported names, in f-strings too, but not words of a docstring or a
+    comment."""
+    used = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            used[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            used[node.name] += 1
+    return used
+
+
 def unreferenced_names(modules: dict[str, str], elsewhere: str) -> list[str]:
-    """Module-level names of ``modules`` (file name -> source) that appear as
-    a word nowhere but in their own definition: not in the rest of their
-    module, not in another module, not in the text ``elsewhere``."""
+    """Module-level names of ``modules`` (file name -> source) that no code
+    reads but their own definition: not the rest of their module, not
+    another module, and no word of the text ``elsewhere``, which is matched
+    as text because the benchmark's tracer names its targets by string."""
+    trees = {filename: ast.parse(source) for filename, source in modules.items()}
+    package = Counter()
+    for tree in trees.values():
+        package += used_names(tree)
     found = []
-    for filename, source in modules.items():
-        lines = source.splitlines()
-        others = [text for other, text in modules.items() if other != filename]
-        for node in ast.parse(source).body:
-            rest = "\n".join(lines[: node.lineno - 1] + lines[node.end_lineno :])
+    for filename, tree in trees.items():
+        for node in tree.body:
+            own = used_names(node)
             for name in defined_names(node):
                 word = re.compile(rf"\b{re.escape(name)}\b")
-                if not any(word.search(text) for text in (rest, *others, elsewhere)):
+                if package[name] == own[name] and not word.search(elsewhere):
                     found.append(f"{filename}:{name}")
     return found
 
@@ -78,7 +97,8 @@ def unreferenced_names(modules: dict[str, str], elsewhere: str) -> list[str]:
 def test_every_module_level_name_is_used_outside_tests():
     """A function, class or constant of the package must be used by the
     package, ``scripts/`` or ``perfbench/``; a name that only tests use is
-    surface to delete. ``__init__.py`` re-exports and so does not count."""
+    surface to delete, and so is one that only a docstring mentions.
+    ``__init__.py`` re-exports and so does not count."""
     if not (ROOT / "scripts").is_dir() or not (ROOT / "perfbench").is_dir():
         pytest.skip("needs a source checkout")
     modules = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
@@ -97,6 +117,12 @@ def test_unreferenced_name_detected():
     }
     assert unreferenced_names(modules, "") == ["a.py:X", "a.py:planted"]
     assert unreferenced_names(modules, "print(planted)") == ["a.py:X"]
+    # a docstring or a comment that names a function does not use it
+    modules["b.py"] = '"""Calls planted()."""\nY = 2\nprint(used)  # and X\n'
+    assert unreferenced_names(modules, "") == ["a.py:X", "a.py:planted"]
+    # an f-string's expression, an attribute and an import do
+    modules["b.py"] = 'from a import planted\nY = 2\nprint(f"{used.X}")\n'
+    assert unreferenced_names(modules, "") == []
 
 
 def test_all_names_resolve():

@@ -48,7 +48,7 @@ from mdiqsdc.quantum import (
     PauliLabel,
     bell_state,
 )
-from mdiqsdc.verification import check_backend_equivalence
+from mdiqsdc.verification import check_backend_equivalence, check_swap_corrections
 
 PAULI = [
     np.eye(2, dtype=complex),
@@ -948,6 +948,9 @@ class TestOracleStillReferees:
         monkeypatch.setattr(mdiqsdc.protocol, "swap_correction", lambda o: table[BellLabel(o)])
         result = check_backend_equivalence()
         assert not result.passed, result.detail
+        # verify's swap check runs the oracle's own swap stage, so it fails too
+        result = check_swap_corrections()
+        assert not result.passed, result.detail
 
     def test_non_unitary_cover_is_rejected_by_the_stack_validator(self, monkeypatch):
         cfg = ProtocolConfig(protocol=Protocol.MDI_TS, rounds=1, channel_p=0.1, seed=0)
@@ -1007,6 +1010,23 @@ class TestTranscriptProperties:
             assert stats.se["capacity"] >= 0.0
         else:
             assert stats.unavailable_reason
+
+    @pytest.mark.parametrize("protocol", [Protocol.MDI_TS, Protocol.MDI_DL04])
+    def test_tally_is_split_once_per_record(self, monkeypatch, protocol):
+        cfg = ProtocolConfig(protocol=protocol, rounds=2000, channel_p=0.1, seed=5)
+        stats = dataclasses.replace(run(cfg))  # a fresh record, no view read yet
+        splits = []
+        split_tally = mdiqsdc.protocol._split_tally
+
+        def counting(*args):
+            splits.append(args)
+            return split_tally(*args)
+
+        monkeypatch.setattr(mdiqsdc.protocol, "_split_tally", counting)
+        for view in ("checks", "differences", "message_rounds", "decoded_rounds", "gain"):
+            getattr(stats, view)
+        assert len(splits) <= 1
+        assert stats == run(cfg)  # the cached split is no field
 
 
 class TestQberInterval:

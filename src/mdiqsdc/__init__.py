@@ -25,13 +25,13 @@ from .quantum import (
     DensityMatrix,
     PauliDistribution,
     PauliLabel,
-    PureState,
     apply_pauli,
     bell_measure,
     bell_state,
     holevo_bound,
     partial_trace,
     product_decompose,
+    pure_density,
     purify_bell_diagonal,
     von_neumann_entropy,
 )
@@ -49,7 +49,6 @@ __all__ = [
     "PauliLabel",
     "Protocol",
     "ProtocolConfig",
-    "PureState",
     "TranscriptStats",
     "analytic_point",
     "apply_pauli",
@@ -63,6 +62,7 @@ __all__ = [
     "holevo_bound",
     "partial_trace",
     "product_decompose",
+    "pure_density",
     "purify_bell_diagonal",
     "run",
     "secrecy_capacity",

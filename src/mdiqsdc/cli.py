@@ -152,6 +152,16 @@ def _open_output(
     return _UnbufferedFile(path, os.O_TRUNC)
 
 
+def _apart_from(svg: _UnbufferedFile | None, path: str | None) -> str | None:
+    """``path``, checked not to name the open plot's file: the CSV's O_TRUNC
+    would empty the plot, and the two would then share one file."""
+    if svg is not None and path is not None and os.path.exists(path):
+        plot = os.fstat(svg.fd)
+        if stat.S_ISREG(plot.st_mode) and os.path.samestat(plot, os.stat(path)):
+            raise UsageError(f"--csv and --svg name the same file {path}")
+    return path
+
+
 def _write_text(handle: TextIO | _UnbufferedFile, text: str) -> None:
     """Write ``text`` to an open handle: every CSV and SVG piece goes out here."""
     handle.write(text)
@@ -320,7 +330,7 @@ def _as_float(name: str, value: str, lo: float = -math.inf, hi: float = math.inf
         raise UsageError(f"{name} must be finite, got {value!r}")
     if not lo <= number <= hi:
         raise UsageError(f"{name}={number!r} outside [{lo:g}, {hi:g}]")
-    return number
+    return number + 0.0  # -0.0 becomes 0.0; every other value keeps its bits
 
 
 def _as_int(name: str, value: str) -> int:
@@ -462,7 +472,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # writes its text one block at a time.
     curves: list[tuple[str, list[np.ndarray], list[np.ndarray]]] = []
     plot = contextlib.nullcontext() if args.svg is None else _UnbufferedFile(args.svg, os.O_APPEND)
-    with plot as svg, _open_output(args.csv) as out:
+    with plot as svg, _open_output(_apart_from(svg, args.csv)) as out:
         if svg is not None and stat.S_ISREG(os.fstat(svg.fd).st_mode):
             os.ftruncate(svg.fd, 0)
         _write_text(out, CSV_HEADER + "\n")
@@ -600,7 +610,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parse_args(argv)
     try:
-        if getattr(args, "config", None):
+        if getattr(args, "config", None) is not None:
             # the file's keys are read as flags ahead of argv's own, so a
             # flag given on the command line wins
             args = _parse_args([args.command, *_load_config_file(args.config, args), *argv[1:]])

@@ -92,6 +92,7 @@ from .quantum import (
     embed_operator,
     partial_trace,
     pauli_channel,
+    pure_density,
 )
 
 
@@ -654,9 +655,8 @@ def density_matrix_round_distributions(
     """
     p = cfg.channel_p if channel_p is None else channel_p
     singlet = bell_state(BellLabel.PSI_MINUS)
-    aligned = np.kron(singlet.amplitudes, singlet.amplitudes)
-    source = np.outer(aligned, aligned.conj())
-    rho = DensityMatrix(np.broadcast_to(source, np.shape(p) + source.shape))
+    aligned = np.kron(singlet, singlet)
+    rho = pure_density(np.broadcast_to(aligned, np.shape(p) + aligned.shape))
     rho = depolarize(rho, p, 1)
     rho = depolarize(rho, p, 3)
     if cfg.attack == AttackModel.INTERCEPT_RESEND:

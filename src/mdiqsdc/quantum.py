@@ -14,13 +14,15 @@ cross-check the label bookkeeping. :class:`PauliDistribution` is the one
 validated law over the four Pauli labels, so a Bell-diagonal pair is the
 Pauli error on one half of the singlet that makes it.
 
-A ``PureState`` holds one (d,) vector or a stack with shape (..., d), and a
-``DensityMatrix`` one (d, d) matrix or a stack with shape (..., d, d); a
-single state is a stack with no leading axes. Every member of a stack is
-checked at construction (density matrices by
-:func:`validate_density_stack`), and the helpers below (``apply_pauli``,
-``pauli_channel``, ``partial_trace``, ``bell_measure``, the purification,
-the entropies and the Holevo quantity) act on every member at once.
+A ``DensityMatrix`` is the one checked state: one (d, d) matrix or a stack
+with shape (..., d, d), a single state being a stack with no leading axes,
+every member checked at construction by :func:`validate_density_stack`.
+State vectors are read-only numpy arrays, and :func:`pure_density` is the
+one way to make |a><a| of a vector or of each vector of a (..., d) stack;
+a vector whose squared norm is not 1 fails there on the trace. The helpers
+below (``apply_pauli``, ``pauli_channel``, ``partial_trace``,
+``bell_measure``, the purification, the entropies and the Holevo quantity)
+act on every member of a stack at once.
 
 Every Pauli acting on a density stack comes from one cached table per
 qubit position, :func:`pauli_operators`: :func:`apply_pauli` conjugates by
@@ -44,7 +46,6 @@ import numpy as np
 
 from .elementwise import as_floats, first_failure, maximum
 
-ATOL_NORM = 1e-12
 ATOL_HERMITIAN = 1e-12
 ATOL_TRACE = 1e-12
 EIGENVALUE_FLOOR = -1e-10
@@ -200,41 +201,6 @@ class PauliDistribution:
         return cls(tuple(probs))
 
 
-@dataclass(frozen=True)
-class PureState:
-    """Normalized state vectors on 1, 2, or 4 qubits: one (d,) vector or a
-    stack of shape (..., d), each member finite with unit squared norm."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        amps = np.atleast_1d(np.array(self.amplitudes, dtype=np.complex128))
-        if amps.shape[-1] not in _ALLOWED_DIMS:
-            raise ValueError(f"unsupported dimension {amps.shape[-1]}")
-        if not np.all(np.isfinite(amps)):
-            raise ValueError("amplitudes must be finite")
-        norm_sq = np.asarray(np.sum(np.abs(amps) ** 2, axis=-1))
-        off = np.abs(norm_sq - 1.0) > ATOL_NORM
-        if off.any():
-            first = float(norm_sq[off][0])
-            raise ValueError(f"squared norm {first!r} differs from 1 by > {ATOL_NORM}")
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[-1]
-
-    @property
-    def num_qubits(self) -> int:
-        return self.dim.bit_length() - 1
-
-    def to_density_matrix(self) -> "DensityMatrix":
-        """|psi><psi| of every member, as a stack of the same shape."""
-        amps = self.amplitudes
-        return DensityMatrix(amps[..., :, None] * amps.conj()[..., None, :])
-
-
 def validate_density_stack(matrices: np.ndarray) -> np.ndarray:
     """Check every matrix of a complex (..., d, d) stack as a density matrix
     and return the eigenvalues, ascending, as a (..., d) array.
@@ -309,9 +275,17 @@ class DensityMatrix:
         return self.dim.bit_length() - 1
 
 
-def bell_state(label: BellLabel) -> PureState:
-    """The named Bell state over the computational basis |00>,|01>,|10>,|11>."""
-    return PureState(BELL_VECTORS[int(label)])
+def pure_density(amplitudes) -> DensityMatrix:
+    """|a><a| of one (d,) vector, or of each vector of a (..., d) stack, as
+    a validated stack of shape (..., d, d)."""
+    a = np.asarray(amplitudes, dtype=np.complex128)
+    return DensityMatrix(a[..., :, None] * a.conj()[..., None, :])
+
+
+def bell_state(label: BellLabel) -> np.ndarray:
+    """The named Bell state over the computational basis |00>,|01>,|10>,|11>:
+    a read-only row of ``BELL_VECTORS``."""
+    return BELL_VECTORS[int(label)]
 
 
 _SINGLE_PHOTON = {
@@ -320,13 +294,16 @@ _SINGLE_PHOTON = {
     "+": np.array([_SQRT_HALF, _SQRT_HALF], dtype=np.complex128),
     "-": np.array([_SQRT_HALF, -_SQRT_HALF], dtype=np.complex128),
 }
+for _vector in _SINGLE_PHOTON.values():
+    _vector.flags.writeable = False
 
 
-def single_photon(name: str) -> PureState:
-    """One of the four prepared single-photon states: "0", "1", "+", "-"."""
+def single_photon(name: str) -> np.ndarray:
+    """One of the four prepared single-photon states, "0", "1", "+", "-", as
+    a read-only vector."""
     if name not in _SINGLE_PHOTON:
         raise ValueError(f"unknown single-photon state {name!r}")
-    return PureState(_SINGLE_PHOTON[name])
+    return _SINGLE_PHOTON[name]
 
 
 def basis_eigenvector(basis: PauliLabel, bit: int) -> np.ndarray:
@@ -341,12 +318,6 @@ def basis_eigenvector(basis: PauliLabel, bit: int) -> np.ndarray:
     if basis == PauliLabel.X:
         return np.array([_SQRT_HALF, sign * _SQRT_HALF], dtype=np.complex128)
     return np.array([_SQRT_HALF, sign * 1j * _SQRT_HALF], dtype=np.complex128)
-
-
-def tensor(a: PureState, b: PureState) -> PureState:
-    """Tensor product of two pure states, member by member for stacks."""
-    joint = a.amplitudes[..., :, None] * b.amplitudes[..., None, :]
-    return PureState(joint.reshape(joint.shape[:-2] + (a.dim * b.dim,)))
 
 
 def embed_operator(op: np.ndarray, qubits: Sequence[int], num_qubits: int) -> np.ndarray:
@@ -421,33 +392,32 @@ def bell_measure(dm: DensityMatrix) -> np.ndarray:
     return np.einsum("bi,...ij,bj->...b", BELL_VECTORS.conj(), dm.matrix, BELL_VECTORS).real
 
 
-def product_decompose(a: PureState, b: PureState) -> np.ndarray:
+def product_decompose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Amplitudes of a two-photon product state in the Bell basis.
 
-    Intended for the four prepared single-photon states on each side; the
+    Intended for the four prepared single-photon vectors on each side; the
     squared magnitudes are the Bell-measurement probabilities of ``a ox b``.
     """
-    if a.amplitudes.shape != (2,) or b.amplitudes.shape != (2,):
+    if np.shape(a) != (2,) or np.shape(b) != (2,):
         raise ValueError("product decomposition needs two single-qubit states")
-    joint = np.kron(a.amplitudes, b.amplitudes)
-    return BELL_VECTORS.conj() @ joint
+    return BELL_VECTORS.conj() @ np.kron(a, b)
 
 
-def purify_bell_diagonal(d: PauliDistribution) -> PureState:
+def purify_bell_diagonal(d: PauliDistribution) -> DensityMatrix:
     """Purify the Bell-diagonal pair that the Pauli error ``d`` on one half
     makes of the singlet, with a four-dimensional environment.
 
-    Returns sum_i sqrt(delta_i) |Psi_i>|E_i>, delta_i = d[PAULI_OF_BELL[i]],
-    with the environment in its computational basis; tracing out the
-    environment recovers the mixture. Array laws give a stack with one
-    purification per element.
+    Returns the density matrix of sum_i sqrt(delta_i) |Psi_i>|E_i>,
+    delta_i = d[PAULI_OF_BELL[i]], with the environment in its computational
+    basis; tracing out the environment recovers the mixture. Array laws give
+    a stack with one purification per element.
     """
     amps = np.zeros(np.shape(d.probabilities[0]) + (16,), dtype=np.complex128)
     for i in range(4):
         root = np.sqrt(d[PAULI_OF_BELL[i]])
         for ab in range(4):
             amps[..., ab * 4 + i] += root * BELL_VECTORS[i][ab]
-    return PureState(amps)
+    return pure_density(amps)
 
 
 def partial_trace(dm: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:

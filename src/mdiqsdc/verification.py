@@ -29,16 +29,15 @@ from .quantum import (
     DensityMatrix,
     PauliDistribution,
     PauliLabel,
-    PureState,
     apply_pauli,
     bell_measure,
     bell_state,
     holevo_bound,
     pauli_channel,
     product_decompose,
+    pure_density,
     purify_bell_diagonal,
     single_photon,
-    tensor,
 )
 
 _R = 1.0 / math.sqrt(2.0)
@@ -80,7 +79,7 @@ def check_bell_states() -> CheckResult:
     }
     worst = 0.0
     for label, amps in expected.items():
-        got = bell_state(label).amplitudes
+        got = bell_state(label)
         worst = max(worst, float(np.max(np.abs(got - np.array(amps)))))
     return CheckResult(
         "bell-states",
@@ -104,11 +103,8 @@ def check_product_decompositions(*, inject_sign_fault: bool = False) -> CheckRes
     firsts = [photons[a] for a, _ in table]
     seconds = [photons[b] for _, b in table]
     amps = np.array([product_decompose(a, b) for a, b in zip(firsts, seconds)])
-    pairs = tensor(
-        PureState(np.array([a.amplitudes for a in firsts])),
-        PureState(np.array([b.amplitudes for b in seconds])),
-    )
-    probs = bell_measure(pairs.to_density_matrix())
+    pairs = np.array([np.kron(a, b) for a, b in zip(firsts, seconds)])
+    probs = bell_measure(pure_density(pairs))
     errs = np.maximum(
         np.max(np.abs(amps - np.array(list(table.values()))), axis=1),
         np.max(np.abs(probs - np.abs(amps) ** 2), axis=1),
@@ -131,8 +127,7 @@ def check_swap_corrections() -> CheckResult:
     one stack.
     """
     singlet = bell_state(BellLabel.PSI_MINUS)
-    state = np.kron(singlet.amplitudes, singlet.amplitudes)
-    _, pairs = entanglement_swap(DensityMatrix(np.outer(state, state.conj())))
+    _, pairs = entanglement_swap(pure_density(np.kron(singlet, singlet)))
     fidelities = bell_measure(pairs)[:, int(BellLabel.PSI_MINUS)]
     worst = min(1.0, float(fidelities.min()))
     return CheckResult(
@@ -235,7 +230,7 @@ def encoding_ensemble(d: PauliDistribution) -> DensityMatrix:
     information per symbol. Array laws give an (n, 4, 16, 16) stack, one
     ensemble per element.
     """
-    rho = purify_bell_diagonal(d).to_density_matrix()
+    rho = purify_bell_diagonal(d)
     covered = pauli_channel(rho, (0.25, 0.25, 0.25, 0.25), 1)
     return apply_pauli(covered[..., None], list(PauliLabel), 0)
 

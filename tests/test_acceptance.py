@@ -38,6 +38,7 @@ from mdiqsdc.quantum import (
     holevo_bound,
     partial_trace,
     product_decompose,
+    pure_density,
     single_photon,
 )
 from mdiqsdc.channels import depolarize
@@ -79,7 +80,7 @@ class TestAcceptance:
             BellLabel.PSI_MINUS: [0, R, -R, 0],
         }
         for label, amps in bell_table.items():
-            err = np.max(np.abs(bell_state(label).amplitudes - np.array(amps)))
+            err = np.max(np.abs(bell_state(label) - np.array(amps)))
             assert err < 1e-12
         for (a, b), expected in PRODUCT_DECOMPOSITION_TABLE.items():
             amps = product_decompose(single_photon(a), single_photon(b))
@@ -91,10 +92,9 @@ class TestAcceptance:
         via the 16-dimensional oracle, in under a second."""
         start = time.perf_counter()
         singlet = bell_state(BellLabel.PSI_MINUS)
-        joint = np.kron(singlet.amplitudes, singlet.amplitudes)
-        rho = DensityMatrix(np.outer(joint, joint.conj()))
+        rho = pure_density(np.kron(singlet, singlet))
         for outcome in BellLabel:
-            v = bell_state(outcome).amplitudes
+            v = bell_state(outcome)
             proj = embed_operator(np.outer(v, v.conj()), (1, 3), 4)
             sub = proj @ rho.matrix @ proj
             p_o = float(np.real(np.trace(sub)))
@@ -110,7 +110,7 @@ class TestAcceptance:
     def test_channel_identities(self):
         """One-leg depolarizing: delta and error-rate closed forms vs the
         matrix oracle, to 1e-12, for p in {0, 0.1, ..., 1}."""
-        singlet = bell_state(BellLabel.PSI_MINUS).to_density_matrix()
+        singlet = pure_density(bell_state(BellLabel.PSI_MINUS))
         for k in range(11):
             p = k / 10
             deltas = bell_measure(depolarize(singlet, p, 1))

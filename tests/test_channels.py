@@ -25,6 +25,7 @@ from mdiqsdc.quantum import (
     bell_measure,
     bell_state,
     partial_trace,
+    pure_density,
     purify_bell_diagonal,
 )
 
@@ -63,17 +64,17 @@ def embed_on_pair(op, qubit):
 
 class TestDepolarize:
     def test_p_zero_is_identity(self):
-        dm = bell_state(BellLabel.PSI_MINUS).to_density_matrix()
+        dm = pure_density(bell_state(BellLabel.PSI_MINUS))
         np.testing.assert_allclose(depolarize(dm, 0.0, 0).matrix, dm.matrix)
 
     def test_p_one_fully_mixes_the_pair(self):
-        dm = bell_state(BellLabel.PSI_MINUS).to_density_matrix()
+        dm = pure_density(bell_state(BellLabel.PSI_MINUS))
         out = depolarize(dm, 1.0, 0)
         np.testing.assert_allclose(out.matrix, np.eye(4) / 4, atol=1e-12)
 
     @pytest.mark.parametrize("p", P_GRID)
     def test_single_leg_bell_diagonal(self, p):
-        dm = bell_state(BellLabel.PSI_MINUS).to_density_matrix()
+        dm = pure_density(bell_state(BellLabel.PSI_MINUS))
         d = bell_measure(depolarize(dm, p, 1))
         np.testing.assert_allclose(
             d, [1 - 0.75 * p, 0.25 * p, 0.25 * p, 0.25 * p], atol=1e-12
@@ -90,7 +91,7 @@ class TestDepolarize:
         assert np.max(np.abs(out - out.conj().T)) < 1e-12
 
     def test_rejects_out_of_range(self):
-        dm = bell_state(BellLabel.PSI_MINUS).to_density_matrix()
+        dm = pure_density(bell_state(BellLabel.PSI_MINUS))
         with pytest.raises(ValueError):
             depolarize(dm, 1.5, 0)
         with pytest.raises(IndexError):
@@ -105,7 +106,7 @@ class TestDepolarizingPauliDist:
     @pytest.mark.parametrize("p", [0.2, 0.6, 1.0])
     def test_weighted_pauli_mixture_equals_channel(self, p):
         # oracle equivalence: apply the distribution as explicit conjugations
-        dm = bell_state(BellLabel.PSI_MINUS).to_density_matrix()
+        dm = pure_density(bell_state(BellLabel.PSI_MINUS))
         dist = depolarizing_pauli_dist(p)
         mixed = np.zeros((4, 4), dtype=complex)
         for k in range(4):
@@ -177,7 +178,7 @@ class TestConvolve:
 
     @pytest.mark.parametrize("p", [0.0, 0.2, 0.5, 1.0])
     def test_two_legs_match_density_matrix_oracle(self, p):
-        dm = bell_state(BellLabel.PSI_MINUS).to_density_matrix()
+        dm = pure_density(bell_state(BellLabel.PSI_MINUS))
         both = depolarize(depolarize(dm, p, 0), p, 1)
         want = convolve(depolarizing_pauli_dist(p), depolarizing_pauli_dist(p))
         got = PauliDistribution.from_bell_weights(tuple(bell_measure(both)))
@@ -220,7 +221,7 @@ class TestErrorRates:
     def test_matches_measurement_statistics_oracle(self, deltas):
         # disagreement probability from explicit same-basis projectors
         d = PauliDistribution.from_bell_weights(deltas)
-        dm = partial_trace(purify_bell_diagonal(d).to_density_matrix(), keep=(0, 1))
+        dm = partial_trace(purify_bell_diagonal(d), keep=(0, 1))
         for basis in CHECKED_BASES:
             expected = error_rate_in_basis(d, basis)
             parallel = 0.0
@@ -252,7 +253,7 @@ class TestErrorRates:
         # the Pauli errors, applied to one half of the singlet, give back d
         deltas = (0.4, 0.3, 0.2, 0.1)
         dist = PauliDistribution.from_bell_weights(deltas)
-        singlet = bell_state(BellLabel.PSI_MINUS).to_density_matrix().matrix
+        singlet = pure_density(bell_state(BellLabel.PSI_MINUS)).matrix
         mixed = sum(
             dist[k] * embed_on_pair(PAULI[k], 0) @ singlet @ embed_on_pair(PAULI[k], 0)
             for k in range(4)
@@ -299,7 +300,7 @@ class TestPauliFrameSampling:
         rng = np.random.default_rng(2024)
         samples = rng.choice(4, size=1_000_000, p=dist.probabilities)
         counts = np.bincount(samples, minlength=4)
-        dm = bell_state(BellLabel.PSI_MINUS).to_density_matrix()
+        dm = pure_density(bell_state(BellLabel.PSI_MINUS))
         want = bell_measure(depolarize(dm, p, 1))
         # reorder sampled Pauli labels into Bell labels: I,X,Y,Z -> psi-,phi-,phi+,psi+
         bell_counts = np.array([counts[0], counts[3], counts[1], counts[2]])

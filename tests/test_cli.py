@@ -266,6 +266,21 @@ class TestSweep:
     def test_svg_to_a_device_is_written(self, capsys):
         code, _, _ = run_cli(["sweep", "--x", "0.1", "--svg", os.devnull], capsys)
         assert code == 0
+        argv = ["sweep", "--x", "0.1", "--csv", os.devnull, "--svg", os.devnull]
+        code, _, _ = run_cli(argv, capsys)
+        assert code == 0
+
+    @pytest.mark.parametrize("hard_link", [False, True])
+    def test_csv_and_svg_naming_one_file_exits_2(self, capsys, tmp_path, hard_link):
+        path = tmp_path / "out"
+        path.write_bytes(b"kept,bytes\n")
+        csv = tmp_path / "link" if hard_link else path
+        if hard_link:
+            os.link(path, csv)
+        argv = ["sweep", "--x", "0.1", "--csv", str(csv), "--svg", str(path)]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (2, "", f"error: --csv and --svg name the same file {csv}\n")
+        assert path.read_bytes() == b"kept,bytes\n"
 
 
 class TestSweepBlocks:
@@ -918,6 +933,22 @@ class TestExitCodes:
         assert err.startswith("error: ") and message in err
         assert out == "" and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["sweep", "--x", "-0"],
+            ["sweep", "--p", "-0"],
+            ["sweep", "--x", "0.1", "--q", "-0", "--eta", "-0"],
+            ["simulate", "--protocol", "mdi-ts", "--p", "-0", "--rounds", "1000"],
+            ["simulate", "--protocol", "mdi-dl04", "--x", "-0", "--rounds", "1000"],
+        ],
+    )
+    def test_negative_zero_input_prints_zero(self, capsys, args):
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        assert out == run_cli(["0" if arg == "-0" else arg for arg in args], capsys)[1]
+        assert "-0," not in out
+
     @pytest.mark.parametrize("grid", ["garbage", "0:0.5:0.005"])
     @pytest.mark.parametrize("point", [["--x", "0.1"], ["--p", "0.2"], ["--x=0"]])
     def test_grid_with_a_single_point_exits_2(self, capsys, tmp_path, point, grid):
@@ -1496,6 +1527,17 @@ class TestConfigFile:
         config.write_text("rounds 500\n")
         code, _, _ = run_cli(["simulate", "--config", str(config), "--p", "0"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("empty", [["--config="], ["--config", ""]])
+    @pytest.mark.parametrize(
+        "argv",
+        [["sweep", "--x", "0.1"], ["simulate", "--protocol", "mdi-ts", "--p", "0.1"]],
+        ids=["sweep", "simulate"],
+    )
+    def test_empty_config_path_exits_2(self, capsys, argv, empty):
+        code, out, err = run_cli([*argv, *empty], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read config file ")
 
     def test_missing_config_exits_2(self, capsys, tmp_path):
         code, _, _ = run_cli(

@@ -47,6 +47,7 @@ from mdiqsdc.quantum import (
     BellLabel,
     PauliLabel,
     bell_state,
+    pure_density,
 )
 from mdiqsdc.verification import check_backend_equivalence, check_swap_corrections
 
@@ -250,7 +251,7 @@ class TestRunMdiDl04:
         # With Z encoding the message photons are read in basis X; the
         # 4-dim oracle says the encoded bit flips the X-parity of the pair.
         assert MESSAGE_BASIS[PauliLabel.Z] == PauliLabel.X
-        pair = bell_state(BellLabel.PSI_MINUS).to_density_matrix().matrix
+        pair = pure_density(bell_state(BellLabel.PSI_MINUS)).matrix
         z_on_a = np.kron(PAULI[3], np.eye(2))
         encoded = z_on_a @ pair @ z_on_a.conj().T
         plus = np.array([1, 1], dtype=complex) / math.sqrt(2)
@@ -284,7 +285,7 @@ class TestInterceptResend:
         assert list(INTERCEPT_RESEND_DIST.probabilities) == want == [0.5, 0.25, 0.0, 0.25]
 
     def test_channel_is_measure_and_resend_and_matches_the_frame_weights(self):
-        dm = bell_state(BellLabel.PSI_MINUS).to_density_matrix()
+        dm = pure_density(bell_state(BellLabel.PSI_MINUS))
         tampered = intercept_resend_channel(dm, 1)
         # measure in Z or X with probability 1/2 each, resend the eigenstate found
         resent = np.zeros((4, 4), dtype=complex)

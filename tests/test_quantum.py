@@ -16,7 +16,6 @@ from mdiqsdc.quantum import (
     DensityMatrix,
     PauliDistribution,
     PauliLabel,
-    PureState,
     apply_pauli,
     bell_measure,
     bell_state,
@@ -26,11 +25,11 @@ from mdiqsdc.quantum import (
     pauli_channel,
     pauli_operators,
     product_decompose,
+    pure_density,
     purify_bell_diagonal,
     single_photon,
     validate_density_stack,
     validate_probability_vector,
-    tensor,
     von_neumann_entropy,
 )
 
@@ -60,7 +59,7 @@ def pauli_on_qubit_oracle(op_index, qubit, num_qubits):
 
 def random_pure(rng, dim):
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return PureState(v / np.linalg.norm(v))
+    return v / np.linalg.norm(v)
 
 
 def random_density(rng, dim, rank=None):
@@ -88,30 +87,28 @@ class TestBellStates:
             BellLabel.PHI_PLUS: [R, 0, 0, R],
         }
         for label, amps in expected.items():
-            np.testing.assert_allclose(
-                bell_state(label).amplitudes, np.array(amps), atol=1e-12
-            )
+            np.testing.assert_allclose(bell_state(label), np.array(amps), atol=1e-12)
 
     def test_normalized(self):
         for label in BellLabel:
-            assert abs(np.sum(np.abs(bell_state(label).amplitudes) ** 2) - 1) < 1e-15
+            assert abs(np.sum(np.abs(bell_state(label)) ** 2) - 1) < 1e-15
 
     def test_mutually_orthogonal(self):
         for a in BellLabel:
             for b in BellLabel:
-                overlap = np.vdot(bell_state(a).amplitudes, bell_state(b).amplitudes)
+                overlap = np.vdot(bell_state(a), bell_state(b))
                 assert abs(overlap - (1.0 if a == b else 0.0)) < 1e-15
 
 
 class TestApplyPauli:
     def test_identity_fixes_singlet(self):
-        rho = bell_state(BellLabel.PSI_MINUS).to_density_matrix()
+        rho = pure_density(bell_state(BellLabel.PSI_MINUS))
         for qubit in (0, 1):
             same = apply_pauli(rho, PauliLabel.I, qubit)
             np.testing.assert_array_equal(same.matrix, rho.matrix)
 
     def test_z_on_second_qubit_maps_singlet_to_triplet(self):
-        rho = bell_state(BellLabel.PSI_MINUS).to_density_matrix()
+        rho = pure_density(bell_state(BellLabel.PSI_MINUS))
         got = apply_pauli(rho, PauliLabel.Z, 1)
         # independent oracle: explicit 4x4 multiplication
         oracle = pauli_on_qubit_oracle(3, 1, 2) @ BELL_VECTORS[0]
@@ -150,14 +147,14 @@ class TestApplyPauli:
         for label in BellLabel:
             for op in PauliLabel:
                 for qubit in (0, 1):
-                    moved = apply_pauli(bell_state(label).to_density_matrix(), op, qubit)
+                    moved = apply_pauli(pure_density(bell_state(label)), op, qubit)
                     probs = bell_measure(moved)
                     assert np.count_nonzero(probs > 1e-12) == 1
                     assert abs(probs.max() - 1.0) < 1e-12
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
-            apply_pauli(bell_state(BellLabel.PSI_MINUS).to_density_matrix(), PauliLabel.X, 2)
+            apply_pauli(pure_density(bell_state(BellLabel.PSI_MINUS)), PauliLabel.X, 2)
 
 
 class TestPauliOperatorTable:
@@ -221,14 +218,14 @@ class TestPauliChannel:
             np.testing.assert_array_equal(got.matrix[i], want.matrix)
 
     def test_index_out_of_range(self):
-        rho = bell_state(BellLabel.PSI_MINUS).to_density_matrix()
+        rho = pure_density(bell_state(BellLabel.PSI_MINUS))
         with pytest.raises(IndexError):
             pauli_channel(rho, (0.25, 0.25, 0.25, 0.25), 2)
 
 
 class TestBellMeasure:
     def test_eigenstate(self):
-        probs = bell_measure(bell_state(BellLabel.PSI_MINUS).to_density_matrix())
+        probs = bell_measure(pure_density(bell_state(BellLabel.PSI_MINUS)))
         np.testing.assert_allclose(probs, [1, 0, 0, 0], atol=1e-15)
 
     def test_maximally_mixed(self):
@@ -236,8 +233,8 @@ class TestBellMeasure:
         np.testing.assert_allclose(probs, [0.25] * 4, atol=1e-15)
 
     def test_plus_plus_splits_between_triplets(self):
-        state = tensor(single_photon("+"), single_photon("+"))
-        probs = bell_measure(state.to_density_matrix())
+        state = pure_density(np.kron(single_photon("+"), single_photon("+")))
+        probs = bell_measure(state)
         np.testing.assert_allclose(probs, [0.0, 0.5, 0.0, 0.5], atol=1e-12)
 
     def test_probabilities_sum_to_one(self):
@@ -277,7 +274,7 @@ class TestProductDecompose:
         a, b = pair
         sa, sb = single_photon(a), single_photon(b)
         amps = product_decompose(sa, sb)
-        probs = bell_measure(tensor(sa, sb).to_density_matrix())
+        probs = bell_measure(pure_density(np.kron(sa, sb)))
         np.testing.assert_allclose(probs, np.abs(amps) ** 2, atol=1e-12)
 
 
@@ -286,7 +283,7 @@ class TestPauliTwirl:
     leaves of a two-qubit state."""
 
     def test_bell_diagonal_input_is_fixed_point(self):
-        d = bell_measure(bell_state(BellLabel.PSI_MINUS).to_density_matrix())
+        d = bell_measure(pure_density(bell_state(BellLabel.PSI_MINUS)))
         np.testing.assert_allclose(d, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
 
     def test_maximally_mixed(self):
@@ -296,7 +293,7 @@ class TestPauliTwirl:
     @pytest.mark.parametrize("p", [0.0, 0.3, 0.7, 1.0])
     def test_one_side_depolarized_singlet(self, p):
         # oracle: apply the channel by explicit Pauli mixing on qubit 1
-        rho = bell_state(BellLabel.PSI_MINUS).to_density_matrix().matrix
+        rho = pure_density(bell_state(BellLabel.PSI_MINUS)).matrix
         mixed = (1 - 0.75 * p) * rho
         for k in (1, 2, 3):
             full = pauli_on_qubit_oracle(k, 1, 2)
@@ -309,30 +306,30 @@ class TestPauliTwirl:
 
 class TestPurification:
     def test_pure_input(self):
-        psi = purify_bell_diagonal(PauliDistribution.from_bell_weights((1.0, 0.0, 0.0, 0.0)))
+        rho = purify_bell_diagonal(PauliDistribution.from_bell_weights((1.0, 0.0, 0.0, 0.0)))
         expected = np.zeros(16, dtype=complex)
         expected[0 * 4 + 0] = BELL_VECTORS[0][0]
         expected[1 * 4 + 0] = BELL_VECTORS[0][1]
         expected[2 * 4 + 0] = BELL_VECTORS[0][2]
         expected[3 * 4 + 0] = BELL_VECTORS[0][3]
-        assert abs(np.vdot(psi.amplitudes, expected)) ** 2 >= 1 - 1e-12
+        assert np.vdot(expected, rho.matrix @ expected).real >= 1 - 1e-12
 
     def test_uniform_reduces_to_maximally_mixed(self):
         psi = purify_bell_diagonal(PauliDistribution.from_bell_weights((0.25, 0.25, 0.25, 0.25)))
-        pair = partial_trace(psi.to_density_matrix(), keep=(0, 1))
+        pair = partial_trace(psi, keep=(0, 1))
         np.testing.assert_allclose(pair.matrix, np.eye(4) / 4, atol=1e-12)
 
     @given(deltas=deltas_strategy)
     @settings(max_examples=25, deadline=None)
     def test_partial_trace_recovers_weights(self, deltas):
         psi = purify_bell_diagonal(PauliDistribution.from_bell_weights(deltas))
-        pair = partial_trace(psi.to_density_matrix(), keep=(0, 1))
+        pair = partial_trace(psi, keep=(0, 1))
         np.testing.assert_allclose(bell_measure(pair), deltas, atol=1e-12)
 
 
 class TestPartialTrace:
     def test_half_of_singlet_is_maximally_mixed(self):
-        dm = bell_state(BellLabel.PSI_MINUS).to_density_matrix()
+        dm = pure_density(bell_state(BellLabel.PSI_MINUS))
         reduced = partial_trace(dm, keep=(0,))
         np.testing.assert_allclose(reduced.matrix, np.eye(2) / 2, atol=1e-15)
 
@@ -353,7 +350,7 @@ class TestPartialTrace:
         np.testing.assert_allclose(got, want, atol=1e-14)
 
     def test_invalid_selector(self):
-        dm = bell_state(BellLabel.PSI_MINUS).to_density_matrix()
+        dm = pure_density(bell_state(BellLabel.PSI_MINUS))
         with pytest.raises(ValueError):
             partial_trace(dm, keep=())
         with pytest.raises(ValueError):
@@ -362,7 +359,7 @@ class TestPartialTrace:
 
 class TestEntropy:
     def test_pure_state_zero(self):
-        s = von_neumann_entropy(bell_state(BellLabel.PHI_PLUS).to_density_matrix())
+        s = von_neumann_entropy(pure_density(bell_state(BellLabel.PHI_PLUS)))
         assert abs(s) < 1e-10
 
     def test_maximally_mixed_two_qubits(self):
@@ -370,7 +367,7 @@ class TestEntropy:
 
     def test_equal_mixture_of_two_bell_states(self):
         psi = purify_bell_diagonal(PauliDistribution.from_bell_weights((0.5, 0.5, 0.0, 0.0)))
-        dm = partial_trace(psi.to_density_matrix(), keep=(0, 1))
+        dm = partial_trace(psi, keep=(0, 1))
         assert abs(von_neumann_entropy(dm) - 1.0) < 1e-12
 
     @given(deltas=deltas_strategy)
@@ -378,7 +375,7 @@ class TestEntropy:
     def test_bell_diagonal_entropy_is_shannon_of_weights(self, deltas):
         d = PauliDistribution.from_bell_weights(deltas)
         shannon = -sum(p * math.log2(p) for p in d.probabilities if p > 0)
-        pair = partial_trace(purify_bell_diagonal(d).to_density_matrix(), keep=(0, 1))
+        pair = partial_trace(purify_bell_diagonal(d), keep=(0, 1))
         assert abs(von_neumann_entropy(pair) - shannon) < 1e-10
 
     def test_range(self):
@@ -395,11 +392,11 @@ def ensemble(states):
 
 class TestHolevoBound:
     def test_identical_states_give_zero(self):
-        dm = bell_state(BellLabel.PSI_MINUS).to_density_matrix()
+        dm = pure_density(bell_state(BellLabel.PSI_MINUS))
         assert abs(holevo_bound(ensemble([dm, dm]), [0.5, 0.5])) < 1e-10
 
     def test_orthogonal_pure_states(self):
-        states = [bell_state(label).to_density_matrix() for label in BellLabel]
+        states = [pure_density(bell_state(label)) for label in BellLabel]
         chi = holevo_bound(ensemble(states), [0.25] * 4)
         assert abs(chi - 2.0) < 1e-10
 
@@ -419,12 +416,12 @@ class TestHolevoBound:
         assert holevo_bound(ensemble(states), [0.25] * 4) >= -1e-9
 
     def test_a_single_state_is_not_an_ensemble(self):
-        dm = bell_state(BellLabel.PSI_MINUS).to_density_matrix()
+        dm = pure_density(bell_state(BellLabel.PSI_MINUS))
         with pytest.raises(ValueError, match="ensemble stack"):
             holevo_bound(dm, [1.0])
 
     def test_invalid_priors(self):
-        dm = bell_state(BellLabel.PSI_MINUS).to_density_matrix()
+        dm = pure_density(bell_state(BellLabel.PSI_MINUS))
         with pytest.raises(ValueError):
             holevo_bound(ensemble([dm, dm]), [0.9, 0.3])
 
@@ -459,11 +456,12 @@ class TestPositivityFloor:
     def test_accepts_rank_one_state(self, dim):
         rng = np.random.default_rng(dim)
         for _ in range(5):
-            DensityMatrix(random_pure(rng, dim).to_density_matrix().matrix)
+            v = random_pure(rng, dim)
+            DensityMatrix(np.outer(v, v.conj()))
 
     @pytest.mark.parametrize("ancilla_qubits", [0, 2])
     def test_rejects_partial_transpose_of_bell_state(self, ancilla_qubits):
-        bell = bell_state(BellLabel.PHI_PLUS).to_density_matrix().matrix
+        bell = pure_density(bell_state(BellLabel.PHI_PLUS)).matrix
         transposed = bell.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
         ancilla = np.zeros((2**ancilla_qubits, 2**ancilla_qubits), dtype=complex)
         ancilla[0, 0] = 1.0
@@ -474,17 +472,17 @@ class TestPositivityFloor:
 
 
 class TestTypeInvariants:
-    def test_pure_state_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            PureState(np.array([1.0, 1.0]))
+    def test_pure_density_rejects_unnormalized(self):
+        with pytest.raises(ValueError, match="trace"):
+            pure_density(np.array([1.0, 1.0]))
 
-    def test_pure_state_rejects_nan(self):
-        with pytest.raises(ValueError):
-            PureState(np.array([np.nan, 0.0]))
+    def test_pure_density_rejects_nan(self):
+        with pytest.raises(ValueError, match="entries must be finite"):
+            pure_density(np.array([np.nan, 0.0]))
 
-    def test_pure_state_rejects_odd_dimension(self):
-        with pytest.raises(ValueError):
-            PureState(np.ones(8) / math.sqrt(8))
+    def test_pure_density_rejects_odd_dimension(self):
+        with pytest.raises(ValueError, match="unsupported dimension"):
+            pure_density(np.ones(8) / math.sqrt(8))
 
     def test_density_matrix_rejects_non_hermitian(self):
         mat = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
@@ -507,7 +505,10 @@ class TestTypeInvariants:
     def test_immutable_arrays(self):
         psi = bell_state(BellLabel.PSI_MINUS)
         with pytest.raises(ValueError):
-            psi.amplitudes[0] = 1.0
+            psi[0] = 1.0
+        for name in "01+-":
+            with pytest.raises(ValueError):
+                single_photon(name)[0] = 0.5
 
     def test_pauli_distribution_validates_once(self, monkeypatch):
         """Positional and keyword laws are validated once each, and the
@@ -859,32 +860,36 @@ class TestPureStack:
     def test_purification_of_array_weights_is_the_stack_of_each(self):
         grid = [(1.0, 0.0, 0.0, 0.0), (0.25, 0.25, 0.25, 0.25), (0.4, 0.3, 0.2, 0.1)]
         stacked = purify_bell_diagonal(PauliDistribution.from_bell_weights(tuple(np.array(grid).T)))
-        assert stacked.amplitudes.shape == (3, 16)
-        rho = stacked.to_density_matrix()
+        assert stacked.matrix.shape == (3, 16, 16)
         for k, deltas in enumerate(grid):
             one = purify_bell_diagonal(PauliDistribution.from_bell_weights(deltas))
-            np.testing.assert_array_equal(stacked.amplitudes[k], one.amplitudes)
-            np.testing.assert_array_equal(rho.matrix[k], one.to_density_matrix().matrix)
+            np.testing.assert_array_equal(stacked.matrix[k], one.matrix)
 
-    def test_tensor_and_pauli_act_member_by_member(self):
+    def test_pure_density_is_the_outer_product_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        vectors = np.stack([random_pure(rng, 4) for _ in range(3)])
+        stack = pure_density(vectors)
+        assert stack.shape == (3,)
+        for k, v in enumerate(vectors):
+            np.testing.assert_array_equal(stack.matrix[k], np.outer(v, v.conj()))
+            np.testing.assert_array_equal(pure_density(v).matrix, stack.matrix[k])
+
+    def test_pure_density_and_pauli_act_member_by_member(self):
         rng = np.random.default_rng(12)
-        a = PureState(np.stack([random_pure(rng, 2).amplitudes for _ in range(3)]))
-        b = PureState(np.stack([random_pure(rng, 2).amplitudes for _ in range(3)]))
-        joint = tensor(a, b)
-        flipped = apply_pauli(joint.to_density_matrix(), PauliLabel.Y, 1)
-        assert joint.amplitudes.shape == (3, 4)
+        a = np.stack([random_pure(rng, 2) for _ in range(3)])
+        b = np.stack([random_pure(rng, 2) for _ in range(3)])
+        joint = pure_density((a[:, :, None] * b[:, None, :]).reshape(3, 4))
+        flipped = apply_pauli(joint, PauliLabel.Y, 1)
         for k in range(3):
-            one = tensor(PureState(a.amplitudes[k]), PureState(b.amplitudes[k]))
-            np.testing.assert_array_equal(joint.amplitudes[k], one.amplitudes)
+            one = pure_density(np.kron(a[k], b[k]))
+            np.testing.assert_array_equal(joint.matrix[k], one.matrix)
             np.testing.assert_allclose(
-                flipped.matrix[k],
-                apply_pauli(one.to_density_matrix(), PauliLabel.Y, 1).matrix,
-                atol=1e-15,
+                flipped.matrix[k], apply_pauli(one, PauliLabel.Y, 1).matrix, atol=1e-15
             )
         with pytest.raises(ValueError, match="single-qubit"):
             product_decompose(a, b)
 
     def test_a_stack_reports_its_first_unnormalized_member(self):
         amps = np.array([[1.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
-        with pytest.raises(ValueError, match=r"squared norm 2\.0 differs"):
-            PureState(amps)
+        with pytest.raises(ValueError, match=r"trace \(2\+0j\) differs"):
+            pure_density(amps)

@@ -109,7 +109,7 @@ def test_stacked_checks_stay_under_a_megabyte():
 class TestHolevoCheckHasTeeth:
     def test_dropping_the_cover_average_fails(self, monkeypatch):
         def uncovered(d):
-            rho = purify_bell_diagonal(d).to_density_matrix()
+            rho = purify_bell_diagonal(d)
             return apply_pauli(rho[..., None], list(PauliLabel), 0)
 
         monkeypatch.setattr(verification, "encoding_ensemble", uncovered)

@@ -459,9 +459,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if single_x is not None and args.grid is not None:
         point_flag = "--x" if args.x is not None else "--p"
         raise UsageError(f"--grid and {point_flag} are mutually exclusive")
-    grid = None
     if single_x is None:
         grid = _parse_grid("0:0.5:0.005" if args.grid is None else args.grid)
+    else:
+        grid = (single_x, single_x, 1.0, 1)  # a one-point grid
 
     # Every usage error is raised above, before any file is opened. The plot's
     # file is opened before the CSV but emptied only once the CSV is open too,
@@ -477,9 +478,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             os.ftruncate(svg.fd, 0)
         _write_text(out, CSV_HEADER + "\n")
         for protocol in protocols:
-            blocks = _grid_blocks(grid, SWEEP_BLOCK) if grid else [np.array([single_x])]
             xs, ys = [], []
-            for block in blocks:
+            for block in _grid_blocks(grid, SWEEP_BLOCK):
                 curve = analytic_point(
                     protocol, block, noise=noise, encoding=encoding, q=q, eta=eta
                 )

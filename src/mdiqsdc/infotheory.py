@@ -1,9 +1,10 @@
 """Entropies and secrecy-capacity lower bounds for the simulated protocols.
 
-The entanglement protocols' message law, the symbol difference decoded (-)
-encoded over 00, 01, 10, 11, is a law over the same four labels as a Pauli
-error, so it is a :class:`~mdiqsdc.quantum.PauliDistribution`; the
-single-photon protocols' message law is one bit-flip rate.
+Every protocol's message entropy is :func:`shannon_entropy` of its message
+law, the law of decoded (-) encoded on an arrived message round: four
+symbol differences for the entanglement protocols, a correct or flipped bit
+for the single-photon ones. The law is checked where it is made, so the
+entropy takes its probabilities as given.
 
 Raw capacities may be negative; they are preserved as computed (the zero
 crossing is a first-class result) with the clamped value alongside.
@@ -15,7 +16,6 @@ import sys
 from dataclasses import dataclass
 
 from .elementwise import check_range, maximum, neg_p_log2_p
-from .quantum import PauliDistribution
 
 # Largest gain gap eta: every leak term is at most 2 bits, so eta times a
 # leak, and so every capacity, stays finite.
@@ -39,11 +39,12 @@ def binary_entropy(x: float) -> float:
     return neg_p_log2_p(x) + neg_p_log2_p(1.0 - x)
 
 
-def shannon_entropy(v: PauliDistribution) -> float:
-    """Shannon entropy of a law over four labels, such as the symbol
-    difference decoded (-) encoded, in [0, 2] bits."""
+def shannon_entropy(probabilities: tuple[float, ...]) -> float:
+    """Shannon entropy, in bits, of a law given as its probabilities, any
+    number of them, summed from 0.0 left to right; for a two-entry law
+    ``(1 - x, x)`` it equals :func:`binary_entropy` of x bit for bit."""
     total = 0.0
-    for p in v.probabilities:
+    for p in probabilities:
         total = total + neg_p_log2_p(p)
     return total
 

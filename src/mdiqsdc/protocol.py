@@ -53,6 +53,7 @@ Separate runs share no state and may also execute concurrently.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from collections.abc import Mapping
@@ -68,7 +69,7 @@ from .channels import (
     depolarizing_pauli_dist,
     error_rate_in_basis,
 )
-from .elementwise import minimum
+from .elementwise import check_range, minimum
 from .infotheory import (
     ETA_MAX,
     CapacityResult,
@@ -333,15 +334,10 @@ def round_law(
     return frame, message_law(protocol, encoding, net)
 
 
-def round_law_for_config(
-    cfg: ProtocolConfig, channel_p: float | np.ndarray | None = None
-) -> RoundLaw:
-    """:func:`round_law` of a Monte Carlo configuration, attack included, at
-    ``channel_p`` (a float or a 1-D float64 grid) in place of
-    ``cfg.channel_p`` when given."""
+def round_law_for_config(cfg: ProtocolConfig) -> RoundLaw:
+    """:func:`round_law` of a Monte Carlo configuration, attack included."""
     eve = INTERCEPT_RESEND_DIST if cfg.attack == AttackModel.INTERCEPT_RESEND else None
-    p = cfg.channel_p if channel_p is None else channel_p
-    return round_law(cfg.protocol, p, cfg.noise, cfg.dl04_encoding, eve)
+    return round_law(cfg.protocol, cfg.channel_p, cfg.noise, cfg.dl04_encoding, eve)
 
 
 def message_law(
@@ -356,11 +352,12 @@ def message_law(
     the two-bit differences. The single-photon protocol reads its bit in
     ``MESSAGE_BASIS[encoding]``, and the decoded bit errs exactly when the
     net label anticommutes with that basis, whichever bit was sent: the law
-    is ``(1 - flip, flip)``.
+    is ``(1 - flip, flip)``, with ``flip`` checked to lie in [0, 1].
     """
     if protocol != Protocol.MDI_DL04:
         return net.probabilities
     flip = error_rate_in_basis(net, MESSAGE_BASIS[encoding])
+    check_range(flip, 0.0, 1.0, "bit flip ")
     return (1.0 - flip, flip)
 
 
@@ -377,17 +374,17 @@ def closed_form(
     """The :class:`AnalyticPoint` of ``protocol`` at x = p/2: the bound of
     :func:`~mdiqsdc.infotheory.secrecy_capacity` from the checked error rate
     ``rates[basis]`` of each basis and the ``law`` of decoded (-) encoded on an
-    arrived message round (a single-photon bit flips with ``law[1]``); floats,
-    or 1-D arrays for a grid. The curves and the analytic twin feed it exact
-    rates and laws, a run its observed frequencies.
+    arrived message round, whose entropy is the message entropy whatever its
+    number of entries; floats, or 1-D arrays for a grid. The curves and the
+    analytic twin feed it exact rates and laws, a run its observed
+    frequencies; each law is checked where it is made.
     """
+    entropy = shannon_entropy(law)
     if protocol in (Protocol.MDI_TS, Protocol.TWO_STEP):
         bits = 2.0
-        entropy = shannon_entropy(PauliDistribution(law))
         eve_info = eve_info_mdi_ts(rates[PauliLabel.Z], rates[PauliLabel.X])
     else:
         bits = 1.0
-        entropy = binary_entropy(law[1])
         if protocol == Protocol.MDI_DL04:
             eve_info = binary_entropy(rates[encoding])
         else:
@@ -410,7 +407,7 @@ def _cell_probabilities(cfg: ProtocolConfig, laws: RoundLaw) -> np.ndarray:
     """Law of the tally cell one round reaches, in the order of a run's cell
     counts: per check basis, no error then error; each value of the message
     law on an arrived message round; a lost message round. ``laws`` is
-    :func:`round_law_for_config` of ``cfg``; grid laws add a leading grid axis.
+    :func:`round_law_for_config` of ``cfg``.
 
     A check round errs when its pair frame anticommutes with the basis: the
     singlet reference is anti-correlated in every basis. The bases share the
@@ -427,10 +424,8 @@ def _cell_probabilities(cfg: ProtocolConfig, laws: RoundLaw) -> np.ndarray:
     message = 1.0 - cfg.check_fraction
     arrived = arrival(cfg)
     cells += [message * arrived * d for d in law]
-    # + 0.0 * error gives the lost cell a grid's shape, if any, and changes no
-    # value; unlike np.full_like it costs a float run nothing measurable
-    cells.append(message * (1.0 - arrived) + 0.0 * error)
-    return np.array(cells).T  # cells last
+    cells.append(message * (1.0 - arrived))
+    return np.array(cells)
 
 
 def _draw_counts(cfg: ProtocolConfig, laws: RoundLaw) -> np.ndarray:
@@ -447,23 +442,18 @@ def _draw_counts(cfg: ProtocolConfig, laws: RoundLaw) -> np.ndarray:
     return counts
 
 
-def _binary_rate_variance(rate: float, samples: int) -> float:
-    """Delta-method variance of h(rate-hat) for a binomial estimate."""
-    if samples <= 0 or rate <= 0.0 or rate >= 1.0:
-        return 0.0
-    slope = math.log2((1.0 - rate) / rate)
-    return slope * slope * rate * (1.0 - rate) / samples
-
-
 def _shannon_variance(probs: tuple[float, ...], samples: int) -> float:
-    """Delta-method variance of H(multinomial estimate)."""
-    if samples <= 0:
-        return 0.0
-    terms = [(-math.log2(p) - 1.0 / math.log(2.0)) for p in probs if p > 0.0]
-    weights = [p for p in probs if p > 0.0]
-    mean = sum(w * t for w, t in zip(weights, terms))
-    second = sum(w * t * t for w, t in zip(weights, terms))
-    return max(second - mean * mean, 0.0) / samples
+    """Delta-method variance of the plug-in entropy of ``probs`` estimated
+    from ``samples`` draws, (sum p log2^2 p - H^2) / n for any number of
+    outcomes (Paninski, Neural Comput. 15, 1191 (2003)), summed over pairs
+    as sum_{i<j} p_i p_j log2^2(p_i / p_j) / n: the difference of the two
+    sums cancels near rates of 0, 1/2 and 1, the pairs do not. The binary
+    ``(1 - r, r)`` is one pair, the familiar slope^2 r (1 - r) / n."""
+    total = 0.0
+    for a, b in itertools.combinations([p for p in probs if p > 0.0], 2):
+        slope = math.log2(a / b)
+        total = total + slope * slope * b * a
+    return total / samples if samples > 0 else 0.0
 
 
 def _estimate(cfg: ProtocolConfig, counts: np.ndarray) -> TranscriptStats:
@@ -503,19 +493,20 @@ def _estimate(cfg: ProtocolConfig, counts: np.ndarray) -> TranscriptStats:
         for basis, rate in rates.items()
     }
     if cfg.protocol == Protocol.MDI_TS:
-        law = tuple(float(c) / decoded_rounds for c in diffs)
-        message_variance = _shannon_variance(law, decoded_rounds)
+        law = PauliDistribution(tuple(float(c) / decoded_rounds for c in diffs)).probabilities
     else:
         bit_error = diffs[1] / decoded_rounds
         se["bit_error"] = math.sqrt(bit_error * (1.0 - bit_error) / decoded_rounds)
         law = (1.0 - bit_error, bit_error)
-        message_variance = _binary_rate_variance(bit_error, decoded_rounds)
+    message_variance = _shannon_variance(law, decoded_rounds)
     q_used = cfg.q_override if cfg.q_override is not None else decoded_rounds / message_rounds
     point = closed_form(
         cfg.protocol, cfg.channel_p / 2.0, rates, law,
         encoding=cfg.dl04_encoding, q=q_used, eta=cfg.eta,
     )
-    leak_variance = sum(_binary_rate_variance(rates[b], checks[b][1]) for b in leak_bases)
+    leak_variance = sum(
+        _shannon_variance((1.0 - rates[b], rates[b]), checks[b][1]) for b in leak_bases
+    )
     # eta scales the leak's standard deviation: squaring eta itself
     # would overflow for eta above about 1e154
     se["capacity"] = q_used * math.hypot(
@@ -547,16 +538,12 @@ def run(cfg: ProtocolConfig, laws: RoundLaw | None = None) -> TranscriptStats:
 # ---------------------------------------------------------------------------
 
 
-def pauli_frame_round_distributions(
-    cfg: ProtocolConfig, channel_p: float | np.ndarray | None = None
-) -> dict[str, np.ndarray]:
-    """Exact per-round distributions of what a run tallies, from the label
-    algebra, so they can be compared to the density-matrix backend at machine
-    precision without sampling. The swap correction leaves the pair frame
-    the same whatever the announced outcome, so every outcome's row is the
-    one cell law. ``channel_p`` replaces ``cfg.channel_p`` when given: a
-    float gives the shapes below, and a 1-D float64 array adds a leading
-    grid axis whose rows equal, bit for bit, the calls at each float. Keys
+def pauli_frame_round_distributions(cfg: ProtocolConfig) -> dict[str, np.ndarray]:
+    """Exact per-round distributions of what a run tallies at the config's
+    channel parameter, from the label algebra, so they can be compared to
+    the density-matrix backend at machine precision without sampling. The
+    swap correction leaves the pair frame the same whatever the announced
+    outcome, so every outcome's row is the one cell law a run draws. Keys
     and shapes:
 
     * ``swap_outcome`` (4,): announced first Bell outcome.
@@ -567,17 +554,14 @@ def pauli_frame_round_distributions(
 
     The cell law and the message law come from one :func:`round_law_for_config`.
     """
-    laws = round_law_for_config(cfg, channel_p)
+    laws = round_law_for_config(cfg)
     cells = _cell_probabilities(cfg, laws)
-    law = np.stack(laws[1], axis=-1)
-    out = {
-        "swap_outcome": np.full(cells.shape[:-1] + (4,), 0.25),
-        "cells": np.repeat(cells[..., None, :], 4, axis=-2),
-    }
+    law = np.array(laws[1])
+    out = {"swap_outcome": np.full(4, 0.25), "cells": np.repeat(cells[None, :], 4, axis=0)}
     if cfg.protocol == Protocol.MDI_TS:
         out["symbol_error"] = law
     else:
-        out["bit_error"] = law[..., 1:]
+        out["bit_error"] = law[1:]
     return out
 
 

@@ -194,11 +194,11 @@ class PauliDistribution:
     def from_bell_weights(cls, deltas: Sequence[float]) -> "PauliDistribution":
         """The Pauli error on one half of the singlet that gives the
         Bell-diagonal pair of weights ``deltas``, ordered psi-, psi+, phi-,
-        phi+."""
-        probs = [0.0] * 4
-        for bell, weight in zip(PAULI_OF_BELL, deltas):
-            probs[int(bell)] = weight
-        return cls(tuple(probs))
+        phi+. Any number of weights but four fails as the constructor does."""
+        weights = tuple(deltas)
+        if len(weights) == 4:
+            weights = tuple(weights[PAULI_OF_BELL.index(label)] for label in PauliLabel)
+        return cls(weights)
 
 
 def validate_density_stack(matrices: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ cannot agree with itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -156,11 +156,12 @@ def check_backend_equivalence() -> CheckResult:
     """The density-matrix oracle, reduced per announced outcome to the tally
     cells of a run, against the cell law the sampler draws, full grid.
 
-    Each backend is called once per case of ``EQUIVALENCE_CASES`` with the
-    whole ``EQUIVALENCE_PS`` grid, over a lossy channel so that the arrival
-    law and the lost cell are compared too; the worst case is the first
-    largest deviation in (case, p, key) order, and for ``cells`` the detail
-    also names the announced Bell outcome and the tally cell where it lies.
+    For each case of ``EQUIVALENCE_CASES``, over a lossy channel so that the
+    arrival law and the lost cell are compared too, the oracle is called once
+    with the whole ``EQUIVALENCE_PS`` grid and the Pauli-frame side once per
+    p of it, as a run calls it; the worst case is the first largest deviation
+    in (case, p, key) order, and for ``cells`` the detail also names the
+    announced Bell outcome and the tally cell where it lies.
     """
     grid = np.array(EQUIVALENCE_PS, dtype=np.float64)
     worst = 0.0
@@ -176,10 +177,11 @@ def check_backend_equivalence() -> CheckResult:
             attack=attack,
             transmittance=0.7,
         )
-        fast = pauli_frame_round_distributions(cfg, grid)
+        fast = [pauli_frame_round_distributions(replace(cfg, channel_p=p)) for p in EQUIVALENCE_PS]
         exact = density_matrix_round_distributions(cfg, grid)
         deviations = {
-            key: np.abs(fast[key] - exact[key]).reshape(len(grid), -1) for key in exact
+            key: np.abs(np.stack([f[key] for f in fast]) - exact[key]).reshape(len(grid), -1)
+            for key in exact
         }
         case = f"{protocol.value} {noise.value}"
         if protocol == Protocol.MDI_DL04:

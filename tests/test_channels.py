@@ -329,6 +329,12 @@ class TestPauliDistributionType:
         with pytest.raises(ValueError, match="must sum to 1"):
             PauliDistribution.from_bell_weights(probs)
 
+    @pytest.mark.parametrize("weights", [(0.5, 0.5, 0.0), (0.5, 0.0, 0.0, 0.5, 0.0)])
+    def test_bell_weights_other_than_four_are_rejected(self, weights):
+        # neither padded with zeros nor cut to four
+        with pytest.raises(ValueError, match=f"needs 4 components, got {len(weights)}"):
+            PauliDistribution.from_bell_weights(weights)
+
     def test_first_component_is_no_error(self):
         dist = PauliDistribution((1.0, 0.0, 0.0, 0.0))
         assert dist[PauliLabel.I] == dist[0] == 1.0

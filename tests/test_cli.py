@@ -120,6 +120,23 @@ class TestSweep:
         _, rows = parse_csv(out)
         assert float(rows[0]["capacity_raw"]) == 1.0
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--x", "0"), ("--x", "0.1"), ("--x", "0.123456789"), ("--x", "0.5"),
+                        ("--p", "0.37")],
+    )
+    def test_single_point_is_the_float_point(self, capsys, flag, value):
+        """A one-point sweep prints, per curve, the row of the float call at
+        its x, although it goes through the grid path."""
+        x = float(value) / (2.0 if flag == "--p" else 1.0)
+        code, out, _ = run_cli(["sweep", flag, value, "--noise", "both-legs"], capsys)
+        assert code == 0
+        want = [
+            row
+            for protocol in mdiqsdc.cli._parse_protocols(None, default_all=True)
+            for row in _csv_rows(analytic_point(protocol, x, noise=NoisePlacement.BOTH_LEGS))
+        ]
+        assert out == CSV_HEADER + "\n" + "".join(want)
+
     def test_p_flag_is_twice_x(self, capsys):
         code, out, _ = run_cli(["sweep", "--protocol", "dl04", "--p", "0.3"], capsys)
         _, rows = parse_csv(out)

@@ -71,7 +71,7 @@ def check_rates(dists, cfg):
 
 def message_entropy(dists, cfg):
     if cfg.protocol == Protocol.MDI_TS:
-        return shannon_entropy(PauliDistribution(tuple(dists["symbol_error"])))
+        return shannon_entropy(tuple(dists["symbol_error"]))
     return binary_entropy(float(dists["bit_error"][0]))
 
 

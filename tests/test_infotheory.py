@@ -15,7 +15,6 @@ from mdiqsdc.infotheory import (
     secrecy_capacity,
     shannon_entropy,
 )
-from mdiqsdc.quantum import PauliDistribution
 
 
 def binary_entropy_series_oracle(x, terms=50):
@@ -67,17 +66,26 @@ class TestBinaryEntropy:
 
 class TestShannonEntropy:
     def test_deterministic(self):
-        assert shannon_entropy(PauliDistribution((1.0, 0.0, 0.0, 0.0))) == 0.0
+        assert shannon_entropy((1.0, 0.0, 0.0, 0.0)) == 0.0
 
     def test_uniform(self):
-        assert abs(shannon_entropy(PauliDistribution((0.25,) * 4)) - 2.0) < 1e-15
+        assert abs(shannon_entropy((0.25,) * 4) - 2.0) < 1e-15
 
     def test_two_equiprobable(self):
-        assert abs(shannon_entropy(PauliDistribution((0.5, 0.5, 0.0, 0.0))) - 1.0) < 1e-15
+        assert abs(shannon_entropy((0.5, 0.5, 0.0, 0.0)) - 1.0) < 1e-15
 
     def test_range(self):
-        v = PauliDistribution((0.7, 0.1, 0.1, 0.1))
-        assert 0.0 <= shannon_entropy(v) <= 2.0
+        assert 0.0 <= shannon_entropy((0.7, 0.1, 0.1, 0.1)) <= 2.0
+
+    @settings(max_examples=300)
+    @given(x=unit_floats)
+    def test_a_two_entry_law_gives_the_binary_entropy_bit_for_bit(self, x):
+        got, want = shannon_entropy((1.0 - x, x)), binary_entropy(x)
+        assert math.copysign(1.0, got) == math.copysign(1.0, want) and got == want
+
+    def test_any_number_of_entries(self):
+        assert shannon_entropy((1.0,)) == 0.0
+        assert abs(shannon_entropy((0.125,) * 8) - 3.0) < 1e-15
 
 
 class TestEveInfo:
@@ -113,10 +121,10 @@ class TestCapacityFormulas:
     def test_mdi_ts_noiseless_endpoint(self):
         result = analytic_point(Protocol.MDI_TS, 0.0).capacity
         assert result.raw == 2.0 and result.clamped == 2.0
-        assert mdi_ts_raw(PauliDistribution((1.0, 0.0, 0.0, 0.0)), 0.0, 0.0) == 2.0
+        assert mdi_ts_raw((1.0, 0.0, 0.0, 0.0), 0.0, 0.0) == 2.0
 
     def test_mdi_ts_fully_randomized(self):
-        result = CapacityResult(mdi_ts_raw(PauliDistribution((0.25,) * 4), 0.5, 0.5))
+        result = CapacityResult(mdi_ts_raw((0.25,) * 4, 0.5, 0.5))
         assert abs(result.raw + 2.0) < 1e-12
         assert result.clamped == 0.0
 
@@ -169,7 +177,7 @@ class TestCapacityFormulas:
             previous = raw
         previous = math.inf
         for eps in grid:
-            raw = mdi_ts_raw(PauliDistribution((1.0, 0.0, 0.0, 0.0)), eps, 0.1)
+            raw = mdi_ts_raw((1.0, 0.0, 0.0, 0.0), eps, 0.1)
             assert raw <= previous + 1e-12
             previous = raw
 

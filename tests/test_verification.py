@@ -2,19 +2,22 @@
 many matrices validated as one point at a time, bounded memory, and a
 Holevo check that fails when its ensemble, its bound or its grid is wrong."""
 
+import dataclasses
 import hashlib
 import math
+import re
 import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import mdiqsdc.channels
+import mdiqsdc.protocol
 import mdiqsdc.quantum
 import mdiqsdc.verification as verification
-from mdiqsdc.cli import main
 from mdiqsdc.infotheory import binary_entropy
-from mdiqsdc.protocol import AttackModel, NoisePlacement, Protocol
+from mdiqsdc.protocol import AttackModel, NoisePlacement, Protocol, message_law, swap_correction
 from mdiqsdc.quantum import (
     PAULI_OF_BELL,
     BellLabel,
@@ -143,20 +146,36 @@ class TestHolevoCheckHasTeeth:
 
 def test_backend_equivalence_covers_both_noise_placements_and_all_encodings(monkeypatch):
     cases = verification.EQUIVALENCE_CASES
-    compared = []
-    for name in ("pauli_frame_round_distributions", "density_matrix_round_distributions"):
-        backend = getattr(verification, name)
+    frame_calls, oracle_calls = [], []
+    frame = verification.pauli_frame_round_distributions
+    oracle = verification.density_matrix_round_distributions
 
-        def recording(cfg, channel_p, backend=backend):
-            compared.append(cfg)
-            return backend(cfg, channel_p)
+    def recording_frame(cfg):
+        frame_calls.append(cfg)
+        return frame(cfg)
 
-        monkeypatch.setattr(verification, name, recording)
+    def recording_oracle(cfg, channel_p):
+        oracle_calls.append((cfg, tuple(channel_p.tolist())))
+        return oracle(cfg, channel_p)
+
+    monkeypatch.setattr(verification, "pauli_frame_round_distributions", recording_frame)
+    monkeypatch.setattr(verification, "density_matrix_round_distributions", recording_oracle)
     assert verification.check_backend_equivalence().passed
-    # every case on both backends, over a lossy channel: at transmittance 1
-    # no round is lost, and the arrival law could not show a fault
-    assert len(compared) == 2 * len(cases)
-    assert {(c.protocol, c.attack, c.noise, c.dl04_encoding) for c in compared} == set(cases)
+
+    def case(c):
+        return c.protocol, c.attack, c.noise, c.dl04_encoding
+
+    # each case once: on the oracle with the whole grid, and on the frame
+    # side once at each p of the grid
+    assert Counter(case(c) for c, _ in oracle_calls) == Counter(cases)
+    assert all(ps == verification.EQUIVALENCE_PS for _, ps in oracle_calls)
+    assert Counter((case(c), c.channel_p) for c in frame_calls) == Counter(
+        (c, p) for c in cases for p in verification.EQUIVALENCE_PS
+    )
+    # every case over a lossy channel: at transmittance 1 no round is lost,
+    # and the arrival law could not show a fault
+    compared = frame_calls + [c for c, _ in oracle_calls]
+    assert {case(c) for c in compared} == set(cases)
     assert {c.transmittance for c in compared} == {0.7}
     for protocol in (Protocol.MDI_TS, Protocol.MDI_DL04):
         own = [case for case in cases if case[0] == protocol]
@@ -166,19 +185,140 @@ def test_backend_equivalence_covers_both_noise_placements_and_all_encodings(monk
     assert single_photon == {PauliLabel.X, PauliLabel.Y, PauliLabel.Z}
 
 
-@pytest.mark.parametrize("cell", [0, 4, 6])
-@pytest.mark.parametrize("outcome", list(BellLabel), ids=lambda o: o.name)
-def test_a_wrong_oracle_cell_fails_verify_and_is_named(monkeypatch, capsys, outcome, cell):
-    honest = verification.density_matrix_round_distributions
+# ---------------------------------------------------------------------------
+# Every mutation verify must catch, in one list: each entry plants one fault
+# and names the checks that must fail, and a pattern of the
+# backend-equivalence detail, which every one of them fails.
+# ---------------------------------------------------------------------------
 
-    def planted(cfg, channel_p):
-        out = honest(cfg, channel_p)
-        out["cells"][..., int(outcome), cell] += 1e-6  # every config has at least 7 cells
-        return out
 
-    monkeypatch.setattr(verification, "density_matrix_round_distributions", planted)
-    assert main(["verify"]) == 1
-    out = capsys.readouterr().out
-    (line,) = [line for line in out.splitlines() if "backend-equivalence" in line]
-    assert line.startswith("FAIL backend-equivalence: max distribution deviation 1.000e-06")
-    assert line.endswith(f" cells outcome={outcome.name} cell={cell})")
+def _wrong_swap_correction(outcome):
+    def plant(monkeypatch):
+        table = {o: swap_correction(o) for o in BellLabel}
+        table[outcome] = PauliLabel((int(table[outcome]) + 1) % 4)
+        monkeypatch.setattr(mdiqsdc.protocol, "swap_correction", lambda o: table[BellLabel(o)])
+
+    return plant
+
+
+def _skewed_frame_depolarizing(monkeypatch):
+    def skewed(p):
+        return PauliDistribution((1.0 - 0.75 * p, 0.3 * p, 0.2 * p, 0.25 * p))
+
+    monkeypatch.setattr(mdiqsdc.protocol, "depolarizing_pauli_dist", skewed)
+
+
+def _skewed_frame_attack(monkeypatch):
+    skewed = PauliDistribution((0.5, 0.3, 0.0, 0.2))
+    monkeypatch.setattr(mdiqsdc.protocol, "INTERCEPT_RESEND_DIST", skewed)
+
+
+def _skewed_oracle_channel(module):
+    # moves half of the X weight to Y in the oracle's depolarize calls
+    # (channels) or in its intercept-resend call (protocol)
+    def plant(monkeypatch):
+        original = module.pauli_channel
+
+        def skewed(dm, weights, qubit):
+            w = list(weights)
+            w[1], w[2] = 0.5 * w[1], w[2] + 0.5 * w[1]
+            return original(dm, w, qubit)
+
+        monkeypatch.setattr(module, "pauli_channel", skewed)
+
+    return plant
+
+
+def _basis_share_55_45(honest, cfg, laws):
+    cells = honest(cfg, laws)
+    cells[..., 0:2] *= 1.1  # 55% of two bases' check rounds in the first
+    cells[..., 2:4] *= 0.9
+    return cells
+
+
+def _one_photon_arrival(honest, cfg, laws):
+    # an entanglement-protocol message round arrives when one photon passes
+    if cfg.protocol == Protocol.MDI_TS:
+        cfg = dataclasses.replace(cfg, transmittance=math.sqrt(cfg.transmittance))
+    return honest(cfg, laws)
+
+
+def _second_error_left_out(honest, cfg, laws):
+    frame, _ = laws
+    return honest(cfg, (frame, message_law(cfg.protocol, cfg.dl04_encoding, frame)))
+
+
+def _basis_pair_swapped(honest, cfg, laws):
+    cells = honest(cfg, laws)
+    cells[..., [0, 1]] = cells[..., [1, 0]]  # the first basis's (no error, error)
+    return cells
+
+
+def _wrong_cell_law(mutation):
+    def plant(monkeypatch):
+        honest = mdiqsdc.protocol._cell_probabilities
+        monkeypatch.setattr(
+            mdiqsdc.protocol, "_cell_probabilities", lambda cfg, laws: mutation(honest, cfg, laws)
+        )
+
+    return plant
+
+
+def _wrong_oracle_cell(outcome, cell):
+    def plant(monkeypatch):
+        honest = verification.density_matrix_round_distributions
+
+        def planted(cfg, channel_p):
+            out = honest(cfg, channel_p)
+            out["cells"][..., int(outcome), cell] += 1e-6  # every config has at least 7 cells
+            return out
+
+        monkeypatch.setattr(verification, "density_matrix_round_distributions", planted)
+
+    return plant
+
+
+EQUIVALENCE = frozenset({"backend-equivalence"})
+VERIFY_MUTATIONS = {
+    **{
+        f"swap-correction-{outcome.name}": (
+            _wrong_swap_correction(outcome),
+            # verify's swap check runs the oracle's own swap stage, so it fails too
+            EQUIVALENCE | {"swap-corrections"},
+            r"",
+        )
+        for outcome in BellLabel
+    },
+    "frame-depolarizing-weight": (_skewed_frame_depolarizing, EQUIVALENCE, r""),
+    "frame-attack-weight": (_skewed_frame_attack, EQUIVALENCE, r" attack=intercept-resend "),
+    "oracle-depolarizing-weight": (_skewed_oracle_channel(mdiqsdc.channels), EQUIVALENCE, r""),
+    "oracle-attack-weight": (_skewed_oracle_channel(mdiqsdc.protocol), EQUIVALENCE, r""),
+    **{
+        f"cell-law-{name}": (_wrong_cell_law(mutation), EQUIVALENCE, r" cells outcome=")
+        for name, mutation in {
+            "basis-share-55-45": _basis_share_55_45,
+            "one-photon-arrival": _one_photon_arrival,
+            "second-error-left-out": _second_error_left_out,
+            "basis-pair-swapped": _basis_pair_swapped,
+        }.items()
+    },
+    **{
+        f"oracle-cell-{outcome.name}-{cell}": (
+            _wrong_oracle_cell(outcome, cell),
+            EQUIVALENCE,
+            r"^max distribution deviation 1\.000e-06 \(.*"
+            rf" cells outcome={outcome.name} cell={cell}\)$",
+        )
+        for outcome in BellLabel
+        for cell in (0, 4, 6)
+    },
+}
+
+
+@pytest.mark.parametrize("name", VERIFY_MUTATIONS)
+def test_every_mutation_fails_verify(monkeypatch, name):
+    plant, failing, detail = VERIFY_MUTATIONS[name]
+    plant(monkeypatch)
+    results = {result.name: result for result in run_all_checks()}
+    assert {n for n, result in results.items() if not result.passed} == failing, results
+    assert re.search(detail, results["backend-equivalence"].detail), results

@@ -616,38 +616,44 @@ _SYMBOL_DIFFERENCE = (
 ) / 16.0
 
 
-def density_matrix_round_distributions(
-    cfg: ProtocolConfig, channel_p: float | np.ndarray | None = None
-) -> dict[str, np.ndarray]:
-    """Per-round distributions of what a run tallies, from the exact
-    density-matrix oracle.
-
-    Builds the full four-photon state (qubit order: Alice's kept photon,
-    Alice's sent photon, Bob's kept photon, Bob's sent photon), applies the
-    channels and any attack to the sent photons, projects on the announced
-    Bell outcome, applies the swap correction, and reads every outcome's
-    check errors and message law out of the resulting matrices. Each stage
-    is one validated stack: the four-photon states, the four conditioned
-    states, the four corrected pairs, then the (cover, symbol, outcome) or
-    (bit, outcome) stack of message states. A message round arrives when
-    every photon its message stage sends passes the transmittance. The
-    message law is averaged over the outcomes with their own probabilities.
-    ``channel_p`` replaces ``cfg.channel_p`` when given: a 1-D float64 array
-    adds a leading grid axis to every stack and output, whose rows equal,
-    bit for bit, the calls at each float. Same keys and shapes as the
-    Pauli-frame backend.
-    """
-    p = cfg.channel_p if channel_p is None else channel_p
+def oracle_source(channel_p: float | np.ndarray) -> DensityMatrix:
+    """The oracle's first stage: the four-photon source, two singlets (qubit
+    order: Alice's kept photon, Alice's sent photon, Bob's kept photon, Bob's
+    sent photon) with both sent photons depolarized at ``channel_p``. A 1-D
+    float64 array of channel parameters adds a leading grid axis, whose rows
+    equal, bit for bit, the calls at each float."""
     singlet = bell_state(BellLabel.PSI_MINUS)
     aligned = np.kron(singlet, singlet)
-    rho = pure_density(np.broadcast_to(aligned, np.shape(p) + aligned.shape))
-    rho = depolarize(rho, p, 1)
-    rho = depolarize(rho, p, 3)
-    if cfg.attack == AttackModel.INTERCEPT_RESEND:
-        rho = intercept_resend_channel(rho, 1)
+    rho = pure_density(np.broadcast_to(aligned, np.shape(channel_p) + aligned.shape))
+    rho = depolarize(rho, channel_p, 1)
+    return depolarize(rho, channel_p, 3)
 
-    swap_outcome, pair = entanglement_swap(rho)
 
+def oracle_attack(rho: DensityMatrix, attack: AttackModel) -> DensityMatrix:
+    """The attack's channel on Alice's sent photon of an :func:`oracle_source`
+    stack, ahead of :func:`entanglement_swap`; ``rho`` itself without one."""
+    return intercept_resend_channel(rho, 1) if attack == AttackModel.INTERCEPT_RESEND else rho
+
+
+def oracle_readout(
+    cfg: ProtocolConfig,
+    channel_p: float | np.ndarray,
+    swap_outcome: np.ndarray,
+    pair: DensityMatrix,
+) -> dict[str, np.ndarray]:
+    """The oracle's last stage: what a run tallies, read out of the swapped
+    pairs. ``swap_outcome`` and ``pair`` are :func:`entanglement_swap` of
+    :func:`oracle_attack` of :func:`oracle_source` at ``channel_p`` under the
+    attack of ``cfg``; ``channel_p`` also sets the second-leg noise, so
+    ``cfg.channel_p`` and ``cfg.attack`` are not read here.
+
+    It applies the encodings, the covers and any second-leg noise to the
+    pairs, and reads every outcome's check errors and message law out of the
+    resulting matrices. The message states are one validated stack, indexed
+    (cover, symbol, outcome) or (bit, outcome). A message round arrives when
+    every photon its message stage sends passes the transmittance. The
+    message law is averaged over the outcomes with their own probabilities.
+    """
     both_legs = cfg.noise == NoisePlacement.BOTH_LEGS
     entangled = cfg.protocol == Protocol.MDI_TS
     if entangled:
@@ -656,7 +662,7 @@ def density_matrix_round_distributions(
         # (..., cover, symbol, outcome)
         covered = apply_pauli(encoded[..., None, :, :], _LABELS[:, None, None], 1)
         if both_legs:
-            covered = depolarize(depolarize(covered, p, 0), p, 1)
+            covered = depolarize(depolarize(covered, channel_p, 0), channel_p, 1)
         # (..., outcome, difference)
         law = np.einsum("...csoq,scqd->...od", bell_measure(covered), _SYMBOL_DIFFERENCE)
     else:
@@ -664,7 +670,7 @@ def density_matrix_round_distributions(
         # (..., bit, outcome)
         encoded = apply_pauli(pair[..., None, :], [[PauliLabel.I], [cfg.dl04_encoding]], 0)
         if both_legs:
-            encoded = depolarize(encoded, p, 0)
+            encoded = depolarize(encoded, channel_p, 0)
         # bit 0 is misread when both photons agree, bit 1 when they differ
         agreement = _agreement_projectors(MESSAGE_BASIS[cfg.dl04_encoding])
         flip = np.einsum("kij,...koji->...o", agreement, encoded.matrix).real / 2.0
@@ -688,3 +694,24 @@ def density_matrix_round_distributions(
     else:
         out["bit_error"] = averaged[..., 1:]
     return out
+
+
+def density_matrix_round_distributions(
+    cfg: ProtocolConfig, channel_p: float | np.ndarray | None = None
+) -> dict[str, np.ndarray]:
+    """Per-round distributions of what a run tallies, from the exact
+    density-matrix oracle: :func:`oracle_source`, :func:`oracle_attack` under
+    the attack of ``cfg``, :func:`entanglement_swap` (the projection on the
+    announced Bell outcome and the swap correction), then
+    :func:`oracle_readout`.
+
+    Each stage is one validated stack: the four-photon states, the four
+    conditioned states, the four corrected pairs, then the message states.
+    ``channel_p`` replaces ``cfg.channel_p`` when given: a 1-D float64 array
+    adds a leading grid axis to every stack and output, whose rows equal,
+    bit for bit, the calls at each float. Same keys and shapes as the
+    Pauli-frame backend.
+    """
+    p = cfg.channel_p if channel_p is None else channel_p
+    swapped = entanglement_swap(oracle_attack(oracle_source(p), cfg.attack))
+    return oracle_readout(cfg, p, *swapped)

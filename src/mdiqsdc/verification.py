@@ -20,8 +20,10 @@ from .protocol import (
     NoisePlacement,
     Protocol,
     ProtocolConfig,
-    density_matrix_round_distributions,
     entanglement_swap,
+    oracle_attack,
+    oracle_readout,
+    oracle_source,
     pauli_frame_round_distributions,
 )
 from .quantum import (
@@ -156,14 +158,20 @@ def check_backend_equivalence() -> CheckResult:
     """The density-matrix oracle, reduced per announced outcome to the tally
     cells of a run, against the cell law the sampler draws, full grid.
 
-    For each case of ``EQUIVALENCE_CASES``, over a lossy channel so that the
-    arrival law and the lost cell are compared too, the oracle is called once
-    with the whole ``EQUIVALENCE_PS`` grid and the Pauli-frame side once per
-    p of it, as a run calls it; the worst case is the first largest deviation
-    in (case, p, key) order, and for ``cells`` the detail also names the
+    The oracle's source is built once with the whole ``EQUIVALENCE_PS`` grid
+    and swapped once per attack model, as it is and after the
+    intercept-resend channel (:func:`oracle_attack`): the cases share those
+    two swap stages. For each case of ``EQUIVALENCE_CASES``, over a lossy
+    channel so that the arrival law and the lost cell are compared too, the
+    oracle's readout runs once on its attack's swapped pairs, and the
+    Pauli-frame side once per p of the grid, as a run calls it. Each call
+    builds its stages anew. The worst case is the first largest deviation in
+    (case, p, key) order, and for ``cells`` the detail also names the
     announced Bell outcome and the tally cell where it lies.
     """
     grid = np.array(EQUIVALENCE_PS, dtype=np.float64)
+    source = oracle_source(grid)
+    swapped = {attack: entanglement_swap(oracle_attack(source, attack)) for attack in AttackModel}
     worst = 0.0
     worst_case = ""
     for protocol, attack, noise, encoding in EQUIVALENCE_CASES:
@@ -178,7 +186,7 @@ def check_backend_equivalence() -> CheckResult:
             transmittance=0.7,
         )
         fast = [pauli_frame_round_distributions(replace(cfg, channel_p=p)) for p in EQUIVALENCE_PS]
-        exact = density_matrix_round_distributions(cfg, grid)
+        exact = oracle_readout(cfg, grid, *swapped[attack])
         deviations = {
             key: np.abs(np.stack([f[key] for f in fast]) - exact[key]).reshape(len(grid), -1)
             for key in exact

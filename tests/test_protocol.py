@@ -3,6 +3,7 @@ attack behavior, and Pauli-frame vs density-matrix backend equivalence."""
 
 import dataclasses
 import decimal
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -35,8 +36,12 @@ from mdiqsdc.protocol import (
     arrival,
     check_bases,
     density_matrix_round_distributions,
+    entanglement_swap,
     intercept_resend_channel,
     message_law,
+    oracle_attack,
+    oracle_readout,
+    oracle_source,
     pauli_frame_round_distributions,
     round_law,
     round_law_for_config,
@@ -825,6 +830,18 @@ class TestConfigValidation:
         assert run(numpy_ints) == run(ProtocolConfig(rounds=2000, seed=7, **kwargs))
 
 
+def _swapped_sources(ps):
+    """The oracle's source at ``ps``, swapped as it is and after the attack."""
+    source = oracle_source(ps)
+    return {attack: entanglement_swap(oracle_attack(source, attack)) for attack in AttackModel}
+
+
+# SHA-256 of density_matrix_round_distributions(cfg, DEFAULT_P_GRID) over
+# REFEREED_CONFIGS, each key's name and float64 bytes in sorted key order,
+# taken before the oracle was split into its stages.
+DEFAULT_GRID_ORACLE_SHA256 = "131a5d3f8e3c75e651daebb1cefcf71b16bb327d70fc3c2825c0a42ca444dd8c"
+
+
 class TestBackendEquivalence:
     @pytest.mark.parametrize("protocol", [Protocol.MDI_TS, Protocol.MDI_DL04])
     @pytest.mark.parametrize("p", [0.0, 0.3])
@@ -874,6 +891,34 @@ class TestBackendEquivalence:
             for key in one:
                 assert grid[key].shape == (len(ps),) + one[key].shape, key
                 np.testing.assert_array_equal(grid[key][i], one[key], err_msg=f"{key} p={p}")
+
+    @pytest.mark.parametrize(
+        "ps",
+        [0.0, 0.1, 0.5, 1.0, np.array([0.0, 0.1, 0.5, 1.0])],
+        ids=["0.0", "0.1", "0.5", "1.0", "verify-grid"],
+    )
+    def test_shared_stages_give_the_composed_oracle_byte_for_byte(self, ps):
+        # as verify does: one source and one swap per attack model, read out for
+        # every config class and for check fraction 0.3 and transmittance 0.7
+        swapped = _swapped_sources(ps)
+        for cfg in REFEREED_CONFIGS:
+            staged = oracle_readout(cfg, ps, *swapped[cfg.attack])
+            composed = density_matrix_round_distributions(cfg, ps)
+            assert staged.keys() == composed.keys()
+            for key, value in composed.items():
+                assert staged[key].dtype == value.dtype and staged[key].shape == value.shape
+                assert staged[key].tobytes() == value.tobytes(), (cfg, key)
+
+    def test_shared_stages_keep_the_oracle_bits_on_the_default_sweep_grid(self):
+        # one pass only: the composed calls would double the cost of this test
+        swapped = _swapped_sources(DEFAULT_P_GRID)
+        digest = hashlib.sha256()
+        for cfg in REFEREED_CONFIGS:
+            out = oracle_readout(cfg, DEFAULT_P_GRID, *swapped[cfg.attack])
+            for key in sorted(out):
+                digest.update(key.encode())
+                digest.update(out[key].tobytes())
+        assert digest.hexdigest() == DEFAULT_GRID_ORACLE_SHA256
 
     @pytest.mark.parametrize("protocol", [Protocol.MDI_TS, Protocol.MDI_DL04])
     @pytest.mark.parametrize("noise", list(NoisePlacement))

@@ -7,7 +7,7 @@ import hashlib
 import math
 import re
 import tracemalloc
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -34,10 +34,16 @@ from mdiqsdc.verification import (
     simplex_excess,
 )
 
-# Matrices one verify validates, as many as when every grid point was its
-# own stack: backend-equivalence compares five configs over four p values.
-VALIDATED_FLOOR = {"backend-equivalence": 1592, "holevo-bound": 245}
-VALIDATED_TOTAL_FLOOR = 1858
+# Matrices one verify validates: every member of every stage, as many as
+# when every grid point was its own stack, and the distinct members among
+# them. backend-equivalence compares five configs over four p values, and
+# builds the oracle's source once and swaps it once per attack model.
+VALIDATED_FLOOR = {"backend-equivalence": 1392, "holevo-bound": 245}
+VALIDATED_TOTAL_FLOOR = 1658
+# Taken when each of backend-equivalence's five cases built its own source
+# and swap (1592 members): sharing those stages drops copies, not matrices.
+DISTINCT_FLOOR = {"backend-equivalence": 112, "holevo-bound": 158}
+DISTINCT_TOTAL_FLOOR = 278
 
 
 @pytest.mark.parametrize("points_per_axis", [5, 7])
@@ -66,14 +72,10 @@ def test_simplex_excess_is_pinned(points_per_axis):
     assert digest == SIMPLEX_EXCESS_SHA256[points_per_axis]
 
 
-def test_verify_validates_at_least_one_matrix_per_point_and_stage(monkeypatch):
-    validated = Counter()
+def _name_running_checks(monkeypatch):
+    """Wrap every ``check_*`` of ``verification`` so that the returned list
+    ends with the name of the check that is running."""
     running = []
-    original = mdiqsdc.quantum.validate_density_stack
-
-    def counting(matrices):
-        validated[running[-1]] += math.prod(matrices.shape[:-2])
-        return original(matrices)
 
     def named(check):
         def run(*args, **kwargs):
@@ -82,20 +84,85 @@ def test_verify_validates_at_least_one_matrix_per_point_and_stage(monkeypatch):
 
         return run
 
-    monkeypatch.setattr(mdiqsdc.quantum, "validate_density_stack", counting)
-    names = {}
     for attr in dir(verification):
         if attr.startswith("check_"):
-            names[attr] = getattr(verification, attr)
-            monkeypatch.setattr(verification, attr, named(names[attr]))
+            monkeypatch.setattr(verification, attr, named(getattr(verification, attr)))
+    return running
+
+
+def test_verify_validates_at_least_one_matrix_per_point_and_stage(monkeypatch):
+    validated = Counter()
+    distinct = defaultdict(set)
+    original = mdiqsdc.quantum.validate_density_stack
+
+    def counting(matrices):
+        members = matrices.reshape(-1, *matrices.shape[-2:])
+        validated[running[-1]] += len(members)
+        distinct[running[-1]].update(member.tobytes() for member in members)
+        return original(matrices)
+
+    monkeypatch.setattr(mdiqsdc.quantum, "validate_density_stack", counting)
+    running = _name_running_checks(monkeypatch)
     results = run_all_checks()
-    by_check = {
-        result.name: validated[function]
-        for result, function in zip(results, running, strict=True)
-    }
+    functions = {result.name: function for result, function in zip(results, running, strict=True)}
     for name, floor in VALIDATED_FLOOR.items():
-        assert by_check[name] >= floor, (name, by_check[name])
+        assert validated[functions[name]] >= floor, (name, validated[functions[name]])
     assert sum(validated.values()) >= VALIDATED_TOTAL_FLOOR
+    for name, floor in DISTINCT_FLOOR.items():
+        assert len(distinct[functions[name]]) >= floor, (name, len(distinct[functions[name]]))
+    assert len(set().union(*distinct.values())) >= DISTINCT_TOTAL_FLOOR
+
+
+def test_verify_builds_the_oracle_stages_anew_on_every_call(monkeypatch):
+    """backend-equivalence builds the oracle's source once with the whole
+    grid, swaps it once per attack model and reads each case out of its
+    attack's swap; a second verify builds all of it again."""
+    running = _name_running_checks(monkeypatch)
+    calls = []
+
+    def recording(name):
+        stage = getattr(verification, name)
+
+        def run(*args):
+            out = stage(*args)
+            calls.append((running[-1], name, args, out))
+            return out
+
+        monkeypatch.setattr(verification, name, run)
+
+    for name in ("oracle_source", "oracle_attack", "entanglement_swap", "oracle_readout"):
+        recording(name)
+    cases = verification.EQUIVALENCE_CASES
+    sources = []
+    for _ in range(2):
+        calls.clear()
+        assert all(result.passed for result in run_all_checks())
+        assert {call[0] for call in calls} == {
+            "check_swap_corrections",  # its one swap of two noiseless singlets
+            "check_backend_equivalence",
+        }
+        by_stage = defaultdict(list)
+        for check, name, args, out in calls:
+            if check == "check_backend_equivalence":
+                by_stage[name].append((args, out))
+        # one source with the whole grid, and one swap of it per attack model
+        ((grid,), source), = by_stage["oracle_source"]
+        assert tuple(grid.tolist()) == verification.EQUIVALENCE_PS
+        attacked = {attack: out for (into, attack), out in by_stage["oracle_attack"]}
+        assert all(into is source for (into, _), _ in by_stage["oracle_attack"])
+        assert len(by_stage["oracle_attack"]) == len(AttackModel) == len(attacked)
+        swaps = {id(args[0]): out for args, out in by_stage["entanglement_swap"]}
+        assert len(by_stage["entanglement_swap"]) == len(AttackModel) == len(swaps)
+        swapped = {attack: swaps[id(rho)] for attack, rho in attacked.items()}
+        readouts = by_stage["oracle_readout"]
+        assert Counter(
+            (c.protocol, c.attack, c.noise, c.dl04_encoding) for (c, *_), _ in readouts
+        ) == Counter(cases)
+        for (cfg, channel_p, *pairs), _ in readouts:
+            assert channel_p is grid and cfg.transmittance == 0.7
+            assert all(a is b for a, b in zip(pairs, swapped[cfg.attack], strict=True))
+        sources.append(source)
+    assert sources[0] is not sources[1]
 
 
 def test_stacked_checks_stay_under_a_megabyte():
@@ -146,37 +213,26 @@ class TestHolevoCheckHasTeeth:
 
 def test_backend_equivalence_covers_both_noise_placements_and_all_encodings(monkeypatch):
     cases = verification.EQUIVALENCE_CASES
-    frame_calls, oracle_calls = [], []
+    frame_calls = []
     frame = verification.pauli_frame_round_distributions
-    oracle = verification.density_matrix_round_distributions
 
     def recording_frame(cfg):
         frame_calls.append(cfg)
         return frame(cfg)
 
-    def recording_oracle(cfg, channel_p):
-        oracle_calls.append((cfg, tuple(channel_p.tolist())))
-        return oracle(cfg, channel_p)
-
     monkeypatch.setattr(verification, "pauli_frame_round_distributions", recording_frame)
-    monkeypatch.setattr(verification, "density_matrix_round_distributions", recording_oracle)
     assert verification.check_backend_equivalence().passed
 
     def case(c):
         return c.protocol, c.attack, c.noise, c.dl04_encoding
 
-    # each case once: on the oracle with the whole grid, and on the frame
-    # side once at each p of the grid
-    assert Counter(case(c) for c, _ in oracle_calls) == Counter(cases)
-    assert all(ps == verification.EQUIVALENCE_PS for _, ps in oracle_calls)
+    # the frame side once per case at each p of the grid
     assert Counter((case(c), c.channel_p) for c in frame_calls) == Counter(
         (c, p) for c in cases for p in verification.EQUIVALENCE_PS
     )
     # every case over a lossy channel: at transmittance 1 no round is lost,
     # and the arrival law could not show a fault
-    compared = frame_calls + [c for c, _ in oracle_calls]
-    assert {case(c) for c in compared} == set(cases)
-    assert {c.transmittance for c in compared} == {0.7}
+    assert {c.transmittance for c in frame_calls} == {0.7}
     for protocol in (Protocol.MDI_TS, Protocol.MDI_DL04):
         own = [case for case in cases if case[0] == protocol]
         assert {attack for _, attack, _, _ in own} == set(AttackModel), protocol
@@ -266,14 +322,14 @@ def _wrong_cell_law(mutation):
 
 def _wrong_oracle_cell(outcome, cell):
     def plant(monkeypatch):
-        honest = verification.density_matrix_round_distributions
+        honest = verification.oracle_readout
 
-        def planted(cfg, channel_p):
-            out = honest(cfg, channel_p)
+        def planted(cfg, channel_p, swap_outcome, pair):
+            out = honest(cfg, channel_p, swap_outcome, pair)
             out["cells"][..., int(outcome), cell] += 1e-6  # every config has at least 7 cells
             return out
 
-        monkeypatch.setattr(verification, "density_matrix_round_distributions", planted)
+        monkeypatch.setattr(verification, "oracle_readout", planted)
 
     return plant
 

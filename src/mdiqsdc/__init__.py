@@ -10,6 +10,7 @@ from .infotheory import (
     secrecy_capacity,
     shannon_entropy,
 )
+from .oracle import swap_correction
 from .protocol import (
     AnalyticPoint,
     AttackModel,
@@ -18,7 +19,6 @@ from .protocol import (
     ProtocolConfig,
     TranscriptStats,
     run,
-    swap_correction,
 )
 from .quantum import (
     BellLabel,

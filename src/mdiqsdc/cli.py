@@ -42,7 +42,6 @@ from .protocol import (
     Protocol,
     ProtocolConfig,
     TranscriptStats,
-    round_law_for_config,
     run,
 )
 from .quantum import PauliLabel
@@ -128,7 +127,10 @@ class _UnbufferedFile:
     def __init__(self, path: str, flags: int) -> None:
         # O_BINARY keeps the bytes as written where the platform has text mode
         flags |= os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
-        self.fd = os.open(path, flags, 0o666)
+        try:
+            self.fd = os.open(path, flags, 0o666)
+        except ValueError as exc:  # a NUL byte, which no file name can hold
+            raise UsageError(f"cannot open {path!r}: {exc}") from exc
 
     def write(self, text: str) -> None:
         data = memoryview(text.encode("utf-8"))
@@ -316,7 +318,7 @@ def _load_config_file(path: str, args: argparse.Namespace) -> list[str]:
                 if flag in values:
                     raise UsageError(f"{path}:{lineno}: repeated key {key!r}")
                 values[flag] = value
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     return [f"--{flag}={value}" for flag, value in values.items()]
 
@@ -529,14 +531,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
-    # one round law feeds both the cell law of the run and its analytic twin
-    laws = round_law_for_config(cfg)
-    stats = run(cfg, laws)
+    stats = run(cfg)
     if stats.point is None:
         print(f"insufficient statistics: {stats.unavailable_reason}", file=sys.stderr)
         return EXIT_INSUFFICIENT_STATS
 
-    (twin_row,) = _csv_rows(analytic_point_for_config(cfg, laws))
+    (twin_row,) = _csv_rows(analytic_point_for_config(cfg))
     (run_row,) = _csv_rows(stats.point, f"montecarlo,{cfg.seed},{cfg.rounds}")
     with _open_output(args.csv) as out:
         _write_text(out, CSV_HEADER + "\n" + twin_row + run_row)

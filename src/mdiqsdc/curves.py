@@ -34,7 +34,6 @@ from .protocol import (
     NoisePlacement,
     Protocol,
     ProtocolConfig,
-    RoundLaw,
     arrival,
     closed_form,
     round_law,
@@ -72,15 +71,12 @@ def analytic_point(
     return closed_form(protocol, x, _rates(frame), law, encoding=encoding, q=q, eta=eta)
 
 
-def analytic_point_for_config(
-    cfg: ProtocolConfig, laws: RoundLaw | None = None
-) -> AnalyticPoint:
+def analytic_point_for_config(cfg: ProtocolConfig) -> AnalyticPoint:
     """Analytic twin of a Monte Carlo configuration, attack and its leg
     included, at the gain :func:`~mdiqsdc.protocol.arrival` unless the
-    config overrides it; ``laws`` is
-    :func:`~mdiqsdc.protocol.round_law_for_config` of ``cfg``, composed here
-    when not given, so a run and its twin can share it."""
-    frame, law = laws if laws is not None else round_law_for_config(cfg)
+    config overrides it: :func:`~mdiqsdc.protocol.closed_form` of
+    :func:`~mdiqsdc.protocol.round_law_for_config`, the law a run draws."""
+    frame, law = round_law_for_config(cfg)
     q = cfg.q_override if cfg.q_override is not None else arrival(cfg)
     return closed_form(
         cfg.protocol,

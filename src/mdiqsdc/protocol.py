@@ -6,12 +6,12 @@ error on each transmission leg, the untrusted middle party's Bell
 outcome, the swap correction, then either a correlation check or a message
 (dense-coding symbol for the entanglement protocol, one bit for the
 single-photon protocol). The frame bookkeeping rests on one identity that
-the exact 16-dimensional oracle verifies: after the swap correction, the
-shared pair differs from the singlet exactly by the composed Pauli error of
-the two legs, independently of the announced Bell outcome. A round
-therefore carries that composed error as its one frame label and no Bell
-outcome (Aaronson & Gottesman, PRA 70, 052328 (2004), for Pauli-frame
-tracking). A run needs only each check basis's error rate and the law of
+the exact 16-dimensional oracle of ``oracle`` verifies: after the swap
+correction, the shared pair differs from the singlet exactly by the
+composed Pauli error of the two legs, independently of the announced Bell
+outcome. A round therefore carries that composed error as its one frame
+label and no Bell outcome (Aaronson & Gottesman, PRA 70, 052328 (2004), for
+Pauli-frame tracking). A run needs only each check basis's error rate and the law of
 decoded (-) encoded on an arrived message round, :func:`message_law`. Every
 round is i.i.d. and reaches exactly one cell of the run's tally (a check
 basis with or without an error, a message difference, or a lost round), so
@@ -41,12 +41,10 @@ measures each photon in a random Z or X basis and resends the eigenstate
 found. The frame adds it as the constant :data:`INTERCEPT_RESEND_DIST`;
 the oracle states it on its own, as the average of the Z and X dephasings.
 
-The exact density-matrix oracle states every round with explicit matrices
-and reduces each announced Bell outcome to the tally cells a run draws;
-the Pauli-frame side repeats the cell law of a run over the outcomes. So
-``verify`` compares the oracle with the very law the sampler draws, outcome
-by outcome and without sampling, under both noise placements, all three
-single-photon encodings, the attack and a lossy channel.
+:func:`pauli_frame_round_distributions`, the Pauli-frame side of what a run
+tallies, repeats the cell law of a run over the four announced Bell
+outcomes; ``verify`` compares it with the exact density-matrix oracle of
+``oracle``, which this module does not import.
 
 Separate runs share no state and may also execute concurrently.
 """
@@ -59,16 +57,11 @@ import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
-from .channels import (
-    convolve,
-    depolarize,
-    depolarizing_pauli_dist,
-    error_rate_in_basis,
-)
+from .channels import convolve, depolarizing_pauli_dist, error_rate_in_basis
 from .elementwise import check_range, minimum
 from .infotheory import (
     ETA_MAX,
@@ -78,23 +71,7 @@ from .infotheory import (
     secrecy_capacity,
     shannon_entropy,
 )
-from .quantum import (
-    BELL_VECTORS,
-    PAULI_OF_BELL,
-    PAULI_PRODUCT,
-    BellLabel,
-    DensityMatrix,
-    PauliDistribution,
-    PauliLabel,
-    apply_pauli,
-    basis_eigenvector,
-    bell_measure,
-    bell_state,
-    embed_operator,
-    partial_trace,
-    pauli_channel,
-    pure_density,
-)
+from .quantum import PauliDistribution, PauliLabel
 
 
 class Protocol(str, Enum):
@@ -267,13 +244,6 @@ def _split_tally(
     return checks, counts[split:-1]
 
 
-def swap_correction(outcome: BellLabel) -> PauliLabel:
-    """Pauli that Bob applies to his retained photon after the middle
-    party announces ``outcome``, restoring the shared pair to the singlet
-    when both sources emitted singlets."""
-    return PAULI_OF_BELL[int(outcome)]
-
-
 def check_bases(cfg: ProtocolConfig) -> tuple[PauliLabel, ...]:
     """Bases drawn uniformly for check rounds; Y joins when it is the
     single-photon encoding basis, since that error rate must be estimated."""
@@ -284,16 +254,6 @@ def check_bases(cfg: ProtocolConfig) -> tuple[PauliLabel, ...]:
 
 # Measure-and-resend on Alice's first leg in Z or X, half the time each, dephases in that basis.
 INTERCEPT_RESEND_DIST = PauliDistribution((0.5, 0.25, 0.0, 0.25))
-
-
-def intercept_resend_channel(dm: DensityMatrix, qubit: int) -> DensityMatrix:
-    """Exact channel of the intercept-resend attack on one qubit: the
-    attacker measures in Z or X, each with probability 1/2, and resends the
-    eigenstate found, so the channel is the average of the Z and X
-    dephasings rho -> (rho + sigma_b rho sigma_b) / 2."""
-    dephase_z = np.array([0.5, 0.0, 0.0, 0.5])
-    dephase_x = np.array([0.5, 0.5, 0.0, 0.0])
-    return pauli_channel(dm, tuple((dephase_z + dephase_x) / 2), qubit)
 
 
 RoundLaw = tuple[PauliDistribution, tuple[float, ...]]
@@ -515,7 +475,7 @@ def _estimate(cfg: ProtocolConfig, counts: np.ndarray) -> TranscriptStats:
     return TranscriptStats(tally, bases, law, point, se, None)
 
 
-def run(cfg: ProtocolConfig, laws: RoundLaw | None = None) -> TranscriptStats:
+def run(cfg: ProtocolConfig) -> TranscriptStats:
     """Monte Carlo run of the configured MDI protocol.
 
     Each round has a pair frame, then either a correlation check or a
@@ -525,16 +485,12 @@ def run(cfg: ProtocolConfig, laws: RoundLaw | None = None) -> TranscriptStats:
     transcript is one multinomial draw of cell counts (:func:`_draw_counts`),
     whose time and memory do not depend on the number of rounds.
     Deterministic given the config seed.
-    A caller that already holds :func:`round_law_for_config` of ``cfg``
-    passes it as ``laws``.
     """
-    if laws is None:
-        laws = round_law_for_config(cfg)
-    return _estimate(cfg, _draw_counts(cfg, laws))
+    return _estimate(cfg, _draw_counts(cfg, round_law_for_config(cfg)))
 
 
 # ---------------------------------------------------------------------------
-# What a run tallies, per announced Bell outcome, from both backends.
+# What a run tallies, per announced Bell outcome, from the Pauli frame.
 # ---------------------------------------------------------------------------
 
 
@@ -563,155 +519,3 @@ def pauli_frame_round_distributions(cfg: ProtocolConfig) -> dict[str, np.ndarray
     else:
         out["bit_error"] = law[1:]
     return out
-
-
-@lru_cache(maxsize=None)
-def _swap_projectors() -> np.ndarray:
-    """Read-only (4, 16, 16) projectors on the Bell outcomes of the sent photons 1 and 3."""
-    proj = np.stack(
-        [embed_operator(np.outer(v, v.conj()), (1, 3), 4) for v in BELL_VECTORS]
-    )
-    proj.flags.writeable = False
-    return proj
-
-
-def entanglement_swap(rho: DensityMatrix) -> tuple[np.ndarray, DensityMatrix]:
-    """Bell measurement of the sent photons 1 and 3 of a four-photon stack:
-    each announced outcome's probability, with a trailing outcome axis, and
-    the kept photons 0 and 2 conditioned on that outcome, after Bob's swap
-    correction, one pair per outcome on the same trailing axis."""
-    proj = _swap_projectors()
-    sub = proj @ rho.matrix[..., None, :, :] @ proj  # (..., outcome)
-    probs = np.trace(sub, axis1=-2, axis2=-1).real
-    cond = DensityMatrix(sub / probs[..., None, None])
-    corrections = [int(swap_correction(BellLabel(o))) for o in range(4)]
-    return probs, apply_pauli(partial_trace(cond, keep=(0, 2)), corrections, 1)
-
-
-@lru_cache(maxsize=None)
-def _agreement_projectors(basis: PauliLabel) -> np.ndarray:
-    """Read-only (2, 4, 4) projectors of two photons both measured in
-    ``basis`` on equal outcomes (index 0) and on different ones (index 1)."""
-    vecs = [basis_eigenvector(basis, bit) for bit in (0, 1)]
-    pairs = [
-        [np.kron(np.outer(va, va.conj()), np.outer(vb, vb.conj())) for vb in vecs] for va in vecs
-    ]
-    proj = np.array([pairs[0][0] + pairs[1][1], pairs[0][1] + pairs[1][0]])
-    proj.flags.writeable = False
-    return proj
-
-
-_LABELS = np.arange(4)
-# Share of decoded (-) sent symbol d in a round of symbol s, cover c and
-# second Bell outcome o2, under uniform symbols and covers, indexed
-# [s, c, o2, d]: Bob decodes the Pauli of the Bell outcome undone by his cover.
-_SYMBOL_DIFFERENCE = (
-    np.array(
-        [
-            [[PAULI_PRODUCT[PAULI_PRODUCT[c][p]][s] for p in PAULI_OF_BELL] for c in range(4)]
-            for s in range(4)
-        ]
-    )[..., None]
-    == _LABELS
-) / 16.0
-
-
-def oracle_source(channel_p: float | np.ndarray) -> DensityMatrix:
-    """The oracle's first stage: the four-photon source, two singlets (qubit
-    order: Alice's kept photon, Alice's sent photon, Bob's kept photon, Bob's
-    sent photon) with both sent photons depolarized at ``channel_p``. A 1-D
-    float64 array of channel parameters adds a leading grid axis, whose rows
-    equal, bit for bit, the calls at each float."""
-    singlet = bell_state(BellLabel.PSI_MINUS)
-    aligned = np.kron(singlet, singlet)
-    rho = pure_density(np.broadcast_to(aligned, np.shape(channel_p) + aligned.shape))
-    rho = depolarize(rho, channel_p, 1)
-    return depolarize(rho, channel_p, 3)
-
-
-def oracle_attack(rho: DensityMatrix, attack: AttackModel) -> DensityMatrix:
-    """The attack's channel on Alice's sent photon of an :func:`oracle_source`
-    stack, ahead of :func:`entanglement_swap`; ``rho`` itself without one."""
-    return intercept_resend_channel(rho, 1) if attack == AttackModel.INTERCEPT_RESEND else rho
-
-
-def oracle_readout(
-    cfg: ProtocolConfig,
-    channel_p: float | np.ndarray,
-    swap_outcome: np.ndarray,
-    pair: DensityMatrix,
-) -> dict[str, np.ndarray]:
-    """The oracle's last stage: what a run tallies, read out of the swapped
-    pairs. ``swap_outcome`` and ``pair`` are :func:`entanglement_swap` of
-    :func:`oracle_attack` of :func:`oracle_source` at ``channel_p`` under the
-    attack of ``cfg``; ``channel_p`` also sets the second-leg noise, so
-    ``cfg.channel_p`` and ``cfg.attack`` are not read here.
-
-    It applies the encodings, the covers and any second-leg noise to the
-    pairs, and reads every outcome's check errors and message law out of the
-    resulting matrices. The message states are one validated stack, indexed
-    (cover, symbol, outcome) or (bit, outcome). A message round arrives when
-    every photon its message stage sends passes the transmittance. The
-    message law is averaged over the outcomes with their own probabilities.
-    """
-    both_legs = cfg.noise == NoisePlacement.BOTH_LEGS
-    entangled = cfg.protocol == Protocol.MDI_TS
-    if entangled:
-        sent = 2  # Alice's and Bob's encoded photons
-        encoded = apply_pauli(pair[..., None, :], _LABELS[:, None], 0)  # (..., symbol, outcome)
-        # (..., cover, symbol, outcome)
-        covered = apply_pauli(encoded[..., None, :, :], _LABELS[:, None, None], 1)
-        if both_legs:
-            covered = depolarize(depolarize(covered, channel_p, 0), channel_p, 1)
-        # (..., outcome, difference)
-        law = np.einsum("...csoq,scqd->...od", bell_measure(covered), _SYMBOL_DIFFERENCE)
-    else:
-        sent = 1  # Alice's encoded photon
-        # (..., bit, outcome)
-        encoded = apply_pauli(pair[..., None, :], [[PauliLabel.I], [cfg.dl04_encoding]], 0)
-        if both_legs:
-            encoded = depolarize(encoded, channel_p, 0)
-        # bit 0 is misread when both photons agree, bit 1 when they differ
-        agreement = _agreement_projectors(MESSAGE_BASIS[cfg.dl04_encoding])
-        flip = np.einsum("kij,...koji->...o", agreement, encoded.matrix).real / 2.0
-        law = np.stack([1.0 - flip, flip], axis=-1)
-
-    bases = check_bases(cfg)
-    share = cfg.check_fraction / len(bases)
-    cells = []
-    for basis in bases:
-        # the singlet is anti-correlated, so a check errs when both photons agree
-        error = np.einsum("ij,...oji->...o", _agreement_projectors(basis)[0], pair.matrix).real
-        cells += [share * (1.0 - error), share * error]
-    message = 1.0 - cfg.check_fraction
-    arrival = cfg.transmittance**sent
-    cells += [message * arrival * law[..., d] for d in range(law.shape[-1])]
-    cells.append(np.full_like(error, message * (1.0 - arrival)))
-    out = {"swap_outcome": swap_outcome, "cells": np.stack(cells, axis=-1)}
-    averaged = np.einsum("...o,...od->...d", swap_outcome, law)
-    if entangled:
-        out["symbol_error"] = averaged
-    else:
-        out["bit_error"] = averaged[..., 1:]
-    return out
-
-
-def density_matrix_round_distributions(
-    cfg: ProtocolConfig, channel_p: float | np.ndarray | None = None
-) -> dict[str, np.ndarray]:
-    """Per-round distributions of what a run tallies, from the exact
-    density-matrix oracle: :func:`oracle_source`, :func:`oracle_attack` under
-    the attack of ``cfg``, :func:`entanglement_swap` (the projection on the
-    announced Bell outcome and the swap correction), then
-    :func:`oracle_readout`.
-
-    Each stage is one validated stack: the four-photon states, the four
-    conditioned states, the four corrected pairs, then the message states.
-    ``channel_p`` replaces ``cfg.channel_p`` when given: a 1-D float64 array
-    adds a leading grid axis to every stack and output, whose rows equal,
-    bit for bit, the calls at each float. Same keys and shapes as the
-    Pauli-frame backend.
-    """
-    p = cfg.channel_p if channel_p is None else channel_p
-    swapped = entanglement_swap(oracle_attack(oracle_source(p), cfg.attack))
-    return oracle_readout(cfg, p, *swapped)

@@ -288,14 +288,22 @@ def bell_state(label: BellLabel) -> np.ndarray:
     return BELL_VECTORS[int(label)]
 
 
-_SINGLE_PHOTON = {
-    "0": np.array([1, 0], dtype=np.complex128),
-    "1": np.array([0, 1], dtype=np.complex128),
-    "+": np.array([_SQRT_HALF, _SQRT_HALF], dtype=np.complex128),
-    "-": np.array([_SQRT_HALF, -_SQRT_HALF], dtype=np.complex128),
+# Read-only eigenvectors of Z, X and Y with eigenvalue +1 (bit 0) and -1 (bit 1).
+_EIGENVECTORS: dict[PauliLabel, tuple[np.ndarray, np.ndarray]] = {
+    PauliLabel.Z: (np.array([1, 0], dtype=np.complex128), np.array([0, 1], dtype=np.complex128)),
+    PauliLabel.X: tuple(
+        np.array([_SQRT_HALF, sign * _SQRT_HALF], dtype=np.complex128) for sign in (1.0, -1.0)
+    ),
+    PauliLabel.Y: tuple(
+        np.array([_SQRT_HALF, sign * 1j * _SQRT_HALF], dtype=np.complex128) for sign in (1.0, -1.0)
+    ),
 }
-for _vector in _SINGLE_PHOTON.values():
-    _vector.flags.writeable = False
+for _pair in _EIGENVECTORS.values():
+    for _vector in _pair:
+        _vector.flags.writeable = False
+
+# The four prepared single-photon states: the Z and X eigenvectors.
+_SINGLE_PHOTON = dict(zip("01+-", _EIGENVECTORS[PauliLabel.Z] + _EIGENVECTORS[PauliLabel.X]))
 
 
 def single_photon(name: str) -> np.ndarray:
@@ -307,17 +315,13 @@ def single_photon(name: str) -> np.ndarray:
 
 
 def basis_eigenvector(basis: PauliLabel, bit: int) -> np.ndarray:
-    """Eigenvector of sigma_basis with eigenvalue +1 (bit 0) or -1 (bit 1)."""
+    """Eigenvector of sigma_basis with eigenvalue +1 (bit 0) or -1 (bit 1),
+    as a read-only vector."""
     if basis == PauliLabel.I:
         raise ValueError("measurement basis must be X, Y, or Z")
     if bit not in (0, 1):
         raise ValueError("bit must be 0 or 1")
-    sign = 1.0 if bit == 0 else -1.0
-    if basis == PauliLabel.Z:
-        return _SINGLE_PHOTON["0"].copy() if bit == 0 else _SINGLE_PHOTON["1"].copy()
-    if basis == PauliLabel.X:
-        return np.array([_SQRT_HALF, sign * _SQRT_HALF], dtype=np.complex128)
-    return np.array([_SQRT_HALF, sign * 1j * _SQRT_HALF], dtype=np.complex128)
+    return _EIGENVECTORS[basis][bit]
 
 
 def embed_operator(op: np.ndarray, qubits: Sequence[int], num_qubits: int) -> np.ndarray:

@@ -15,15 +15,12 @@ import numpy as np
 
 from .channels import error_rate_in_basis
 from .infotheory import eve_info_mdi_ts
+from .oracle import entanglement_swap, oracle_attack, oracle_readout, oracle_source
 from .protocol import (
     AttackModel,
     NoisePlacement,
     Protocol,
     ProtocolConfig,
-    entanglement_swap,
-    oracle_attack,
-    oracle_readout,
-    oracle_source,
     pauli_frame_round_distributions,
 )
 from .quantum import (

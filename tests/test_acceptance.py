@@ -17,14 +17,13 @@ import numpy as np
 import mdiqsdc
 from mdiqsdc.channels import error_rate_in_basis
 from mdiqsdc.curves import analytic_point, zero_crossing
+from mdiqsdc.oracle import density_matrix_round_distributions, swap_correction
 from mdiqsdc.protocol import (
     AttackModel,
     Protocol,
     ProtocolConfig,
-    density_matrix_round_distributions,
     pauli_frame_round_distributions,
     run,
-    swap_correction,
 )
 from mdiqsdc.quantum import (
     BellLabel,

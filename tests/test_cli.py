@@ -729,9 +729,10 @@ class TestSimulate:
         assert rows[1]["rounds"] == "1000000000000"
 
     @pytest.mark.parametrize("protocol", ["mdi-ts", "mdi-dl04"])
-    def test_round_law_composed_once(self, capsys, monkeypatch, protocol):
-        """The cell law of the run and its analytic twin read one round law,
-        and so do the cell law and the message law of the Pauli-frame backend."""
+    def test_round_law_composed_once_per_reader(self, capsys, monkeypatch, protocol):
+        """The run and its analytic twin each compose the config's round law
+        once, from the same arguments, and the cell law and the message law
+        of the Pauli-frame backend read one composition."""
         args = [
             "simulate", "--protocol", protocol, "--p", "0.2", "--rounds", "2000",
             "--noise", "both-legs", "--attack", "intercept-resend", "--encoding", "x",
@@ -746,7 +747,7 @@ class TestSimulate:
 
         monkeypatch.setattr(mdiqsdc.protocol, "round_law", counting)
         assert run_cli(args, capsys) == expected
-        assert len(calls) == 1
+        assert len(calls) == 2 and calls[0] == calls[1]
         cfg = ProtocolConfig(
             protocol=Protocol(protocol),
             rounds=1,
@@ -757,7 +758,7 @@ class TestSimulate:
             attack=AttackModel.INTERCEPT_RESEND,
         )
         mdiqsdc.protocol.pauli_frame_round_distributions(cfg)
-        assert len(calls) == 2
+        assert len(calls) == 3 and calls[2] == calls[0]
 
     def test_montecarlo_tracks_analytic(self, capsys):
         code, out, _ = run_cli(
@@ -949,6 +950,39 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: ") and message in err
         assert out == "" and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["sweep", "simulate"])
+    def test_config_file_that_is_not_utf8_exits_2(self, capsys, tmp_path, command):
+        config = tmp_path / "latin.conf"
+        config.write_bytes(b"p = 0.1\n\xff\xfe = 3\n")
+        code, out, err = run_cli([command, "--config", str(config)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read config file {config}: 'utf-8' codec")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, flag, kept",
+        [("simulate", "csv", None), ("sweep", "csv", "svg"), ("sweep", "svg", "csv")],
+    )
+    def test_nul_byte_in_an_output_path_exits_2(self, capsys, tmp_path, command, flag, kept):
+        # a config file's value can hold a NUL byte, which no file name can
+        bad = f"{tmp_path / 'a'}\0b.{flag}"
+        config = tmp_path / "nul.conf"
+        config.write_text(f"{flag} = {bad}\n")
+        argv = [command, "--protocol", "mdi-ts", "--p", "0.1", "--config", str(config)]
+        if command == "simulate":
+            argv += ["--rounds", "1000"]
+        if kept is not None:
+            kept_path = tmp_path / f"kept.{kept}"
+            kept_path.write_bytes(b"kept,bytes\n")
+            argv += [f"--{kept}", str(kept_path)]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (2, "", f"error: cannot open {bad!r}: embedded null byte\n")
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+            ["nul.conf"] + ([] if kept is None else [f"kept.{kept}"])
+        )
+        if kept is not None:
+            assert kept_path.read_bytes() == b"kept,bytes\n"
 
     @pytest.mark.parametrize(
         "args",

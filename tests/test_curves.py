@@ -17,13 +17,13 @@ from mdiqsdc.infotheory import (
     secrecy_capacity,
     shannon_entropy,
 )
+from mdiqsdc.oracle import density_matrix_round_distributions
 from mdiqsdc.protocol import (
     AttackModel,
     NoisePlacement,
     Protocol,
     ProtocolConfig,
     check_bases,
-    density_matrix_round_distributions,
     pauli_frame_round_distributions,
     round_law_for_config,
 )
@@ -176,8 +176,7 @@ def test_float_point_touches_no_numpy(protocol, noise):
 )
 def test_config_twin_touches_no_numpy(cfg):
     def twin():
-        laws = round_law_for_config(cfg)
-        return laws, analytic_point_for_config(cfg, laws)
+        return round_law_for_config(cfg), analytic_point_for_config(cfg)
 
     ((frame, law), point), touched = numpy_touches(twin)
     assert touched == []

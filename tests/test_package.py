@@ -133,7 +133,10 @@ def test_all_names_resolve():
 
 # Tracer targets that the package no longer has: the tracer skips them, and
 # their metrics read 0. Each must really be missing, so the list cannot go stale.
+# The oracle's composition lives in ``oracle`` now; ``verify`` runs its stages
+# and never called it, so its layer read 0 before it moved.
 MISSING_SPAN_TARGETS = {
+    "protocol.density_matrix_round_distributions",
     "quantum.eigvalsh_hermitian",
     "infotheory.capacity_mdi_ts",
     "infotheory.capacity_mdi_dl04",
@@ -168,6 +171,32 @@ def test_benchmark_names_resolve():
         if not hasattr(importlib.import_module(f"mdiqsdc.{module}"), attr):
             missing.add(name)
     assert missing == MISSING_SPAN_TARGETS
+
+
+def test_protocol_imports_nothing_of_the_oracle():
+    """``protocol`` holds what a run needs. From ``quantum`` it imports the
+    Pauli law and its labels only, and from ``channels`` no function that
+    takes a density matrix, so the Pauli frame shares no state algebra with
+    ``oracle``, its referee."""
+    package = Path(mdiqsdc.__file__).parent
+    channels = ast.parse((package / "channels.py").read_text(encoding="utf-8"))
+    on_states = {
+        node.name
+        for node in channels.body
+        if isinstance(node, ast.FunctionDef)
+        for arg in node.args.args
+        if arg.annotation is not None and "DensityMatrix" in ast.unparse(arg.annotation)
+    }
+    assert "depolarize" in on_states
+    protocol = ast.parse((package / "protocol.py").read_text(encoding="utf-8"))
+    imported = {}  # module (None for ``from . import``) -> names
+    for node in ast.walk(protocol):
+        if isinstance(node, ast.ImportFrom):
+            imported.setdefault(node.module, set()).update(a.name for a in node.names)
+    assert imported["quantum"] == {"PauliDistribution", "PauliLabel"}
+    assert not imported["channels"] & on_states
+    assert "oracle" not in imported
+    assert not imported.get(None, set()) & {"quantum", "channels", "oracle"}
 
 
 def test_protocol_config_fields_are_pinned():

@@ -14,12 +14,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mdiqsdc.channels
+import mdiqsdc.oracle
 import mdiqsdc.protocol
 import mdiqsdc.quantum
 from mdiqsdc.cli import SWEEP_BLOCK, _grid_blocks, _parse_grid
 from mdiqsdc.channels import PauliDistribution, convolve, depolarizing_pauli_dist
 from mdiqsdc.curves import analytic_point_for_config
 from mdiqsdc.infotheory import ETA_MAX, binary_entropy, shannon_entropy
+from mdiqsdc.oracle import (
+    density_matrix_round_distributions,
+    entanglement_swap,
+    intercept_resend_channel,
+    oracle_attack,
+    oracle_readout,
+    oracle_source,
+    swap_correction,
+)
 from mdiqsdc.protocol import (
     MAX_ROUNDS,
     INTERCEPT_RESEND_DIST,
@@ -35,18 +45,11 @@ from mdiqsdc.protocol import (
     _shannon_variance,
     arrival,
     check_bases,
-    density_matrix_round_distributions,
-    entanglement_swap,
-    intercept_resend_channel,
     message_law,
-    oracle_attack,
-    oracle_readout,
-    oracle_source,
     pauli_frame_round_distributions,
     round_law,
     round_law_for_config,
     run,
-    swap_correction,
 )
 from mdiqsdc.quantum import (
     ANTICOMMUTES,
@@ -942,7 +945,7 @@ class TestBackendEquivalence:
             attacked.append(qubit)
             return original(dm, 3)
 
-        monkeypatch.setattr(mdiqsdc.protocol, "intercept_resend_channel", on_bobs_leg)
+        monkeypatch.setattr(mdiqsdc.oracle, "intercept_resend_channel", on_bobs_leg)
         bob = density_matrix_round_distributions(cfg)
         assert attacked == [1]
         assert bob.keys() == alice.keys()
@@ -959,7 +962,7 @@ class TestOracleStillReferees:
         cfg = ProtocolConfig(protocol=Protocol.MDI_TS, rounds=1, channel_p=0.1, seed=0)
         # every pair keeps its uncorrected frame, so the cover stage is the
         # first to read Bob's Pauli table
-        monkeypatch.setattr(mdiqsdc.protocol, "swap_correction", lambda o: PauliLabel.I)
+        monkeypatch.setattr(mdiqsdc.oracle, "swap_correction", lambda o: PauliLabel.I)
         density_matrix_round_distributions(cfg)
         paulis = mdiqsdc.quantum.pauli_operators
 

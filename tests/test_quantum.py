@@ -17,6 +17,7 @@ from mdiqsdc.quantum import (
     PauliDistribution,
     PauliLabel,
     apply_pauli,
+    basis_eigenvector,
     bell_measure,
     bell_state,
     embed_operator,
@@ -509,6 +510,22 @@ class TestTypeInvariants:
         for name in "01+-":
             with pytest.raises(ValueError):
                 single_photon(name)[0] = 0.5
+        for basis in (PauliLabel.X, PauliLabel.Y, PauliLabel.Z):
+            for bit in (0, 1):
+                with pytest.raises(ValueError):
+                    basis_eigenvector(basis, bit)[0] = 0.5
+
+    def test_eigenvectors_are_one_table(self):
+        # the prepared states are the Z and X eigenvectors themselves
+        named = {"0": (PauliLabel.Z, 0), "1": (PauliLabel.Z, 1), "+": (PauliLabel.X, 0)}
+        named["-"] = (PauliLabel.X, 1)
+        for name, (basis, bit) in named.items():
+            assert single_photon(name) is basis_eigenvector(basis, bit)
+        for basis in (PauliLabel.X, PauliLabel.Y, PauliLabel.Z):
+            for bit, sign in ((0, 1.0), (1, -1.0)):
+                v = basis_eigenvector(basis, bit)
+                np.testing.assert_allclose(PAULI_MATRICES[basis] @ v, sign * v, atol=1e-15)
+                assert abs(np.vdot(v, v) - 1.0) < 1e-15
 
     def test_pauli_distribution_validates_once(self, monkeypatch):
         """Positional and keyword laws are validated once each, and the

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import chdtrc
 
+from mdiqsdc.oracle import density_matrix_round_distributions
 from mdiqsdc.protocol import (
     AttackModel,
     NoisePlacement,
@@ -16,7 +17,6 @@ from mdiqsdc.protocol import (
     ProtocolConfig,
     _cell_probabilities,
     check_bases,
-    density_matrix_round_distributions,
     round_law_for_config,
     run,
 )

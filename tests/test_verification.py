@@ -13,11 +13,13 @@ import numpy as np
 import pytest
 
 import mdiqsdc.channels
+import mdiqsdc.oracle
 import mdiqsdc.protocol
 import mdiqsdc.quantum
 import mdiqsdc.verification as verification
 from mdiqsdc.infotheory import binary_entropy
-from mdiqsdc.protocol import AttackModel, NoisePlacement, Protocol, message_law, swap_correction
+from mdiqsdc.oracle import swap_correction
+from mdiqsdc.protocol import AttackModel, NoisePlacement, Protocol, message_law
 from mdiqsdc.quantum import (
     PAULI_OF_BELL,
     BellLabel,
@@ -252,7 +254,7 @@ def _wrong_swap_correction(outcome):
     def plant(monkeypatch):
         table = {o: swap_correction(o) for o in BellLabel}
         table[outcome] = PauliLabel((int(table[outcome]) + 1) % 4)
-        monkeypatch.setattr(mdiqsdc.protocol, "swap_correction", lambda o: table[BellLabel(o)])
+        monkeypatch.setattr(mdiqsdc.oracle, "swap_correction", lambda o: table[BellLabel(o)])
 
     return plant
 
@@ -271,7 +273,7 @@ def _skewed_frame_attack(monkeypatch):
 
 def _skewed_oracle_channel(module):
     # moves half of the X weight to Y in the oracle's depolarize calls
-    # (channels) or in its intercept-resend call (protocol)
+    # (channels) or in its intercept-resend call (oracle)
     def plant(monkeypatch):
         original = module.pauli_channel
 
@@ -348,7 +350,7 @@ VERIFY_MUTATIONS = {
     "frame-depolarizing-weight": (_skewed_frame_depolarizing, EQUIVALENCE, r""),
     "frame-attack-weight": (_skewed_frame_attack, EQUIVALENCE, r" attack=intercept-resend "),
     "oracle-depolarizing-weight": (_skewed_oracle_channel(mdiqsdc.channels), EQUIVALENCE, r""),
-    "oracle-attack-weight": (_skewed_oracle_channel(mdiqsdc.protocol), EQUIVALENCE, r""),
+    "oracle-attack-weight": (_skewed_oracle_channel(mdiqsdc.oracle), EQUIVALENCE, r""),
     **{
         f"cell-law-{name}": (_wrong_cell_law(mutation), EQUIVALENCE, r" cells outcome=")
         for name, mutation in {

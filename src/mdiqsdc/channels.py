@@ -8,7 +8,8 @@ Bell-diagonal weights (1 - 3p/4, p/4, p/4, p/4), so each same-basis check
 disagrees with probability p/2. That single-use error rate x = p/2 is the
 canonical sweep axis for all capacity curves. Every law here is a
 :class:`~mdiqsdc.quantum.PauliDistribution`, the package's one law over the
-four Pauli labels.
+four Pauli labels, and a float law and a grid of float64 array laws are
+composed and checked by the same code.
 """
 
 from __future__ import annotations

@@ -83,11 +83,12 @@ def _fmt(value: float | None) -> str:
 
 
 def _csv_rows(point: AnalyticPoint, source: str = "analytic,,") -> Iterator[str]:
-    """CSV rows of a point, or of every point of a grid, each ending in
-    ``source`` (the source, seed and rounds columns) and a newline. A float
-    point is one row, with an empty cell for a rate it lacks; a grid's rows
-    come ``CSV_SLICE`` to a piece, formatted from one row template and that
-    slice of its arrays."""
+    """The one formatter of every CSV row (a sweep block's, a run's and its
+    analytic twin's): the rows of a point, or of every point of a grid, each
+    ending in ``source`` (the source, seed and rounds columns) and a newline.
+    A float point is one row, with an empty cell for a rate it lacks; a
+    grid's rows come ``CSV_SLICE`` to a piece, formatted from one row
+    template and that slice of its arrays."""
     columns = (
         point.x,
         point.p,

@@ -7,7 +7,8 @@ for the single-photon ones. The law is checked where it is made, so the
 entropy takes its probabilities as given.
 
 Raw capacities may be negative; they are preserved as computed (the zero
-crossing is a first-class result) with the clamped value alongside.
+crossing is a first-class result) with the clamped value alongside. Every
+function takes floats or arrays.
 """
 
 from __future__ import annotations

@@ -52,7 +52,6 @@ from .quantum import (
     basis_eigenvector,
     bell_measure,
     bell_state,
-    embed_operator,
     partial_trace,
     pauli_channel,
     pure_density,
@@ -78,10 +77,12 @@ def intercept_resend_channel(dm: DensityMatrix, qubit: int) -> DensityMatrix:
 
 @lru_cache(maxsize=None)
 def _swap_projectors() -> np.ndarray:
-    """Read-only (4, 16, 16) projectors on the Bell outcomes of the sent photons 1 and 3."""
-    proj = np.stack(
-        [embed_operator(np.outer(v, v.conj()), (1, 3), 4) for v in BELL_VECTORS]
-    )
+    """Read-only (4, 16, 16) projectors on the Bell outcomes of the sent
+    photons 1 and 3: entry ((a, i, c, k), (x, j, y, l)) of outcome b is
+    <ik|b><b|jl> where photons 0 and 2 agree, a = x and c = y, and 0 elsewhere."""
+    bell = BELL_VECTORS.reshape(4, 2, 2)
+    eye = np.eye(2)
+    proj = np.einsum("bik,bjl,ax,cy->baickxjyl", bell, bell.conj(), eye, eye).reshape(4, 16, 16)
     proj.flags.writeable = False
     return proj
 

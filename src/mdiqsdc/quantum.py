@@ -24,11 +24,13 @@ below (``apply_pauli``, ``pauli_channel``, ``partial_trace``,
 ``bell_measure``, the purification, the entropies and the Holevo quantity)
 act on every member of a stack at once.
 
-Every Pauli acting on a density stack comes from one cached table per
-qubit position, :func:`pauli_operators`: :func:`apply_pauli` conjugates by
-one label, and :func:`pauli_channel` is the one Pauli mixture
-sum_k w_k P_k rho P_k behind the depolarizing channel, the intercept-resend
-attack and the cover average of the eavesdropper's ensemble.
+A Pauli on one qubit of a register is a signed permutation, so no Pauli
+matrix is ever built: X reverses the qubit's row and column axes, Z
+negates the entries whose row and column bits differ, and Y does both.
+:func:`apply_pauli` conjugates by one label or an array of labels, and
+:func:`pauli_channel` is the one Pauli mixture sum_k w_k P_k rho P_k
+behind the depolarizing channel, the intercept-resend attack and the
+cover average of the eavesdropper's ensemble.
 
 All values are immutable after construction and all operations are pure
 functions, so everything in this module is safe to evaluate concurrently.
@@ -39,7 +41,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -96,13 +97,6 @@ PAULI_OF_BELL: tuple[PauliLabel, ...] = (
 )
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
-
-PAULI_MATRICES: tuple[np.ndarray, ...] = (
-    np.eye(2, dtype=np.complex128),
-    np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    np.array([[1, 0], [0, -1]], dtype=np.complex128),
-)
 
 # Rows are psi-, psi+, phi-, phi+ over |00>,|01>,|10>,|11>.
 BELL_VECTORS: np.ndarray = np.array(
@@ -324,35 +318,28 @@ def basis_eigenvector(basis: PauliLabel, bit: int) -> np.ndarray:
     return _EIGENVECTORS[basis][bit]
 
 
-def embed_operator(op: np.ndarray, qubits: Sequence[int], num_qubits: int) -> np.ndarray:
-    """Expand an operator on the ordered ``qubits`` (2x2 on one qubit, 4x4 on
-    a pair) to act on those qubits of an n-qubit register."""
-    if len(set(qubits)) != len(qubits):
-        raise IndexError(f"repeated qubit in {tuple(qubits)}")
-    if not all(0 <= q < num_qubits for q in qubits):
-        raise IndexError(f"qubits {tuple(qubits)} out of range for {num_qubits} qubits")
-    k = len(qubits)
-    rest = [q for q in range(num_qubits) if q not in qubits]
-    order = list(qubits) + rest
-    full = np.kron(
-        np.asarray(op, dtype=np.complex128), np.eye(2 ** (num_qubits - k), dtype=np.complex128)
-    )
-    full = full.reshape((2,) * (2 * num_qubits))
-    row_axes = [order.index(q) for q in range(num_qubits)]
-    col_axes = [num_qubits + order.index(q) for q in range(num_qubits)]
-    dim = 2**num_qubits
-    return full.transpose(row_axes + col_axes).reshape(dim, dim)
+# (-1)^(b_i + b_j) over the qubit's row bit b_i and column bit b_j, on the
+# trailing (2, c, a, 2, c) axes of a :func:`_pauli_conjugates` view
+_PAULI_SIGN = np.array([1.0, -1.0, -1.0, 1.0]).reshape(2, 1, 1, 2, 1)
 
 
-@lru_cache(maxsize=None)
-def pauli_operators(qubit: int, num_qubits: int) -> np.ndarray:
-    """Read-only (4, d, d) stack of the Paulis I, X, Y, Z embedded on one
-    qubit, built once per qubit position; :func:`apply_pauli` and
-    :func:`pauli_channel` index it. States here have 1, 2 or 4 qubits, so
-    there are at most 7 tables."""
-    table = np.stack([embed_operator(m, (qubit,), num_qubits) for m in PAULI_MATRICES])
-    table.flags.writeable = False
-    return table
+def _pauli_conjugates(dm: DensityMatrix, qubit: int) -> tuple[np.ndarray, ...]:
+    """P_k rho P_k for P_k = I, X, Y, Z on one qubit of every state of the
+    stack, each of shape ``dm.shape + (a, 2, c, a, 2, c)`` with a = 2^qubit
+    and c = 2^(n - qubit - 1), so that the qubit's row and column bits have
+    axes of their own.
+
+    X reverses the qubit's row and column axes, a view and not a copy; Z
+    multiplies entry (i, j) by (-1)^(b_i + b_j), b the qubit's bit; Y = iXZ
+    does both, its phase cancelling in the conjugation. Every entry is moved
+    or negated, never rounded.
+    """
+    if not 0 <= qubit < dm.num_qubits:
+        raise IndexError(f"qubit {qubit} out of range for {dm.num_qubits} qubits")
+    a, c = 2**qubit, 2 ** (dm.num_qubits - qubit - 1)
+    rho = dm.matrix.reshape(dm.shape + (a, 2, c, a, 2, c))
+    flipped = rho[..., ::-1, :, :, ::-1, :]
+    return rho, flipped, _PAULI_SIGN * flipped, _PAULI_SIGN * rho
 
 
 def apply_pauli(
@@ -360,14 +347,17 @@ def apply_pauli(
 ) -> DensityMatrix:
     """Conjugate one qubit of every state of the stack by a Pauli.
 
-    ``op`` is one label or an integer array of labels, which broadcasts
-    against the stack's leading axes like any numpy operand: labels of
-    shape (4, 1) on a stack of shape (4,) give the (label, member) stack of
-    shape (4, 4).
+    ``op`` is one label or an integer array of labels, each in [0, 3]; any
+    other label, a bool or a float included, is a ValueError. Labels
+    broadcast against the stack's leading axes like any numpy operand:
+    labels of shape (4, 1) on a stack of shape (4,) give the (label,
+    member) stack of shape (4, 4).
     """
-    full = pauli_operators(qubit, state.num_qubits)[np.asarray(op, dtype=np.intp)]
-    # embedded Paulis are Hermitian, so full is its own conjugate transpose
-    return DensityMatrix(full @ state.matrix @ full)
+    labels = np.asarray(op)
+    if labels.dtype.kind not in "iu" or ((labels < 0) | (labels > 3)).any():
+        raise ValueError(f"Pauli labels must be integers in [0, 3], got {op!r}")
+    out = np.choose(labels.reshape(labels.shape + (1,) * 6), _pauli_conjugates(state, qubit))
+    return DensityMatrix(out.reshape(out.shape[:-6] + (state.dim, state.dim)))
 
 
 def pauli_channel(dm: DensityMatrix, weights, qubit: int) -> DensityMatrix:
@@ -379,13 +369,13 @@ def pauli_channel(dm: DensityMatrix, weights, qubit: int) -> DensityMatrix:
     index of the stack's first leading axis. The terms are added one at a
     time, the identity term as w_0 rho.
     """
-    paulis = pauli_operators(qubit, dm.num_qubits)
-    lead = (1,) * (dm.matrix.ndim - 1)
+    terms = _pauli_conjugates(dm, qubit)
+    lead = (1,) * (terms[0].ndim - 1)
     w = [np.reshape(v, v.shape + lead) if isinstance(v, np.ndarray) else v for v in weights]
-    out = w[0] * dm.matrix
+    out = w[0] * terms[0]
     for k in (1, 2, 3):
-        out = out + w[k] * (paulis[k] @ dm.matrix @ paulis[k])
-    return DensityMatrix(out)
+        out = out + w[k] * terms[k]
+    return DensityMatrix(out.reshape(dm.matrix.shape))
 
 
 def bell_measure(dm: DensityMatrix) -> np.ndarray:

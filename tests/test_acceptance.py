@@ -5,6 +5,7 @@ criterion. Monte Carlo criteria use fixed seeds, so the whole suite is
 deterministic.
 """
 
+import itertools
 import math
 import os
 import subprocess
@@ -17,7 +18,7 @@ import numpy as np
 import mdiqsdc
 from mdiqsdc.channels import error_rate_in_basis
 from mdiqsdc.curves import analytic_point, zero_crossing
-from mdiqsdc.oracle import density_matrix_round_distributions, swap_correction
+from mdiqsdc.oracle import _swap_projectors, density_matrix_round_distributions, swap_correction
 from mdiqsdc.protocol import (
     AttackModel,
     Protocol,
@@ -33,7 +34,6 @@ from mdiqsdc.quantum import (
     apply_pauli,
     bell_measure,
     bell_state,
-    embed_operator,
     holevo_bound,
     partial_trace,
     product_decompose,
@@ -52,6 +52,17 @@ R = 1.0 / math.sqrt(2.0)
 
 def report(name):
     print(f"PASS: {name}")
+
+
+def bell_projector_on_photons_1_and_3(v):
+    """|v><v| on photons 1 and 3 of four, written entry by entry: entry
+    (a i c k, x j y l) is v[ik] conj(v[jl]) when photons 0 and 2 pass
+    through unchanged (x = a, y = c), and 0 otherwise."""
+    proj = np.zeros((16, 16), dtype=complex)
+    for a, i, c, k, j, l in itertools.product((0, 1), repeat=6):
+        row, col = 8 * a + 4 * i + 2 * c + k, 8 * a + 4 * j + 2 * c + l
+        proj[row, col] = v[2 * i + k] * np.conj(v[2 * j + l])
+    return proj
 
 
 class TestAcceptance:
@@ -94,7 +105,7 @@ class TestAcceptance:
         rho = pure_density(np.kron(singlet, singlet))
         for outcome in BellLabel:
             v = bell_state(outcome)
-            proj = embed_operator(np.outer(v, v.conj()), (1, 3), 4)
+            proj = bell_projector_on_photons_1_and_3(v)
             sub = proj @ rho.matrix @ proj
             p_o = float(np.real(np.trace(sub)))
             assert abs(p_o - 0.25) < 1e-12
@@ -105,6 +116,15 @@ class TestAcceptance:
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0
         report(f"entanglement-swapping table (fidelity 1, {elapsed * 1000:.0f} ms)")
+
+    def test_the_oracle_swap_projectors_equal_the_entry_by_entry_referee(self):
+        """The oracle's Bell projectors on photons 1 and 3, in outcome order."""
+        proj = _swap_projectors()
+        assert proj.shape == (4, 16, 16)
+        for outcome in BellLabel:
+            want = bell_projector_on_photons_1_and_3(bell_state(outcome))
+            np.testing.assert_array_equal(proj[outcome], want)
+        report("swap projectors (entry by entry, exactly)")
 
     def test_channel_identities(self):
         """One-leg depolarizing: delta and error-rate closed forms vs the

@@ -961,19 +961,19 @@ class TestOracleStillReferees:
     def test_non_unitary_cover_is_rejected_by_the_stack_validator(self, monkeypatch):
         cfg = ProtocolConfig(protocol=Protocol.MDI_TS, rounds=1, channel_p=0.1, seed=0)
         # every pair keeps its uncorrected frame, so the cover stage is the
-        # first to read Bob's Pauli table
+        # first to conjugate Bob's photon by X
         monkeypatch.setattr(mdiqsdc.oracle, "swap_correction", lambda o: PauliLabel.I)
         density_matrix_round_distributions(cfg)
-        paulis = mdiqsdc.quantum.pauli_operators
+        conjugates = mdiqsdc.quantum._pauli_conjugates
 
-        def leaky(qubit, num_qubits):
-            table = paulis(qubit, num_qubits)
-            if (qubit, num_qubits) == (1, 2):
-                table = table.copy()
-                table[int(PauliLabel.X)] *= 1.1  # Hermitian, not unitary
-            return table
+        def leaky(dm, qubit):
+            terms = conjugates(dm, qubit)
+            if (dm.num_qubits, qubit) == (2, 1):
+                # X scaled by 1.1 on both sides: Hermitian, not unitary
+                terms = (terms[0], 1.21 * terms[1], *terms[2:])
+            return terms
 
-        monkeypatch.setattr(mdiqsdc.quantum, "pauli_operators", leaky)
+        monkeypatch.setattr(mdiqsdc.quantum, "_pauli_conjugates", leaky)
         with pytest.raises(ValueError, match="trace") as excinfo:
             density_matrix_round_distributions(cfg)
         assert excinfo.traceback[-1].name == "validate_density_stack"

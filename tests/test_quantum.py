@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ import mdiqsdc.quantum
 from mdiqsdc.quantum import (
     BELL_VECTORS,
     BellLabel,
-    PAULI_MATRICES,
     DensityMatrix,
     PauliDistribution,
     PauliLabel,
@@ -20,11 +20,9 @@ from mdiqsdc.quantum import (
     basis_eigenvector,
     bell_measure,
     bell_state,
-    embed_operator,
     holevo_bound,
     partial_trace,
     pauli_channel,
-    pauli_operators,
     product_decompose,
     pure_density,
     purify_bell_diagonal,
@@ -154,35 +152,68 @@ class TestApplyPauli:
                     assert abs(probs.max() - 1.0) < 1e-12
 
     def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            apply_pauli(pure_density(bell_state(BellLabel.PSI_MINUS)), PauliLabel.X, 2)
+        for qubit in (2, -1):
+            with pytest.raises(IndexError):
+                apply_pauli(pure_density(bell_state(BellLabel.PSI_MINUS)), PauliLabel.X, qubit)
 
 
-class TestPauliOperatorTable:
+def sparse_density_stack(rng, count, dim):
+    """Density matrices of which about 30% of the entries are exact zeros,
+    all off the diagonal: Hermitian by construction, positive by diagonal
+    dominance, then divided by the trace."""
+    upper = rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim))
+    upper[rng.random(upper.shape) < 0.3 * dim / (dim - 1)] = 0.0
+    upper = np.triu(upper, 1)
+    mat = upper + upper.conj().swapaxes(-1, -2)
+    diagonal = np.abs(mat).sum(axis=-1) + rng.random((count, dim)) + 0.1
+    mat = mat + diagonal[..., None] * np.eye(dim)
+    return mat / np.trace(mat, axis1=-2, axis2=-1)[:, None, None].real
+
+
+class TestPauliConjugationForm:
+    """Paulis act by moving and negating entries; the result equals the
+    dense Kronecker-chain conjugation P rho P exactly in value."""
+
     @pytest.mark.parametrize("num_qubits", [1, 2, 4])
-    def test_matches_fresh_embedding_and_is_read_only(self, num_qubits):
+    def test_apply_pauli_equals_the_dense_conjugation(self, num_qubits):
+        rng = np.random.default_rng(70 + num_qubits)
+        stack = DensityMatrix(sparse_density_stack(rng, 12, 2**num_qubits))
+        assert 0.2 < np.mean(stack.matrix == 0) < 0.4
         for qubit in range(num_qubits):
-            table = pauli_operators(qubit, num_qubits)
-            assert table.shape == (4, 2**num_qubits, 2**num_qubits)
             for op in PauliLabel:
-                fresh = embed_operator(PAULI_MATRICES[int(op)], (qubit,), num_qubits)
-                np.testing.assert_array_equal(table[op], fresh)
-                np.testing.assert_array_equal(
-                    table[op], pauli_on_qubit_oracle(int(op), qubit, num_qubits)
-                )
-            assert pauli_operators(qubit, num_qubits) is table  # built once
-            with pytest.raises(ValueError):
-                table[0, 0, 0] = 2.0
+                full = pauli_on_qubit_oracle(int(op), qubit, num_qubits)
+                got = apply_pauli(stack, op, qubit)
+                np.testing.assert_array_equal(got.matrix, full @ stack.matrix @ full)
 
-    def test_out_of_range_qubit_is_not_tabled(self):
-        with pytest.raises(IndexError):
-            pauli_operators(2, 2)
+    @pytest.mark.parametrize("num_qubits", [1, 2, 4])
+    def test_pauli_channel_equals_the_dense_kraus_sum(self, num_qubits):
+        rng = np.random.default_rng(75 + num_qubits)
+        stack = DensityMatrix(sparse_density_stack(rng, 12, 2**num_qubits))
+        weights = tuple(rng.dirichlet(np.ones(4)))
+        for qubit in range(num_qubits):
+            want = weights[0] * stack.matrix
+            for k in (1, 2, 3):
+                full = pauli_on_qubit_oracle(k, qubit, num_qubits)
+                want = want + weights[k] * (full @ stack.matrix @ full)
+            got = pauli_channel(stack, weights, qubit)
+            np.testing.assert_array_equal(got.matrix, want)
 
-    @pytest.mark.parametrize("qubits", [(2,), (-1,), (1, 1), (1, 4), (0, 0)])
-    def test_embedding_rejects_a_bad_qubit(self, qubits):
-        op = np.eye(2 ** len(qubits))
-        with pytest.raises(IndexError):
-            embed_operator(op, qubits, 4 if len(qubits) == 2 else 2)
+    @pytest.mark.parametrize("qubit", [0, 1])
+    def test_broadcast_labels_equal_the_dense_conjugation(self, qubit):
+        stack = DensityMatrix(sparse_density_stack(np.random.default_rng(80 + qubit), 4, 4))
+        got = apply_pauli(stack, np.arange(4)[:, None], qubit)
+        assert got.shape == (4, 4)
+        for op in PauliLabel:
+            full = pauli_on_qubit_oracle(int(op), qubit, 2)
+            for m in range(4):
+                np.testing.assert_array_equal(got.matrix[op, m], full @ stack.matrix[m] @ full)
+
+    @pytest.mark.parametrize("op", [-1, -3, 1.5, True, 4, [0, 4], np.array([1.0])])
+    def test_a_label_outside_zero_to_three_is_rejected(self, op):
+        rho = pure_density(bell_state(BellLabel.PSI_MINUS))
+        message = r"Pauli labels must be integers in \[0, 3\], got " + re.escape(repr(op))
+        with pytest.raises(ValueError, match=message):
+            apply_pauli(rho, op, 0)
 
 
 class TestPauliChannel:
@@ -220,8 +251,9 @@ class TestPauliChannel:
 
     def test_index_out_of_range(self):
         rho = pure_density(bell_state(BellLabel.PSI_MINUS))
-        with pytest.raises(IndexError):
-            pauli_channel(rho, (0.25, 0.25, 0.25, 0.25), 2)
+        for qubit in (2, -1):
+            with pytest.raises(IndexError):
+                pauli_channel(rho, (0.25, 0.25, 0.25, 0.25), qubit)
 
 
 class TestBellMeasure:
@@ -524,7 +556,7 @@ class TestTypeInvariants:
         for basis in (PauliLabel.X, PauliLabel.Y, PauliLabel.Z):
             for bit, sign in ((0, 1.0), (1, -1.0)):
                 v = basis_eigenvector(basis, bit)
-                np.testing.assert_allclose(PAULI_MATRICES[basis] @ v, sign * v, atol=1e-15)
+                np.testing.assert_allclose(PAULI[basis] @ v, sign * v, atol=1e-15)
                 assert abs(np.vdot(v, v) - 1.0) < 1e-15
 
     def test_pauli_distribution_validates_once(self, monkeypatch):

@@ -16,10 +16,13 @@ Pauli error on one half of the singlet that makes it.
 
 A ``DensityMatrix`` is the one checked state: one (d, d) matrix or a stack
 with shape (..., d, d), a single state being a stack with no leading axes,
-every member checked at construction by :func:`validate_density_stack`.
-State vectors are read-only numpy arrays, and :func:`pure_density` is the
-one way to make |a><a| of a vector or of each vector of a (..., d) stack;
-a vector whose squared norm is not 1 fails there on the trace. The helpers
+every member checked by :func:`validate_density_stack`. A member's
+spectrum is ``np.linalg.eigvalsh`` of it, except that an output of
+:func:`apply_pauli` takes its input's spectrum, which a signed permutation
+keeps, and an indexed stack keeps its members' spectra. State vectors are
+read-only numpy arrays, and :func:`pure_density` is the one way to make
+|a><a| of a vector or of each vector of a (..., d) stack; a vector whose
+squared norm is not 1 fails there on the trace. The helpers
 below (``apply_pauli``, ``pauli_channel``, ``partial_trace``,
 ``bell_measure``, the purification, the entropies and the Holevo quantity)
 act on every member of a stack at once.
@@ -195,7 +198,9 @@ class PauliDistribution:
         return cls(weights)
 
 
-def validate_density_stack(matrices: np.ndarray) -> np.ndarray:
+def validate_density_stack(
+    matrices: np.ndarray, eigenvalues: np.ndarray | None = None
+) -> np.ndarray:
     """Check every matrix of a complex (..., d, d) stack as a density matrix
     and return the eigenvalues, ascending, as a (..., d) array.
 
@@ -205,6 +210,12 @@ def validate_density_stack(matrices: np.ndarray) -> np.ndarray:
     from channel compositions). The first failing check raises the
     ValueError a single matrix gets; a trace failure quotes the trace of the
     first failing member.
+
+    The spectrum is ``np.linalg.eigvalsh`` of the stack unless
+    ``eigenvalues`` gives it: the ascending spectra of a stack with the
+    same spectrum member by member, which :func:`apply_pauli` passes on
+    from its input. Every check, the eigenvalue floor included, runs
+    either way.
     """
     if matrices.ndim < 2 or matrices.shape[-1] != matrices.shape[-2]:
         raise ValueError("density matrix must be square")
@@ -219,7 +230,8 @@ def validate_density_stack(matrices: np.ndarray) -> np.ndarray:
     if off.any():
         trace = complex(traces[off][0])
         raise ValueError(f"trace {trace!r} differs from 1 by > {ATOL_TRACE}")
-    eigenvalues = np.linalg.eigvalsh(matrices)
+    if eigenvalues is None:
+        eigenvalues = np.linalg.eigvalsh(matrices)
     if (eigenvalues[..., 0] < EIGENVALUE_FLOOR).any():
         raise ValueError("matrix has an eigenvalue below -1e-10")
     return eigenvalues
@@ -231,7 +243,9 @@ class DensityMatrix:
 
     ``matrix`` is one (d, d) state or a stack of shape (..., d, d); every
     member passes :func:`validate_density_stack`, whose eigenvalues are kept
-    for the entropies.
+    for the entropies. The constructor diagonalizes every member; an
+    output of :func:`apply_pauli` inherits its input's eigenvalues as a
+    read-only broadcast view, and still passes every check.
     """
 
     matrix: np.ndarray
@@ -255,10 +269,18 @@ class DensityMatrix:
         inserts an axis). The members are members of this stack, so they keep
         their eigenvalues and are not validated again."""
         index = index if isinstance(index, tuple) else (index,)
-        sub = object.__new__(DensityMatrix)
-        object.__setattr__(sub, "matrix", self.matrix[index + (slice(None),) * 2])
-        object.__setattr__(sub, "eigenvalues", self.eigenvalues[index + (slice(None),)])
-        return sub
+        return DensityMatrix._checked(
+            self.matrix[index + (slice(None),) * 2], self.eigenvalues[index + (slice(None),)]
+        )
+
+    @staticmethod
+    def _checked(matrix: np.ndarray, eigenvalues: np.ndarray) -> "DensityMatrix":
+        """The stack of read-only ``matrix`` and its ``eigenvalues``, both
+        already validated, set as they are."""
+        dm = object.__new__(DensityMatrix)
+        object.__setattr__(dm, "matrix", matrix)
+        object.__setattr__(dm, "eigenvalues", eigenvalues)
+        return dm
 
     @property
     def dim(self) -> int:
@@ -352,12 +374,24 @@ def apply_pauli(
     broadcast against the stack's leading axes like any numpy operand:
     labels of shape (4, 1) on a stack of shape (4,) give the (label,
     member) stack of shape (4, 4).
+
+    ``np.where`` picks each entry from one of the four conjugates, so the
+    result equals ``np.choose`` over them bit for bit. A conjugate is a
+    signed permutation of its input, so each output member keeps its
+    input's eigenvalues, broadcast over the labels and not recomputed; the
+    output passes every check of :func:`validate_density_stack`.
     """
     labels = np.asarray(op)
     if labels.dtype.kind not in "iu" or ((labels < 0) | (labels > 3)).any():
         raise ValueError(f"Pauli labels must be integers in [0, 3], got {op!r}")
-    out = np.choose(labels.reshape(labels.shape + (1,) * 6), _pauli_conjugates(state, qubit))
-    return DensityMatrix(out.reshape(out.shape[:-6] + (state.dim, state.dim)))
+    labels = labels.reshape(labels.shape + (1,) * 6)
+    rho, x, y, z = _pauli_conjugates(state, qubit)
+    out = np.where(labels == 0, rho, np.where(labels == 1, x, np.where(labels == 2, y, z)))
+    matrix = out.reshape(out.shape[:-6] + (state.dim, state.dim))
+    matrix.flags.writeable = False
+    # a signed permutation keeps each member's spectrum
+    eigenvalues = np.broadcast_to(state.eigenvalues, matrix.shape[:-1])
+    return DensityMatrix._checked(matrix, validate_density_stack(matrix, eigenvalues))
 
 
 def pauli_channel(dm: DensityMatrix, weights, qubit: int) -> DensityMatrix:

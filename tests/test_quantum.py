@@ -170,6 +170,23 @@ def sparse_density_stack(rng, count, dim):
     return mat / np.trace(mat, axis1=-2, axis2=-1)[:, None, None].real
 
 
+# The largest deviation of an apply_pauli output's inherited eigenvalues from
+# eigvalsh of the output over label_cases was 3.9e-16.
+INHERITED_SPECTRUM_ATOL = 4e-16
+
+
+def label_cases(num_qubits):
+    """(stack, labels, qubit): a stack of 12 with about 30% exact zeros on
+    every qubit, with each scalar label, (4, 1) labels that broadcast to a
+    (4, 12) stack, and one label per member."""
+    rng = np.random.default_rng(90 + num_qubits)
+    stack = DensityMatrix(sparse_density_stack(rng, 12, 2**num_qubits))
+    assert 0.2 < np.mean(stack.matrix == 0) < 0.4
+    for qubit in range(num_qubits):
+        for labels in (*PauliLabel, np.arange(4)[:, None], rng.integers(0, 4, 12)):
+            yield stack, labels, qubit
+
+
 class TestPauliConjugationForm:
     """Paulis act by moving and negating entries; the result equals the
     dense Kronecker-chain conjugation P rho P exactly in value."""
@@ -207,6 +224,28 @@ class TestPauliConjugationForm:
             full = pauli_on_qubit_oracle(int(op), qubit, 2)
             for m in range(4):
                 np.testing.assert_array_equal(got.matrix[op, m], full @ stack.matrix[m] @ full)
+
+    @pytest.mark.parametrize("num_qubits", [1, 2, 4])
+    def test_the_inherited_spectrum_is_the_outputs_own(self, num_qubits):
+        """An output's eigenvalues come from its input unrecomputed; they
+        must be what eigvalsh finds for the output itself."""
+        for stack, labels, qubit in label_cases(num_qubits):
+            got = apply_pauli(stack, labels, qubit)
+            assert got.eigenvalues.shape == got.shape + (got.dim,)
+            want = np.linalg.eigvalsh(got.matrix)
+            np.testing.assert_allclose(got.eigenvalues, want, rtol=0, atol=INHERITED_SPECTRUM_ATOL)
+
+    @pytest.mark.parametrize("num_qubits", [1, 2, 4])
+    def test_the_selection_is_bit_identical_to_choose(self, num_qubits):
+        for stack, labels, qubit in label_cases(num_qubits):
+            index = np.asarray(labels)
+            want = np.choose(
+                index.reshape(index.shape + (1,) * 6),
+                mdiqsdc.quantum._pauli_conjugates(stack, qubit),
+            )
+            got = apply_pauli(stack, labels, qubit).matrix
+            assert got.shape == want.shape[:-6] + (stack.dim, stack.dim)
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("op", [-1, -3, 1.5, True, 4, [0, 4], np.array([1.0])])
     def test_a_label_outside_zero_to_three_is_rejected(self, op):

@@ -46,6 +46,10 @@ VALIDATED_TOTAL_FLOOR = 1658
 # and swap (1592 members): sharing those stages drops copies, not matrices.
 DISTINCT_FLOOR = {"backend-equivalence": 112, "holevo-bound": 158}
 DISTINCT_TOTAL_FLOOR = 278
+# Members one verify diagonalizes: an output of apply_pauli keeps its input's
+# spectrum, so a change that diagonalizes Pauli outputs again raises these.
+DIAGONALIZED = {"backend-equivalence": 624, "holevo-bound": 105}
+DIAGONALIZED_TOTAL = 746
 
 
 @pytest.mark.parametrize("points_per_axis", [5, 7])
@@ -57,12 +61,13 @@ def test_stacked_excess_equals_the_per_point_loop(points_per_axis):
     np.testing.assert_array_equal(stacked, loop)
 
 
-# SHA-256 of simplex_excess's float64 excess bytes, in grid order, taken before
-# the Bell-diagonal weights became a PauliDistribution. verify prints the worst
-# excess to 3 digits only; these see an ulp anywhere in the Holevo path.
+# SHA-256 of simplex_excess's float64 excess bytes, in grid order, taken when
+# the four encoded members of each ensemble began to share their input's
+# spectrum. verify prints the worst excess to 3 digits only; these see an ulp
+# anywhere in the Holevo path.
 SIMPLEX_EXCESS_SHA256 = {
-    5: "2e2590a8ac2a5788a39e59c96317f88e5a0cc6fd8cc1dc1cbfbeaf0c11478754",
-    9: "20b272dcdd8d802ee2d5f9b8574d8264c001684b2c656c6662617b0c07ccfa08",
+    5: "356c4c05d6f31b152ab672dc100fb2fbb4dcc69f426fa94e5f580b9124f139d8",
+    9: "f63747897778f6ea488adc3210bccec4238621e80846473d6b48f8d9bea80266",
 }
 
 
@@ -95,15 +100,22 @@ def _name_running_checks(monkeypatch):
 def test_verify_validates_at_least_one_matrix_per_point_and_stage(monkeypatch):
     validated = Counter()
     distinct = defaultdict(set)
+    diagonalized = Counter()
     original = mdiqsdc.quantum.validate_density_stack
+    eigvalsh = np.linalg.eigvalsh
 
-    def counting(matrices):
+    def counting(matrices, eigenvalues=None):
         members = matrices.reshape(-1, *matrices.shape[-2:])
         validated[running[-1]] += len(members)
         distinct[running[-1]].update(member.tobytes() for member in members)
-        return original(matrices)
+        return original(matrices, eigenvalues)
+
+    def diagonalizing(matrices):
+        diagonalized[running[-1]] += math.prod(matrices.shape[:-2])
+        return eigvalsh(matrices)
 
     monkeypatch.setattr(mdiqsdc.quantum, "validate_density_stack", counting)
+    monkeypatch.setattr(np.linalg, "eigvalsh", diagonalizing)
     running = _name_running_checks(monkeypatch)
     results = run_all_checks()
     functions = {result.name: function for result, function in zip(results, running, strict=True)}
@@ -113,6 +125,9 @@ def test_verify_validates_at_least_one_matrix_per_point_and_stage(monkeypatch):
     for name, floor in DISTINCT_FLOOR.items():
         assert len(distinct[functions[name]]) >= floor, (name, len(distinct[functions[name]]))
     assert len(set().union(*distinct.values())) >= DISTINCT_TOTAL_FLOOR
+    for name, count in DIAGONALIZED.items():
+        assert diagonalized[functions[name]] == count, (name, diagonalized[functions[name]])
+    assert sum(diagonalized.values()) == DIAGONALIZED_TOTAL
 
 
 def test_verify_builds_the_oracle_stages_anew_on_every_call(monkeypatch):
@@ -168,7 +183,7 @@ def test_verify_builds_the_oracle_stages_anew_on_every_call(monkeypatch):
 
 
 def test_stacked_checks_stay_under_a_megabyte():
-    run_all_checks()  # the operator tables are cached on first use
+    run_all_checks()  # a warm-up, so the peak is that of a repeated verify
     tracemalloc.start()
     try:
         run_all_checks()

@@ -29,7 +29,6 @@ from .quantum import (
     bell_measure,
     bell_state,
     holevo_bound,
-    partial_trace,
     product_decompose,
     pure_density,
     purify_bell_diagonal,
@@ -60,7 +59,6 @@ __all__ = [
     "depolarizing_pauli_dist",
     "eve_info_mdi_ts",
     "holevo_bound",
-    "partial_trace",
     "product_decompose",
     "pure_density",
     "purify_bell_diagonal",

@@ -7,7 +7,8 @@ one validated :class:`~mdiqsdc.quantum.DensityMatrix` stack:
 :func:`oracle_attack` (the intercept-resend attack on Alice's sent photon,
 stated on its own as the average of the Z and X dephasings),
 :func:`entanglement_swap` (the middle party's Bell measurement of the sent
-photons and Bob's :func:`swap_correction`), then :func:`oracle_readout`,
+photons, each outcome's pair read straight off the four-photon state, and
+Bob's :func:`swap_correction`), then :func:`oracle_readout`,
 which reduces each announced Bell outcome to the tally cells a run draws.
 :func:`density_matrix_round_distributions` is their composition; ``verify``
 runs the stages itself, so that its cases share one source and one swap per
@@ -23,7 +24,7 @@ encodings, the attack and a lossy channel. ``protocol`` imports neither this
 module nor the state algebra it runs on: the frame and its referee share only
 the config and which bases it measures (``check_bases``, ``MESSAGE_BASIS``).
 
-Every function here is pure; the projector tables are built once, read-only.
+Every function here is pure; the Bell and projector tables are read-only.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from .quantum import (
     basis_eigenvector,
     bell_measure,
     bell_state,
-    partial_trace,
     pauli_channel,
     pure_density,
 )
@@ -75,29 +75,26 @@ def intercept_resend_channel(dm: DensityMatrix, qubit: int) -> DensityMatrix:
     return pauli_channel(dm, tuple((dephase_z + dephase_x) / 2), qubit)
 
 
-@lru_cache(maxsize=None)
-def _swap_projectors() -> np.ndarray:
-    """Read-only (4, 16, 16) projectors on the Bell outcomes of the sent
-    photons 1 and 3: entry ((a, i, c, k), (x, j, y, l)) of outcome b is
-    <ik|b><b|jl> where photons 0 and 2 agree, a = x and c = y, and 0 elsewhere."""
-    bell = BELL_VECTORS.reshape(4, 2, 2)
-    eye = np.eye(2)
-    proj = np.einsum("bik,bjl,ax,cy->baickxjyl", bell, bell.conj(), eye, eye).reshape(4, 16, 16)
-    proj.flags.writeable = False
-    return proj
+# sqrt(2) <b| on photons 1 and 3, indexed (outcome, photon 1, photon 3): the
+# Bell vectors are real, so its entries are exactly 0 and +-1
+_SCALED_BELL = np.sign(BELL_VECTORS.real).reshape(4, 2, 2)
+_SCALED_BELL.flags.writeable = False
 
 
 def entanglement_swap(rho: DensityMatrix) -> tuple[np.ndarray, DensityMatrix]:
     """Bell measurement of the sent photons 1 and 3 of a four-photon stack:
     each announced outcome's probability, with a trailing outcome axis, and
     the kept photons 0 and 2 conditioned on that outcome, after Bob's swap
-    correction, one pair per outcome on the same trailing axis."""
-    proj = _swap_projectors()
-    sub = proj @ rho.matrix[..., None, :, :] @ proj  # (..., outcome)
+    correction, one pair per outcome on the same trailing axis. Each
+    unnormalized pair <b|_13 rho |b>_13 is one contraction with the scaled
+    Bell vectors, halved exactly; its trace is the outcome's probability."""
+    view = rho.matrix.reshape(rho.shape + (2,) * 8)  # rows a i c k, columns x j y l
+    sub = 0.5 * np.einsum("bik,...aickxjyl,bjl->...bacxy", _SCALED_BELL, view, _SCALED_BELL)
+    sub = sub.reshape(rho.shape + (4, 4, 4))
     probs = np.trace(sub, axis1=-2, axis2=-1).real
-    cond = DensityMatrix(sub / probs[..., None, None])
+    pairs = DensityMatrix(sub / probs[..., None, None])
     corrections = [int(swap_correction(BellLabel(o))) for o in range(4)]
-    return probs, apply_pauli(partial_trace(cond, keep=(0, 2)), corrections, 1)
+    return probs, apply_pauli(pairs, corrections, 1)
 
 
 @lru_cache(maxsize=None)
@@ -217,8 +214,9 @@ def density_matrix_round_distributions(
     announced Bell outcome and the swap correction), then
     :func:`oracle_readout`.
 
-    Each stage is one validated stack: the four-photon states, the four
-    conditioned states, the four corrected pairs, then the message states.
+    Each stage is one validated stack: the four-photon states, the pair
+    left by each announced outcome, the four corrected pairs, then the
+    message states.
     ``channel_p`` replaces ``cfg.channel_p`` when given: a 1-D float64 array
     adds a leading grid axis to every stack and output, whose rows equal,
     bit for bit, the calls at each float. Same keys and shapes as the

@@ -23,9 +23,9 @@ keeps, and an indexed stack keeps its members' spectra. State vectors are
 read-only numpy arrays, and :func:`pure_density` is the one way to make
 |a><a| of a vector or of each vector of a (..., d) stack; a vector whose
 squared norm is not 1 fails there on the trace. The helpers
-below (``apply_pauli``, ``pauli_channel``, ``partial_trace``,
-``bell_measure``, the purification, the entropies and the Holevo quantity)
-act on every member of a stack at once.
+below (``apply_pauli``, ``pauli_channel``, ``bell_measure``, the
+purification, the entropies and the Holevo quantity) act on every member of
+a stack at once.
 
 A Pauli on one qubit of a register is a signed permutation, so no Pauli
 matrix is ever built: X reverses the qubit's row and column axes, Z
@@ -446,26 +446,6 @@ def purify_bell_diagonal(d: PauliDistribution) -> DensityMatrix:
         for ab in range(4):
             amps[..., ab * 4 + i] += root * BELL_VECTORS[i][ab]
     return pure_density(amps)
-
-
-def partial_trace(dm: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
-    """Reduced states on the kept qubits (ascending order preserved), one
-    per member of the stack."""
-    nq = dm.num_qubits
-    kept = sorted(set(int(q) for q in keep))
-    if not kept or any(q < 0 or q >= nq for q in kept):
-        raise ValueError(f"invalid subsystem selector {keep!r} for {nq} qubits")
-    if 2 ** len(kept) not in _ALLOWED_DIMS:
-        raise ValueError(f"reduced dimension {2 ** len(kept)} is unsupported")
-    if len(kept) == nq:
-        return dm
-    arr = dm.matrix.reshape(dm.shape + (2,) * (2 * nq))
-    row = [chr(ord("a") + q) for q in range(nq)]
-    col = [row[q] if q not in kept else chr(ord("a") + nq + q) for q in range(nq)]
-    out = "".join(row[q] for q in kept) + "".join(col[q] for q in kept)
-    reduced = np.einsum("..." + "".join(row) + "".join(col) + "->..." + out, arr)
-    dim = 2 ** len(kept)
-    return DensityMatrix(reduced.reshape(dm.shape + (dim, dim)))
 
 
 def von_neumann_entropy(dm: DensityMatrix) -> float | np.ndarray:

@@ -14,11 +14,18 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import mdiqsdc
 from mdiqsdc.channels import error_rate_in_basis
 from mdiqsdc.curves import analytic_point, zero_crossing
-from mdiqsdc.oracle import _swap_projectors, density_matrix_round_distributions, swap_correction
+from mdiqsdc.oracle import (
+    density_matrix_round_distributions,
+    entanglement_swap,
+    oracle_attack,
+    oracle_source,
+    swap_correction,
+)
 from mdiqsdc.protocol import (
     AttackModel,
     Protocol,
@@ -31,21 +38,21 @@ from mdiqsdc.quantum import (
     DensityMatrix,
     PauliDistribution,
     PauliLabel,
-    apply_pauli,
     bell_measure,
     bell_state,
     holevo_bound,
-    partial_trace,
     product_decompose,
     pure_density,
     single_photon,
 )
 from mdiqsdc.channels import depolarize
 from mdiqsdc.verification import (
+    EQUIVALENCE_PS,
     PRODUCT_DECOMPOSITION_TABLE,
     delta_simplex_grid,
     encoding_ensemble,
 )
+from test_quantum import pauli_on_qubit_oracle, random_density_matrices
 
 R = 1.0 / math.sqrt(2.0)
 
@@ -63,6 +70,42 @@ def bell_projector_on_photons_1_and_3(v):
         row, col = 8 * a + 4 * i + 2 * c + k, 8 * a + 4 * j + 2 * c + l
         proj[row, col] = v[2 * i + k] * np.conj(v[2 * j + l])
     return proj
+
+
+def swap_referee(rho):
+    """Each Bell outcome's probability and Bob's corrected pair for one
+    (16, 16) four-photon state, written out: the projector of
+    :func:`bell_projector_on_photons_1_and_3`, a trace over photons 1 and 3
+    as a loop over their bits, then the correction as a Kronecker chain."""
+    probs, pairs = [], []
+    for outcome in BellLabel:
+        proj = bell_projector_on_photons_1_and_3(bell_state(outcome))
+        sub = proj @ rho @ proj
+        kept = np.zeros((4, 4), dtype=complex)
+        for a, c, x, y, i, k in itertools.product((0, 1), repeat=6):
+            kept[2 * a + c, 2 * x + y] += sub[8 * a + 4 * i + 2 * c + k, 8 * x + 4 * i + 2 * y + k]
+        p_o = float(np.real(np.trace(kept)))
+        fix = pauli_on_qubit_oracle(int(swap_correction(outcome)), 1, 2)
+        probs.append(p_o)
+        pairs.append(fix @ kept @ fix.conj().T / p_o)
+    return np.array(probs), np.array(pairs)
+
+
+def swap_inputs():
+    """Four-photon stacks the swap is refereed on, by name."""
+    singlet = bell_state(BellLabel.PSI_MINUS)
+    source = oracle_source(np.array(EQUIVALENCE_PS))
+    return {
+        "singlets": pure_density(np.kron(singlet, singlet)[None]),
+        "source": source,
+        "attacked": oracle_attack(source, AttackModel.INTERCEPT_RESEND),
+        "random": DensityMatrix(random_density_matrices(np.random.default_rng(34), 4, 16)),
+    }
+
+
+# the largest deviation of the oracle's swap from the referee, probabilities
+# and pairs: 1.67e-16 measured over swap_inputs(), rounded up
+SWAP_REFEREE_ATOL = 2e-16
 
 
 class TestAcceptance:
@@ -99,32 +142,35 @@ class TestAcceptance:
 
     def test_entanglement_swapping_table(self):
         """Post-correction fidelity 1 for every announced outcome at p=0,
-        via the 16-dimensional oracle, in under a second."""
+        via the written-out 16-dimensional referee, in under a second."""
         start = time.perf_counter()
         singlet = bell_state(BellLabel.PSI_MINUS)
-        rho = pure_density(np.kron(singlet, singlet))
+        probs, pairs = swap_referee(pure_density(np.kron(singlet, singlet)).matrix)
         for outcome in BellLabel:
-            v = bell_state(outcome)
-            proj = bell_projector_on_photons_1_and_3(v)
-            sub = proj @ rho.matrix @ proj
-            p_o = float(np.real(np.trace(sub)))
-            assert abs(p_o - 0.25) < 1e-12
-            pair = partial_trace(DensityMatrix(sub / p_o), keep=(0, 2))
-            pair = apply_pauli(pair, swap_correction(outcome), 1)
-            fidelity = float(bell_measure(pair)[int(BellLabel.PSI_MINUS)])
+            assert abs(probs[outcome] - 0.25) < 1e-12
+            fidelity = float(bell_measure(DensityMatrix(pairs[outcome]))[int(BellLabel.PSI_MINUS)])
             assert fidelity > 1 - 1e-12
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0
         report(f"entanglement-swapping table (fidelity 1, {elapsed * 1000:.0f} ms)")
 
-    def test_the_oracle_swap_projectors_equal_the_entry_by_entry_referee(self):
-        """The oracle's Bell projectors on photons 1 and 3, in outcome order."""
-        proj = _swap_projectors()
-        assert proj.shape == (4, 16, 16)
-        for outcome in BellLabel:
-            want = bell_projector_on_photons_1_and_3(bell_state(outcome))
-            np.testing.assert_array_equal(proj[outcome], want)
-        report("swap projectors (entry by entry, exactly)")
+    @pytest.mark.parametrize("name", ["singlets", "source", "attacked", "random"])
+    def test_the_oracle_swap_equals_the_entry_by_entry_referee(self, name):
+        """The oracle's swap stage, each outcome's probability and corrected
+        pair, against the written-out referee, member by member."""
+        rho = swap_inputs()[name]
+        probs, pairs = entanglement_swap(rho)
+        assert probs.shape == rho.shape + (4,) and pairs.shape == rho.shape + (4,)
+        worst = 0.0
+        for k in range(rho.shape[0]):
+            want_probs, want_pairs = swap_referee(rho.matrix[k])
+            worst = max(
+                worst,
+                float(np.max(np.abs(probs[k] - want_probs))),
+                float(np.max(np.abs(pairs.matrix[k] - want_pairs))),
+            )
+        assert worst <= SWAP_REFEREE_ATOL, worst
+        report(f"swap of {name} (entry by entry, max deviation {worst:.2e})")
 
     def test_channel_identities(self):
         """One-leg depolarizing: delta and error-rate closed forms vs the

@@ -24,10 +24,10 @@ from mdiqsdc.quantum import (
     basis_eigenvector,
     bell_measure,
     bell_state,
-    partial_trace,
     pure_density,
     purify_bell_diagonal,
 )
+from test_quantum import trace_out_environment
 
 PAULI = [
     np.eye(2, dtype=complex),
@@ -221,7 +221,7 @@ class TestErrorRates:
     def test_matches_measurement_statistics_oracle(self, deltas):
         # disagreement probability from explicit same-basis projectors
         d = PauliDistribution.from_bell_weights(deltas)
-        dm = partial_trace(purify_bell_diagonal(d), keep=(0, 1))
+        dm = trace_out_environment(purify_bell_diagonal(d))
         for basis in CHECKED_BASES:
             expected = error_rate_in_basis(d, basis)
             parallel = 0.0

@@ -1603,7 +1603,7 @@ VERIFY_STDOUT = """\
 PASS bell-states: max amplitude error 0.000e+00
 PASS product-decompositions: max deviation 1.110e-16 at |+ +>
 PASS swap-corrections: min post-correction singlet fidelity 1.000000000000000
-PASS backend-equivalence: max distribution deviation 9.992e-16 (mdi-ts first-leg-only p=0.0 attack=none symbol_error)
+PASS backend-equivalence: max distribution deviation 5.551e-16 (mdi-ts first-leg-only p=0.0 attack=none symbol_error)
 PASS holevo-bound: max(chi - bound) = 0.000e+00 at deltas=(1.0, 0.0, 0.0, 0.0)
 """
 

@@ -142,6 +142,7 @@ MISSING_SPAN_TARGETS = {
     "infotheory.capacity_mdi_dl04",
     "infotheory.capacity_two_step_non_mdi",
     "infotheory.capacity_dl04_non_mdi",
+    "quantum.partial_trace",
 }
 
 

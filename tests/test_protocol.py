@@ -55,10 +55,14 @@ from mdiqsdc.quantum import (
     ANTICOMMUTES,
     PAULI_PRODUCT,
     BellLabel,
+    DensityMatrix,
     PauliLabel,
+    bell_measure,
     bell_state,
     pure_density,
 )
+from mdiqsdc.verification import EQUIVALENCE_PS
+from test_quantum import pauli_on_qubit_oracle, random_density_matrices
 
 PAULI = [
     np.eye(2, dtype=complex),
@@ -571,6 +575,17 @@ def exact_laws(p):
     return laws
 
 
+def exact_frame_and_net(cfg, laws):
+    """The frame and the message law of ``cfg`` out of :func:`exact_laws`:
+    an mdi-dl04 message law is the bit's (kept, flipped) pair."""
+    frame, nets = laws[cfg.noise, cfg.attack]
+    net = nets[cfg.protocol]
+    if cfg.protocol == Protocol.MDI_DL04:
+        flip = exact_error(net, MESSAGE_BASIS[cfg.dl04_encoding])
+        net = [1 - flip, flip]
+    return frame, net
+
+
 def exact_cells(cfg, frame, law):
     bases = check_bases(cfg)
     share = Fraction(cfg.check_fraction) / len(bases)
@@ -624,16 +639,48 @@ def test_round_laws_are_within_six_ulps_of_exact_arithmetic():
         for protocol, (frame, law) in baselines.items():
             pairs += zip(frame[k] + law[k], exact[protocol][0] + exact[protocol][1])
         for cfg, frame, law, cells in made:
-            exact_frame, nets = exact[cfg.noise, cfg.attack]
-            net = nets[cfg.protocol]
-            if cfg.protocol == Protocol.MDI_DL04:
-                flip = exact_error(net, MESSAGE_BASIS[cfg.dl04_encoding])
-                net = [1 - flip, flip]
+            exact_frame, net = exact_frame_and_net(cfg, exact)
             pairs += zip(
                 frame[k] + law[k] + cells[k], exact_frame + net + exact_cells(cfg, exact_frame, net)
             )
         far = [(got, float(want)) for got, want in pairs if not ulps(got, want) <= LAW_ULPS]
         assert not far, (p, far[:4])
+
+
+# the largest absolute error of each oracle readout key against rational
+# arithmetic over REFEREED_CONFIGS at EQUIVALENCE_PS, as measured, rounded up
+ORACLE_KEY_ATOL = {
+    "swap_outcome": 2e-16,  # 1.11e-16
+    "cells": 2e-16,  # 1.67e-16
+    "symbol_error": 6e-16,  # 5.55e-16
+    "bit_error": 5e-16,  # 4.44e-16
+}
+
+
+def test_oracle_readout_is_near_exact_arithmetic_on_the_verify_grid():
+    """Every key of the oracle's readout, staged as ``verify`` stages it,
+    against rationals from each float input's exact value: each outcome has
+    probability 1/4, and every outcome's cells and the averaged message law
+    are those of the exact frame and net error."""
+    ps = np.array(EQUIVALENCE_PS)
+    swapped = _swapped_sources(ps)
+    worst = dict.fromkeys(ORACLE_KEY_ATOL, 0.0)
+    for cfg in REFEREED_CONFIGS:
+        out = oracle_readout(cfg, ps, *swapped[cfg.attack])
+        for k, p in enumerate(EQUIVALENCE_PS):
+            frame, net = exact_frame_and_net(cfg, exact_laws(Fraction(p)))
+            want = {"swap_outcome": [Fraction(1, 4)] * 4, "cells": exact_cells(cfg, frame, net) * 4}
+            if cfg.protocol == Protocol.MDI_TS:
+                want["symbol_error"] = net
+            else:
+                want["bit_error"] = net[1:]
+            assert out.keys() == want.keys()
+            for key, values in want.items():
+                got = out[key][k].ravel().tolist()
+                assert len(got) == len(values), (cfg, key)
+                errors = [abs(Fraction(g) - w) for g, w in zip(got, values)]
+                worst[key] = max(worst[key], float(max(errors)))
+    assert all(worst[key] <= atol for key, atol in ORACLE_KEY_ATOL.items()), worst
 
 
 def _bits(values):
@@ -839,10 +886,63 @@ def _swapped_sources(ps):
     return {attack: entanglement_swap(oracle_attack(source, attack)) for attack in AttackModel}
 
 
+@pytest.mark.parametrize("shape", [(4,), (2, 3)])
+def test_the_swap_of_a_stack_equals_the_swap_of_each_member(shape):
+    rng = np.random.default_rng(len(shape))
+    matrices = random_density_matrices(rng, math.prod(shape), 16).reshape(shape + (16, 16))
+    probs, pairs = entanglement_swap(DensityMatrix(matrices))
+    assert probs.shape == shape + (4,) and pairs.shape == shape + (4,)
+    for index in np.ndindex(shape):
+        one_probs, one_pairs = entanglement_swap(DensityMatrix(matrices[index]))
+        assert probs[index].tobytes() == one_probs.tobytes()
+        assert pairs.matrix[index].tobytes() == one_pairs.matrix.tobytes()
+
+
+def _photons_0_2_then_1_3_to_photon_order():
+    """Permutation matrix taking a (16, 16) state with qubit order
+    (0, 2, 1, 3), as np.kron of a kept pair and a sent pair gives it, to the
+    photon order (0, 1, 2, 3), written out bit by bit."""
+    perm = np.zeros((16, 16))
+    for a, c, i, k in itertools.product((0, 1), repeat=4):
+        perm[8 * a + 4 * i + 2 * c + k, 8 * a + 4 * c + 2 * i + k] = 1.0
+    return perm
+
+
+@pytest.mark.parametrize("outcome", list(BellLabel))
+def test_the_swap_of_a_product_state_only_corrects_the_kept_pair(outcome):
+    """Kept photons 0 and 2 in any state, sent photons 1 and 3 in a Bell
+    diagonal mixture weighted towards ``outcome``: the outcome law is the
+    mixture's weights, and every outcome's pair is the kept pair under that
+    outcome's correction alone."""
+    weights = np.full(4, 0.1)
+    weights[outcome] = 0.7
+    sent = sum(w * pure_density(bell_state(b)).matrix for w, b in zip(weights, BellLabel))
+    kept = random_density_matrices(np.random.default_rng(int(outcome)), 1, 4)[0]
+    perm = _photons_0_2_then_1_3_to_photon_order()
+    probs, pairs = entanglement_swap(DensityMatrix(perm @ np.kron(kept, sent) @ perm.T))
+    np.testing.assert_allclose(probs, weights, atol=1e-15)
+    for b in BellLabel:
+        fix = pauli_on_qubit_oracle(int(swap_correction(b)), 1, 2)
+        np.testing.assert_allclose(pairs.matrix[b], fix @ kept @ fix.conj().T, atol=1e-15)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_the_swap_outcome_law_is_the_bell_measurement_of_the_sent_photons(seed):
+    """The swap's outcome law is bell_measure of photons 1 and 3 alone, with
+    photons 0 and 2 traced out as a loop over their bits."""
+    rho = random_density_matrices(np.random.default_rng(seed), 1, 16)[0]
+    sent = np.zeros((4, 4), dtype=complex)
+    for i, k, j, l, a, c in itertools.product((0, 1), repeat=6):
+        sent[2 * i + k, 2 * j + l] += rho[8 * a + 4 * i + 2 * c + k, 8 * a + 4 * j + 2 * c + l]
+    probs, _ = entanglement_swap(DensityMatrix(rho))
+    np.testing.assert_allclose(probs, bell_measure(DensityMatrix(sent)), atol=1e-15)
+
+
 # SHA-256 of density_matrix_round_distributions(cfg, DEFAULT_P_GRID) over
 # REFEREED_CONFIGS, each key's name and float64 bytes in sorted key order,
-# taken before the oracle was split into its stages.
-DEFAULT_GRID_ORACLE_SHA256 = "131a5d3f8e3c75e651daebb1cefcf71b16bb327d70fc3c2825c0a42ca444dd8c"
+# taken when the swap stage began to contract the four-photon state with the
+# Bell vectors directly.
+DEFAULT_GRID_ORACLE_SHA256 = "57b473e3a6b1a9cfed322b6165c0faedab3bbd56aeb680fddb891f3ea5376add"
 
 
 class TestBackendEquivalence:

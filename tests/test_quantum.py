@@ -1,6 +1,7 @@
 """Core state-algebra tests, cross-checked against independent matrix oracles."""
 
 import dataclasses
+import itertools
 import math
 import re
 
@@ -21,7 +22,6 @@ from mdiqsdc.quantum import (
     bell_measure,
     bell_state,
     holevo_bound,
-    partial_trace,
     pauli_channel,
     product_decompose,
     pure_density,
@@ -54,6 +54,15 @@ def pauli_on_qubit_oracle(op_index, qubit, num_qubits):
     ops = [np.eye(2, dtype=complex)] * num_qubits
     ops[qubit] = PAULI[op_index]
     return kron_chain(ops)
+
+
+def trace_out_environment(dm):
+    """The pair, qubits 0 and 1, of a purification whose four-dimensional
+    environment is qubits 2 and 3: entry (r, s) sums rho[4r + e, 4s + e] over e."""
+    pair = np.zeros((4, 4), dtype=complex)
+    for r, s, e in itertools.product(range(4), repeat=3):
+        pair[r, s] += dm.matrix[4 * r + e, 4 * s + e]
+    return DensityMatrix(pair)
 
 
 def random_pure(rng, dim):
@@ -388,45 +397,15 @@ class TestPurification:
 
     def test_uniform_reduces_to_maximally_mixed(self):
         psi = purify_bell_diagonal(PauliDistribution.from_bell_weights((0.25, 0.25, 0.25, 0.25)))
-        pair = partial_trace(psi, keep=(0, 1))
+        pair = trace_out_environment(psi)
         np.testing.assert_allclose(pair.matrix, np.eye(4) / 4, atol=1e-12)
 
     @given(deltas=deltas_strategy)
     @settings(max_examples=25, deadline=None)
-    def test_partial_trace_recovers_weights(self, deltas):
+    def test_tracing_out_the_environment_recovers_weights(self, deltas):
         psi = purify_bell_diagonal(PauliDistribution.from_bell_weights(deltas))
-        pair = partial_trace(psi, keep=(0, 1))
+        pair = trace_out_environment(psi)
         np.testing.assert_allclose(bell_measure(pair), deltas, atol=1e-12)
-
-
-class TestPartialTrace:
-    def test_half_of_singlet_is_maximally_mixed(self):
-        dm = pure_density(bell_state(BellLabel.PSI_MINUS))
-        reduced = partial_trace(dm, keep=(0,))
-        np.testing.assert_allclose(reduced.matrix, np.eye(2) / 2, atol=1e-15)
-
-    def test_keep_everything_is_identity(self):
-        rng = np.random.default_rng(11)
-        dm = random_density(rng, 4)
-        np.testing.assert_allclose(partial_trace(dm, keep=(0, 1)).matrix, dm.matrix)
-
-    def test_matches_loop_oracle(self):
-        rng = np.random.default_rng(21)
-        dm = random_density(rng, 4)
-        got = partial_trace(dm, keep=(1,)).matrix
-        want = np.zeros((2, 2), dtype=complex)
-        for b in range(2):  # trace over qubit 0
-            for i in range(2):
-                for j in range(2):
-                    want[i, j] += dm.matrix[(b << 1) | i, (b << 1) | j]
-        np.testing.assert_allclose(got, want, atol=1e-14)
-
-    def test_invalid_selector(self):
-        dm = pure_density(bell_state(BellLabel.PSI_MINUS))
-        with pytest.raises(ValueError):
-            partial_trace(dm, keep=())
-        with pytest.raises(ValueError):
-            partial_trace(dm, keep=(0, 5))
 
 
 class TestEntropy:
@@ -439,7 +418,7 @@ class TestEntropy:
 
     def test_equal_mixture_of_two_bell_states(self):
         psi = purify_bell_diagonal(PauliDistribution.from_bell_weights((0.5, 0.5, 0.0, 0.0)))
-        dm = partial_trace(psi, keep=(0, 1))
+        dm = trace_out_environment(psi)
         assert abs(von_neumann_entropy(dm) - 1.0) < 1e-12
 
     @given(deltas=deltas_strategy)
@@ -447,7 +426,7 @@ class TestEntropy:
     def test_bell_diagonal_entropy_is_shannon_of_weights(self, deltas):
         d = PauliDistribution.from_bell_weights(deltas)
         shannon = -sum(p * math.log2(p) for p in d.probabilities if p > 0)
-        pair = partial_trace(purify_bell_diagonal(d), keep=(0, 1))
+        pair = trace_out_environment(purify_bell_diagonal(d))
         assert abs(von_neumann_entropy(pair) - shannon) < 1e-10
 
     def test_range(self):
@@ -879,17 +858,6 @@ class TestDensityStack:
         for k in range(3):
             want = apply_pauli(DensityMatrix(stack.matrix[k]), PauliLabel(k + 1), qubit)
             np.testing.assert_array_equal(one_each.matrix[k], want.matrix)
-
-    @pytest.mark.parametrize("keep", [(0,), (1,), (0, 2), (1, 3), (0, 1, 2, 3)])
-    def test_partial_trace_on_a_stack(self, keep):
-        rng = np.random.default_rng(len(keep))
-        dim = 4 if max(keep) < 2 else 16
-        stack = DensityMatrix(random_density_matrices(rng, 6, dim).reshape(2, 3, dim, dim))
-        got = partial_trace(stack, keep)
-        for i in range(2):
-            for j in range(3):
-                want = partial_trace(DensityMatrix(stack.matrix[i, j]), keep)
-                np.testing.assert_array_equal(got.matrix[i, j], want.matrix)
 
     def test_bell_measure_and_entropy_on_a_stack(self):
         rng = np.random.default_rng(7)

@@ -39,17 +39,18 @@ from mdiqsdc.verification import (
 # Matrices one verify validates: every member of every stage, as many as
 # when every grid point was its own stack, and the distinct members among
 # them. backend-equivalence compares five configs over four p values, and
-# builds the oracle's source once and swaps it once per attack model.
-VALIDATED_FLOOR = {"backend-equivalence": 1392, "holevo-bound": 245}
-VALIDATED_TOTAL_FLOOR = 1658
+# builds the oracle's source once and swaps it once per attack model; a swap
+# validates two-photon pairs only, before and after Bob's correction.
+VALIDATED_FLOOR = {"backend-equivalence": 1360, "holevo-bound": 245}
+VALIDATED_TOTAL_FLOOR = 1622
 # Taken when each of backend-equivalence's five cases built its own source
 # and swap (1592 members): sharing those stages drops copies, not matrices.
 DISTINCT_FLOOR = {"backend-equivalence": 112, "holevo-bound": 158}
 DISTINCT_TOTAL_FLOOR = 278
 # Members one verify diagonalizes: an output of apply_pauli keeps its input's
 # spectrum, so a change that diagonalizes Pauli outputs again raises these.
-DIAGONALIZED = {"backend-equivalence": 624, "holevo-bound": 105}
-DIAGONALIZED_TOTAL = 746
+DIAGONALIZED = {"backend-equivalence": 592, "holevo-bound": 105}
+DIAGONALIZED_TOTAL = 710
 
 
 @pytest.mark.parametrize("points_per_axis", [5, 7])

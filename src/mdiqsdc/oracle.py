@@ -10,9 +10,8 @@ stated on its own as the average of the Z and X dephasings),
 photons, each outcome's pair read straight off the four-photon state, and
 Bob's :func:`swap_correction`), then :func:`oracle_readout`,
 which reduces each announced Bell outcome to the tally cells a run draws.
-:func:`density_matrix_round_distributions` is their composition; ``verify``
-runs the stages itself, so that its cases share one source and one swap per
-attack model.
+``verify`` runs the stages in turn, so that its cases share one source and
+one swap per attack model.
 
 The Pauli frame rests on one identity that this oracle checks: after the swap
 correction, the shared pair differs from the singlet exactly by the composed
@@ -203,25 +202,3 @@ def oracle_readout(
     else:
         out["bit_error"] = averaged[..., 1:]
     return out
-
-
-def density_matrix_round_distributions(
-    cfg: ProtocolConfig, channel_p: float | np.ndarray | None = None
-) -> dict[str, np.ndarray]:
-    """Per-round distributions of what a run tallies, from the exact
-    density-matrix oracle: :func:`oracle_source`, :func:`oracle_attack` under
-    the attack of ``cfg``, :func:`entanglement_swap` (the projection on the
-    announced Bell outcome and the swap correction), then
-    :func:`oracle_readout`.
-
-    Each stage is one validated stack: the four-photon states, the pair
-    left by each announced outcome, the four corrected pairs, then the
-    message states.
-    ``channel_p`` replaces ``cfg.channel_p`` when given: a 1-D float64 array
-    adds a leading grid axis to every stack and output, whose rows equal,
-    bit for bit, the calls at each float. Same keys and shapes as the
-    Pauli-frame backend.
-    """
-    p = cfg.channel_p if channel_p is None else channel_p
-    swapped = entanglement_swap(oracle_attack(oracle_source(p), cfg.attack))
-    return oracle_readout(cfg, p, *swapped)

@@ -413,7 +413,7 @@ def _shannon_variance(probs: tuple[float, ...], samples: int) -> float:
     for a, b in itertools.combinations([p for p in probs if p > 0.0], 2):
         slope = math.log2(a / b)
         total = total + slope * slope * b * a
-    return total / samples if samples > 0 else 0.0
+    return total / samples
 
 
 def _estimate(cfg: ProtocolConfig, counts: np.ndarray) -> TranscriptStats:

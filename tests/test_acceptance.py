@@ -20,7 +20,6 @@ import mdiqsdc
 from mdiqsdc.channels import error_rate_in_basis
 from mdiqsdc.curves import analytic_point, zero_crossing
 from mdiqsdc.oracle import (
-    density_matrix_round_distributions,
     entanglement_swap,
     oracle_attack,
     oracle_source,
@@ -52,6 +51,7 @@ from mdiqsdc.verification import (
     delta_simplex_grid,
     encoding_ensemble,
 )
+from test_protocol import oracle_round_distributions
 from test_quantum import pauli_on_qubit_oracle, random_density_matrices
 
 R = 1.0 / math.sqrt(2.0)
@@ -197,7 +197,7 @@ class TestAcceptance:
                         protocol=protocol, rounds=1, channel_p=p, seed=0, attack=attack
                     )
                     fast = pauli_frame_round_distributions(cfg)
-                    exact = density_matrix_round_distributions(cfg)
+                    exact = oracle_round_distributions(cfg)
                     for key in exact:
                         worst = max(worst, float(np.max(np.abs(fast[key] - exact[key]))))
         assert worst < 1e-12

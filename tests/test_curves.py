@@ -17,7 +17,6 @@ from mdiqsdc.infotheory import (
     secrecy_capacity,
     shannon_entropy,
 )
-from mdiqsdc.oracle import density_matrix_round_distributions
 from mdiqsdc.protocol import (
     AttackModel,
     NoisePlacement,
@@ -28,6 +27,7 @@ from mdiqsdc.protocol import (
     round_law_for_config,
 )
 from mdiqsdc.quantum import PauliLabel
+from test_protocol import oracle_round_distributions
 
 ATOL = 1e-12
 
@@ -77,7 +77,7 @@ def message_entropy(dists, cfg):
 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=_config_id)
 @pytest.mark.parametrize(
-    "backend", [pauli_frame_round_distributions, density_matrix_round_distributions]
+    "backend", [pauli_frame_round_distributions, oracle_round_distributions]
 )
 def test_twin_matches_backend(cfg, backend):
     twin = analytic_point_for_config(cfg)

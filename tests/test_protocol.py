@@ -22,7 +22,6 @@ from mdiqsdc.channels import PauliDistribution, convolve, depolarizing_pauli_dis
 from mdiqsdc.curves import analytic_point_for_config
 from mdiqsdc.infotheory import ETA_MAX, binary_entropy, shannon_entropy
 from mdiqsdc.oracle import (
-    density_matrix_round_distributions,
     entanglement_swap,
     intercept_resend_channel,
     oracle_attack,
@@ -849,6 +848,25 @@ class TestConfigValidation:
         assert math.isfinite(stats.point.capacity.raw) and math.isfinite(stats.se["capacity"])
 
     @pytest.mark.parametrize(
+        "field, bound, outside, message",
+        [
+            ("channel_p", 0.0, math.nextafter(0.0, -1.0), "channel parameter must lie in"),
+            ("channel_p", 1.0, math.nextafter(1.0, 2.0), "channel parameter must lie in"),
+            ("transmittance", 0.0, math.nextafter(0.0, -1.0), "transmittance must lie in"),
+            ("transmittance", 1.0, math.nextafter(1.0, 2.0), "transmittance must lie in"),
+            ("q_override", 0.0, math.nextafter(0.0, -1.0), "gain override must lie in"),
+            ("q_override", 1.0, math.nextafter(1.0, 2.0), "gain override must lie in"),
+            ("seed", 0, -1, "seed must fit in 64 bits"),
+            ("seed", 2**64 - 1, 2**64, "seed must fit in 64 bits"),
+        ],
+    )
+    def test_accepts_each_bound_and_rejects_one_step_past_it(self, field, bound, outside, message):
+        kwargs = dict(protocol=Protocol.MDI_TS, rounds=10, channel_p=0.1, seed=1)
+        assert getattr(ProtocolConfig(**{**kwargs, field: bound}), field) == bound
+        with pytest.raises(ValueError, match=message):
+            ProtocolConfig(**{**kwargs, field: outside})
+
+    @pytest.mark.parametrize(
         "field", ["channel_p", "check_fraction", "q_override", "eta", "transmittance"]
     )
     @pytest.mark.parametrize("bad", [True, False, "0.2"])
@@ -884,6 +902,15 @@ def _swapped_sources(ps):
     """The oracle's source at ``ps``, swapped as it is and after the attack."""
     source = oracle_source(ps)
     return {attack: entanglement_swap(oracle_attack(source, attack)) for attack in AttackModel}
+
+
+def oracle_round_distributions(cfg, channel_p=None):
+    """Per-round distributions of what a run tallies, from the oracle's four
+    stages composed for one config: same keys and shapes as the Pauli-frame
+    backend. ``channel_p`` replaces ``cfg.channel_p`` when given; a 1-D
+    float64 array adds a leading grid axis to every output."""
+    p = cfg.channel_p if channel_p is None else channel_p
+    return oracle_readout(cfg, p, *entanglement_swap(oracle_attack(oracle_source(p), cfg.attack)))
 
 
 @pytest.mark.parametrize("shape", [(4,), (2, 3)])
@@ -938,7 +965,7 @@ def test_the_swap_outcome_law_is_the_bell_measurement_of_the_sent_photons(seed):
     np.testing.assert_allclose(probs, bell_measure(DensityMatrix(sent)), atol=1e-15)
 
 
-# SHA-256 of density_matrix_round_distributions(cfg, DEFAULT_P_GRID) over
+# SHA-256 of oracle_round_distributions(cfg, DEFAULT_P_GRID) over
 # REFEREED_CONFIGS, each key's name and float64 bytes in sorted key order,
 # taken when the swap stage began to contract the four-photon state with the
 # Bell vectors directly.
@@ -957,7 +984,7 @@ class TestBackendEquivalence:
             protocol=protocol, rounds=1, channel_p=p, seed=0, attack=attack, noise=noise
         )
         fast = pauli_frame_round_distributions(cfg)
-        exact = density_matrix_round_distributions(cfg)
+        exact = oracle_round_distributions(cfg)
         assert fast.keys() == exact.keys()
         for key in fast:
             np.testing.assert_allclose(fast[key], exact[key], atol=1e-12, err_msg=key)
@@ -973,12 +1000,12 @@ class TestBackendEquivalence:
             noise=NoisePlacement.BOTH_LEGS,
         )
         fast = pauli_frame_round_distributions(cfg)
-        exact = density_matrix_round_distributions(cfg)
+        exact = oracle_round_distributions(cfg)
         for key in fast:
             np.testing.assert_allclose(fast[key], exact[key], atol=1e-12, err_msg=key)
 
     # the Pauli-frame side takes the config's own channel parameter only
-    @pytest.mark.parametrize("backend", [density_matrix_round_distributions])
+    @pytest.mark.parametrize("backend", [oracle_round_distributions])
     @pytest.mark.parametrize("protocol", [Protocol.MDI_TS, Protocol.MDI_DL04])
     @pytest.mark.parametrize("noise", list(NoisePlacement))
     @pytest.mark.parametrize("attack", list(AttackModel))
@@ -1006,7 +1033,7 @@ class TestBackendEquivalence:
         swapped = _swapped_sources(ps)
         for cfg in REFEREED_CONFIGS:
             staged = oracle_readout(cfg, ps, *swapped[cfg.attack])
-            composed = density_matrix_round_distributions(cfg, ps)
+            composed = oracle_round_distributions(cfg, ps)
             assert staged.keys() == composed.keys()
             for key, value in composed.items():
                 assert staged[key].dtype == value.dtype and staged[key].shape == value.shape
@@ -1037,7 +1064,7 @@ class TestBackendEquivalence:
             noise=noise,
             attack=AttackModel.INTERCEPT_RESEND,
         )
-        alice = density_matrix_round_distributions(cfg)
+        alice = oracle_round_distributions(cfg)
         attacked = []
         original = intercept_resend_channel
 
@@ -1046,7 +1073,7 @@ class TestBackendEquivalence:
             return original(dm, 3)
 
         monkeypatch.setattr(mdiqsdc.oracle, "intercept_resend_channel", on_bobs_leg)
-        bob = density_matrix_round_distributions(cfg)
+        bob = oracle_round_distributions(cfg)
         assert attacked == [1]
         assert bob.keys() == alice.keys()
         for key in alice:
@@ -1063,7 +1090,7 @@ class TestOracleStillReferees:
         # every pair keeps its uncorrected frame, so the cover stage is the
         # first to conjugate Bob's photon by X
         monkeypatch.setattr(mdiqsdc.oracle, "swap_correction", lambda o: PauliLabel.I)
-        density_matrix_round_distributions(cfg)
+        oracle_round_distributions(cfg)
         conjugates = mdiqsdc.quantum._pauli_conjugates
 
         def leaky(dm, qubit):
@@ -1075,7 +1102,7 @@ class TestOracleStillReferees:
 
         monkeypatch.setattr(mdiqsdc.quantum, "_pauli_conjugates", leaky)
         with pytest.raises(ValueError, match="trace") as excinfo:
-            density_matrix_round_distributions(cfg)
+            oracle_round_distributions(cfg)
         assert excinfo.traceback[-1].name == "validate_density_stack"
         assert "apply_pauli" in [entry.name for entry in excinfo.traceback]
 

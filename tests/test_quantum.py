@@ -745,6 +745,24 @@ class TestFloatPath:
         out = validate_probability_vector(values, name="law")
         assert np.array(out).tobytes() == np.array(kept).tobytes()
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ((1 + 1e-12, 0.5, 0.0, 0.0), "must sum to 1 within 1e-12"),
+            ((0.25, math.nextafter(1.0, 2.0), 0.0, 0.0), "must sum to 1 within 1e-12"),
+            ((math.nextafter(1 + 1e-12, 2.0), 0.0, 0.0, 0.0), r"components must lie in \[0, 1\]"),
+            ((0.0, 0.0, 1.5, 0.0), r"components must lie in \[0, 1\]"),
+        ],
+        ids=["sum-at-1+1e-12", "sum-past-1", "range-past-1+1e-12", "range-at-1.5"],
+    )
+    @pytest.mark.parametrize("arrays", [False, True], ids=["floats", "arrays"])
+    def test_range_message_starts_one_ulp_past_1_plus_1e_12(self, values, message, arrays):
+        # an entry up to 1 + 1e-12 is in range, so only the sum can fail
+        if arrays:
+            values = tuple(np.array([v]) for v in values)
+        with pytest.raises(ValueError, match=message):
+            validate_probability_vector(values, name="law")
+
     def test_other_inputs_take_the_elementwise_path(self, monkeypatch):
         general = []
         as_floats = mdiqsdc.quantum.as_floats

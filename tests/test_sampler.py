@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from scipy.special import chdtrc
 
-from mdiqsdc.oracle import density_matrix_round_distributions
 from mdiqsdc.protocol import (
     AttackModel,
     NoisePlacement,
@@ -21,6 +20,7 @@ from mdiqsdc.protocol import (
     run,
 )
 from mdiqsdc.quantum import PAULI_PRODUCT, PauliLabel
+from test_protocol import oracle_round_distributions
 
 
 class TestLabelAlgebra:
@@ -120,7 +120,7 @@ def _pearson(observed, probs):
 
 def _oracle_cells(cfg):
     """The oracle's tally-cell law of ``cfg``, averaged over the announced outcome."""
-    dists = density_matrix_round_distributions(cfg)
+    dists = oracle_round_distributions(cfg)
     return dists["swap_outcome"] @ dists["cells"]
 
 
@@ -168,7 +168,7 @@ def test_tallies_match_exact_distributions(cfg):
 def test_cell_law_matches_exact_distributions(cfg):
     """The law the sampler draws the tally cells from is, to 1e-12, the
     density-matrix oracle's cell law after every announced Bell outcome."""
-    cells = density_matrix_round_distributions(cfg)["cells"]
+    cells = oracle_round_distributions(cfg)["cells"]
     law = _cell_probabilities(cfg, round_law_for_config(cfg))
     assert cells.shape == (4, law.size)
     for row in cells:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .channels import PauliDistribution, error_rate_in_basis
+from .channels import error_rate_in_basis
 from .elementwise import check_range
 from .protocol import (
     AnalyticPoint,
@@ -39,7 +39,7 @@ from .protocol import (
     round_law,
     round_law_for_config,
 )
-from .quantum import PauliLabel
+from .quantum import PauliDistribution, PauliLabel
 
 X_MAX = 0.5
 # the bases whose checked rates a curve's point carries

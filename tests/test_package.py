@@ -1,5 +1,5 @@
 """Package hygiene: no module imports a name it never uses or defines one
-that nothing else mentions, every name the package exports exists, the
+that nothing else mentions, every name has one import path, the
 benchmark's tracer and gate find what they name, and the command line starts
 without heavy imports; the run config's fields are pinned."""
 
@@ -98,9 +98,9 @@ def test_every_module_level_name_is_used_outside_tests():
     """A function, class or constant of the package must be used by the
     package, ``scripts/`` or ``perfbench/``; a name that only tests use is
     surface to delete, and so is one that only a docstring mentions.
-    ``__init__.py`` re-exports and so does not count, and neither does a
-    tracer target the package no longer has: a stale target string must not
-    keep a name alive."""
+    ``__init__.py`` is left out, as it defines only ``__version__``, which
+    ``pyproject.toml`` reads. A use by a tracer target the package no longer
+    has does not count: a stale target string must not keep a name alive."""
     if not (ROOT / "scripts").is_dir() or not (ROOT / "perfbench").is_dir():
         pytest.skip("needs a source checkout")
     modules = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
@@ -130,10 +130,30 @@ def test_unreferenced_name_detected():
     assert unreferenced_names(modules, "") == []
 
 
-def test_all_names_resolve():
-    assert len(set(mdiqsdc.__all__)) == len(mdiqsdc.__all__)
-    missing = [name for name in mdiqsdc.__all__ if not hasattr(mdiqsdc, name)]
-    assert missing == []
+def test_each_name_has_one_import_path():
+    """The package binds nothing but ``__version__``, and every
+    ``from .m import n`` names the module whose top level defines ``n``: a
+    name has one import path, and importing a module loads only what that
+    module needs."""
+    package = Path(mdiqsdc.__file__).parent
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")
+    }
+    init = trees["__init__"]
+    body = init.body[1:] if ast.get_docstring(init) is not None else init.body
+    assert [defined_names(node) for node in body] == [["__version__"]]
+    defined = {
+        name: {n for node in tree.body for n in defined_names(node)} for name, tree in trees.items()
+    }
+    misplaced = [
+        f"{name}.py: {alias.name} from .{node.module}"
+        for name, tree in sorted(trees.items())
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        for alias in node.names
+        if alias.name not in defined[node.module]
+    ]
+    assert misplaced == []
 
 
 # Tracer targets that the package no longer has: the tracer skips them, and
@@ -223,14 +243,29 @@ def test_protocol_config_fields_are_pinned():
     ]
 
 
-def test_cli_import_loads_no_logging_or_thread_pool():
+# module -> modules a fresh import of it must not load
+IMPORT_MUST_NOT_LOAD = {
+    "mdiqsdc.cli": ("logging", "concurrent.futures"),
+    "mdiqsdc.protocol": (
+        "mdiqsdc.oracle",
+        "mdiqsdc.verification",
+        "mdiqsdc.curves",
+        "mdiqsdc.cli",
+    ),
+    "mdiqsdc.curves": ("mdiqsdc.oracle", "mdiqsdc.verification", "mdiqsdc.cli"),
+}
+
+
+@pytest.mark.parametrize("module", IMPORT_MUST_NOT_LOAD)
+def test_import_loads_no_unneeded_module(module):
     """Importing the command line must not pull in ``logging`` or
     ``concurrent.futures``, which would add to every invocation's start-up
-    time."""
+    time; importing the Pauli frame or the closed-form curves must not pull
+    in the oracle, its checks or the command line."""
     src = Path(mdiqsdc.__file__).resolve().parents[1]
     code = (
-        "import sys; import mdiqsdc.cli; "
-        "print(sorted(m for m in ('logging', 'concurrent.futures') if m in sys.modules))"
+        f"import sys; import {module}; "
+        f"print(sorted(m for m in {IMPORT_MUST_NOT_LOAD[module]!r} if m in sys.modules))"
     )
     result = subprocess.run(
         [sys.executable, "-c", code],

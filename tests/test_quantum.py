@@ -825,6 +825,13 @@ class TestDensityStack:
         with pytest.raises(ValueError, match=message.split(" ")[0]):
             DensityMatrix(stack.reshape((2, count // 2, dim, dim)))
 
+    def test_hermitian_tolerance_is_inclusive(self):
+        """An entry off its mirror's conjugate by exactly 1e-12 passes; by
+        the next float above, it fails."""
+        DensityMatrix(np.array([[0.5, 1e-12], [0.0, 0.5]]))
+        with pytest.raises(ValueError, match="^matrix is not Hermitian within 1e-12$"):
+            DensityMatrix(np.array([[0.5, math.nextafter(1e-12, 1.0)], [0.0, 0.5]]))
+
     @pytest.mark.parametrize("seed", range(20))
     def test_verdicts_and_eigenvalues_match_single_matrices(self, seed):
         rng = np.random.default_rng(seed)

@@ -29,6 +29,8 @@ from mdiqsdc.quantum import (
     purify_bell_diagonal,
 )
 from mdiqsdc.verification import (
+    HOLEVO_POINTS_PER_AXIS,
+    HOLEVO_SLACK,
     check_holevo_bound,
     delta_simplex_grid,
     holevo_excess,
@@ -210,6 +212,16 @@ class TestHolevoCheckHasTeeth:
         )
         result = check_holevo_bound()
         assert not result.passed, result.detail
+
+    @pytest.mark.parametrize(
+        "worst, passed",
+        [(HOLEVO_SLACK, True), (math.nextafter(HOLEVO_SLACK, 1.0), False)],
+    )
+    def test_the_slack_is_inclusive(self, monkeypatch, worst, passed):
+        grid, _ = simplex_excess(HOLEVO_POINTS_PER_AXIS)
+        excess = np.full(len(grid), worst)
+        monkeypatch.setattr(verification, "simplex_excess", lambda points: (grid, excess))
+        assert check_holevo_bound().passed is passed
 
     def test_a_violation_at_any_single_point_fails_and_is_named(self, monkeypatch):
         honest = verification.holevo_excess

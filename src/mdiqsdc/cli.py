@@ -34,8 +34,8 @@ import numpy as np
 
 from .curves import X_MAX, analytic_point, analytic_point_for_config, zero_crossing
 from .elementwise import minimum
-from .infotheory import ETA_MAX
 from .protocol import (
+    ETA_MAX,
     AnalyticPoint,
     AttackModel,
     NoisePlacement,
@@ -305,7 +305,7 @@ def _load_config_file(path: str, args: argparse.Namespace) -> list[str]:
     flags = {name.replace("_", "-") for name in vars(args)} - {"command", "config"}
     values: dict[str, str] = {}
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             for lineno, line in enumerate(handle, 1):
                 stripped = line.strip()
                 if not stripped or stripped.startswith("#"):

@@ -1,7 +1,7 @@
 """The steps of the closed forms that must tell a float from an array.
 
 The probability checks of ``quantum`` and the closed forms of ``channels``,
-``infotheory`` and ``curves`` take Python floats or 1-D float64 arrays (a
+``protocol`` and ``curves`` take Python floats or 1-D float64 arrays (a
 sweep grid, one value per grid point) and run the same code on either: the
 same products, and sums from 0 taken left to right, so element k of an
 array result equals, bit for bit, the float result for element k. Only the

@@ -54,6 +54,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
@@ -62,15 +63,7 @@ from functools import cached_property
 import numpy as np
 
 from .channels import convolve, depolarizing_pauli_dist, error_rate_in_basis
-from .elementwise import check_range, minimum
-from .infotheory import (
-    ETA_MAX,
-    CapacityResult,
-    binary_entropy,
-    eve_info_mdi_ts,
-    secrecy_capacity,
-    shannon_entropy,
-)
+from .elementwise import check_range, maximum, minimum, neg_p_log2_p
 from .quantum import PauliDistribution, PauliLabel
 
 
@@ -116,6 +109,10 @@ MESSAGE_BASIS: dict[PauliLabel, PauliLabel] = {
 
 # The most rounds one run draws: the largest count numpy's multinomial takes.
 MAX_ROUNDS = 2**63 - 1
+
+# Largest gain gap eta: every leak term is at most 2 bits, so eta times a
+# leak, and so every capacity, stays finite.
+ETA_MAX = sys.float_info.max / 2.0
 
 
 @dataclass(frozen=True)
@@ -165,6 +162,19 @@ class ProtocolConfig:
             raise ValueError(f"gain gap eta={self.eta!r} outside [0, {ETA_MAX:g}]")
         if not 0.0 <= self.transmittance <= 1.0:
             raise ValueError("transmittance must lie in [0, 1]")
+
+
+@dataclass(frozen=True)
+class CapacityResult:
+    """Secrecy-capacity bound. ``raw`` is kept as computed, negative or not,
+    as the zero crossing is a result in its own right; ``clamped`` >= 0 sits
+    beside it."""
+
+    raw: float
+
+    @property
+    def clamped(self) -> float:
+        return maximum(self.raw, 0.0)
 
 
 @dataclass(frozen=True)
@@ -321,6 +331,29 @@ def message_law(
     return (1.0 - flip, flip)
 
 
+def binary_entropy(x: float) -> float:
+    """h(x) = -x log2 x - (1-x) log2 (1-x), with 0 log 0 = 0."""
+    check_range(x, 0.0, 1.0, "binary entropy argument ")
+    return neg_p_log2_p(x) + neg_p_log2_p(1.0 - x)
+
+
+def shannon_entropy(probabilities: tuple[float, ...]) -> float:
+    """Shannon entropy, in bits, of a law given as its probabilities, any
+    number of them, summed from 0.0 left to right; for a two-entry law
+    ``(1 - x, x)`` it equals :func:`binary_entropy` of x bit for bit."""
+    total = 0.0
+    for p in probabilities:
+        total = total + neg_p_log2_p(p)
+    return total
+
+
+def eve_info_mdi_ts(eps_z: float, eps_x: float) -> float:
+    """Upper bound on the eavesdropper's information per symbol: h(eps_z) + h(eps_x)."""
+    return binary_entropy(check_range(eps_z, 0.0, 1.0, "eps_z=")) + binary_entropy(
+        check_range(eps_x, 0.0, 1.0, "eps_x=")
+    )
+
+
 def closed_form(
     protocol: Protocol,
     x: float,
@@ -331,13 +364,17 @@ def closed_form(
     q: float,
     eta: float,
 ) -> AnalyticPoint:
-    """The :class:`AnalyticPoint` of ``protocol`` at x = p/2: the bound of
-    :func:`~mdiqsdc.infotheory.secrecy_capacity` from the checked error rate
-    ``rates[basis]`` of each basis and the ``law`` of decoded (-) encoded on an
-    arrived message round, whose entropy is the message entropy whatever its
-    number of entries; floats, or 1-D arrays for a grid. The curves and the
-    analytic twin feed it exact rates and laws, a run its observed
-    frequencies; each law is checked where it is made.
+    """The :class:`AnalyticPoint` of ``protocol`` at x = p/2: the bound
+    Q [bits - H - eta leak], with q checked to lie in [0, 1] and eta in
+    [0, ETA_MAX], from the checked error rate ``rates[basis]`` of each basis
+    and the ``law`` of decoded (-) encoded on an arrived message round, whose
+    :func:`shannon_entropy` is the message entropy H whatever its number of
+    entries; floats, or 1-D arrays for a grid. The entanglement protocols
+    carry 2 bits and leak h(eps_z) + h(eps_x); the single-photon MDI protocol
+    carries 1 bit and leaks h(eps_u) of its encoding basis u, its non-MDI
+    baseline h(min(eps_x + eps_z, 1/2)). The curves and the analytic twin
+    feed it exact rates and laws, a run its observed frequencies; each law is
+    checked where it is made, so the entropy takes its probabilities as given.
     """
     entropy = shannon_entropy(law)
     if protocol in (Protocol.MDI_TS, Protocol.TWO_STEP):
@@ -351,7 +388,9 @@ def closed_form(
             # information leaked about one bit cannot exceed one bit, so the
             # leak argument eps_x + eps_z is capped at 1/2, where h = 1
             eve_info = binary_entropy(minimum(rates[PauliLabel.X] + rates[PauliLabel.Z], 0.5))
-    capacity = CapacityResult(secrecy_capacity(bits, entropy, eve_info, q=q, eta=eta))
+    check_range(q, 0.0, 1.0, "gain q=")
+    check_range(eta, 0.0, ETA_MAX, "gain gap eta=")
+    capacity = CapacityResult(q * (bits - entropy - eta * eve_info))
     eps = (rates.get(PauliLabel.Z), rates.get(PauliLabel.X), rates.get(PauliLabel.Y))
     return AnalyticPoint(protocol, x, 2.0 * x, *eps, entropy, eve_info, capacity)
 

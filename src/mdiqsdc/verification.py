@@ -14,13 +14,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channels import error_rate_in_basis
-from .infotheory import eve_info_mdi_ts
 from .oracle import entanglement_swap, oracle_attack, oracle_readout, oracle_source
 from .protocol import (
     AttackModel,
     NoisePlacement,
     Protocol,
     ProtocolConfig,
+    eve_info_mdi_ts,
     pauli_frame_round_distributions,
 )
 from .quantum import (

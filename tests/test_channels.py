@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdiqsdc.channels import (
-    PauliDistribution,
     convolve,
     depolarize,
     depolarizing_pauli_dist,
@@ -20,6 +19,7 @@ from mdiqsdc.quantum import (
     PAULI_PRODUCT,
     BellLabel,
     DensityMatrix,
+    PauliDistribution,
     PauliLabel,
     basis_eigenvector,
     bell_measure,

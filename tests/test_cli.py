@@ -39,8 +39,8 @@ from mdiqsdc.cli import (
     main,
 )
 from mdiqsdc.curves import analytic_point
-from mdiqsdc.infotheory import ETA_MAX
 from mdiqsdc.protocol import (
+    ETA_MAX,
     MAX_ROUNDS,
     AttackModel,
     NoisePlacement,
@@ -959,6 +959,29 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: cannot read config file {config}: 'utf-8' codec")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, keys",
+        [
+            ("sweep", "protocol = mdi-ts,dl04\ngrid = 0:0.2:0.05\n"),
+            ("simulate", "protocol = mdi-ts\np = 0.1\nrounds = 2000\nseed = 7\n"),
+        ],
+        ids=["sweep", "simulate"],
+    )
+    def test_config_file_with_a_byte_order_mark_reads_as_without(
+        self, capsys, tmp_path, command, keys
+    ):
+        csv = tmp_path / "out.csv"
+        text = f"{keys}csv = {csv}\n".encode()
+        outputs = []
+        for data in (text, b"\xef\xbb\xbf" + text):
+            config = tmp_path / "run.conf"
+            config.write_bytes(data)
+            code, out, err = run_cli([command, "--config", str(config)], capsys)
+            outputs.append((code, out, err, csv.read_bytes()))
+            csv.unlink()
+        assert outputs[0][0] == 0 and outputs[0][3]
+        assert outputs[1] == outputs[0]
 
     @pytest.mark.parametrize(
         "command, flag, kept",

@@ -9,24 +9,22 @@ import sys
 import numpy as np
 import pytest
 
-from mdiqsdc.channels import PauliDistribution, depolarizing_pauli_dist
+from mdiqsdc.channels import depolarizing_pauli_dist
 from mdiqsdc.curves import analytic_point, analytic_point_for_config
-from mdiqsdc.infotheory import (
-    binary_entropy,
-    eve_info_mdi_ts,
-    secrecy_capacity,
-    shannon_entropy,
-)
 from mdiqsdc.protocol import (
     AttackModel,
     NoisePlacement,
     Protocol,
     ProtocolConfig,
+    binary_entropy,
     check_bases,
+    eve_info_mdi_ts,
     pauli_frame_round_distributions,
     round_law_for_config,
+    shannon_entropy,
 )
-from mdiqsdc.quantum import PauliLabel
+from mdiqsdc.quantum import PauliDistribution, PauliLabel
+from test_infotheory import noiseless_raw
 from test_protocol import oracle_round_distributions
 
 ATOL = 1e-12
@@ -229,10 +227,10 @@ SHARED_CHECKS = {
     "entropy argument": (binary_entropy, 0.25, 1.0000000000000002),
     "entropy argument nan": (binary_entropy, 0.25, np.nan),
     "leak argument": (lambda v: eve_info_mdi_ts(0.25, v), 0.25, 2.0),
-    "gain q": (lambda v: secrecy_capacity(1.0, 0.5, 0.5, q=v, eta=1.0), 0.25, 1.5),
-    "gain q nan": (lambda v: secrecy_capacity(1.0, 0.5, 0.5, q=v, eta=1.0), 0.25, np.nan),
-    "gain eta": (lambda v: secrecy_capacity(1.0, 0.5, 0.5, q=1.0, eta=v), 0.25, np.inf),
-    "gain eta negative": (lambda v: secrecy_capacity(1.0, 0.5, 0.5, q=1.0, eta=v), 0.25, -0.5),
+    "gain q": (lambda v: noiseless_raw(Protocol.MDI_DL04, q=v), 0.25, 1.5),
+    "gain q nan": (lambda v: noiseless_raw(Protocol.MDI_DL04, q=v), 0.25, np.nan),
+    "gain eta": (lambda v: noiseless_raw(Protocol.MDI_DL04, eta=v), 0.25, np.inf),
+    "gain eta negative": (lambda v: noiseless_raw(Protocol.MDI_DL04, eta=v), 0.25, -0.5),
     "sweep position": (lambda v: analytic_point(Protocol.MDI_TS, v), 0.25, 0.5000000000000001),
     "sweep position nan": (lambda v: analytic_point(Protocol.DL04, v), 0.25, np.nan),
 }

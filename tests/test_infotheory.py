@@ -1,20 +1,28 @@
-"""Entropy and capacity-formula tests, with series and root-finding oracles."""
+"""Entropy and capacity-formula tests, with series and root-finding oracles:
+the entropies, the leak and the bound ``closed_form`` with its range checks
+on q and eta, all of ``mdiqsdc.protocol``, and the curves and zero crossings
+of ``mdiqsdc.curves``."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from mdiqsdc.curves import NoisePlacement, Protocol, analytic_point, zero_crossing
-from mdiqsdc.infotheory import (
+from mdiqsdc.curves import analytic_point, zero_crossing
+from mdiqsdc.protocol import (
+    ETA_MAX,
     CapacityResult,
+    NoisePlacement,
+    Protocol,
     binary_entropy,
+    closed_form,
     eve_info_mdi_ts,
-    secrecy_capacity,
     shannon_entropy,
 )
+from mdiqsdc.quantum import PauliLabel
 
 
 def binary_entropy_series_oracle(x, terms=50):
@@ -105,16 +113,22 @@ class TestEveInfo:
 
 def mdi_ts_raw(errors, eps_z, eps_x, q=1.0, eta=1.0):
     """Q {2 - H(E) - eta [h(eps_z) + h(eps_x)]}"""
-    return secrecy_capacity(
-        2.0, shannon_entropy(errors), eve_info_mdi_ts(eps_z, eps_x), q=q, eta=eta
-    )
+    leak = binary_entropy(eps_z) + binary_entropy(eps_x)
+    return q * (2.0 - shannon_entropy(errors) - eta * leak)
 
 
 def mdi_dl04_raw(bit_error, eps_u, q=1.0, eta=1.0):
     """Q [1 - h(e) - eta h(eps_u)]"""
-    return secrecy_capacity(
-        1.0, binary_entropy(bit_error), binary_entropy(eps_u), q=q, eta=eta
-    )
+    return q * (1.0 - binary_entropy(bit_error) - eta * binary_entropy(eps_u))
+
+
+def noiseless_raw(protocol, q=1.0, eta=1.0):
+    """The raw :func:`closed_form` bound of an MDI protocol with no error:
+    message entropy and leak 0, so Q times its bits."""
+    rates = dict.fromkeys((PauliLabel.Z, PauliLabel.X, PauliLabel.Y), 0.0)
+    law = (1.0, 0.0, 0.0, 0.0) if protocol == Protocol.MDI_TS else (1.0, 0.0)
+    point = closed_form(protocol, 0.0, rates, law, encoding=PauliLabel.Y, q=q, eta=eta)
+    return point.capacity.raw
 
 
 class TestCapacityFormulas:
@@ -184,17 +198,41 @@ class TestCapacityFormulas:
     def test_range_violations_raise(self):
         with pytest.raises(ValueError):
             mdi_dl04_raw(1.5, 0.0)
-        with pytest.raises(ValueError):
-            secrecy_capacity(2.0, 0.0, 0.0, q=1.5, eta=1.0)
-        with pytest.raises(ValueError):
-            secrecy_capacity(2.0, 0.0, 0.0, q=1.0, eta=-0.5)
+        with pytest.raises(ValueError, match="gain q="):
+            noiseless_raw(Protocol.MDI_TS, q=1.5, eta=1.0)
+        with pytest.raises(ValueError, match="gain gap eta="):
+            noiseless_raw(Protocol.MDI_TS, q=1.0, eta=-0.5)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_gains_raise(self, bad):
-        with pytest.raises(ValueError):
-            secrecy_capacity(2.0, 0.0, 0.0, q=1.0, eta=bad)
-        with pytest.raises(ValueError):
-            secrecy_capacity(1.0, 0.0, 0.0, q=bad, eta=1.0)
+        with pytest.raises(ValueError, match="gain gap eta="):
+            noiseless_raw(Protocol.MDI_TS, q=1.0, eta=bad)
+        with pytest.raises(ValueError, match="gain q="):
+            noiseless_raw(Protocol.MDI_DL04, q=bad, eta=1.0)
+
+
+class TestGainChecksAreInclusive:
+    """``closed_form`` accepts q in [0, 1] and eta in [0, ETA_MAX], both ends
+    included, and rejects the next float beyond either end."""
+
+    @pytest.mark.parametrize("q", [0.0, 1.0])
+    def test_q_at_either_end_is_accepted(self, q):
+        assert noiseless_raw(Protocol.MDI_TS, q=q) == 2.0 * q
+
+    @pytest.mark.parametrize("q", [math.nextafter(0.0, -1.0), math.nextafter(1.0, 2.0)])
+    def test_q_just_beyond_either_end_raises(self, q):
+        with pytest.raises(ValueError, match=re.escape(f"gain q={q!r} outside [0, 1]")):
+            noiseless_raw(Protocol.MDI_TS, q=q)
+
+    @pytest.mark.parametrize("eta", [0.0, ETA_MAX])
+    def test_eta_at_either_end_is_accepted(self, eta):
+        assert noiseless_raw(Protocol.MDI_TS, eta=eta) == 2.0
+
+    @pytest.mark.parametrize("eta", [math.nextafter(0.0, -1.0), math.nextafter(ETA_MAX, math.inf)])
+    def test_eta_just_beyond_either_end_raises(self, eta):
+        message = f"gain gap eta={eta!r} outside [0, {ETA_MAX:g}]"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            noiseless_raw(Protocol.MDI_TS, eta=eta)
 
 
 class TestCapacityResult:

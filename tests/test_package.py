@@ -130,21 +130,31 @@ def test_unreferenced_name_detected():
     assert unreferenced_names(modules, "") == []
 
 
+def package_trees() -> dict[str, ast.Module]:
+    """Each module of the package, ``__init__`` included, by name."""
+    package = Path(mdiqsdc.__file__).parent
+    return {
+        path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")
+    }
+
+
+def top_level_names(trees: dict[str, ast.Module]) -> dict[str, set[str]]:
+    """The names each module's top level defines, by module name."""
+    return {
+        name: {n for node in tree.body for n in defined_names(node)} for name, tree in trees.items()
+    }
+
+
 def test_each_name_has_one_import_path():
     """The package binds nothing but ``__version__``, and every
     ``from .m import n`` names the module whose top level defines ``n``: a
     name has one import path, and importing a module loads only what that
     module needs."""
-    package = Path(mdiqsdc.__file__).parent
-    trees = {
-        path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")
-    }
+    trees = package_trees()
     init = trees["__init__"]
     body = init.body[1:] if ast.get_docstring(init) is not None else init.body
     assert [defined_names(node) for node in body] == [["__version__"]]
-    defined = {
-        name: {n for node in tree.body for n in defined_names(node)} for name, tree in trees.items()
-    }
+    defined = top_level_names(trees)
     misplaced = [
         f"{name}.py: {alias.name} from .{node.module}"
         for name, tree in sorted(trees.items())
@@ -154,6 +164,33 @@ def test_each_name_has_one_import_path():
         if alias.name not in defined[node.module]
     ]
     assert misplaced == []
+
+
+def misplaced_imports(folder: Path, defined: dict[str, set[str]]) -> list[str]:
+    """Each ``from mdiqsdc.<m> import <n>`` in the Python files under
+    ``folder`` whose module ``m`` does not define ``n`` at its top level;
+    ``defined`` maps each module name to the names it defines."""
+    found = []
+    for path in sorted(folder.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("mdiqsdc."):
+                module = node.module.removeprefix("mdiqsdc.")
+                found += [
+                    f"{path.relative_to(folder.parent)}:{node.lineno}: {alias.name} from {module}"
+                    for alias in node.names
+                    if alias.name not in defined.get(module, set())
+                ]
+    return found
+
+
+def test_tests_and_scripts_import_each_name_from_its_module():
+    """A test or a script imports each package name from the module that
+    defines it, as the package's own modules do."""
+    if not (ROOT / "scripts").is_dir():
+        pytest.skip("needs a source checkout")
+    defined = top_level_names(package_trees())
+    assert misplaced_imports(ROOT / "tests", defined) == []
+    assert misplaced_imports(ROOT / "scripts", defined) == []
 
 
 # Tracer targets that the package no longer has: the tracer skips them, and
@@ -194,7 +231,13 @@ def test_benchmark_names_resolve():
     missing = set()
     for name in targets | imported:
         module, attr = name.split(".")
-        if not hasattr(importlib.import_module(f"mdiqsdc.{module}"), attr):
+        try:
+            found = hasattr(importlib.import_module(f"mdiqsdc.{module}"), attr)
+        except ModuleNotFoundError as exc:  # a target of a deleted module is missing too
+            if exc.name != f"mdiqsdc.{module}":
+                raise
+            found = False
+        if not found:
             missing.add(name)
     assert missing == MISSING_SPAN_TARGETS
 

@@ -18,9 +18,8 @@ import mdiqsdc.oracle
 import mdiqsdc.protocol
 import mdiqsdc.quantum
 from mdiqsdc.cli import SWEEP_BLOCK, _grid_blocks, _parse_grid
-from mdiqsdc.channels import PauliDistribution, convolve, depolarizing_pauli_dist
+from mdiqsdc.channels import convolve, depolarizing_pauli_dist
 from mdiqsdc.curves import analytic_point_for_config
-from mdiqsdc.infotheory import ETA_MAX, binary_entropy, shannon_entropy
 from mdiqsdc.oracle import (
     entanglement_swap,
     intercept_resend_channel,
@@ -30,6 +29,7 @@ from mdiqsdc.oracle import (
     swap_correction,
 )
 from mdiqsdc.protocol import (
+    ETA_MAX,
     MAX_ROUNDS,
     INTERCEPT_RESEND_DIST,
     MESSAGE_BASIS,
@@ -43,18 +43,21 @@ from mdiqsdc.protocol import (
     _estimate,
     _shannon_variance,
     arrival,
+    binary_entropy,
     check_bases,
     message_law,
     pauli_frame_round_distributions,
     round_law,
     round_law_for_config,
     run,
+    shannon_entropy,
 )
 from mdiqsdc.quantum import (
     ANTICOMMUTES,
     PAULI_PRODUCT,
     BellLabel,
     DensityMatrix,
+    PauliDistribution,
     PauliLabel,
     bell_measure,
     bell_state,

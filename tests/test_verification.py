@@ -17,9 +17,14 @@ import mdiqsdc.oracle
 import mdiqsdc.protocol
 import mdiqsdc.quantum
 import mdiqsdc.verification as verification
-from mdiqsdc.infotheory import binary_entropy
 from mdiqsdc.oracle import swap_correction
-from mdiqsdc.protocol import AttackModel, NoisePlacement, Protocol, message_law
+from mdiqsdc.protocol import (
+    AttackModel,
+    NoisePlacement,
+    Protocol,
+    binary_entropy,
+    message_law,
+)
 from mdiqsdc.quantum import (
     PAULI_OF_BELL,
     BellLabel,

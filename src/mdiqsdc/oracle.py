@@ -91,7 +91,7 @@ def entanglement_swap(rho: DensityMatrix) -> tuple[np.ndarray, DensityMatrix]:
     sub = 0.5 * np.einsum("bik,...aickxjyl,bjl->...bacxy", _SCALED_BELL, view, _SCALED_BELL)
     sub = sub.reshape(rho.shape + (4, 4, 4))
     probs = np.trace(sub, axis1=-2, axis2=-1).real
-    pairs = DensityMatrix(sub / probs[..., None, None])
+    pairs = DensityMatrix._validated(sub / probs[..., None, None])
     corrections = [int(swap_correction(BellLabel(o))) for o in range(4)]
     return probs, apply_pauli(pairs, corrections, 1)
 
@@ -155,30 +155,33 @@ def oracle_readout(
     attack of ``cfg``; ``channel_p`` also sets the second-leg noise, so
     ``cfg.channel_p`` and ``cfg.attack`` are not read here.
 
-    It applies the encodings, the covers and any second-leg noise to the
-    pairs, and reads every outcome's check errors and message law out of the
-    resulting matrices. The message states are one validated stack, indexed
-    (cover, symbol, outcome) or (bit, outcome). A message round arrives when
-    every photon its message stage sends passes the transmittance. The
-    message law is averaged over the outcomes with their own probabilities.
+    It applies any second-leg noise, then the encodings and the covers, to
+    the pairs, and reads every outcome's check errors and message law out of
+    the resulting matrices. The noise acts on the swapped pairs before the
+    Paulis and not on the encoded states after them: a Pauli channel
+    commutes with a Pauli conjugation entry for entry, so the bits are
+    those of the physical order, noise after the Paulis. The check errors
+    are read off the un-noised pairs. The message states are one validated
+    stack, indexed (cover, symbol, outcome) or (bit, outcome). A message
+    round arrives when every photon its message stage sends passes the
+    transmittance. The message law is averaged over the outcomes with their
+    own probabilities.
     """
-    both_legs = cfg.noise == NoisePlacement.BOTH_LEGS
     entangled = cfg.protocol == Protocol.MDI_TS
+    sent = 2 if entangled else 1  # Alice's and Bob's encoded photons, or Alice's
+    noised = pair
+    if cfg.noise == NoisePlacement.BOTH_LEGS:
+        for photon in range(sent):
+            noised = depolarize(noised, channel_p, photon)
     if entangled:
-        sent = 2  # Alice's and Bob's encoded photons
-        encoded = apply_pauli(pair[..., None, :], _LABELS[:, None], 0)  # (..., symbol, outcome)
+        encoded = apply_pauli(noised[..., None, :], _LABELS[:, None], 0)  # (..., symbol, outcome)
         # (..., cover, symbol, outcome)
         covered = apply_pauli(encoded[..., None, :, :], _LABELS[:, None, None], 1)
-        if both_legs:
-            covered = depolarize(depolarize(covered, channel_p, 0), channel_p, 1)
         # (..., outcome, difference)
         law = np.einsum("...csoq,scqd->...od", bell_measure(covered), _SYMBOL_DIFFERENCE)
     else:
-        sent = 1  # Alice's encoded photon
         # (..., bit, outcome)
-        encoded = apply_pauli(pair[..., None, :], [[PauliLabel.I], [cfg.dl04_encoding]], 0)
-        if both_legs:
-            encoded = depolarize(encoded, channel_p, 0)
+        encoded = apply_pauli(noised[..., None, :], [[PauliLabel.I], [cfg.dl04_encoding]], 0)
         # bit 0 is misread when both photons agree, bit 1 when they differ
         agreement = _agreement_projectors(MESSAGE_BASIS[cfg.dl04_encoding])
         flip = np.einsum("kij,...koji->...o", agreement, encoded.matrix).real / 2.0

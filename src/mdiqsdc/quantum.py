@@ -16,10 +16,14 @@ Pauli error on one half of the singlet that makes it.
 
 A ``DensityMatrix`` is the one checked state: one (d, d) matrix or a stack
 with shape (..., d, d), a single state being a stack with no leading axes,
-every member checked by :func:`validate_density_stack`. A member's
-spectrum is ``np.linalg.eigvalsh`` of it, except that an output of
-:func:`apply_pauli` takes its input's spectrum, which a signed permutation
-keeps, and an indexed stack keeps its members' spectra. State vectors are
+every member checked by :func:`validate_density_stack`. The constructor
+copies its argument; the stages that build a fresh stack themselves
+(:func:`pure_density`, :func:`pauli_channel`, the average inside
+:func:`holevo_bound` and the oracle's swapped pairs) validate it in place
+and make it read-only without the copy. A member's spectrum is
+``np.linalg.eigvalsh`` of it, except that an output of :func:`apply_pauli`
+takes its input's spectrum, which a signed permutation keeps, and an
+indexed stack keeps its members' spectra. State vectors are
 read-only numpy arrays, and :func:`pure_density` is the one way to make
 |a><a| of a vector or of each vector of a (..., d) stack; a vector whose
 squared norm is not 1 fails there on the trace. The helpers
@@ -198,6 +202,17 @@ class PauliDistribution:
         return cls(weights)
 
 
+def _mirrored_entries(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the entries of a (d, d) matrix on and above the
+    diagonal, and of their mirrors below it (a diagonal entry is its own)."""
+    flat = np.arange(d * d).reshape(d, d)
+    upper = np.triu_indices(d)
+    return flat[upper], flat.T[upper]
+
+
+_MIRRORED_ENTRIES = {d: _mirrored_entries(d) for d in _ALLOWED_DIMS}
+
+
 def validate_density_stack(
     matrices: np.ndarray, eigenvalues: np.ndarray | None = None
 ) -> np.ndarray:
@@ -209,7 +224,10 @@ def validate_density_stack(
     of 1, lowest eigenvalue at least -1e-10 (the floor absorbs numeric drift
     from channel compositions). The first failing check raises the
     ValueError a single matrix gets; a trace failure quotes the trace of the
-    first failing member.
+    first failing member. Hermiticity is checked on the entries on and
+    above the diagonal, each against its mirror's conjugate: an entry below
+    is off by exactly as much as its mirror, so the decision is that of
+    every entry.
 
     The spectrum is ``np.linalg.eigvalsh`` of the stack unless
     ``eigenvalues`` gives it: the ascending spectra of a stack with the
@@ -223,7 +241,12 @@ def validate_density_stack(
         raise ValueError(f"unsupported dimension {matrices.shape[-1]}")
     if not np.isfinite(matrices).all():
         raise ValueError("entries must be finite")
-    if (np.abs(matrices - matrices.conj().swapaxes(-1, -2)) > ATOL_HERMITIAN).any():
+    upper, lower = _MIRRORED_ENTRIES[matrices.shape[-1]]
+    flat = matrices.reshape(matrices.shape[:-2] + (-1,))
+    asymmetry = np.take(flat, lower, axis=-1)  # made m_ij - conj(m_ji) in place
+    np.conjugate(asymmetry, out=asymmetry)
+    np.subtract(np.take(flat, upper, axis=-1), asymmetry, out=asymmetry)
+    if (np.abs(asymmetry) > ATOL_HERMITIAN).any():
         raise ValueError("matrix is not Hermitian within 1e-12")
     traces = np.trace(matrices, axis1=-2, axis2=-1)
     off = np.abs(traces - 1.0) > ATOL_TRACE
@@ -252,12 +275,9 @@ class DensityMatrix:
     eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        mat = np.array(self.matrix, dtype=np.complex128)
-        eigenvalues = validate_density_stack(mat)
-        mat.flags.writeable = False
-        eigenvalues.flags.writeable = False
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "eigenvalues", eigenvalues)
+        own = DensityMatrix._validated(np.array(self.matrix, dtype=np.complex128))
+        object.__setattr__(self, "matrix", own.matrix)
+        object.__setattr__(self, "eigenvalues", own.eigenvalues)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -282,6 +302,15 @@ class DensityMatrix:
         object.__setattr__(dm, "eigenvalues", eigenvalues)
         return dm
 
+    @staticmethod
+    def _validated(matrix: np.ndarray) -> "DensityMatrix":
+        """The stack of a complex128 ``matrix`` that no caller holds: validated
+        and made read-only in place, where the constructor would copy it."""
+        eigenvalues = validate_density_stack(matrix)
+        matrix.flags.writeable = False
+        eigenvalues.flags.writeable = False
+        return DensityMatrix._checked(matrix, eigenvalues)
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[-1]
@@ -295,7 +324,7 @@ def pure_density(amplitudes) -> DensityMatrix:
     """|a><a| of one (d,) vector, or of each vector of a (..., d) stack, as
     a validated stack of shape (..., d, d)."""
     a = np.asarray(amplitudes, dtype=np.complex128)
-    return DensityMatrix(a[..., :, None] * a.conj()[..., None, :])
+    return DensityMatrix._validated(a[..., :, None] * a.conj()[..., None, :])
 
 
 def bell_state(label: BellLabel) -> np.ndarray:
@@ -364,6 +393,15 @@ def _pauli_conjugates(dm: DensityMatrix, qubit: int) -> tuple[np.ndarray, ...]:
     return rho, flipped, _PAULI_SIGN * flipped, _PAULI_SIGN * rho
 
 
+def _select_conjugates(conjugates: tuple[np.ndarray, ...], labels: np.ndarray) -> np.ndarray:
+    """One new array holding, at each index, the entry of the conjugate that
+    ``labels`` names there; the conjugates are released on return."""
+    out = np.empty(np.broadcast_shapes(labels.shape, conjugates[0].shape), dtype=np.complex128)
+    for k, conjugate in enumerate(conjugates):
+        np.copyto(out, conjugate, where=labels == k)
+    return out
+
+
 def apply_pauli(
     state: DensityMatrix, op: PauliLabel | Sequence[int] | np.ndarray, qubit: int
 ) -> DensityMatrix:
@@ -375,8 +413,9 @@ def apply_pauli(
     labels of shape (4, 1) on a stack of shape (4,) give the (label,
     member) stack of shape (4, 4).
 
-    ``np.where`` picks each entry from one of the four conjugates, so the
-    result equals ``np.choose`` over them bit for bit. A conjugate is a
+    One output buffer takes each member's entries from the conjugate of its
+    own label (``np.copyto`` with a label mask), so the result equals
+    ``np.choose`` over the four conjugates bit for bit. A conjugate is a
     signed permutation of its input, so each output member keeps its
     input's eigenvalues, broadcast over the labels and not recomputed; the
     output passes every check of :func:`validate_density_stack`.
@@ -385,8 +424,7 @@ def apply_pauli(
     if labels.dtype.kind not in "iu" or ((labels < 0) | (labels > 3)).any():
         raise ValueError(f"Pauli labels must be integers in [0, 3], got {op!r}")
     labels = labels.reshape(labels.shape + (1,) * 6)
-    rho, x, y, z = _pauli_conjugates(state, qubit)
-    out = np.where(labels == 0, rho, np.where(labels == 1, x, np.where(labels == 2, y, z)))
+    out = _select_conjugates(_pauli_conjugates(state, qubit), labels)
     matrix = out.reshape(out.shape[:-6] + (state.dim, state.dim))
     matrix.flags.writeable = False
     # a signed permutation keeps each member's spectrum
@@ -408,8 +446,8 @@ def pauli_channel(dm: DensityMatrix, weights, qubit: int) -> DensityMatrix:
     w = [np.reshape(v, v.shape + lead) if isinstance(v, np.ndarray) else v for v in weights]
     out = w[0] * terms[0]
     for k in (1, 2, 3):
-        out = out + w[k] * terms[k]
-    return DensityMatrix(out.reshape(dm.matrix.shape))
+        out += w[k] * terms[k]
+    return DensityMatrix._validated(out.reshape(dm.matrix.shape))
 
 
 def bell_measure(dm: DensityMatrix) -> np.ndarray:
@@ -440,12 +478,11 @@ def purify_bell_diagonal(d: PauliDistribution) -> DensityMatrix:
     basis; tracing out the environment recovers the mixture. Array laws give
     a stack with one purification per element.
     """
-    amps = np.zeros(np.shape(d.probabilities[0]) + (16,), dtype=np.complex128)
-    for i in range(4):
-        root = np.sqrt(d[PAULI_OF_BELL[i]])
-        for ab in range(4):
-            amps[..., ab * 4 + i] += root * BELL_VECTORS[i][ab]
-    return pure_density(amps)
+    roots = np.sqrt(np.stack([d[PAULI_OF_BELL[i]] for i in range(4)], axis=-1))
+    # amplitude (ab, i), added to zero: sqrt(delta_i) times <ab|Psi_i>
+    amps = np.zeros(roots.shape[:-1] + (4, 4), dtype=np.complex128)
+    amps += roots[..., None, :] * BELL_VECTORS.T
+    return pure_density(amps.reshape(roots.shape[:-1] + (16,)))
 
 
 def von_neumann_entropy(dm: DensityMatrix) -> float | np.ndarray:
@@ -475,6 +512,8 @@ def holevo_bound(states: DensityMatrix, priors: Sequence[float]) -> float | np.n
         raise ValueError("priors must be nonnegative and sum to 1")
     entropies = von_neumann_entropy(states)
     # sums from 0 taken left to right, so a stack's chi equals each ensemble's own
-    average = DensityMatrix(sum(p * states.matrix[..., i, :, :] for i, p in enumerate(pr)))
+    average = DensityMatrix._validated(
+        sum(p * states.matrix[..., i, :, :] for i, p in enumerate(pr))
+    )
     chi = von_neumann_entropy(average) - sum(p * entropies[..., i] for i, p in enumerate(pr))
     return float(chi) if np.ndim(chi) == 0 else chi

@@ -18,7 +18,7 @@ import mdiqsdc.oracle
 import mdiqsdc.protocol
 import mdiqsdc.quantum
 from mdiqsdc.cli import SWEEP_BLOCK, _grid_blocks, _parse_grid
-from mdiqsdc.channels import convolve, depolarizing_pauli_dist
+from mdiqsdc.channels import convolve, depolarize, depolarizing_pauli_dist
 from mdiqsdc.curves import analytic_point_for_config
 from mdiqsdc.oracle import (
     entanglement_swap,
@@ -59,6 +59,7 @@ from mdiqsdc.quantum import (
     DensityMatrix,
     PauliDistribution,
     PauliLabel,
+    apply_pauli,
     bell_measure,
     bell_state,
     pure_density,
@@ -973,6 +974,67 @@ def test_the_swap_outcome_law_is_the_bell_measurement_of_the_sent_photons(seed):
 # taken when the swap stage began to contract the four-photon state with the
 # Bell vectors directly.
 DEFAULT_GRID_ORACLE_SHA256 = "57b473e3a6b1a9cfed322b6165c0faedab3bbd56aeb680fddb891f3ea5376add"
+
+
+def readout_noising_the_encoded_states(cfg, channel_p, swap_outcome, pair):
+    """:func:`oracle_readout` with the both-legs re-transmission noise in its
+    first order: applied to every encoded (mdi-dl04) or encoded and covered
+    (mdi-ts) state, after the Paulis, rather than to the swapped pairs. The
+    check cells are read off the un-noised pairs in both orders."""
+    both_legs = cfg.noise == NoisePlacement.BOTH_LEGS
+    labels = np.arange(4)
+    if cfg.protocol == Protocol.MDI_TS:
+        sent = 2
+        encoded = apply_pauli(pair[..., None, :], labels[:, None], 0)
+        covered = apply_pauli(encoded[..., None, :, :], labels[:, None, None], 1)
+        if both_legs:
+            covered = depolarize(depolarize(covered, channel_p, 0), channel_p, 1)
+        law = np.einsum(
+            "...csoq,scqd->...od", bell_measure(covered), mdiqsdc.oracle._SYMBOL_DIFFERENCE
+        )
+    else:
+        sent = 1
+        encoded = apply_pauli(pair[..., None, :], [[PauliLabel.I], [cfg.dl04_encoding]], 0)
+        if both_legs:
+            encoded = depolarize(encoded, channel_p, 0)
+        agreement = mdiqsdc.oracle._agreement_projectors(MESSAGE_BASIS[cfg.dl04_encoding])
+        flip = np.einsum("kij,...koji->...o", agreement, encoded.matrix).real / 2.0
+        law = np.stack([1.0 - flip, flip], axis=-1)
+    bases = check_bases(cfg)
+    share = cfg.check_fraction / len(bases)
+    cells = []
+    for basis in bases:
+        projector = mdiqsdc.oracle._agreement_projectors(basis)[0]
+        error = np.einsum("ij,...oji->...o", projector, pair.matrix).real
+        cells += [share * (1.0 - error), share * error]
+    message = 1.0 - cfg.check_fraction
+    arrival = cfg.transmittance**sent
+    cells += [message * arrival * law[..., d] for d in range(law.shape[-1])]
+    cells.append(np.full_like(error, message * (1.0 - arrival)))
+    out = {"swap_outcome": swap_outcome, "cells": np.stack(cells, axis=-1)}
+    averaged = np.einsum("...o,...od->...d", swap_outcome, law)
+    if cfg.protocol == Protocol.MDI_TS:
+        out["symbol_error"] = averaged
+    else:
+        out["bit_error"] = averaged[..., 1:]
+    return out
+
+
+@pytest.mark.parametrize(
+    "ps", [np.array(EQUIVALENCE_PS), DEFAULT_P_GRID], ids=["verify-grid", "default-sweep-grid"]
+)
+def test_noising_the_pairs_before_the_paulis_keeps_every_readout_byte(ps):
+    """A Pauli channel commutes with a Pauli conjugation entry for entry, so
+    the second-leg noise may act on the swapped pairs before the encodings
+    and covers: every key of every refereed config keeps its bytes."""
+    swapped = _swapped_sources(ps)
+    for cfg in REFEREED_CONFIGS:
+        got = oracle_readout(cfg, ps, *swapped[cfg.attack])
+        want = readout_noising_the_encoded_states(cfg, ps, *swapped[cfg.attack])
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            assert got[key].dtype == value.dtype and got[key].shape == value.shape
+            assert got[key].tobytes() == value.tobytes(), (cfg, key)
 
 
 class TestBackendEquivalence:

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mdiqsdc.quantum
+from mdiqsdc.oracle import entanglement_swap
 from mdiqsdc.quantum import (
+    ATOL_HERMITIAN,
     BELL_VECTORS,
     BellLabel,
     DensityMatrix,
@@ -553,6 +556,36 @@ class TestTypeInvariants:
         mat = np.diag([1.0 + 5e-11, -5e-11]).astype(complex)
         DensityMatrix(mat)  # within the -1e-10 floor
 
+    def test_the_constructor_copies_its_input(self):
+        arr = np.eye(2, dtype=complex) / 2
+        dm = DensityMatrix(arr)
+        assert arr.flags.writeable and not np.shares_memory(arr, dm.matrix)
+        arr[0, 0] = 1.0
+        assert dm.matrix[0, 0] == 0.5
+        assert not dm.matrix.flags.writeable and not dm.eigenvalues.flags.writeable
+
+    def test_stacks_built_in_place_are_read_only(self, monkeypatch):
+        """The stages that validate a fresh stack in place, without the
+        constructor's copy, hand out a read-only matrix and eigenvalues."""
+        built = {}
+        validated = DensityMatrix._validated
+
+        def recording(matrix):
+            dm = validated(matrix)
+            built.setdefault(sys._getframe(1).f_code.co_name, []).append(dm)
+            return dm
+
+        monkeypatch.setattr(DensityMatrix, "_validated", staticmethod(recording))
+        singlet = bell_state(BellLabel.PSI_MINUS)
+        source = pauli_channel(pure_density(np.kron(singlet, singlet)), [0.7, 0.1, 0.1, 0.1], 1)
+        entanglement_swap(source)
+        holevo_bound(apply_pauli(pure_density(singlet)[None], list(PauliLabel), 0), [0.25] * 4)
+        assert set(built) == {"pure_density", "pauli_channel", "entanglement_swap", "holevo_bound"}
+        for stage, stacks in built.items():
+            for dm in stacks:
+                assert not dm.matrix.flags.writeable, stage
+                assert not dm.eigenvalues.flags.writeable, stage
+
     def test_immutable_arrays(self):
         psi = bell_state(BellLabel.PSI_MINUS)
         with pytest.raises(ValueError):
@@ -831,6 +864,41 @@ class TestDensityStack:
         DensityMatrix(np.array([[0.5, 1e-12], [0.0, 0.5]]))
         with pytest.raises(ValueError, match="^matrix is not Hermitian within 1e-12$"):
             DensityMatrix(np.array([[0.5, math.nextafter(1e-12, 1.0)], [0.0, 0.5]]))
+
+    @pytest.mark.parametrize(
+        "place, part",
+        [("above", 1.0), ("above", 1j), ("below", 1.0), ("below", 1j), ("diagonal", 1j)],
+    )
+    @pytest.mark.parametrize(
+        "size",
+        [math.nextafter(ATOL_HERMITIAN, 0.0), ATOL_HERMITIAN, math.nextafter(ATOL_HERMITIAN, 1.0)],
+        ids=["ulp-below", "at", "ulp-above"],
+    )
+    @pytest.mark.parametrize("dim", [2, 4, 16])
+    def test_the_one_triangle_check_decides_as_the_full_matrix_does(self, dim, size, place, part):
+        """One asymmetry of exactly ``size`` in one member of a diagonal
+        stack: above the diagonal, below it, or in a diagonal entry's
+        imaginary part. The validator accepts or rejects as the full-matrix
+        form of the check does, with the message a single matrix gets."""
+        rng = np.random.default_rng(dim)
+        stack = np.zeros((3, dim, dim), dtype=complex)
+        stack[:, range(dim), range(dim)] = rng.dirichlet(np.ones(dim), size=3)
+        member = int(rng.integers(3))
+        i, j = sorted(rng.choice(dim, size=2, replace=False))
+        if place == "above":
+            stack[member, i, j] = part * size
+        elif place == "below":
+            stack[member, j, i] = part * size
+        else:
+            stack[member, i, i] += 0.5 * part * size  # off its conjugate by exactly size
+        full_form_rejects = (np.abs(stack - stack.conj().swapaxes(-1, -2)) > 1e-12).any()
+        assert full_form_rejects == (size > ATOL_HERMITIAN)
+        if full_form_rejects:
+            with pytest.raises(ValueError) as caught:
+                validate_density_stack(stack)
+            assert str(caught.value) == "matrix is not Hermitian within 1e-12"
+        else:
+            validate_density_stack(stack)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_verdicts_and_eigenvalues_match_single_matrices(self, seed):

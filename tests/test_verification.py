@@ -47,17 +47,20 @@ from mdiqsdc.verification import (
 # when every grid point was its own stack, and the distinct members among
 # them. backend-equivalence compares five configs over four p values, and
 # builds the oracle's source once and swaps it once per attack model; a swap
-# validates two-photon pairs only, before and after Bob's correction.
-VALIDATED_FLOOR = {"backend-equivalence": 1360, "holevo-bound": 245}
-VALIDATED_TOTAL_FLOOR = 1622
+# validates two-photon pairs only, before and after Bob's correction. The
+# second-leg noise acts on the 16 swapped pairs of a readout, not on its 256
+# (mdi-ts) or 32 (mdi-dl04) encoded states (1360 and 1622 before).
+VALIDATED_FLOOR = {"backend-equivalence": 864, "holevo-bound": 245}
+VALIDATED_TOTAL_FLOOR = 1126
 # Taken when each of backend-equivalence's five cases built its own source
 # and swap (1592 members): sharing those stages drops copies, not matrices.
 DISTINCT_FLOOR = {"backend-equivalence": 112, "holevo-bound": 158}
 DISTINCT_TOTAL_FLOOR = 278
 # Members one verify diagonalizes: an output of apply_pauli keeps its input's
-# spectrum, so a change that diagonalizes Pauli outputs again raises these.
-DIAGONALIZED = {"backend-equivalence": 592, "holevo-bound": 105}
-DIAGONALIZED_TOTAL = 710
+# spectrum, so a change that diagonalizes Pauli outputs again raises these,
+# and so does noising the encoded states instead of the pairs (592 and 710).
+DIAGONALIZED = {"backend-equivalence": 96, "holevo-bound": 105}
+DIAGONALIZED_TOTAL = 214
 
 
 @pytest.mark.parametrize("points_per_axis", [5, 7])
@@ -190,7 +193,12 @@ def test_verify_builds_the_oracle_stages_anew_on_every_call(monkeypatch):
     assert sources[0] is not sources[1]
 
 
-def test_stacked_checks_stay_under_a_megabyte():
+# tracemalloc peak of a repeated verify: 468 kB measured with numpy 2.4 on
+# Python 3.11, rounded up
+VERIFY_PEAK_BYTES = 500_000
+
+
+def test_stacked_checks_stay_under_half_a_megabyte():
     run_all_checks()  # a warm-up, so the peak is that of a repeated verify
     tracemalloc.start()
     try:
@@ -198,7 +206,7 @@ def test_stacked_checks_stay_under_a_megabyte():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1_000_000, peak
+    assert peak < VERIFY_PEAK_BYTES, peak
 
 
 class TestHolevoCheckHasTeeth:

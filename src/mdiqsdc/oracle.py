@@ -76,7 +76,7 @@ def intercept_resend_channel(dm: DensityMatrix, qubit: int) -> DensityMatrix:
 
 # sqrt(2) <b| on photons 1 and 3, indexed (outcome, photon 1, photon 3): the
 # Bell vectors are real, so its entries are exactly 0 and +-1
-_SCALED_BELL = np.sign(BELL_VECTORS.real).reshape(4, 2, 2)
+_SCALED_BELL = np.sign(BELL_VECTORS).reshape(4, 2, 2)
 _SCALED_BELL.flags.writeable = False
 
 

@@ -20,7 +20,13 @@ every member checked by :func:`validate_density_stack`. The constructor
 copies its argument; the stages that build a fresh stack themselves
 (:func:`pure_density`, :func:`pauli_channel`, the average inside
 :func:`holevo_bound` and the oracle's swapped pairs) validate it in place
-and make it read-only without the copy. A member's spectrum is
+and make it read-only without the copy. A stack keeps the kind of its
+input: float64 when the input is real (bool, int or float) and complex128
+when it is complex. Every state the oracle and the Holevo check build is
+real, since the Bell vectors, the Paulis' signed permutations and the Pauli
+channels are, so they hold half the bytes of complex stacks and are
+diagonalized by the real symmetric eigensolver; numpy's type promotion runs
+the same code on either kind. A member's spectrum is
 ``np.linalg.eigvalsh`` of it, except that an output of :func:`apply_pauli`
 takes its input's spectrum, which a signed permutation keeps, and an
 indexed stack keeps its members' spectra. State vectors are
@@ -105,7 +111,8 @@ PAULI_OF_BELL: tuple[PauliLabel, ...] = (
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
-# Rows are psi-, psi+, phi-, phi+ over |00>,|01>,|10>,|11>.
+# Rows are psi-, psi+, phi-, phi+ over |00>,|01>,|10>,|11>; the entries are
+# real, so a Bell projection needs no conjugate.
 BELL_VECTORS: np.ndarray = np.array(
     [
         [0, _SQRT_HALF, -_SQRT_HALF, 0],
@@ -113,7 +120,7 @@ BELL_VECTORS: np.ndarray = np.array(
         [_SQRT_HALF, 0, 0, -_SQRT_HALF],
         [_SQRT_HALF, 0, 0, _SQRT_HALF],
     ],
-    dtype=np.complex128,
+    dtype=np.float64,
 )
 BELL_VECTORS.flags.writeable = False
 
@@ -213,11 +220,19 @@ def _mirrored_entries(d: int) -> tuple[np.ndarray, np.ndarray]:
 _MIRRORED_ENTRIES = {d: _mirrored_entries(d) for d in _ALLOWED_DIMS}
 
 
+def _stack_dtype(values: np.ndarray) -> type:
+    """The kind a state of ``values`` is kept in: complex128 for a complex
+    array, float64 for a real one (bool, int or float)."""
+    return np.complex128 if values.dtype.kind == "c" else np.float64
+
+
 def validate_density_stack(
     matrices: np.ndarray, eigenvalues: np.ndarray | None = None
 ) -> np.ndarray:
-    """Check every matrix of a complex (..., d, d) stack as a density matrix
-    and return the eigenvalues, ascending, as a (..., d) array.
+    """Check every matrix of a real or complex (..., d, d) stack as a
+    density matrix and return the eigenvalues, ascending, as a float64
+    (..., d) array. A real stack gets every check a complex one does, with
+    the same messages, a trace quoted as a complex number included.
 
     Each check runs over the whole stack before the next: square, dimension
     2, 4 or 16, finite entries, Hermitian within 1e-12, trace within 1e-12
@@ -264,8 +279,9 @@ def validate_density_stack(
 class DensityMatrix:
     """Hermitian, trace-1, positive-semidefinite matrices on 1, 2, or 4 qubits.
 
-    ``matrix`` is one (d, d) state or a stack of shape (..., d, d); every
-    member passes :func:`validate_density_stack`, whose eigenvalues are kept
+    ``matrix`` is one (d, d) state or a stack of shape (..., d, d), float64
+    when the input is real and complex128 when it is complex; every member
+    passes :func:`validate_density_stack`, whose eigenvalues are kept
     for the entropies. The constructor diagonalizes every member; an
     output of :func:`apply_pauli` inherits its input's eigenvalues as a
     read-only broadcast view, and still passes every check.
@@ -275,7 +291,8 @@ class DensityMatrix:
     eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        own = DensityMatrix._validated(np.array(self.matrix, dtype=np.complex128))
+        matrix = np.asarray(self.matrix)
+        own = DensityMatrix._validated(np.array(matrix, dtype=_stack_dtype(matrix)))
         object.__setattr__(self, "matrix", own.matrix)
         object.__setattr__(self, "eigenvalues", own.eigenvalues)
 
@@ -304,8 +321,9 @@ class DensityMatrix:
 
     @staticmethod
     def _validated(matrix: np.ndarray) -> "DensityMatrix":
-        """The stack of a complex128 ``matrix`` that no caller holds: validated
-        and made read-only in place, where the constructor would copy it."""
+        """The stack of a float64 or complex128 ``matrix`` that no caller
+        holds: validated and made read-only in place, where the constructor
+        would copy it."""
         eigenvalues = validate_density_stack(matrix)
         matrix.flags.writeable = False
         eigenvalues.flags.writeable = False
@@ -323,7 +341,8 @@ class DensityMatrix:
 def pure_density(amplitudes) -> DensityMatrix:
     """|a><a| of one (d,) vector, or of each vector of a (..., d) stack, as
     a validated stack of shape (..., d, d)."""
-    a = np.asarray(amplitudes, dtype=np.complex128)
+    a = np.asarray(amplitudes)
+    a = a.astype(_stack_dtype(a), copy=False)
     return DensityMatrix._validated(a[..., :, None] * a.conj()[..., None, :])
 
 
@@ -396,7 +415,7 @@ def _pauli_conjugates(dm: DensityMatrix, qubit: int) -> tuple[np.ndarray, ...]:
 def _select_conjugates(conjugates: tuple[np.ndarray, ...], labels: np.ndarray) -> np.ndarray:
     """One new array holding, at each index, the entry of the conjugate that
     ``labels`` names there; the conjugates are released on return."""
-    out = np.empty(np.broadcast_shapes(labels.shape, conjugates[0].shape), dtype=np.complex128)
+    out = np.empty(np.broadcast_shapes(labels.shape, conjugates[0].shape), conjugates[0].dtype)
     for k, conjugate in enumerate(conjugates):
         np.copyto(out, conjugate, where=labels == k)
     return out
@@ -455,7 +474,7 @@ def bell_measure(dm: DensityMatrix) -> np.ndarray:
     shape ``dm.shape + (4,)``."""
     if dm.dim != 4:
         raise ValueError("Bell measurement needs a two-qubit state")
-    return np.einsum("bi,...ij,bj->...b", BELL_VECTORS.conj(), dm.matrix, BELL_VECTORS).real
+    return np.einsum("bi,...ij,bj->...b", BELL_VECTORS, dm.matrix, BELL_VECTORS).real
 
 
 def product_decompose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -466,7 +485,7 @@ def product_decompose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     if np.shape(a) != (2,) or np.shape(b) != (2,):
         raise ValueError("product decomposition needs two single-qubit states")
-    return BELL_VECTORS.conj() @ np.kron(a, b)
+    return BELL_VECTORS @ np.kron(a, b)
 
 
 def purify_bell_diagonal(d: PauliDistribution) -> DensityMatrix:
@@ -480,7 +499,7 @@ def purify_bell_diagonal(d: PauliDistribution) -> DensityMatrix:
     """
     roots = np.sqrt(np.stack([d[PAULI_OF_BELL[i]] for i in range(4)], axis=-1))
     # amplitude (ab, i), added to zero: sqrt(delta_i) times <ab|Psi_i>
-    amps = np.zeros(roots.shape[:-1] + (4, 4), dtype=np.complex128)
+    amps = np.zeros(roots.shape[:-1] + (4, 4))
     amps += roots[..., None, :] * BELL_VECTORS.T
     return pure_density(amps.reshape(roots.shape[:-1] + (16,)))
 

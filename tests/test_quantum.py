@@ -1042,3 +1042,105 @@ class TestPureStack:
         amps = np.array([[1.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
         with pytest.raises(ValueError, match=r"trace \(2\+0j\) differs"):
             pure_density(amps)
+
+
+def random_real_density_matrices(rng, count, dim):
+    """Real symmetric density matrices of random rank, as a float64 stack."""
+    stack = []
+    for _ in range(count):
+        rank = int(rng.integers(1, dim + 1))
+        vectors = rng.normal(size=(rank, dim))
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+        mat = np.einsum("k,ki,kj->ij", rng.dirichlet(np.ones(rank)), vectors, vectors)
+        stack.append((mat + mat.T) / 2)
+    return np.stack(stack)
+
+
+def stage_outputs(pair_vector):
+    """The stack each stage makes of the two-photon state ``pair_vector``,
+    and the swap of two copies of it."""
+    pair = pure_density(pair_vector)
+    return {
+        "constructor": DensityMatrix(pair.matrix),
+        "pure_density": pair,
+        "apply_pauli": apply_pauli(pair, [0, 1, 2, 3], 1),
+        "pauli_channel": pauli_channel(pair, (0.7, 0.1, 0.1, 0.1), 0),
+        "entanglement_swap": entanglement_swap(pure_density(np.kron(pair_vector, pair_vector)))[1],
+    }
+
+
+class TestDtypeContract:
+    """A stack keeps the kind of its input: float64 from a real array (bool,
+    int or float) and complex128 from a complex one. The eigenvalues are
+    float64 either way."""
+
+    @pytest.mark.parametrize(
+        "dtype, kind",
+        [
+            (np.bool_, np.float64),
+            (np.int64, np.float64),
+            (np.float32, np.float64),
+            (np.float64, np.float64),
+            (np.complex64, np.complex128),
+            (np.complex128, np.complex128),
+        ],
+    )
+    def test_the_constructor_and_pure_density_keep_the_kind(self, dtype, kind):
+        vector = np.array([0, 1, 0, 0], dtype=dtype)  # |01>
+        for dm in (pure_density(vector), DensityMatrix(np.outer(vector, vector))):
+            assert dm.matrix.dtype == kind
+            assert dm.eigenvalues.dtype == np.float64
+
+    def test_real_inputs_give_float64_through_every_stage(self):
+        for stage, dm in stage_outputs(bell_state(BellLabel.PSI_MINUS)).items():
+            assert dm.matrix.dtype == np.float64, stage
+            assert dm.eigenvalues.dtype == np.float64, stage
+
+    def test_complex_inputs_give_complex128_through_every_stage(self):
+        # maximally entangled, so that every swap outcome has probability 1/4
+        pair = np.array([0.0, R, 1j * R, 0.0])
+        for stage, dm in stage_outputs(pair).items():
+            assert dm.matrix.dtype == np.complex128, stage
+            assert dm.eigenvalues.dtype == np.float64, stage
+
+    @pytest.mark.parametrize("num_qubits", [1, 2, 4])
+    def test_the_real_path_equals_the_complex_path_entry_for_entry(self, num_qubits):
+        dim = 2**num_qubits
+        stack = random_real_density_matrices(np.random.default_rng(dim), 4, dim)
+        real, twin = DensityMatrix(stack), DensityMatrix(stack.astype(np.complex128))
+        weights = (0.55, 0.2, 0.15, 0.1)
+        for qubit in range(num_qubits):
+            for op in (PauliLabel.Y, [[0], [1], [2], [3]]):
+                got, want = apply_pauli(real, op, qubit), apply_pauli(twin, op, qubit)
+                assert got.matrix.dtype == np.float64 and not want.matrix.imag.any()
+                np.testing.assert_array_equal(got.matrix, want.matrix.real)
+            got, want = pauli_channel(real, weights, qubit), pauli_channel(twin, weights, qubit)
+            assert got.matrix.dtype == np.float64 and not want.matrix.imag.any()
+            np.testing.assert_array_equal(got.matrix, want.matrix.real)
+
+    @pytest.mark.parametrize("check", ["hermitian", "trace", "eigenvalue", "finite"])
+    @pytest.mark.parametrize("dim", [2, 4, 16])
+    def test_a_malformed_real_stack_gets_its_complex_twins_message(self, check, dim):
+        rng = np.random.default_rng(dim)
+        stack = random_real_density_matrices(rng, 3, dim)
+        member = np.diag(np.full(dim, 1.0 / dim))  # dyadic, so every trace order is exact
+        if check == "hermitian":
+            member[0, 1] = math.nextafter(ATOL_HERMITIAN, 1.0)
+            message = "matrix is not Hermitian within 1e-12"
+        elif check == "trace":
+            member[0, 0] += 2.0**-30
+            message = f"trace {complex(1.0 + 2.0**-30)!r} differs from 1 by > 1e-12"
+        elif check == "eigenvalue":
+            spectrum = np.concatenate([[-2e-10], rng.dirichlet(np.ones(dim - 1)) * (1.0 + 2e-10)])
+            rotation, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+            member = rotation @ np.diag(spectrum) @ rotation.T
+            member = (member + member.T) / 2
+            message = "matrix has an eigenvalue below -1e-10"
+        else:
+            member[0, 0] = np.nan
+            message = "entries must be finite"
+        stack[1] = member
+        for matrices in (stack, stack.astype(np.complex128)):
+            with pytest.raises(ValueError) as caught:
+                validate_density_stack(matrices)
+            assert str(caught.value) == message, matrices.dtype

@@ -73,12 +73,12 @@ def test_stacked_excess_equals_the_per_point_loop(points_per_axis):
 
 
 # SHA-256 of simplex_excess's float64 excess bytes, in grid order, taken when
-# the four encoded members of each ensemble began to share their input's
-# spectrum. verify prints the worst excess to 3 digits only; these see an ulp
-# anywhere in the Holevo path.
+# the Holevo path's stacks became float64 and went to the real symmetric
+# eigensolver. verify prints the worst excess to 3 digits only; these see an
+# ulp anywhere in the Holevo path.
 SIMPLEX_EXCESS_SHA256 = {
-    5: "356c4c05d6f31b152ab672dc100fb2fbb4dcc69f426fa94e5f580b9124f139d8",
-    9: "f63747897778f6ea488adc3210bccec4238621e80846473d6b48f8d9bea80266",
+    5: "e83cb0eb3f749a23b76cf9f0123bec5c3f3518635783653f343e45c6fdd984ce",
+    9: "26069c0981a2b9dee14f8faf60cac311532b736f6c48fa85e11fd7786cdaa395",
 }
 
 
@@ -141,6 +141,23 @@ def test_verify_validates_at_least_one_matrix_per_point_and_stage(monkeypatch):
     assert sum(diagonalized.values()) == DIAGONALIZED_TOTAL
 
 
+@pytest.mark.parametrize("check", ["check_backend_equivalence", "check_holevo_bound"])
+def test_the_grid_checks_validate_only_float64_stacks(monkeypatch, check):
+    """Every state the oracle and the Holevo check build is real, so a
+    complex cast anywhere on their path, which would double verify's
+    memory, fails here."""
+    kinds = Counter()
+    original = mdiqsdc.quantum.validate_density_stack
+
+    def recording(matrices, eigenvalues=None):
+        kinds[matrices.dtype] += 1
+        return original(matrices, eigenvalues)
+
+    monkeypatch.setattr(mdiqsdc.quantum, "validate_density_stack", recording)
+    assert getattr(verification, check)().passed
+    assert set(kinds) == {np.dtype(np.float64)}, kinds
+
+
 def test_verify_builds_the_oracle_stages_anew_on_every_call(monkeypatch):
     """backend-equivalence builds the oracle's source once with the whole
     grid, swaps it once per attack model and reads each case out of its
@@ -193,12 +210,13 @@ def test_verify_builds_the_oracle_stages_anew_on_every_call(monkeypatch):
     assert sources[0] is not sources[1]
 
 
-# tracemalloc peak of a repeated verify: 468 kB measured with numpy 2.4 on
-# Python 3.11, rounded up
-VERIFY_PEAK_BYTES = 500_000
+# tracemalloc peak of a repeated verify: 243-249 kB over 40 runs with numpy
+# 2.4 on Python 3.11, rounded up; the stacks are float64 (468 kB when they
+# were complex128)
+VERIFY_PEAK_BYTES = 250_000
 
 
-def test_stacked_checks_stay_under_half_a_megabyte():
+def test_stacked_checks_stay_under_a_quarter_megabyte():
     run_all_checks()  # a warm-up, so the peak is that of a repeated verify
     tracemalloc.start()
     try:
@@ -377,6 +395,17 @@ def _wrong_oracle_cell(outcome, cell):
     return plant
 
 
+def _nan_frame_cells(monkeypatch):
+    honest = verification.pauli_frame_round_distributions
+
+    def planted(cfg):
+        out = dict(honest(cfg))
+        out["cells"] = np.full_like(out["cells"], np.nan)
+        return out
+
+    monkeypatch.setattr(verification, "pauli_frame_round_distributions", planted)
+
+
 EQUIVALENCE = frozenset({"backend-equivalence"})
 VERIFY_MUTATIONS = {
     **{
@@ -411,6 +440,13 @@ VERIFY_MUTATIONS = {
         for outcome in BellLabel
         for cell in (0, 4, 6)
     },
+    # a NaN deviation is larger than any number, and the first one is named
+    "frame-cells-nan": (
+        _nan_frame_cells,
+        EQUIVALENCE,
+        r"^max distribution deviation nan \(mdi-ts first-leg-only p=0\.0 attack=none"
+        r" cells outcome=PSI_MINUS cell=0\)$",
+    ),
 }
 
 
